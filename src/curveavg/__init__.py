@@ -11,9 +11,9 @@ and `cli`/`reporting` handle artifacts.
 """
 
 from ._version import __version__
-from .averaging import (MultiplierCache, TimeWindow, apply_averaging,
-                        direct_oracle, lp_norm_space, lp_norm_spacetime,
-                        norm_peak_bytes, space_stats)
+from .averaging import (TimeWindow, apply_averaging, direct_oracle,
+                        lp_norm_space, lp_norm_spacetime, norm_peak_bytes,
+                        space_stats)
 from .bumps import CutoffSpec, radial_bump, smooth_step
 from .cone import ConeChart, moment_gamma_seed
 from .config import (RunConfig, enforce_memory_cap, estimate_field_bytes,
@@ -32,9 +32,8 @@ from .multiplier import (MultiplierSample, alpha_n, beta_n, decay_profile,
 from .reporting import (load_snapshot, render_report, save_snapshot,
                         sweep_artifacts, write_csv, write_json)
 from .sweep import (PieceBoundReport, SlopeFit, SweepReport,
-                    concentration_check, critical_exponent, expected_slopes,
-                    fit_slope, orthogonality_check, piece_l2_lower, run_cell,
-                    sharpness_sweep)
+                    critical_exponent, expected_slopes, fit_slope,
+                    piece_l2_lower, run_cell, sharpness_sweep)
 
 __all__ = [
     "__version__",
@@ -56,7 +55,7 @@ __all__ = [
     "CounterexampleSpec", "frequency_centers", "windowed_lattice",
     "build_piece", "build_f",
     # averaging
-    "TimeWindow", "MultiplierCache", "apply_averaging", "direct_oracle",
+    "TimeWindow", "apply_averaging", "direct_oracle",
     "space_stats", "lp_norm_space", "lp_norm_spacetime", "norm_peak_bytes",
     # config
     "RunConfig", "parse_config", "parse_memory_size", "with_overrides",
@@ -64,7 +63,7 @@ __all__ = [
     # sweep
     "critical_exponent", "expected_slopes", "fit_slope", "SlopeFit",
     "run_cell", "sharpness_sweep", "SweepReport", "piece_l2_lower",
-    "PieceBoundReport", "orthogonality_check", "concentration_check",
+    "PieceBoundReport",
     # reporting
     "save_snapshot", "load_snapshot", "write_csv", "write_json",
     "sweep_artifacts", "render_report",

@@ -7,10 +7,13 @@ s -> f(x - t gamma(s)) chi(s) with f evaluated by exact trigonometric
 summation of the stored coefficients.
 
 Norms: the torus L^p norm is a Riemann sum over an `oversample`-times
-zero-padded inverse FFT of the coefficient window. Oversampling 2 is exact for
-p <= 4 band-limited powers and 3 is converged for p = 8 (measured; see tests).
-The padded cube is never materialized whole: the first axis is transformed
-once, the remaining axes stream through fixed-size chunks.
+zero-padded inverse FFT of the coefficient window, each axis rounded up to a
+power of two. For even integer p the sum is exact once every axis has more
+than (p/2)(m - 1) points for a window of m: oversampling 2 is exact for
+p <= 4, and since lattice windows are powers of two, oversample 3 really
+means 4, which is exact for p <= 8. Grids up to `chunk_bytes` (and every grid
+at n != 3) are transformed whole in memory; larger 3-d grids are streamed:
+the first axis is transformed once, the remaining axes in fixed-size slabs.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .errors import DomainError, GeometryError, GridError, QuadratureError
 from .fields import SpectralField, _next_pow2
 from .multiplier import mu_hat_batch
 
-__all__ = ["TimeWindow", "MultiplierCache", "apply_averaging", "direct_oracle",
+__all__ = ["TimeWindow", "apply_averaging", "direct_oracle",
            "space_stats", "lp_norm_space", "lp_norm_spacetime", "norm_peak_bytes"]
 
 _CHUNK_BYTES = 2.0e8
@@ -59,35 +62,10 @@ class TimeWindow:
         return w
 
 
-class MultiplierCache:
-    """mu_hat samples keyed by (t, integer lattice index), filled in batches."""
-
-    def __init__(self, curve, cutoff):
-        self.curve = curve
-        self.cutoff = cutoff
-        self._store = {}
-
-    def values(self, t, window, flat):
-        idx = np.stack(np.unravel_index(np.asarray(flat), window.dims), axis=-1)
-        idx = idx + np.asarray(window.k0)
-        keys = [(t,) + tuple(row) for row in idx.tolist()]
-        missing = [i for i, k in enumerate(keys) if k not in self._store]
-        if missing:
-            xis = idx[missing] * window.dk
-            vals = mu_hat_batch(self.curve, self.cutoff, [t], xis)[0]
-            for i, v in zip(missing, vals):
-                self._store[keys[i]] = complex(v)
-        return np.array([self._store[k] for k in keys])
-
-
-def apply_averaging(field, curve, cutoff, t, cache=None):
+def apply_averaging(field, curve, cutoff, t):
     """A_t applied spectrally on the declared support; support is preserved."""
     flat = field.support_flat()
-    if cache is not None:
-        mu = cache.values(float(t), field.window, flat)
-    else:
-        xis = field.window.xi_of_flat(flat)
-        mu = mu_hat_batch(curve, cutoff, [t], xis)[0]
+    mu = mu_hat_batch(curve, cutoff, [t], field.window.xi_of_flat(flat))[0]
     out = np.zeros_like(field.fhat)
     out.ravel()[flat] = field.fhat.ravel()[flat] * mu
     return field.with_fhat(out)
@@ -140,6 +118,18 @@ def direct_oracle(field, curve, cutoff, t, points, rel_tol=1e-9, max_panels=4096
         coarse = fine
 
 
+def _slab_rows(F, chunk_bytes):
+    """Axis-0 rows per streamed slab of a 3-d grid F (at least one)."""
+    return min(F[0], max(1, int(chunk_bytes // (16 * F[1] * F[2]))))
+
+
+def _squared_radius(axes):
+    """|x|^2 on the grid spanned by 1-d coordinate arrays, by broadcasting."""
+    n = len(axes)
+    return sum((x ** 2).reshape((-1,) + (1,) * (n - 1 - i))
+               for i, x in enumerate(axes))
+
+
 def space_stats(field, ps, oversample=3, ball_radius=None, chunk_bytes=_CHUNK_BYTES):
     """Torus L^p norms (dict p -> norm) and, optionally, the mass fraction
     of |f|^2 inside the centered ball of the given radius.
@@ -169,37 +159,37 @@ def space_stats(field, ps, oversample=3, ball_radius=None, chunk_bytes=_CHUNK_BY
             inside += float(ab2[d2 <= ball_radius ** 2].sum())
             total += float(ab2.sum())
 
+    xs = [np.fft.fftfreq(f) * L for f in F]
     if n == 3 and np.prod(F) * 16 > chunk_bytes:
         buf = np.zeros((F[0],) + dims[1:], dtype=complex)
         buf[:dims[0]] = field.fhat
-        a0 = np.fft.ifft(buf, axis=0) * F[0]
+        a0 = np.fft.ifft(buf, axis=0)
         del buf
-        xs = [np.fft.fftfreq(f) * L for f in F]
-        step = max(1, int(chunk_bytes // (16 * F[1] * F[2])))
+        a0 *= F[0]
+        step = _slab_rows(F, chunk_bytes)
         for j in range(0, F[0], step):
             blk = np.zeros((a0[j:j + step].shape[0], F[1], F[2]), dtype=complex)
             blk[:, :dims[1], :dims[2]] = a0[j:j + step]
-            blk = np.fft.ifft(np.fft.ifft(blk, axis=1) * F[1], axis=2) * F[2]
+            blk = np.fft.ifft(blk, axis=1)
+            blk *= F[1]
+            blk = np.fft.ifft(blk, axis=2)
+            blk *= F[2]
             ab2 = blk.real ** 2 + blk.imag ** 2
             del blk
-            d2 = None
-            if ball_radius is not None:
-                d2 = ((xs[0][j:j + step] ** 2)[:, None, None]
-                      + (xs[1] ** 2)[None, :, None] + (xs[2] ** 2)[None, None, :])
-            absorb(ab2, d2)
+            absorb(ab2, None if ball_radius is None
+                   else _squared_radius([xs[0][j:j + step]] + xs[1:]))
     else:
         if np.prod(F) * 16 > 16 * chunk_bytes:
             raise GridError(
                 f"norm grid {F} too large for in-memory evaluation at n={n}")
         buf = np.zeros(F, dtype=complex)
         buf[tuple(slice(0, m) for m in dims)] = field.fhat
-        vals = np.fft.ifftn(buf) * np.prod(F)
+        vals = np.fft.ifftn(buf)
+        del buf
+        vals *= np.prod(F)
         ab2 = vals.real ** 2 + vals.imag ** 2
-        d2 = None
-        if ball_radius is not None:
-            grids = np.meshgrid(*[np.fft.fftfreq(f) * L for f in F], indexing="ij")
-            d2 = sum(g ** 2 for g in grids)
-        absorb(ab2, d2)
+        del vals
+        absorb(ab2, None if ball_radius is None else _squared_radius(xs))
 
     cell = L ** n / float(np.prod(F))
     norms = {p: (cell * sums[p]) ** (1.0 / p) / L ** n for p in finite}
@@ -217,7 +207,7 @@ def lp_norm_space(field, p, oversample=3):
     return norms[p]
 
 
-def lp_norm_spacetime(fields_by_t, p, window, curve=None, cutoff=None, oversample=3):
+def lp_norm_spacetime(fields_by_t, p, window, oversample=3):
     """Trapezoid-in-t of ||.||_p^p over a TimeWindow, then the p-th root.
 
     `fields_by_t` may be SpectralFields (norms computed here) or precomputed
@@ -235,9 +225,15 @@ def lp_norm_spacetime(fields_by_t, p, window, curve=None, cutoff=None, oversampl
 
 
 def norm_peak_bytes(dims, oversample=3, chunk_bytes=_CHUNK_BYTES):
-    """Rough peak memory of space_stats for a window of the given dims."""
-    F = [(_next_pow2(int(m * oversample))) for m in dims]
+    """Upper bound on the peak memory of space_stats with a ball, for a
+    window of the given dims.
+
+    In memory: three complex grids inside the inverse FFT, plus the real
+    |x|^2 grid of the ball. Streaming: the axis-0 transform's input and
+    output, three complex slabs and one real |x|^2 slab.
+    """
+    F = [_next_pow2(int(m * oversample)) for m in dims]
     if len(dims) == 3 and np.prod(F) * 16 > chunk_bytes:
-        base = 2 * 16 * F[0] * dims[1] * dims[2]   # padded axis-0 transform
-        return int(base + 3 * chunk_bytes)         # streaming chunks + |.|^2
-    return int(3 * 16 * np.prod(F))
+        slab = 16 * _slab_rows(F, chunk_bytes) * F[1] * F[2]
+        return int(2 * 16 * F[0] * dims[1] * dims[2] + 3.5 * slab)
+    return int(3.5 * 16 * np.prod(F))

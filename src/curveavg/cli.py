@@ -23,14 +23,13 @@ import numpy as np
 
 from ._version import __version__
 from .averaging import space_stats
-from .config import (RunConfig, chart_from, curve_from, cutoff_from,
-                     enforce_memory_cap, parse_config, with_overrides)
+from .config import (chart_from, curve_from, cutoff_from, enforce_memory_cap,
+                     parse_config, with_overrides)
 from .errors import CurveAvgError
-from .fields import CounterexampleSpec, GridSpec, build_f, windowed_lattice
 from .multiplier import multiplier_sample
 from .reporting import (render_report, save_snapshot, sweep_artifacts,
                         write_csv, write_json, write_manifest)
-from .sweep import sharpness_sweep
+from .sweep import DEFAULT_SLOPE_TOLS, _cell_setup, sharpness_sweep
 
 __all__ = ["main"]
 
@@ -142,26 +141,17 @@ def _cmd_multiplier_verify(cfg, outdir):
 
 def _cmd_synthesize(cfg, outdir):
     enforce_memory_cap(cfg)
-    cutoff, chart = cutoff_from(cfg), chart_from(cfg)
     paths, rows = [], []
     ps = sorted(set([2.0] + [float(p) for p in cfg.ps]))
     for lam in cfg.lambdas:
-        spec = CounterexampleSpec(lam=float(lam), chart=chart, cutoff=cutoff,
-                                  rho=cfg.rho, c0=cfg.c0)
-        if cfg.grid_policy == "fixed":
-            window = GridSpec.for_lambda(cfg.n, lam, rho=cfg.rho,
-                                         L=cfg.box_side).window()
-        else:
-            window = windowed_lattice(spec,
-                                      points_per_radius=cfg.points_per_radius)
-        f = build_f(spec, window)
+        f = _cell_setup(cfg, float(lam))[-1]
         norms, _ = space_stats(f, ps, oversample=cfg.oversample)
         rows += [(float(lam), p, norms[p]) for p in ps]
         snap = save_snapshot(outdir / f"field_lambda{int(lam)}.bin", f,
                              float(lam))
         paths.append(snap)
         print(f"synthesize: lambda={lam:g} pieces={len(f.support)} "
-              f"dims={window.dims} -> {snap.name}")
+              f"dims={f.window.dims} -> {snap.name}")
     paths.append(write_csv(outdir / "norms.csv",
                            ("lambda", "p", "input_norm"), rows))
     return 0, paths
@@ -169,16 +159,16 @@ def _cmd_synthesize(cfg, outdir):
 
 def _cmd_sweep(cfg, outdir, dropped, strict):
     enforce_memory_cap(cfg)
-    tols = {"input": 0.08, "output": 0.08, "quotient": 0.08} if dropped else None
+    # fits over a shortened dyadic range carry more preasymptotic bias:
+    # widen every band to at least 0.08, never narrow one
+    tols = ({k: max(v, 0.08) for k, v in DEFAULT_SLOPE_TOLS.items()}
+            if dropped else None)
     report = sharpness_sweep(cfg, jobs=cfg.jobs, slope_tols=tols)
     fields = None
     if cfg.snapshots:
-        from .sweep import _cell_setup
-        fields = {}
-        for lam in cfg.lambdas:
-            _, _, spec, window = _cell_setup(cfg, lam)
-            fields[f"field_lambda{int(lam)}.bin"] = (build_f(spec, window),
-                                                     float(lam))
+        fields = {f"field_lambda{int(lam)}.bin": (_cell_setup(cfg, lam)[-1],
+                                                  float(lam))
+                  for lam in cfg.lambdas}
     paths = sweep_artifacts(report, outdir, svg=cfg.svg, fields=fields)
     summary = render_report(report.to_dict())
     print(summary, end="")

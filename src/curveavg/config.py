@@ -45,12 +45,11 @@ class RunConfig:
     memory_cap: int = 8 * _GIB
     lambdas: tuple = (32.0, 64.0, 128.0, 256.0)
     ps: tuple = (4.0, 6.0, 8.0)
-    window_kind: str = "short"
+    window_kind: str = "short"       # the sweep measures [1, 1 + lambda^{-1/n}] only
     time_nodes: int = 9
     epsilon: float = 0.3
     checks: tuple = ("orthogonality", "slopes")
     piece_floor: float = 0.0          # asserted by the 'floor' check when > 0
-    seed: int = 0
     outdir: str = "out"
     svg: bool = True
     snapshots: bool = False
@@ -114,7 +113,6 @@ _SCHEMA = {
         "epsilon": ("epsilon", float),
         "checks": ("checks", lambda s: tuple(str(s).replace(",", " ").split())),
         "piece_floor": ("piece_floor", float),
-        "seed": ("seed", int),
     },
     "output": {
         "directory": ("outdir", str),
@@ -153,8 +151,9 @@ def _range_violations(cfg):
                  for v in cfg.lambdas)
     check(dyadic, f"lambdas must be dyadic (powers of two), got {list(cfg.lambdas)}")
     check(all(v >= 1 for v in cfg.ps), f"every p must be >= 1, got {list(cfg.ps)}")
-    check(cfg.window_kind in ("short", "full"),
-          f"window must be short or full, got {cfg.window_kind!r}")
+    check(cfg.window_kind == "short",
+          f"window must be short (the sweep measures [1, 1 + lambda^(-1/n)] "
+          f"only), got {cfg.window_kind!r}")
     check(cfg.time_nodes >= 5, f"time_nodes must be >= 5, got {cfg.time_nodes}")
     check(0.0 < cfg.epsilon <= 1.0,
           f"epsilon must lie in (0, 1], got {cfg.epsilon}")
@@ -162,7 +161,6 @@ def _range_violations(cfg):
     check(not unknown,
           f"unknown checks {unknown}; valid: {', '.join(_KNOWN_CHECKS)}")
     check(cfg.piece_floor >= 0, f"piece_floor must be >= 0, got {cfg.piece_floor}")
-    check(cfg.seed >= 0, f"seed must be >= 0, got {cfg.seed}")
     check(cfg.jobs >= 1, f"jobs must be >= 1, got {cfg.jobs}")
     return bad
 

@@ -1,11 +1,11 @@
 """Scaling experiments: exponent table, lambda sweeps, and the quantitative checks.
 
 A sweep builds the counterexample family at each dyadic lambda, applies the
-average over the short time window [1, 1 + lambda^{-1/n}] (and the full [1,2]
-window for the report), and fits log2-log2 slopes of the input norm, output
-norm, and their quotient. The quotient slope is the sharpness payload: it
-should track -(1/2 + 2/p)/n, the exponent that forces the critical smoothing
-index sigma(p, n) = min{1/n, (1/n)(1/2 + 2/p), 2/p}.
+average over the short time window [1, 1 + lambda^{-1/n}], and fits log2-log2
+slopes of the input norm, output norm, and their quotient. The quotient slope
+is the sharpness payload: it should track -(1/2 + 2/p)/n, the exponent that
+forces the critical smoothing index sigma(p, n) = min{1/n, (1/n)(1/2 + 2/p),
+2/p}.
 
 Per-lambda diagnostics ride along: exact L^2 orthogonality across pieces
 (disjoint lattice supports), the per-piece lower bound ||A_t f_nu||_2/||g_nu||_2
@@ -27,16 +27,15 @@ from math import factorial
 
 import numpy as np
 
-from .averaging import TimeWindow, space_stats
-from .config import RunConfig, chart_from, curve_from, cutoff_from
+from .averaging import TimeWindow, lp_norm_spacetime, space_stats
+from .config import chart_from, curve_from, cutoff_from
 from .errors import DomainError, GeometryError
 from .fields import CounterexampleSpec, GridSpec, build_f, windowed_lattice
 from .multiplier import alpha_n, mu_hat_batch
 
 __all__ = ["critical_exponent", "expected_slopes", "fit_slope", "SlopeFit",
            "PieceBoundReport", "SweepReport", "run_cell", "sharpness_sweep",
-           "piece_l2_lower", "orthogonality_check", "concentration_check",
-           "DEFAULT_SLOPE_TOLS"]
+           "piece_l2_lower", "DEFAULT_SLOPE_TOLS"]
 
 DEFAULT_SLOPE_TOLS = {"input": 0.1, "output": 0.1, "quotient": 0.05}
 
@@ -94,6 +93,7 @@ def fit_slope(pairs):
 
 
 def _cell_setup(cfg, lam):
+    """Curve, cutoff, construction spec and the field f of one lambda cell."""
     curve, cutoff, chart = curve_from(cfg), cutoff_from(cfg), chart_from(cfg)
     spec = CounterexampleSpec(lam=lam, chart=chart, cutoff=cutoff,
                               rho=cfg.rho, c0=cfg.c0)
@@ -101,24 +101,23 @@ def _cell_setup(cfg, lam):
         window = GridSpec.for_lambda(cfg.n, lam, rho=cfg.rho, L=cfg.box_side).window()
     else:
         window = windowed_lattice(spec, points_per_radius=cfg.points_per_radius)
-    return curve, cutoff, spec, window
+    return curve, cutoff, spec, build_f(spec, window)
 
 
 def run_cell(cfg, lam):
     """Every per-lambda measurement of the sweep, as one plain dict.
 
     Builds f once; multiplier samples on the declared support are batched over
-    all time nodes of both windows. Short-window nodes carry the diagnostics
-    (per-piece ratios, orthogonality defect, concentration fractions).
+    the short-window time nodes, which also carry the diagnostics (per-piece
+    ratios, orthogonality defect, concentration fractions).
     """
     t0 = time.perf_counter()
-    curve, cutoff, spec, window = _cell_setup(cfg, lam)
-    f = build_f(spec, window)
+    curve, cutoff, spec, f = _cell_setup(cfg, lam)
+    window = f.window
     ps = tuple(sorted(set([2.0] + [float(p) for p in cfg.ps])))
     n = cfg.n
 
     sup = f.support_flat()
-    sup_xi = window.xi_of_flat(sup)
     base = f.fhat.ravel()[sup]
     piece_idx = [np.searchsorted(sup, ball.flat) for ball in f.support]
     Ln = window.L ** n
@@ -131,22 +130,15 @@ def run_cell(cfg, lam):
             f"concentration ball radius {radius:.4g} >= L/2 = {window.L / 2:.4g}")
 
     short = TimeWindow.short(lam, n, m=cfg.time_nodes)
-    full = TimeWindow.full(m=cfg.time_nodes)
-    mu_short = mu_hat_batch(curve, cutoff, short.nodes, sup_xi)
-    mu_full = mu_hat_batch(curve, cutoff, full.nodes, sup_xi)
+    mu_short = mu_hat_batch(curve, cutoff, short.nodes, window.xi_of_flat(sup))
 
     norms_in, _ = space_stats(f, ps, oversample=cfg.oversample)
-
-    def averaged(mu_row):
-        out = np.zeros_like(f.fhat)
-        out.ravel()[sup] = base * mu_row
-        return f.with_fhat(out)
 
     piece_min = np.inf
     piece_table = []
     defect = 0.0
     fractions = []
-    out_short = {p: [] for p in ps}
+    node_norms = {p: [] for p in ps}
     for row in mu_short:
         coeff = base * row
         total = float((np.abs(coeff) ** 2).sum()) / Ln
@@ -155,16 +147,14 @@ def run_cell(cfg, lam):
         ratios = [np.sqrt(pw / gp) for pw, gp in zip(powers, g_power)]
         piece_min = min(piece_min, min(ratios))
         piece_table.append(ratios)
-        norms, frac = space_stats(averaged(row), ps, oversample=cfg.oversample,
+        out = np.zeros_like(f.fhat)
+        out.ravel()[sup] = coeff
+        norms, frac = space_stats(f.with_fhat(out), ps, oversample=cfg.oversample,
                                   ball_radius=radius)
         fractions.append(frac)
         for p in ps:
-            out_short[p].append(norms[p])
-    out_full = {p: [] for p in ps}
-    for row in mu_full:
-        norms, _ = space_stats(averaged(row), ps, oversample=cfg.oversample)
-        for p in ps:
-            out_full[p].append(norms[p])
+            node_norms[p].append(norms[p])
+    out_short = {p: lp_norm_spacetime(node_norms[p], p, short) for p in ps}
 
     # stationary-phase reference |alpha_n| c_{t,nu} at t = 1 per piece
     centers = np.array([ball.center for ball in f.support])
@@ -173,16 +163,13 @@ def run_cell(cfg, lam):
     ref = (abs(alpha_n(n)) * factorial(n) ** (1.0 / n) * cutoff(theta)
            * lam ** (1.0 / n) / un ** (1.0 / n))
 
-    ws, wf = short.weights(), full.weights()
     return {
         "lam": float(lam),
         "nnu": len(f.support),
         "dims": list(window.dims),
         "norms_in": {p: norms_in[p] for p in ps},
-        "out_short": {p: float((ws @ np.power(out_short[p], p)) ** (1 / p)) for p in ps},
-        "out_full": {p: float((wf @ np.power(out_full[p], p)) ** (1 / p)) for p in ps},
-        "quotient": {p: float((ws @ np.power(out_short[p], p)) ** (1 / p) / norms_in[p])
-                     for p in ps},
+        "out_short": out_short,
+        "quotient": {p: out_short[p] / norms_in[p] for p in ps},
         "piece_min": float(piece_min),
         "piece_min_by_nu": [float(min(col)) for col in zip(*piece_table)],
         "piece_reference": [float(v) for v in ref],
@@ -247,8 +234,15 @@ def sharpness_sweep(cfg, jobs=None, slope_tols=None):
     above every fraction of the previous lambda).
 
     The concentration check asks for growth, not for a mass share of 0.5: that
-    share is the lambda -> infinity statement and, on the pinned acceptance
-    config, arrives only near lambda ~ 5e4 (see `concentration_check`).
+    share is the lambda -> infinity statement. On the pinned acceptance config
+    (n = 3, rho = 1, eps = 0.3) the fraction of ||A_1 f||_2^2 inside
+    B(0, lambda^{-(1-eps)/n}) is 0.091 / 0.132 / 0.149 at lambda = 64 / 128 /
+    256. No choice of coefficients on the same frequency support could reach
+    0.5: the largest share any such field puts in the ball (the top
+    eigenvalue of the ball's quadratic form on that support) is 0.196 at
+    lambda = 64 and 0.229 at lambda = 128. The half-mass radius of A_1 f stays
+    at ~2.97 lambda^{-1/3} across lambda while the ball is lambda^{eps/3} such
+    units wide, so the 0.5 share arrives near lambda ~ 2.97^{3/eps} ~ 5e4.
     """
     if len(cfg.lambdas) < 3:
         raise DomainError(
@@ -338,44 +332,3 @@ def piece_l2_lower(cfg, lam):
     return PieceBoundReport(lam=float(lam), min_ratio=cell["piece_min"],
                             min_by_nu=tuple(cell["piece_min_by_nu"]),
                             reference_by_nu=tuple(cell["piece_reference"]))
-
-
-def orthogonality_check(cfg, lam, t):
-    """|sum_nu ||A_t f_nu||^2 - ||A_t f||^2| / sum_nu ||A_t f_nu||^2 at one t."""
-    curve, cutoff, spec, window = _cell_setup(cfg, lam)
-    f = build_f(spec, window)
-    sup = f.support_flat()
-    mu = mu_hat_batch(curve, cutoff, [t], window.xi_of_flat(sup))[0]
-    coeff = f.fhat.ravel()[sup] * mu
-    total = float((np.abs(coeff) ** 2).sum())
-    parts = sum(float((np.abs(coeff[np.searchsorted(sup, ball.flat)]) ** 2).sum())
-                for ball in f.support)
-    return abs(parts - total) / parts
-
-
-def concentration_check(cfg, lam, eps, t):
-    """Mass fraction of ||A_t f||_2^2 inside B(0, lambda^{-(1-eps)/n}).
-
-    The construction promises a share of at least 0.5 only as lambda -> oo.
-    On the pinned acceptance config (n = 3, rho = 1, eps = 0.3, t = 1) the
-    fraction is 0.091 / 0.132 / 0.149 at lambda = 64 / 128 / 256. No choice
-    of coefficients on the same frequency support could reach 0.5: the
-    largest share any such field puts in the ball (the top eigenvalue of the
-    ball's quadratic form on that support) is 0.196 at lambda = 64 and 0.229
-    at lambda = 128. The half-mass radius of A_1 f stays at ~2.97
-    lambda^{-1/3} across lambda while the ball is lambda^{eps/3} such units
-    wide, so the 0.5 share arrives near lambda ~ 2.97^{3/eps} ~ 5e4.
-    """
-    curve, cutoff, spec, window = _cell_setup(cfg, lam)
-    radius = lam ** (-(1.0 - eps) / cfg.n)
-    if radius >= window.L / 2:
-        raise GeometryError(
-            f"ball radius {radius:.4g} >= L/2 = {window.L / 2:.4g}")
-    f = build_f(spec, window)
-    sup = f.support_flat()
-    mu = mu_hat_batch(curve, cutoff, [t], window.xi_of_flat(sup))[0]
-    out = np.zeros_like(f.fhat)
-    out.ravel()[sup] = f.fhat.ravel()[sup] * mu
-    _, frac = space_stats(f.with_fhat(out), [2.0], oversample=cfg.oversample,
-                          ball_radius=radius)
-    return frac

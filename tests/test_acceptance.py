@@ -19,8 +19,7 @@ import pytest
 from curveavg import (ConeChart, CurveSpec, CutoffSpec, GridSpec,
                       SpectralField, SupportBall, alpha_n, apply_averaging,
                       critical_exponent, derivative_bound_check, direct_oracle,
-                      build_f, mu_hat, mu_hat_batch, multiplier_sample,
-                      space_stats)
+                      mu_hat, mu_hat_batch, multiplier_sample, space_stats)
 from curveavg.sweep import _cell_setup
 
 CURVE = CurveSpec.moment(3)
@@ -164,13 +163,12 @@ def _coherent_fractions(cfg, lam, ts):
     """Ball fractions of the field with the moduli |f_hat mu_hat_t| and every
     mode in phase at x = 0, the phase choice that peaks it at the origin; on
     the same grid and ball as the sweep's cells."""
-    curve, cutoff, spec, window = _cell_setup(cfg, lam)
-    f = build_f(spec, window)
+    curve, cutoff, _, f = _cell_setup(cfg, lam)
     sup = f.support_flat()
     base = f.fhat.ravel()[sup]
     radius = lam ** (-(1.0 - cfg.epsilon) / cfg.n)
     out = []
-    for row in mu_hat_batch(curve, cutoff, ts, window.xi_of_flat(sup)):
+    for row in mu_hat_batch(curve, cutoff, ts, f.window.xi_of_flat(sup)):
         fhat = np.zeros_like(f.fhat)
         fhat.ravel()[sup] = np.abs(base * row)
         _, frac = space_stats(f.with_fhat(fhat), [2.0],

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from curveavg import (CurveSpec, CutoffSpec, DomainError, GeometryError,
-                      GridSpec, MultiplierCache, SpectralField, SupportBall,
+                      GridSpec, LatticeWindow, SpectralField, SupportBall,
                       TimeWindow, apply_averaging, direct_oracle,
                       lp_norm_space, lp_norm_spacetime, mu_hat_batch,
                       norm_peak_bytes, space_stats)
@@ -116,18 +118,6 @@ def test_direct_oracle_on_plain_exponential():
     assert got[0] == pytest.approx(want, rel=1e-9)
 
 
-def test_multiplier_cache_reuse():
-    f = make_field([(1, 0, 0), (0, 1, 0)], [1.0, 1.0])
-    cache = MultiplierCache(CURVE, CHI)
-    a = apply_averaging(f, CURVE, CHI, 1.2, cache=cache)
-    n_cached = len(cache._store)
-    b = apply_averaging(f, CURVE, CHI, 1.2, cache=cache)
-    assert len(cache._store) == n_cached  # second pass was a pure lookup
-    assert np.array_equal(a.fhat, b.fhat)
-    plain = apply_averaging(f, CURVE, CHI, 1.2)
-    assert_allclose(a.fhat, plain.fhat, rtol=1e-12)
-
-
 # --- norms ---------------------------------------------------------------------
 
 def test_constant_field_norms():
@@ -219,5 +209,29 @@ def test_spacetime_norm_checks_node_count():
 def test_peak_bytes_reports_streaming_break():
     small = norm_peak_bytes((8, 8, 8))
     big = norm_peak_bytes((256, 256, 256))
-    assert small == 3 * 16 * 32 ** 3
+    assert small == 3.5 * 16 * 32 ** 3   # three complex grids + the |x|^2 grid
     assert big < 3 * 16 * 1024 ** 3  # streaming keeps it far below the dense cost
+
+
+@pytest.mark.parametrize("dims, chunk_bytes", [
+    pytest.param((16, 32, 32), 2e8, id="memory-3d"),
+    pytest.param((8, 16, 8), 2e8, id="memory-3d-small"),
+    pytest.param((64, 32), 2e8, id="memory-2d"),
+    pytest.param((8, 16, 8), 2e5, id="stream-6-rows"),
+    pytest.param((16, 32, 32), 1e5, id="stream-1-row-over-chunk"),
+    pytest.param((64, 8, 8), 1, id="stream-axis0-dominates"),
+])
+def test_peak_bytes_bounds_measured_peak(dims, chunk_bytes):
+    rng = np.random.default_rng(2)
+    fhat = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
+    window = LatticeWindow(L=20.0, dims=dims, k0=tuple(-m // 2 for m in dims))
+    f = SpectralField(window=window, fhat=fhat, support=())
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        space_stats(f, [2.0, 4.0, 6.0, 8.0, np.inf], ball_radius=1.0,
+                    chunk_bytes=chunk_bytes)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert norm_peak_bytes(dims, chunk_bytes=chunk_bytes) >= peak

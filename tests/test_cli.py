@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from curveavg import load_snapshot
+from curveavg import cli, load_snapshot
 from curveavg.cli import main
+from curveavg.sweep import DEFAULT_SLOPE_TOLS
 
 CFG = """
 [curve]
@@ -148,6 +149,34 @@ def test_lambda_max_can_starve_the_fit(tmp_path, capsys):
                  "--lambda-max", "32"]) == 2
     record = json.loads((tmp_path / "error.json").read_text())
     assert "3 lambda" in record["message"]
+    capsys.readouterr()
+
+
+def test_lambda_max_only_widens_slope_bands(tmp_path, monkeypatch, capsys):
+    # fits over fewer dyadic points carry more bias: every band must be at
+    # least as wide as its default (input/output 0.1, quotient 0.05)
+    seen = []
+
+    class Captured(Exception):
+        pass
+
+    def capture(cfg, jobs=None, slope_tols=None):
+        seen.append(slope_tols)
+        raise Captured
+
+    monkeypatch.setattr(cli, "sharpness_sweep", capture)
+    cfg = write_cfg(tmp_path, CFG.replace("lambdas = 16 32 64",
+                                          "lambdas = 16 32 64 128"))
+    with pytest.raises(Captured):
+        main(["sweep", "--config", cfg, "--out", str(tmp_path),
+              "--lambda-max", "64"])
+    tols = seen[0]
+    assert set(tols) == set(DEFAULT_SLOPE_TOLS)
+    for series, default in DEFAULT_SLOPE_TOLS.items():
+        assert tols[series] >= max(default, 0.08), series
+    with pytest.raises(Captured):
+        main(["sweep", "--config", cfg, "--out", str(tmp_path)])
+    assert seen[1] is None   # nothing dropped: the default bands
     capsys.readouterr()
 
 

@@ -130,3 +130,15 @@ def test_overrides_and_drop_flag():
     assert out.lambdas == (32.0, 64.0) and dropped
     out, dropped = with_overrides(cfg, lambda_max=1024)
     assert out.lambdas == cfg.lambdas and not dropped
+
+
+def test_full_window_is_rejected():
+    # the sweep measures the short window [1, 1 + lambda^(-1/n)] only
+    with pytest.raises(ConfigError, match="window must be short"):
+        parse_config(GOOD.replace("window = short", "window = full"))
+
+
+def test_seed_key_is_unknown():
+    # the construction is deterministic; there is nothing to seed
+    with pytest.raises(ConfigError, match="unknown key 'seed'"):
+        parse_config(GOOD.replace("epsilon = 0.3", "epsilon = 0.3\nseed = 1"))

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curveavg import (DomainError, RunConfig, SweepReport, concentration_check,
-                      critical_exponent, expected_slopes, fit_slope,
-                      orthogonality_check, piece_l2_lower, sharpness_sweep)
+from curveavg import (DomainError, RunConfig, SweepReport, critical_exponent,
+                      expected_slopes, fit_slope, piece_l2_lower,
+                      sharpness_sweep)
 from curveavg import sweep as sweep_module
 from curveavg.sweep import _trend_mostly_decreasing
 
@@ -149,6 +149,7 @@ def test_sweep_cell_structure(tiny_report):
         assert len(c["piece_min_by_nu"]) == c["nnu"]
         assert len(c["piece_reference"]) == c["nnu"]
         assert c["runtime_s"] > 0
+        assert "out_full" not in c   # the sweep measures the short window only
 
 
 def test_sweep_quotient_is_norm_ratio(tiny_report):
@@ -159,6 +160,12 @@ def test_sweep_quotient_is_norm_ratio(tiny_report):
 
 def test_sweep_orthogonality_defect_is_roundoff(tiny_report):
     assert max(c["defect"] for c in tiny_report.cells) <= 1e-12
+
+
+def test_sweep_fractions_lie_in_unit_interval(tiny_report):
+    for c in tiny_report.cells:
+        assert len(c["fractions"]) == len(c["t_nodes_short"])
+        assert all(0.0 < frac < 1.0 for frac in c["fractions"]), c["lam"]
 
 
 def test_sweep_checks_pass_with_loose_bands(tiny_report):
@@ -189,15 +196,6 @@ def test_piece_lower_bound_report(tiny_cfg):
     assert len(rep.min_by_nu) == len(rep.reference_by_nu) == 5
     assert rep.min_ratio == min(rep.min_by_nu) > 0.2
     assert all(r > 0 for r in rep.reference_by_nu)
-
-
-def test_orthogonality_check_single_time(tiny_cfg):
-    assert orthogonality_check(tiny_cfg, 32.0, 1.0) <= 1e-12
-
-
-def test_concentration_check_is_a_fraction(tiny_cfg):
-    frac = concentration_check(tiny_cfg, 32.0, 0.3, 1.0)
-    assert 0.0 < frac < 1.0
 
 
 # --- the concentration check -------------------------------------------------------
