@@ -26,7 +26,7 @@ from .errors import (ApertureError, ConfigError, ConvergenceError,
 from .fields import (CounterexampleSpec, GridSpec, LatticeWindow,
                      SpectralField, SupportBall, build_f, build_piece,
                      frequency_centers, windowed_lattice)
-from .multiplier import (MultiplierSample, alpha_n, beta_n, decay_profile,
+from .multiplier import (MultiplierSample, alpha_n, decay_profile,
                          derivative_bound_check, mu_hat, mu_hat_batch,
                          multiplier_sample)
 from .reporting import (load_snapshot, render_report, save_snapshot,
@@ -48,7 +48,7 @@ __all__ = [
     # cone geometry
     "ConeChart", "moment_gamma_seed",
     # multiplier
-    "alpha_n", "beta_n", "mu_hat", "mu_hat_batch", "decay_profile",
+    "alpha_n", "mu_hat", "mu_hat_batch", "decay_profile",
     "multiplier_sample", "MultiplierSample", "derivative_bound_check",
     # fields
     "GridSpec", "LatticeWindow", "SpectralField", "SupportBall",

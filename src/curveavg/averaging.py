@@ -6,54 +6,46 @@ evaluated only on a field's declared support. The independent cross-check
 s -> f(x - t gamma(s)) chi(s) with f evaluated by exact trigonometric
 summation of the stored coefficients.
 
-Norms: the torus L^p norm is a Riemann sum over an `oversample`-times
-zero-padded inverse FFT of the coefficient window, each axis rounded up to a
-power of two. For even integer p the sum is exact once every axis has more
-than (p/2)(m - 1) points for a window of m: oversampling 2 is exact for
-p <= 4, and since lattice windows are powers of two, oversample 3 really
-means 4, which is exact for p <= 8. Grids up to `chunk_bytes` (and every grid
-at n != 3) are transformed whole in memory; larger 3-d grids are streamed:
-the first axis is transformed once, the remaining axes in fixed-size slabs.
+Norms: for even integer p, |f|^p is a trigonometric polynomial, so its
+torus integral equals a Riemann sum on any grid fine enough for it. |f| does
+not change under modulation, so only the bounding box of the nonzero
+coefficients is transformed, zero-padded per axis to the least 5-smooth
+F >= (p_max/2)(span - 1) + 1 points: exact for every requested p up to the
+largest, p_max. p = inf and non-even p are rejected.
+
+The concentration fraction is a Riemann sum of |f|^2 over the sample grid
+x_j = j L / next_pow2(oversample * dims) per axis; `oversample` sets only
+this grid. Its numerator is evaluated at the grid points inside the ball
+alone, by small per-axis DFT matrices contracted with the box; its
+denominator is Parseval's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 
 import numpy as np
 
-from .errors import DomainError, GeometryError, GridError, QuadratureError
+from .errors import DomainError, GeometryError, QuadratureError
 from .fields import SpectralField, _next_pow2
 from .multiplier import mu_hat_batch
 
 __all__ = ["TimeWindow", "apply_averaging", "direct_oracle",
            "space_stats", "lp_norm_space", "lp_norm_spacetime", "norm_peak_bytes"]
 
-_CHUNK_BYTES = 2.0e8
-
 
 @dataclass(frozen=True)
 class TimeWindow:
-    """Composite-trapezoid time nodes on [1,2] (full) or [1, 1+lambda^{-1/n}] (short)."""
+    """Composite-trapezoid time nodes on the short window [1, 1 + lambda^{-1/n}]."""
 
-    kind: str
     nodes: tuple
 
     @classmethod
-    def full(cls, m=9):
-        cls._check(m)
-        return cls(kind="full", nodes=tuple(np.linspace(1.0, 2.0, m)))
-
-    @classmethod
     def short(cls, lam, n, m=9):
-        cls._check(m)
-        return cls(kind="short",
-                   nodes=tuple(np.linspace(1.0, 1.0 + lam ** (-1.0 / n), m)))
-
-    @staticmethod
-    def _check(m):
         if m < 5:
             raise DomainError(f"time windows need at least 5 nodes, got {m}")
+        return cls(nodes=tuple(np.linspace(1.0, 1.0 + lam ** (-1.0 / n), m)))
 
     def weights(self):
         dt = self.nodes[1] - self.nodes[0]
@@ -118,96 +110,93 @@ def direct_oracle(field, curve, cutoff, t, points, rel_tol=1e-9, max_panels=4096
         coarse = fine
 
 
-def _slab_rows(F, chunk_bytes):
-    """Axis-0 rows per streamed slab of a 3-d grid F (at least one)."""
-    return min(F[0], max(1, int(chunk_bytes // (16 * F[1] * F[2]))))
+def _next_smooth(m):
+    """Least 5-smooth integer (2^a 3^b 5^c) >= m: a fast FFT length."""
+    for f in count(m):
+        k = f
+        for q in (2, 3, 5):
+            while k % q == 0:
+                k //= q
+        if k == 1:
+            return f
 
 
-def _squared_radius(axes):
-    """|x|^2 on the grid spanned by 1-d coordinate arrays, by broadcasting."""
-    n = len(axes)
-    return sum((x ** 2).reshape((-1,) + (1,) * (n - 1 - i))
-               for i, x in enumerate(axes))
+def _norm_grid(span, ps):
+    """Per-axis points of the exact norm grid for a support box of this span."""
+    half = int(max(ps, default=2)) // 2
+    return tuple(_next_smooth(half * (s - 1) + 1) for s in span)
 
 
-def space_stats(field, ps, oversample=3, ball_radius=None, chunk_bytes=_CHUNK_BYTES):
-    """Torus L^p norms (dict p -> norm) and, optionally, the mass fraction
-    of |f|^2 inside the centered ball of the given radius.
+def _ball_axes(window, oversample, radius):
+    """Per axis (F, j, x_j): the sample grid x_j = j L / F with
+    F = next_pow2(oversample * dims), wrapped to [-L/2, L/2), restricted to
+    the indices j with x_j^2 <= radius^2."""
+    axes = []
+    for m in window.dims:
+        F = _next_pow2(int(m * oversample))
+        x = np.fft.fftfreq(F) * window.L
+        j = np.flatnonzero(x ** 2 <= radius ** 2)
+        axes.append((F, j, x[j]))
+    return axes
+
+
+def space_stats(field, ps, oversample=3, ball_radius=None):
+    """Torus L^p norms (dict p -> norm) for even integer p, and, given a
+    radius, the mass fraction of |f|^2 inside the centered ball.
+
+    The fraction is None without a ball and for a field with no nonzero
+    coefficient, whose norms are all 0.
     """
     window = field.window
-    n = window.n
-    dims = tuple(window.dims)
-    F = tuple(_next_pow2(int(m * oversample)) for m in dims)
-    L = window.L
+    n, L = window.n, window.L
     if ball_radius is not None and ball_radius >= L / 2:
         raise GeometryError(
             f"ball radius {ball_radius:.4g} >= half box side {L / 2:.4g}")
+    bad = [p for p in ps if not (p >= 2 and p % 2 == 0)]
+    if bad:
+        raise DomainError(f"norms are exact for even integer p >= 2 only, got {bad}")
 
-    finite = [p for p in ps if p != np.inf]
-    want_max = any(p == np.inf for p in ps)
-    sums = {p: 0.0 for p in finite}
-    peak = 0.0
-    inside = total = 0.0
+    mask = field.fhat != 0
+    rows = [np.flatnonzero(mask.any(axis=tuple(b for b in range(n) if b != a)))
+            for a in range(n)]
+    del mask
+    if not rows[0].size:
+        return {p: 0.0 for p in ps}, None
+    box = field.fhat[tuple(slice(r[0], r[-1] + 1) for r in rows)]
 
-    def absorb(ab2, d2):
-        nonlocal peak, inside, total
-        for p in finite:
-            sums[p] += float((ab2 ** (p / 2)).sum()) if p != 2 else float(ab2.sum())
-        if want_max:
-            peak = max(peak, float(ab2.max()))
-        if ball_radius is not None:
-            inside += float(ab2[d2 <= ball_radius ** 2].sum())
-            total += float(ab2.sum())
-
-    xs = [np.fft.fftfreq(f) * L for f in F]
-    if n == 3 and np.prod(F) * 16 > chunk_bytes:
-        buf = np.zeros((F[0],) + dims[1:], dtype=complex)
-        buf[:dims[0]] = field.fhat
-        a0 = np.fft.ifft(buf, axis=0)
-        del buf
-        a0 *= F[0]
-        step = _slab_rows(F, chunk_bytes)
-        for j in range(0, F[0], step):
-            blk = np.zeros((a0[j:j + step].shape[0], F[1], F[2]), dtype=complex)
-            blk[:, :dims[1], :dims[2]] = a0[j:j + step]
-            blk = np.fft.ifft(blk, axis=1)
-            blk *= F[1]
-            blk = np.fft.ifft(blk, axis=2)
-            blk *= F[2]
-            ab2 = blk.real ** 2 + blk.imag ** 2
-            del blk
-            absorb(ab2, None if ball_radius is None
-                   else _squared_radius([xs[0][j:j + step]] + xs[1:]))
-    else:
-        if np.prod(F) * 16 > 16 * chunk_bytes:
-            raise GridError(
-                f"norm grid {F} too large for in-memory evaluation at n={n}")
-        buf = np.zeros(F, dtype=complex)
-        buf[tuple(slice(0, m) for m in dims)] = field.fhat
-        vals = np.fft.ifftn(buf)
-        del buf
-        vals *= np.prod(F)
-        ab2 = vals.real ** 2 + vals.imag ** 2
-        del vals
-        absorb(ab2, None if ball_radius is None else _squared_radius(xs))
-
+    F = _norm_grid(box.shape, ps)
+    vals = np.fft.ifftn(box, s=F, axes=range(n), norm="forward")
+    ab2 = vals.real ** 2 + vals.imag ** 2
+    del vals
     cell = L ** n / float(np.prod(F))
-    norms = {p: (cell * sums[p]) ** (1.0 / p) / L ** n for p in finite}
-    if want_max:
-        norms[np.inf] = np.sqrt(peak) / L ** n
-    fraction = (inside / total) if (ball_radius is not None and total > 0) else None
-    return norms, fraction
+    norms = {p: (cell * float(ab2.sum() if p == 2 else (ab2 ** (p / 2)).sum()))
+             ** (1.0 / p) / L ** n for p in ps}
+    del ab2
+    if ball_radius is None:
+        return norms, None
+
+    axes = _ball_axes(window, oversample, ball_radius)
+    block = box
+    for (Fb, j, _), s in zip(axes, box.shape):
+        dft = np.exp(2j * np.pi * (np.outer(j, np.arange(s)) % Fb) / Fb)
+        block = np.tensordot(block, dft, axes=([0], [1]))
+    ab2 = block.real ** 2 + block.imag ** 2
+    del block
+    d2 = sum((x ** 2).reshape((-1,) + (1,) * (n - 1 - a))
+             for a, (_, _, x) in enumerate(axes))
+    inside = float(ab2[d2 <= ball_radius ** 2].sum())
+    power = float((box.real ** 2 + box.imag ** 2).sum())
+    total = float(np.prod([Fb for Fb, _, _ in axes])) * power
+    return norms, inside / total
 
 
-def lp_norm_space(field, p, oversample=3):
-    """( sum |f(x_j)|^p cell )^{1/p} over the oversampled spatial grid; max for p=inf."""
-    if p != np.inf and p < 1:
-        raise DomainError(f"p must be >= 1 or inf, got {p}")
-    norms, _ = space_stats(field, [p], oversample=oversample)
+def lp_norm_space(field, p):
+    """( integral |f|^p )^{1/p} over the torus, for even integer p."""
+    norms, _ = space_stats(field, [p])
     return norms[p]
 
 
-def lp_norm_spacetime(fields_by_t, p, window, oversample=3):
+def lp_norm_spacetime(fields_by_t, p, window):
     """Trapezoid-in-t of ||.||_p^p over a TimeWindow, then the p-th root.
 
     `fields_by_t` may be SpectralFields (norms computed here) or precomputed
@@ -215,7 +204,7 @@ def lp_norm_spacetime(fields_by_t, p, window, oversample=3):
     """
     vals = []
     for f in fields_by_t:
-        vals.append(lp_norm_space(f, p, oversample) if isinstance(f, SpectralField)
+        vals.append(lp_norm_space(f, p) if isinstance(f, SpectralField)
                     else float(f))
     if len(vals) != len(window.nodes):
         raise DomainError(
@@ -224,16 +213,24 @@ def lp_norm_spacetime(fields_by_t, p, window, oversample=3):
     return float((w @ np.power(vals, p)) ** (1.0 / p))
 
 
-def norm_peak_bytes(dims, oversample=3, chunk_bytes=_CHUNK_BYTES):
-    """Upper bound on the peak memory of space_stats with a ball, for a
-    window of the given dims.
+def norm_peak_bytes(window, span, ps, oversample=3, ball_radius=None):
+    """Upper bound on the peak memory of space_stats for a field on this
+    window whose nonzero coefficients span a box of the given shape.
 
-    In memory: three complex grids inside the inverse FFT, plus the real
-    |x|^2 grid of the ball. Streaming: the axis-0 transform's input and
-    output, three complex slabs and one real |x|^2 slab.
+    The three terms bound the stages in turn: the nonzero mask (one byte
+    per window point); the norm grid (the last FFT pass's input and output,
+    then the values with the two real temporaries of |f|^2: at most 32 bytes
+    per point, 48 counted); and the ball's per-axis DFT contractions (an
+    input, its transposed copy and the output, then the ball block's |f|^2
+    with |x|^2, its mask and the selection: at most 48 bytes per element of
+    the largest array).
     """
-    F = [_next_pow2(int(m * oversample)) for m in dims]
-    if len(dims) == 3 and np.prod(F) * 16 > chunk_bytes:
-        slab = 16 * _slab_rows(F, chunk_bytes) * F[1] * F[2]
-        return int(2 * 16 * F[0] * dims[1] * dims[2] + 3.5 * slab)
-    return int(3.5 * 16 * np.prod(F))
+    G = np.prod(_norm_grid(span, ps), dtype=float)
+    largest = 0.0
+    if ball_radius is not None:
+        sizes = list(span)
+        largest = np.prod(sizes, dtype=float)
+        for a, (_, j, _) in enumerate(_ball_axes(window, oversample, ball_radius)):
+            sizes[a] = len(j)
+            largest = max(largest, np.prod(sizes, dtype=float))
+    return int(np.prod(window.dims, dtype=float) + 48 * G + 48 * largest)

@@ -145,7 +145,7 @@ def _cmd_synthesize(cfg, outdir):
     ps = sorted(set([2.0] + [float(p) for p in cfg.ps]))
     for lam in cfg.lambdas:
         f = _cell_setup(cfg, float(lam))[-1]
-        norms, _ = space_stats(f, ps, oversample=cfg.oversample)
+        norms, _ = space_stats(f, ps)
         rows += [(float(lam), p, norms[p]) for p in ps]
         snap = save_snapshot(outdir / f"field_lambda{int(lam)}.bin", f,
                              float(lam))

@@ -22,8 +22,9 @@ from .cone import ConeChart
 from .curves import CurveSpec
 from .errors import ConfigError
 
-__all__ = ["RunConfig", "parse_config", "parse_memory_size",
-           "curve_from", "cutoff_from", "chart_from", "estimate_field_bytes"]
+__all__ = ["RunConfig", "parse_config", "parse_memory_size", "curve_from",
+           "cutoff_from", "chart_from", "ball_radius_from",
+           "estimate_field_bytes"]
 
 _GIB = 1 << 30
 _KNOWN_CHECKS = ("orthogonality", "slopes", "floor", "concentration")
@@ -38,8 +39,7 @@ class RunConfig:
     c0: float = 0.25
     delta: float = 0.25
     aperture: float = 0.25
-    grid_policy: str = "windowed"
-    box_side: float = 2.0             # fixed policy only
+    grid_policy: str = "windowed"    # the only policy
     points_per_radius: int = 4
     oversample: int = 3
     memory_cap: int = 8 * _GIB
@@ -100,7 +100,6 @@ _SCHEMA = {
     },
     "grid": {
         "policy": ("grid_policy", str),
-        "box_side": ("box_side", float),
         "points_per_radius": ("points_per_radius", int),
         "oversample": ("oversample", int),
         "memory_cap": ("memory_cap", parse_memory_size),
@@ -136,9 +135,8 @@ def _range_violations(cfg):
     check(0.0 < cfg.c0 <= 1.0, f"c0 must lie in (0, 1], got {cfg.c0}")
     check(0.0 < cfg.delta <= 1.0, f"delta must lie in (0, 1], got {cfg.delta}")
     check(0.0 < cfg.aperture < 2.0, f"aperture must lie in (0, 2), got {cfg.aperture}")
-    check(cfg.grid_policy in ("fixed", "windowed"),
-          f"grid policy must be fixed or windowed, got {cfg.grid_policy!r}")
-    check(cfg.box_side > 0, f"box side must be positive, got {cfg.box_side}")
+    check(cfg.grid_policy == "windowed",
+          f"grid policy must be windowed, got {cfg.grid_policy!r}")
     check(cfg.points_per_radius >= 2,
           f"points_per_radius must be >= 2, got {cfg.points_per_radius}")
     check(1 <= cfg.oversample <= 8,
@@ -150,7 +148,8 @@ def _range_violations(cfg):
     dyadic = all(float(v).is_integer() and (int(v) & (int(v) - 1)) == 0
                  for v in cfg.lambdas)
     check(dyadic, f"lambdas must be dyadic (powers of two), got {list(cfg.lambdas)}")
-    check(all(v >= 1 for v in cfg.ps), f"every p must be >= 1, got {list(cfg.ps)}")
+    check(all(v >= 2 and v % 2 == 0 for v in cfg.ps),
+          f"every p must be an even integer >= 2, got {list(cfg.ps)}")
     check(cfg.window_kind == "short",
           f"window must be short (the sweep measures [1, 1 + lambda^(-1/n)] "
           f"only), got {cfg.window_kind!r}")
@@ -239,22 +238,31 @@ def chart_from(cfg):
     return ConeChart(curve=curve_from(cfg), aperture=cfg.aperture)
 
 
-def estimate_field_bytes(cfg, lam):
-    """Per-field memory estimate for the configured grid policy at one lambda.
+def ball_radius_from(cfg, lam):
+    """Radius lambda^{-(1 - epsilon)/n} of the concentration ball."""
+    return lam ** (-(1.0 - cfg.epsilon) / cfg.n)
 
-    Fixed policy: 2 * 16 * N^n with N from the Nyquist rule. Windowed policy:
-    the streaming-norm peak for the actual window the construction would use.
+
+def estimate_field_bytes(cfg, lam):
+    """Peak memory of one norm evaluation with the ball at one lambda.
+
+    The support box is the span of the piece centers +- the bump radius,
+    rounded to the lattice as the field's coefficients are; no field is
+    built.
     """
     from .averaging import norm_peak_bytes  # local: avoid import cycle
-    from .fields import CounterexampleSpec, GridSpec, windowed_lattice
+    from .fields import CounterexampleSpec, frequency_centers, windowed_lattice
 
-    if cfg.grid_policy == "fixed":
-        N = GridSpec.for_lambda(cfg.n, lam, rho=cfg.rho, L=cfg.box_side).N
-        return 2 * 16 * N ** cfg.n
     spec = CounterexampleSpec(lam=lam, chart=chart_from(cfg),
                               cutoff=cutoff_from(cfg), rho=cfg.rho, c0=cfg.c0)
     window = windowed_lattice(spec, points_per_radius=cfg.points_per_radius)
-    return norm_peak_bytes(window.dims, oversample=cfg.oversample)
+    centers = frequency_centers(spec)
+    lo = np.floor((centers - spec.radius) / window.dk).min(axis=0)
+    hi = np.ceil((centers + spec.radius) / window.dk).max(axis=0)
+    span = tuple(int(v) for v in hi - lo + 1)
+    return norm_peak_bytes(window, span, (2.0,) + cfg.ps,
+                           oversample=cfg.oversample,
+                           ball_radius=ball_radius_from(cfg, lam))
 
 
 def enforce_memory_cap(cfg):

@@ -2,8 +2,9 @@
 
 The family lives on a periodic box: frequency lattice xi_k = k * (2pi/L),
 coefficients stored as plain f_hat(xi_k) values over a rectangular *window*
-of lattice indices [k0, k0 + dims) — a full centered cube for the fixed-grid
-policy, a tight box around the construction's support for the windowed policy.
+of lattice indices [k0, k0 + dims) — a tight box around the construction's
+support (`windowed_lattice`), or a full centered cube (`GridSpec`) for small
+test fields.
 Spatial values are f(x) = L^{-n} sum_k f_hat(xi_k) e^{i<xi_k, x>}.
 
 The construction itself: centers xi^nu = lambda * Gamma(nu * lambda^{-1/n})
@@ -35,13 +36,10 @@ def _next_pow2(m):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Fixed-grid policy: N points per axis on a box of side L.
+    """A cubic window: N points per axis on a box of side L.
 
     The frequency lattice runs over integer multiples of 2pi/L with indices
-    in [-N/2, N/2). The Nyquist rule N*pi/L >= 1.2*lambda + 2*rho*lambda^{1/n}
-    keeps the construction's support representable (range, not resolution —
-    at L = 2 the lattice spacing pi may still be coarser than the bumps; the
-    windowed policy exists for that).
+    in [-N/2, N/2).
     """
 
     n: int
@@ -53,12 +51,6 @@ class GridSpec:
             raise GridError(f"N must be a power of two, got {self.N}")
         if self.L <= 0:
             raise GridError("box side must be positive")
-
-    @classmethod
-    def for_lambda(cls, n, lam, rho=0.25, L=2.0):
-        """Least power-of-two N with N*pi/L >= 1.2*lambda + 2*rho*lambda^{1/n}."""
-        need = (1.2 * lam + 2 * rho * lam ** (1.0 / n)) * L / np.pi
-        return cls(n=n, L=L, N=_next_pow2(int(np.ceil(need))))
 
     def window(self):
         return LatticeWindow(L=self.L, dims=(self.N,) * self.n,
@@ -125,8 +117,8 @@ class SpectralField:
     def values(self, oversample=1):
         """Spatial samples f(x_j), x_j = j * L / F per axis (F = oversample-padded dims).
 
-        Dense — intended for small fixed grids and snapshots; the norm code in
-        `averaging` streams instead of materializing this.
+        Dense over the whole padded window — intended for small test grids;
+        the norm code in `averaging` transforms only the support's box.
         """
         dims = self.window.dims
         F = tuple(_next_pow2(int(m * oversample)) for m in dims)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError, QuadratureError, ResolutionError
 
-__all__ = ["alpha_n", "beta_n", "mu_hat", "mu_hat_batch", "decay_profile",
+__all__ = ["alpha_n", "mu_hat", "mu_hat_batch", "decay_profile",
            "MultiplierSample", "multiplier_sample", "derivative_bound_check"]
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -43,13 +43,6 @@ def alpha_n(n):
     if n % 2:
         return complex(mag * sin((n - 1) * pi / (2 * n)), 0.0)
     return mag * np.exp(1j * pi / (2 * n))
-
-
-def beta_n(n):
-    """Logarithm coefficient in the multiplier error bound: beta_2 = 1, else 0."""
-    if n < 2:
-        raise DomainError(f"beta_n needs n >= 2, got {n}")
-    return 1.0 if n == 2 else 0.0
 
 
 def _panel_start(curve, cutoff, ts, xis):

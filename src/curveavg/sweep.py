@@ -28,9 +28,9 @@ from math import factorial
 import numpy as np
 
 from .averaging import TimeWindow, lp_norm_spacetime, space_stats
-from .config import chart_from, curve_from, cutoff_from
+from .config import ball_radius_from, chart_from, curve_from, cutoff_from
 from .errors import DomainError, GeometryError
-from .fields import CounterexampleSpec, GridSpec, build_f, windowed_lattice
+from .fields import CounterexampleSpec, build_f, windowed_lattice
 from .multiplier import alpha_n, mu_hat_batch
 
 __all__ = ["critical_exponent", "expected_slopes", "fit_slope", "SlopeFit",
@@ -97,10 +97,7 @@ def _cell_setup(cfg, lam):
     curve, cutoff, chart = curve_from(cfg), cutoff_from(cfg), chart_from(cfg)
     spec = CounterexampleSpec(lam=lam, chart=chart, cutoff=cutoff,
                               rho=cfg.rho, c0=cfg.c0)
-    if cfg.grid_policy == "fixed":
-        window = GridSpec.for_lambda(cfg.n, lam, rho=cfg.rho, L=cfg.box_side).window()
-    else:
-        window = windowed_lattice(spec, points_per_radius=cfg.points_per_radius)
+    window = windowed_lattice(spec, points_per_radius=cfg.points_per_radius)
     return curve, cutoff, spec, build_f(spec, window)
 
 
@@ -124,7 +121,7 @@ def run_cell(cfg, lam):
     g_power = [float((np.abs(base[ix] / lam ** (1.0 / n)) ** 2).sum()) / Ln
                for ix in piece_idx]
 
-    radius = lam ** (-(1.0 - cfg.epsilon) / n)
+    radius = ball_radius_from(cfg, lam)
     if radius >= window.L / 2:
         raise GeometryError(
             f"concentration ball radius {radius:.4g} >= L/2 = {window.L / 2:.4g}")
@@ -132,7 +129,7 @@ def run_cell(cfg, lam):
     short = TimeWindow.short(lam, n, m=cfg.time_nodes)
     mu_short = mu_hat_batch(curve, cutoff, short.nodes, window.xi_of_flat(sup))
 
-    norms_in, _ = space_stats(f, ps, oversample=cfg.oversample)
+    norms_in, _ = space_stats(f, ps)
 
     piece_min = np.inf
     piece_table = []

@@ -15,7 +15,7 @@ CHI = CutoffSpec(delta=0.25)
 
 
 def make_field(modes, amps, N=8, L=2.0):
-    """Fixed-grid field with the given lattice modes declared as one support ball."""
+    """Cubic-window field with the given lattice modes declared as one support ball."""
     window = GridSpec(n=3, L=L, N=N).window()
     fhat = np.zeros(window.dims, dtype=complex)
     flats = []
@@ -30,12 +30,6 @@ def make_field(modes, amps, N=8, L=2.0):
 
 # --- time windows -------------------------------------------------------------
 
-def test_full_window_spans_one_to_two():
-    w = TimeWindow.full(m=9)
-    assert w.nodes[0] == 1.0 and w.nodes[-1] == 2.0
-    assert len(w.nodes) == 9
-
-
 def test_short_window_width_is_lambda_root():
     w = TimeWindow.short(64.0, 3, m=5)
     assert w.nodes[-1] - w.nodes[0] == pytest.approx(64.0 ** (-1 / 3), rel=1e-14)
@@ -43,11 +37,11 @@ def test_short_window_width_is_lambda_root():
 
 def test_window_needs_five_nodes():
     with pytest.raises(DomainError, match="at least 5"):
-        TimeWindow.full(m=4)
+        TimeWindow.short(32.0, 3, m=4)
 
 
 def test_trapezoid_weights_sum_to_span():
-    for w in (TimeWindow.full(m=7), TimeWindow.short(32.0, 3, m=11)):
+    for w in (TimeWindow.short(8.0, 3, m=7), TimeWindow.short(32.0, 3, m=11)):
         span = w.nodes[-1] - w.nodes[0]
         assert np.sum(w.weights()) == pytest.approx(span, rel=1e-14)
 
@@ -121,15 +115,62 @@ def test_direct_oracle_on_plain_exponential():
 # --- norms ---------------------------------------------------------------------
 
 def test_constant_field_norms():
-    # f == c/L^n, so ||f||_p = |c| L^{n/p - n} for every p, and inf-norm |c|/L^n.
+    # f == c/L^n, so ||f||_p = |c| L^{n/p - n} for every p.
     c = 3.0 - 4.0j   # |c| = 5
     f = make_field([(0, 0, 0)], [c])
-    norms, fraction = space_stats(f, [2.0, 4.0, np.inf])
+    norms, fraction = space_stats(f, [2.0, 4.0, 6.0])
     L = f.L
-    assert norms[2.0] == pytest.approx(5.0 * L ** (3 / 2 - 3), rel=1e-12)
-    assert norms[4.0] == pytest.approx(5.0 * L ** (3 / 4 - 3), rel=1e-12)
-    assert norms[np.inf] == pytest.approx(5.0 / L ** 3, rel=1e-12)
+    for p in (2.0, 4.0, 6.0):
+        assert norms[p] == pytest.approx(5.0 * L ** (3 / p - 3), rel=1e-12)
     assert fraction is None
+
+
+def _convolve(a, b):
+    """Full linear convolution of two coefficient boxes, by direct sums."""
+    out = np.zeros(tuple(x + y - 1 for x, y in zip(a.shape, b.shape)),
+                   dtype=complex)
+    for idx in np.ndindex(b.shape):
+        out[tuple(slice(i, i + m) for i, m in zip(idx, a.shape))] += b[idx] * a
+    return out
+
+
+def test_even_norms_are_exact():
+    # ||f||_4^4 = ||f^2||_2^2 and ||f||_6^6 = ||f^3||_2^2, with f^2 and f^3
+    # exact trigonometric sums whose coefficients are self-convolutions:
+    # ||f^k||_2^2 = L^{-(2k-1)n} sum |c * ... * c|^2. For p = 6 a 6-wide box
+    # needs 3 * 5 + 1 = 16 points per axis, so a Riemann sum on the 8-point
+    # window's own grid (oversample = 1) would alias.
+    rng = np.random.default_rng(17)
+    window = GridSpec(n=3, L=2.0, N=8).window()
+    c = rng.standard_normal((6, 6, 6)) + 1j * rng.standard_normal((6, 6, 6))
+    fhat = np.zeros(window.dims, dtype=complex)
+    fhat[2:, 1:7, 2:] = c
+    f = SpectralField(window=window, fhat=fhat, support=())
+    norms, _ = space_stats(f, [2.0, 4.0, 6.0], oversample=1)
+    L, n = f.L, 3
+    c2 = _convolve(c, c)
+    c3 = _convolve(c2, c)
+    want4 = (L ** (-3 * n) * (np.abs(c2) ** 2).sum()) ** (1 / 4)
+    want6 = (L ** (-5 * n) * (np.abs(c3) ** 2).sum()) ** (1 / 6)
+    assert norms[2.0] == pytest.approx(f.l2(), rel=1e-12)
+    assert norms[4.0] == pytest.approx(want4, rel=1e-12)
+    assert norms[6.0] == pytest.approx(want6, rel=1e-12)
+
+
+def test_zero_field_has_zero_norms_and_no_fraction():
+    window = GridSpec(n=3, L=2.0, N=8).window()
+    f = SpectralField(window=window, fhat=np.zeros(window.dims, dtype=complex),
+                      support=())
+    norms, fraction = space_stats(f, [2.0, 4.0, 8.0], ball_radius=0.5)
+    assert norms == {2.0: 0.0, 4.0: 0.0, 8.0: 0.0}
+    assert fraction is None
+
+
+@pytest.mark.parametrize("p", [np.inf, 3.0])
+def test_space_stats_rejects_non_even_exponent(p):
+    f = make_field([(0, 0, 0)], [1.0])
+    with pytest.raises(DomainError, match="even integer"):
+        space_stats(f, [2.0, p])
 
 
 def test_l2_norm_matches_parseval():
@@ -160,20 +201,6 @@ def test_ball_radius_must_fit_in_box():
         space_stats(f, [2.0], ball_radius=1.0)
 
 
-def test_streamed_norms_match_dense():
-    rng = np.random.default_rng(11)
-    modes = [(1, 0, 0), (0, -2, 1), (3, 1, -1), (0, 0, 0)]
-    amps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    f = make_field(modes, amps)
-    dense, frac_d = space_stats(f, [2.0, 6.0, np.inf], ball_radius=0.5)
-    # force the chunked 3-d path (F = 32^3 needs 512 KiB > 100 KB cap)
-    lean, frac_s = space_stats(f, [2.0, 6.0, np.inf], ball_radius=0.5,
-                               chunk_bytes=100_000)
-    for p in dense:
-        assert lean[p] == pytest.approx(dense[p], rel=1e-11)
-    assert frac_s == pytest.approx(frac_d, rel=1e-11)
-
-
 def test_lp_norm_space_rejects_bad_exponent():
     f = make_field([(0, 0, 0)], [1.0])
     with pytest.raises(DomainError):
@@ -182,56 +209,47 @@ def test_lp_norm_space_rejects_bad_exponent():
 
 def test_spacetime_norm_of_steady_family():
     # constant-in-t norms: the t-integral contributes span^{1/p}
-    w = TimeWindow.full(m=9)
     v = 2.5
-    got = lp_norm_spacetime([v] * 9, 4.0, w)
-    assert got == pytest.approx(v * 1.0 ** (1 / 4), rel=1e-12)
-
-    short = TimeWindow.short(8.0, 3, m=5)
-    got = lp_norm_spacetime([v] * 5, 4.0, short)
-    span = 8.0 ** (-1 / 3)
-    assert got == pytest.approx(v * span ** (1 / 4), rel=1e-12)
+    for lam, m in ((64.0, 9), (8.0, 5)):
+        got = lp_norm_spacetime([v] * m, 4.0, TimeWindow.short(lam, 3, m=m))
+        span = lam ** (-1 / 3)
+        assert got == pytest.approx(v * span ** (1 / 4), rel=1e-12)
 
 
 def test_spacetime_norm_accepts_fields():
     f = make_field([(0, 0, 0)], [2.0])
-    w = TimeWindow.full(m=5)
+    w = TimeWindow.short(8.0, 3, m=5)   # spans 1/2
     got = lp_norm_spacetime([f] * 5, 2.0, w)
-    assert got == pytest.approx(f.l2(), rel=1e-10)
+    assert got == pytest.approx(f.l2() * 0.5 ** (1 / 2), rel=1e-10)
 
 
 def test_spacetime_norm_checks_node_count():
-    w = TimeWindow.full(m=9)
+    w = TimeWindow.short(32.0, 3, m=9)
     with pytest.raises(DomainError, match="time nodes"):
         lp_norm_spacetime([1.0] * 5, 2.0, w)
 
 
-def test_peak_bytes_reports_streaming_break():
-    small = norm_peak_bytes((8, 8, 8))
-    big = norm_peak_bytes((256, 256, 256))
-    assert small == 3.5 * 16 * 32 ** 3   # three complex grids + the |x|^2 grid
-    assert big < 3 * 16 * 1024 ** 3  # streaming keeps it far below the dense cost
-
-
-@pytest.mark.parametrize("dims, chunk_bytes", [
-    pytest.param((16, 32, 32), 2e8, id="memory-3d"),
-    pytest.param((8, 16, 8), 2e8, id="memory-3d-small"),
-    pytest.param((64, 32), 2e8, id="memory-2d"),
-    pytest.param((8, 16, 8), 2e5, id="stream-6-rows"),
-    pytest.param((16, 32, 32), 1e5, id="stream-1-row-over-chunk"),
-    pytest.param((64, 8, 8), 1, id="stream-axis0-dominates"),
+@pytest.mark.parametrize("dims, box, radius", [
+    pytest.param((16, 32, 32), None, 1.0, id="memory-3d"),
+    pytest.param((8, 16, 8), None, 1.0, id="memory-3d-small"),
+    pytest.param((64, 32), None, 1.0, id="memory-2d"),
+    pytest.param((64, 64, 64), (5, 9, 4), 1.0, id="small-box-large-window"),
+    pytest.param((16, 16, 16), (7, 3, 16), 9.9, id="ball-near-half-side"),
 ])
-def test_peak_bytes_bounds_measured_peak(dims, chunk_bytes):
+def test_peak_bytes_bounds_measured_peak(dims, box, radius):
     rng = np.random.default_rng(2)
-    fhat = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
+    box = dims if box is None else box
+    fhat = np.zeros(dims, dtype=complex)
+    fhat[tuple(slice(m - b, m) for m, b in zip(dims, box))] = (
+        rng.standard_normal(box) + 1j * rng.standard_normal(box))
     window = LatticeWindow(L=20.0, dims=dims, k0=tuple(-m // 2 for m in dims))
     f = SpectralField(window=window, fhat=fhat, support=())
+    ps = [2.0, 4.0, 6.0, 8.0]
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        space_stats(f, [2.0, 4.0, 6.0, 8.0, np.inf], ball_radius=1.0,
-                    chunk_bytes=chunk_bytes)
+        space_stats(f, ps, ball_radius=radius)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert norm_peak_bytes(dims, chunk_bytes=chunk_bytes) >= peak
+    assert norm_peak_bytes(window, box, ps, ball_radius=radius) >= peak

@@ -1,8 +1,12 @@
+import tracemalloc
+
 import pytest
 
 from curveavg import (ConfigError, RunConfig, enforce_memory_cap,
                       estimate_field_bytes, parse_config, parse_memory_size,
-                      with_overrides)
+                      space_stats, with_overrides)
+from curveavg.config import ball_radius_from
+from curveavg.sweep import _cell_setup
 
 GOOD = """
 [curve]
@@ -39,7 +43,6 @@ snapshots = off
 def test_defaults():
     cfg = RunConfig()
     assert (cfg.rho, cfg.c0, cfg.delta, cfg.aperture) == (0.25,) * 4
-    assert cfg.box_side == 2.0
     assert cfg.grid_policy == "windowed"
     assert cfg.lambdas == (32.0, 64.0, 128.0, 256.0)
 
@@ -104,16 +107,33 @@ def test_env_cap_override(monkeypatch):
         parse_config(GOOD)
 
 
-def test_fixed_grid_estimate_hits_cap():
-    # n=4 at lambda=256 needs N=256 on the fixed grid: 2 complex copies of
-    # 256^4 is 128 GiB, far over the default 8 GiB cap
-    cfg = parse_config(GOOD.replace("n = 3", "n = 4")
-                           .replace("policy = windowed", "policy = fixed")
-                           .replace("lambdas = 32 64 128", "lambdas = 256"))
-    est = estimate_field_bytes(cfg, 256.0)
-    assert est == 2 * 16 * 256 ** 4
+def test_windowed_estimate_hits_cap():
+    # the pinned construction at lambda = 256 needs more than 1 MiB
+    cfg = parse_config(GOOD.replace("lambdas = 32 64 128", "lambdas = 256")
+                           .replace("oversample = 3",
+                                    "oversample = 3\nmemory_cap = 1 MiB"))
+    assert estimate_field_bytes(cfg, 256.0) > 1 << 20
     with pytest.raises(ConfigError, match="GiB > cap"):
         enforce_memory_cap(cfg)
+
+
+def test_estimate_bounds_measured_peak():
+    # the gate's estimate, made without building a field, bounds the peak
+    # of the norm evaluation with the ball on the real field
+    cfg = parse_config(GOOD.replace("rho = 1.0", "rho = 0.5")
+                           .replace("points_per_radius = 4",
+                                    "points_per_radius = 3"))
+    for lam in (4.0, 32.0):
+        f = _cell_setup(cfg, lam)[-1]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            space_stats(f, (2.0,) + cfg.ps, oversample=cfg.oversample,
+                        ball_radius=ball_radius_from(cfg, lam))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert estimate_field_bytes(cfg, lam) >= peak, lam
 
 
 def test_windowed_estimate_is_modest():
@@ -142,3 +162,19 @@ def test_seed_key_is_unknown():
     # the construction is deterministic; there is nothing to seed
     with pytest.raises(ConfigError, match="unknown key 'seed'"):
         parse_config(GOOD.replace("epsilon = 0.3", "epsilon = 0.3\nseed = 1"))
+
+
+def test_fixed_policy_is_rejected():
+    # the windowed lattice is the only grid policy
+    with pytest.raises(ConfigError, match="grid policy must be windowed"):
+        parse_config(GOOD.replace("policy = windowed", "policy = fixed"))
+    with pytest.raises(ConfigError, match="unknown key 'box_side'"):
+        parse_config(GOOD.replace("policy = windowed",
+                                  "policy = windowed\nbox_side = 2.0"))
+
+
+@pytest.mark.parametrize("ps", ["4 inf", "3 4", "4 5.5"])
+def test_ps_must_be_even_integers(ps):
+    # norms are computed exactly for even integer p only
+    with pytest.raises(ConfigError, match="every p must be an even integer"):
+        parse_config(GOOD.replace("ps = 4, 6, 8", f"ps = {ps}"))

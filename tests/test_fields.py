@@ -25,14 +25,6 @@ def spec_for(lam, chart, chi, rho=1.0, c0=0.7):
 
 # --- grids and windows -------------------------------------------------------
 
-def test_gridspec_nyquist_rule():
-    g = GridSpec.for_lambda(3, 8.0, rho=0.25, L=2.0)
-    assert g.N == 8  # need N >= (1.2*8 + 2*0.25*2) * 2/pi = 6.75
-    assert GridSpec.for_lambda(3, 4096.0).N == 4096
-    assert g.window().dims == (8, 8, 8)
-    assert g.window().k0 == (-4, -4, -4)
-
-
 def test_gridspec_rejects_bad_n():
     with pytest.raises(GridError):
         GridSpec(n=3, N=24)

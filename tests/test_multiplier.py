@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from curveavg import (ConeChart, CurveSpec, CutoffSpec, DomainError, alpha_n,
-                      beta_n, decay_profile, derivative_bound_check, mu_hat,
+                      decay_profile, derivative_bound_check, mu_hat,
                       mu_hat_batch, multiplier_sample)
 
 
@@ -38,10 +38,6 @@ def test_alpha_4_modulus_and_phase():
     a = alpha_n(4)
     assert abs(a) == pytest.approx(1.8128049541109543, rel=1e-13)  # Gamma(1/4)/2
     assert np.angle(a) == pytest.approx(np.pi / 8, rel=1e-13)
-
-
-def test_beta_n():
-    assert beta_n(2) == 1 and beta_n(3) == 0 and beta_n(5) == 0
 
 
 def test_mu_hat_at_zero_is_cutoff_mass(moment3, chi):
