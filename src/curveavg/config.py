@@ -14,6 +14,7 @@ import difflib
 import os
 from configparser import ConfigParser
 from dataclasses import dataclass, field, fields as dc_fields, replace
+from itertools import product
 
 import numpy as np
 
@@ -244,25 +245,42 @@ def ball_radius_from(cfg, lam):
 
 
 def estimate_field_bytes(cfg, lam):
-    """Peak memory of one norm evaluation with the ball at one lambda.
+    """Peak memory of one lambda cell: the multiplier quadrature plus one
+    norm evaluation with the ball.
 
     The support box is the span of the piece centers +- the bump radius,
-    rounded to the lattice as the field's coefficients are; no field is
-    built.
+    rounded to the lattice as the field's coefficients are; each piece lies
+    in its own such box, which bounds the support size and its distinct
+    leading (n-1)-tuples. The quadrature's node count is that of the first
+    fine level of its panel ladder started at the box's corners: the phase
+    rate <gamma'(s), xi> is linear in xi, so its maximum over the box sits
+    at a corner. No field is built and no quadrature runs.
     """
-    from .averaging import norm_peak_bytes  # local: avoid import cycle
+    # local: avoid import cycle
+    from .averaging import TimeWindow, norm_peak_bytes
     from .fields import CounterexampleSpec, frequency_centers, windowed_lattice
+    from .multiplier import _GL_NODES, _panel_start, quadrature_peak_bytes
 
     spec = CounterexampleSpec(lam=lam, chart=chart_from(cfg),
                               cutoff=cutoff_from(cfg), rho=cfg.rho, c0=cfg.c0)
     window = windowed_lattice(spec, points_per_radius=cfg.points_per_radius)
     centers = frequency_centers(spec)
-    lo = np.floor((centers - spec.radius) / window.dk).min(axis=0)
-    hi = np.ceil((centers + spec.radius) / window.dk).max(axis=0)
-    span = tuple(int(v) for v in hi - lo + 1)
-    return norm_peak_bytes(window, span, (2.0,) + cfg.ps,
+    lo = np.floor((centers - spec.radius) / window.dk)
+    hi = np.ceil((centers + spec.radius) / window.dk)
+    span = tuple(int(v) for v in hi.max(axis=0) - lo.min(axis=0) + 1)
+    norm = norm_peak_bytes(window, span, (2.0,) + cfg.ps,
                            oversample=cfg.oversample,
                            ball_radius=ball_radius_from(cfg, lam))
+
+    piece = hi - lo + 1
+    corners = np.array(list(product(*zip(lo.min(axis=0), hi.max(axis=0)))))
+    ts = TimeWindow.short(lam, cfg.n, m=cfg.time_nodes).nodes
+    panels = _panel_start(spec.chart.curve, spec.cutoff, ts, corners * window.dk)
+    quad = quadrature_peak_bytes(
+        nodes=2 * panels * _GL_NODES.size, coords=span,
+        leading=int(piece[:, :-1].prod(axis=1).sum()),
+        modes=int(piece.prod(axis=1).sum()), times=cfg.time_nodes)
+    return norm + quad
 
 
 def enforce_memory_cap(cfg):

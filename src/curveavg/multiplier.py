@@ -7,8 +7,17 @@ curve average acts as the Fourier multiplier
 
 computed here by composite 16-point Gauss-Legendre panels with a panel count
 proportional to the worst phase rate and a Richardson (panel-doubling) accuracy
-check. On the cone the reduced multiplier m_t = e^{i t phi} mu_hat_t decays
-exactly like (t u_n(xi))^{-1/n}; `multiplier_sample` packages the sample, the
+check. The phase factorises per axis, e^{-it<gamma(s), xi>} = prod_a
+e^{-it gamma_a(s) xi_a}, so a batch needs one exponential table per axis over
+that axis's distinct coordinates. The leading n - 1 tables, gathered at the
+batch's distinct leading (n-1)-tuples and weighted, are contracted with the
+last axis's table by one matrix product per time node. The cost thus follows
+the distinct coordinates per axis: on a lattice support of m points, nodes x
+(sum of the distinct coordinates per axis) exponentials replace nodes x m;
+points off a lattice simply have more distinct coordinates.
+
+On the cone the reduced multiplier m_t = e^{i t phi} mu_hat_t decays exactly
+like (t u_n(xi))^{-1/n}; `multiplier_sample` packages the sample, the
 reference constant alpha_n chi(theta) (t u_n)^{-1/n}, and the measured leading
 term (which carries an extra (n!)^{1/n}: the constant alpha_n normalizes the
 monic phase v^n while the curve's phase is s^n/n!).
@@ -23,12 +32,15 @@ import numpy as np
 
 from .errors import DomainError, QuadratureError, ResolutionError
 
-__all__ = ["alpha_n", "mu_hat", "mu_hat_batch", "decay_profile",
-           "MultiplierSample", "multiplier_sample", "derivative_bound_check"]
+__all__ = ["alpha_n", "mu_hat", "mu_hat_batch", "quadrature_peak_bytes",
+           "decay_profile", "MultiplierSample", "multiplier_sample",
+           "derivative_bound_check"]
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _MAX_PANELS = 1 << 15
 _REL_TOL = 1e-9
+# complex elements per chunk of leading tuples x nodes in _gl_values
+_CHUNK_ELEMENTS = 4_000_000
 
 
 def alpha_n(n):
@@ -60,21 +72,44 @@ def _gl_values(curve, cutoff, ts, xis, panels):
     s = ((edges[:-1] + edges[1:]) / 2)[:, None] + half * _GL_NODES[None, :]
     s = s.ravel()
     weighted = cutoff(s) * np.tile(_GL_WEIGHTS * half, panels)
+    gam = curve.derivative(0, s)
+    # distinct coordinates per axis, and the distinct leading (n-1)-tuples
+    coords, where = zip(*(np.unique(col, return_inverse=True) for col in xis.T))
+    counts = [len(c) for c in coords[:-1]]
+    lead, lead_of = np.unique(np.ravel_multi_index(where[:-1], counts),
+                              return_inverse=True)
+    lead = np.unravel_index(lead, counts)
     out = np.empty((len(ts), len(xis)), dtype=complex)
-    # chunk over xi to bound the (s-nodes x frequencies) phase matrix
-    step = max(1, int(4e6 // max(s.size, 1)))
-    for j in range(0, len(xis), step):
-        phase = curve.derivative(0, s) @ xis[j:j + step].T
-        for i, t in enumerate(ts):
-            out[i, j:j + step] = weighted @ np.exp(-1j * t * phase)
+    step = max(1, _CHUNK_ELEMENTS // s.size)
+    for i, t in enumerate(ts):
+        # e^{-it<gamma(s), xi>} = prod_a e^{-it gamma_a(s) xi_a}: one table
+        # (distinct coordinates x nodes) per axis
+        tables = [np.exp(-1j * t * np.multiply.outer(c, g))
+                  for c, g in zip(coords, gam.T)]
+        block = np.empty((len(lead[0]), len(coords[-1])), dtype=complex)
+        for j in range(0, len(block), step):
+            left = tables[0][lead[0][j:j + step]] * weighted
+            for table, rows in zip(tables[1:-1], lead[1:]):
+                left *= table[rows[j:j + step]]
+            block[j:j + step] = left @ tables[-1].T
+            del left    # free the chunk before the next one is gathered
+        out[i] = block[lead_of, where[-1]]
     return out
 
 
-def mu_hat_batch(curve, cutoff, ts, xis):
+def mu_hat_batch(curve, cutoff, ts, xis, stats=None):
     """mu_hat_t(xi) on a (t, xi) product grid; shape (len(ts), len(xis)).
 
     One panel ladder is shared by the whole batch; refinement stops when the
-    worst entry moves by less than 1e-9 of the batch magnitude.
+    worst entry moves by less than 1e-9 of the batch magnitude. Given a dict,
+    `stats` receives the final `panels`, the node count `nodes` (16 per
+    panel) and `residual`, the final max |fine - coarse| over that magnitude.
+
+    The cost follows the distinct coordinates per axis, not the batch size:
+    each time node evaluates nodes x (sum over axes of the distinct
+    coordinates) exponentials and one matrix product, whose size is the
+    distinct leading (n-1)-tuples x the distinct last coordinates. On a
+    lattice support of m points that is far fewer than nodes x m.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     xis = np.atleast_2d(np.asarray(xis, dtype=float))
@@ -85,7 +120,11 @@ def mu_hat_batch(curve, cutoff, ts, xis):
     while True:
         fine = _gl_values(curve, cutoff, ts, xis, 2 * panels)
         scale = max(float(np.abs(fine).max()), 1e-300)
-        if float(np.abs(fine - coarse).max()) <= _REL_TOL * scale:
+        gap = float(np.abs(fine - coarse).max())
+        if gap <= _REL_TOL * scale:
+            if stats is not None:
+                stats.update(panels=2 * panels, nodes=2 * panels * _GL_NODES.size,
+                             residual=gap / scale)
             return fine
         panels *= 2
         if panels > _MAX_PANELS:
@@ -93,6 +132,27 @@ def mu_hat_batch(curve, cutoff, ts, xis):
                 f"oscillatory quadrature not converged at {panels} panels "
                 f"(|xi| up to {np.linalg.norm(xis, axis=1).max():.3g})")
         coarse = fine
+
+
+def quadrature_peak_bytes(nodes, coords, leading, modes, times):
+    """Upper bound on the peak memory of mu_hat_batch whose finest level has
+    `nodes` nodes, for `modes` frequencies with `coords[a]` distinct
+    coordinates on axis a and `leading` distinct leading (n-1)-tuples, at
+    `times` time nodes.
+
+    The terms: the exponential tables, with the real and complex phase of
+    the largest one before its exp; the leading-tuple chunk with one
+    gathered table row block; the block of the matrix product and its
+    gather; the coarse and fine results with their difference and its
+    modulus; the nodes' arrays and the index arithmetic on the frequencies.
+    """
+    n = len(coords)
+    chunk = min(leading, max(1, _CHUNK_ELEMENTS // nodes))
+    return int(16 * nodes * sum(coords) + 24 * nodes * max(coords)
+               + 32 * chunk * nodes
+               + 16 * leading * coords[-1] + 16 * modes
+               + 56 * times * modes
+               + 8 * nodes * (n + 4) + 8 * modes * (3 * n + 4))
 
 
 def mu_hat(curve, cutoff, t, xi):

@@ -127,7 +127,9 @@ def run_cell(cfg, lam):
             f"concentration ball radius {radius:.4g} >= L/2 = {window.L / 2:.4g}")
 
     short = TimeWindow.short(lam, n, m=cfg.time_nodes)
-    mu_short = mu_hat_batch(curve, cutoff, short.nodes, window.xi_of_flat(sup))
+    quadrature = {}
+    mu_short = mu_hat_batch(curve, cutoff, short.nodes, window.xi_of_flat(sup),
+                            stats=quadrature)
 
     norms_in, _ = space_stats(f, ps)
 
@@ -173,6 +175,7 @@ def run_cell(cfg, lam):
         "defect": float(defect),
         "fractions": [float(v) for v in fractions],
         "t_nodes_short": list(short.nodes),
+        "quadrature": quadrature,
         "runtime_s": time.perf_counter() - t0,
     }
 

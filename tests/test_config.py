@@ -4,9 +4,7 @@ import pytest
 
 from curveavg import (ConfigError, RunConfig, enforce_memory_cap,
                       estimate_field_bytes, parse_config, parse_memory_size,
-                      space_stats, with_overrides)
-from curveavg.config import ball_radius_from
-from curveavg.sweep import _cell_setup
+                      run_cell, with_overrides)
 
 GOOD = """
 [curve]
@@ -37,6 +35,31 @@ piece_floor = 1.0
 directory = out
 svg = yes
 snapshots = off
+"""
+
+# the keys of the benchmark's planar workload (perfbench/workloads/n2.cfg)
+PLANAR = """
+[curve]
+n = 2
+kind = moment
+
+[construction]
+rho = 0.3
+c0 = 0.7
+delta = 0.9
+aperture = 0.95
+
+[grid]
+policy = windowed
+points_per_radius = 4
+oversample = 3
+
+[experiment]
+lambdas = 64 128 256
+ps = 4 6 8
+time_nodes = 9
+epsilon = 0.3
+checks = orthogonality
 """
 
 
@@ -118,22 +141,23 @@ def test_windowed_estimate_hits_cap():
 
 
 def test_estimate_bounds_measured_peak():
-    # the gate's estimate, made without building a field, bounds the peak
-    # of the norm evaluation with the ball on the real field
-    cfg = parse_config(GOOD.replace("rho = 1.0", "rho = 0.5")
-                           .replace("points_per_radius = 4",
-                                    "points_per_radius = 3"))
-    for lam in (4.0, 32.0):
-        f = _cell_setup(cfg, lam)[-1]
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            space_stats(f, (2.0,) + cfg.ps, oversample=cfg.oversample,
-                        ball_radius=ball_radius_from(cfg, lam))
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert estimate_field_bytes(cfg, lam) >= peak, lam
+    # the gate's estimate, made without building a field or running the
+    # quadrature, bounds the peak of the whole cell on the real fields: a
+    # small n = 3 config, and the planar config of the benchmark's
+    # quadrature-bound workload, whose peak is the quadrature's
+    small = parse_config(GOOD.replace("rho = 1.0", "rho = 0.5")
+                             .replace("points_per_radius = 4",
+                                      "points_per_radius = 3"))
+    planar = parse_config(PLANAR)
+    for cfg, lams in ((small, (4.0, 32.0)), (planar, (64.0, 128.0))):
+        for lam in lams:
+            tracemalloc.start()
+            try:
+                run_cell(cfg, lam)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert estimate_field_bytes(cfg, lam) >= peak, (cfg.n, lam)
 
 
 def test_windowed_estimate_is_modest():

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from curveavg import (ConeChart, CurveSpec, CutoffSpec, DomainError, alpha_n,
-                      decay_profile, derivative_bound_check, mu_hat,
-                      mu_hat_batch, multiplier_sample)
+from curveavg import (ConeChart, CounterexampleSpec, CurveSpec, CutoffSpec,
+                      DomainError, alpha_n, build_f, decay_profile,
+                      derivative_bound_check, mu_hat, mu_hat_batch,
+                      multiplier_sample, windowed_lattice)
+from curveavg import multiplier
 
 
 @pytest.fixture(scope="module")
@@ -138,3 +140,76 @@ def test_derivative_bound_needs_resolvable_lambda(moment3, chi, chart):
     with pytest.raises(DomainError):
         derivative_bound_check(moment3, chi, chart, 1.0,
                                np.array([0.0, 0.0, 16.0]))
+
+
+# --- the per-axis factorised quadrature sum -----------------------------------
+
+def _direct_sum(curve, cutoff, ts, xis, panels):
+    """sum_s w_s e^{-it<gamma(s), xi>} on the composite Gauss-Legendre nodes,
+    with the full (nodes x frequencies) phase matrix."""
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    edges = np.linspace(-cutoff.delta, cutoff.delta, panels + 1)
+    half = (edges[1] - edges[0]) / 2
+    s = (((edges[:-1] + edges[1:]) / 2)[:, None] + half * nodes).ravel()
+    w = cutoff(s) * np.tile(weights * half, panels)
+    phase = curve.derivative(0, s) @ np.atleast_2d(xis).T
+    return np.array([w @ np.exp(-1j * t * phase) for t in ts])
+
+
+def _assert_matches_direct(curve, cutoff, xis, panels=24):
+    ts = [1.0, 1.37, 2.0]
+    got = multiplier._gl_values(curve, cutoff, ts, xis, panels)
+    want = _direct_sum(curve, cutoff, ts, xis, panels)
+    assert got.shape == (len(ts), len(xis))
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("repeated", [True, False])
+def test_factorised_sum_matches_direct_off_lattice(n, repeated, chi):
+    rng = np.random.default_rng(10 * n + repeated)
+    if repeated:
+        # a few distinct values per axis: shared coordinates and leading tuples
+        xis = rng.choice(rng.uniform(-40.0, 40.0, size=5), size=(60, n))
+    else:
+        xis = rng.uniform(-40.0, 40.0, size=(60, n))
+        assert all(len(np.unique(col)) == 60 for col in xis.T)
+    _assert_matches_direct(CurveSpec.moment(n), chi, xis)
+
+
+def test_factorised_sum_single_point(moment3, chi):
+    # mu_hat evaluates a batch of one frequency
+    _assert_matches_direct(moment3, chi, np.array([[3.5, -12.25, 30.0]]))
+
+
+def test_factorised_sum_on_field_support(moment3, chi, chart):
+    spec = CounterexampleSpec(lam=32.0, chart=chart, cutoff=chi, rho=0.5, c0=0.7)
+    f = build_f(spec, windowed_lattice(spec, points_per_radius=3))
+    _assert_matches_direct(moment3, chi, f.window.xi_of_flat(f.support_flat()),
+                           panels=26)
+
+
+def test_factorised_sum_in_ragged_chunks(moment3, chi, monkeypatch):
+    # 10 distinct leading tuples, 3 per chunk: chunks of 3, 3, 3 and 1
+    rng = np.random.default_rng(7)
+    lead = rng.uniform(-30.0, 30.0, size=(10, 2))
+    xis = np.array([[a, b, c] for a, b in lead
+                    for c in rng.uniform(-30.0, 30.0, size=3)])
+    panels = 8
+    monkeypatch.setattr(multiplier, "_CHUNK_ELEMENTS", 3 * 16 * panels)
+    _assert_matches_direct(moment3, chi, xis, panels=panels)
+
+
+def test_mu_hat_batch_reports_its_ladder(moment3, chi):
+    stats = {}
+    xis = np.array([[0.0, 0.0, 40.0], [1.0, 3.0, 60.0]])
+    vals = mu_hat_batch(moment3, chi, [1.0, 1.5], xis, stats=stats)
+    assert set(stats) == {"panels", "nodes", "residual"}
+    assert stats["nodes"] == 16 * stats["panels"]
+    assert 0.0 <= stats["residual"] <= 1e-9
+    # the returned values are the final (fine) level of the ladder
+    assert np.array_equal(
+        vals, multiplier._gl_values(moment3, chi, [1.0, 1.5], xis, stats["panels"]))
+    coarse = multiplier._gl_values(moment3, chi, [1.0, 1.5], xis,
+                                   stats["panels"] // 2)
+    assert stats["residual"] == np.abs(vals - coarse).max() / np.abs(vals).max()

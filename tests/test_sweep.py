@@ -150,6 +150,10 @@ def test_sweep_cell_structure(tiny_report):
         assert len(c["piece_reference"]) == c["nnu"]
         assert c["runtime_s"] > 0
         assert "out_full" not in c   # the sweep measures the short window only
+        quad = c["quadrature"]
+        assert set(quad) == {"panels", "nodes", "residual"}
+        assert quad["nodes"] == 16 * quad["panels"]
+        assert 0.0 <= quad["residual"] <= 1e-9
 
 
 def test_sweep_quotient_is_norm_ratio(tiny_report):
