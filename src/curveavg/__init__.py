@@ -31,9 +31,8 @@ from .multiplier import (MultiplierSample, alpha_n, decay_profile,
                          multiplier_sample)
 from .reporting import (load_snapshot, render_report, save_snapshot,
                         sweep_artifacts, write_csv, write_json)
-from .sweep import (PieceBoundReport, SlopeFit, SweepReport,
-                    critical_exponent, expected_slopes, fit_slope,
-                    piece_l2_lower, run_cell, sharpness_sweep)
+from .sweep import (SlopeFit, SweepReport, critical_exponent, expected_slopes,
+                    fit_slope, run_cell, sharpness_sweep)
 
 __all__ = [
     "__version__",
@@ -62,8 +61,7 @@ __all__ = [
     "enforce_memory_cap", "estimate_field_bytes",
     # sweep
     "critical_exponent", "expected_slopes", "fit_slope", "SlopeFit",
-    "run_cell", "sharpness_sweep", "SweepReport", "piece_l2_lower",
-    "PieceBoundReport",
+    "run_cell", "sharpness_sweep", "SweepReport",
     # reporting
     "save_snapshot", "load_snapshot", "write_csv", "write_json",
     "sweep_artifacts", "render_report",

@@ -259,7 +259,8 @@ def estimate_field_bytes(cfg, lam):
     # local: avoid import cycle
     from .averaging import TimeWindow, norm_peak_bytes
     from .fields import CounterexampleSpec, frequency_centers, windowed_lattice
-    from .multiplier import _GL_NODES, _panel_start, quadrature_peak_bytes
+    from .multiplier import (_GL_NODES, _distinct_steps, _panel_start,
+                             quadrature_peak_bytes)
 
     spec = CounterexampleSpec(lam=lam, chart=chart_from(cfg),
                               cutoff=cutoff_from(cfg), rho=cfg.rho, c0=cfg.c0)
@@ -279,7 +280,8 @@ def estimate_field_bytes(cfg, lam):
     quad = quadrature_peak_bytes(
         nodes=2 * panels * _GL_NODES.size, coords=span,
         leading=int(piece[:, :-1].prod(axis=1).sum()),
-        modes=int(piece.prod(axis=1).sum()), times=cfg.time_nodes)
+        modes=int(piece.prod(axis=1).sum()), times=cfg.time_nodes,
+        steps=_distinct_steps(ts))
     return norm + quad
 
 

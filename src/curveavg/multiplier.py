@@ -10,11 +10,16 @@ proportional to the worst phase rate and a Richardson (panel-doubling) accuracy
 check. The phase factorises per axis, e^{-it<gamma(s), xi>} = prod_a
 e^{-it gamma_a(s) xi_a}, so a batch needs one exponential table per axis over
 that axis's distinct coordinates. The leading n - 1 tables, gathered at the
-batch's distinct leading (n-1)-tuples and weighted, are contracted with the
-last axis's table by one matrix product per time node. The cost thus follows
-the distinct coordinates per axis: on a lattice support of m points, nodes x
-(sum of the distinct coordinates per axis) exponentials replace nodes x m;
-points off a lattice simply have more distinct coordinates.
+batch's distinct leading (n-1)-tuples, are contracted with the weighted last
+axis's table by one matrix product per time node. The tables are
+exponentiated at the first time node only and advanced to each later node by
+one complex multiply per entry with the tables of the step t_k - t_{k-1};
+each distinct step is exponentiated once. The cost thus follows the distinct
+coordinates per axis and the distinct time steps: on a lattice support of m
+points with `steps` distinct steps between its time nodes, (1 + steps) x
+nodes x (sum of the distinct coordinates per axis) exponentials replace
+time nodes x nodes x m; points off a lattice simply have more distinct
+coordinates, and arbitrary time nodes more distinct steps.
 
 On the cone the reduced multiplier m_t = e^{i t phi} mu_hat_t decays exactly
 like (t u_n(xi))^{-1/n}; `multiplier_sample` packages the sample, the
@@ -80,21 +85,44 @@ def _gl_values(curve, cutoff, ts, xis, panels):
                               return_inverse=True)
     lead = np.unravel_index(lead, counts)
     out = np.empty((len(ts), len(xis)), dtype=complex)
-    step = max(1, _CHUNK_ELEMENTS // s.size)
+    chunk = max(1, _CHUNK_ELEMENTS // s.size)
+    # e^{-it<gamma(s), xi>} = prod_a e^{-it gamma_a(s) xi_a}: one table
+    # (distinct coordinates x nodes) per axis, built at the first time node
+    # with the weights folded into the last, then advanced node to node by
+    # E_a(t_k) = E_a(t_{k-1}) e^{-i(t_k - t_{k-1}) gamma_a(s) c}; each
+    # distinct step's tables are exponentiated once. On [1, 2] every step is
+    # exact (Sterbenz), so the steps' phases sum exactly to t_k - t_0.
+    tables = _tables(coords, gam, ts[0])
+    tables[-1] *= weighted
+    steps = {}
     for i, t in enumerate(ts):
-        # e^{-it<gamma(s), xi>} = prod_a e^{-it gamma_a(s) xi_a}: one table
-        # (distinct coordinates x nodes) per axis
-        tables = [np.exp(-1j * t * np.multiply.outer(c, g))
-                  for c, g in zip(coords, gam.T)]
+        if i:
+            dt = t - ts[i - 1]
+            if dt not in steps:
+                steps[dt] = _tables(coords, gam, dt)
+            for table, advance in zip(tables, steps[dt]):
+                table *= advance
         block = np.empty((len(lead[0]), len(coords[-1])), dtype=complex)
-        for j in range(0, len(block), step):
-            left = tables[0][lead[0][j:j + step]] * weighted
+        for j in range(0, len(block), chunk):
+            left = tables[0][lead[0][j:j + chunk]]
             for table, rows in zip(tables[1:-1], lead[1:]):
-                left *= table[rows[j:j + step]]
-            block[j:j + step] = left @ tables[-1].T
+                left *= table[rows[j:j + chunk]]
+            block[j:j + chunk] = left @ tables[-1].T
             del left    # free the chunk before the next one is gathered
         out[i] = block[lead_of, where[-1]]
     return out
+
+
+def _tables(coords, gam, t):
+    """Per axis a, e^{-it gamma_a(s) c} over its distinct coordinates c."""
+    return [np.exp(-1j * t * np.multiply.outer(c, g))
+            for c, g in zip(coords, gam.T)]
+
+
+def _distinct_steps(ts):
+    """The number of distinct differences between successive time nodes:
+    _gl_values exponentiates one table set per step, plus one at the start."""
+    return len(set(np.diff(ts).tolist()))
 
 
 def mu_hat_batch(curve, cutoff, ts, xis, stats=None):
@@ -103,13 +131,17 @@ def mu_hat_batch(curve, cutoff, ts, xis, stats=None):
     One panel ladder is shared by the whole batch; refinement stops when the
     worst entry moves by less than 1e-9 of the batch magnitude. Given a dict,
     `stats` receives the final `panels`, the node count `nodes` (16 per
-    panel) and `residual`, the final max |fine - coarse| over that magnitude.
+    panel), `residual`, the final max |fine - coarse| over that magnitude,
+    and `steps`, the number of distinct differences between successive ts.
 
-    The cost follows the distinct coordinates per axis, not the batch size:
-    each time node evaluates nodes x (sum over axes of the distinct
-    coordinates) exponentials and one matrix product, whose size is the
-    distinct leading (n-1)-tuples x the distinct last coordinates. On a
-    lattice support of m points that is far fewer than nodes x m.
+    The cost follows the distinct coordinates per axis and the distinct time
+    steps, not the batch size: each ladder level exponentiates 1 + `steps`
+    table sets of nodes x (sum over axes of the distinct coordinates)
+    entries, advances the tables by one complex multiply per entry at each
+    later time node, and does one matrix product per time node, whose size
+    is the distinct leading (n-1)-tuples x the distinct last coordinates. On
+    a lattice support of m points that is far fewer than nodes x m
+    exponentials per time node.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     xis = np.atleast_2d(np.asarray(xis, dtype=float))
@@ -124,7 +156,7 @@ def mu_hat_batch(curve, cutoff, ts, xis, stats=None):
         if gap <= _REL_TOL * scale:
             if stats is not None:
                 stats.update(panels=2 * panels, nodes=2 * panels * _GL_NODES.size,
-                             residual=gap / scale)
+                             residual=gap / scale, steps=_distinct_steps(ts))
             return fine
         panels *= 2
         if panels > _MAX_PANELS:
@@ -134,21 +166,22 @@ def mu_hat_batch(curve, cutoff, ts, xis, stats=None):
         coarse = fine
 
 
-def quadrature_peak_bytes(nodes, coords, leading, modes, times):
+def quadrature_peak_bytes(nodes, coords, leading, modes, times, steps):
     """Upper bound on the peak memory of mu_hat_batch whose finest level has
     `nodes` nodes, for `modes` frequencies with `coords[a]` distinct
     coordinates on axis a and `leading` distinct leading (n-1)-tuples, at
-    `times` time nodes.
+    `times` time nodes with `steps` distinct steps between them.
 
-    The terms: the exponential tables, with the real and complex phase of
-    the largest one before its exp; the leading-tuple chunk with one
+    The terms: the exponential tables and the cached table set of each
+    distinct step, with the real and complex phase of the largest table
+    before its exp; the leading-tuple chunk with one
     gathered table row block; the block of the matrix product and its
     gather; the coarse and fine results with their difference and its
     modulus; the nodes' arrays and the index arithmetic on the frequencies.
     """
     n = len(coords)
     chunk = min(leading, max(1, _CHUNK_ELEMENTS // nodes))
-    return int(16 * nodes * sum(coords) + 24 * nodes * max(coords)
+    return int(16 * nodes * sum(coords) * (1 + steps) + 24 * nodes * max(coords)
                + 32 * chunk * nodes
                + 16 * leading * coords[-1] + 16 * modes
                + 56 * times * modes

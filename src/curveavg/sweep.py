@@ -34,8 +34,7 @@ from .fields import CounterexampleSpec, build_f, windowed_lattice
 from .multiplier import alpha_n, mu_hat_batch
 
 __all__ = ["critical_exponent", "expected_slopes", "fit_slope", "SlopeFit",
-           "PieceBoundReport", "SweepReport", "run_cell", "sharpness_sweep",
-           "piece_l2_lower", "DEFAULT_SLOPE_TOLS"]
+           "SweepReport", "run_cell", "sharpness_sweep", "DEFAULT_SLOPE_TOLS"]
 
 DEFAULT_SLOPE_TOLS = {"input": 0.1, "output": 0.1, "quotient": 0.05}
 
@@ -316,19 +315,3 @@ def sharpness_sweep(cfg, jobs=None, slope_tols=None):
                        checks=checks, config=cfg.echo(),
                        quotient_monotone=monotone)
 
-
-@dataclass(frozen=True)
-class PieceBoundReport:
-    lam: float
-    min_ratio: float
-    min_by_nu: tuple
-    reference_by_nu: tuple
-
-
-def piece_l2_lower(cfg, lam):
-    """min over nu and short-window nodes of ||A_t f_nu||_2 / ||g_nu||_2,
-    with the per-piece stationary-phase reference constants."""
-    cell = run_cell(cfg, lam)
-    return PieceBoundReport(lam=float(lam), min_ratio=cell["piece_min"],
-                            min_by_nu=tuple(cell["piece_min_by_nu"]),
-                            reference_by_nu=tuple(cell["piece_reference"]))

@@ -144,20 +144,26 @@ def test_estimate_bounds_measured_peak():
     # the gate's estimate, made without building a field or running the
     # quadrature, bounds the peak of the whole cell on the real fields: a
     # small n = 3 config, and the planar config of the benchmark's
-    # quadrature-bound workload, whose peak is the quadrature's
-    small = parse_config(GOOD.replace("rho = 1.0", "rho = 0.5")
-                             .replace("points_per_radius = 4",
-                                      "points_per_radius = 3"))
-    planar = parse_config(PLANAR)
-    for cfg, lams in ((small, (4.0, 32.0)), (planar, (64.0, 128.0))):
+    # quadrature-bound workload, whose peak is the quadrature's; with 17
+    # time nodes at these lambdas the short window has 3 distinct float
+    # steps, and the quadrature keeps one table set per step
+    small = GOOD.replace("rho = 1.0", "rho = 0.5").replace(
+        "points_per_radius = 4", "points_per_radius = 3")
+    nodes17 = ("time_nodes = 9", "time_nodes = 17")
+    for text, lams in ((small, (4.0, 32.0)), (PLANAR, (64.0, 128.0)),
+                       (small.replace(*nodes17), (16.0,)),
+                       (PLANAR.replace(*nodes17), (8.0,))):
+        cfg = parse_config(text)
         for lam in lams:
             tracemalloc.start()
             try:
-                run_cell(cfg, lam)
+                cell = run_cell(cfg, lam)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert estimate_field_bytes(cfg, lam) >= peak, (cfg.n, lam)
+            assert cfg.time_nodes == 9 or cell["quadrature"]["steps"] == 3
+            assert estimate_field_bytes(cfg, lam) >= peak, (cfg.n, lam,
+                                                            cfg.time_nodes)
 
 
 def test_windowed_estimate_is_modest():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from curveavg import (ConeChart, CounterexampleSpec, CurveSpec, CutoffSpec,
-                      DomainError, alpha_n, build_f, decay_profile,
+                      DomainError, TimeWindow, alpha_n, build_f, decay_profile,
                       derivative_bound_check, mu_hat, mu_hat_batch,
                       multiplier_sample, windowed_lattice)
 from curveavg import multiplier
@@ -156,9 +156,8 @@ def _direct_sum(curve, cutoff, ts, xis, panels):
     return np.array([w @ np.exp(-1j * t * phase) for t in ts])
 
 
-def _assert_matches_direct(curve, cutoff, xis, panels=24):
-    ts = [1.0, 1.37, 2.0]
-    got = multiplier._gl_values(curve, cutoff, ts, xis, panels)
+def _assert_matches_direct(curve, cutoff, xis, panels=24, ts=(1.0, 1.37, 2.0)):
+    got = multiplier._gl_values(curve, cutoff, np.asarray(ts, float), xis, panels)
     want = _direct_sum(curve, cutoff, ts, xis, panels)
     assert got.shape == (len(ts), len(xis))
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
@@ -177,16 +176,64 @@ def test_factorised_sum_matches_direct_off_lattice(n, repeated, chi):
     _assert_matches_direct(CurveSpec.moment(n), chi, xis)
 
 
-def test_factorised_sum_single_point(moment3, chi):
-    # mu_hat evaluates a batch of one frequency
-    _assert_matches_direct(moment3, chi, np.array([[3.5, -12.25, 30.0]]))
+SINGLE_POINT = np.array([[3.5, -12.25, 30.0]])
 
 
-def test_factorised_sum_on_field_support(moment3, chi, chart):
+@pytest.fixture(scope="module")
+def field_support(chi, chart):
     spec = CounterexampleSpec(lam=32.0, chart=chart, cutoff=chi, rho=0.5, c0=0.7)
     f = build_f(spec, windowed_lattice(spec, points_per_radius=3))
-    _assert_matches_direct(moment3, chi, f.window.xi_of_flat(f.support_flat()),
-                           panels=26)
+    return f.window.xi_of_flat(f.support_flat())
+
+
+def test_factorised_sum_single_point(moment3, chi):
+    # mu_hat evaluates a batch of one frequency
+    _assert_matches_direct(moment3, chi, SINGLE_POINT)
+
+
+def test_factorised_sum_on_field_support(moment3, chi, field_support):
+    _assert_matches_direct(moment3, chi, field_support, panels=26)
+
+
+# the tables advance from node to node by the step t_k - t_{k-1}
+TIME_NODES = {
+    "equal-steps": (1.0, 1.25, 1.5, 1.75, 2.0),
+    # linspace nodes: two distinct float steps one ulp apart
+    "short-window": TimeWindow.short(32.0, 3, m=9).nodes,
+    "non-monotone": (1.5, 1.0, 2.0, 1.25),
+    "single-t": (1.37,),
+}
+
+
+@pytest.mark.parametrize("inputs", ["off-lattice", "single-point", "field-support"])
+@pytest.mark.parametrize("nodes", list(TIME_NODES))
+def test_table_recurrence_matches_direct(nodes, inputs, moment3, chi, request):
+    if inputs == "off-lattice":
+        xis = np.random.default_rng(31).uniform(-40.0, 40.0, size=(60, 3))
+    elif inputs == "single-point":
+        xis = SINGLE_POINT
+    else:
+        xis = request.getfixturevalue("field_support")
+    _assert_matches_direct(moment3, chi, xis, panels=26, ts=TIME_NODES[nodes])
+
+
+@pytest.mark.parametrize("nodes", list(TIME_NODES))
+def test_tables_exponentiated_once_per_distinct_step(nodes, moment3, chi,
+                                                     monkeypatch):
+    ts = np.asarray(TIME_NODES[nodes])
+    calls = []
+    tables = multiplier._tables
+
+    def counted(coords, gam, t):
+        calls.append(t)
+        return tables(coords, gam, t)
+
+    monkeypatch.setattr(multiplier, "_tables", counted)
+    multiplier._gl_values(moment3, chi, ts, SINGLE_POINT, 8)
+    steps = multiplier._distinct_steps(ts)
+    assert steps == {"equal-steps": 1, "short-window": 2, "non-monotone": 3,
+                     "single-t": 0}[nodes]
+    assert len(calls) == 1 + steps
 
 
 def test_factorised_sum_in_ragged_chunks(moment3, chi, monkeypatch):
@@ -204,8 +251,9 @@ def test_mu_hat_batch_reports_its_ladder(moment3, chi):
     stats = {}
     xis = np.array([[0.0, 0.0, 40.0], [1.0, 3.0, 60.0]])
     vals = mu_hat_batch(moment3, chi, [1.0, 1.5], xis, stats=stats)
-    assert set(stats) == {"panels", "nodes", "residual"}
+    assert set(stats) == {"panels", "nodes", "residual", "steps"}
     assert stats["nodes"] == 16 * stats["panels"]
+    assert stats["steps"] == 1
     assert 0.0 <= stats["residual"] <= 1e-9
     # the returned values are the final (fine) level of the ladder
     assert np.array_equal(

@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curveavg import (DomainError, RunConfig, SweepReport, critical_exponent,
-                      expected_slopes, fit_slope, piece_l2_lower,
-                      sharpness_sweep)
+                      expected_slopes, fit_slope, sharpness_sweep)
 from curveavg import sweep as sweep_module
 from curveavg.sweep import _trend_mostly_decreasing
 
@@ -148,11 +147,14 @@ def test_sweep_cell_structure(tiny_report):
         assert len(c["t_nodes_short"]) == 5
         assert len(c["piece_min_by_nu"]) == c["nnu"]
         assert len(c["piece_reference"]) == c["nnu"]
+        assert c["piece_min"] == min(c["piece_min_by_nu"]) > 0.2
+        assert all(r > 0 for r in c["piece_reference"])
         assert c["runtime_s"] > 0
         assert "out_full" not in c   # the sweep measures the short window only
         quad = c["quadrature"]
-        assert set(quad) == {"panels", "nodes", "residual"}
+        assert set(quad) == {"panels", "nodes", "residual", "steps"}
         assert quad["nodes"] == 16 * quad["panels"]
+        assert quad["steps"] == len(set(np.diff(c["t_nodes_short"])))
         assert 0.0 <= quad["residual"] <= 1e-9
 
 
@@ -192,14 +194,6 @@ def test_sweep_quotient_decreases_even_here(tiny_report):
     q = [c["quotient"][4.0] for c in tiny_report.cells]
     assert tiny_report.quotient_monotone
     assert q[-1] < q[0]
-
-
-def test_piece_lower_bound_report(tiny_cfg):
-    rep = piece_l2_lower(tiny_cfg, 32.0)
-    assert rep.lam == 32.0
-    assert len(rep.min_by_nu) == len(rep.reference_by_nu) == 5
-    assert rep.min_ratio == min(rep.min_by_nu) > 0.2
-    assert all(r > 0 for r in rep.reference_by_nu)
 
 
 # --- the concentration check -------------------------------------------------------
