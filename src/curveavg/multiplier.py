@@ -174,10 +174,10 @@ def quadrature_peak_bytes(nodes, coords, leading, modes, times, steps):
 
     The terms: the exponential tables and the cached table set of each
     distinct step, with the real and complex phase of the largest table
-    before its exp; the leading-tuple chunk with one
-    gathered table row block; the block of the matrix product and its
-    gather; the coarse and fine results with their difference and its
-    modulus; the nodes' arrays and the index arithmetic on the frequencies.
+    before its exp; the leading-tuple chunk with one gathered table row
+    block; the block of the matrix product and its gather; the coarse and
+    fine results with their difference and its modulus; the nodes' arrays
+    and the index arithmetic on the frequencies.
     """
     n = len(coords)
     chunk = min(leading, max(1, _CHUNK_ELEMENTS // nodes))
