@@ -12,8 +12,7 @@ and `cli`/`reporting` handle artifacts.
 
 from ._version import __version__
 from .averaging import (TimeWindow, apply_averaging, direct_oracle,
-                        lp_norm_space, lp_norm_spacetime, norm_peak_bytes,
-                        space_stats)
+                        lp_norm_spacetime, norm_peak_bytes, space_stats)
 from .bumps import CutoffSpec, radial_bump, smooth_step
 from .cone import ConeChart, moment_gamma_seed
 from .config import (RunConfig, enforce_memory_cap, estimate_field_bytes,
@@ -55,7 +54,7 @@ __all__ = [
     "build_piece", "build_f",
     # averaging
     "TimeWindow", "apply_averaging", "direct_oracle",
-    "space_stats", "lp_norm_space", "lp_norm_spacetime", "norm_peak_bytes",
+    "space_stats", "lp_norm_spacetime", "norm_peak_bytes",
     # config
     "RunConfig", "parse_config", "parse_memory_size", "with_overrides",
     "enforce_memory_cap", "estimate_field_bytes",

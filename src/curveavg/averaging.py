@@ -9,9 +9,15 @@ summation of the stored coefficients.
 Norms: for even integer p, |f|^p is a trigonometric polynomial, so its
 torus integral equals a Riemann sum on any grid fine enough for it. |f| does
 not change under modulation, so only the bounding box of the nonzero
-coefficients is transformed, zero-padded per axis to the least 5-smooth
+coefficients is transformed, zero-padded per axis to the least 7-smooth
 F >= (p_max/2)(span - 1) + 1 points: exact for every requested p up to the
-largest, p_max. p = inf and non-even p are rejected.
+largest, p_max. The box is padded and transformed one axis at a time, axis 0
+first, so the strided passes run on the small, partly padded arrays and only
+the contiguous last axis is transformed at full size. |f|^2 is squared in
+place on the transform's float view, and |f|^4, |f|^6, ... follow by chained
+in-place products, one full-grid multiply and one sum per step. p = 2 is
+Parseval's sum over the box and needs no transform; when it is the largest
+requested p none runs. p = inf and non-even p are rejected.
 
 The concentration fraction is a Riemann sum of |f|^2 over the sample grid
 x_j = j L / next_pow2(oversample * dims) per axis; `oversample` sets only
@@ -28,11 +34,11 @@ from itertools import count
 import numpy as np
 
 from .errors import DomainError, GeometryError, QuadratureError
-from .fields import SpectralField, _next_pow2
+from .fields import _next_pow2
 from .multiplier import mu_hat_batch
 
 __all__ = ["TimeWindow", "apply_averaging", "direct_oracle",
-           "space_stats", "lp_norm_space", "lp_norm_spacetime", "norm_peak_bytes"]
+           "space_stats", "lp_norm_spacetime", "norm_peak_bytes"]
 
 
 @dataclass(frozen=True)
@@ -111,10 +117,10 @@ def direct_oracle(field, curve, cutoff, t, points, rel_tol=1e-9, max_panels=4096
 
 
 def _next_smooth(m):
-    """Least 5-smooth integer (2^a 3^b 5^c) >= m: a fast FFT length."""
+    """Least 7-smooth integer (2^a 3^b 5^c 7^d) >= m: a fast FFT length."""
     for f in count(m):
         k = f
-        for q in (2, 3, 5):
+        for q in (2, 3, 5, 7):
             while k % q == 0:
                 k //= q
         if k == 1:
@@ -140,12 +146,27 @@ def _ball_axes(window, oversample, radius):
     return axes
 
 
+def _support_box(fhat):
+    """Slices of the bounding box of the nonzero coefficients, or None."""
+    mask = fhat != 0
+    n = mask.ndim
+    rows = [np.flatnonzero(mask.any(axis=tuple(b for b in range(n) if b != a)))
+            for a in range(n)]
+    if not rows[0].size:
+        return None
+    return tuple(slice(r[0], r[-1] + 1) for r in rows)
+
+
 def space_stats(field, ps, oversample=3, ball_radius=None):
     """Torus L^p norms (dict p -> norm) for even integer p, and, given a
     radius, the mass fraction of |f|^2 inside the centered ball.
 
-    The fraction is None without a ball and for a field with no nonzero
-    coefficient, whose norms are all 0.
+    The norms are exact Riemann sums on the grid `_norm_grid(box, ps)`: one
+    per-axis inverse FFT pass per axis (axis 0 first, the contiguous axis
+    last and largest), |f|^2 in place, then one multiply and one sum per
+    further even power. p = 2 is taken from Parseval, prod(F) * sum |box|^2,
+    without a transform. The fraction is None without a ball and for a
+    field with no nonzero coefficient, whose norms are all 0.
     """
     window = field.window
     n, L = window.n, window.L
@@ -156,22 +177,32 @@ def space_stats(field, ps, oversample=3, ball_radius=None):
     if bad:
         raise DomainError(f"norms are exact for even integer p >= 2 only, got {bad}")
 
-    mask = field.fhat != 0
-    rows = [np.flatnonzero(mask.any(axis=tuple(b for b in range(n) if b != a)))
-            for a in range(n)]
-    del mask
-    if not rows[0].size:
+    cut = _support_box(field.fhat)
+    if cut is None:
         return {p: 0.0 for p in ps}, None
-    box = field.fhat[tuple(slice(r[0], r[-1] + 1) for r in rows)]
+    box = field.fhat[cut]
 
     F = _norm_grid(box.shape, ps)
-    vals = np.fft.ifftn(box, s=F, axes=range(n), norm="forward")
-    ab2 = vals.real ** 2 + vals.imag ** 2
-    del vals
+    power = float((box.real ** 2 + box.imag ** 2).sum())
+    sums = {2: float(np.prod(F)) * power}
+    top = int(max(ps)) // 2
+    if top > 1:
+        vals = box
+        for a, Fa in enumerate(F):
+            vals = np.fft.ifft(vals, n=Fa, axis=a, norm="forward")
+        sq = vals.view(np.float64)
+        np.square(sq, out=sq)
+        ab2 = sq[..., 0::2] + sq[..., 1::2]
+        del vals, sq
+        pw = ab2 * ab2
+        for k in range(2, top + 1):
+            if k > 2:
+                pw *= ab2
+            if 2 * k in ps:
+                sums[2 * k] = float(pw.sum())
+        del ab2, pw
     cell = L ** n / float(np.prod(F))
-    norms = {p: (cell * float(ab2.sum() if p == 2 else (ab2 ** (p / 2)).sum()))
-             ** (1.0 / p) / L ** n for p in ps}
-    del ab2
+    norms = {p: (cell * sums[int(p)]) ** (1.0 / p) / L ** n for p in ps}
     if ball_radius is None:
         return norms, None
 
@@ -185,30 +216,17 @@ def space_stats(field, ps, oversample=3, ball_radius=None):
     d2 = sum((x ** 2).reshape((-1,) + (1,) * (n - 1 - a))
              for a, (_, _, x) in enumerate(axes))
     inside = float(ab2[d2 <= ball_radius ** 2].sum())
-    power = float((box.real ** 2 + box.imag ** 2).sum())
     total = float(np.prod([Fb for Fb, _, _ in axes])) * power
     return norms, inside / total
 
 
-def lp_norm_space(field, p):
-    """( integral |f|^p )^{1/p} over the torus, for even integer p."""
-    norms, _ = space_stats(field, [p])
-    return norms[p]
-
-
-def lp_norm_spacetime(fields_by_t, p, window):
-    """Trapezoid-in-t of ||.||_p^p over a TimeWindow, then the p-th root.
-
-    `fields_by_t` may be SpectralFields (norms computed here) or precomputed
-    space norms, one per window node.
-    """
-    vals = []
-    for f in fields_by_t:
-        vals.append(lp_norm_space(f, p) if isinstance(f, SpectralField)
-                    else float(f))
+def lp_norm_spacetime(space_norms, p, window):
+    """Trapezoid-in-t of ||.||_p^p over a TimeWindow, then the p-th root,
+    from the space norms at the window's nodes."""
+    vals = [float(v) for v in space_norms]
     if len(vals) != len(window.nodes):
         raise DomainError(
-            f"{len(vals)} fields for {len(window.nodes)} time nodes")
+            f"{len(vals)} space norms for {len(window.nodes)} time nodes")
     w = window.weights()
     return float((w @ np.power(vals, p)) ** (1.0 / p))
 
@@ -217,13 +235,17 @@ def norm_peak_bytes(window, span, ps, oversample=3, ball_radius=None):
     """Upper bound on the peak memory of space_stats for a field on this
     window whose nonzero coefficients span a box of the given shape.
 
-    The three terms bound the stages in turn: the nonzero mask (one byte
-    per window point); the norm grid (the last FFT pass's input and output,
-    then the values with the two real temporaries of |f|^2: at most 32 bytes
-    per point, 48 counted); and the ball's per-axis DFT contractions (an
-    input, its transposed copy and the output, then the ball block's |f|^2
-    with |x|^2, its mask and the selection: at most 48 bytes per element of
-    the largest array).
+    The three terms bound the stages in turn:
+    - the nonzero mask: one byte per window point;
+    - the norm grid, 48 bytes per point counted against at most 32 used
+      (plus the FFT's fixed-size line buffers). The last per-axis pass
+      holds its complex input (at most the grid's size) and output, 32
+      bytes; squaring the output in place and adding its halves holds the
+      squared view and |f|^2, 24 bytes; the chained powers hold |f|^2 and
+      the power buffer, 16 bytes. p = 2 alone runs no transform;
+    - the ball's per-axis DFT contractions (an input, its transposed copy
+      and the output, then the ball block's |f|^2 with |x|^2, its mask and
+      the selection): at most 48 bytes per element of the largest array.
     """
     G = np.prod(_norm_grid(span, ps), dtype=float)
     largest = 0.0

@@ -27,7 +27,8 @@ from math import factorial
 
 import numpy as np
 
-from .averaging import TimeWindow, lp_norm_spacetime, space_stats
+from .averaging import (TimeWindow, _norm_grid, _support_box,
+                        lp_norm_spacetime, space_stats)
 from .config import ball_radius_from, chart_from, curve_from, cutoff_from
 from .errors import DomainError, GeometryError
 from .fields import CounterexampleSpec, build_f, windowed_lattice
@@ -105,9 +106,13 @@ def run_cell(cfg, lam):
 
     Builds f once; multiplier samples on the declared support are batched over
     the short-window time nodes, which also carry the diagnostics (per-piece
-    ratios, orthogonality defect, concentration fractions).
+    ratios, orthogonality defect, concentration fractions). `grid` records
+    the window, the support box and its norm grid; `timings` the set-up
+    (field and diagnostics' reference powers), the quadrature and the
+    `space_stats` calls, in seconds.
     """
-    t0 = time.perf_counter()
+    clock = time.perf_counter
+    t0 = clock()
     curve, cutoff, spec, f = _cell_setup(cfg, lam)
     window = f.window
     ps = tuple(sorted(set([2.0] + [float(p) for p in cfg.ps])))
@@ -127,10 +132,12 @@ def run_cell(cfg, lam):
 
     short = TimeWindow.short(lam, n, m=cfg.time_nodes)
     quadrature = {}
+    t_quad = clock()
     mu_short = mu_hat_batch(curve, cutoff, short.nodes, window.xi_of_flat(sup),
                             stats=quadrature)
-
+    t_in = clock()
     norms_in, _ = space_stats(f, ps)
+    norms_s = clock() - t_in
 
     piece_min = np.inf
     piece_table = []
@@ -147,8 +154,10 @@ def run_cell(cfg, lam):
         piece_table.append(ratios)
         out = np.zeros_like(f.fhat)
         out.ravel()[sup] = coeff
+        t = clock()
         norms, frac = space_stats(f.with_fhat(out), ps, oversample=cfg.oversample,
                                   ball_radius=radius)
+        norms_s += clock() - t
         fractions.append(frac)
         for p in ps:
             node_norms[p].append(norms[p])
@@ -160,11 +169,13 @@ def run_cell(cfg, lam):
     _, un = spec.chart.phi_un_batch(centers)
     ref = (abs(alpha_n(n)) * factorial(n) ** (1.0 / n) * cutoff(theta)
            * lam ** (1.0 / n) / un ** (1.0 / n))
+    box = [int(c.stop - c.start) for c in _support_box(f.fhat)]
 
     return {
         "lam": float(lam),
         "nnu": len(f.support),
-        "dims": list(window.dims),
+        "grid": {"window": list(window.dims), "box": box,
+                 "norm_grid": list(_norm_grid(box, ps))},
         "norms_in": {p: norms_in[p] for p in ps},
         "out_short": out_short,
         "quotient": {p: out_short[p] / norms_in[p] for p in ps},
@@ -175,7 +186,9 @@ def run_cell(cfg, lam):
         "fractions": [float(v) for v in fractions],
         "t_nodes_short": list(short.nodes),
         "quadrature": quadrature,
-        "runtime_s": time.perf_counter() - t0,
+        "timings": {"setup_s": t_quad - t0, "quadrature_s": t_in - t_quad,
+                    "norms_s": norms_s},
+        "runtime_s": clock() - t0,
     }
 
 

@@ -7,8 +7,9 @@ from numpy.testing import assert_allclose
 from curveavg import (CurveSpec, CutoffSpec, DomainError, GeometryError,
                       GridSpec, LatticeWindow, SpectralField, SupportBall,
                       TimeWindow, apply_averaging, direct_oracle,
-                      lp_norm_space, lp_norm_spacetime, mu_hat_batch,
-                      norm_peak_bytes, space_stats)
+                      lp_norm_spacetime, mu_hat_batch, norm_peak_bytes,
+                      space_stats)
+from curveavg.averaging import _norm_grid
 
 CURVE = CurveSpec.moment(3)
 CHI = CutoffSpec(delta=0.25)
@@ -135,26 +136,48 @@ def _convolve(a, b):
 
 
 def test_even_norms_are_exact():
-    # ||f||_4^4 = ||f^2||_2^2 and ||f||_6^6 = ||f^3||_2^2, with f^2 and f^3
-    # exact trigonometric sums whose coefficients are self-convolutions:
-    # ||f^k||_2^2 = L^{-(2k-1)n} sum |c * ... * c|^2. For p = 6 a 6-wide box
-    # needs 3 * 5 + 1 = 16 points per axis, so a Riemann sum on the 8-point
-    # window's own grid (oversample = 1) would alias.
+    # ||f||_p^p = ||f^(p/2)||_2^2 with f^k an exact trigonometric sum whose
+    # coefficients are the k-fold self-convolution: ||f^k||_2^2 =
+    # L^{-(2k-1)n} sum |c * ... * c|^2. For p = 8 a 6-wide box needs
+    # 4 * 5 + 1 = 21 = 3 * 7 points per axis, so the grid has a factor 7;
+    # a Riemann sum on the 8-point window's own grid would alias. p = 8 runs
+    # the chained power twice past |f|^4.
     rng = np.random.default_rng(17)
-    window = GridSpec(n=3, L=2.0, N=8).window()
-    c = rng.standard_normal((6, 6, 6)) + 1j * rng.standard_normal((6, 6, 6))
-    fhat = np.zeros(window.dims, dtype=complex)
-    fhat[2:, 1:7, 2:] = c
-    f = SpectralField(window=window, fhat=fhat, support=())
-    norms, _ = space_stats(f, [2.0, 4.0, 6.0], oversample=1)
-    L, n = f.L, 3
-    c2 = _convolve(c, c)
-    c3 = _convolve(c2, c)
-    want4 = (L ** (-3 * n) * (np.abs(c2) ** 2).sum()) ** (1 / 4)
-    want6 = (L ** (-5 * n) * (np.abs(c3) ** 2).sum()) ** (1 / 6)
-    assert norms[2.0] == pytest.approx(f.l2(), rel=1e-12)
-    assert norms[4.0] == pytest.approx(want4, rel=1e-12)
-    assert norms[6.0] == pytest.approx(want6, rel=1e-12)
+    for dims, cut in (((8, 8, 8), (slice(2, 8), slice(1, 7), slice(2, 8))),
+                      ((16, 8), (slice(3, 14), slice(0, 6)))):
+        window = LatticeWindow(L=2.0, dims=dims, k0=tuple(-m // 2 for m in dims))
+        n = len(dims)
+        shape = tuple(c.stop - c.start for c in cut)
+        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        fhat = np.zeros(dims, dtype=complex)
+        fhat[cut] = c
+        f = SpectralField(window=window, fhat=fhat, support=())
+        norms, _ = space_stats(f, [2.0, 4.0, 6.0, 8.0], oversample=1)
+        assert 21 in _norm_grid(shape, [8.0])
+        L = f.L
+        power = c
+        assert norms[2.0] == pytest.approx(f.l2(), rel=1e-12)
+        for k in (2, 3, 4):
+            power = _convolve(power, c)
+            want = (L ** (-(2 * k - 1) * n)
+                    * (np.abs(power) ** 2).sum()) ** (1 / (2 * k))
+            assert norms[2.0 * k] == pytest.approx(want, rel=1e-12), (dims, k)
+
+
+def test_norm_grid_is_7_smooth_and_exact():
+    # the lambda = 32 box of the n = 3 workload at p_max = 8: the exactness
+    # bounds 65, 329 and 21 round up to 70, 336 and 21 (5-smooth: 72, 360, 24)
+    assert _norm_grid((17, 83, 6), [2.0, 8.0]) == (70, 336, 21)
+    spans = (1, 2, 5, 6, 11, 17, 83, 160)
+    for ps in ([2.0], [2.0, 4.0], [4.0, 8.0], [6.0]):
+        half = int(max(ps)) // 2
+        for span, F in zip(spans, _norm_grid(spans, ps)):
+            assert F >= half * (span - 1) + 1
+            k = F
+            for q in (2, 3, 5, 7):
+                while k % q == 0:
+                    k //= q
+            assert k == 1, (span, ps, F)
 
 
 def test_zero_field_has_zero_norms_and_no_fraction():
@@ -166,7 +189,7 @@ def test_zero_field_has_zero_norms_and_no_fraction():
     assert fraction is None
 
 
-@pytest.mark.parametrize("p", [np.inf, 3.0])
+@pytest.mark.parametrize("p", [np.inf, 3.0, 0.5])
 def test_space_stats_rejects_non_even_exponent(p):
     f = make_field([(0, 0, 0)], [1.0])
     with pytest.raises(DomainError, match="even integer"):
@@ -178,7 +201,25 @@ def test_l2_norm_matches_parseval():
     modes = [(0, 0, 0), (1, 2, 0), (-1, 0, 3), (2, -2, 1)]
     amps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     f = make_field(modes, amps)
-    assert lp_norm_space(f, 2.0) == pytest.approx(f.l2(), rel=1e-12)
+    norms, _ = space_stats(f, [2.0])
+    assert norms[2.0] == pytest.approx(f.l2(), rel=1e-12)
+
+
+def test_l2_norm_needs_no_transform(monkeypatch):
+    # p = 2 comes from Parseval, so a p = 2 request runs no inverse FFT
+    calls = []
+    ifft = np.fft.ifft
+    monkeypatch.setattr(np.fft, "ifft",
+                        lambda *a, **k: calls.append(1) or ifft(*a, **k))
+    rng = np.random.default_rng(4)
+    modes = [(0, 0, 0), (1, 2, 0), (-3, 0, 3), (2, -2, 1)]
+    f = make_field(modes, rng.standard_normal(4) + 1j * rng.standard_normal(4))
+    norms, fraction = space_stats(f, [2.0], ball_radius=0.5)
+    assert norms[2.0] == pytest.approx(f.l2(), rel=1e-12)
+    assert 0.0 < fraction < 1.0
+    assert calls == []
+    space_stats(f, [2.0, 4.0])
+    assert len(calls) == 3   # one pass per axis
 
 
 def test_ball_fraction_counts_grid_points():
@@ -201,12 +242,6 @@ def test_ball_radius_must_fit_in_box():
         space_stats(f, [2.0], ball_radius=1.0)
 
 
-def test_lp_norm_space_rejects_bad_exponent():
-    f = make_field([(0, 0, 0)], [1.0])
-    with pytest.raises(DomainError):
-        lp_norm_space(f, 0.5)
-
-
 def test_spacetime_norm_of_steady_family():
     # constant-in-t norms: the t-integral contributes span^{1/p}
     v = 2.5
@@ -216,27 +251,28 @@ def test_spacetime_norm_of_steady_family():
         assert got == pytest.approx(v * span ** (1 / 4), rel=1e-12)
 
 
-def test_spacetime_norm_accepts_fields():
-    f = make_field([(0, 0, 0)], [2.0])
-    w = TimeWindow.short(8.0, 3, m=5)   # spans 1/2
-    got = lp_norm_spacetime([f] * 5, 2.0, w)
-    assert got == pytest.approx(f.l2() * 0.5 ** (1 / 2), rel=1e-10)
-
-
 def test_spacetime_norm_checks_node_count():
     w = TimeWindow.short(32.0, 3, m=9)
     with pytest.raises(DomainError, match="time nodes"):
         lp_norm_spacetime([1.0] * 5, 2.0, w)
 
 
-@pytest.mark.parametrize("dims, box, radius", [
-    pytest.param((16, 32, 32), None, 1.0, id="memory-3d"),
-    pytest.param((8, 16, 8), None, 1.0, id="memory-3d-small"),
-    pytest.param((64, 32), None, 1.0, id="memory-2d"),
-    pytest.param((64, 64, 64), (5, 9, 4), 1.0, id="small-box-large-window"),
-    pytest.param((16, 16, 16), (7, 3, 16), 9.9, id="ball-near-half-side"),
+P8 = (2.0, 4.0, 6.0, 8.0)
+
+
+@pytest.mark.parametrize("dims, box, radius, ps", [
+    pytest.param((16, 32, 32), None, 1.0, P8, id="memory-3d"),
+    pytest.param((8, 16, 8), None, 1.0, P8, id="memory-3d-small"),
+    pytest.param((64, 32), None, 1.0, P8, id="memory-2d"),
+    pytest.param((64, 64, 64), (5, 9, 4), 1.0, P8, id="small-box-large-window"),
+    pytest.param((16, 16, 16), (7, 3, 16), 9.9, P8, id="ball-near-half-side"),
+    # grid 21 x 70 x 21: factors of 7 on every axis
+    pytest.param((32, 32, 32), (6, 17, 6), 1.0, P8, id="grid-factor-7"),
+    # grid 25 x 27 x 1: the last pass's input is as large as its output
+    pytest.param((32, 32, 16), (13, 14, 1), 1.0, (2.0, 4.0),
+                 id="last-axis-grows-least"),
 ])
-def test_peak_bytes_bounds_measured_peak(dims, box, radius):
+def test_peak_bytes_bounds_measured_peak(dims, box, radius, ps):
     rng = np.random.default_rng(2)
     box = dims if box is None else box
     fhat = np.zeros(dims, dtype=complex)
@@ -244,7 +280,6 @@ def test_peak_bytes_bounds_measured_peak(dims, box, radius):
         rng.standard_normal(box) + 1j * rng.standard_normal(box))
     window = LatticeWindow(L=20.0, dims=dims, k0=tuple(-m // 2 for m in dims))
     f = SpectralField(window=window, fhat=fhat, support=())
-    ps = [2.0, 4.0, 6.0, 8.0]
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from curveavg import (DomainError, RunConfig, SweepReport, critical_exponent,
                       expected_slopes, fit_slope, sharpness_sweep)
 from curveavg import sweep as sweep_module
+from curveavg.averaging import _norm_grid
 from curveavg.sweep import _trend_mostly_decreasing
 
 
@@ -156,6 +157,14 @@ def test_sweep_cell_structure(tiny_report):
         assert quad["nodes"] == 16 * quad["panels"]
         assert quad["steps"] == len(set(np.diff(c["t_nodes_short"])))
         assert 0.0 <= quad["residual"] <= 1e-9
+        grid = c["grid"]
+        assert set(grid) == {"window", "box", "norm_grid"}
+        assert grid["norm_grid"] == list(_norm_grid(grid["box"], c["norms_in"]))
+        assert all(b <= m for b, m in zip(grid["box"], grid["window"]))
+        timings = c["timings"]
+        assert set(timings) == {"setup_s", "quadrature_s", "norms_s"}
+        assert all(v > 0 for v in timings.values())
+        assert sum(timings.values()) <= c["runtime_s"]
 
 
 def test_sweep_quotient_is_norm_ratio(tiny_report):
