@@ -147,7 +147,7 @@ def test_even_norms_are_exact():
                       ((16, 8), (slice(3, 14), slice(0, 6)))):
         window = LatticeWindow(L=2.0, dims=dims, k0=tuple(-m // 2 for m in dims))
         n = len(dims)
-        shape = tuple(c.stop - c.start for c in cut)
+        shape = tuple(s.stop - s.start for s in cut)
         c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         fhat = np.zeros(dims, dtype=complex)
         fhat[cut] = c
