@@ -17,8 +17,8 @@ from .bumps import CutoffSpec, radial_bump, smooth_step
 from .cone import ConeChart, moment_gamma_seed
 from .config import (RunConfig, enforce_memory_cap, estimate_field_bytes,
                      parse_config, parse_memory_size, with_overrides)
-from .curves import (CurveSpec, ModelClassReport, eval_derivatives,
-                     model_class_report, nondegeneracy_margin)
+from .curves import (CurveSpec, ModelClassReport, model_class_report,
+                     nondegeneracy_margin)
 from .errors import (ApertureError, ConfigError, ConvergenceError,
                      CurveAvgError, DomainError, GeometryError, GridError,
                      QuadratureError, ResolutionError)
@@ -40,9 +40,8 @@ __all__ = [
     "QuadratureError", "GridError", "GeometryError", "ResolutionError",
     "ConfigError",
     # curves and cutoffs
-    "CurveSpec", "eval_derivatives", "nondegeneracy_margin",
-    "model_class_report", "ModelClassReport", "CutoffSpec", "smooth_step",
-    "radial_bump",
+    "CurveSpec", "nondegeneracy_margin", "model_class_report",
+    "ModelClassReport", "CutoffSpec", "smooth_step", "radial_bump",
     # cone geometry
     "ConeChart", "moment_gamma_seed",
     # multiplier

@@ -129,6 +129,8 @@ def _next_smooth(m):
 
 def _norm_grid(span, ps):
     """Per-axis points of the exact norm grid for a support box of this span."""
+    if min(span, default=1) < 1:
+        raise DomainError(f"support box spans must be >= 1 per axis, got {span}")
     half = int(max(ps, default=2)) // 2
     return tuple(_next_smooth(half * (s - 1) + 1) for s in span)
 

@@ -5,7 +5,8 @@ Subcommands: cone-verify (Newton residual/homogeneity tables), multiplier-verify
 counterexample fields, snapshot them, tabulate norms), sweep (the full scaling
 experiment), report (re-render a sweep's report.json as a pass/fail summary).
 
-Every run writes a manifest with the resolved config and tool version. Module
+Every run writes a manifest with the resolved config, the tool, Python and
+numpy versions, the platform, the CPU count and the command's wall time. Module
 errors become a machine-readable ``error.json`` in the output directory plus a
 nonzero exit. ``--strict`` additionally turns warnings (currently: a
 non-decreasing quotient trend) into failures.
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from math import factorial
 from pathlib import Path
 
@@ -95,7 +97,7 @@ def _cmd_cone_verify(cfg, outdir):
                        for i in range(1, n)] + [1.0])
         theta = chart.solve_theta(xi)
         res = abs(float(curve.derivative(n - 1, theta) @ xi)) / np.linalg.norm(xi)
-        closed = abs(theta - (-tau)) if cfg.curve_kind == "moment" else ""
+        closed = "" if cfg.perturbation else abs(theta - (-tau))
         phi1 = chart.phase_phi(xi)
         for scale in (2.0, 4.0):
             hom_theta = abs(chart.solve_theta(scale * xi) - theta)
@@ -164,12 +166,7 @@ def _cmd_sweep(cfg, outdir, dropped, strict):
     tols = ({k: max(v, 0.08) for k, v in DEFAULT_SLOPE_TOLS.items()}
             if dropped else None)
     report = sharpness_sweep(cfg, jobs=cfg.jobs, slope_tols=tols)
-    fields = None
-    if cfg.snapshots:
-        fields = {f"field_lambda{int(lam)}.bin": (_cell_setup(cfg, lam)[-1],
-                                                  float(lam))
-                  for lam in cfg.lambdas}
-    paths = sweep_artifacts(report, outdir, svg=cfg.svg, fields=fields)
+    paths = sweep_artifacts(report, outdir, svg=cfg.svg)
     summary = render_report(report.to_dict())
     print(summary, end="")
     warnings = []
@@ -193,6 +190,7 @@ def _cmd_report(outdir, strict):
 
 
 def main(argv=None):
+    start = time.perf_counter()
     args = _parser().parse_args(argv)
     outdir = Path(args.out) if args.out else None
     try:
@@ -209,7 +207,8 @@ def main(argv=None):
             status, paths = _cmd_sweep(cfg, outdir, dropped, args.strict)
         else:
             status, paths = _cmd_report(outdir, args.strict)
-        write_manifest(outdir, cfg.echo(), paths, args.command)
+        write_manifest(outdir, cfg.echo(), paths, args.command,
+                       wall_s=time.perf_counter() - start)
         return status
     except CurveAvgError as exc:
         record = {"error": type(exc).__name__, "message": str(exc),

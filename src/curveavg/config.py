@@ -6,6 +6,10 @@ The format is INI (configparser) with sections [curve], [construction],
 reported together, not just the first. The memory gate runs up front: a run
 whose per-field estimate exceeds the cap is rejected before any work starts.
 The CSL_MEMORY_CAP environment variable overrides the configured cap.
+
+The curve is perturbed exactly when ``perturb<i>`` keys are present; ``[curve]
+kind`` may only restate that. ``policy``, ``window`` and ``snapshots`` accept
+only ``windowed``, ``short`` and ``off``, and store nothing.
 """
 
 from __future__ import annotations
@@ -34,26 +38,22 @@ _KNOWN_CHECKS = ("orthogonality", "slopes", "floor", "concentration")
 @dataclass(frozen=True)
 class RunConfig:
     n: int = 3
-    curve_kind: str = "moment"
-    perturbation: tuple = ()          # ((component, (coeffs...)), ...)
+    perturbation: tuple = ()          # ((component, (coeffs...)), ...); () = moment
     rho: float = 0.25
     c0: float = 0.25
     delta: float = 0.25
     aperture: float = 0.25
-    grid_policy: str = "windowed"    # the only policy
     points_per_radius: int = 4
     oversample: int = 3
     memory_cap: int = 8 * _GIB
     lambdas: tuple = (32.0, 64.0, 128.0, 256.0)
     ps: tuple = (4.0, 6.0, 8.0)
-    window_kind: str = "short"       # the sweep measures [1, 1 + lambda^{-1/n}] only
     time_nodes: int = 9
     epsilon: float = 0.3
     checks: tuple = ("orthogonality", "slopes")
-    piece_floor: float = 0.0          # asserted by the 'floor' check when > 0
+    piece_floor: float = 0.0          # > 0 exactly when 'floor' is in checks
     outdir: str = "out"
     svg: bool = True
-    snapshots: bool = False
     jobs: int = 1
 
     def echo(self):
@@ -91,7 +91,7 @@ def _bool(text):
 _SCHEMA = {
     "curve": {
         "n": ("n", int),
-        "kind": ("curve_kind", str),
+        "kind": ("kind", str),        # checked against perturb<i>, not stored
     },
     "construction": {
         "rho": ("rho", float),
@@ -100,7 +100,6 @@ _SCHEMA = {
         "aperture": ("aperture", float),
     },
     "grid": {
-        "policy": ("grid_policy", str),
         "points_per_radius": ("points_per_radius", int),
         "oversample": ("oversample", int),
         "memory_cap": ("memory_cap", parse_memory_size),
@@ -108,7 +107,6 @@ _SCHEMA = {
     "experiment": {
         "lambdas": ("lambdas", _floats),
         "ps": ("ps", _floats),
-        "window": ("window_kind", str),
         "time_nodes": ("time_nodes", int),
         "epsilon": ("epsilon", float),
         "checks": ("checks", lambda s: tuple(str(s).replace(",", " ").split())),
@@ -117,8 +115,19 @@ _SCHEMA = {
     "output": {
         "directory": ("outdir", str),
         "svg": ("svg", _bool),
-        "snapshots": ("snapshots", _bool),
     },
+}
+
+# (section, key) -> (parser, the one legal value, message for any other)
+_PINNED = {
+    ("grid", "policy"): (
+        str, "windowed", "grid policy must be windowed, got {!r}"),
+    ("experiment", "window"): (
+        str, "short", "window must be short (the sweep measures "
+                      "[1, 1 + lambda^(-1/n)] only), got {!r}"),
+    ("output", "snapshots"): (
+        _bool, False, "snapshots must be off, got {!r}: the sweep writes no "
+                      "field snapshots; `curveavg synthesize` writes them"),
 }
 
 
@@ -130,14 +139,10 @@ def _range_violations(cfg):
             bad.append(msg)
 
     check(2 <= cfg.n <= 6, f"n must lie in 2..6, got {cfg.n}")
-    check(cfg.curve_kind in ("moment", "perturbed-moment"),
-          f"curve kind must be moment or perturbed-moment, got {cfg.curve_kind!r}")
     check(0.0 < cfg.rho <= 1.0, f"rho must lie in (0, 1], got {cfg.rho}")
     check(0.0 < cfg.c0 <= 1.0, f"c0 must lie in (0, 1], got {cfg.c0}")
     check(0.0 < cfg.delta <= 1.0, f"delta must lie in (0, 1], got {cfg.delta}")
     check(0.0 < cfg.aperture < 2.0, f"aperture must lie in (0, 2), got {cfg.aperture}")
-    check(cfg.grid_policy == "windowed",
-          f"grid policy must be windowed, got {cfg.grid_policy!r}")
     check(cfg.points_per_radius >= 2,
           f"points_per_radius must be >= 2, got {cfg.points_per_radius}")
     check(1 <= cfg.oversample <= 8,
@@ -151,9 +156,6 @@ def _range_violations(cfg):
     check(dyadic, f"lambdas must be dyadic (powers of two), got {list(cfg.lambdas)}")
     check(all(v >= 2 and v % 2 == 0 for v in cfg.ps),
           f"every p must be an even integer >= 2, got {list(cfg.ps)}")
-    check(cfg.window_kind == "short",
-          f"window must be short (the sweep measures [1, 1 + lambda^(-1/n)] "
-          f"only), got {cfg.window_kind!r}")
     check(cfg.time_nodes >= 5, f"time_nodes must be >= 5, got {cfg.time_nodes}")
     check(0.0 < cfg.epsilon <= 1.0,
           f"epsilon must lie in (0, 1], got {cfg.epsilon}")
@@ -161,6 +163,12 @@ def _range_violations(cfg):
     check(not unknown,
           f"unknown checks {unknown}; valid: {', '.join(_KNOWN_CHECKS)}")
     check(cfg.piece_floor >= 0, f"piece_floor must be >= 0, got {cfg.piece_floor}")
+    floor = "floor" in cfg.checks
+    check(not floor or cfg.piece_floor > 0,
+          "the floor check needs piece_floor > 0")
+    check(floor or cfg.piece_floor <= 0,
+          f"piece_floor = {cfg.piece_floor} is read only by the floor check; "
+          "add floor to checks")
     check(cfg.jobs >= 1, f"jobs must be >= 1, got {cfg.jobs}")
     return bad
 
@@ -192,20 +200,33 @@ def parse_config(text):
                     problems.append(f"[curve] {key}: expected perturb<component>"
                                     " = coefficient list")
                 continue
-            if key not in schema:
-                hint = difflib.get_close_matches(key, schema.keys(), n=1)
+            pinned = _PINNED.get((section, key))
+            if key not in schema and not pinned:
+                names = list(schema) + [k for s, k in _PINNED if s == section]
+                hint = difflib.get_close_matches(key, names, n=1)
                 problems.append(f"unknown key '{key}' in [{section}]"
                                 + (f", did you mean '{hint[0]}'?" if hint else ""))
                 continue
-            attr, conv = schema[key]
+            conv = pinned[0] if pinned else schema[key][1]
             try:
-                values[attr] = conv(raw)
+                value = conv(raw)
             except (ValueError, ConfigError) as exc:
                 problems.append(f"[{section}] {key}: {exc}")
+                continue
+            if not pinned:
+                values[schema[key][0]] = value
+            elif value != pinned[1]:
+                problems.append(pinned[2].format(raw))
 
-    if "perturbation" in values:
+    # the curve is perturbed exactly when perturb<i> keys are present
+    perturbed = "perturbation" in values
+    if perturbed:
         values["perturbation"] = tuple(sorted(values["perturbation"]))
-        values.setdefault("curve_kind", "perturbed-moment")
+    derived = "perturbed-moment" if perturbed else "moment"
+    kind = values.pop("kind", derived)
+    if kind != derived:
+        problems.append(f"curve kind must be {derived} when perturb<i> keys "
+                        f"are {'' if perturbed else 'not '}given, got {kind!r}")
 
     env_cap = os.environ.get("CSL_MEMORY_CAP")
     if env_cap:
@@ -226,7 +247,8 @@ def parse_config(text):
 
 
 def curve_from(cfg):
-    if cfg.curve_kind == "moment" and not cfg.perturbation:
+    """The moment curve, or its perturbation when cfg.perturbation is set."""
+    if not cfg.perturbation:
         return CurveSpec.moment(cfg.n)
     return CurveSpec.perturbed_moment(cfg.n, dict(cfg.perturbation))
 

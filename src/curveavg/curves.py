@@ -1,11 +1,11 @@
 """Curve definitions with exact derivative evaluation.
 
-Curves are polynomial (the canonical curve gamma(s) = (s, s^2/2, ..., s^n/n!)
-or polynomial perturbations of it) or user tables of callables with explicit
-derivative rules. Derivatives are analytic everywhere: differentiation happens
-on coefficients in exact rational arithmetic, never by finite differences, so
-that the anchoring identities gamma(0)=0, gamma^(j)(0)=e_j hold *exactly* in
-floating point and downstream Newton solvers get full-accuracy Jacobians.
+Curves are polynomial: the canonical curve gamma(s) = (s, s^2/2, ..., s^n/n!)
+or polynomial perturbations of it. Derivatives are analytic everywhere:
+differentiation happens on coefficients in exact rational arithmetic, never by
+finite differences, so that the anchoring identities gamma(0)=0,
+gamma^(j)(0)=e_j hold *exactly* in floating point and downstream Newton
+solvers get full-accuracy Jacobians.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from numpy.polynomial import polynomial as P
 
 from .errors import DomainError
 
-__all__ = ["CurveSpec", "ModelClassReport", "eval_derivatives",
-           "nondegeneracy_margin", "model_class_report"]
+__all__ = ["CurveSpec", "ModelClassReport", "nondegeneracy_margin",
+           "model_class_report"]
 
 
 def _moment_coeff_table(n, max_order):
@@ -57,30 +57,22 @@ def _polyder_table(coeffs, max_order):
 class CurveSpec:
     """A smooth curve I -> R^n with derivative evaluation up to order n+1.
 
-    kind is 'moment', 'perturbed-moment' (polynomial perturbation added per
-    component) or 'table' (explicit derivative rules). Use the constructors
-    `moment`, `perturbed_moment`, `from_table`.
+    kind is 'moment' or 'perturbed-moment' (polynomial perturbation added
+    per component). Use the constructors `moment` and `perturbed_moment`.
     """
 
     n: int
     kind: str
     domain: tuple = (-1.0, 1.0)
     perturbation: tuple = ()   # ((component_1based, coeff_tuple), ...)
-    rules: tuple = ()          # table kind: rules[k][j] = d^j gamma_{k+1}
 
     def __post_init__(self):
         if self.n < 2:
             raise DomainError(f"curve dimension must be >= 2, got {self.n}")
-        if self.kind not in ("moment", "perturbed-moment", "table"):
+        if self.kind not in ("moment", "perturbed-moment"):
             raise DomainError(f"unknown curve kind {self.kind!r}")
         if self.domain[0] >= self.domain[1]:
             raise DomainError(f"empty parameter interval {self.domain}")
-        if self.kind == "table":
-            short = [k for k, r in enumerate(self.rules) if len(r) < self.n + 2]
-            if len(self.rules) != self.n or short:
-                raise DomainError(
-                    "table curve needs n components with derivative rules "
-                    f"for orders 0..n+1; components {short or 'missing'}")
         object.__setattr__(self, "_dtab", self._build_tables())
 
     @classmethod
@@ -97,14 +89,7 @@ class CurveSpec:
                 raise DomainError(f"perturbed component {k} outside 1..{n}")
         return cls(n=n, kind="perturbed-moment", domain=domain, perturbation=pert)
 
-    @classmethod
-    def from_table(cls, n, rules, domain=(-1.0, 1.0)):
-        return cls(n=n, kind="table", domain=domain,
-                   rules=tuple(tuple(r) for r in rules))
-
     def _build_tables(self):
-        if self.kind == "table":
-            return None
         max_order = self.n + 1
         tab = _moment_coeff_table(self.n, max_order)
         for comp, coeffs in self.perturbation:
@@ -124,31 +109,9 @@ class CurveSpec:
                 f"derivative order {order} unsupported (curve carries 0..{self.n + 1})")
         s = np.asarray(s, dtype=float)
         out = np.empty(s.shape + (self.n,))
-        if self.kind == "table":
-            for k in range(self.n):
-                out[..., k] = self.rules[k][order](s)
-        else:
-            for k in range(self.n):
-                out[..., k] = P.polyval(s, self._dtab[order][k])
+        for k in range(self.n):
+            out[..., k] = P.polyval(s, self._dtab[order][k])
         return out
-
-    def contains(self, s):
-        """True when every parameter in s lies inside the domain."""
-        a, b = self.domain
-        s = np.asarray(s, dtype=float)
-        return bool(np.all((a <= s) & (s <= b)))
-
-
-def eval_derivatives(curve, s, max_order):
-    """Stack [gamma, gamma', ..., gamma^(max_order)] at s.
-
-    Shape (max_order+1,) + s.shape + (n,); s may be scalar or an array."""
-    if not curve.contains(s):
-        raise DomainError(f"parameter {s} outside curve domain {curve.domain}")
-    if max_order > curve.n + 1:
-        raise DomainError(
-            f"order {max_order} unsupported: derivatives stop at n+1 = {curve.n + 1}")
-    return np.stack([curve.derivative(j, s) for j in range(max_order + 1)])
 
 
 def nondegeneracy_margin(curve, samples=2048):

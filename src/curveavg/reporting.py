@@ -10,6 +10,8 @@ avoid dragging in a plotting stack for one diagnostic figure.
 from __future__ import annotations
 
 import json
+import os
+import platform
 import time
 from pathlib import Path
 
@@ -48,12 +50,22 @@ def write_json(path, obj):
     return path
 
 
-def write_manifest(outdir, config_echo, artifacts, command):
+def write_manifest(outdir, config_echo, artifacts, command, wall_s):
+    """manifest.json: the tool, the command and its wall time in seconds, the
+    resolved config, the artifacts, and the machine the run took place on."""
     return write_json(Path(outdir) / "manifest.json", {
         "tool": "curveavg",
         "version": __version__,
         "command": command,
         "created_unix": time.time(),
+        "wall_s": wall_s,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        # no platform.platform(): it reads the interpreter binary for its
+        # libc version and spawns `uname -p`
+        "platform": f"{platform.system()}-{platform.release()}-"
+                    f"{platform.machine()}",
+        "cpu_count": os.cpu_count(),
         "config": config_echo,
         "artifacts": sorted(str(a) for a in artifacts),
     })
@@ -161,9 +173,9 @@ def quotient_svg(report):
     return "\n".join(out) + "\n"
 
 
-def sweep_artifacts(report, outdir, svg=True, fields=None):
-    """Write report.json, sweep.csv, slopes.csv, optional loglog.svg and
-    field snapshots. Returns the list of written paths."""
+def sweep_artifacts(report, outdir, svg=True):
+    """Write report.json, sweep.csv, slopes.csv and the optional loglog.svg.
+    Returns the list of written paths."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     paths = [write_json(outdir / "report.json", report.to_dict())]
@@ -192,8 +204,6 @@ def sweep_artifacts(report, outdir, svg=True, fields=None):
         svg_path = outdir / "loglog.svg"
         svg_path.write_text(quotient_svg(report), encoding="utf-8")
         paths.append(svg_path)
-    for name, (field, lam) in (fields or {}).items():
-        paths.append(save_snapshot(outdir / name, field, lam))
     return paths
 
 

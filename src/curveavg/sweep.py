@@ -298,7 +298,7 @@ def sharpness_sweep(cfg, jobs=None, slope_tols=None):
                     "detail": (f"fitted {fit.slope:+.4f} vs expected "
                                f"{want[which]:+.4f} (gap {gap:.4f}, "
                                f"tol {tols[which]})")})
-    if "floor" in cfg.checks and cfg.piece_floor > 0:
+    if "floor" in cfg.checks:
         worst = min(c["piece_min"] for c in cells)
         checks.append({"name": "piece-floor",
                        "passed": bool(worst >= cfg.piece_floor),

@@ -7,9 +7,9 @@ from curveavg.config import parse_config
 
 # The pinned acceptance configuration. Free constants chosen once for the
 # whole suite: a wide cutoff and aperture so the stationary point is deep
-# inside the support, bump radius 1.0 and c0 = 0.7 for as many disjoint
-# pieces as the dyadic range admits, and the windowed grid policy so that
-# lambda = 256 fits in memory.
+# inside the support, and bump radius 1.0 and c0 = 0.7 for as many disjoint
+# pieces as the dyadic range admits. `policy`, `window` and `snapshots` carry
+# their only legal values and set nothing.
 ACCEPTANCE_CONFIG = """\
 [curve]
 n = 3

@@ -180,6 +180,14 @@ def test_norm_grid_is_7_smooth_and_exact():
             assert k == 1, (span, ps, F)
 
 
+@pytest.mark.parametrize("ps", [[2.0], [4.0]])
+def test_norm_grid_rejects_empty_span(ps):
+    # a box has at least one point per axis; below that the 7-smooth search
+    # would never end
+    with pytest.raises(DomainError, match="support box spans"):
+        _norm_grid((0, 3, 3), ps)
+
+
 def test_zero_field_has_zero_norms_and_no_fraction():
     window = GridSpec(n=3, L=2.0, N=8).window()
     f = SpectralField(window=window, fhat=np.zeros(window.dims, dtype=complex),

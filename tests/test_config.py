@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import fields
 
 import pytest
 
@@ -66,8 +67,12 @@ checks = orthogonality
 def test_defaults():
     cfg = RunConfig()
     assert (cfg.rho, cfg.c0, cfg.delta, cfg.aperture) == (0.25,) * 4
-    assert cfg.grid_policy == "windowed"
+    assert cfg.perturbation == ()          # the moment curve
     assert cfg.lambdas == (32.0, 64.0, 128.0, 256.0)
+    # keys with one legal value, and the curve kind, store nothing
+    names = {f.name for f in fields(RunConfig)}
+    assert len(names) == 18
+    assert not names & {"curve_kind", "grid_policy", "window_kind", "snapshots"}
 
 
 def test_parse_full_file():
@@ -77,7 +82,7 @@ def test_parse_full_file():
     assert cfg.lambdas == (32.0, 64.0, 128.0)
     assert cfg.ps == (4.0, 6.0, 8.0)
     assert cfg.checks == ("orthogonality", "slopes", "floor")
-    assert cfg.svg is True and cfg.snapshots is False
+    assert cfg.svg is True and cfg.outdir == "out"
 
 
 def test_unknown_key_suggests_nearest():
@@ -107,6 +112,24 @@ def test_perturbation_keys():
     cfg = parse_config(GOOD.replace("kind = moment",
                                     "kind = perturbed-moment\nperturb2 = 0 0 0 0.1"))
     assert cfg.perturbation == ((2, (0.0, 0.0, 0.0, 0.1)),)
+
+
+@pytest.mark.parametrize("kind, perturb, error", [
+    ("moment", "", None),
+    ("perturbed-moment", "\nperturb1 = 0 0 0 0 0.02", None),
+    ("moment", "\nperturb1 = 0 0 0 0 0.02", "must be perturbed-moment when"),
+    ("perturbed-moment", "", "must be moment when perturb<i> keys are not"),
+    ("helix", "", "must be moment when perturb<i> keys are not"),
+])
+def test_curve_kind_must_agree_with_perturb_keys(kind, perturb, error):
+    # the curve is perturbed exactly when perturb<i> keys are present; kind
+    # may only restate that
+    text = GOOD.replace("kind = moment", f"kind = {kind}{perturb}")
+    if error:
+        with pytest.raises(ConfigError, match=error):
+            parse_config(text)
+    else:
+        assert bool(parse_config(text).perturbation) == bool(perturb)
 
 
 def test_perturbed_component_range_checked():
@@ -186,6 +209,29 @@ def test_full_window_is_rejected():
     # the sweep measures the short window [1, 1 + lambda^(-1/n)] only
     with pytest.raises(ConfigError, match="window must be short"):
         parse_config(GOOD.replace("window = short", "window = full"))
+
+
+def test_sweep_snapshots_are_rejected():
+    # the sweep writes no field snapshots; `curveavg synthesize` does
+    with pytest.raises(ConfigError, match="curveavg synthesize"):
+        parse_config(GOOD.replace("snapshots = off", "snapshots = on"))
+    with pytest.raises(ConfigError, match="not a boolean"):
+        parse_config(GOOD.replace("snapshots = off", "snapshots = maybe"))
+    with pytest.raises(ConfigError, match="did you mean 'snapshots'"):
+        parse_config(GOOD.replace("snapshots = off", "snapshot = off"))
+
+
+def test_floor_check_needs_a_floor():
+    # with piece_floor = 0 the floor check would compare against nothing
+    with pytest.raises(ConfigError, match="floor check needs piece_floor > 0"):
+        parse_config(GOOD.replace("piece_floor = 1.0", "piece_floor = 0"))
+
+
+def test_floor_needs_the_floor_check():
+    # piece_floor is read by the floor check only
+    with pytest.raises(ConfigError, match="add floor to checks"):
+        parse_config(GOOD.replace("checks = orthogonality slopes floor",
+                                  "checks = orthogonality slopes"))
 
 
 def test_seed_key_is_unknown():

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from curveavg import (CurveSpec, DomainError, eval_derivatives,
-                      model_class_report, nondegeneracy_margin)
+from curveavg import (CurveSpec, DomainError, model_class_report,
+                      nondegeneracy_margin)
 
 
 @pytest.fixture
@@ -17,6 +17,11 @@ def test_moment_curve_values(moment3):
     assert_allclose(g[0], [0.0, 0.0, 0.0], atol=0)
     assert_allclose(g[1], [0.5, 0.125, 0.5**3 / 6])
     assert_allclose(g[2], [-1.0, 0.5, -1.0 / 6])
+    assert_allclose(moment3.derivative(1, 0.3), [1.0, 0.3, 0.045])
+    # order n+1 of the moment curve is identically zero, and the last carried
+    assert_allclose(moment3.derivative(4, s), 0.0, atol=0)
+    with pytest.raises(DomainError):
+        moment3.derivative(5, s)
 
 
 def test_moment_curve_anchoring_is_exact(moment3):
@@ -37,20 +42,6 @@ def test_derivatives_against_finite_differences(moment3):
         fd = (moment3.derivative(order - 1, s + h)
               - moment3.derivative(order - 1, s - h)) / (2 * h)
         assert_allclose(moment3.derivative(order, s), fd, atol=1e-8, rtol=1e-7)
-
-
-def test_eval_derivatives_stacks_orders(moment3):
-    s = np.array([0.3, -0.2])
-    stack = eval_derivatives(moment3, s, max_order=4)
-    assert stack.shape == (5, 2, 3)
-    assert_allclose(stack[1][0], [1.0, 0.3, 0.045])
-    # order n+1 of the moment curve is identically zero
-    assert_allclose(stack[4], 0.0, atol=0)
-
-
-def test_eval_derivatives_domain_guard(moment3):
-    with pytest.raises(DomainError):
-        eval_derivatives(moment3, np.array([1.5]), max_order=1)
 
 
 def test_nondegeneracy_margin_moment():
@@ -83,25 +74,3 @@ def test_low_order_perturbation_breaks_anchoring():
     curve = CurveSpec.perturbed_moment(3, ((1, (0.0, 0.1)),))
     assert not model_class_report(curve, delta=0.9).anchored
 
-
-def test_table_curve_matches_polynomial_rules(moment3):
-    # per-component derivative rules for the moment curve, orders 0..4
-    def rules_for(coeffs):
-        from numpy.polynomial import polynomial as P
-        tab = [np.asarray(coeffs, float)]
-        for _ in range(4):
-            tab.append(P.polyder(tab[-1]) if tab[-1].size > 1 else np.zeros(1))
-        return [lambda s, c=c: P.polyval(np.asarray(s, float), c) for c in tab]
-
-    rules = [rules_for([0, 1]), rules_for([0, 0, 0.5]),
-             rules_for([0, 0, 0, 1 / 6])]
-    table = CurveSpec.from_table(3, rules)
-    mid = np.linspace(-0.9, 0.9, 11)
-    for order in range(4):
-        assert_allclose(table.derivative(order, mid),
-                        moment3.derivative(order, mid), atol=1e-12)
-
-
-def test_domain_containment(moment3):
-    assert moment3.contains(0.99)
-    assert not moment3.contains(1.01)

@@ -1,4 +1,6 @@
 import json
+import os
+import platform
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -35,12 +37,18 @@ def test_json_is_sorted_and_terminated(tmp_path):
 
 def test_manifest_contents(tmp_path):
     write_manifest(tmp_path, {"n": 3}, [tmp_path / "z.csv", tmp_path / "a.csv"],
-                   "sweep")
+                   "sweep", wall_s=1.25)
     m = json.loads((tmp_path / "manifest.json").read_text())
     assert m["tool"] == "curveavg" and m["command"] == "sweep"
     assert m["config"] == {"n": 3}
     assert m["artifacts"] == sorted(m["artifacts"])
     assert m["created_unix"] > 1.7e9
+    # the run's wall time and the machine it ran on
+    assert m["wall_s"] == 1.25
+    assert m["python"] == platform.python_version()
+    assert m["numpy"] == np.__version__
+    assert m["platform"].startswith(platform.system() + "-")
+    assert m["cpu_count"] == os.cpu_count()
 
 
 # --- snapshots -----------------------------------------------------------------
