@@ -23,8 +23,8 @@ from .errors import (ApertureError, ConfigError, ConvergenceError,
                      CurveAvgError, DomainError, GeometryError, GridError,
                      QuadratureError, ResolutionError)
 from .fields import (CounterexampleSpec, GridSpec, LatticeWindow,
-                     SpectralField, SupportBall, build_f, build_piece,
-                     frequency_centers, windowed_lattice)
+                     SpectralField, SupportBall, build_f, frequency_centers,
+                     windowed_lattice)
 from .multiplier import (MultiplierSample, alpha_n, decay_profile,
                          derivative_bound_check, mu_hat, mu_hat_batch,
                          multiplier_sample)
@@ -50,7 +50,7 @@ __all__ = [
     # fields
     "GridSpec", "LatticeWindow", "SpectralField", "SupportBall",
     "CounterexampleSpec", "frequency_centers", "windowed_lattice",
-    "build_piece", "build_f",
+    "build_f",
     # averaging
     "TimeWindow", "apply_averaging", "direct_oracle",
     "space_stats", "lp_norm_spacetime", "norm_peak_bytes",

@@ -1,15 +1,16 @@
 """Applying the curve average to spectral fields, and L^p bookkeeping.
 
 Spectrally the average is a plain multiplier: (A_t f)_hat = mu_hat_t * f_hat,
-evaluated only on a field's declared support. The independent cross-check
+evaluated only on a field's support. The independent cross-check
 `direct_oracle` never touches the multiplier: it quadratures
 s -> f(x - t gamma(s)) chi(s) with f evaluated by exact trigonometric
 summation of the stored coefficients.
 
 Norms: for even integer p, |f|^p is a trigonometric polynomial, so its
 torus integral equals a Riemann sum on any grid fine enough for it. |f| does
-not change under modulation, so only the bounding box of the nonzero
-coefficients is transformed, zero-padded per axis to the least 7-smooth
+not change under modulation, so only the bounding box of the support's
+lattice indices is transformed: the coefficient vector is scattered into a
+box-sized array, zero-padded per axis to the least 7-smooth
 F >= (p_max/2)(span - 1) + 1 points: exact for every requested p up to the
 largest, p_max. The box is padded and transformed one axis at a time, axis 0
 first, so the strided passes run on the small, partly padded arrays and only
@@ -61,26 +62,22 @@ class TimeWindow:
 
 
 def apply_averaging(field, curve, cutoff, t):
-    """A_t applied spectrally on the declared support; support is preserved."""
-    flat = field.support_flat()
-    mu = mu_hat_batch(curve, cutoff, [t], field.window.xi_of_flat(flat))[0]
-    out = np.zeros_like(field.fhat)
-    out.ravel()[flat] = field.fhat.ravel()[flat] * mu
-    return field.with_fhat(out)
+    """A_t applied spectrally on the field's support; support is preserved."""
+    mu = mu_hat_batch(curve, cutoff, [t], field.xi())[0]
+    return field.with_coeffs(field.coeffs * mu)
 
 
 def direct_oracle(field, curve, cutoff, t, points, rel_tol=1e-9, max_panels=4096):
     """Quadrature of s -> f(x - t gamma(s)) chi(s) at each requested point.
 
-    f is evaluated by exact trigonometric summation over the declared support,
+    f is evaluated by exact trigonometric summation over the field's support,
     so this is a multiplier-free reference for `apply_averaging`. Panel count
     follows the oscillation budget of the support's frequencies, with a
     doubling (Richardson) accuracy check on the returned values.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    flat = field.support_flat()
-    xis = field.window.xi_of_flat(flat)
-    coeffs = field.fhat.ravel()[flat] / field.L ** field.window.n
+    xis = field.xi()
+    coeffs = field.coeffs / field.L ** field.window.n
 
     nodes, weights = np.polynomial.legendre.leggauss(16)
 
@@ -91,7 +88,7 @@ def direct_oracle(field, curve, cutoff, t, points, rel_tol=1e-9, max_panels=4096
         w = np.tile(weights * half, panels) * cutoff(s)
         shift = np.exp(-1j * t * (curve.derivative(0, s) @ xis.T))  # (S, modes)
         out = np.empty(len(points), dtype=complex)
-        step = max(1, int(4e6 // max(len(flat), 1)))
+        step = max(1, int(4e6 // max(len(xis), 1)))
         for j in range(0, len(points), step):
             basis = np.exp(1j * (points[j:j + step] @ xis.T))  # (P, modes)
             # f(x - t gamma(s)) = basis @ (coeffs * shift_s), summed over s with weights
@@ -99,7 +96,7 @@ def direct_oracle(field, curve, cutoff, t, points, rel_tol=1e-9, max_panels=4096
         return out
 
     sweep = float(np.abs(curve.derivative(1, np.linspace(
-        -cutoff.delta, cutoff.delta, 33)) @ xis.T).max()) if len(flat) else 0.0
+        -cutoff.delta, cutoff.delta, 33)) @ xis.T).max()) if len(xis) else 0.0
     panels = min(max(2, int(t * sweep * 2 * cutoff.delta / (2 * np.pi) * 12 / 16) + 1),
                  max_panels)
     coarse = level(panels)
@@ -112,7 +109,7 @@ def direct_oracle(field, curve, cutoff, t, points, rel_tol=1e-9, max_panels=4096
         if panels > max_panels:
             raise QuadratureError(
                 f"direct oracle not converged at {panels} panels "
-                f"({len(flat)} modes, {len(points)} points)")
+                f"({len(xis)} modes, {len(points)} points)")
         coarse = fine
 
 
@@ -148,17 +145,6 @@ def _ball_axes(window, oversample, radius):
     return axes
 
 
-def _support_box(fhat):
-    """Slices of the bounding box of the nonzero coefficients, or None."""
-    mask = fhat != 0
-    n = mask.ndim
-    rows = [np.flatnonzero(mask.any(axis=tuple(b for b in range(n) if b != a)))
-            for a in range(n)]
-    if not rows[0].size:
-        return None
-    return tuple(slice(r[0], r[-1] + 1) for r in rows)
-
-
 def space_stats(field, ps, oversample=3, ball_radius=None):
     """Torus L^p norms (dict p -> norm) for even integer p, and, given a
     radius, the mass fraction of |f|^2 inside the centered ball.
@@ -167,8 +153,9 @@ def space_stats(field, ps, oversample=3, ball_radius=None):
     per-axis inverse FFT pass per axis (axis 0 first, the contiguous axis
     last and largest), |f|^2 in place, then one multiply and one sum per
     further even power. p = 2 is taken from Parseval, prod(F) * sum |box|^2,
-    without a transform. The fraction is None without a ball and for a
-    field with no nonzero coefficient, whose norms are all 0.
+    without a transform. The box spans the support's lattice indices, and
+    the coefficient vector is scattered into it. The fraction is None without
+    a ball and for a field with no nonzero coefficient, whose norms are all 0.
     """
     window = field.window
     n, L = window.n, window.L
@@ -179,10 +166,10 @@ def space_stats(field, ps, oversample=3, ball_radius=None):
     if bad:
         raise DomainError(f"norms are exact for even integer p >= 2 only, got {bad}")
 
-    cut = _support_box(field.fhat)
-    if cut is None:
+    if not np.any(field.coeffs):
         return {p: 0.0 for p in ps}, None
-    box = field.fhat[cut]
+    lo, span = field.box()
+    box = field.dense(span, origin=lo)
 
     F = _norm_grid(box.shape, ps)
     power = float((box.real ** 2 + box.imag ** 2).sum())
@@ -235,10 +222,12 @@ def lp_norm_spacetime(space_norms, p, window):
 
 def norm_peak_bytes(window, span, ps, oversample=3, ball_radius=None):
     """Upper bound on the peak memory of space_stats for a field on this
-    window whose nonzero coefficients span a box of the given shape.
+    window whose support's lattice indices span a box of the given shape.
 
     The three terms bound the stages in turn:
-    - the nonzero mask: one byte per window point;
+    - the box and its scatter: the box array, 16 bytes per point, held to
+      the end, and the support's window indices unravelled per axis, 8n
+      bytes per support point, of which the box holds at most one per point;
     - the norm grid, 48 bytes per point counted against at most 32 used
       (plus the FFT's fixed-size line buffers). The last per-axis pass
       holds its complex input (at most the grid's size) and output, 32
@@ -249,12 +238,13 @@ def norm_peak_bytes(window, span, ps, oversample=3, ball_radius=None):
       and the output, then the ball block's |f|^2 with |x|^2, its mask and
       the selection): at most 48 bytes per element of the largest array.
     """
+    B = np.prod(span, dtype=float)
     G = np.prod(_norm_grid(span, ps), dtype=float)
     largest = 0.0
     if ball_radius is not None:
         sizes = list(span)
-        largest = np.prod(sizes, dtype=float)
+        largest = B
         for a, (_, j, _) in enumerate(_ball_axes(window, oversample, ball_radius)):
             sizes[a] = len(j)
             largest = max(largest, np.prod(sizes, dtype=float))
-    return int(np.prod(window.dims, dtype=float) + 48 * G + 48 * largest)
+    return int((16 + 8 * len(span)) * B + 48 * G + 48 * largest)

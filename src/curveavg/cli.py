@@ -5,8 +5,9 @@ Subcommands: cone-verify (Newton residual/homogeneity tables), multiplier-verify
 counterexample fields, snapshot them, tabulate norms), sweep (the full scaling
 experiment), report (re-render a sweep's report.json as a pass/fail summary).
 
-Every run writes a manifest with the resolved config, the tool, Python and
-numpy versions, the platform, the CPU count and the command's wall time. Module
+Every run except report writes a manifest with the resolved config, the
+tool, Python and numpy versions, the platform, the CPU count and the
+command's wall time; report leaves the sweep's manifest as it is. Module
 errors become a machine-readable ``error.json`` in the output directory plus a
 nonzero exit. ``--strict`` additionally turns warnings (currently: a
 non-decreasing quotient trend) into failures.
@@ -186,7 +187,7 @@ def _cmd_report(outdir, strict):
     text = render_report(payload)
     print(text, end="")
     ok = all(c["passed"] for c in payload["checks"])
-    return 0 if (ok or not strict) else 1, []
+    return 0 if (ok or not strict) else 1
 
 
 def main(argv=None):
@@ -206,7 +207,7 @@ def main(argv=None):
         elif args.command == "sweep":
             status, paths = _cmd_sweep(cfg, outdir, dropped, args.strict)
         else:
-            status, paths = _cmd_report(outdir, args.strict)
+            return _cmd_report(outdir, args.strict)
         write_manifest(outdir, cfg.echo(), paths, args.command,
                        wall_s=time.perf_counter() - start)
         return status

@@ -57,27 +57,25 @@ def _polyder_table(coeffs, max_order):
 class CurveSpec:
     """A smooth curve I -> R^n with derivative evaluation up to order n+1.
 
-    kind is 'moment' or 'perturbed-moment' (polynomial perturbation added
-    per component). Use the constructors `moment` and `perturbed_moment`.
+    The moment curve plus `perturbation`, a polynomial added per component
+    (none for the moment curve itself). Use the constructors `moment` and
+    `perturbed_moment`.
     """
 
     n: int
-    kind: str
     domain: tuple = (-1.0, 1.0)
     perturbation: tuple = ()   # ((component_1based, coeff_tuple), ...)
 
     def __post_init__(self):
         if self.n < 2:
             raise DomainError(f"curve dimension must be >= 2, got {self.n}")
-        if self.kind not in ("moment", "perturbed-moment"):
-            raise DomainError(f"unknown curve kind {self.kind!r}")
         if self.domain[0] >= self.domain[1]:
             raise DomainError(f"empty parameter interval {self.domain}")
         object.__setattr__(self, "_dtab", self._build_tables())
 
     @classmethod
     def moment(cls, n, domain=(-1.0, 1.0)):
-        return cls(n=n, kind="moment", domain=domain)
+        return cls(n=n, domain=domain)
 
     @classmethod
     def perturbed_moment(cls, n, perturbation, domain=(-1.0, 1.0)):
@@ -87,7 +85,7 @@ class CurveSpec:
         for k, _ in pert:
             if not 1 <= k <= n:
                 raise DomainError(f"perturbed component {k} outside 1..{n}")
-        return cls(n=n, kind="perturbed-moment", domain=domain, perturbation=pert)
+        return cls(n=n, domain=domain, perturbation=pert)
 
     def _build_tables(self):
         max_order = self.n + 1

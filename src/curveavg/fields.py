@@ -1,10 +1,14 @@
 """Frequency-side synthesis of the band-limited test family.
 
 The family lives on a periodic box: frequency lattice xi_k = k * (2pi/L),
-coefficients stored as plain f_hat(xi_k) values over a rectangular *window*
-of lattice indices [k0, k0 + dims) — a tight box around the construction's
-support (`windowed_lattice`), or a full centered cube (`GridSpec`) for small
-test fields.
+and a field is sparse on it. A rectangular *window* of lattice indices
+[k0, k0 + dims) — a tight box around the construction's support
+(`windowed_lattice`), or a full centered cube (`GridSpec`) for small test
+fields — is metadata only: it fixes L and numbers the lattice points. The
+field stores the flat window indices of its support and one vector of
+f_hat(xi_k) values over them; each support ball owns a contiguous run of
+rows. Nothing of window size is kept: only `SpectralField.dense` scatters
+the coefficients into an array, for `values` and snapshots.
 Spatial values are f(x) = L^{-n} sum_k f_hat(xi_k) e^{i<xi_k, x>}.
 
 The construction itself: centers xi^nu = lambda * Gamma(nu * lambda^{-1/n})
@@ -15,7 +19,7 @@ precondition, which is what makes the L^2 bookkeeping exact on the lattice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,7 +28,7 @@ from .errors import ApertureError, ConfigError, DomainError, GridError
 
 __all__ = ["GridSpec", "LatticeWindow", "SupportBall", "SpectralField",
            "CounterexampleSpec", "frequency_centers", "windowed_lattice",
-           "build_piece", "build_f"]
+           "build_f"]
 
 
 def _next_pow2(m):
@@ -84,34 +88,66 @@ class SupportBall:
     nu: int
     center: tuple
     radius: float
-    flat: np.ndarray  # flat window indices carrying this ball's coefficients
+    rows: slice       # this ball's rows of the field's index and coefficient vectors
+    flat: np.ndarray  # its flat window indices: those rows of the field's `flat`
 
 
 @dataclass(frozen=True)
 class SpectralField:
-    """Coefficients f_hat(xi_k) over a lattice window plus declared support."""
+    """A sparse field: coefficients f_hat(xi_k) at the support's lattice points.
+
+    `flat` holds the support's flat indices into the window, `coeffs` the
+    coefficient at each; `support` declares the balls, each owning a
+    contiguous slice of rows of both vectors. The window is metadata only.
+    """
 
     window: LatticeWindow
-    fhat: np.ndarray
-    support: tuple  # of SupportBall
+    flat: np.ndarray
+    coeffs: np.ndarray
+    support: tuple = ()  # of SupportBall
 
     def __post_init__(self):
-        if tuple(self.fhat.shape) != tuple(self.window.dims):
+        if self.flat.ndim != 1 or self.flat.shape != self.coeffs.shape:
+            raise GridError("index and coefficient vectors differ in shape")
+
+    @classmethod
+    def from_dense(cls, window, fhat):
+        """The field of a window-shaped coefficient array: its nonzero
+        entries, with no declared balls."""
+        fhat = np.asarray(fhat, dtype=complex)
+        if tuple(fhat.shape) != tuple(window.dims):
             raise GridError("coefficient array does not match the window")
+        flat = np.flatnonzero(fhat)
+        return cls(window=window, flat=flat, coeffs=fhat.ravel()[flat])
 
     @property
     def L(self):
         return self.window.L
 
-    def support_flat(self):
-        """All declared-support flat indices, sorted; disjointness makes this a union."""
-        if not self.support:
-            return np.zeros(0, dtype=np.intp)
-        return np.sort(np.concatenate([b.flat for b in self.support]))
+    def xi(self):
+        """Frequency vectors of the support, one row per coefficient."""
+        return self.window.xi_of_flat(self.flat)
+
+    def box(self):
+        """Per axis, the lowest window index and span of the support's box."""
+        lo, hi = np.array([(a.min(), a.max()) for a in
+                           np.unravel_index(self.flat, self.window.dims)]).T
+        return lo, hi - lo + 1
+
+    def dense(self, shape=None, origin=()):
+        """The coefficients scattered into a zero array of `shape` (default:
+        the window's dims), the one at window index k landing at k - origin
+        (no origin: at k)."""
+        out = np.zeros(self.window.dims if shape is None else shape, dtype=complex)
+        idx = np.unravel_index(self.flat, self.window.dims)
+        for a, o in zip(idx, origin):
+            a -= o
+        out[idx] = self.coeffs
+        return out
 
     def l2(self):
         """Exact torus L^2 norm via the frequency side: L^{-n} sum |f_hat|^2."""
-        power = float((self.fhat.real ** 2 + self.fhat.imag ** 2).sum())
+        power = float((self.coeffs.real ** 2 + self.coeffs.imag ** 2).sum())
         return float(np.sqrt(power / self.L ** self.window.n))
 
     def values(self, oversample=1):
@@ -120,20 +156,17 @@ class SpectralField:
         Dense over the whole padded window — intended for small test grids;
         the norm code in `averaging` transforms only the support's box.
         """
-        dims = self.window.dims
-        F = tuple(_next_pow2(int(m * oversample)) for m in dims)
-        buf = np.zeros(F, dtype=complex)
-        buf[tuple(slice(0, m) for m in dims)] = self.fhat
-        out = np.fft.ifftn(buf) * np.prod(F)
+        F = tuple(_next_pow2(int(m * oversample)) for m in self.window.dims)
+        out = np.fft.ifftn(self.dense(F)) * np.prod(F)
         # stored index m is lattice index k0+m: restore the base modulation
         for ax, (k0, f) in enumerate(zip(self.window.k0, F)):
             ramp = np.exp(2j * np.pi * k0 * np.arange(f) / f)
             out *= ramp.reshape([-1 if a == ax else 1 for a in range(len(F))])
         return out / self.L ** self.window.n
 
-    def with_fhat(self, fhat, support=None):
-        return SpectralField(window=self.window, fhat=fhat,
-                             support=self.support if support is None else support)
+    def with_coeffs(self, coeffs):
+        """The same support carrying a new coefficient vector."""
+        return replace(self, coeffs=coeffs)
 
 
 @dataclass(frozen=True)
@@ -238,29 +271,16 @@ def _piece_coefficients(spec, window, nu, center):
     return flat, vals
 
 
-def build_piece(spec, window, nu):
-    """One piece f_nu: coefficients lambda^{1/n} e^{i phi} eta(|xi - xi^nu|/r)."""
-    centers = frequency_centers(spec)
-    nus = spec.nu_values()
-    where = np.nonzero(nus == nu)[0]
-    if not where.size:
-        raise DomainError(f"nu={nu} outside the center range {nus[0]}..{nus[-1]}")
-    center = centers[where[0]]
-    flat, vals = _piece_coefficients(spec, window, nu, center)
-    fhat = np.zeros(window.dims, dtype=complex)
-    fhat.ravel()[flat] = vals
-    ball = SupportBall(nu=int(nu), center=tuple(center), radius=spec.radius, flat=flat)
-    return SpectralField(window=window, fhat=fhat, support=(ball,))
-
-
 def build_f(spec, window):
-    """The full family f = sum_nu f_nu on a shared window."""
-    centers = frequency_centers(spec)
-    fhat = np.zeros(window.dims, dtype=complex)
-    balls = []
-    for nu, center in zip(spec.nu_values(), centers):
-        flat, vals = _piece_coefficients(spec, window, nu, center)
-        fhat.ravel()[flat] += vals
-        balls.append(SupportBall(nu=int(nu), center=tuple(center),
-                                 radius=spec.radius, flat=flat))
-    return SpectralField(window=window, fhat=fhat, support=tuple(balls))
+    """The full family f = sum_nu f_nu on a shared window, one ball per nu;
+    ball nu's rows carry lambda^{1/n} e^{i phi} eta(|xi - xi^nu|/r)."""
+    nus, centers = spec.nu_values(), frequency_centers(spec)
+    pieces = [_piece_coefficients(spec, window, nu, c) for nu, c in zip(nus, centers)]
+    flat = np.concatenate([fl for fl, _ in pieces])
+    ends = np.cumsum([0] + [len(fl) for fl, _ in pieces])
+    balls = tuple(SupportBall(nu=int(nu), center=tuple(c), radius=spec.radius,
+                              rows=slice(int(a), int(b)), flat=flat[a:b])
+                  for nu, c, a, b in zip(nus, centers, ends[:-1], ends[1:]))
+    return SpectralField(window=window, flat=flat,
+                         coeffs=np.concatenate([v for _, v in pieces]),
+                         support=balls)

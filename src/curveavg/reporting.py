@@ -72,7 +72,8 @@ def write_manifest(outdir, config_echo, artifacts, command, wall_s):
 
 
 def save_snapshot(path, field, lam):
-    """Flat little-endian binary: float64 header then complex128 coefficients.
+    """Flat little-endian binary: float64 header then complex128 coefficients
+    over the whole window, zero off the support.
 
     Cubic grids use the 4-value header (n, N, L, lambda) with data in C order
     and the window implied as [-N/2, N/2). Non-cubic windows write N = 0 and
@@ -82,22 +83,18 @@ def save_snapshot(path, field, lam):
     n = len(win.dims)
     cubic = len(set(win.dims)) == 1 and all(k == -d // 2 for k, d in
                                             zip(win.k0, win.dims))
-    parts = []
-    if cubic:
-        head = np.array([n, win.dims[0], win.L, lam], dtype="<f8")
-        parts.append(head.tobytes())
-    else:
-        head = np.array([n, _SNAP_SENTINEL, win.L, lam], dtype="<f8")
-        parts.append(head.tobytes())
-        parts.append(np.array(win.dims, dtype="<i8").tobytes())
-        parts.append(np.array(win.k0, dtype="<i8").tobytes())
-    parts.append(np.ascontiguousarray(field.fhat).astype("<c16").tobytes())
+    head = [n, win.dims[0] if cubic else _SNAP_SENTINEL, win.L, lam]
+    parts = [np.array(head, dtype="<f8").tobytes()]
+    if not cubic:
+        parts.append(np.array(win.dims + win.k0, dtype="<i8").tobytes())
+    parts.append(field.dense().astype("<c16").tobytes())
     Path(path).write_bytes(b"".join(parts))
     return Path(path)
 
 
 def load_snapshot(path):
-    """Inverse of save_snapshot; returns (SpectralField, lambda)."""
+    """Inverse of save_snapshot; returns (SpectralField, lambda). The field
+    keeps the nonzero coefficients and declares no balls."""
     raw = Path(path).read_bytes()
     if len(raw) < 32:
         raise GridError(f"snapshot {path} too short for a header")
@@ -116,9 +113,7 @@ def load_snapshot(path):
         raise GridError(f"snapshot {path}: expected {count} coefficients, "
                         f"found {data.size}")
     window = LatticeWindow(L=float(L), dims=dims, k0=k0)
-    field = SpectralField(window=window, fhat=data.reshape(dims).copy(),
-                          support=())
-    return field, float(lam)
+    return SpectralField.from_dense(window, data.reshape(dims)), float(lam)
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")

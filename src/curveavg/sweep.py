@@ -27,8 +27,8 @@ from math import factorial
 
 import numpy as np
 
-from .averaging import (TimeWindow, _norm_grid, _support_box,
-                        lp_norm_spacetime, space_stats)
+from .averaging import (TimeWindow, _norm_grid, lp_norm_spacetime,
+                        space_stats)
 from .config import ball_radius_from, chart_from, curve_from, cutoff_from
 from .errors import DomainError, GeometryError
 from .fields import CounterexampleSpec, build_f, windowed_lattice
@@ -104,7 +104,7 @@ def _cell_setup(cfg, lam):
 def run_cell(cfg, lam):
     """Every per-lambda measurement of the sweep, as one plain dict.
 
-    Builds f once; multiplier samples on the declared support are batched over
+    Builds f once; multiplier samples on its support are batched over
     the short-window time nodes, which also carry the diagnostics (per-piece
     ratios, orthogonality defect, concentration fractions). `grid` records
     the window, the support box and its norm grid; `timings` the set-up
@@ -118,12 +118,9 @@ def run_cell(cfg, lam):
     ps = tuple(sorted(set([2.0] + [float(p) for p in cfg.ps])))
     n = cfg.n
 
-    sup = f.support_flat()
-    base = f.fhat.ravel()[sup]
-    piece_idx = [np.searchsorted(sup, ball.flat) for ball in f.support]
     Ln = window.L ** n
-    g_power = [float((np.abs(base[ix] / lam ** (1.0 / n)) ** 2).sum()) / Ln
-               for ix in piece_idx]
+    g_power = [float((np.abs(f.coeffs[b.rows] / lam ** (1.0 / n)) ** 2).sum()) / Ln
+               for b in f.support]
 
     radius = ball_radius_from(cfg, lam)
     if radius >= window.L / 2:
@@ -133,8 +130,7 @@ def run_cell(cfg, lam):
     short = TimeWindow.short(lam, n, m=cfg.time_nodes)
     quadrature = {}
     t_quad = clock()
-    mu_short = mu_hat_batch(curve, cutoff, short.nodes, window.xi_of_flat(sup),
-                            stats=quadrature)
+    mu_short = mu_hat_batch(curve, cutoff, short.nodes, f.xi(), stats=quadrature)
     t_in = clock()
     norms_in, _ = space_stats(f, ps)
     norms_s = clock() - t_in
@@ -145,18 +141,16 @@ def run_cell(cfg, lam):
     fractions = []
     node_norms = {p: [] for p in ps}
     for row in mu_short:
-        coeff = base * row
+        coeff = f.coeffs * row
         total = float((np.abs(coeff) ** 2).sum()) / Ln
-        powers = [float((np.abs(coeff[ix]) ** 2).sum()) / Ln for ix in piece_idx]
+        powers = [float((np.abs(coeff[b.rows]) ** 2).sum()) / Ln for b in f.support]
         defect = max(defect, abs(sum(powers) - total) / total)
         ratios = [np.sqrt(pw / gp) for pw, gp in zip(powers, g_power)]
         piece_min = min(piece_min, min(ratios))
         piece_table.append(ratios)
-        out = np.zeros_like(f.fhat)
-        out.ravel()[sup] = coeff
         t = clock()
-        norms, frac = space_stats(f.with_fhat(out), ps, oversample=cfg.oversample,
-                                  ball_radius=radius)
+        norms, frac = space_stats(f.with_coeffs(coeff), ps,
+                                  oversample=cfg.oversample, ball_radius=radius)
         norms_s += clock() - t
         fractions.append(frac)
         for p in ps:
@@ -169,7 +163,7 @@ def run_cell(cfg, lam):
     _, un = spec.chart.phi_un_batch(centers)
     ref = (abs(alpha_n(n)) * factorial(n) ** (1.0 / n) * cutoff(theta)
            * lam ** (1.0 / n) / un ** (1.0 / n))
-    box = [int(c.stop - c.start) for c in _support_box(f.fhat)]
+    box = [int(v) for v in f.box()[1]]
 
     return {
         "lam": float(lam),

@@ -116,15 +116,12 @@ def test_criterion_05_oracle_equivalence():
     ks = [k for k in np.ndindex(7, 7, 7)
           if np.linalg.norm((np.array(k) - 3) * dk) <= 1.2 * 8.0]
     rng = np.random.default_rng(5)
-    fhat = np.zeros(window.dims, dtype=complex)
-    flats = []
-    for k in ks:
-        idx = tuple(np.array(k) - 3 - np.array(window.k0))
-        fhat[idx] = rng.standard_normal() + 1j * rng.standard_normal()
-        flats.append(np.ravel_multi_index(idx, window.dims))
+    idx = np.array(ks) - 3 - np.array(window.k0)
+    flat = np.ravel_multi_index(tuple(idx.T), window.dims)
+    coeffs = rng.standard_normal(len(ks)) + 1j * rng.standard_normal(len(ks))
     ball = SupportBall(nu=0, center=(0.0,) * 3, radius=1.2 * 8.0,
-                       flat=np.array(sorted(flats), dtype=np.intp))
-    f = SpectralField(window=window, fhat=fhat, support=(ball,))
+                       rows=slice(0, len(ks)), flat=flat)
+    f = SpectralField(window=window, flat=flat, coeffs=coeffs, support=(ball,))
 
     t = 1.5
     out = apply_averaging(f, CURVE, CHI, t)
@@ -132,9 +129,7 @@ def test_criterion_05_oracle_equivalence():
     pts = np.stack(np.meshgrid(xs, xs, xs, indexing="ij"), -1).reshape(-1, 3)
     want = direct_oracle(f, CURVE, CHI, t, pts)
 
-    flat = out.support_flat()
-    coeffs = out.fhat.ravel()[flat] / out.L ** 3
-    got = np.exp(1j * pts @ out.window.xi_of_flat(flat).T) @ coeffs
+    got = np.exp(1j * pts @ out.xi().T) @ (out.coeffs / out.L ** 3)
     rel = np.linalg.norm(got - want) / np.linalg.norm(want)
     assert rel <= 1e-3, rel
     assert time.perf_counter() - start < 120.0
@@ -164,14 +159,10 @@ def _coherent_fractions(cfg, lam, ts):
     mode in phase at x = 0, the phase choice that peaks it at the origin; on
     the same grid and ball as the sweep's cells."""
     curve, cutoff, _, f = _cell_setup(cfg, lam)
-    sup = f.support_flat()
-    base = f.fhat.ravel()[sup]
     radius = lam ** (-(1.0 - cfg.epsilon) / cfg.n)
     out = []
-    for row in mu_hat_batch(curve, cutoff, ts, f.window.xi_of_flat(sup)):
-        fhat = np.zeros_like(f.fhat)
-        fhat.ravel()[sup] = np.abs(base * row)
-        _, frac = space_stats(f.with_fhat(fhat), [2.0],
+    for row in mu_hat_batch(curve, cutoff, ts, f.xi()):
+        _, frac = space_stats(f.with_coeffs(np.abs(f.coeffs * row)), [2.0],
                               oversample=cfg.oversample, ball_radius=radius)
         out.append(frac)
     return out

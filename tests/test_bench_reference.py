@@ -4,17 +4,22 @@ Each workload configuration under perfbench/workloads is swept once and its
 report.json must pass perfbench/gate.py against the recorded reference:
 exit status 0, per-cell norms, quotients, piece ratios and the fitted slopes
 within 1e-9 relative, orthogonality defect <= 1e-10, fractions in [0, 1].
+The benchmark's tracer, perfbench/child.py, must find the names it wraps.
 """
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from curveavg.cli import main as cli_main
 
-BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "perfbench"
 
 
 def _gate():
@@ -37,3 +42,34 @@ def test_workload_passes_the_gate(workload, tmp_path, capsys):
     reference = json.loads(
         (BENCH / "reference" / f"{workload}.json").read_text(encoding="utf-8"))
     assert _gate().check(status, report, reference) == []
+
+
+def test_trace_writes_every_layer_span(tmp_path):
+    # child.py wraps the package's layer entry points by name and reads its
+    # counts off their arguments and results (the field's balls, the
+    # window's dims); a traced sweep of the n3 workload at small lambdas
+    # writes a span for each
+    text = (BENCH / "workloads" / "n3.cfg").read_text(encoding="utf-8")
+    assert "lambdas = 4 32 64" in text
+    cfg = tmp_path / "n3.cfg"
+    cfg.write_text(text.replace("lambdas = 4 32 64", "lambdas = 4 8 16"),
+                   encoding="utf-8")
+    events = tmp_path / "events"
+    events.mkdir()
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    proc = subprocess.run(
+        [sys.executable, str(BENCH / "child.py"), "trace", str(events), "--",
+         "sweep", "--config", str(cfg), "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    spans = [json.loads(line) for path in events.glob("*.jsonl")
+             for line in path.read_text(encoding="utf-8").splitlines()]
+    names = {s["name"] for s in spans}
+    assert {"averaging", "multiplier", "fields", "sweep.cell"} <= names
+    modes = [s["support_modes"] for s in spans if "support_modes" in s]
+    assert len(modes) == 3 and min(modes) > 0
+    assert sorted(s["lam"] for s in spans if s["name"] == "sweep.cell") == [
+        4.0, 8.0, 16.0]
+    assert all(s["window_points"] > 0 for s in spans
+               if s["name"] == "averaging")

@@ -134,6 +134,19 @@ def test_report_rerenders(sweep_dir, capsys):
     assert "overall: PASS" in out and "orthogonality" in out
 
 
+def test_report_leaves_the_sweep_manifest(sweep_dir, capsys):
+    # report only re-renders: the sweep's manifest, with its config and
+    # artifacts, stays byte for byte
+    tmp, _ = sweep_dir
+    before = (tmp / "manifest.json").read_bytes()
+    assert main(["report", "--out", str(tmp)]) == 0
+    capsys.readouterr()
+    assert (tmp / "manifest.json").read_bytes() == before
+    manifest = json.loads(before)
+    assert manifest["command"] == "sweep"
+    assert manifest["config"]["rho"] == 0.5 and len(manifest["artifacts"]) == 4
+
+
 def test_report_strict_fails_on_red(sweep_dir, tmp_path, capsys):
     tmp, _ = sweep_dir
     payload = json.loads((tmp / "report.json").read_text())

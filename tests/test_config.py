@@ -169,13 +169,19 @@ def test_estimate_bounds_measured_peak():
     # small n = 3 config, and the planar config of the benchmark's
     # quadrature-bound workload, whose peak is the quadrature's; with 17
     # time nodes at these lambdas the short window has 3 distinct float
-    # steps, and the quadrature keeps one table set per step
+    # steps, and the quadrature keeps one table set per step. At n = 4 and
+    # n = 5 the lattice window holds 2.1e6 and 6.7e7 points around a support
+    # box of 3.2e3 and 9.0e3: no stage may hold anything of window size.
     small = GOOD.replace("rho = 1.0", "rho = 0.5").replace(
         "points_per_radius = 4", "points_per_radius = 3")
     nodes17 = ("time_nodes = 9", "time_nodes = 17")
+    coarse = GOOD.replace("points_per_radius = 4", "points_per_radius = 2"
+                          ).replace("ps = 4, 6, 8", "ps = 4 6")
     for text, lams in ((small, (4.0, 32.0)), (PLANAR, (64.0, 128.0)),
                        (small.replace(*nodes17), (16.0,)),
-                       (PLANAR.replace(*nodes17), (8.0,))):
+                       (PLANAR.replace(*nodes17), (8.0,)),
+                       (coarse.replace("\nn = 3\n", "\nn = 4\n"), (32.0,)),
+                       (coarse.replace("\nn = 3\n", "\nn = 5\n"), (16.0,))):
         cfg = parse_config(text)
         for lam in lams:
             tracemalloc.start()

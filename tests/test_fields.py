@@ -3,10 +3,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from curveavg import (ApertureError, ConeChart, ConfigError,
-                      CounterexampleSpec, CurveSpec, CutoffSpec, DomainError,
+                      CounterexampleSpec, CurveSpec, CutoffSpec,
                       GridError, GridSpec, LatticeWindow, SpectralField,
-                      build_f, build_piece, frequency_centers,
-                      windowed_lattice)
+                      build_f, frequency_centers, windowed_lattice)
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +41,7 @@ def test_values_matches_mode_sum():
     rng = np.random.default_rng(5)
     w = LatticeWindow(L=2.0, dims=(4, 8, 4), k0=(3, -9, 2))
     fhat = rng.normal(size=w.dims) + 1j * rng.normal(size=w.dims)
-    field = SpectralField(window=w, fhat=fhat, support=())
+    field = SpectralField.from_dense(w, fhat)
     os = 2
     vals = field.values(oversample=os)
     F = tuple(os * d for d in w.dims)
@@ -110,11 +109,14 @@ def test_build_f_support_structure(chart, chi):
         xi = window.xi_of_flat(ball.flat)
         d = np.linalg.norm(xi - np.array(ball.center), axis=1)
         assert d.max() <= ball.radius + 1e-9
-        # support points live where the inner bump is nonzero, and every
-        # coefficient is exactly zero off the declared support
-        assert np.all(np.abs(f.fhat.ravel()[ball.flat]) > 0)
-    total = sum(ball.flat.size for ball in f.support)
-    assert np.count_nonzero(f.fhat) == total
+        # support points live where the inner bump is nonzero
+        assert np.all(np.abs(f.coeffs[ball.rows]) > 0)
+        assert np.array_equal(f.flat[ball.rows], ball.flat)
+    # the balls' rows tile the field's vectors in order, on distinct points
+    assert [b.rows.start for b in f.support[1:]] == [
+        b.rows.stop for b in f.support[:-1]]
+    assert f.support[0].rows.start == 0
+    assert f.support[-1].rows.stop == len(f.coeffs) == len(np.unique(f.flat))
 
 
 def test_piece_amplitude_and_phase(chart, chi):
@@ -122,23 +124,16 @@ def test_piece_amplitude_and_phase(chart, chi):
     # modulus must match the bump profile and the phase must match phi
     spec = spec_for(64.0, chart, chi)
     window = windowed_lattice(spec)
-    piece = build_piece(spec, window, 0)
-    ball = piece.support[0]
+    f = build_f(spec, window)
+    ball = next(b for b in f.support if b.nu == 0)
     xi = window.xi_of_flat(ball.flat)
-    vals = piece.fhat.ravel()[ball.flat]
+    vals = f.coeffs[ball.rows]
     phi, _ = chart.phi_un_batch(xi)
     phase = np.exp(1j * phi)
     ratio = vals / (64.0 ** (1 / 3) * phase)
     assert np.max(np.abs(ratio.imag)) < 1e-12   # modulus is real after unwind
     assert np.all(ratio.real > 0)
     assert np.max(ratio.real) <= 1.0 + 1e-12
-
-
-def test_build_piece_range_guard(chart, chi):
-    spec = spec_for(64.0, chart, chi)
-    window = windowed_lattice(spec)
-    with pytest.raises(DomainError, match="nu"):
-        build_piece(spec, window, 99)
 
 
 def test_narrow_aperture_rejected(chi):
@@ -168,7 +163,9 @@ def test_l2_norm_scaling(chart, chi):
     # ||f_nu||_2 = lambda^{1/n} ||g_nu||_2 piecewise; the phase is unimodular
     spec = spec_for(64.0, chart, chi)
     window = windowed_lattice(spec)
-    piece = build_piece(spec, window, 1)
-    vals = piece.fhat.ravel()[piece.support[0].flat]
+    f = build_f(spec, window)
+    ball = next(b for b in f.support if b.nu == 1)
+    piece = SpectralField(window=window, flat=ball.flat, coeffs=f.coeffs[ball.rows])
+    vals = piece.coeffs
     g_l2 = np.sqrt((np.abs(vals / 64.0 ** (1 / 3)) ** 2).sum() / window.L ** 3)
     assert piece.l2() == pytest.approx(64.0 ** (1 / 3) * g_l2, rel=1e-13)

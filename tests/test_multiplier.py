@@ -183,7 +183,7 @@ SINGLE_POINT = np.array([[3.5, -12.25, 30.0]])
 def field_support(chi, chart):
     spec = CounterexampleSpec(lam=32.0, chart=chart, cutoff=chi, rho=0.5, c0=0.7)
     f = build_f(spec, windowed_lattice(spec, points_per_radius=3))
-    return f.window.xi_of_flat(f.support_flat())
+    return f.xi()
 
 
 def test_factorised_sum_single_point(moment3, chi):

@@ -57,7 +57,7 @@ def cubic_field():
     window = GridSpec(n=3, L=2.0, N=8).window()
     rng = np.random.default_rng(0)
     fhat = rng.standard_normal(window.dims) + 1j * rng.standard_normal(window.dims)
-    return SpectralField(window=window, fhat=fhat, support=())
+    return SpectralField.from_dense(window, fhat)
 
 
 def test_snapshot_roundtrip_cubic(tmp_path):
@@ -68,21 +68,21 @@ def test_snapshot_roundtrip_cubic(tmp_path):
     g, lam = load_snapshot(path)
     assert lam == 32.0
     assert g.window == f.window
-    assert np.array_equal(g.fhat, f.fhat)
+    assert np.array_equal(g.dense(), f.dense())
 
 
 def test_snapshot_roundtrip_offset_window(tmp_path):
     window = LatticeWindow(L=5.0, dims=(4, 8, 4), k0=(3, -2, 7))
     rng = np.random.default_rng(1)
     fhat = rng.standard_normal(window.dims) + 0j
-    f = SpectralField(window=window, fhat=fhat, support=())
+    f = SpectralField.from_dense(window, fhat)
     path = save_snapshot(tmp_path / "f.bin", f, 64.0)
     # header + dims/k0 int block + data
     assert path.stat().st_size == 32 + 16 * 3 + 16 * 4 * 8 * 4
     g, lam = load_snapshot(path)
     assert (g.window.dims, g.window.k0) == ((4, 8, 4), (3, -2, 7))
     assert g.window.L == 5.0 and lam == 64.0
-    assert_allclose(g.fhat, fhat, rtol=0, atol=0)
+    assert_allclose(g.dense(), fhat, rtol=0, atol=0)
 
 
 def test_snapshot_rejects_garbage(tmp_path):
