@@ -26,6 +26,7 @@ from .bumps import CutoffSpec
 from .cone import ConeChart
 from .curves import CurveSpec
 from .errors import ConfigError
+from .fields import CounterexampleSpec, frequency_centers, windowed_lattice
 
 __all__ = ["RunConfig", "parse_config", "parse_memory_size", "curve_from",
            "cutoff_from", "chart_from", "ball_radius_from",
@@ -271,8 +272,9 @@ def estimate_field_bytes(cfg, lam):
     norm evaluation with the ball.
 
     The support box is the span of the piece centers +- the bump radius,
-    rounded to the lattice as the field's coefficients are; each piece lies
-    in its own such box, which bounds the support size and its distinct
+    rounded inward to the lattice: a support point lies strictly inside its
+    piece's bump radius, since the bump vanishes at it. Each piece lies in
+    its own such box, which bounds the support size and its distinct
     leading (n-1)-tuples. The quadrature's node count is that of the first
     fine level of its panel ladder started at the box's corners: the phase
     rate <gamma'(s), xi> is linear in xi, so its maximum over the box sits
@@ -280,16 +282,13 @@ def estimate_field_bytes(cfg, lam):
     """
     # local: avoid import cycle
     from .averaging import TimeWindow, norm_peak_bytes
-    from .fields import CounterexampleSpec, frequency_centers, windowed_lattice
     from .multiplier import (_GL_NODES, _distinct_steps, _panel_start,
                              quadrature_peak_bytes)
 
     spec = CounterexampleSpec(lam=lam, chart=chart_from(cfg),
                               cutoff=cutoff_from(cfg), rho=cfg.rho, c0=cfg.c0)
     window = windowed_lattice(spec, points_per_radius=cfg.points_per_radius)
-    centers = frequency_centers(spec)
-    lo = np.floor((centers - spec.radius) / window.dk)
-    hi = np.ceil((centers + spec.radius) / window.dk)
+    lo, hi = _piece_boxes(spec, window)
     span = tuple(int(v) for v in hi.max(axis=0) - lo.min(axis=0) + 1)
     norm = norm_peak_bytes(window, span, (2.0,) + cfg.ps,
                            oversample=cfg.oversample,
@@ -305,6 +304,14 @@ def estimate_field_bytes(cfg, lam):
         modes=int(piece.prod(axis=1).sum()), times=cfg.time_nodes,
         steps=_distinct_steps(ts))
     return norm + quad
+
+
+def _piece_boxes(spec, window):
+    """Per piece (rows) and axis (columns), the least and greatest lattice
+    index k, xi = k * dk, within the bump radius of the piece's center."""
+    centers = frequency_centers(spec)
+    return (np.ceil((centers - spec.radius) / window.dk),
+            np.floor((centers + spec.radius) / window.dk))
 
 
 def enforce_memory_cap(cfg):

@@ -11,15 +11,18 @@ check. The phase factorises per axis, e^{-it<gamma(s), xi>} = prod_a
 e^{-it gamma_a(s) xi_a}, so a batch needs one exponential table per axis over
 that axis's distinct coordinates. The leading n - 1 tables, gathered at the
 batch's distinct leading (n-1)-tuples, are contracted with the weighted last
-axis's table by one matrix product per time node. The tables are
-exponentiated at the first time node only and advanced to each later node by
-one complex multiply per entry with the tables of the step t_k - t_{k-1};
-each distinct step is exponentiated once. The cost thus follows the distinct
-coordinates per axis and the distinct time steps: on a lattice support of m
-points with `steps` distinct steps between its time nodes, (1 + steps) x
-nodes x (sum of the distinct coordinates per axis) exponentials replace
-time nodes x nodes x m; points off a lattice simply have more distinct
-coordinates, and arbitrary time nodes more distinct steps.
+axis's table by one matrix product per time node. The tables are built at
+the first time node only and advanced to each later node by one complex
+multiply per entry with the tables of the step t_k - t_{k-1}; each distinct
+step's tables are built once. A table is built by running products, too: its
+row at the least coordinate c_0 and one row per distinct gap between
+successive coordinates are exponentiated, and the row of c_j is that of
+c_{j-1} times the row of c_j - c_{j-1}. The cost thus follows the distinct
+gaps per axis and the distinct time steps: on a lattice support of m points
+with `steps` distinct steps between its time nodes, (1 + steps) x nodes x
+(sum over axes of 1 + the distinct gaps) exponentials replace time nodes x
+nodes x m; points off a lattice simply have more distinct gaps (at most one
+per coordinate), and arbitrary time nodes more distinct steps.
 
 On the cone the reduced multiplier m_t = e^{i t phi} mu_hat_t decays exactly
 like (t u_n(xi))^{-1/n}; `multiplier_sample` packages the sample, the
@@ -79,7 +82,7 @@ def _gl_values(curve, cutoff, ts, xis, panels):
     weighted = cutoff(s) * np.tile(_GL_WEIGHTS * half, panels)
     gam = curve.derivative(0, s)
     # distinct coordinates per axis, and the distinct leading (n-1)-tuples
-    coords, where = zip(*(np.unique(col, return_inverse=True) for col in xis.T))
+    coords, where = _distinct(xis)
     counts = [len(c) for c in coords[:-1]]
     lead, lead_of = np.unique(np.ravel_multi_index(where[:-1], counts),
                               return_inverse=True)
@@ -114,9 +117,45 @@ def _gl_values(curve, cutoff, ts, xis, panels):
 
 
 def _tables(coords, gam, t):
-    """Per axis a, e^{-it gamma_a(s) c} over its distinct coordinates c."""
-    return [np.exp(-1j * t * np.multiply.outer(c, g))
-            for c, g in zip(coords, gam.T)]
+    """Per axis a, e^{-it gamma_a(s) c} over its sorted distinct coordinates
+    c_0 < c_1 < ...: the rows of c_0 and of each distinct gap c_j - c_{j-1}
+    are exponentiated, and row j is row j-1 times the row of its gap."""
+    tables = []
+    for c, g in zip(coords, gam.T):
+        exponents, row_of = _gaps(c)
+        # the phase goes straight into the imaginary parts: no complex
+        # temporary, as quadrature_peak_bytes counts 24 B per row and node
+        rows = np.zeros((len(exponents), len(g)), dtype=complex)
+        np.multiply(np.multiply.outer(exponents, g), -t, out=rows.imag)
+        np.exp(rows, out=rows)
+        table = np.empty((len(c), len(g)), dtype=complex)
+        table[0] = rows[0]
+        for j, k in enumerate(row_of, 1):
+            np.multiply(table[j - 1], rows[k], out=table[j])
+        tables.append(table)
+    return tables
+
+
+def _gaps(c):
+    """What _tables exponentiates for the sorted coordinates c: c_0 and the
+    distinct gaps between successive ones; and for each j >= 1 the index of
+    c_j - c_{j-1} among them."""
+    gaps, gap_of = np.unique(np.diff(c), return_inverse=True)
+    return np.concatenate((c[:1], gaps)), gap_of + 1
+
+
+def _distinct(xis):
+    """Per axis, the sorted distinct coordinates of the points xis and the
+    index of each point's coordinate among them."""
+    # return_inverse also keeps np.unique off its masked-array test, whose
+    # first call imports numpy.ma
+    return tuple(zip(*(np.unique(col, return_inverse=True) for col in xis.T)))
+
+
+def _exponentials_per_node(xis):
+    """The exponentials of one table set per quadrature node: per axis, one
+    for its least coordinate and one per distinct gap."""
+    return sum(len(_gaps(c)[0]) for c in _distinct(xis)[0])
 
 
 def _distinct_steps(ts):
@@ -132,16 +171,20 @@ def mu_hat_batch(curve, cutoff, ts, xis, stats=None):
     worst entry moves by less than 1e-9 of the batch magnitude. Given a dict,
     `stats` receives the final `panels`, the node count `nodes` (16 per
     panel), `residual`, the final max |fine - coarse| over that magnitude,
-    and `steps`, the number of distinct differences between successive ts.
+    `steps`, the number of distinct differences between successive ts,
+    `levels`, the number of ladder levels run, and `exponentials`, the
+    complex exponentials their tables evaluated.
 
-    The cost follows the distinct coordinates per axis and the distinct time
-    steps, not the batch size: each ladder level exponentiates 1 + `steps`
-    table sets of nodes x (sum over axes of the distinct coordinates)
-    entries, advances the tables by one complex multiply per entry at each
-    later time node, and does one matrix product per time node, whose size
-    is the distinct leading (n-1)-tuples x the distinct last coordinates. On
-    a lattice support of m points that is far fewer than nodes x m
-    exponentials per time node.
+    The cost follows the distinct gaps per axis and the distinct time steps,
+    not the batch size: each ladder level builds 1 + `steps` table sets of
+    nodes x (sum over axes of the distinct coordinates) entries, each entry
+    by one complex multiply, from nodes x (sum over axes of 1 + the distinct
+    gaps between successive coordinates) exponentials; it advances the
+    tables by one complex multiply per entry at each later time node, and
+    does one matrix product per time node, whose size is the distinct
+    leading (n-1)-tuples x the distinct last coordinates. On a lattice
+    support of m points that is far fewer than nodes x m exponentials per
+    time node.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     xis = np.atleast_2d(np.asarray(xis, dtype=float))
@@ -149,14 +192,20 @@ def mu_hat_batch(curve, cutoff, ts, xis, stats=None):
         raise DomainError("t must lie in [1, 2]")
     panels = _panel_start(curve, cutoff, ts, xis)
     coarse = _gl_values(curve, cutoff, ts, xis, panels)
+    levels, panels_run = 1, panels
     while True:
         fine = _gl_values(curve, cutoff, ts, xis, 2 * panels)
+        levels, panels_run = levels + 1, panels_run + 2 * panels
         scale = max(float(np.abs(fine).max()), 1e-300)
         gap = float(np.abs(fine - coarse).max())
         if gap <= _REL_TOL * scale:
             if stats is not None:
-                stats.update(panels=2 * panels, nodes=2 * panels * _GL_NODES.size,
-                             residual=gap / scale, steps=_distinct_steps(ts))
+                steps = _distinct_steps(ts)
+                stats.update(
+                    panels=2 * panels, nodes=2 * panels * _GL_NODES.size,
+                    residual=gap / scale, steps=steps, levels=levels,
+                    exponentials=(1 + steps) * panels_run * _GL_NODES.size
+                    * _exponentials_per_node(xis))
             return fine
         panels *= 2
         if panels > _MAX_PANELS:
@@ -172,12 +221,13 @@ def quadrature_peak_bytes(nodes, coords, leading, modes, times, steps):
     coordinates on axis a and `leading` distinct leading (n-1)-tuples, at
     `times` time nodes with `steps` distinct steps between them.
 
-    The terms: the exponential tables and the cached table set of each
-    distinct step, with the real and complex phase of the largest table
-    before its exp; the leading-tuple chunk with one gathered table row
-    block; the block of the matrix product and its gather; the coarse and
-    fine results with their difference and its modulus; the nodes' arrays
-    and the index arithmetic on the frequencies.
+    The terms: the tables and the cached table set of each distinct step;
+    the rows one table is built from (its least coordinate's and one per
+    distinct gap, so at most one per distinct coordinate) with the real
+    phase of their exponent; the leading-tuple chunk with one gathered table
+    row block; the block of the matrix product and its gather; the coarse
+    and fine results with their difference and its modulus; the nodes'
+    arrays and the index arithmetic on the frequencies.
     """
     n = len(coords)
     chunk = min(leading, max(1, _CHUNK_ELEMENTS // nodes))

@@ -1,11 +1,14 @@
 import tracemalloc
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
-from curveavg import (ConfigError, RunConfig, enforce_memory_cap,
-                      estimate_field_bytes, parse_config, parse_memory_size,
-                      run_cell, with_overrides)
+from curveavg import (ConfigError, CounterexampleSpec, RunConfig, build_f,
+                      enforce_memory_cap, estimate_field_bytes, parse_config,
+                      parse_memory_size, run_cell, windowed_lattice,
+                      with_overrides)
+from curveavg.config import _piece_boxes, chart_from, cutoff_from
 
 GOOD = """
 [curve]
@@ -163,25 +166,50 @@ def test_windowed_estimate_hits_cap():
         enforce_memory_cap(cfg)
 
 
+# The cells on which the memory gate is checked: a small n = 3 config, and
+# the planar config of the benchmark's quadrature-bound workload, whose peak
+# is the quadrature's (lambda = 256 is its largest cell, 177 distinct
+# coordinates on axis 0); with 17 time nodes at these lambdas the short
+# window has 3 distinct float steps, and the quadrature keeps one table set
+# per step. At n = 4 and n = 5 the lattice window holds 2.1e6 and 6.7e7
+# points around a support box of 3.2e3 and 9.0e3: no stage may hold
+# anything of window size.
+_SMALL = GOOD.replace("rho = 1.0", "rho = 0.5").replace(
+    "points_per_radius = 4", "points_per_radius = 3")
+_NODES17 = ("time_nodes = 9", "time_nodes = 17")
+_COARSE = GOOD.replace("points_per_radius = 4", "points_per_radius = 2"
+                       ).replace("ps = 4, 6, 8", "ps = 4 6")
+GATE_CASES = ((_SMALL, (4.0, 32.0)), (PLANAR, (64.0, 128.0, 256.0)),
+              (_SMALL.replace(*_NODES17), (16.0,)),
+              (PLANAR.replace(*_NODES17), (8.0,)),
+              (_COARSE.replace("\nn = 3\n", "\nn = 4\n"), (32.0,)),
+              (_COARSE.replace("\nn = 3\n", "\nn = 5\n"), (16.0,)))
+
+
+def test_gate_box_holds_the_support():
+    # the gate rounds each piece's box inward to the lattice; every index
+    # of the piece's support ball must still lie inside it
+    for text, lams in GATE_CASES:
+        cfg = parse_config(text)
+        for lam in lams:
+            spec = CounterexampleSpec(lam=lam, chart=chart_from(cfg),
+                                      cutoff=cutoff_from(cfg), rho=cfg.rho,
+                                      c0=cfg.c0)
+            window = windowed_lattice(spec, points_per_radius=cfg.points_per_radius)
+            f = build_f(spec, window)
+            lo, hi = _piece_boxes(spec, window)
+            assert len(f.support) == len(lo)
+            for ball, low, high in zip(f.support, lo, hi):
+                k = np.stack(np.unravel_index(ball.flat, window.dims), axis=1)
+                k += np.asarray(window.k0)
+                assert len(k) and np.all(k >= low) and np.all(k <= high), (
+                    cfg.n, lam, ball.nu)
+
+
 def test_estimate_bounds_measured_peak():
     # the gate's estimate, made without building a field or running the
-    # quadrature, bounds the peak of the whole cell on the real fields: a
-    # small n = 3 config, and the planar config of the benchmark's
-    # quadrature-bound workload, whose peak is the quadrature's; with 17
-    # time nodes at these lambdas the short window has 3 distinct float
-    # steps, and the quadrature keeps one table set per step. At n = 4 and
-    # n = 5 the lattice window holds 2.1e6 and 6.7e7 points around a support
-    # box of 3.2e3 and 9.0e3: no stage may hold anything of window size.
-    small = GOOD.replace("rho = 1.0", "rho = 0.5").replace(
-        "points_per_radius = 4", "points_per_radius = 3")
-    nodes17 = ("time_nodes = 9", "time_nodes = 17")
-    coarse = GOOD.replace("points_per_radius = 4", "points_per_radius = 2"
-                          ).replace("ps = 4, 6, 8", "ps = 4 6")
-    for text, lams in ((small, (4.0, 32.0)), (PLANAR, (64.0, 128.0)),
-                       (small.replace(*nodes17), (16.0,)),
-                       (PLANAR.replace(*nodes17), (8.0,)),
-                       (coarse.replace("\nn = 3\n", "\nn = 4\n"), (32.0,)),
-                       (coarse.replace("\nn = 3\n", "\nn = 5\n"), (16.0,))):
+    # quadrature, bounds the peak of the whole cell on the real fields
+    for text, lams in GATE_CASES:
         cfg = parse_config(text)
         for lam in lams:
             tracemalloc.start()

@@ -205,16 +205,29 @@ TIME_NODES = {
 }
 
 
-@pytest.mark.parametrize("inputs", ["off-lattice", "single-point", "field-support"])
+@pytest.mark.parametrize("inputs", ["off-lattice", "single-point", "field-support",
+                                    "long-lattice-axis", "distinct-gaps"])
 @pytest.mark.parametrize("nodes", list(TIME_NODES))
 def test_table_recurrence_matches_direct(nodes, inputs, moment3, chi, request):
+    # rows of a table are running products over the gaps between successive
+    # coordinates: rounding could grow along a long axis, and off a lattice
+    # every gap is exponentiated on its own
+    curve = moment3
     if inputs == "off-lattice":
         xis = np.random.default_rng(31).uniform(-40.0, 40.0, size=(60, 3))
     elif inputs == "single-point":
         xis = SINGLE_POINT
-    else:
+    elif inputs == "field-support":
         xis = request.getfixturevalue("field_support")
-    _assert_matches_direct(moment3, chi, xis, panels=26, ts=TIME_NODES[nodes])
+    elif inputs == "long-lattice-axis":
+        # 2048 coordinates on axis 0 with 12 distinct float gaps, ulps apart
+        curve = CurveSpec.moment(2)
+        k = np.arange(2048) - 1024
+        xis = np.stack([k * 0.0391, np.where(k % 2, 3.7, -1.3)], axis=1)
+    else:
+        xis = np.random.default_rng(37).uniform(-40.0, 40.0, size=(300, 3))
+        assert all(len(np.unique(np.diff(np.sort(col)))) == 299 for col in xis.T)
+    _assert_matches_direct(curve, chi, xis, panels=26, ts=TIME_NODES[nodes])
 
 
 @pytest.mark.parametrize("nodes", list(TIME_NODES))
@@ -251,9 +264,12 @@ def test_mu_hat_batch_reports_its_ladder(moment3, chi):
     stats = {}
     xis = np.array([[0.0, 0.0, 40.0], [1.0, 3.0, 60.0]])
     vals = mu_hat_batch(moment3, chi, [1.0, 1.5], xis, stats=stats)
-    assert set(stats) == {"panels", "nodes", "residual", "steps"}
+    assert set(stats) == {"panels", "nodes", "residual", "steps", "levels",
+                          "exponentials"}
     assert stats["nodes"] == 16 * stats["panels"]
     assert stats["steps"] == 1
+    start = multiplier._panel_start(moment3, chi, np.array([1.0, 1.5]), xis)
+    assert stats["panels"] == start << (stats["levels"] - 1)
     assert 0.0 <= stats["residual"] <= 1e-9
     # the returned values are the final (fine) level of the ladder
     assert np.array_equal(
@@ -261,3 +277,29 @@ def test_mu_hat_batch_reports_its_ladder(moment3, chi):
     coarse = multiplier._gl_values(moment3, chi, [1.0, 1.5], xis,
                                    stats["panels"] // 2)
     assert stats["residual"] == np.abs(vals - coarse).max() / np.abs(vals).max()
+
+
+def test_exponentials_follow_the_distinct_gaps(moment3, chi, monkeypatch):
+    # axis 0 has coordinates 0 1 2 4 (gaps 1 and 2), axis 1 one coordinate,
+    # axis 2 coordinates 40 60 70 (gaps 20 and 10): 3 + 1 + 3 exponentials
+    # per node and table set, whatever the number of points
+    xis = np.array([[0.0, 3.0, 40.0], [1.0, 3.0, 60.0], [2.0, 3.0, 70.0],
+                    [4.0, 3.0, 40.0], [4.0, 3.0, 70.0]])
+    ts = [1.0, 1.25, 1.5, 2.0]      # steps 0.25 and 0.5: 3 table sets a level
+    evaluated = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def exp(self, x, *args, **kwargs):
+            if np.iscomplexobj(x):
+                evaluated.append(np.size(x))
+            return np.exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(multiplier, "np", CountingNumpy())
+    stats = {}
+    mu_hat_batch(moment3, chi, ts, xis, stats=stats)
+    panels_run = sum(stats["panels"] >> level for level in range(stats["levels"]))
+    assert stats["exponentials"] == 3 * (16 * panels_run) * (3 + 1 + 3)
+    assert stats["exponentials"] == sum(evaluated)

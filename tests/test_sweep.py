@@ -153,8 +153,10 @@ def test_sweep_cell_structure(tiny_report):
         assert c["runtime_s"] > 0
         assert "out_full" not in c   # the sweep measures the short window only
         quad = c["quadrature"]
-        assert set(quad) == {"panels", "nodes", "residual", "steps"}
+        assert set(quad) == {"panels", "nodes", "residual", "steps", "levels",
+                             "exponentials"}
         assert quad["nodes"] == 16 * quad["panels"]
+        assert quad["levels"] >= 2 and quad["exponentials"] > 0
         assert quad["steps"] == len(set(np.diff(c["t_nodes_short"])))
         assert 0.0 <= quad["residual"] <= 1e-9
         grid = c["grid"]
