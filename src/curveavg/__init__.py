@@ -11,8 +11,9 @@ and `cli`/`reporting` handle artifacts.
 """
 
 from ._version import __version__
-from .averaging import (TimeWindow, apply_averaging, direct_oracle,
-                        lp_norm_spacetime, norm_peak_bytes, space_stats)
+from .averaging import (TimeWindow, apply_averaging, ball_kernel,
+                        direct_oracle, lp_norm_spacetime, norm_peak_bytes,
+                        space_stats)
 from .bumps import CutoffSpec, radial_bump, smooth_step
 from .cone import ConeChart, moment_gamma_seed
 from .config import (RunConfig, enforce_memory_cap, estimate_field_bytes,
@@ -25,9 +26,8 @@ from .errors import (ApertureError, ConfigError, ConvergenceError,
 from .fields import (CounterexampleSpec, GridSpec, LatticeWindow,
                      SpectralField, SupportBall, build_f, frequency_centers,
                      windowed_lattice)
-from .multiplier import (MultiplierSample, alpha_n, decay_profile,
-                         derivative_bound_check, mu_hat, mu_hat_batch,
-                         multiplier_sample)
+from .multiplier import (MultiplierSample, alpha_n, derivative_bound_check,
+                         mu_hat, mu_hat_batch, multiplier_sample)
 from .reporting import (load_snapshot, render_report, save_snapshot,
                         sweep_artifacts, write_csv, write_json)
 from .sweep import (SlopeFit, SweepReport, critical_exponent, expected_slopes,
@@ -45,14 +45,14 @@ __all__ = [
     # cone geometry
     "ConeChart", "moment_gamma_seed",
     # multiplier
-    "alpha_n", "mu_hat", "mu_hat_batch", "decay_profile",
+    "alpha_n", "mu_hat", "mu_hat_batch",
     "multiplier_sample", "MultiplierSample", "derivative_bound_check",
     # fields
     "GridSpec", "LatticeWindow", "SpectralField", "SupportBall",
     "CounterexampleSpec", "frequency_centers", "windowed_lattice",
     "build_f",
     # averaging
-    "TimeWindow", "apply_averaging", "direct_oracle",
+    "TimeWindow", "apply_averaging", "direct_oracle", "ball_kernel",
     "space_stats", "lp_norm_spacetime", "norm_peak_bytes",
     # config
     "RunConfig", "parse_config", "parse_memory_size", "with_overrides",

@@ -20,25 +20,31 @@ in-place products, one full-grid multiply and one sum per step. p = 2 is
 Parseval's sum over the box and needs no transform; when it is the largest
 requested p none runs. p = inf and non-even p are rejected.
 
-The concentration fraction is a Riemann sum of |f|^2 over the sample grid
-x_j = j L / next_pow2(oversample * dims) per axis; `oversample` sets only
-this grid. Its numerator is evaluated at the grid points inside the ball
-alone, by small per-axis DFT matrices contracted with the box; its
-denominator is Parseval's.
+The concentration fraction is exact. |f|^2 = L^{-2n} sum_q A(q) e^{i<q dk, x>}
+with A(q) = sum_{k - k' = q} c_k conj(c_k'), so the mass inside the centered
+ball B of radius R is L^{-2n} sum_q A(q) B_hat(q dk), B_hat(xi) the ball's
+Fourier transform, and the fraction is sum_q B_hat(q dk) A(q) / (L^n A(0))
+(Stein & Weiss, Introduction to Fourier Analysis on Euclidean Spaces,
+ch. IV). A(q) lives within +-(span - 1) per axis, so |f|^2 sampled on the
+least 7-smooth grid G >= 2 span - 1 per axis carries it without aliasing:
+the sum is one dot product of those samples with a real kernel K on G,
+the inverse transform of B_hat (even in every axis, so one real irfft per
+axis from its values at q_a >= 0). `ball_kernel` builds K once for every field
+on a support box; each `space_stats` call then runs one per-axis pass onto G.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count
+from math import gamma
 
 import numpy as np
 
 from .errors import DomainError, GeometryError, QuadratureError
-from .fields import _next_pow2
 from .multiplier import mu_hat_batch
 
-__all__ = ["TimeWindow", "apply_averaging", "direct_oracle",
+__all__ = ["TimeWindow", "apply_averaging", "direct_oracle", "ball_kernel",
            "space_stats", "lp_norm_spacetime", "norm_peak_bytes"]
 
 
@@ -132,36 +138,79 @@ def _norm_grid(span, ps):
     return tuple(_next_smooth(half * (s - 1) + 1) for s in span)
 
 
-def _ball_axes(window, oversample, radius):
-    """Per axis (F, j, x_j): the sample grid x_j = j L / F with
-    F = next_pow2(oversample * dims), wrapped to [-L/2, L/2), restricted to
-    the indices j with x_j^2 <= radius^2."""
-    axes = []
-    for m in window.dims:
-        F = _next_pow2(int(m * oversample))
-        x = np.fft.fftfreq(F) * window.L
-        j = np.flatnonzero(x ** 2 <= radius ** 2)
-        axes.append((F, j, x[j]))
-    return axes
+def _ball_grid(span):
+    """Per-axis points of the grid G >= 2 span - 1 that samples |f|^2, whose
+    frequencies lie within +-(span - 1), without aliasing."""
+    return _norm_grid(span, (4.0,))
 
 
-def space_stats(field, ps, oversample=3, ball_radius=None):
-    """Torus L^p norms (dict p -> norm) for even integer p, and, given a
-    radius, the mass fraction of |f|^2 inside the centered ball.
+def _ball_transform(rho, radius, n):
+    """B_hat at |xi| = rho for the ball of this radius in R^n:
+    2 omega_{n-1} R^n int_0^{pi/2} cos(rho R cos th) sin^n th dth, with
+    omega_{n-1} = pi^{(n-1)/2} / Gamma((n+1)/2), by Gauss-Legendre on
+    enough nodes for the largest rho R."""
+    z = np.asarray(rho, dtype=float) * radius
+    u, w = np.polynomial.legendre.leggauss(int(z.max(initial=0.0) * np.pi / 8) + 32)
+    theta = np.pi / 4 * (u + 1)
+    w = w * np.pi / 4 * np.sin(theta) ** n
+    out = np.zeros_like(z)
+    for c, wt in zip(np.cos(theta), w):
+        out += wt * np.cos(z * c)
+    return 2 * np.pi ** ((n - 1) / 2) / gamma((n + 1) / 2) * radius ** n * out
+
+
+def ball_kernel(field, radius):
+    """The concentration fraction's weight for the centered ball of this
+    radius, for every field on this field's window and support box: the
+    real kernel K on `_ball_grid(span)` whose dot product with |f|^2 there
+    is sum_q A(q) B_hat(q dk). B_hat depends on |q_a| per axis alone, so it
+    is tabulated on q_a = 0..G_a/2, evaluated once per distinct integer
+    |q|^2 there, and inverse-transformed by one real irfft per axis.
+    """
+    window = field.window
+    n, L = window.n, window.L
+    if radius >= L / 2:
+        raise GeometryError(
+            f"ball radius {radius:.4g} >= half box side {L / 2:.4g}")
+    G = _ball_grid(field.box()[1])
+    q2 = sum((np.arange(g // 2 + 1) ** 2).reshape((-1,) + (1,) * (n - 1 - a))
+             for a, g in enumerate(G))
+    table = np.zeros(int(q2.max()) + 1)
+    table[q2.ravel()] = 1.0
+    present = np.flatnonzero(table)
+    table[present] = _ball_transform(np.sqrt(present) * window.dk, radius, n)
+    kernel = table[q2]
+    for a, g in enumerate(G):
+        kernel = np.fft.irfft(kernel, n=g, axis=a)
+    return kernel
+
+
+def _abs2(box, F):
+    """|f|^2 on the grid F: the box padded and inverse-transformed one axis
+    at a time, axis 0 first, then squared in place on the float view."""
+    vals = box
+    for a, Fa in enumerate(F):
+        vals = np.fft.ifft(vals, n=Fa, axis=a, norm="forward")
+    sq = vals.view(np.float64)
+    np.square(sq, out=sq)
+    return sq[..., 0::2] + sq[..., 1::2]
+
+
+def space_stats(field, ps, ball=None):
+    """Torus L^p norms (dict p -> norm) for even integer p, and, given the
+    `ball_kernel` of a centered ball, the mass fraction of |f|^2 inside it.
 
     The norms are exact Riemann sums on the grid `_norm_grid(box, ps)`: one
     per-axis inverse FFT pass per axis (axis 0 first, the contiguous axis
     last and largest), |f|^2 in place, then one multiply and one sum per
     further even power. p = 2 is taken from Parseval, prod(F) * sum |box|^2,
     without a transform. The box spans the support's lattice indices, and
-    the coefficient vector is scattered into it. The fraction is None without
-    a ball and for a field with no nonzero coefficient, whose norms are all 0.
+    the coefficient vector is scattered into it. The fraction is exact: one
+    further pass onto the kernel's grid and one dot product. It is None
+    without a ball and for a field with no nonzero coefficient, whose norms
+    are all 0.
     """
-    window = field.window
-    n, L = window.n, window.L
-    if ball_radius is not None and ball_radius >= L / 2:
-        raise GeometryError(
-            f"ball radius {ball_radius:.4g} >= half box side {L / 2:.4g}")
+    n, L = field.window.n, field.window.L
     bad = [p for p in ps if not (p >= 2 and p % 2 == 0)]
     if bad:
         raise DomainError(f"norms are exact for even integer p >= 2 only, got {bad}")
@@ -176,13 +225,7 @@ def space_stats(field, ps, oversample=3, ball_radius=None):
     sums = {2: float(np.prod(F)) * power}
     top = int(max(ps)) // 2
     if top > 1:
-        vals = box
-        for a, Fa in enumerate(F):
-            vals = np.fft.ifft(vals, n=Fa, axis=a, norm="forward")
-        sq = vals.view(np.float64)
-        np.square(sq, out=sq)
-        ab2 = sq[..., 0::2] + sq[..., 1::2]
-        del vals, sq
+        ab2 = _abs2(box, F)
         pw = ab2 * ab2
         for k in range(2, top + 1):
             if k > 2:
@@ -192,21 +235,15 @@ def space_stats(field, ps, oversample=3, ball_radius=None):
         del ab2, pw
     cell = L ** n / float(np.prod(F))
     norms = {p: (cell * sums[int(p)]) ** (1.0 / p) / L ** n for p in ps}
-    if ball_radius is None:
+    if ball is None:
         return norms, None
 
-    axes = _ball_axes(window, oversample, ball_radius)
-    block = box
-    for (Fb, j, _), s in zip(axes, box.shape):
-        dft = np.exp(2j * np.pi * (np.outer(j, np.arange(s)) % Fb) / Fb)
-        block = np.tensordot(block, dft, axes=([0], [1]))
-    ab2 = block.real ** 2 + block.imag ** 2
-    del block
-    d2 = sum((x ** 2).reshape((-1,) + (1,) * (n - 1 - a))
-             for a, (_, _, x) in enumerate(axes))
-    inside = float(ab2[d2 <= ball_radius ** 2].sum())
-    total = float(np.prod([Fb for Fb, _, _ in axes])) * power
-    return norms, inside / total
+    G = _ball_grid(box.shape)
+    if ball.shape != G:
+        raise DomainError(f"ball kernel on grid {ball.shape}, this field's "
+                          f"support box needs {G}")
+    inside = float(_abs2(box, G).ravel() @ ball.ravel())
+    return norms, inside / (L ** n * power)
 
 
 def lp_norm_spacetime(space_norms, p, window):
@@ -220,11 +257,11 @@ def lp_norm_spacetime(space_norms, p, window):
     return float((w @ np.power(vals, p)) ** (1.0 / p))
 
 
-def norm_peak_bytes(window, span, ps, oversample=3, ball_radius=None):
-    """Upper bound on the peak memory of space_stats for a field on this
-    window whose support's lattice indices span a box of the given shape.
+def norm_peak_bytes(span, ps):
+    """Upper bound on the peak memory of space_stats, with a ball, for a
+    field whose support's lattice indices span a box of the given shape.
 
-    The three terms bound the stages in turn:
+    The terms bound the stages in turn:
     - the box and its scatter: the box array, 16 bytes per point, held to
       the end, and the support's window indices unravelled per axis, 8n
       bytes per support point, of which the box holds at most one per point;
@@ -234,17 +271,13 @@ def norm_peak_bytes(window, span, ps, oversample=3, ball_radius=None):
       bytes; squaring the output in place and adding its halves holds the
       squared view and |f|^2, 24 bytes; the chained powers hold |f|^2 and
       the power buffer, 16 bytes. p = 2 alone runs no transform;
-    - the ball's per-axis DFT contractions (an input, its transposed copy
-      and the output, then the ball block's |f|^2 with |x|^2, its mask and
-      the selection): at most 48 bytes per element of the largest array.
+    - the ball's grid G, 56 bytes per point: the same pass onto G,
+      48, and the kernel read there, 8. `ball_kernel` holds less while it
+      builds the kernel: its last irfft holds its real input (G/2 + 1 of
+      the last axis's G points) and the input's complex copy, at most 24
+      bytes per grid point, and the real output, 8.
     """
     B = np.prod(span, dtype=float)
-    G = np.prod(_norm_grid(span, ps), dtype=float)
-    largest = 0.0
-    if ball_radius is not None:
-        sizes = list(span)
-        largest = B
-        for a, (_, j, _) in enumerate(_ball_axes(window, oversample, ball_radius)):
-            sizes[a] = len(j)
-            largest = max(largest, np.prod(sizes, dtype=float))
-    return int((16 + 8 * len(span)) * B + 48 * G + 48 * largest)
+    F = np.prod(_norm_grid(span, ps), dtype=float)
+    G = np.prod(_ball_grid(span), dtype=float)
+    return int((16 + 8 * len(span)) * B + 48 * F + 56 * G)

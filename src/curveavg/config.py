@@ -8,8 +8,9 @@ whose per-field estimate exceeds the cap is rejected before any work starts.
 The CSL_MEMORY_CAP environment variable overrides the configured cap.
 
 The curve is perturbed exactly when ``perturb<i>`` keys are present; ``[curve]
-kind`` may only restate that. ``policy``, ``window`` and ``snapshots`` accept
-only ``windowed``, ``short`` and ``off``, and store nothing.
+kind`` may only restate that. ``policy``, ``oversample``, ``window`` and
+``snapshots`` accept only ``windowed``, ``3``, ``short`` and ``off``, and store
+nothing.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ class RunConfig:
     delta: float = 0.25
     aperture: float = 0.25
     points_per_radius: int = 4
-    oversample: int = 3
     memory_cap: int = 8 * _GIB
     lambdas: tuple = (32.0, 64.0, 128.0, 256.0)
     ps: tuple = (4.0, 6.0, 8.0)
@@ -102,7 +102,6 @@ _SCHEMA = {
     },
     "grid": {
         "points_per_radius": ("points_per_radius", int),
-        "oversample": ("oversample", int),
         "memory_cap": ("memory_cap", parse_memory_size),
     },
     "experiment": {
@@ -126,6 +125,9 @@ _PINNED = {
     ("experiment", "window"): (
         str, "short", "window must be short (the sweep measures "
                       "[1, 1 + lambda^(-1/n)] only), got {!r}"),
+    ("grid", "oversample"): (
+        int, 3, "oversample must be 3, got {!r}: the concentration fraction "
+                "is exact and samples no oversampled grid"),
     ("output", "snapshots"): (
         _bool, False, "snapshots must be off, got {!r}: the sweep writes no "
                       "field snapshots; `curveavg synthesize` writes them"),
@@ -146,8 +148,6 @@ def _range_violations(cfg):
     check(0.0 < cfg.aperture < 2.0, f"aperture must lie in (0, 2), got {cfg.aperture}")
     check(cfg.points_per_radius >= 2,
           f"points_per_radius must be >= 2, got {cfg.points_per_radius}")
-    check(1 <= cfg.oversample <= 8,
-          f"oversample must lie in 1..8, got {cfg.oversample}")
     check(cfg.memory_cap >= 1 << 20,
           f"memory cap below 1 MiB is unusable, got {cfg.memory_cap}")
     check(len(cfg.lambdas) >= 1 and all(v >= 4 for v in cfg.lambdas),
@@ -269,7 +269,7 @@ def ball_radius_from(cfg, lam):
 
 def estimate_field_bytes(cfg, lam):
     """Peak memory of one lambda cell: the multiplier quadrature plus one
-    norm evaluation with the ball.
+    norm evaluation with the ball and its kernel.
 
     The support box is the span of the piece centers +- the bump radius,
     rounded inward to the lattice: a support point lies strictly inside its
@@ -290,9 +290,7 @@ def estimate_field_bytes(cfg, lam):
     window = windowed_lattice(spec, points_per_radius=cfg.points_per_radius)
     lo, hi = _piece_boxes(spec, window)
     span = tuple(int(v) for v in hi.max(axis=0) - lo.min(axis=0) + 1)
-    norm = norm_peak_bytes(window, span, (2.0,) + cfg.ps,
-                           oversample=cfg.oversample,
-                           ball_radius=ball_radius_from(cfg, lam))
+    norm = norm_peak_bytes(span, (2.0,) + cfg.ps)
 
     piece = hi - lo + 1
     corners = np.array(list(product(*zip(lo.min(axis=0), hi.max(axis=0)))))

@@ -8,7 +8,7 @@ fields — is metadata only: it fixes L and numbers the lattice points. The
 field stores the flat window indices of its support and one vector of
 f_hat(xi_k) values over them; each support ball owns a contiguous run of
 rows. Nothing of window size is kept: only `SpectralField.dense` scatters
-the coefficients into an array, for `values` and snapshots.
+the coefficients into an array, for snapshots and the norm engine's box.
 Spatial values are f(x) = L^{-n} sum_k f_hat(xi_k) e^{i<xi_k, x>}.
 
 The construction itself: centers xi^nu = lambda * Gamma(nu * lambda^{-1/n})
@@ -149,20 +149,6 @@ class SpectralField:
         """Exact torus L^2 norm via the frequency side: L^{-n} sum |f_hat|^2."""
         power = float((self.coeffs.real ** 2 + self.coeffs.imag ** 2).sum())
         return float(np.sqrt(power / self.L ** self.window.n))
-
-    def values(self, oversample=1):
-        """Spatial samples f(x_j), x_j = j * L / F per axis (F = oversample-padded dims).
-
-        Dense over the whole padded window — intended for small test grids;
-        the norm code in `averaging` transforms only the support's box.
-        """
-        F = tuple(_next_pow2(int(m * oversample)) for m in self.window.dims)
-        out = np.fft.ifftn(self.dense(F)) * np.prod(F)
-        # stored index m is lattice index k0+m: restore the base modulation
-        for ax, (k0, f) in enumerate(zip(self.window.k0, F)):
-            ramp = np.exp(2j * np.pi * k0 * np.arange(f) / f)
-            out *= ramp.reshape([-1 if a == ax else 1 for a in range(len(F))])
-        return out / self.L ** self.window.n
 
     def with_coeffs(self, coeffs):
         """The same support carrying a new coefficient vector."""

@@ -41,8 +41,7 @@ import numpy as np
 from .errors import DomainError, QuadratureError, ResolutionError
 
 __all__ = ["alpha_n", "mu_hat", "mu_hat_batch", "quadrature_peak_bytes",
-           "decay_profile", "MultiplierSample", "multiplier_sample",
-           "derivative_bound_check"]
+           "MultiplierSample", "multiplier_sample", "derivative_bound_check"]
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _MAX_PANELS = 1 << 15
@@ -241,25 +240,6 @@ def quadrature_peak_bytes(nodes, coords, leading, modes, times, steps):
 def mu_hat(curve, cutoff, t, xi):
     """Single-point mu_hat_t(xi)."""
     return complex(mu_hat_batch(curve, cutoff, [t], np.asarray(xi, float)[None])[0, 0])
-
-
-def decay_profile(curve, cutoff, t, direction, lambdas):
-    """[(lambda, |mu_hat_t(lambda * direction)| * (1+lambda)^{1/n})] along a ray.
-
-    The normalization makes the sequence bounded; along cone directions it
-    approaches |alpha_n| (n!)^{1/n} chi(theta) (t u_n(direction))^{-1/n}
-    (measured asymptote), off the cone it decays to zero. The lambda = 0 entry
-    is the cutoff integral.
-    """
-    direction = np.asarray(direction, dtype=float)
-    if abs(np.linalg.norm(direction) - 1.0) > 1e-12:
-        raise DomainError("direction must be a unit vector")
-    lambdas = [float(v) for v in lambdas]
-    xis = np.array([lam * direction for lam in lambdas])
-    vals = mu_hat_batch(curve, cutoff, [t], xis)[0]
-    n = curve.n
-    return [(lam, float(abs(v)) * (1.0 + lam) ** (1.0 / n))
-            for lam, v in zip(lambdas, vals)]
 
 
 @dataclass(frozen=True)

@@ -20,17 +20,16 @@ parallelism degree.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
 import numpy as np
 
-from .averaging import (TimeWindow, _norm_grid, lp_norm_spacetime,
-                        space_stats)
+from .averaging import (TimeWindow, _norm_grid, ball_kernel,
+                        lp_norm_spacetime, space_stats)
 from .config import ball_radius_from, chart_from, curve_from, cutoff_from
-from .errors import DomainError, GeometryError
+from .errors import DomainError
 from .fields import CounterexampleSpec, build_f, windowed_lattice
 from .multiplier import alpha_n, mu_hat_batch
 
@@ -108,8 +107,8 @@ def run_cell(cfg, lam):
     the short-window time nodes, which also carry the diagnostics (per-piece
     ratios, orthogonality defect, concentration fractions). `grid` records
     the window, the support box and its norm grid; `timings` the set-up
-    (field and diagnostics' reference powers), the quadrature and the
-    `space_stats` calls, in seconds.
+    (field, diagnostics' reference powers and the concentration ball's
+    kernel), the quadrature and the `space_stats` calls, in seconds.
     """
     clock = time.perf_counter
     t0 = clock()
@@ -121,11 +120,7 @@ def run_cell(cfg, lam):
     Ln = window.L ** n
     g_power = [float((np.abs(f.coeffs[b.rows] / lam ** (1.0 / n)) ** 2).sum()) / Ln
                for b in f.support]
-
-    radius = ball_radius_from(cfg, lam)
-    if radius >= window.L / 2:
-        raise GeometryError(
-            f"concentration ball radius {radius:.4g} >= L/2 = {window.L / 2:.4g}")
+    kernel = ball_kernel(f, ball_radius_from(cfg, lam))
 
     short = TimeWindow.short(lam, n, m=cfg.time_nodes)
     quadrature = {}
@@ -149,8 +144,7 @@ def run_cell(cfg, lam):
         piece_min = min(piece_min, min(ratios))
         piece_table.append(ratios)
         t = clock()
-        norms, frac = space_stats(f.with_coeffs(coeff), ps,
-                                  oversample=cfg.oversample, ball_radius=radius)
+        norms, frac = space_stats(f.with_coeffs(coeff), ps, ball=kernel)
         norms_s += clock() - t
         fractions.append(frac)
         for p in ps:
@@ -242,7 +236,7 @@ def sharpness_sweep(cfg, jobs=None, slope_tols=None):
     The concentration check asks for growth, not for a mass share of 0.5: that
     share is the lambda -> infinity statement. On the pinned acceptance config
     (n = 3, rho = 1, eps = 0.3) the fraction of ||A_1 f||_2^2 inside
-    B(0, lambda^{-(1-eps)/n}) is 0.091 / 0.132 / 0.149 at lambda = 64 / 128 /
+    B(0, lambda^{-(1-eps)/n}) is 0.091 / 0.131 / 0.149 at lambda = 64 / 128 /
     256. No choice of coefficients on the same frequency support could reach
     0.5: the largest share any such field puts in the ball (the top
     eigenvalue of the ball's quadratic form on that support) is 0.196 at
@@ -256,6 +250,7 @@ def sharpness_sweep(cfg, jobs=None, slope_tols=None):
     jobs = cfg.jobs if jobs is None else int(jobs)
     lams = sorted(float(v) for v in cfg.lambdas)
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(jobs, len(lams))) as pool:
             cells = list(pool.map(_cell_job, [(cfg, lam) for lam in lams]))
     else:

@@ -18,7 +18,7 @@ import pytest
 
 from curveavg import (ConeChart, CurveSpec, CutoffSpec, GridSpec,
                       SpectralField, SupportBall, alpha_n, apply_averaging,
-                      critical_exponent, derivative_bound_check, direct_oracle,
+                      ball_kernel, critical_exponent, derivative_bound_check, direct_oracle,
                       mu_hat, mu_hat_batch, multiplier_sample, space_stats)
 from curveavg.sweep import _cell_setup
 
@@ -156,14 +156,14 @@ def test_criterion_07_piece_lower_bound(acceptance_runs):
 
 def _coherent_fractions(cfg, lam, ts):
     """Ball fractions of the field with the moduli |f_hat mu_hat_t| and every
-    mode in phase at x = 0, the phase choice that peaks it at the origin; on
-    the same grid and ball as the sweep's cells."""
+    mode in phase at x = 0, the phase choice that peaks it at the origin; with
+    the same ball and kernel as the sweep's cells."""
     curve, cutoff, _, f = _cell_setup(cfg, lam)
-    radius = lam ** (-(1.0 - cfg.epsilon) / cfg.n)
+    kernel = ball_kernel(f, lam ** (-(1.0 - cfg.epsilon) / cfg.n))
     out = []
     for row in mu_hat_batch(curve, cutoff, ts, f.xi()):
         _, frac = space_stats(f.with_coeffs(np.abs(f.coeffs * row)), [2.0],
-                              oversample=cfg.oversample, ball_radius=radius)
+                              ball=kernel)
         out.append(frac)
     return out
 

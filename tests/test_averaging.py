@@ -1,4 +1,6 @@
 import tracemalloc
+from math import gamma
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,10 +8,11 @@ from numpy.testing import assert_allclose
 
 from curveavg import (CurveSpec, CutoffSpec, DomainError, GeometryError,
                       GridSpec, LatticeWindow, SpectralField, SupportBall,
-                      TimeWindow, apply_averaging, direct_oracle,
+                      TimeWindow, apply_averaging, ball_kernel, direct_oracle,
                       lp_norm_spacetime, mu_hat_batch, norm_peak_bytes,
-                      space_stats)
-from curveavg.averaging import _norm_grid
+                      parse_config, run_cell, space_stats)
+from curveavg.averaging import _ball_grid, _norm_grid
+from curveavg.sweep import _cell_setup
 
 CURVE = CurveSpec.moment(3)
 CHI = CutoffSpec(delta=0.25)
@@ -146,7 +149,7 @@ def test_even_norms_are_exact():
         fhat = np.zeros(dims, dtype=complex)
         fhat[cut] = c
         f = SpectralField.from_dense(window, fhat)
-        norms, _ = space_stats(f, [2.0, 4.0, 6.0, 8.0], oversample=1)
+        norms, _ = space_stats(f, [2.0, 4.0, 6.0, 8.0])
         assert 21 in _norm_grid(shape, [8.0])
         L = f.L
         power = c
@@ -183,9 +186,10 @@ def test_norm_grid_rejects_empty_span(ps):
 
 
 def test_zero_field_has_zero_norms_and_no_fraction():
-    window = GridSpec(n=3, L=2.0, N=8).window()
-    f = SpectralField.from_dense(window, np.zeros(window.dims))
-    norms, fraction = space_stats(f, [2.0, 4.0, 8.0], ball_radius=0.5)
+    f = make_field([(0, 0, 0), (1, 2, 0)], [1.0, 1.0j])
+    kernel = ball_kernel(f, 0.5)
+    norms, fraction = space_stats(f.with_coeffs(np.zeros(2)), [2.0, 4.0, 8.0],
+                                  ball=kernel)
     assert norms == {2.0: 0.0, 4.0: 0.0, 8.0: 0.0}
     assert fraction is None
 
@@ -206,41 +210,122 @@ def test_l2_norm_matches_parseval():
     assert norms[2.0] == pytest.approx(f.l2(), rel=1e-12)
 
 
-def test_l2_norm_needs_no_transform(monkeypatch):
-    # p = 2 comes from Parseval, so a p = 2 request runs no inverse FFT
+def _count_ifft(monkeypatch):
     calls = []
     ifft = np.fft.ifft
     monkeypatch.setattr(np.fft, "ifft",
                         lambda *a, **k: calls.append(1) or ifft(*a, **k))
-    rng = np.random.default_rng(4)
+    return calls
+
+
+def _random_field(seed):
+    rng = np.random.default_rng(seed)
     modes = [(0, 0, 0), (1, 2, 0), (-3, 0, 3), (2, -2, 1)]
-    f = make_field(modes, rng.standard_normal(4) + 1j * rng.standard_normal(4))
-    norms, fraction = space_stats(f, [2.0], ball_radius=0.5)
+    return make_field(modes, rng.standard_normal(4) + 1j * rng.standard_normal(4))
+
+
+def test_l2_norm_needs_no_transform(monkeypatch):
+    # p = 2 comes from Parseval, so a p = 2 request without a ball runs no
+    # inverse FFT; p = 4 runs one pass per axis
+    calls = _count_ifft(monkeypatch)
+    f = _random_field(4)
+    norms, fraction = space_stats(f, [2.0])
     assert norms[2.0] == pytest.approx(f.l2(), rel=1e-12)
-    assert 0.0 < fraction < 1.0
+    assert fraction is None
     assert calls == []
     space_stats(f, [2.0, 4.0])
     assert len(calls) == 3   # one pass per axis
 
 
-def test_ball_fraction_counts_grid_points():
-    c = 1.0
-    f = make_field([(0, 0, 0)], [c])
-    radius = 0.6
-    _, fraction = space_stats(f, [2.0], ball_radius=radius)
-    # |f| is constant, so the fraction is just the share of grid points in the
-    # ball; recount them independently on the same oversampled grid.
-    F = 32  # next_pow2(8 * 3)
-    x = np.fft.fftfreq(F) * f.L
-    d2 = (x[:, None, None] ** 2 + x[None, :, None] ** 2 + x[None, None, :] ** 2)
-    want = np.count_nonzero(d2 <= radius ** 2) / F ** 3
-    assert fraction == pytest.approx(want, rel=1e-12)
+def test_fraction_needs_its_own_pass(monkeypatch):
+    # the fraction samples |f|^2 on the kernel's grid: one pass per axis,
+    # beside the norms' own
+    f = _random_field(4)
+    kernel = ball_kernel(f, 0.5)
+    calls = _count_ifft(monkeypatch)
+    norms, fraction = space_stats(f, [2.0], ball=kernel)
+    assert norms[2.0] == pytest.approx(f.l2(), rel=1e-12)
+    assert 0.0 < fraction < 1.0
+    assert len(calls) == 3
+    space_stats(f, [2.0, 4.0], ball=kernel)
+    assert len(calls) == 9
+
+
+def _ball_hat(rho, radius, n):
+    """The ball's Fourier transform (2 pi R / rho)^{n/2} J_{n/2}(R rho),
+    omega_n R^n at rho = 0."""
+    from scipy.special import jv
+    with np.errstate(invalid="ignore", divide="ignore"):
+        val = (2 * np.pi * radius / rho) ** (n / 2) * jv(n / 2, radius * rho)
+    return np.where(rho == 0, np.pi ** (n / 2) / gamma(n / 2 + 1) * radius ** n,
+                    val)
+
+
+def _brute_fraction(f, radius):
+    """sum_{k,k'} c_k conj(c_k') B_hat(xi_k - xi_k') / (L^n sum |c_k|^2)."""
+    xi, c, n = f.xi(), f.coeffs, f.window.n
+    gap = np.linalg.norm(xi[:, None, :] - xi[None, :, :], axis=-1)
+    mass = (c[:, None] * c.conj()[None, :] * _ball_hat(gap, radius, n)).sum()
+    return float(mass.real) / (f.L ** n * float((np.abs(c) ** 2).sum()))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_single_mode_fraction_is_ball_volume(n):
+    # |f| is constant, so the fraction is vol(B) / L^n = omega_n R^n / L^n
+    window = LatticeWindow(L=3.0, dims=(4,) * n, k0=(-2,) * n)
+    fhat = np.zeros(window.dims, dtype=complex)
+    fhat[(1,) * n] = 2.0 - 1.0j
+    f = SpectralField.from_dense(window, fhat)
+    for radius in (0.2, 0.7, 1.4):
+        _, fraction = space_stats(f, [2.0], ball=ball_kernel(f, radius))
+        want = np.pi ** (n / 2) / gamma(n / 2 + 1) * radius ** n / 3.0 ** n
+        assert fraction == pytest.approx(want, rel=1e-13), (n, radius)
+
+
+@pytest.mark.parametrize("dims", [(16, 8), (8, 8, 6), (3, 4, 2, 4, 3)])
+def test_fraction_matches_quadratic_form(dims):
+    # exact against the brute-force quadratic form with the Bessel closed
+    # form of B_hat, on random fields with gaps in their support
+    pytest.importorskip("scipy")
+    rng = np.random.default_rng(len(dims))
+    window = LatticeWindow(L=3.0, dims=dims, k0=tuple(-m // 2 for m in dims))
+    fhat = np.zeros(dims, dtype=complex)
+    keep = rng.random(dims) < 0.5
+    fhat[keep] = (rng.standard_normal(keep.sum())
+                  + 1j * rng.standard_normal(keep.sum()))
+    f = SpectralField.from_dense(window, fhat)
+    for radius in (0.3, 0.9, 1.4):
+        _, fraction = space_stats(f, [2.0, 4.0], ball=ball_kernel(f, radius))
+        assert fraction == pytest.approx(_brute_fraction(f, radius),
+                                         rel=1e-12), (dims, radius)
+
+
+def test_run_cell_fraction_matches_quadratic_form():
+    # the planar benchmark workload's lambda = 64 cell at t = 1
+    pytest.importorskip("scipy")
+    root = Path(__file__).resolve().parents[1]
+    cfg = parse_config((root / "perfbench" / "workloads" / "n2.cfg").read_text())
+    cell = run_cell(cfg, 64.0)
+    curve, cutoff, _, f = _cell_setup(cfg, 64.0)
+    assert cell["t_nodes_short"][0] == 1.0
+    row = mu_hat_batch(curve, cutoff, [1.0], f.xi())[0]
+    want = _brute_fraction(f.with_coeffs(f.coeffs * row),
+                           64.0 ** (-(1.0 - cfg.epsilon) / cfg.n))
+    assert cell["fractions"][0] == pytest.approx(want, rel=1e-12)
+
+
+def test_kernel_must_match_the_support_box():
+    f = _random_field(5)
+    kernel = ball_kernel(make_field([(0, 0, 0), (1, 1, 1)], [1.0, 1.0]), 0.5)
+    assert kernel.shape == _ball_grid((2, 2, 2)) != _ball_grid(f.box()[1])
+    with pytest.raises(DomainError, match="ball kernel"):
+        space_stats(f, [2.0], ball=kernel)
 
 
 def test_ball_radius_must_fit_in_box():
     f = make_field([(0, 0, 0)], [1.0])
     with pytest.raises(GeometryError, match="half box side"):
-        space_stats(f, [2.0], ball_radius=1.0)
+        ball_kernel(f, 1.0)
 
 
 def test_spacetime_norm_of_steady_family():
@@ -284,8 +369,8 @@ def test_peak_bytes_bounds_measured_peak(dims, box, radius, ps):
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        space_stats(f, ps, ball_radius=radius)
+        space_stats(f, ps, ball=ball_kernel(f, radius))
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert norm_peak_bytes(window, box, ps, ball_radius=radius) >= peak
+    assert norm_peak_bytes(box, ps) >= peak

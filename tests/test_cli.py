@@ -19,7 +19,6 @@ aperture = 0.95
 
 [grid]
 policy = windowed
-oversample = 2
 
 [experiment]
 lambdas = 16 32 64

@@ -74,8 +74,9 @@ def test_defaults():
     assert cfg.lambdas == (32.0, 64.0, 128.0, 256.0)
     # keys with one legal value, and the curve kind, store nothing
     names = {f.name for f in fields(RunConfig)}
-    assert len(names) == 18
-    assert not names & {"curve_kind", "grid_policy", "window_kind", "snapshots"}
+    assert len(names) == 17
+    assert not names & {"curve_kind", "grid_policy", "oversample",
+                        "window_kind", "snapshots"}
 
 
 def test_parse_full_file():
@@ -253,6 +254,13 @@ def test_sweep_snapshots_are_rejected():
         parse_config(GOOD.replace("snapshots = off", "snapshots = maybe"))
     with pytest.raises(ConfigError, match="did you mean 'snapshots'"):
         parse_config(GOOD.replace("snapshots = off", "snapshot = off"))
+
+
+def test_oversample_is_pinned():
+    # the concentration fraction is exact: no oversampled grid to size
+    assert parse_config(GOOD) == parse_config(GOOD.replace("oversample = 3\n", ""))
+    with pytest.raises(ConfigError, match="oversample must be 3, got '2'"):
+        parse_config(GOOD.replace("oversample = 3", "oversample = 2"))
 
 
 def test_floor_check_needs_a_floor():

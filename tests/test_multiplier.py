@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from curveavg import (ConeChart, CounterexampleSpec, CurveSpec, CutoffSpec,
-                      DomainError, TimeWindow, alpha_n, build_f, decay_profile,
+                      DomainError, TimeWindow, alpha_n, build_f,
                       derivative_bound_check, mu_hat, mu_hat_batch,
                       multiplier_sample, windowed_lattice)
 from curveavg import multiplier
@@ -76,15 +76,20 @@ def test_mu_hat_time_guard(moment3, chi):
         mu_hat(moment3, chi, 2.5, np.array([0.0, 0.0, 8.0]))
 
 
+def _ray(curve, chi, direction, lambdas):
+    """|mu_hat_1(lambda * direction)| (1 + lambda)^{1/n} along a ray."""
+    lams = np.asarray(lambdas, dtype=float)
+    vals = mu_hat_batch(curve, chi, [1.0], lams[:, None] * np.asarray(direction))[0]
+    return np.abs(vals) * (1.0 + lams) ** (1.0 / curve.n)
+
+
 def test_decay_profile_on_cone_limit(moment3, chi):
     """|mu_hat_1(lambda e_3)| (1+lambda)^{1/3} -> |alpha_3| 6^{1/3} chi(0).
 
     2.810514770742616 was frozen from this quadrature at lambda = 2^21 and
     agrees with the stationary-phase closed form to 7 digits at 2^12.
     """
-    rows = decay_profile(moment3, chi, 1.0, np.array([0.0, 0.0, 1.0]),
-                         [2.0**k for k in range(6, 13)])
-    vals = np.array([v for _, v in rows])
+    vals = _ray(moment3, chi, [0.0, 0.0, 1.0], [2.0**k for k in range(6, 13)])
     assert vals[-1] == pytest.approx(2.810514770742616, rel=1e-3)
     # deviation from the limit shrinks monotonically along the dyadic ray
     dev = np.abs(vals - 2.810514770742616)
@@ -92,17 +97,10 @@ def test_decay_profile_on_cone_limit(moment3, chi):
 
 
 def test_decay_profile_off_cone_is_faster(moment3, chi):
-    on = decay_profile(moment3, chi, 1.0, np.array([0.0, 0.0, 1.0]),
-                       [64.0, 4096.0])
-    off = decay_profile(moment3, chi, 1.0, np.array([1.0, 0.0, 0.0]),
-                        [64.0, 4096.0])
-    assert off[-1][1] < 0.05 * on[-1][1]     # e_1 is not a cone direction
-    assert off[-1][1] < 0.2 * off[0][1]
-
-
-def test_decay_profile_requires_unit_direction(moment3, chi):
-    with pytest.raises(DomainError):
-        decay_profile(moment3, chi, 1.0, np.array([0.0, 0.0, 2.0]), [64.0])
+    on = _ray(moment3, chi, [0.0, 0.0, 1.0], [64.0, 4096.0])
+    off = _ray(moment3, chi, [1.0, 0.0, 0.0], [64.0, 4096.0])
+    assert off[-1] < 0.05 * on[-1]     # e_1 is not a cone direction
+    assert off[-1] < 0.2 * off[0]
 
 
 def test_multiplier_sample_converges_to_leading(moment3, chi, chart):

@@ -123,7 +123,7 @@ def tiny_cfg():
     # small lambdas and coarse quadrature: structure checks only, the slopes
     # here are nowhere near asymptotic
     return RunConfig(n=3, rho=1.0, c0=0.7, delta=0.9, aperture=0.95,
-                     oversample=2, time_nodes=5,
+                     time_nodes=5,
                      lambdas=(32.0, 45.0, 64.0), ps=(4.0,),
                      checks=("orthogonality", "slopes", "floor"),
                      piece_floor=0.2, epsilon=0.3)
