@@ -206,7 +206,8 @@ def space_stats(field, ps, ball=None):
     further even power. p = 2 is taken from Parseval, prod(F) * sum |box|^2,
     without a transform. The box spans the support's lattice indices, and
     the coefficient vector is scattered into it. The fraction is exact: one
-    further pass onto the kernel's grid and one dot product. It is None
+    further pass onto the kernel's grid and one dot product; at p_max = 4
+    that grid is the norm grid, and the norms' |f|^2 is reused. It is None
     without a ball and for a field with no nonzero coefficient, whose norms
     are all 0.
     """
@@ -224,6 +225,7 @@ def space_stats(field, ps, ball=None):
     power = float((box.real ** 2 + box.imag ** 2).sum())
     sums = {2: float(np.prod(F)) * power}
     top = int(max(ps)) // 2
+    ab2 = None
     if top > 1:
         ab2 = _abs2(box, F)
         pw = ab2 * ab2
@@ -232,7 +234,7 @@ def space_stats(field, ps, ball=None):
                 pw *= ab2
             if 2 * k in ps:
                 sums[2 * k] = float(pw.sum())
-        del ab2, pw
+        del pw
     cell = L ** n / float(np.prod(F))
     norms = {p: (cell * sums[int(p)]) ** (1.0 / p) / L ** n for p in ps}
     if ball is None:
@@ -242,7 +244,11 @@ def space_stats(field, ps, ball=None):
     if ball.shape != G:
         raise DomainError(f"ball kernel on grid {ball.shape}, this field's "
                           f"support box needs {G}")
-    inside = float(_abs2(box, G).ravel() @ ball.ravel())
+    # at p_max = 4 the norm grid is G, and its |f|^2 serves the fraction
+    if ab2 is None or ab2.shape != G:
+        del ab2
+        ab2 = _abs2(box, G)
+    inside = float(ab2.ravel() @ ball.ravel())
     return norms, inside / (L ** n * power)
 
 

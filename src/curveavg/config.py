@@ -269,7 +269,13 @@ def ball_radius_from(cfg, lam):
 
 def estimate_field_bytes(cfg, lam):
     """Peak memory of one lambda cell: the multiplier quadrature plus one
-    norm evaluation with the ball and its kernel.
+    norm evaluation with the ball and its kernel."""
+    return sum(_estimate_terms(cfg, lam))
+
+
+def _estimate_terms(cfg, lam):
+    """The norm evaluation's and the quadrature's terms of
+    estimate_field_bytes.
 
     The support box is the span of the piece centers +- the bump radius,
     rounded inward to the lattice: a support point lies strictly inside its
@@ -278,7 +284,9 @@ def estimate_field_bytes(cfg, lam):
     leading (n-1)-tuples. The quadrature's node count is that of the first
     fine level of its panel ladder started at the box's corners: the phase
     rate <gamma'(s), xi> is linear in xi, so its maximum over the box sits
-    at a corner. No field is built and no quadrature runs.
+    at a corner. The ladder may run further; only the nodes' own arrays
+    grow with it, as the quadrature walks its nodes in blocks of bounded
+    size. No field is built and no quadrature runs.
     """
     # local: avoid import cycle
     from .averaging import TimeWindow, norm_peak_bytes
@@ -301,7 +309,7 @@ def estimate_field_bytes(cfg, lam):
         leading=int(piece[:, :-1].prod(axis=1).sum()),
         modes=int(piece.prod(axis=1).sum()), times=cfg.time_nodes,
         steps=_distinct_steps(ts))
-    return norm + quad
+    return norm, quad
 
 
 def _piece_boxes(spec, window):

@@ -11,13 +11,17 @@ check. The phase factorises per axis, e^{-it<gamma(s), xi>} = prod_a
 e^{-it gamma_a(s) xi_a}, so a batch needs one exponential table per axis over
 that axis's distinct coordinates. The leading n - 1 tables, gathered at the
 batch's distinct leading (n-1)-tuples, are contracted with the weighted last
-axis's table by one matrix product per time node. The tables are built at
-the first time node only and advanced to each later node by one complex
-multiply per entry with the tables of the step t_k - t_{k-1}; each distinct
-step's tables are built once. A table is built by running products, too: its
-row at the least coordinate c_0 and one row per distinct gap between
-successive coordinates are exponentiated, and the row of c_j is that of
-c_{j-1} times the row of c_j - c_{j-1}. The cost thus follows the distinct
+axis's table by one matrix product per time node. The nodes are walked in
+blocks sized for a core's L2 cache. Per block the tables are built at the
+first time node only and advanced to each later node by one complex
+multiply per entry with the tables of the step t_k - t_{k-1} (each distinct
+step's tables are built once per block); at every time node the block's
+matrix product is added to that node's sums per (leading tuple, last
+coordinate), from which the batch's values are gathered once, after the
+last block. A table is built by running products, too: its row at the
+least coordinate c_0 and one row per distinct gap between successive
+coordinates are exponentiated, and the row of c_j is that of c_{j-1} times
+the row of c_j - c_{j-1}. The cost thus follows the distinct
 gaps per axis and the distinct time steps: on a lattice support of m points
 with `steps` distinct steps between its time nodes, (1 + steps) x nodes x
 (sum over axes of 1 + the distinct gaps) exponentials replace time nodes x
@@ -35,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil, factorial, gamma as gamma_fn, pi, sin
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,8 +51,10 @@ __all__ = ["alpha_n", "mu_hat", "mu_hat_batch", "quadrature_peak_bytes",
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _MAX_PANELS = 1 << 15
 _REL_TOL = 1e-9
-# complex elements per chunk of leading tuples x nodes in _gl_values
-_CHUNK_ELEMENTS = 4_000_000
+# complex entries per node block of _gl_values: the rows a time node works
+# on (tables, leading products) x the block's nodes. Every time node walks
+# them all, so a block should stay in a core's L2 cache: 1 MiB
+_BLOCK_ELEMENTS = 1 << 16
 
 
 def alpha_n(n):
@@ -73,63 +80,60 @@ def _panel_start(curve, cutoff, ts, xis):
     return min(max(2, ceil(cycles * 12 / 16) + 1), _MAX_PANELS)
 
 
-def _gl_values(curve, cutoff, ts, xis, panels):
+def _gl_values(curve, cutoff, ts, freq, panels):
     edges = np.linspace(-cutoff.delta, cutoff.delta, panels + 1)
     half = (edges[1] - edges[0]) / 2
     s = ((edges[:-1] + edges[1:]) / 2)[:, None] + half * _GL_NODES[None, :]
     s = s.ravel()
     weighted = cutoff(s) * np.tile(_GL_WEIGHTS * half, panels)
     gam = curve.derivative(0, s)
-    # distinct coordinates per axis, and the distinct leading (n-1)-tuples
-    coords, where = _distinct(xis)
-    counts = [len(c) for c in coords[:-1]]
-    lead, lead_of = np.unique(np.ravel_multi_index(where[:-1], counts),
-                              return_inverse=True)
-    lead = np.unravel_index(lead, counts)
-    out = np.empty((len(ts), len(xis)), dtype=complex)
-    chunk = max(1, _CHUNK_ELEMENTS // s.size)
+    width = _block_width(freq)
+    # per time node, the sum over the nodes per (leading tuple, last coordinate)
+    sums = np.zeros((len(ts), len(freq.lead[0]), len(freq.coords[-1])),
+                    dtype=complex)
     # e^{-it<gamma(s), xi>} = prod_a e^{-it gamma_a(s) xi_a}: one table
-    # (distinct coordinates x nodes) per axis, built at the first time node
-    # with the weights folded into the last, then advanced node to node by
-    # E_a(t_k) = E_a(t_{k-1}) e^{-i(t_k - t_{k-1}) gamma_a(s) c}; each
-    # distinct step's tables are exponentiated once. On [1, 2] every step is
-    # exact (Sterbenz), so the steps' phases sum exactly to t_k - t_0.
-    tables = _tables(coords, gam, ts[0])
-    tables[-1] *= weighted
-    steps = {}
-    for i, t in enumerate(ts):
-        if i:
-            dt = t - ts[i - 1]
-            if dt not in steps:
-                steps[dt] = _tables(coords, gam, dt)
-            for table, advance in zip(tables, steps[dt]):
-                table *= advance
-        block = np.empty((len(lead[0]), len(coords[-1])), dtype=complex)
-        for j in range(0, len(block), chunk):
-            left = tables[0][lead[0][j:j + chunk]]
-            for table, rows in zip(tables[1:-1], lead[1:]):
-                left *= table[rows[j:j + chunk]]
-            block[j:j + chunk] = left @ tables[-1].T
-            del left    # free the chunk before the next one is gathered
-        out[i] = block[lead_of, where[-1]]
-    return out
+    # (distinct coordinates x nodes of the block) per axis, built at the
+    # first time node with the weights folded into the last, then advanced
+    # node to node by E_a(t_k) = E_a(t_{k-1}) e^{-i(t_k - t_{k-1}) gamma_a(s) c};
+    # each distinct step's tables are exponentiated once per block. On
+    # [1, 2] every step is exact (Sterbenz), so the steps' phases sum exactly
+    # to t_k - t_0.
+    for lo in range(0, s.size, width):
+        g = gam[lo:lo + width]
+        tables = _tables(freq, g, ts[0])
+        tables[-1] *= weighted[lo:lo + width]
+        steps = {}
+        for i, t in enumerate(ts):
+            if i:
+                dt = t - ts[i - 1]
+                if dt not in steps:
+                    steps[dt] = _tables(freq, g, dt)
+                for table, advance in zip(tables, steps[dt]):
+                    table *= advance
+            # at n = 2 the leading tuples are every axis-0 coordinate, in order
+            left = tables[0]
+            if len(tables) > 2:
+                left = left[freq.lead[0]]
+                for table, rows in zip(tables[1:-1], freq.lead[1:]):
+                    left *= table[rows]
+            sums[i] += left @ tables[-1].T
+    return sums[:, freq.lead_of, freq.last_of]
 
 
-def _tables(coords, gam, t):
+def _tables(freq, gam, t):
     """Per axis a, e^{-it gamma_a(s) c} over its sorted distinct coordinates
     c_0 < c_1 < ...: the rows of c_0 and of each distinct gap c_j - c_{j-1}
     are exponentiated, and row j is row j-1 times the row of its gap."""
     tables = []
-    for c, g in zip(coords, gam.T):
-        exponents, row_of = _gaps(c)
+    for (exponents, index), g in zip(freq.gaps, gam.T):
         # the phase goes straight into the imaginary parts: no complex
         # temporary, as quadrature_peak_bytes counts 24 B per row and node
         rows = np.zeros((len(exponents), len(g)), dtype=complex)
         np.multiply(np.multiply.outer(exponents, g), -t, out=rows.imag)
         np.exp(rows, out=rows)
-        table = np.empty((len(c), len(g)), dtype=complex)
+        table = np.empty((len(index), len(g)), dtype=complex)
         table[0] = rows[0]
-        for j, k in enumerate(row_of, 1):
+        for j, k in enumerate(index[1:], 1):
             np.multiply(table[j - 1], rows[k], out=table[j])
         tables.append(table)
     return tables
@@ -137,24 +141,56 @@ def _tables(coords, gam, t):
 
 def _gaps(c):
     """What _tables exponentiates for the sorted coordinates c: c_0 and the
-    distinct gaps between successive ones; and for each j >= 1 the index of
-    c_j - c_{j-1} among them."""
+    distinct gaps between successive ones; and the index among them of c_0
+    and of each c_j - c_{j-1}, j >= 1."""
     gaps, gap_of = np.unique(np.diff(c), return_inverse=True)
-    return np.concatenate((c[:1], gaps)), gap_of + 1
+    return np.concatenate((c[:1], gaps)), np.concatenate(([0], gap_of + 1))
 
 
-def _distinct(xis):
-    """Per axis, the sorted distinct coordinates of the points xis and the
-    index of each point's coordinate among them."""
+class _Frequencies(NamedTuple):
+    """What the quadrature reads of a batch of frequencies: per axis, the
+    sorted distinct coordinates (`coords`) and their `_gaps`; per leading
+    axis, the coordinate index of each distinct leading (n-1)-tuple
+    (`lead`); and per point, the index of its leading tuple (`lead_of`) and
+    of its last coordinate (`last_of`)."""
+
+    coords: tuple
+    gaps: tuple
+    lead: tuple
+    lead_of: np.ndarray
+    last_of: np.ndarray
+
+
+def _frequencies(xis):
     # return_inverse also keeps np.unique off its masked-array test, whose
     # first call imports numpy.ma
-    return tuple(zip(*(np.unique(col, return_inverse=True) for col in xis.T)))
+    coords, where = zip(*(np.unique(col, return_inverse=True) for col in xis.T))
+    counts = [len(c) for c in coords[:-1]]
+    lead, lead_of = np.unique(np.ravel_multi_index(where[:-1], counts),
+                              return_inverse=True)
+    return _Frequencies(coords, tuple(_gaps(c) for c in coords),
+                        np.unravel_index(lead, counts), lead_of, where[-1])
 
 
-def _exponentials_per_node(xis):
+def _block_rows(counts, leading):
+    """The rows a time node works on per node of a block, for `counts[a]`
+    distinct coordinates on axis a and `leading` distinct leading tuples:
+    the tables and, for n > 2, the leading products (at n = 2 those are the
+    first table)."""
+    return sum(counts) + (leading if len(counts) > 2 else 0)
+
+
+def _block_width(freq):
+    """Nodes per block of _gl_values: its rows x the width fit
+    _BLOCK_ELEMENTS, and a block is at least one panel."""
+    rows = _block_rows([len(c) for c in freq.coords], len(freq.lead[0]))
+    return max(_GL_NODES.size, _BLOCK_ELEMENTS // rows)
+
+
+def _exponentials_per_node(freq):
     """The exponentials of one table set per quadrature node: per axis, one
     for its least coordinate and one per distinct gap."""
-    return sum(len(_gaps(c)[0]) for c in _distinct(xis)[0])
+    return sum(len(exponents) for exponents, _ in freq.gaps)
 
 
 def _distinct_steps(ts):
@@ -171,40 +207,46 @@ def mu_hat_batch(curve, cutoff, ts, xis, stats=None):
     `stats` receives the final `panels`, the node count `nodes` (16 per
     panel), `residual`, the final max |fine - coarse| over that magnitude,
     `steps`, the number of distinct differences between successive ts,
-    `levels`, the number of ladder levels run, and `exponentials`, the
-    complex exponentials their tables evaluated.
+    `levels`, the number of ladder levels run, `blocks`, the node blocks of
+    the final level, and `exponentials`, the complex exponentials their
+    tables evaluated.
 
     The cost follows the distinct gaps per axis and the distinct time steps,
-    not the batch size: each ladder level builds 1 + `steps` table sets of
-    nodes x (sum over axes of the distinct coordinates) entries, each entry
-    by one complex multiply, from nodes x (sum over axes of 1 + the distinct
-    gaps between successive coordinates) exponentials; it advances the
-    tables by one complex multiply per entry at each later time node, and
-    does one matrix product per time node, whose size is the distinct
-    leading (n-1)-tuples x the distinct last coordinates. On a lattice
-    support of m points that is far fewer than nodes x m exponentials per
-    time node.
+    not the batch size. Each ladder level walks its nodes in blocks sized to
+    stay in cache (_BLOCK_ELEMENTS). Per block it builds 1 + `steps` table
+    sets of block nodes x (sum over axes of the distinct coordinates)
+    entries, each entry by one complex multiply, from block nodes x (sum
+    over axes of 1 + the distinct gaps between successive coordinates)
+    exponentials; then at each time node it advances the tables by one
+    complex multiply per entry and adds one matrix product, of the distinct
+    leading (n-1)-tuples x the distinct last coordinates, to that time
+    node's sums. On a lattice support of m points that is far fewer than
+    nodes x m exponentials per time node. The batch's distinct coordinates,
+    gaps and leading tuples are found once per call.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     xis = np.atleast_2d(np.asarray(xis, dtype=float))
     if np.any(ts < 1.0) or np.any(ts > 2.0):
         raise DomainError("t must lie in [1, 2]")
+    freq = _frequencies(xis)
     panels = _panel_start(curve, cutoff, ts, xis)
-    coarse = _gl_values(curve, cutoff, ts, xis, panels)
+    coarse = _gl_values(curve, cutoff, ts, freq, panels)
     levels, panels_run = 1, panels
     while True:
-        fine = _gl_values(curve, cutoff, ts, xis, 2 * panels)
+        fine = _gl_values(curve, cutoff, ts, freq, 2 * panels)
         levels, panels_run = levels + 1, panels_run + 2 * panels
         scale = max(float(np.abs(fine).max()), 1e-300)
         gap = float(np.abs(fine - coarse).max())
         if gap <= _REL_TOL * scale:
             if stats is not None:
                 steps = _distinct_steps(ts)
+                nodes = 2 * panels * _GL_NODES.size
                 stats.update(
-                    panels=2 * panels, nodes=2 * panels * _GL_NODES.size,
-                    residual=gap / scale, steps=steps, levels=levels,
+                    panels=2 * panels, nodes=nodes, residual=gap / scale,
+                    steps=steps, levels=levels,
+                    blocks=-(-nodes // _block_width(freq)),
                     exponentials=(1 + steps) * panels_run * _GL_NODES.size
-                    * _exponentials_per_node(xis))
+                    * _exponentials_per_node(freq))
             return fine
         panels *= 2
         if panels > _MAX_PANELS:
@@ -220,19 +262,22 @@ def quadrature_peak_bytes(nodes, coords, leading, modes, times, steps):
     coordinates on axis a and `leading` distinct leading (n-1)-tuples, at
     `times` time nodes with `steps` distinct steps between them.
 
-    The terms: the tables and the cached table set of each distinct step;
-    the rows one table is built from (its least coordinate's and one per
-    distinct gap, so at most one per distinct coordinate) with the real
-    phase of their exponent; the leading-tuple chunk with one gathered table
-    row block; the block of the matrix product and its gather; the coarse
-    and fine results with their difference and its modulus; the nodes'
-    arrays and the index arithmetic on the frequencies.
+    Only the nodes' arrays grow with `nodes`: everything else a node block
+    holds is bounded by its entries, _block_rows times the block's nodes,
+    at most _BLOCK_ELEMENTS or one panel's worth. The terms, in block
+    entries: the tables and the cached table set of each distinct
+    step; the rows one table is built from (its least coordinate's and one
+    per distinct gap, so at most one per distinct coordinate) with the real
+    phase of their exponent; for n > 2 the leading products and one
+    gathered table. Then the per-time-node sums over the blocks and one
+    matrix product; the coarse and fine results with their difference and
+    its modulus; the nodes' arrays and the index arithmetic on the
+    frequencies.
     """
     n = len(coords)
-    chunk = min(leading, max(1, _CHUNK_ELEMENTS // nodes))
-    return int(16 * nodes * sum(coords) * (1 + steps) + 24 * nodes * max(coords)
-               + 32 * chunk * nodes
-               + 16 * leading * coords[-1] + 16 * modes
+    block = max(_BLOCK_ELEMENTS, _GL_NODES.size * _block_rows(coords, leading))
+    return int(16 * block * (1 + steps) + 24 * block + 32 * block * (n > 2)
+               + 16 * (times + 1) * leading * coords[-1]
                + 56 * times * modes
                + 8 * nodes * (n + 4) + 8 * modes * (3 * n + 4))
 

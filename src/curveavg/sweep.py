@@ -106,9 +106,10 @@ def run_cell(cfg, lam):
     Builds f once; multiplier samples on its support are batched over
     the short-window time nodes, which also carry the diagnostics (per-piece
     ratios, orthogonality defect, concentration fractions). `grid` records
-    the window, the support box and its norm grid; `timings` the set-up
-    (field, diagnostics' reference powers and the concentration ball's
-    kernel), the quadrature and the `space_stats` calls, in seconds.
+    the window, the support box, its norm grid and the support's mode
+    count; `quadrature` the multiplier's ladder (`mu_hat_batch`); `timings`
+    the set-up (field, diagnostics' reference powers and the concentration
+    ball's kernel), the quadrature and the `space_stats` calls, in seconds.
     """
     clock = time.perf_counter
     t0 = clock()
@@ -163,7 +164,8 @@ def run_cell(cfg, lam):
         "lam": float(lam),
         "nnu": len(f.support),
         "grid": {"window": list(window.dims), "box": box,
-                 "norm_grid": list(_norm_grid(box, ps))},
+                 "norm_grid": list(_norm_grid(box, ps)),
+                 "support": len(f.coeffs)},
         "norms_in": {p: norms_in[p] for p in ps},
         "out_short": out_short,
         "quotient": {p: out_short[p] / norms_in[p] for p in ps},

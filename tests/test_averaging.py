@@ -239,7 +239,8 @@ def test_l2_norm_needs_no_transform(monkeypatch):
 
 def test_fraction_needs_its_own_pass(monkeypatch):
     # the fraction samples |f|^2 on the kernel's grid: one pass per axis,
-    # beside the norms' own
+    # beside the norms' own, except at p_max = 4, whose norm grid is the
+    # kernel's grid
     f = _random_field(4)
     kernel = ball_kernel(f, 0.5)
     calls = _count_ifft(monkeypatch)
@@ -247,8 +248,12 @@ def test_fraction_needs_its_own_pass(monkeypatch):
     assert norms[2.0] == pytest.approx(f.l2(), rel=1e-12)
     assert 0.0 < fraction < 1.0
     assert len(calls) == 3
-    space_stats(f, [2.0, 4.0], ball=kernel)
-    assert len(calls) == 9
+    _, reused = space_stats(f, [2.0, 4.0], ball=kernel)
+    assert len(calls) == 6
+    _, own = space_stats(f, [2.0, 6.0], ball=kernel)
+    assert len(calls) == 12
+    assert reused == pytest.approx(own, rel=1e-14)
+    assert reused == pytest.approx(fraction, rel=1e-14)
 
 
 def _ball_hat(rho, radius, n):

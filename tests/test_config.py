@@ -4,11 +4,13 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from curveavg import (ConfigError, CounterexampleSpec, RunConfig, build_f,
-                      enforce_memory_cap, estimate_field_bytes, parse_config,
-                      parse_memory_size, run_cell, windowed_lattice,
-                      with_overrides)
-from curveavg.config import _piece_boxes, chart_from, cutoff_from
+from curveavg import (ConfigError, CounterexampleSpec, RunConfig, TimeWindow,
+                      build_f, enforce_memory_cap, estimate_field_bytes,
+                      mu_hat_batch, parse_config, parse_memory_size, run_cell,
+                      windowed_lattice, with_overrides)
+from curveavg.config import (_estimate_terms, _piece_boxes, chart_from,
+                             cutoff_from)
+from curveavg.sweep import _cell_setup
 
 GOOD = """
 [curve]
@@ -222,6 +224,37 @@ def test_estimate_bounds_measured_peak():
             assert cfg.time_nodes == 9 or cell["quadrature"]["steps"] == 3
             assert estimate_field_bytes(cfg, lam) >= peak, (cfg.n, lam,
                                                             cfg.time_nodes)
+
+
+# (config, lambda, final panels, ladder levels, node blocks of the final level)
+QUADRATURE_CASES = (
+    # n2 at lambda = 256: 3072 nodes walked in 9 blocks
+    (PLANAR, 256.0, 192, 2, 9),
+    # n3 at lambda = 4 (the keys of perfbench/workloads/n3.cfg): the ladder
+    # runs 3 -> 6 -> 12 -> 24 panels, while the gate assumes the 8 of the
+    # first fine level of a ladder started at the support box's corners
+    (_SMALL.replace("time_nodes = 9", "time_nodes = 5"), 4.0, 24, 4, 1),
+)
+
+
+@pytest.mark.parametrize("text, lam, panels, levels, blocks", QUADRATURE_CASES,
+                         ids=["n2-lambda256", "n3-lambda4"])
+def test_quadrature_estimate_bounds_its_peak(text, lam, panels, levels, blocks):
+    # the gate's quadrature term bounds the peak of mu_hat_batch however
+    # far the ladder runs: only the nodes' own arrays grow with it
+    cfg = parse_config(text)
+    curve, cutoff, _, f = _cell_setup(cfg, lam)
+    ts = TimeWindow.short(lam, cfg.n, m=cfg.time_nodes).nodes
+    stats = {}
+    tracemalloc.start()
+    try:
+        mu_hat_batch(curve, cutoff, ts, f.xi(), stats=stats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (stats["panels"], stats["levels"], stats["blocks"]) == (
+        panels, levels, blocks)
+    assert _estimate_terms(cfg, lam)[1] >= peak
 
 
 def test_windowed_estimate_is_modest():

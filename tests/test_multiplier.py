@@ -154,11 +154,17 @@ def _direct_sum(curve, cutoff, ts, xis, panels):
     return np.array([w @ np.exp(-1j * t * phase) for t in ts])
 
 
+def _gl_values(curve, cutoff, ts, xis, panels):
+    return multiplier._gl_values(curve, cutoff, np.asarray(ts, float),
+                                 multiplier._frequencies(xis), panels)
+
+
 def _assert_matches_direct(curve, cutoff, xis, panels=24, ts=(1.0, 1.37, 2.0)):
-    got = multiplier._gl_values(curve, cutoff, np.asarray(ts, float), xis, panels)
+    got = _gl_values(curve, cutoff, ts, xis, panels)
     want = _direct_sum(curve, cutoff, ts, xis, panels)
     assert got.shape == (len(ts), len(xis))
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    return got
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -235,12 +241,12 @@ def test_tables_exponentiated_once_per_distinct_step(nodes, moment3, chi,
     calls = []
     tables = multiplier._tables
 
-    def counted(coords, gam, t):
+    def counted(freq, gam, t):
         calls.append(t)
-        return tables(coords, gam, t)
+        return tables(freq, gam, t)
 
     monkeypatch.setattr(multiplier, "_tables", counted)
-    multiplier._gl_values(moment3, chi, ts, SINGLE_POINT, 8)
+    _gl_values(moment3, chi, ts, SINGLE_POINT, 8)   # one block of 128 nodes
     steps = multiplier._distinct_steps(ts)
     assert steps == {"equal-steps": 1, "short-window": 2, "non-monotone": 3,
                      "single-t": 0}[nodes]
@@ -248,14 +254,45 @@ def test_tables_exponentiated_once_per_distinct_step(nodes, moment3, chi,
 
 
 def test_factorised_sum_in_ragged_chunks(moment3, chi, monkeypatch):
-    # 10 distinct leading tuples, 3 per chunk: chunks of 3, 3, 3 and 1
+    # 10 distinct leading tuples over 30 distinct last coordinates: 60 rows
+    # per node; 48 nodes per block splits the 128 nodes as 48, 48 and 32
     rng = np.random.default_rng(7)
     lead = rng.uniform(-30.0, 30.0, size=(10, 2))
     xis = np.array([[a, b, c] for a, b in lead
                     for c in rng.uniform(-30.0, 30.0, size=3)])
-    panels = 8
-    monkeypatch.setattr(multiplier, "_CHUNK_ELEMENTS", 3 * 16 * panels)
-    _assert_matches_direct(moment3, chi, xis, panels=panels)
+    monkeypatch.setattr(multiplier, "_BLOCK_ELEMENTS", 60 * 48)
+    assert multiplier._block_width(multiplier._frequencies(xis)) == 48
+    _assert_matches_direct(moment3, chi, xis, panels=8)
+
+
+# node blocks of _gl_values: one panel each, and a width that divides no
+# panel count below (26 panels = 416 nodes, 2 panels = 32 nodes)
+BLOCKINGS = {"one-panel": lambda rows: 1, "ragged": lambda rows: 100 * rows}
+
+
+@pytest.mark.parametrize("inputs", ["field-support", "planar-lattice",
+                                    "single-point"])
+@pytest.mark.parametrize("blocking", list(BLOCKINGS))
+def test_blocking_moves_only_the_order_of_the_sum(blocking, inputs, moment3,
+                                                  chi, request, monkeypatch):
+    curve, ts = moment3, TIME_NODES["short-window"]
+    if inputs == "field-support":
+        xis = request.getfixturevalue("field_support")
+    elif inputs == "planar-lattice":
+        curve = CurveSpec.moment(2)
+        k = np.arange(256) - 128
+        xis = np.stack([k * 0.3125, np.where(k % 2, 3.7, -1.3)], axis=1)
+    else:
+        xis = SINGLE_POINT
+    freq = multiplier._frequencies(xis)
+    panel_counts = (26, 2)
+    default = [_gl_values(curve, chi, ts, xis, panels) for panels in panel_counts]
+    rows = multiplier._block_rows(list(map(len, freq.coords)), len(freq.lead[0]))
+    monkeypatch.setattr(multiplier, "_BLOCK_ELEMENTS", BLOCKINGS[blocking](rows))
+    assert multiplier._block_width(freq) == (16 if blocking == "one-panel" else 100)
+    for panels, want in zip(panel_counts, default):
+        got = _assert_matches_direct(curve, chi, xis, panels=panels, ts=ts)
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
 def test_mu_hat_batch_reports_its_ladder(moment3, chi):
@@ -263,17 +300,18 @@ def test_mu_hat_batch_reports_its_ladder(moment3, chi):
     xis = np.array([[0.0, 0.0, 40.0], [1.0, 3.0, 60.0]])
     vals = mu_hat_batch(moment3, chi, [1.0, 1.5], xis, stats=stats)
     assert set(stats) == {"panels", "nodes", "residual", "steps", "levels",
-                          "exponentials"}
+                          "blocks", "exponentials"}
     assert stats["nodes"] == 16 * stats["panels"]
+    width = multiplier._block_width(multiplier._frequencies(xis))
+    assert stats["blocks"] == -(-stats["nodes"] // width)
     assert stats["steps"] == 1
     start = multiplier._panel_start(moment3, chi, np.array([1.0, 1.5]), xis)
     assert stats["panels"] == start << (stats["levels"] - 1)
     assert 0.0 <= stats["residual"] <= 1e-9
     # the returned values are the final (fine) level of the ladder
     assert np.array_equal(
-        vals, multiplier._gl_values(moment3, chi, [1.0, 1.5], xis, stats["panels"]))
-    coarse = multiplier._gl_values(moment3, chi, [1.0, 1.5], xis,
-                                   stats["panels"] // 2)
+        vals, _gl_values(moment3, chi, [1.0, 1.5], xis, stats["panels"]))
+    coarse = _gl_values(moment3, chi, [1.0, 1.5], xis, stats["panels"] // 2)
     assert stats["residual"] == np.abs(vals - coarse).max() / np.abs(vals).max()
 
 

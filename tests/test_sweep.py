@@ -154,15 +154,17 @@ def test_sweep_cell_structure(tiny_report):
         assert "out_full" not in c   # the sweep measures the short window only
         quad = c["quadrature"]
         assert set(quad) == {"panels", "nodes", "residual", "steps", "levels",
-                             "exponentials"}
+                             "blocks", "exponentials"}
         assert quad["nodes"] == 16 * quad["panels"]
         assert quad["levels"] >= 2 and quad["exponentials"] > 0
+        assert 1 <= quad["blocks"] <= quad["panels"]
         assert quad["steps"] == len(set(np.diff(c["t_nodes_short"])))
         assert 0.0 <= quad["residual"] <= 1e-9
         grid = c["grid"]
-        assert set(grid) == {"window", "box", "norm_grid"}
+        assert set(grid) == {"window", "box", "norm_grid", "support"}
         assert grid["norm_grid"] == list(_norm_grid(grid["box"], c["norms_in"]))
         assert all(b <= m for b, m in zip(grid["box"], grid["window"]))
+        assert c["nnu"] <= grid["support"] <= np.prod(grid["box"])
         timings = c["timings"]
         assert set(timings) == {"setup_s", "quadrature_s", "norms_s"}
         assert all(v > 0 for v in timings.values())
