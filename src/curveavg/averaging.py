@@ -12,13 +12,15 @@ not change under modulation, so only the bounding box of the support's
 lattice indices is transformed: the coefficient vector is scattered into a
 box-sized array, zero-padded per axis to the least 7-smooth
 F >= (p_max/2)(span - 1) + 1 points: exact for every requested p up to the
-largest, p_max. The box is padded and transformed one axis at a time, axis 0
-first, so the strided passes run on the small, partly padded arrays and only
-the contiguous last axis is transformed at full size. |f|^2 is squared in
-place on the transform's float view, and |f|^4, |f|^6, ... follow by chained
-in-place products, one full-grid multiply and one sum per step. p = 2 is
-Parseval's sum over the box and needs no transform; when it is the largest
-requested p none runs. p = inf and non-even p are rejected.
+largest, p_max. The box is padded and transformed along axis 0 once; the
+rows of that output are then taken in slabs of about `_SLAB_POINTS` grid
+points (at least one row), and each slab alone is padded and transformed
+along axes 1 ... n-1, so no stage after the first is held at the full grid
+size. A slab's |f|^2 is squared in place on its transform's float view, and
+|f|^4, |f|^6, ... follow by chained in-place products, one multiply and one
+sum per step; the sums add up over the slabs. p = 2 is Parseval's sum over
+the box and needs no transform; when it is the largest requested p none
+runs. p = inf and non-even p are rejected.
 
 The concentration fraction is exact. |f|^2 = L^{-2n} sum_q A(q) e^{i<q dk, x>}
 with A(q) = sum_{k - k' = q} c_k conj(c_k'), so the mass inside the centered
@@ -30,7 +32,9 @@ least 7-smooth grid G >= 2 span - 1 per axis carries it without aliasing:
 the sum is one dot product of those samples with a real kernel K on G,
 the inverse transform of B_hat (even in every axis, so one real irfft per
 axis from its values at q_a >= 0). `ball_kernel` builds K once for every field
-on a support box; each `space_stats` call then runs one per-axis pass onto G.
+on a support box; each `space_stats` call then takes |f|^2 on G slab by slab,
+as for the norms, and adds up its dot product with the same rows of K. At
+p_max = 4 the norm grid is G, and one slab loop feeds both.
 """
 
 from __future__ import annotations
@@ -46,6 +50,10 @@ from .multiplier import mu_hat_batch
 
 __all__ = ["TimeWindow", "apply_averaging", "direct_oracle", "ball_kernel",
            "space_stats", "lp_norm_spacetime", "norm_peak_bytes"]
+
+# grid points per slab of the passes after axis 0: a slab's complex
+# transform (1 MiB), |f|^2 and power buffer are sized for a core's L2 cache
+_SLAB_POINTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -186,28 +194,46 @@ def ball_kernel(field, radius):
 
 
 def _abs2(box, F):
-    """|f|^2 on the grid F: the box padded and inverse-transformed one axis
-    at a time, axis 0 first, then squared in place on the float view."""
-    vals = box
-    for a, Fa in enumerate(F):
-        vals = np.fft.ifft(vals, n=Fa, axis=a, norm="forward")
-    sq = vals.view(np.float64)
-    np.square(sq, out=sq)
-    return sq[..., 0::2] + sq[..., 1::2]
+    """|f|^2 on the grid F, slab by slab: (first row, slab) pairs over slabs
+    of axis-0 rows, at most `_SLAB_POINTS` grid points each or one row where
+    a row is larger. The box is padded and inverse-transformed along axis 0
+    once; each slab of those rows is then transformed along axes 1 ... n-1
+    alone and squared in place on its float view, and its complex transform
+    is dropped before the slab is yielded."""
+    head = np.fft.ifft(box, n=F[0], axis=0, norm="forward")
+    rows = max(1, _SLAB_POINTS // int(np.prod(F[1:])))
+    for r0 in range(0, F[0], rows):
+        vals = head[r0:r0 + rows]
+        for a in range(1, len(F)):
+            vals = np.fft.ifft(vals, n=F[a], axis=a, norm="forward")
+        sq = vals.view(np.float64)
+        np.square(sq, out=sq)
+        slab = sq[..., 0::2] + sq[..., 1::2]
+        del vals, sq
+        yield r0, slab
+
+
+def _inside(slab, ball, r0):
+    """The slab's share of the ball's dot product: |f|^2 there times the
+    kernel's rows r0 ... r0 + len(slab)."""
+    return float(slab.ravel() @ ball[r0:r0 + len(slab)].ravel())
 
 
 def space_stats(field, ps, ball=None):
     """Torus L^p norms (dict p -> norm) for even integer p, and, given the
     `ball_kernel` of a centered ball, the mass fraction of |f|^2 inside it.
 
-    The norms are exact Riemann sums on the grid `_norm_grid(box, ps)`: one
-    per-axis inverse FFT pass per axis (axis 0 first, the contiguous axis
-    last and largest), |f|^2 in place, then one multiply and one sum per
-    further even power. p = 2 is taken from Parseval, prod(F) * sum |box|^2,
-    without a transform. The box spans the support's lattice indices, and
-    the coefficient vector is scattered into it. The fraction is exact: one
-    further pass onto the kernel's grid and one dot product; at p_max = 4
-    that grid is the norm grid, and the norms' |f|^2 is reused. It is None
+    The norms are exact Riemann sums on the grid `_norm_grid(box, ps)`,
+    added up slab by slab: `_abs2` runs the axis-0 pass once on the whole
+    box and the passes on the other axes per slab of axis-0 rows, and each
+    slab's |f|^2 is raised to each further even power by one multiply and
+    summed. p = 2 is taken from Parseval, prod(F) * sum |box|^2, without a
+    transform. The box spans the support's lattice indices, and the
+    coefficient vector is scattered into it. The fraction is exact: the dot
+    product of |f|^2 on the kernel's grid G with the kernel, added up over
+    the slabs of G with the kernel sliced by the same rows. At p_max = 4 the
+    norm grid is G, so one slab loop feeds both; otherwise G has its own,
+    which also runs when no norm needs a transform. The fraction is None
     without a ball and for a field with no nonzero coefficient, whose norms
     are all 0.
     """
@@ -220,35 +246,36 @@ def space_stats(field, ps, ball=None):
         return {p: 0.0 for p in ps}, None
     lo, span = field.box()
     box = field.dense(span, origin=lo)
+    G = _ball_grid(box.shape)
+    if ball is not None and ball.shape != G:
+        raise DomainError(f"ball kernel on grid {ball.shape}, this field's "
+                          f"support box needs {G}")
 
     F = _norm_grid(box.shape, ps)
     power = float((box.real ** 2 + box.imag ** 2).sum())
-    sums = {2: float(np.prod(F)) * power}
     top = int(max(ps)) // 2
-    ab2 = None
+    sums = {2 * k: 0.0 for k in range(2, top + 1)}
+    sums[2] = float(np.prod(F)) * power
+    # at p_max = 4 the norm grid is the kernel's grid
+    shared = ball is not None and top == 2
+    inside = 0.0
     if top > 1:
-        ab2 = _abs2(box, F)
-        pw = ab2 * ab2
-        for k in range(2, top + 1):
-            if k > 2:
-                pw *= ab2
-            if 2 * k in ps:
-                sums[2 * k] = float(pw.sum())
-        del pw
+        for r0, ab2 in _abs2(box, F):
+            pw = ab2 * ab2
+            for k in range(2, top + 1):
+                if k > 2:
+                    pw *= ab2
+                if 2 * k in ps:
+                    sums[2 * k] += float(pw.sum())
+            if shared:
+                inside += _inside(ab2, ball, r0)
     cell = L ** n / float(np.prod(F))
     norms = {p: (cell * sums[int(p)]) ** (1.0 / p) / L ** n for p in ps}
     if ball is None:
         return norms, None
-
-    G = _ball_grid(box.shape)
-    if ball.shape != G:
-        raise DomainError(f"ball kernel on grid {ball.shape}, this field's "
-                          f"support box needs {G}")
-    # at p_max = 4 the norm grid is G, and its |f|^2 serves the fraction
-    if ab2 is None or ab2.shape != G:
-        del ab2
-        ab2 = _abs2(box, G)
-    inside = float(ab2.ravel() @ ball.ravel())
+    if not shared:
+        for r0, ab2 in _abs2(box, G):
+            inside += _inside(ab2, ball, r0)
     return norms, inside / (L ** n * power)
 
 
@@ -265,25 +292,38 @@ def lp_norm_spacetime(space_norms, p, window):
 
 def norm_peak_bytes(span, ps):
     """Upper bound on the peak memory of space_stats, with a ball, for a
-    field whose support's lattice indices span a box of the given shape.
+    field whose support's lattice indices span a box of the given shape,
+    and of the `ball_kernel` build before it.
 
-    The terms bound the stages in turn:
+    space_stats holds, at most, the sum of
     - the box and its scatter: the box array, 16 bytes per point, held to
       the end, and the support's window indices unravelled per axis, 8n
       bytes per support point, of which the box holds at most one per point;
-    - the norm grid, 48 bytes per point counted against at most 32 used
-      (plus the FFT's fixed-size line buffers). The last per-axis pass
-      holds its complex input (at most the grid's size) and output, 32
-      bytes; squaring the output in place and adding its halves holds the
-      squared view and |f|^2, 24 bytes; the chained powers hold |f|^2 and
-      the power buffer, 16 bytes. p = 2 alone runs no transform;
-    - the ball's grid G, 56 bytes per point: the same pass onto G,
-      48, and the kernel read there, 8. `ball_kernel` holds less while it
-      builds the kernel: its last irfft holds its real input (G/2 + 1 of
-      the last axis's G points) and the input's complex copy, at most 24
-      bytes per grid point, and the real output, 8.
+    - on the norm grid F: the axis-0 pass output, F_0 * prod(span[1:])
+      complex, held through the slab loop; and one slab's working set, at
+      least one axis-0 row of prod(F[1:]) points, 48 bytes per point (plus
+      the FFT's line buffers, shorter than a row): the last pass's input and
+      output, 32, beside the previous slab's |f|^2 and power buffer, 16,
+      which the loop holds until the next slab is yielded. p = 2 alone runs
+      no pass on F;
+    - the same two terms on the ball's grid G (whose slab loop is the one
+      on F at p_max = 4);
+    - the kernel, 8 bytes per point of G.
+    `ball_kernel` builds the kernel before the call, with none of these
+    held. It holds B_hat's table over the integers 0 ... max |q|^2, 8 bytes
+    per entry (quadratic in the longest span, so at n = 2 larger than G),
+    and each per-axis irfft holds the integer |q|^2 grid, its real input and
+    the input's complex copy, each at most the size of G, and its real
+    output: at most 40 bytes per point of G.
     """
-    B = np.prod(span, dtype=float)
-    F = np.prod(_norm_grid(span, ps), dtype=float)
-    G = np.prod(_ball_grid(span), dtype=float)
-    return int((16 + 8 * len(span)) * B + 48 * F + 56 * G)
+    def passes(grid):
+        row = np.prod(grid[1:], dtype=float)
+        rows = min(grid[0], max(1, _SLAB_POINTS // int(row)))
+        return 16 * grid[0] * np.prod(span[1:], dtype=float) + 48 * rows * row
+
+    G = _ball_grid(span)
+    kernel = np.prod(G, dtype=float)
+    table = sum((g // 2) ** 2 for g in G) + 1
+    stats = ((16 + 8 * len(span)) * np.prod(span, dtype=float)
+             + passes(_norm_grid(span, ps)) + passes(G) + 8 * kernel)
+    return int(max(stats, 40 * kernel + 8 * table))

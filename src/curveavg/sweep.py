@@ -19,6 +19,8 @@ parallelism degree.
 
 from __future__ import annotations
 
+import resource
+import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -108,8 +110,10 @@ def run_cell(cfg, lam):
     ratios, orthogonality defect, concentration fractions). `grid` records
     the window, the support box, its norm grid and the support's mode
     count; `quadrature` the multiplier's ladder (`mu_hat_batch`); `timings`
-    the set-up (field, diagnostics' reference powers and the concentration
-    ball's kernel), the quadrature and the `space_stats` calls, in seconds.
+    the field (curve, windows and `build_f`), the diagnostics' reference
+    powers with the concentration ball's kernel, the quadrature and the
+    `space_stats` calls, in seconds; `peak_rss_mib` the peak resident set of
+    the process that ran the cell, as it stands when the cell ends.
     """
     clock = time.perf_counter
     t0 = clock()
@@ -117,13 +121,14 @@ def run_cell(cfg, lam):
     window = f.window
     ps = tuple(sorted(set([2.0] + [float(p) for p in cfg.ps])))
     n = cfg.n
+    short = TimeWindow.short(lam, n, m=cfg.time_nodes)
+    t_kernel = clock()
 
     Ln = window.L ** n
     g_power = [float((np.abs(f.coeffs[b.rows] / lam ** (1.0 / n)) ** 2).sum()) / Ln
                for b in f.support]
     kernel = ball_kernel(f, ball_radius_from(cfg, lam))
 
-    short = TimeWindow.short(lam, n, m=cfg.time_nodes)
     quadrature = {}
     t_quad = clock()
     mu_short = mu_hat_batch(curve, cutoff, short.nodes, f.xi(), stats=quadrature)
@@ -176,10 +181,18 @@ def run_cell(cfg, lam):
         "fractions": [float(v) for v in fractions],
         "t_nodes_short": list(short.nodes),
         "quadrature": quadrature,
-        "timings": {"setup_s": t_quad - t0, "quadrature_s": t_in - t_quad,
-                    "norms_s": norms_s},
+        "timings": {"field_s": t_kernel - t0, "kernel_s": t_quad - t_kernel,
+                    "quadrature_s": t_in - t_quad, "norms_s": norms_s},
         "runtime_s": clock() - t0,
+        "peak_rss_mib": _peak_rss_mib(),
     }
+
+
+def _peak_rss_mib():
+    """This process's peak resident set so far, in MiB (`ru_maxrss` counts
+    KiB on Linux and bytes on macOS)."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1 << (20 if sys.platform == "darwin" else 10))
 
 
 def _cell_job(args):

@@ -11,7 +11,8 @@ from curveavg import (CurveSpec, CutoffSpec, DomainError, GeometryError,
                       TimeWindow, apply_averaging, ball_kernel, direct_oracle,
                       lp_norm_spacetime, mu_hat_batch, norm_peak_bytes,
                       parse_config, run_cell, space_stats)
-from curveavg.averaging import _ball_grid, _norm_grid
+from curveavg import averaging
+from curveavg.averaging import _SLAB_POINTS, _ball_grid, _norm_grid
 from curveavg.sweep import _cell_setup
 
 CURVE = CurveSpec.moment(3)
@@ -256,6 +257,88 @@ def test_fraction_needs_its_own_pass(monkeypatch):
     assert reused == pytest.approx(fraction, rel=1e-14)
 
 
+def _gapped_field(dims, seed):
+    """A random field on about half the modes of a window of these dims."""
+    rng = np.random.default_rng(seed)
+    window = LatticeWindow(L=3.0, dims=dims, k0=tuple(-m // 2 for m in dims))
+    fhat = np.zeros(dims, dtype=complex)
+    keep = rng.random(dims) < 0.5
+    fhat[keep] = (rng.standard_normal(keep.sum())
+                  + 1j * rng.standard_normal(keep.sum()))
+    return SpectralField.from_dense(window, fhat)
+
+
+def _slab_rows(monkeypatch):
+    """The row counts of every slab `_abs2` yields, one list per loop."""
+    loops = []
+    abs2 = averaging._abs2
+
+    def recorded(box, F):
+        loops.append([])
+        for r0, slab in abs2(box, F):
+            loops[-1].append(len(slab))
+            yield r0, slab
+
+    monkeypatch.setattr(averaging, "_abs2", recorded)
+    return loops
+
+
+def _ragged_budget(*grids):
+    """A slab budget that cuts each grid's axis-0 rows into several slabs
+    with a shorter last one."""
+    def ragged(budget, grid):
+        rows = max(1, budget // int(np.prod(grid[1:])))
+        return rows < grid[0] and grid[0] % rows
+
+    return next(budget for g in grids for r in range(2, g[0])
+                for budget in [r * int(np.prod(g[1:]))]
+                if all(ragged(budget, h) for h in grids))
+
+
+@pytest.mark.parametrize("top", [2, 4, 6, 8])
+@pytest.mark.parametrize("dims", [(16, 12), (8, 8, 6), (12, 4, 4, 4)])
+def test_slabs_match_one_slab(monkeypatch, dims, top):
+    # the norms and the fraction added up over several slabs, the last one
+    # ragged, equal the one-slab sums to rounding
+    f = _gapped_field(dims, top)
+    ps = [float(p) for p in range(2, top + 1, 2)]
+    kernel = ball_kernel(f, 0.9)
+    span = f.box()[1]
+    grids = [_norm_grid(span, ps)] * (top > 2) + [_ball_grid(span)]
+    monkeypatch.setattr(averaging, "_SLAB_POINTS", 1 << 40)
+    one = [space_stats(f, ps), space_stats(f, ps, ball=kernel)]
+    loops = _slab_rows(monkeypatch)
+    monkeypatch.setattr(averaging, "_SLAB_POINTS", _ragged_budget(*grids))
+    many = [space_stats(f, ps), space_stats(f, ps, ball=kernel)]
+    # one norm loop per call (none at top = 2), plus the fraction's own
+    # loop except at top = 4, where the norm loop feeds it
+    assert len(loops) == (top > 2) + (top > 2) + (top != 4)
+    assert all(1 < len(rows) and rows[-1] < rows[0] for rows in loops)
+    for (norms, _), (want, _) in zip(many, one):
+        assert norms == pytest.approx(want, rel=1e-13, abs=0)
+    assert many[0][1] is None
+    assert many[1][1] == pytest.approx(one[1][1], rel=1e-13, abs=0)
+    assert 0.0 < many[1][1] < 1.0
+
+
+@pytest.mark.parametrize("dims", [(16, 12), (8, 8, 6), (12, 4, 4, 4)])
+def test_shared_loop_fraction_matches_own_loop(monkeypatch, dims):
+    # at p_max = 4 the norm loop feeds the fraction; at p_max = 6 the
+    # fraction runs its own loop on G; over several slabs they agree
+    f = _gapped_field(dims, 1)
+    kernel = ball_kernel(f, 0.9)
+    span = f.box()[1]
+    monkeypatch.setattr(averaging, "_SLAB_POINTS", _ragged_budget(
+        _ball_grid(span), _norm_grid(span, [6.0])))
+    loops = _slab_rows(monkeypatch)
+    _, shared = space_stats(f, [2.0, 4.0], ball=kernel)
+    _, own = space_stats(f, [2.0, 6.0], ball=kernel)
+    # the shared loop, then the p = 6 norm loop and the fraction's own
+    assert len(loops) == 3 and loops[0] == loops[2]
+    assert all(1 < len(rows) and rows[-1] < rows[0] for rows in loops)
+    assert shared == pytest.approx(own, rel=1e-13)
+
+
 def _ball_hat(rho, radius, n):
     """The ball's Fourier transform (2 pi R / rho)^{n/2} J_{n/2}(R rho),
     omega_n R^n at rho = 0."""
@@ -351,21 +434,32 @@ def test_spacetime_norm_checks_node_count():
 P8 = (2.0, 4.0, 6.0, 8.0)
 
 
-@pytest.mark.parametrize("dims, box, radius, ps", [
-    pytest.param((16, 32, 32), None, 1.0, P8, id="memory-3d"),
-    pytest.param((8, 16, 8), None, 1.0, P8, id="memory-3d-small"),
-    pytest.param((64, 32), None, 1.0, P8, id="memory-2d"),
-    pytest.param((64, 64, 64), (5, 9, 4), 1.0, P8, id="small-box-large-window"),
-    pytest.param((16, 16, 16), (7, 3, 16), 9.9, P8, id="ball-near-half-side"),
+@pytest.mark.parametrize("dims, box, radius, ps, slabs", [
+    pytest.param((16, 32, 32), None, 1.0, P8, None, id="memory-3d"),
+    pytest.param((8, 16, 8), None, 1.0, P8, None, id="memory-3d-small"),
+    pytest.param((64, 32), None, 1.0, P8, None, id="memory-2d"),
+    pytest.param((64, 64, 64), (5, 9, 4), 1.0, P8, None,
+                 id="small-box-large-window"),
+    pytest.param((16, 16, 16), (7, 3, 16), 9.9, P8, None,
+                 id="ball-near-half-side"),
     # grid 21 x 70 x 21: factors of 7 on every axis
-    pytest.param((32, 32, 32), (6, 17, 6), 1.0, P8, id="grid-factor-7"),
+    pytest.param((32, 32, 32), (6, 17, 6), 1.0, P8, None, id="grid-factor-7"),
     # grid 25 x 27 x 1: the last pass's input is as large as its output
-    pytest.param((32, 32, 16), (13, 14, 1), 1.0, (2.0, 4.0),
+    pytest.param((32, 32, 16), (13, 14, 1), 1.0, (2.0, 4.0), None,
                  id="last-axis-grows-least"),
+    # grid 14 x 400 x 686: one axis-0 row, 274 400 points, is a slab
+    pytest.param((8, 128, 256), (4, 100, 170), 1.0, P8, 14,
+                 id="row-above-slab"),
+    # grid 147 x 162 x 90: 37 slabs of 4 rows, the last of 3
+    pytest.param((64, 64, 64), (37, 41, 23), 1.0, P8, 37,
+                 id="many-slabs-ragged"),
 ])
-def test_peak_bytes_bounds_measured_peak(dims, box, radius, ps):
+def test_peak_bytes_bounds_measured_peak(dims, box, radius, ps, slabs):
     rng = np.random.default_rng(2)
     box = dims if box is None else box
+    F = _norm_grid(box, ps)
+    rows = max(1, _SLAB_POINTS // int(np.prod(F[1:])))
+    assert slabs in (None, -(-F[0] // rows))
     fhat = np.zeros(dims, dtype=complex)
     fhat[tuple(slice(m - b, m) for m, b in zip(dims, box))] = (
         rng.standard_normal(box) + 1j * rng.standard_normal(box))

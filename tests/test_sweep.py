@@ -11,7 +11,7 @@ from curveavg import (DomainError, RunConfig, SweepReport, critical_exponent,
                       expected_slopes, fit_slope, sharpness_sweep)
 from curveavg import sweep as sweep_module
 from curveavg.averaging import _norm_grid
-from curveavg.sweep import _trend_mostly_decreasing
+from curveavg.sweep import _peak_rss_mib, _trend_mostly_decreasing
 
 
 # --- the critical exponent ----------------------------------------------------
@@ -142,6 +142,11 @@ def test_sweep_requires_three_lambdas(tiny_cfg):
 def test_sweep_cell_structure(tiny_report):
     assert isinstance(tiny_report, SweepReport)
     assert [c["lam"] for c in tiny_report.cells] == [32.0, 45.0, 64.0]
+    # the cells ran in this process, in lambda order, so their peak RSS is
+    # its running maximum, in MiB
+    peaks = [c["peak_rss_mib"] for c in tiny_report.cells]
+    assert 1 < peaks[0] and peaks == sorted(peaks)
+    assert peaks[-1] <= _peak_rss_mib() < 1 << 20
     for c in tiny_report.cells:
         assert c["nnu"] == 2 * int(0.7 * c["lam"] ** (1 / 3)) + 1
         assert set(c["norms_in"]) == {2.0, 4.0}   # 2.0 always measured
@@ -166,7 +171,8 @@ def test_sweep_cell_structure(tiny_report):
         assert all(b <= m for b, m in zip(grid["box"], grid["window"]))
         assert c["nnu"] <= grid["support"] <= np.prod(grid["box"])
         timings = c["timings"]
-        assert set(timings) == {"setup_s", "quadrature_s", "norms_s"}
+        assert set(timings) == {"field_s", "kernel_s", "quadrature_s",
+                                "norms_s"}
         assert all(v > 0 for v in timings.values())
         assert sum(timings.values()) <= c["runtime_s"]
 
