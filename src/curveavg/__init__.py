@@ -25,7 +25,7 @@ from .errors import (ApertureError, ConfigError, ConvergenceError,
                      QuadratureError, ResolutionError)
 from .fields import (CounterexampleSpec, GridSpec, LatticeWindow,
                      SpectralField, SupportBall, build_f, frequency_centers,
-                     windowed_lattice)
+                     piece_boxes, windowed_lattice)
 from .multiplier import (MultiplierSample, alpha_n, derivative_bound_check,
                          mu_hat, mu_hat_batch, multiplier_sample)
 from .reporting import (load_snapshot, render_report, save_snapshot,
@@ -50,7 +50,7 @@ __all__ = [
     # fields
     "GridSpec", "LatticeWindow", "SpectralField", "SupportBall",
     "CounterexampleSpec", "frequency_centers", "windowed_lattice",
-    "build_f",
+    "piece_boxes", "build_f",
     # averaging
     "TimeWindow", "apply_averaging", "direct_oracle", "ball_kernel",
     "space_stats", "lp_norm_spacetime", "norm_peak_bytes",

@@ -183,11 +183,10 @@ def ball_kernel(field, radius):
     G = _ball_grid(field.box()[1])
     q2 = sum((np.arange(g // 2 + 1) ** 2).reshape((-1,) + (1,) * (n - 1 - a))
              for a, g in enumerate(G))
-    table = np.zeros(int(q2.max()) + 1)
-    table[q2.ravel()] = 1.0
-    present = np.flatnonzero(table)
-    table[present] = _ball_transform(np.sqrt(present) * window.dk, radius, n)
-    kernel = table[q2]
+    present, where = np.unique(q2, return_inverse=True)
+    kernel = _ball_transform(np.sqrt(present) * window.dk, radius,
+                             n)[where.reshape(q2.shape)]
+    del q2, where
     for a, g in enumerate(G):
         kernel = np.fft.irfft(kernel, n=g, axis=a)
     return kernel
@@ -310,11 +309,12 @@ def norm_peak_bytes(span, ps):
       on F at p_max = 4);
     - the kernel, 8 bytes per point of G.
     `ball_kernel` builds the kernel before the call, with none of these
-    held. It holds B_hat's table over the integers 0 ... max |q|^2, 8 bytes
-    per entry (quadratic in the longest span, so at n = 2 larger than G),
-    and each per-axis irfft holds the integer |q|^2 grid, its real input and
-    the input's complex copy, each at most the size of G, and its real
-    output: at most 40 bytes per point of G.
+    held. Finding the distinct |q|^2 and B_hat at each holds the integer
+    |q|^2 grid on q_a = 0 ... G_a/2 and index and value arrays of its size,
+    under 60 bytes per point of that grid, which has at most 2/3 as many
+    points as G; each per-axis irfft then holds its real input, the input's
+    complex copy and its real output, each at most the size of G: at most
+    40 bytes per point of G.
     """
     def passes(grid):
         row = np.prod(grid[1:], dtype=float)
@@ -323,7 +323,6 @@ def norm_peak_bytes(span, ps):
 
     G = _ball_grid(span)
     kernel = np.prod(G, dtype=float)
-    table = sum((g // 2) ** 2 for g in G) + 1
     stats = ((16 + 8 * len(span)) * np.prod(span, dtype=float)
              + passes(_norm_grid(span, ps)) + passes(G) + 8 * kernel)
-    return int(max(stats, 40 * kernel + 8 * table))
+    return int(max(stats, 40 * kernel))

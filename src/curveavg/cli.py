@@ -166,7 +166,7 @@ def _cmd_sweep(cfg, outdir, dropped, strict):
     # widen every band to at least 0.08, never narrow one
     tols = ({k: max(v, 0.08) for k, v in DEFAULT_SLOPE_TOLS.items()}
             if dropped else None)
-    report = sharpness_sweep(cfg, jobs=cfg.jobs, slope_tols=tols)
+    report = sharpness_sweep(cfg, slope_tols=tols)
     paths = sweep_artifacts(report, outdir, svg=cfg.svg)
     summary = render_report(report.to_dict())
     print(summary, end="")

@@ -27,7 +27,8 @@ from .bumps import CutoffSpec
 from .cone import ConeChart
 from .curves import CurveSpec
 from .errors import ConfigError
-from .fields import CounterexampleSpec, frequency_centers, windowed_lattice
+from .fields import (CounterexampleSpec, frequency_centers, piece_boxes,
+                     windowed_lattice)
 
 __all__ = ["RunConfig", "parse_config", "parse_memory_size", "curve_from",
            "cutoff_from", "chart_from", "ball_radius_from",
@@ -277,16 +278,15 @@ def _estimate_terms(cfg, lam):
     """The norm evaluation's and the quadrature's terms of
     estimate_field_bytes.
 
-    The support box is the span of the piece centers +- the bump radius,
-    rounded inward to the lattice: a support point lies strictly inside its
-    piece's bump radius, since the bump vanishes at it. Each piece lies in
-    its own such box, which bounds the support size and its distinct
-    leading (n-1)-tuples. The quadrature's node count is that of the first
-    fine level of its panel ladder started at the box's corners: the phase
-    rate <gamma'(s), xi> is linear in xi, so its maximum over the box sits
-    at a corner. The ladder may run further; only the nodes' own arrays
-    grow with it, as the quadrature walks its nodes in blocks of bounded
-    size. No field is built and no quadrature runs.
+    The support box is the span of the pieces' boxes (`piece_boxes`, the
+    ones `build_f` enumerates): each piece lies in its own, which bounds
+    the support size and its distinct leading (n-1)-tuples. The
+    quadrature's node count is that of the first fine level of its panel
+    ladder started at the box's corners: the phase rate <gamma'(s), xi> is
+    linear in xi, so its maximum over the box sits at a corner. The ladder
+    may run further; only the nodes' own arrays grow with it, as the
+    quadrature walks its nodes in blocks of bounded size. No field is built
+    and no quadrature runs.
     """
     # local: avoid import cycle
     from .averaging import TimeWindow, norm_peak_bytes
@@ -296,7 +296,7 @@ def _estimate_terms(cfg, lam):
     spec = CounterexampleSpec(lam=lam, chart=chart_from(cfg),
                               cutoff=cutoff_from(cfg), rho=cfg.rho, c0=cfg.c0)
     window = windowed_lattice(spec, points_per_radius=cfg.points_per_radius)
-    lo, hi = _piece_boxes(spec, window)
+    lo, hi = piece_boxes(frequency_centers(spec), spec.radius, window.dk)
     span = tuple(int(v) for v in hi.max(axis=0) - lo.min(axis=0) + 1)
     norm = norm_peak_bytes(span, (2.0,) + cfg.ps)
 
@@ -310,14 +310,6 @@ def _estimate_terms(cfg, lam):
         modes=int(piece.prod(axis=1).sum()), times=cfg.time_nodes,
         steps=_distinct_steps(ts))
     return norm, quad
-
-
-def _piece_boxes(spec, window):
-    """Per piece (rows) and axis (columns), the least and greatest lattice
-    index k, xi = k * dk, within the bump radius of the piece's center."""
-    centers = frequency_centers(spec)
-    return (np.ceil((centers - spec.radius) / window.dk),
-            np.floor((centers + spec.radius) / window.dk))
 
 
 def enforce_memory_cap(cfg):

@@ -7,8 +7,9 @@ and a field is sparse on it. A rectangular *window* of lattice indices
 fields — is metadata only: it fixes L and numbers the lattice points. The
 field stores the flat window indices of its support and one vector of
 f_hat(xi_k) values over them; each support ball owns a contiguous run of
-rows. Nothing of window size is kept: only `SpectralField.dense` scatters
-the coefficients into an array, for snapshots and the norm engine's box.
+rows. Nothing of window size is kept or allocated: `SpectralField.dense`
+scatters the coefficients into an array of the caller's shape (the norm
+engine's support box), and snapshots store the two vectors as they are.
 Spatial values are f(x) = L^{-n} sum_k f_hat(xi_k) e^{i<xi_k, x>}.
 
 The construction itself: centers xi^nu = lambda * Gamma(nu * lambda^{-1/n})
@@ -28,7 +29,7 @@ from .errors import ApertureError, ConfigError, DomainError, GridError
 
 __all__ = ["GridSpec", "LatticeWindow", "SupportBall", "SpectralField",
            "CounterexampleSpec", "frequency_centers", "windowed_lattice",
-           "build_f"]
+           "piece_boxes", "build_f"]
 
 
 def _next_pow2(m):
@@ -113,7 +114,8 @@ class SpectralField:
     @classmethod
     def from_dense(cls, window, fhat):
         """The field of a window-shaped coefficient array: its nonzero
-        entries, with no declared balls."""
+        entries, with no declared balls. For small fields given as arrays,
+        such as test fixtures."""
         fhat = np.asarray(fhat, dtype=complex)
         if tuple(fhat.shape) != tuple(window.dims):
             raise GridError("coefficient array does not match the window")
@@ -134,11 +136,10 @@ class SpectralField:
                            np.unravel_index(self.flat, self.window.dims)]).T
         return lo, hi - lo + 1
 
-    def dense(self, shape=None, origin=()):
-        """The coefficients scattered into a zero array of `shape` (default:
-        the window's dims), the one at window index k landing at k - origin
-        (no origin: at k)."""
-        out = np.zeros(self.window.dims if shape is None else shape, dtype=complex)
+    def dense(self, shape, origin=()):
+        """The coefficients scattered into a zero array of `shape`, the one
+        at window index k landing at k - origin (no origin: at k)."""
+        out = np.zeros(shape, dtype=complex)
         idx = np.unravel_index(self.flat, self.window.dims)
         for a, o in zip(idx, origin):
             a -= o
@@ -227,17 +228,25 @@ def windowed_lattice(spec, points_per_radius=4, pad=8):
     return LatticeWindow(L=2 * np.pi / h, dims=dims, k0=k0)
 
 
+def piece_boxes(centers, radius, dk):
+    """Per piece (rows) and axis (columns), the least and greatest lattice
+    index k, xi = k * dk, within `radius` of the piece's center: rounded
+    inward, the box still holds the support, as the bump vanishes at radius."""
+    return (np.ceil((centers - radius) / dk).astype(int),
+            np.floor((centers + radius) / dk).astype(int))
+
+
 def _piece_coefficients(spec, window, nu, center):
-    """(flat indices, coefficient values) of one piece on the window."""
+    """(flat indices, coefficient values) of one piece, over its box."""
     lam, n, r = spec.lam, spec.n, spec.radius
     h = window.dk
     k0 = np.asarray(window.k0)
-    lo = np.floor((center - r) / h).astype(int) - k0
-    hi = np.ceil((center + r) / h).astype(int) - k0
+    low, high = piece_boxes(center, r, h)
+    lo, hi = low - k0, high - k0
     if np.any(lo < 0) or np.any(hi >= np.asarray(window.dims)):
         raise GridError(
             f"support ball of piece nu={nu} exits the lattice window "
-            f"(need indices {lo + k0}..{hi + k0})")
+            f"(need indices {low}..{high})")
     axes = [np.arange(lo[i], hi[i] + 1) for i in range(n)]
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
     xi = (mesh + k0) * h

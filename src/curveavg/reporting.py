@@ -5,6 +5,10 @@ re-running a deterministic sweep reproduces the files byte for byte. JSON is
 written with sorted keys and UTF-8. The SVG plot is deliberately minimal —
 a scatter of (log2 lambda, log2 quotient) per p with the fitted line — to
 avoid dragging in a plotting stack for one diagnostic figure.
+
+A field snapshot is an .npz archive of what a `SpectralField` holds, so its
+size follows the support, not the window. Its zip entries carry their write
+time: compare snapshots through `load_snapshot`, not byte for byte.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import json
 import os
 import platform
 import time
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +30,8 @@ __all__ = ["fmt", "write_csv", "write_json", "write_manifest",
            "save_snapshot", "load_snapshot", "sweep_artifacts",
            "quotient_svg", "render_report"]
 
-_SNAP_SENTINEL = 0.0  # N slot for windowed (non-cubic) fields
+_SNAP_VERSION = 1
+_SNAP_KEYS = ("version", "L", "lam", "dims", "k0", "flat", "coeffs")
 
 
 def fmt(value):
@@ -72,48 +78,42 @@ def write_manifest(outdir, config_echo, artifacts, command, wall_s):
 
 
 def save_snapshot(path, field, lam):
-    """Flat little-endian binary: float64 header then complex128 coefficients
-    over the whole window, zero off the support.
-
-    Cubic grids use the 4-value header (n, N, L, lambda) with data in C order
-    and the window implied as [-N/2, N/2). Non-cubic windows write N = 0 and
-    append int64 dims[n] and k0[n] before the data.
-    """
+    """An uncompressed .npz archive: the format version, L, lambda, the
+    window's `dims` and `k0`, the support's flat window indices `flat` and
+    their coefficients `coeffs`."""
     win = field.window
-    n = len(win.dims)
-    cubic = len(set(win.dims)) == 1 and all(k == -d // 2 for k, d in
-                                            zip(win.k0, win.dims))
-    head = [n, win.dims[0] if cubic else _SNAP_SENTINEL, win.L, lam]
-    parts = [np.array(head, dtype="<f8").tobytes()]
-    if not cubic:
-        parts.append(np.array(win.dims + win.k0, dtype="<i8").tobytes())
-    parts.append(field.dense().astype("<c16").tobytes())
-    Path(path).write_bytes(b"".join(parts))
+    with open(path, "wb") as fh:
+        np.savez(fh, version=np.int64(_SNAP_VERSION), L=np.float64(win.L),
+                 lam=np.float64(lam), dims=np.array(win.dims, dtype=np.int64),
+                 k0=np.array(win.k0, dtype=np.int64), flat=field.flat,
+                 coeffs=field.coeffs)
     return Path(path)
 
 
 def load_snapshot(path):
     """Inverse of save_snapshot; returns (SpectralField, lambda). The field
-    keeps the nonzero coefficients and declares no balls."""
-    raw = Path(path).read_bytes()
-    if len(raw) < 32:
-        raise GridError(f"snapshot {path} too short for a header")
-    n_f, N_f, L, lam = np.frombuffer(raw[:32], dtype="<f8")
-    n, off = int(n_f), 32
-    if N_f > 0:
-        dims = (int(N_f),) * n
-        k0 = tuple(-d // 2 for d in dims)
-    else:
-        ints = np.frombuffer(raw[off:off + 16 * n], dtype="<i8")
-        dims, k0 = tuple(int(v) for v in ints[:n]), tuple(int(v) for v in ints[n:])
-        off += 16 * n
-    count = int(np.prod(dims))
-    data = np.frombuffer(raw[off:], dtype="<c16")
-    if data.size != count:
-        raise GridError(f"snapshot {path}: expected {count} coefficients, "
-                        f"found {data.size}")
-    window = LatticeWindow(L=float(L), dims=dims, k0=k0)
-    return SpectralField.from_dense(window, data.reshape(dims)), float(lam)
+    declares no balls. A file that is not a snapshot archive of this format
+    version, or whose indices leave its window, raises GridError."""
+    try:
+        archive = np.load(path, allow_pickle=False)
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise ValueError("a bare .npy array, not an archive")
+        with archive:
+            a = {key: archive[key] for key in _SNAP_KEYS}
+    except (EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+        raise GridError(f"snapshot {path} is not a readable snapshot "
+                        f"archive: {exc}") from exc
+    if a["version"].tolist() != _SNAP_VERSION:
+        raise GridError(f"snapshot {path} has format version "
+                        f"{a['version'].tolist()}, not {_SNAP_VERSION}")
+    dims, k0, flat = a["dims"], a["k0"], a["flat"]
+    if (dims.ndim != 1 or k0.shape != dims.shape or flat.dtype.kind != "i"
+            or np.any(flat < 0) or np.any(flat >= np.prod(dims))):
+        raise GridError(f"snapshot {path}: malformed window, or support "
+                        f"indices outside it")
+    window = LatticeWindow(L=float(a["L"]), dims=tuple(dims.tolist()),
+                           k0=tuple(k0.tolist()))
+    return SpectralField(window, flat, a["coeffs"]), float(a["lam"])
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")

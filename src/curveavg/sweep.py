@@ -12,9 +12,9 @@ Per-lambda diagnostics ride along: exact L^2 orthogonality across pieces
 against its stationary-phase reference, and the concentration fraction of
 ||A_t f||_2^2 near the origin.
 
-lambda cells are independent pure jobs; with jobs > 1 they run in separate
-processes and merge in lambda order, so results are independent of the
-parallelism degree.
+lambda cells are independent pure jobs; with cfg.jobs > 1 they run in
+separate processes and merge in lambda order, so results are independent of
+the parallelism degree.
 """
 
 from __future__ import annotations
@@ -238,7 +238,7 @@ def _trend_mostly_decreasing(values, allowed_inversions=1):
     return ups <= allowed_inversions
 
 
-def sharpness_sweep(cfg, jobs=None, slope_tols=None):
+def sharpness_sweep(cfg, slope_tols=None):
     """Run the full lambda sweep and fit the three slopes per p.
 
     Checks (selected by cfg.checks) are evaluated here: 'orthogonality'
@@ -262,11 +262,10 @@ def sharpness_sweep(cfg, jobs=None, slope_tols=None):
     if len(cfg.lambdas) < 3:
         raise DomainError(
             f"need >= 3 lambda values for slope fits, got {len(cfg.lambdas)}")
-    jobs = cfg.jobs if jobs is None else int(jobs)
     lams = sorted(float(v) for v in cfg.lambdas)
-    if jobs > 1:
+    if cfg.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(jobs, len(lams))) as pool:
+        with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(lams))) as pool:
             cells = list(pool.map(_cell_job, [(cfg, lam) for lam in lams]))
     else:
         cells = [run_cell(cfg, lam) for lam in lams]

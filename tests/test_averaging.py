@@ -60,7 +60,7 @@ def test_single_mode_is_an_eigenfunction():
     xi = np.asarray(k, dtype=float) * f.window.dk
     mu = mu_hat_batch(CURVE, CHI, [t], xi[None, :])[0, 0]
     idx = tuple(np.asarray(k) - np.asarray(f.window.k0))
-    dense = out.dense()
+    dense = out.dense(out.window.dims)
     assert dense[idx] == pytest.approx((2.0 - 1.0j) * mu, rel=1e-12)
     assert np.count_nonzero(dense) == 1
 
@@ -70,7 +70,8 @@ def test_zero_mode_scales_by_cutoff_mass():
     f = make_field([(0, 0, 0)], [1.0])
     for t in (1.0, 1.5, 2.0):
         out = apply_averaging(f, CURVE, CHI, t)
-        assert out.dense()[4, 4, 4] == pytest.approx(CHI.integral, rel=1e-8)
+        assert out.dense(out.window.dims)[4, 4, 4] == pytest.approx(
+            CHI.integral, rel=1e-8)
 
 
 def test_support_is_preserved():
@@ -453,6 +454,9 @@ P8 = (2.0, 4.0, 6.0, 8.0)
     # grid 147 x 162 x 90: 37 slabs of 4 rows, the last of 3
     pytest.param((64, 64, 64), (37, 41, 23), 1.0, P8, 37,
                  id="many-slabs-ragged"),
+    # grid 3 x 2048: |q|^2 reaches 1024^2 + 1 with 2049 distinct values,
+    # so a table over every integer up to it would exceed the bound
+    pytest.param((2, 1024), None, 1.0, P8, None, id="long-axis-2d"),
 ])
 def test_peak_bytes_bounds_measured_peak(dims, box, radius, ps, slabs):
     rng = np.random.default_rng(2)

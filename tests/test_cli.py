@@ -183,7 +183,7 @@ def test_lambda_max_only_widens_slope_bands(tmp_path, monkeypatch, capsys):
     class Captured(Exception):
         pass
 
-    def capture(cfg, jobs=None, slope_tols=None):
+    def capture(cfg, slope_tols=None):
         seen.append(slope_tols)
         raise Captured
 

@@ -6,10 +6,10 @@ import pytest
 
 from curveavg import (ConfigError, CounterexampleSpec, RunConfig, TimeWindow,
                       build_f, enforce_memory_cap, estimate_field_bytes,
-                      mu_hat_batch, parse_config, parse_memory_size, run_cell,
+                      frequency_centers, mu_hat_batch, parse_config,
+                      parse_memory_size, piece_boxes, radial_bump, run_cell,
                       windowed_lattice, with_overrides)
-from curveavg.config import (_estimate_terms, _piece_boxes, chart_from,
-                             cutoff_from)
+from curveavg.config import _estimate_terms, chart_from, cutoff_from
 from curveavg.sweep import _cell_setup
 
 GOOD = """
@@ -190,8 +190,9 @@ GATE_CASES = ((_SMALL, (4.0, 32.0)), (PLANAR, (64.0, 128.0, 256.0)),
 
 
 def test_gate_box_holds_the_support():
-    # the gate rounds each piece's box inward to the lattice; every index
-    # of the piece's support ball must still lie inside it
+    # each piece's box, rounded inward to the lattice, holds every lattice
+    # point where the piece's bump is nonzero: a box one index wider on
+    # each side finds no other, and `build_f` keeps exactly those points
     for text, lams in GATE_CASES:
         cfg = parse_config(text)
         for lam in lams:
@@ -200,13 +201,19 @@ def test_gate_box_holds_the_support():
                                       c0=cfg.c0)
             window = windowed_lattice(spec, points_per_radius=cfg.points_per_radius)
             f = build_f(spec, window)
-            lo, hi = _piece_boxes(spec, window)
+            lo, hi = piece_boxes(frequency_centers(spec), spec.radius, window.dk)
             assert len(f.support) == len(lo)
             for ball, low, high in zip(f.support, lo, hi):
-                k = np.stack(np.unravel_index(ball.flat, window.dims), axis=1)
-                k += np.asarray(window.k0)
+                axes = [np.arange(a - 1, b + 2) for a, b in zip(low, high)]
+                k = np.stack(np.meshgrid(*axes, indexing="ij"),
+                             axis=-1).reshape(-1, cfg.n)
+                dist = np.linalg.norm(k * window.dk - ball.center, axis=1)
+                k = k[radial_bump("inner", dist / spec.radius) > 0]
                 assert len(k) and np.all(k >= low) and np.all(k <= high), (
                     cfg.n, lam, ball.nu)
+                built = np.stack(np.unravel_index(ball.flat, window.dims),
+                                 axis=1) + np.asarray(window.k0)
+                assert np.array_equal(built, k), (cfg.n, lam, ball.nu)
 
 
 def test_estimate_bounds_measured_peak():

@@ -5,7 +5,6 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 from curveavg import (GridError, GridSpec, LatticeWindow, SlopeFit,
                       SpectralField, SweepReport, load_snapshot, render_report,
@@ -60,43 +59,96 @@ def cubic_field():
     return SpectralField.from_dense(window, fhat)
 
 
+def assert_same_field(g, f):
+    assert g.window == f.window
+    assert np.array_equal(g.flat, f.flat)
+    assert np.array_equal(g.coeffs, f.coeffs)
+
+
 def test_snapshot_roundtrip_cubic(tmp_path):
     f = cubic_field()
     path = save_snapshot(tmp_path / "f.bin", f, 32.0)
-    # 4-float header + 8^3 complex coefficients, nothing else
-    assert path.stat().st_size == 32 + 16 * 8 ** 3
+    assert path.name == "f.bin"
     g, lam = load_snapshot(path)
     assert lam == 32.0
-    assert g.window == f.window
-    assert np.array_equal(g.dense(), f.dense())
+    assert_same_field(g, f)
+    assert g.support == ()
 
 
 def test_snapshot_roundtrip_offset_window(tmp_path):
     window = LatticeWindow(L=5.0, dims=(4, 8, 4), k0=(3, -2, 7))
     rng = np.random.default_rng(1)
-    fhat = rng.standard_normal(window.dims) + 0j
-    f = SpectralField.from_dense(window, fhat)
-    path = save_snapshot(tmp_path / "f.bin", f, 64.0)
-    # header + dims/k0 int block + data
-    assert path.stat().st_size == 32 + 16 * 3 + 16 * 4 * 8 * 4
-    g, lam = load_snapshot(path)
+    f = SpectralField.from_dense(window, rng.standard_normal(window.dims) + 0j)
+    g, lam = load_snapshot(save_snapshot(tmp_path / "f.bin", f, 64.0))
     assert (g.window.dims, g.window.k0) == ((4, 8, 4), (3, -2, 7))
     assert g.window.L == 5.0 and lam == 64.0
-    assert_allclose(g.dense(), fhat, rtol=0, atol=0)
+    assert_same_field(g, f)
+
+
+def test_snapshot_size_follows_the_support(tmp_path):
+    # five coefficients on a 128^3 window: the whole window would be 33.5 MB
+    window = GridSpec(n=3, L=2.0, N=128).window()
+    f = SpectralField(window=window,
+                      flat=np.array([0, 7, 4096, 99999, 128 ** 3 - 1]),
+                      coeffs=np.array([1.0, -2j, 0.5 + 0.5j, 3.0, 1e-9 + 0j]))
+    path = save_snapshot(tmp_path / "f.bin", f, 128.0)
+    assert path.stat().st_size < 64 * 1024
+    assert_same_field(load_snapshot(path)[0], f)
 
 
 def test_snapshot_rejects_garbage(tmp_path):
     short = tmp_path / "short.bin"
     short.write_bytes(b"\x00" * 16)
-    with pytest.raises(GridError, match="too short"):
+    with pytest.raises(GridError, match="not a readable snapshot"):
         load_snapshot(short)
 
+    empty = tmp_path / "empty.bin"
+    empty.write_bytes(b"")
+    with pytest.raises(GridError, match="not a readable snapshot"):
+        load_snapshot(empty)
+
     truncated = tmp_path / "trunc.bin"
-    f = cubic_field()
-    save_snapshot(truncated, f, 8.0)
+    save_snapshot(truncated, cubic_field(), 8.0)
     truncated.write_bytes(truncated.read_bytes()[:-16])
-    with pytest.raises(GridError, match="expected"):
+    with pytest.raises(GridError, match="not a readable snapshot"):
         load_snapshot(truncated)
+
+    # the dense layout: float64 header (n, N, L, lambda), then the window
+    dense = tmp_path / "dense.bin"
+    dense.write_bytes(np.array([3, 8, 2.0, 8.0], dtype="<f8").tobytes()
+                      + np.zeros(8 ** 3, dtype="<c16").tobytes())
+    with pytest.raises(GridError, match="not a readable snapshot"):
+        load_snapshot(dense)
+
+    foreign = tmp_path / "foreign.bin"
+    with open(foreign, "wb") as fh:
+        np.savez(fh, values=np.arange(3))
+    with pytest.raises(GridError, match="not a readable snapshot"):
+        load_snapshot(foreign)
+
+
+def _rewritten(tmp_path, **changes):
+    """A valid snapshot with some of its arrays replaced."""
+    path = save_snapshot(tmp_path / "f.bin", cubic_field(), 8.0)
+    with np.load(path) as archive:
+        arrays = {key: archive[key] for key in archive.files}
+    arrays.update(changes)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+    return path
+
+
+def test_snapshot_rejects_other_versions_and_stray_indices(tmp_path):
+    for version in (0, 2):
+        with pytest.raises(GridError, match="format version"):
+            load_snapshot(_rewritten(tmp_path, version=np.int64(version)))
+    for stray in (8 ** 3, -1):
+        flat = np.arange(8 ** 3)
+        flat[5] = stray
+        with pytest.raises(GridError, match="outside"):
+            load_snapshot(_rewritten(tmp_path, flat=flat))
+    with pytest.raises(GridError, match="malformed"):
+        load_snapshot(_rewritten(tmp_path, k0=np.zeros(2, dtype=np.int64)))
 
 
 # --- rendering -----------------------------------------------------------------

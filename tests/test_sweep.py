@@ -131,7 +131,7 @@ def tiny_cfg():
 
 @pytest.fixture(scope="module")
 def tiny_report(tiny_cfg):
-    return sharpness_sweep(tiny_cfg, jobs=1, slope_tols=LOOSE)
+    return sharpness_sweep(tiny_cfg, slope_tols=LOOSE)
 
 
 def test_sweep_requires_three_lambdas(tiny_cfg):
@@ -231,7 +231,7 @@ def _concentration_report(monkeypatch, tiny_cfg, fractions):
 
     monkeypatch.setattr(sweep_module, "run_cell", cell)
     cfg = replace(tiny_cfg, lambdas=tuple(fractions), checks=("concentration",))
-    return sharpness_sweep(cfg, jobs=1)
+    return sharpness_sweep(cfg)
 
 
 def test_concentration_check_passes_on_growing_fractions(monkeypatch, tiny_cfg):
