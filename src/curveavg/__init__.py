@@ -23,15 +23,15 @@ from .curves import (CurveSpec, ModelClassReport, model_class_report,
 from .errors import (ApertureError, ConfigError, ConvergenceError,
                      CurveAvgError, DomainError, GeometryError, GridError,
                      QuadratureError, ResolutionError)
-from .fields import (CounterexampleSpec, GridSpec, LatticeWindow,
-                     SpectralField, SupportBall, build_f, frequency_centers,
-                     piece_boxes, windowed_lattice)
+from .fields import (CounterexampleSpec, LatticeWindow, SpectralField,
+                     SupportBall, build_f, frequency_centers, piece_boxes,
+                     windowed_lattice)
 from .multiplier import (MultiplierSample, alpha_n, derivative_bound_check,
                          mu_hat, mu_hat_batch, multiplier_sample)
 from .reporting import (load_snapshot, render_report, save_snapshot,
                         sweep_artifacts, write_csv, write_json)
-from .sweep import (SlopeFit, SweepReport, critical_exponent, expected_slopes,
-                    fit_slope, run_cell, sharpness_sweep)
+from .sweep import (critical_exponent, expected_slopes, fit_slope, run_cell,
+                    sharpness_sweep)
 
 __all__ = [
     "__version__",
@@ -48,7 +48,7 @@ __all__ = [
     "alpha_n", "mu_hat", "mu_hat_batch",
     "multiplier_sample", "MultiplierSample", "derivative_bound_check",
     # fields
-    "GridSpec", "LatticeWindow", "SpectralField", "SupportBall",
+    "LatticeWindow", "SpectralField", "SupportBall",
     "CounterexampleSpec", "frequency_centers", "windowed_lattice",
     "piece_boxes", "build_f",
     # averaging
@@ -58,8 +58,8 @@ __all__ = [
     "RunConfig", "parse_config", "parse_memory_size", "with_overrides",
     "enforce_memory_cap", "estimate_field_bytes",
     # sweep
-    "critical_exponent", "expected_slopes", "fit_slope", "SlopeFit",
-    "run_cell", "sharpness_sweep", "SweepReport",
+    "critical_exponent", "expected_slopes", "fit_slope", "run_cell",
+    "sharpness_sweep",
     # reporting
     "save_snapshot", "load_snapshot", "write_csv", "write_json",
     "sweep_artifacts", "render_report",

@@ -33,8 +33,7 @@ the sum is one dot product of those samples with a real kernel K on G,
 the inverse transform of B_hat (even in every axis, so one real irfft per
 axis from its values at q_a >= 0). `ball_kernel` builds K once for every field
 on a support box; each `space_stats` call then takes |f|^2 on G slab by slab,
-as for the norms, and adds up its dot product with the same rows of K. At
-p_max = 4 the norm grid is G, and one slab loop feeds both.
+as for the norms, and adds up its dot product with the same rows of K.
 """
 
 from __future__ import annotations
@@ -230,11 +229,9 @@ def space_stats(field, ps, ball=None):
     transform. The box spans the support's lattice indices, and the
     coefficient vector is scattered into it. The fraction is exact: the dot
     product of |f|^2 on the kernel's grid G with the kernel, added up over
-    the slabs of G with the kernel sliced by the same rows. At p_max = 4 the
-    norm grid is G, so one slab loop feeds both; otherwise G has its own,
-    which also runs when no norm needs a transform. The fraction is None
-    without a ball and for a field with no nonzero coefficient, whose norms
-    are all 0.
+    the slabs of G with the kernel sliced by the same rows, in a slab loop
+    of its own. The fraction is None without a ball and for a field with no
+    nonzero coefficient, whose norms are all 0.
     """
     n, L = field.window.n, field.window.L
     bad = [p for p in ps if not (p >= 2 and p % 2 == 0)]
@@ -255,26 +252,19 @@ def space_stats(field, ps, ball=None):
     top = int(max(ps)) // 2
     sums = {2 * k: 0.0 for k in range(2, top + 1)}
     sums[2] = float(np.prod(F)) * power
-    # at p_max = 4 the norm grid is the kernel's grid
-    shared = ball is not None and top == 2
-    inside = 0.0
     if top > 1:
-        for r0, ab2 in _abs2(box, F):
+        for _, ab2 in _abs2(box, F):
             pw = ab2 * ab2
             for k in range(2, top + 1):
                 if k > 2:
                     pw *= ab2
                 if 2 * k in ps:
                     sums[2 * k] += float(pw.sum())
-            if shared:
-                inside += _inside(ab2, ball, r0)
     cell = L ** n / float(np.prod(F))
     norms = {p: (cell * sums[int(p)]) ** (1.0 / p) / L ** n for p in ps}
     if ball is None:
         return norms, None
-    if not shared:
-        for r0, ab2 in _abs2(box, G):
-            inside += _inside(ab2, ball, r0)
+    inside = sum(_inside(ab2, ball, r0) for r0, ab2 in _abs2(box, G))
     return norms, inside / (L ** n * power)
 
 
@@ -305,8 +295,7 @@ def norm_peak_bytes(span, ps):
       output, 32, beside the previous slab's |f|^2 and power buffer, 16,
       which the loop holds until the next slab is yielded. p = 2 alone runs
       no pass on F;
-    - the same two terms on the ball's grid G (whose slab loop is the one
-      on F at p_max = 4);
+    - the same two terms on the ball's grid G;
     - the kernel, 8 bytes per point of G.
     `ball_kernel` builds the kernel before the call, with none of these
     held. Finding the distinct |q|^2 and B_hat at each holds the integer

@@ -9,8 +9,11 @@ Every run except report writes a manifest with the resolved config, the
 tool, Python and numpy versions, the platform, the CPU count and the
 command's wall time; report leaves the sweep's manifest as it is. Module
 errors become a machine-readable ``error.json`` in the output directory plus a
-nonzero exit. ``--strict`` additionally turns warnings (currently: a
-non-decreasing quotient trend) into failures.
+nonzero exit. sweep prints the summary `render_report` makes of its
+report.json, and report prints the same summary of the file. sweep exits 1
+when a check fails, report only under ``--strict``; ``--strict`` also turns
+warnings (currently: a non-decreasing quotient trend) into failures, for
+both.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .config import (chart_from, curve_from, cutoff_from, enforce_memory_cap,
 from .errors import CurveAvgError
 from .multiplier import multiplier_sample
 from .reporting import (render_report, save_snapshot, sweep_artifacts,
-                        write_csv, write_json, write_manifest)
+                        verdict, write_csv, write_json, write_manifest)
 from .sweep import DEFAULT_SLOPE_TOLS, _cell_setup, sharpness_sweep
 
 __all__ = ["main"]
@@ -168,26 +171,17 @@ def _cmd_sweep(cfg, outdir, dropped, strict):
             if dropped else None)
     report = sharpness_sweep(cfg, slope_tols=tols)
     paths = sweep_artifacts(report, outdir, svg=cfg.svg)
-    summary = render_report(report.to_dict())
-    print(summary, end="")
-    warnings = []
-    if not report.quotient_monotone:
-        warnings.append("quotient trend not decreasing in lambda")
-    for w in warnings:
-        print(f"warning: {w}")
-    ok = report.passed and not (strict and warnings)
-    return (0 if ok else 1), paths
+    print(render_report(report), end="")
+    return (0 if verdict(report, strict) else 1), paths
 
 
 def _cmd_report(outdir, strict):
     path = outdir / "report.json"
     if not path.exists():
         raise CurveAvgError(f"no report.json under {outdir}; run sweep first")
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    text = render_report(payload)
-    print(text, end="")
-    ok = all(c["passed"] for c in payload["checks"])
-    return 0 if (ok or not strict) else 1
+    report = json.loads(path.read_text(encoding="utf-8"))
+    print(render_report(report), end="")
+    return 0 if not strict or verdict(report, strict=True) else 1
 
 
 def main(argv=None):

@@ -23,12 +23,15 @@ from itertools import product
 
 import numpy as np
 
+from .averaging import TimeWindow, norm_peak_bytes
 from .bumps import CutoffSpec
 from .cone import ConeChart
 from .curves import CurveSpec
 from .errors import ConfigError
 from .fields import (CounterexampleSpec, frequency_centers, piece_boxes,
                      windowed_lattice)
+from .multiplier import (_GL_NODES, _distinct_steps, _panel_start,
+                         quadrature_peak_bytes)
 
 __all__ = ["RunConfig", "parse_config", "parse_memory_size", "curve_from",
            "cutoff_from", "chart_from", "ball_radius_from",
@@ -288,11 +291,6 @@ def _estimate_terms(cfg, lam):
     quadrature walks its nodes in blocks of bounded size. No field is built
     and no quadrature runs.
     """
-    # local: avoid import cycle
-    from .averaging import TimeWindow, norm_peak_bytes
-    from .multiplier import (_GL_NODES, _distinct_steps, _panel_start,
-                             quadrature_peak_bytes)
-
     spec = CounterexampleSpec(lam=lam, chart=chart_from(cfg),
                               cutoff=cutoff_from(cfg), rho=cfg.rho, c0=cfg.c0)
     window = windowed_lattice(spec, points_per_radius=cfg.points_per_radius)

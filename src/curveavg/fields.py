@@ -2,20 +2,23 @@
 
 The family lives on a periodic box: frequency lattice xi_k = k * (2pi/L),
 and a field is sparse on it. A rectangular *window* of lattice indices
-[k0, k0 + dims) — a tight box around the construction's support
-(`windowed_lattice`), or a full centered cube (`GridSpec`) for small test
-fields — is metadata only: it fixes L and numbers the lattice points. The
-field stores the flat window indices of its support and one vector of
-f_hat(xi_k) values over them; each support ball owns a contiguous run of
-rows. Nothing of window size is kept or allocated: `SpectralField.dense`
-scatters the coefficients into an array of the caller's shape (the norm
-engine's support box), and snapshots store the two vectors as they are.
-Spatial values are f(x) = L^{-n} sum_k f_hat(xi_k) e^{i<xi_k, x>}.
+[k0, k0 + dims), a tight box around the construction's support
+(`windowed_lattice`), is metadata only: it fixes L and numbers the lattice
+points. The field stores the flat window indices of its support and one
+vector of f_hat(xi_k) values over them; each support ball owns a contiguous
+run of rows. Nothing of window size is kept or allocated:
+`SpectralField.dense` scatters the coefficients into an array of the
+caller's shape (the norm engine's support box), and snapshots store the two
+vectors as they are. Spatial values are
+f(x) = L^{-n} sum_k f_hat(xi_k) e^{i<xi_k, x>}.
 
 The construction itself: centers xi^nu = lambda * Gamma(nu * lambda^{-1/n})
 along the cone, one smooth bump of radius rho * lambda^{1/n} per center,
 phase-corrected by e^{i phi}. Ball supports are pairwise disjoint by a hard
 precondition, which is what makes the L^2 bookkeeping exact on the lattice.
+The sweep's orthogonality defect measures it: the pieces' powers against
+||A_t f||_2^2 of the field scattered into its support box, where two pieces
+on one lattice point would hold a single coefficient.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import numpy as np
 from .bumps import radial_bump
 from .errors import ApertureError, ConfigError, DomainError, GridError
 
-__all__ = ["GridSpec", "LatticeWindow", "SupportBall", "SpectralField",
+__all__ = ["LatticeWindow", "SupportBall", "SpectralField",
            "CounterexampleSpec", "frequency_centers", "windowed_lattice",
            "piece_boxes", "build_f"]
 
@@ -37,29 +40,6 @@ def _next_pow2(m):
     while p < m:
         p <<= 1
     return p
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """A cubic window: N points per axis on a box of side L.
-
-    The frequency lattice runs over integer multiples of 2pi/L with indices
-    in [-N/2, N/2).
-    """
-
-    n: int
-    L: float = 2.0
-    N: int = 32
-
-    def __post_init__(self):
-        if self.N & (self.N - 1) or self.N <= 0:
-            raise GridError(f"N must be a power of two, got {self.N}")
-        if self.L <= 0:
-            raise GridError("box side must be positive")
-
-    def window(self):
-        return LatticeWindow(L=self.L, dims=(self.N,) * self.n,
-                             k0=(-self.N // 2,) * self.n)
 
 
 @dataclass(frozen=True)
@@ -110,17 +90,6 @@ class SpectralField:
     def __post_init__(self):
         if self.flat.ndim != 1 or self.flat.shape != self.coeffs.shape:
             raise GridError("index and coefficient vectors differ in shape")
-
-    @classmethod
-    def from_dense(cls, window, fhat):
-        """The field of a window-shaped coefficient array: its nonzero
-        entries, with no declared balls. For small fields given as arrays,
-        such as test fixtures."""
-        fhat = np.asarray(fhat, dtype=complex)
-        if tuple(fhat.shape) != tuple(window.dims):
-            raise GridError("coefficient array does not match the window")
-        flat = np.flatnonzero(fhat)
-        return cls(window=window, flat=flat, coeffs=fhat.ravel()[flat])
 
     @property
     def L(self):

@@ -28,7 +28,7 @@ from .fields import LatticeWindow, SpectralField
 
 __all__ = ["fmt", "write_csv", "write_json", "write_manifest",
            "save_snapshot", "load_snapshot", "sweep_artifacts",
-           "quotient_svg", "render_report"]
+           "quotient_svg", "report_warnings", "verdict", "render_report"]
 
 _SNAP_VERSION = 1
 _SNAP_KEYS = ("version", "L", "lam", "dims", "k0", "flat", "coeffs")
@@ -120,14 +120,15 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
 
 
 def quotient_svg(report):
-    """Scatter of log2 quotient vs log2 lambda per p, with fitted lines."""
+    """Scatter of log2 quotient vs log2 lambda per p, with fitted lines, from
+    the payload `sharpness_sweep` returns."""
     width, height, pad = 640, 440, 56
-    xs = [np.log2(c["lam"]) for c in report.cells]
+    xs = [np.log2(c["lam"]) for c in report["cells"]]
     series = []
-    for i, p in enumerate(report.ps):
-        ys = [np.log2(c["quotient"][float(p)]) for c in report.cells]
-        series.append((float(p), ys, report.slopes[float(p)]["quotient"],
-                       _PALETTE[i % len(_PALETTE)]))
+    for i, (key, fits) in enumerate(report["slopes"].items()):
+        p = float(key)
+        ys = [np.log2(c["quotient"][p]) for c in report["cells"]]
+        series.append((p, ys, fits["quotient"], _PALETTE[i % len(_PALETTE)]))
     ally = [y for _, ys, _, _ in series for y in ys]
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ally), max(ally)
@@ -155,7 +156,8 @@ def quotient_svg(report):
         out.append(f'<text x="{sx(x):.1f}" y="{height - pad + 16}" '
                    f'text-anchor="middle" font-size="11">{x:.0f}</text>')
     for p, ys, fit, color in series:
-        ya, yb = fit.slope * x0 + fit.intercept, fit.slope * x1 + fit.intercept
+        ya = fit["slope"] * x0 + fit["intercept"]
+        yb = fit["slope"] * x1 + fit["intercept"]
         out.append(f'<line x1="{sx(x0):.1f}" y1="{sy(ya):.1f}" '
                    f'x2="{sx(x1):.1f}" y2="{sy(yb):.1f}" stroke="{color}" '
                    f'stroke-dasharray="5,4"/>')
@@ -169,31 +171,25 @@ def quotient_svg(report):
 
 
 def sweep_artifacts(report, outdir, svg=True):
-    """Write report.json, sweep.csv, slopes.csv and the optional loglog.svg.
-    Returns the list of written paths."""
+    """Write report.json (the payload `sharpness_sweep` returns), sweep.csv
+    and slopes.csv (its per-cell norms and its fits) and the optional
+    loglog.svg. Returns the list of written paths."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    paths = [write_json(outdir / "report.json", report.to_dict())]
+    paths = [write_json(outdir / "report.json", report)]
 
-    rows = [(c["lam"], p, c["norms_in"][float(p)], c["out_short"][float(p)],
-             c["quotient"][float(p)])
-            for c in report.cells for p in report.ps]
+    rows = [(c["lam"], p, c["norms_in"][p], c["out_short"][p], c["quotient"][p])
+            for c in report["cells"] for p in report["ps"]]
     paths.append(write_csv(outdir / "sweep.csv",
                            ("lambda", "p", "input_norm", "output_norm",
                             "quotient"), rows))
 
-    from .sweep import expected_slopes
-    slope_rows = []
-    for p in report.ps:
-        want = expected_slopes(float(p), report.n)
-        for which in ("input", "output", "quotient"):
-            fit = report.slopes[float(p)][which]
-            slope_rows.append((float(p), which, fit.slope, fit.intercept,
-                               fit.max_residual, want[which],
-                               abs(fit.slope - want[which])))
-    paths.append(write_csv(outdir / "slopes.csv",
-                           ("p", "series", "slope", "intercept",
-                            "max_residual", "expected", "gap"), slope_rows))
+    columns = ("slope", "intercept", "max_residual", "expected", "gap")
+    slope_rows = [(float(key), which) + tuple(fit[k] for k in columns)
+                  for key, fits in report["slopes"].items()
+                  for which, fit in fits.items()]
+    paths.append(write_csv(outdir / "slopes.csv", ("p", "series") + columns,
+                           slope_rows))
 
     if svg:
         svg_path = outdir / "loglog.svg"
@@ -202,19 +198,34 @@ def sweep_artifacts(report, outdir, svg=True):
     return paths
 
 
-def render_report(report_dict):
-    """Human-readable pass/fail summary from a report.json payload."""
-    lines = [f"curveavg sweep report (n={report_dict['n']}, "
-             f"lambdas={report_dict['lambdas']}, ps={report_dict['ps']})"]
-    for key, fits in sorted(report_dict["slopes"].items()):
+def report_warnings(report):
+    """The report's warnings: findings that fail no check but fail --strict."""
+    if report["quotient_monotone"]:
+        return []
+    return ["quotient trend not decreasing in lambda"]
+
+
+def verdict(report, strict=False):
+    """True when every check passed and, under `strict`, nothing warns."""
+    return (all(c["passed"] for c in report["checks"])
+            and not (strict and report_warnings(report)))
+
+
+def render_report(report):
+    """The pass/fail summary of a report.json payload, as `sweep` prints it:
+    the fitted slopes, one line per check, the overall verdict, then one
+    `warning:` line per warning."""
+    lines = [f"curveavg sweep report (n={report['n']}, "
+             f"lambdas={report['lambdas']}, ps={report['ps']})"]
+    for key, fits in sorted(report["slopes"].items()):
         for which in ("input", "output", "quotient"):
             f = fits[which]
             lines.append(f"  p={key} {which:9s} slope {f['slope']:+.4f} "
                          f"(intercept {f['intercept']:+.3f}, "
                          f"max residual {f['max_residual']:.3f})")
-    for check in report_dict["checks"]:
+    for check in report["checks"]:
         tag = "PASS" if check["passed"] else "FAIL"
         lines.append(f"  [{tag}] {check['name']}: {check['detail']}")
-    overall = all(c["passed"] for c in report_dict["checks"])
-    lines.append("overall: " + ("PASS" if overall else "FAIL"))
+    lines.append("overall: " + ("PASS" if verdict(report) else "FAIL"))
+    lines += [f"warning: {w}" for w in report_warnings(report)]
     return "\n".join(lines) + "\n"

@@ -7,10 +7,14 @@ is the sharpness payload: it should track -(1/2 + 2/p)/n, the exponent that
 forces the critical smoothing index sigma(p, n) = min{1/n, (1/n)(1/2 + 2/p),
 2/p}.
 
-Per-lambda diagnostics ride along: exact L^2 orthogonality across pieces
-(disjoint lattice supports), the per-piece lower bound ||A_t f_nu||_2/||g_nu||_2
+Per-lambda diagnostics ride along: the L^2 orthogonality defect across
+pieces (the pieces' powers against ||A_t f||_2^2, exact when their lattice
+supports are disjoint), the per-piece lower bound ||A_t f_nu||_2/||g_nu||_2
 against its stationary-phase reference, and the concentration fraction of
 ||A_t f||_2^2 near the origin.
+
+`sharpness_sweep` returns the report.json payload as a plain dict; the
+artifacts, the printed summary and `curveavg report` all read that dict.
 
 lambda cells are independent pure jobs; with cfg.jobs > 1 they run in
 separate processes and merge in lambda order, so results are independent of
@@ -22,7 +26,6 @@ from __future__ import annotations
 import resource
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -35,8 +38,8 @@ from .errors import DomainError
 from .fields import CounterexampleSpec, build_f, windowed_lattice
 from .multiplier import alpha_n, mu_hat_batch
 
-__all__ = ["critical_exponent", "expected_slopes", "fit_slope", "SlopeFit",
-           "SweepReport", "run_cell", "sharpness_sweep", "DEFAULT_SLOPE_TOLS"]
+__all__ = ["critical_exponent", "expected_slopes", "fit_slope", "run_cell",
+           "sharpness_sweep", "DEFAULT_SLOPE_TOLS"]
 
 DEFAULT_SLOPE_TOLS = {"input": 0.1, "output": 0.1, "quotient": 0.05}
 
@@ -70,15 +73,9 @@ def expected_slopes(p, n):
     }
 
 
-@dataclass(frozen=True)
-class SlopeFit:
-    slope: float
-    intercept: float
-    max_residual: float
-
-
 def fit_slope(pairs):
-    """Least squares on (log2 lambda, log2 value); returns a SlopeFit."""
+    """Least squares on (log2 lambda, log2 value): the fit as report.json
+    stores it, {"slope", "intercept", "max_residual"}."""
     pairs = list(pairs)
     if len(pairs) < 3:
         raise DomainError(f"need >= 3 points for a slope fit, got {len(pairs)}")
@@ -90,7 +87,8 @@ def fit_slope(pairs):
     design = np.stack([x, np.ones_like(x)], axis=1)
     (slope, intercept), *_ = np.linalg.lstsq(design, y, rcond=None)
     resid = float(np.abs(design @ np.array([slope, intercept]) - y).max())
-    return SlopeFit(slope=float(slope), intercept=float(intercept), max_residual=resid)
+    return {"slope": float(slope), "intercept": float(intercept),
+            "max_residual": resid}
 
 
 def _cell_setup(cfg, lam):
@@ -107,9 +105,12 @@ def run_cell(cfg, lam):
 
     Builds f once; multiplier samples on its support are batched over
     the short-window time nodes, which also carry the diagnostics (per-piece
-    ratios, orthogonality defect, concentration fractions). `grid` records
-    the window, the support box, its norm grid and the support's mode
-    count; `quadrature` the multiplier's ladder (`mu_hat_batch`); `timings`
+    ratios, concentration fractions, and the orthogonality defect: the
+    largest |sum of the pieces' powers - ||A_t f||_2^2| / ||A_t f||_2^2, the
+    whole taken from `space_stats`'s p = 2 on the field scattered into its
+    support box, where pieces that share a lattice point hold one
+    coefficient). `grid` records the window, the support box, its norm grid
+    and the support's mode count; `quadrature` the multiplier's ladder (`mu_hat_batch`); `timings`
     the field (curve, windows and `build_f`), the diagnostics' reference
     powers with the concentration ball's kernel, the quadrature and the
     `space_stats` calls, in seconds; `peak_rss_mib` the peak resident set of
@@ -143,15 +144,16 @@ def run_cell(cfg, lam):
     node_norms = {p: [] for p in ps}
     for row in mu_short:
         coeff = f.coeffs * row
-        total = float((np.abs(coeff) ** 2).sum()) / Ln
         powers = [float((np.abs(coeff[b.rows]) ** 2).sum()) / Ln for b in f.support]
-        defect = max(defect, abs(sum(powers) - total) / total)
         ratios = [np.sqrt(pw / gp) for pw, gp in zip(powers, g_power)]
         piece_min = min(piece_min, min(ratios))
         piece_table.append(ratios)
         t = clock()
         norms, frac = space_stats(f.with_coeffs(coeff), ps, ball=kernel)
         norms_s += clock() - t
+        # the pieces' powers against ||A_t f||_2^2 of the scattered field
+        total = norms[2.0] ** 2
+        defect = max(defect, abs(sum(powers) - total) / total)
         fractions.append(frac)
         for p in ps:
             node_norms[p].append(norms[p])
@@ -200,46 +202,23 @@ def _cell_job(args):
     return run_cell(cfg, lam)
 
 
-@dataclass
-class SweepReport:
-    n: int
-    ps: tuple
-    lambdas: tuple
-    cells: list
-    slopes: dict      # p -> {"input"/"output"/"quotient": SlopeFit}
-    checks: list      # {"name", "passed", "detail"}
-    config: dict
-    quotient_monotone: bool = True
-
-    @property
-    def passed(self):
-        return all(c["passed"] for c in self.checks)
-
-    def to_dict(self):
-        def fit_dict(f):
-            return {"slope": f.slope, "intercept": f.intercept,
-                    "max_residual": f.max_residual}
-        return {
-            "n": self.n,
-            "ps": list(self.ps),
-            "lambdas": list(self.lambdas),
-            "cells": self.cells,
-            "slopes": {str(int(p)) if float(p).is_integer() else str(p):
-                       {k: fit_dict(v) for k, v in fits.items()}
-                       for p, fits in self.slopes.items()},
-            "checks": self.checks,
-            "quotient_monotone": self.quotient_monotone,
-            "config": self.config,
-        }
-
-
 def _trend_mostly_decreasing(values, allowed_inversions=1):
     ups = sum(1 for a, b in zip(values, values[1:]) if b > a)
     return ups <= allowed_inversions
 
 
 def sharpness_sweep(cfg, slope_tols=None):
-    """Run the full lambda sweep and fit the three slopes per p.
+    """Run the full lambda sweep and fit the three slopes per p; returns the
+    report.json payload, a plain dict.
+
+    Its keys: `n`, `ps`, `lambdas`; `cells`, the `run_cell` dicts in lambda
+    order, whose per-p maps are keyed by float p (JSON writes them "4.0");
+    `slopes`, keyed by the p label ("4") and then by series ("input",
+    "output", "quotient"), each a `fit_slope` dict with `expected`, the
+    `expected_slopes` exponent, and `gap`, |slope - expected|; `checks`, one
+    {"name", "passed", "detail"} per check; `quotient_monotone`, whether
+    every p's quotient falls in lambda with at most one inversion (a
+    warning, not a check); and `config`, the run's config echo.
 
     Checks (selected by cfg.checks) are evaluated here: 'orthogonality'
     (defect <= 1e-10 everywhere), 'slopes' (each fitted slope inside its
@@ -275,15 +254,18 @@ def sharpness_sweep(cfg, slope_tols=None):
     if slope_tols:
         tols.update(slope_tols)
 
+    ps = [float(p) for p in cfg.ps]
+    keys = [str(int(p)) if p.is_integer() else str(p) for p in ps]
     slopes = {}
-    for p in cfg.ps:
-        p = float(p)
-        fits = {
-            "input": fit_slope([(c["lam"], c["norms_in"][p]) for c in cells]),
-            "output": fit_slope([(c["lam"], c["out_short"][p]) for c in cells]),
-            "quotient": fit_slope([(c["lam"], c["quotient"][p]) for c in cells]),
-        }
-        slopes[p] = fits
+    for p, key in zip(ps, keys):
+        want = expected_slopes(p, cfg.n)
+        slopes[key] = {}
+        for which, series in (("input", "norms_in"), ("output", "out_short"),
+                              ("quotient", "quotient")):
+            fit = fit_slope([(c["lam"], c[series][p]) for c in cells])
+            fit["expected"] = want[which]
+            fit["gap"] = abs(fit["slope"] - want[which])
+            slopes[key][which] = fit
 
     checks = []
     if "orthogonality" in cfg.checks:
@@ -291,15 +273,13 @@ def sharpness_sweep(cfg, slope_tols=None):
         checks.append({"name": "orthogonality", "passed": bool(worst <= 1e-10),
                        "detail": f"max defect {worst:.3e} (limit 1e-10)"})
     if "slopes" in cfg.checks:
-        for p, fits in slopes.items():
-            want = expected_slopes(p, cfg.n)
-            for which, fit in fits.items():
-                gap = abs(fit.slope - want[which])
+        for p, key in zip(ps, keys):
+            for which, fit in slopes[key].items():
                 checks.append({
                     "name": f"slope/{which}/p={p:g}",
-                    "passed": bool(gap <= tols[which]),
-                    "detail": (f"fitted {fit.slope:+.4f} vs expected "
-                               f"{want[which]:+.4f} (gap {gap:.4f}, "
+                    "passed": bool(fit["gap"] <= tols[which]),
+                    "detail": (f"fitted {fit['slope']:+.4f} vs expected "
+                               f"{fit['expected']:+.4f} (gap {fit['gap']:.4f}, "
                                f"tol {tols[which]})")})
     if "floor" in cfg.checks:
         worst = min(c["piece_min"] for c in cells)
@@ -323,11 +303,9 @@ def sharpness_sweep(cfg, slope_tols=None):
                 "detail": f"min fraction {lo:.4f} vs max {below:.4f} "
                           f"at lambda={prev['lam']:g} (need growth)"})
 
-    monotone = all(
-        _trend_mostly_decreasing([c["quotient"][float(p)] for c in cells])
-        for p in cfg.ps)
-    return SweepReport(n=cfg.n, ps=tuple(float(p) for p in cfg.ps),
-                       lambdas=tuple(lams), cells=cells, slopes=slopes,
-                       checks=checks, config=cfg.echo(),
-                       quotient_monotone=monotone)
+    monotone = all(_trend_mostly_decreasing([c["quotient"][p] for c in cells])
+                   for p in ps)
+    return {"n": cfg.n, "ps": ps, "lambdas": lams, "cells": cells,
+            "slopes": slopes, "checks": checks, "quotient_monotone": monotone,
+            "config": cfg.echo()}
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from curveavg import (ConeChart, CurveSpec, CutoffSpec, GridSpec,
+from curveavg import (ConeChart, CurveSpec, CutoffSpec, LatticeWindow,
                       SpectralField, SupportBall, alpha_n, apply_averaging,
                       ball_kernel, critical_exponent, derivative_bound_check, direct_oracle,
                       mu_hat, mu_hat_batch, multiplier_sample, space_stats)
@@ -111,7 +111,7 @@ def test_criterion_04_deficit_rate_and_derivative_table():
 
 def test_criterion_05_oracle_equivalence():
     start = time.perf_counter()
-    window = GridSpec(n=3, L=2.0, N=32).window()
+    window = LatticeWindow(L=2.0, dims=(32,) * 3, k0=(-16,) * 3)
     dk = window.dk
     ks = [k for k in np.ndindex(7, 7, 7)
           if np.linalg.norm((np.array(k) - 3) * dk) <= 1.2 * 8.0]

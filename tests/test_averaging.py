@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from curveavg import (CurveSpec, CutoffSpec, DomainError, GeometryError,
-                      GridSpec, LatticeWindow, SpectralField, SupportBall,
+                      LatticeWindow, SpectralField, SupportBall,
                       TimeWindow, apply_averaging, ball_kernel, direct_oracle,
                       lp_norm_spacetime, mu_hat_batch, norm_peak_bytes,
                       parse_config, run_cell, space_stats)
@@ -19,9 +19,15 @@ CURVE = CurveSpec.moment(3)
 CHI = CutoffSpec(delta=0.25)
 
 
+def sparse_field(window, fhat):
+    """The field of a window-shaped coefficient array's nonzero entries."""
+    flat = np.flatnonzero(fhat)
+    return SpectralField(window=window, flat=flat, coeffs=fhat.ravel()[flat])
+
+
 def make_field(modes, amps, N=8, L=2.0):
     """Cubic-window field with the given lattice modes declared as one support ball."""
-    window = GridSpec(n=3, L=L, N=N).window()
+    window = LatticeWindow(L=L, dims=(N,) * 3, k0=(-N // 2,) * 3)
     idx = np.asarray(modes) - np.asarray(window.k0)
     flat = np.ravel_multi_index(tuple(idx.T), window.dims)
     ball = SupportBall(nu=0, center=(0.0,) * 3, radius=0.0,
@@ -150,7 +156,7 @@ def test_even_norms_are_exact():
         c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         fhat = np.zeros(dims, dtype=complex)
         fhat[cut] = c
-        f = SpectralField.from_dense(window, fhat)
+        f = sparse_field(window, fhat)
         norms, _ = space_stats(f, [2.0, 4.0, 6.0, 8.0])
         assert 21 in _norm_grid(shape, [8.0])
         L = f.L
@@ -241,7 +247,7 @@ def test_l2_norm_needs_no_transform(monkeypatch):
 
 def test_fraction_needs_its_own_pass(monkeypatch):
     # the fraction samples |f|^2 on the kernel's grid: one pass per axis,
-    # beside the norms' own, except at p_max = 4, whose norm grid is the
+    # beside the norms' own, even at p_max = 4, whose norm grid is the
     # kernel's grid
     f = _random_field(4)
     kernel = ball_kernel(f, 0.5)
@@ -250,12 +256,12 @@ def test_fraction_needs_its_own_pass(monkeypatch):
     assert norms[2.0] == pytest.approx(f.l2(), rel=1e-12)
     assert 0.0 < fraction < 1.0
     assert len(calls) == 3
-    _, reused = space_stats(f, [2.0, 4.0], ball=kernel)
-    assert len(calls) == 6
-    _, own = space_stats(f, [2.0, 6.0], ball=kernel)
-    assert len(calls) == 12
-    assert reused == pytest.approx(own, rel=1e-14)
-    assert reused == pytest.approx(fraction, rel=1e-14)
+    _, at4 = space_stats(f, [2.0, 4.0], ball=kernel)
+    assert len(calls) == 9
+    _, at6 = space_stats(f, [2.0, 6.0], ball=kernel)
+    assert len(calls) == 15
+    assert at4 == pytest.approx(at6, rel=1e-14)
+    assert at4 == pytest.approx(fraction, rel=1e-14)
 
 
 def _gapped_field(dims, seed):
@@ -266,7 +272,7 @@ def _gapped_field(dims, seed):
     keep = rng.random(dims) < 0.5
     fhat[keep] = (rng.standard_normal(keep.sum())
                   + 1j * rng.standard_normal(keep.sum()))
-    return SpectralField.from_dense(window, fhat)
+    return sparse_field(window, fhat)
 
 
 def _slab_rows(monkeypatch):
@@ -312,32 +318,13 @@ def test_slabs_match_one_slab(monkeypatch, dims, top):
     monkeypatch.setattr(averaging, "_SLAB_POINTS", _ragged_budget(*grids))
     many = [space_stats(f, ps), space_stats(f, ps, ball=kernel)]
     # one norm loop per call (none at top = 2), plus the fraction's own
-    # loop except at top = 4, where the norm loop feeds it
-    assert len(loops) == (top > 2) + (top > 2) + (top != 4)
+    assert len(loops) == 2 * (top > 2) + 1
     assert all(1 < len(rows) and rows[-1] < rows[0] for rows in loops)
     for (norms, _), (want, _) in zip(many, one):
         assert norms == pytest.approx(want, rel=1e-13, abs=0)
     assert many[0][1] is None
     assert many[1][1] == pytest.approx(one[1][1], rel=1e-13, abs=0)
     assert 0.0 < many[1][1] < 1.0
-
-
-@pytest.mark.parametrize("dims", [(16, 12), (8, 8, 6), (12, 4, 4, 4)])
-def test_shared_loop_fraction_matches_own_loop(monkeypatch, dims):
-    # at p_max = 4 the norm loop feeds the fraction; at p_max = 6 the
-    # fraction runs its own loop on G; over several slabs they agree
-    f = _gapped_field(dims, 1)
-    kernel = ball_kernel(f, 0.9)
-    span = f.box()[1]
-    monkeypatch.setattr(averaging, "_SLAB_POINTS", _ragged_budget(
-        _ball_grid(span), _norm_grid(span, [6.0])))
-    loops = _slab_rows(monkeypatch)
-    _, shared = space_stats(f, [2.0, 4.0], ball=kernel)
-    _, own = space_stats(f, [2.0, 6.0], ball=kernel)
-    # the shared loop, then the p = 6 norm loop and the fraction's own
-    assert len(loops) == 3 and loops[0] == loops[2]
-    assert all(1 < len(rows) and rows[-1] < rows[0] for rows in loops)
-    assert shared == pytest.approx(own, rel=1e-13)
 
 
 def _ball_hat(rho, radius, n):
@@ -364,7 +351,7 @@ def test_single_mode_fraction_is_ball_volume(n):
     window = LatticeWindow(L=3.0, dims=(4,) * n, k0=(-2,) * n)
     fhat = np.zeros(window.dims, dtype=complex)
     fhat[(1,) * n] = 2.0 - 1.0j
-    f = SpectralField.from_dense(window, fhat)
+    f = sparse_field(window, fhat)
     for radius in (0.2, 0.7, 1.4):
         _, fraction = space_stats(f, [2.0], ball=ball_kernel(f, radius))
         want = np.pi ** (n / 2) / gamma(n / 2 + 1) * radius ** n / 3.0 ** n
@@ -382,7 +369,7 @@ def test_fraction_matches_quadratic_form(dims):
     keep = rng.random(dims) < 0.5
     fhat[keep] = (rng.standard_normal(keep.sum())
                   + 1j * rng.standard_normal(keep.sum()))
-    f = SpectralField.from_dense(window, fhat)
+    f = sparse_field(window, fhat)
     for radius in (0.3, 0.9, 1.4):
         _, fraction = space_stats(f, [2.0, 4.0], ball=ball_kernel(f, radius))
         assert fraction == pytest.approx(_brute_fraction(f, radius),
@@ -468,7 +455,7 @@ def test_peak_bytes_bounds_measured_peak(dims, box, radius, ps, slabs):
     fhat[tuple(slice(m - b, m) for m, b in zip(dims, box))] = (
         rng.standard_normal(box) + 1j * rng.standard_normal(box))
     window = LatticeWindow(L=20.0, dims=dims, k0=tuple(-m // 2 for m in dims))
-    f = SpectralField.from_dense(window, fhat)
+    f = sparse_field(window, fhat)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]

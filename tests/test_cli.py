@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 
 import numpy as np
@@ -100,12 +102,14 @@ def test_synthesize_writes_snapshots(tmp_path):
 @pytest.fixture(scope="module")
 def sweep_dir(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("sweep")
-    status = main(["sweep", "--config", write_cfg(tmp), "--out", str(tmp)])
-    return tmp, status
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        status = main(["sweep", "--config", write_cfg(tmp), "--out", str(tmp)])
+    return tmp, status, stdout.getvalue()
 
 
 def test_sweep_passes_and_writes_artifacts(sweep_dir):
-    tmp, status = sweep_dir
+    tmp, status, _ = sweep_dir
     assert status == 0
     for name in ("report.json", "sweep.csv", "slopes.csv", "loglog.svg",
                  "manifest.json"):
@@ -127,16 +131,22 @@ def test_sweep_passes_and_writes_artifacts(sweep_dir):
 
 
 def test_report_rerenders(sweep_dir, capsys):
-    tmp, _ = sweep_dir
+    tmp, _, _ = sweep_dir
     assert main(["report", "--out", str(tmp)]) == 0
     out = capsys.readouterr().out
     assert "overall: PASS" in out and "orthogonality" in out
 
 
+def test_report_prints_the_sweep_stdout(sweep_dir, capsys):
+    tmp, _, swept = sweep_dir
+    assert main(["report", "--out", str(tmp)]) == 0
+    assert capsys.readouterr().out == swept
+
+
 def test_report_leaves_the_sweep_manifest(sweep_dir, capsys):
     # report only re-renders: the sweep's manifest, with its config and
     # artifacts, stays byte for byte
-    tmp, _ = sweep_dir
+    tmp, _, _ = sweep_dir
     before = (tmp / "manifest.json").read_bytes()
     assert main(["report", "--out", str(tmp)]) == 0
     capsys.readouterr()
@@ -147,11 +157,33 @@ def test_report_leaves_the_sweep_manifest(sweep_dir, capsys):
 
 
 def test_report_strict_fails_on_red(sweep_dir, tmp_path, capsys):
-    tmp, _ = sweep_dir
+    tmp, _, _ = sweep_dir
     payload = json.loads((tmp / "report.json").read_text())
     payload["checks"][0]["passed"] = False
     (tmp_path / "report.json").write_text(json.dumps(payload))
     assert main(["report", "--out", str(tmp_path)]) == 0
+    assert main(["report", "--out", str(tmp_path), "--strict"]) == 1
+    capsys.readouterr()
+
+
+def test_strict_fails_on_warnings_in_sweep_and_report(tmp_path, monkeypatch,
+                                                      capsys):
+    # a quotient trend that does not fall warns; --strict fails on it in
+    # sweep and in report alike, and report prints what sweep printed
+    real = cli.sharpness_sweep
+
+    def rising(cfg, slope_tols=None):
+        return {**real(cfg, slope_tols), "quotient_monotone": False}
+
+    monkeypatch.setattr(cli, "sharpness_sweep", rising)
+    cfg = write_cfg(tmp_path)
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path),
+                 "--strict"]) == 1
+    swept = capsys.readouterr().out
+    assert swept.endswith(
+        "overall: PASS\nwarning: quotient trend not decreasing in lambda\n")
+    assert main(["report", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == swept
     assert main(["report", "--out", str(tmp_path), "--strict"]) == 1
     capsys.readouterr()
 

@@ -3,9 +3,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from curveavg import (ApertureError, ConeChart, ConfigError,
-                      CounterexampleSpec, CurveSpec, CutoffSpec,
-                      GridError, GridSpec, LatticeWindow, SpectralField,
-                      build_f, frequency_centers, windowed_lattice)
+                      CounterexampleSpec, CurveSpec, CutoffSpec, LatticeWindow,
+                      SpectralField, build_f, frequency_centers,
+                      windowed_lattice)
 
 
 @pytest.fixture(scope="module")
@@ -23,11 +23,6 @@ def spec_for(lam, chart, chi, rho=1.0, c0=0.7):
 
 
 # --- grids and windows -------------------------------------------------------
-
-def test_gridspec_rejects_bad_n():
-    with pytest.raises(GridError):
-        GridSpec(n=3, N=24)
-
 
 def test_window_frequencies():
     w = LatticeWindow(L=2.0, dims=(4, 4, 4), k0=(-2, -2, -2))

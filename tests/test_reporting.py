@@ -6,11 +6,10 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from curveavg import (GridError, GridSpec, LatticeWindow, SlopeFit,
-                      SpectralField, SweepReport, load_snapshot, render_report,
-                      save_snapshot)
-from curveavg.reporting import (fmt, quotient_svg, write_csv, write_json,
-                                write_manifest)
+from curveavg import (GridError, LatticeWindow, SpectralField, load_snapshot,
+                      render_report, save_snapshot, sweep_artifacts)
+from curveavg.reporting import (fmt, quotient_svg, report_warnings, verdict,
+                                write_csv, write_json, write_manifest)
 
 
 def test_fmt_gives_twelve_significant_digits():
@@ -52,11 +51,17 @@ def test_manifest_contents(tmp_path):
 
 # --- snapshots -----------------------------------------------------------------
 
+def sparse_field(window, fhat):
+    """The field of a window-shaped coefficient array's nonzero entries."""
+    flat = np.flatnonzero(fhat)
+    return SpectralField(window=window, flat=flat, coeffs=fhat.ravel()[flat])
+
+
 def cubic_field():
-    window = GridSpec(n=3, L=2.0, N=8).window()
+    window = LatticeWindow(L=2.0, dims=(8,) * 3, k0=(-4,) * 3)
     rng = np.random.default_rng(0)
     fhat = rng.standard_normal(window.dims) + 1j * rng.standard_normal(window.dims)
-    return SpectralField.from_dense(window, fhat)
+    return sparse_field(window, fhat)
 
 
 def assert_same_field(g, f):
@@ -78,7 +83,7 @@ def test_snapshot_roundtrip_cubic(tmp_path):
 def test_snapshot_roundtrip_offset_window(tmp_path):
     window = LatticeWindow(L=5.0, dims=(4, 8, 4), k0=(3, -2, 7))
     rng = np.random.default_rng(1)
-    f = SpectralField.from_dense(window, rng.standard_normal(window.dims) + 0j)
+    f = sparse_field(window, rng.standard_normal(window.dims) + 0j)
     g, lam = load_snapshot(save_snapshot(tmp_path / "f.bin", f, 64.0))
     assert (g.window.dims, g.window.k0) == ((4, 8, 4), (3, -2, 7))
     assert g.window.L == 5.0 and lam == 64.0
@@ -87,7 +92,7 @@ def test_snapshot_roundtrip_offset_window(tmp_path):
 
 def test_snapshot_size_follows_the_support(tmp_path):
     # five coefficients on a 128^3 window: the whole window would be 33.5 MB
-    window = GridSpec(n=3, L=2.0, N=128).window()
+    window = LatticeWindow(L=2.0, dims=(128,) * 3, k0=(-64,) * 3)
     f = SpectralField(window=window,
                       flat=np.array([0, 7, 4096, 99999, 128 ** 3 - 1]),
                       coeffs=np.array([1.0, -2j, 0.5 + 0.5j, 3.0, 1e-9 + 0j]))
@@ -153,18 +158,24 @@ def test_snapshot_rejects_other_versions_and_stray_indices(tmp_path):
 
 # --- rendering -----------------------------------------------------------------
 
-def fake_report():
+def fake_report(monotone=True):
+    """A `sharpness_sweep` payload with one p, one failed check and exact
+    power-law cells."""
     cells = [{"lam": lam,
               "norms_in": {4.0: lam ** 1.2},
               "out_short": {4.0: lam ** 0.9},
               "quotient": {4.0: lam ** -0.3}}
              for lam in (32.0, 64.0, 128.0)]
-    fits = {"input": SlopeFit(1.2, 0.0, 0.0), "output": SlopeFit(0.9, 0.0, 0.0),
-            "quotient": SlopeFit(-0.3, 0.0, 0.0)}
+    fits = {which: {"slope": slope, "intercept": 0.0, "max_residual": 0.0,
+                    "expected": want, "gap": abs(slope - want)}
+            for which, slope, want in (("input", 1.2, 7 / 6),
+                                       ("output", 0.9, 5 / 6),
+                                       ("quotient", -0.3, -1 / 3))}
     checks = [{"name": "orthogonality", "passed": True, "detail": "max defect 0"},
               {"name": "slope/quotient/p=4", "passed": False, "detail": "off"}]
-    return SweepReport(n=3, ps=(4.0,), lambdas=(32.0, 64.0, 128.0), cells=cells,
-                       slopes={4.0: fits}, checks=checks, config={})
+    return {"n": 3, "ps": [4.0], "lambdas": [32.0, 64.0, 128.0],
+            "cells": cells, "slopes": {"4": fits}, "checks": checks,
+            "quotient_monotone": monotone, "config": {}}
 
 
 def test_svg_is_wellformed_xml():
@@ -177,9 +188,39 @@ def test_svg_is_wellformed_xml():
 
 
 def test_render_report_text():
-    text = render_report(fake_report().to_dict())
+    text = render_report(fake_report())
     assert "[PASS] orthogonality" in text
     assert "[FAIL] slope/quotient/p=4" in text
     assert text.rstrip().endswith("overall: FAIL")
     # slope lines carry signed values
     assert "slope +1.2000" in text and "slope -0.3000" in text
+
+
+def test_warnings_follow_the_verdict_and_fail_only_strict():
+    report = fake_report(monotone=False)
+    assert report_warnings(report) == ["quotient trend not decreasing in lambda"]
+    assert render_report(report).endswith(
+        "overall: FAIL\nwarning: quotient trend not decreasing in lambda\n")
+    report["checks"][1]["passed"] = True
+    assert verdict(report) and not verdict(report, strict=True)
+    report["quotient_monotone"] = True
+    assert report_warnings(report) == [] and verdict(report, strict=True)
+
+
+def test_sweep_artifacts_project_the_payload(tmp_path):
+    report = fake_report()
+    paths = sweep_artifacts(report, tmp_path)
+    assert [p.name for p in paths] == ["report.json", "sweep.csv",
+                                       "slopes.csv", "loglog.svg"]
+    stored = json.loads((tmp_path / "report.json").read_text())
+    assert stored == json.loads(json.dumps(report))
+    rows = (tmp_path / "slopes.csv").read_text().splitlines()
+    assert rows[0] == "p,series,slope,intercept,max_residual,expected,gap"
+    fits = report["slopes"]["4"]
+    assert rows[1:] == [",".join(fmt(v) for v in (
+        4.0, which, fit["slope"], fit["intercept"], fit["max_residual"],
+        fit["expected"], fit["gap"])) for which, fit in fits.items()]
+    rows = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert rows[1] == ",".join(fmt(v) for v in (
+        32.0, 4.0, 32.0 ** 1.2, 32.0 ** 0.9, 32.0 ** -0.3))
+    assert (tmp_path / "loglog.svg").read_text() == quotient_svg(report)

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curveavg import (DomainError, RunConfig, SweepReport, critical_exponent,
-                      expected_slopes, fit_slope, sharpness_sweep)
+from curveavg import (DomainError, RunConfig, critical_exponent,
+                      expected_slopes, fit_slope, run_cell, sharpness_sweep)
 from curveavg import sweep as sweep_module
 from curveavg.averaging import _norm_grid
 from curveavg.sweep import _peak_rss_mib, _trend_mostly_decreasing
@@ -83,9 +83,10 @@ def test_expected_slopes_are_consistent():
 def test_fit_recovers_exact_power_law():
     pairs = [(lam, 0.7 * lam ** -0.31) for lam in (8.0, 16.0, 32.0, 64.0)]
     fit = fit_slope(pairs)
-    assert fit.slope == pytest.approx(-0.31, abs=1e-12)
-    assert 2 ** fit.intercept == pytest.approx(0.7, rel=1e-12)
-    assert fit.max_residual < 1e-12
+    assert set(fit) == {"slope", "intercept", "max_residual"}
+    assert fit["slope"] == pytest.approx(-0.31, abs=1e-12)
+    assert 2 ** fit["intercept"] == pytest.approx(0.7, rel=1e-12)
+    assert fit["max_residual"] < 1e-12
 
 
 @settings(max_examples=25, deadline=None)
@@ -93,7 +94,7 @@ def test_fit_recovers_exact_power_law():
 def test_fit_roundtrip_property(slope, scale):
     lams = (4.0, 8.0, 16.0, 32.0, 64.0)
     fit = fit_slope([(lam, scale * lam ** slope) for lam in lams])
-    assert fit.slope == pytest.approx(slope, abs=1e-9)
+    assert fit["slope"] == pytest.approx(slope, abs=1e-9)
 
 
 def test_fit_needs_three_points():
@@ -140,14 +141,13 @@ def test_sweep_requires_three_lambdas(tiny_cfg):
 
 
 def test_sweep_cell_structure(tiny_report):
-    assert isinstance(tiny_report, SweepReport)
-    assert [c["lam"] for c in tiny_report.cells] == [32.0, 45.0, 64.0]
+    assert [c["lam"] for c in tiny_report["cells"]] == [32.0, 45.0, 64.0]
     # the cells ran in this process, in lambda order, so their peak RSS is
     # its running maximum, in MiB
-    peaks = [c["peak_rss_mib"] for c in tiny_report.cells]
+    peaks = [c["peak_rss_mib"] for c in tiny_report["cells"]]
     assert 1 < peaks[0] and peaks == sorted(peaks)
     assert peaks[-1] <= _peak_rss_mib() < 1 << 20
-    for c in tiny_report.cells:
+    for c in tiny_report["cells"]:
         assert c["nnu"] == 2 * int(0.7 * c["lam"] ** (1 / 3)) + 1
         assert set(c["norms_in"]) == {2.0, 4.0}   # 2.0 always measured
         assert len(c["t_nodes_short"]) == 5
@@ -178,40 +178,78 @@ def test_sweep_cell_structure(tiny_report):
 
 
 def test_sweep_quotient_is_norm_ratio(tiny_report):
-    for c in tiny_report.cells:
+    for c in tiny_report["cells"]:
         assert c["quotient"][4.0] == pytest.approx(
             c["out_short"][4.0] / c["norms_in"][4.0], rel=1e-12)
 
 
 def test_sweep_orthogonality_defect_is_roundoff(tiny_report):
-    assert max(c["defect"] for c in tiny_report.cells) <= 1e-12
+    assert max(c["defect"] for c in tiny_report["cells"]) <= 1e-12
+
+
+def test_orthogonality_defect_sees_shared_lattice_points(monkeypatch, tiny_cfg):
+    # piece 1 reuses the lattice point of piece 0's largest coefficient:
+    # scattered into the box, the two coefficients there hold one value, so
+    # the pieces' powers no longer add up to ||A_t f||_2^2
+    setup = sweep_module._cell_setup
+
+    def overlapping(cfg, lam):
+        curve, cutoff, spec, f = setup(cfg, lam)
+        rows = f.support[0].rows
+        top = rows.start + int(np.argmax(np.abs(f.coeffs[rows])))
+        flat = f.flat.copy()
+        flat[f.support[1].rows.start] = flat[top]
+        return curve, cutoff, spec, replace(f, flat=flat)
+
+    monkeypatch.setattr(sweep_module, "_cell_setup", overlapping)
+    assert run_cell(tiny_cfg, 32.0)["defect"] > 1e-10
 
 
 def test_sweep_fractions_lie_in_unit_interval(tiny_report):
-    for c in tiny_report.cells:
+    for c in tiny_report["cells"]:
         assert len(c["fractions"]) == len(c["t_nodes_short"])
         assert all(0.0 < frac < 1.0 for frac in c["fractions"]), c["lam"]
 
 
 def test_sweep_checks_pass_with_loose_bands(tiny_report):
-    names = [c["name"] for c in tiny_report.checks]
+    names = [c["name"] for c in tiny_report["checks"]]
     assert "orthogonality" in names and "piece-floor" in names
     assert any(name.startswith("slope/quotient") for name in names)
-    assert tiny_report.passed
+    assert all(c["passed"] for c in tiny_report["checks"])
 
 
 def test_sweep_report_serializes(tiny_report):
-    d = tiny_report.to_dict()
-    assert set(d["slopes"]) == {"4"}
-    assert set(d["slopes"]["4"]) == {"input", "output", "quotient"}
-    json.dumps(d)   # everything plain
-    assert d["config"]["lambdas"] == [32.0, 45.0, 64.0]
+    assert set(tiny_report) == {"n", "ps", "lambdas", "cells", "slopes",
+                                "checks", "quotient_monotone", "config"}
+    assert set(tiny_report["slopes"]) == {"4"}
+    fits = tiny_report["slopes"]["4"]
+    assert list(fits) == ["input", "output", "quotient"]
+    want = expected_slopes(4.0, 3)
+    for which, fit in fits.items():
+        assert set(fit) == {"slope", "intercept", "max_residual", "expected",
+                            "gap"}
+        assert fit["expected"] == want[which]
+        assert fit["gap"] == abs(fit["slope"] - want[which])
+    assert fits["quotient"]["slope"] == fit_slope(
+        [(c["lam"], c["quotient"][4.0]) for c in tiny_report["cells"]])["slope"]
+    json.dumps(tiny_report)   # everything plain
+    assert tiny_report["config"]["lambdas"] == [32.0, 45.0, 64.0]
+
+
+def test_slope_checks_read_the_fits(tiny_report):
+    # each slope check reports its fit's own gap and expected exponent
+    fits = tiny_report["slopes"]["4"]
+    for check in tiny_report["checks"]:
+        if check["name"].startswith("slope/"):
+            fit = fits[check["name"].split("/")[1]]
+            assert f"gap {fit['gap']:.4f}" in check["detail"]
+            assert f"expected {fit['expected']:+.4f}" in check["detail"]
 
 
 def test_sweep_quotient_decreases_even_here(tiny_report):
     # the smoothing gain shows up well before the slopes settle
-    q = [c["quotient"][4.0] for c in tiny_report.cells]
-    assert tiny_report.quotient_monotone
+    q = [c["quotient"][4.0] for c in tiny_report["cells"]]
+    assert tiny_report["quotient_monotone"]
     assert q[-1] < q[0]
 
 
@@ -237,22 +275,22 @@ def _concentration_report(monkeypatch, tiny_cfg, fractions):
 def test_concentration_check_passes_on_growing_fractions(monkeypatch, tiny_cfg):
     # every fraction is far below 0.5, the lambda -> infinity share
     report = _concentration_report(monkeypatch, tiny_cfg, PINNED_FRACTIONS)
-    assert [c["name"] for c in report.checks] == [
+    assert [c["name"] for c in report["checks"]] == [
         "concentration/lambda=64", "concentration/lambda=128",
         "concentration/lambda=256", "concentration/growth/lambda=128",
         "concentration/growth/lambda=256"]
-    assert report.passed
+    assert all(c["passed"] for c in report["checks"])
 
 
 def test_concentration_check_fails_without_growth(monkeypatch, tiny_cfg):
     stalled = {**PINNED_FRACTIONS, 256.0: [0.1400, 0.1300]}
     report = _concentration_report(monkeypatch, tiny_cfg, stalled)
-    failed = [c["name"] for c in report.checks if not c["passed"]]
+    failed = [c["name"] for c in report["checks"] if not c["passed"]]
     assert failed == ["concentration/growth/lambda=256"]
 
 
 def test_concentration_check_fails_on_window_variation(monkeypatch, tiny_cfg):
     spread = {**PINNED_FRACTIONS, 256.0: [0.1479, 0.3100]}
     report = _concentration_report(monkeypatch, tiny_cfg, spread)
-    failed = [c["name"] for c in report.checks if not c["passed"]]
+    failed = [c["name"] for c in report["checks"] if not c["passed"]]
     assert failed == ["concentration/lambda=256"]
