@@ -29,7 +29,7 @@ from .fields import (CounterexampleSpec, LatticeWindow, SpectralField,
 from .multiplier import (MultiplierSample, alpha_n, derivative_bound_check,
                          mu_hat, mu_hat_batch, multiplier_sample)
 from .reporting import (load_snapshot, render_report, save_snapshot,
-                        sweep_artifacts, write_csv, write_json)
+                        sweep_artifacts, sweep_tables, write_csv, write_json)
 from .sweep import (critical_exponent, expected_slopes, fit_slope, run_cell,
                     sharpness_sweep)
 
@@ -62,5 +62,5 @@ __all__ = [
     "sharpness_sweep",
     # reporting
     "save_snapshot", "load_snapshot", "write_csv", "write_json",
-    "sweep_artifacts", "render_report",
+    "sweep_artifacts", "sweep_tables", "render_report",
 ]

@@ -9,10 +9,10 @@ summation of the stored coefficients.
 Norms: for even integer p, |f|^p is a trigonometric polynomial, so its
 torus integral equals a Riemann sum on any grid fine enough for it. |f| does
 not change under modulation, so only the bounding box of the support's
-lattice indices is transformed: the coefficient vector is scattered into a
-box-sized array, zero-padded per axis to the least 7-smooth
-F >= (p_max/2)(span - 1) + 1 points: exact for every requested p up to the
-largest, p_max. The box is padded and transformed along axis 0 once; the
+lattice indices, the field's window, is transformed: the coefficient vector
+is scattered into a box-sized array, zero-padded per axis to the least
+7-smooth F >= (p_max/2)(span - 1) + 1 points: exact for every requested p up
+to the largest, p_max. The box is padded and transformed along axis 0 once; the
 rows of that output are then taken in slabs of about `_SLAB_POINTS` grid
 points (at least one row), and each slab alone is padded and transformed
 along axes 1 ... n-1, so no stage after the first is held at the full grid
@@ -168,7 +168,7 @@ def _ball_transform(rho, radius, n):
 
 def ball_kernel(field, radius):
     """The concentration fraction's weight for the centered ball of this
-    radius, for every field on this field's window and support box: the
+    radius, for every field on this field's window, its support's box: the
     real kernel K on `_ball_grid(span)` whose dot product with |f|^2 there
     is sum_q A(q) B_hat(q dk). B_hat depends on |q_a| per axis alone, so it
     is tabulated on q_a = 0..G_a/2, evaluated once per distinct integer
@@ -179,7 +179,7 @@ def ball_kernel(field, radius):
     if radius >= L / 2:
         raise GeometryError(
             f"ball radius {radius:.4g} >= half box side {L / 2:.4g}")
-    G = _ball_grid(field.box()[1])
+    G = _ball_grid(field.window.dims)
     q2 = sum((np.arange(g // 2 + 1) ** 2).reshape((-1,) + (1,) * (n - 1 - a))
              for a, g in enumerate(G))
     present, where = np.unique(q2, return_inverse=True)
@@ -226,8 +226,9 @@ def space_stats(field, ps, ball=None):
     box and the passes on the other axes per slab of axis-0 rows, and each
     slab's |f|^2 is raised to each further even power by one multiply and
     summed. p = 2 is taken from Parseval, prod(F) * sum |box|^2, without a
-    transform. The box spans the support's lattice indices, and the
-    coefficient vector is scattered into it. The fraction is exact: the dot
+    transform. The box is the field's window, the span of the support's
+    lattice indices, and the coefficient vector is scattered into it. The
+    fraction is exact: the dot
     product of |f|^2 on the kernel's grid G with the kernel, added up over
     the slabs of G with the kernel sliced by the same rows, in a slab loop
     of its own. The fraction is None without a ball and for a field with no
@@ -240,8 +241,7 @@ def space_stats(field, ps, ball=None):
 
     if not np.any(field.coeffs):
         return {p: 0.0 for p in ps}, None
-    lo, span = field.box()
-    box = field.dense(span, origin=lo)
+    box = field.dense()
     G = _ball_grid(box.shape)
     if ball is not None and ball.shape != G:
         raise DomainError(f"ball kernel on grid {ball.shape}, this field's "
@@ -285,9 +285,7 @@ def norm_peak_bytes(span, ps):
     and of the `ball_kernel` build before it.
 
     space_stats holds, at most, the sum of
-    - the box and its scatter: the box array, 16 bytes per point, held to
-      the end, and the support's window indices unravelled per axis, 8n
-      bytes per support point, of which the box holds at most one per point;
+    - the box array, 16 bytes per point, held to the end;
     - on the norm grid F: the axis-0 pass output, F_0 * prod(span[1:])
       complex, held through the slab loop; and one slab's working set, at
       least one axis-0 row of prod(F[1:]) points, 48 bytes per point (plus
@@ -312,6 +310,6 @@ def norm_peak_bytes(span, ps):
 
     G = _ball_grid(span)
     kernel = np.prod(G, dtype=float)
-    stats = ((16 + 8 * len(span)) * np.prod(span, dtype=float)
+    stats = (16 * np.prod(span, dtype=float)
              + passes(_norm_grid(span, ps)) + passes(G) + 8 * kernel)
     return int(max(stats, 40 * kernel))

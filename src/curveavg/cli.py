@@ -3,17 +3,17 @@
 Subcommands: cone-verify (Newton residual/homogeneity tables), multiplier-verify
 (oscillatory decay and stationary-phase deficit table), synthesize (build the
 counterexample fields, snapshot them, tabulate norms), sweep (the full scaling
-experiment), report (re-render a sweep's report.json as a pass/fail summary).
+experiment), report (rebuild a sweep's tables and summary from report.json).
 
 Every run except report writes a manifest with the resolved config, the
 tool, Python and numpy versions, the platform, the CPU count and the
-command's wall time; report leaves the sweep's manifest as it is. Module
-errors become a machine-readable ``error.json`` in the output directory plus a
-nonzero exit. sweep prints the summary `render_report` makes of its
+command's wall time; report rewrites only sweep.csv, slopes.csv and
+loglog.svg (as its config echo asks), byte for byte as the sweep did. Module
+errors become a machine-readable ``error.json`` in the output directory plus
+a nonzero exit. sweep prints the summary `render_report` makes of its
 report.json, and report prints the same summary of the file. sweep exits 1
 when a check fails, report only under ``--strict``; ``--strict`` also turns
-warnings (currently: a non-decreasing quotient trend) into failures, for
-both.
+warnings (currently: a non-decreasing quotient trend) into failures, for both.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ from .config import (chart_from, curve_from, cutoff_from, enforce_memory_cap,
 from .errors import CurveAvgError
 from .multiplier import multiplier_sample
 from .reporting import (render_report, save_snapshot, sweep_artifacts,
-                        verdict, write_csv, write_json, write_manifest)
+                        sweep_tables, verdict, write_csv, write_json,
+                        write_manifest)
 from .sweep import DEFAULT_SLOPE_TOLS, _cell_setup, sharpness_sweep
 
 __all__ = ["main"]
@@ -67,7 +68,7 @@ def _parser():
         ("synthesize", "build the counterexample fields; write snapshots "
                        "and a norm table"),
         ("sweep", "run the lambda sweep and fit scaling slopes"),
-        ("report", "re-render report.json from a finished sweep"),
+        ("report", "rebuild a sweep's tables and summary from report.json"),
     ]:
         sub.add_parser(name, parents=[common], help=doc, description=doc)
     return parser
@@ -180,6 +181,7 @@ def _cmd_report(outdir, strict):
     if not path.exists():
         raise CurveAvgError(f"no report.json under {outdir}; run sweep first")
     report = json.loads(path.read_text(encoding="utf-8"))
+    sweep_tables(report, outdir, svg=report["config"]["svg"])
     print(render_report(report), end="")
     return 0 if not strict or verdict(report, strict=True) else 1
 

@@ -281,25 +281,25 @@ def _estimate_terms(cfg, lam):
     """The norm evaluation's and the quadrature's terms of
     estimate_field_bytes.
 
-    The support box is the span of the pieces' boxes (`piece_boxes`, the
-    ones `build_f` enumerates): each piece lies in its own, which bounds
-    the support size and its distinct leading (n-1)-tuples. The
-    quadrature's node count is that of the first fine level of its panel
-    ladder started at the box's corners: the phase rate <gamma'(s), xi> is
-    linear in xi, so its maximum over the box sits at a corner. The ladder
-    may run further; only the nodes' own arrays grow with it, as the
-    quadrature walks its nodes in blocks of bounded size. No field is built
-    and no quadrature runs.
+    The support box lies in the `windowed_lattice` block, the span of the
+    pieces' boxes (`piece_boxes`, the ones `build_f` enumerates): each piece
+    lies in its own, which bounds the support size and its distinct leading
+    (n-1)-tuples. The quadrature's node count is that of the first fine
+    level of its panel ladder started at the block's corners: the phase
+    rate <gamma'(s), xi> is linear in xi, so its maximum over the block sits
+    at a corner. The ladder may run further; only the nodes' own arrays
+    grow with it, as the quadrature walks its nodes in blocks of bounded
+    size. No field is built and no quadrature runs.
     """
     spec = CounterexampleSpec(lam=lam, chart=chart_from(cfg),
                               cutoff=cutoff_from(cfg), rho=cfg.rho, c0=cfg.c0)
     window = windowed_lattice(spec, points_per_radius=cfg.points_per_radius)
-    lo, hi = piece_boxes(frequency_centers(spec), spec.radius, window.dk)
-    span = tuple(int(v) for v in hi.max(axis=0) - lo.min(axis=0) + 1)
+    span, k0 = window.dims, np.asarray(window.k0)
     norm = norm_peak_bytes(span, (2.0,) + cfg.ps)
 
+    lo, hi = piece_boxes(frequency_centers(spec), spec.radius, window.dk)
     piece = hi - lo + 1
-    corners = np.array(list(product(*zip(lo.min(axis=0), hi.max(axis=0)))))
+    corners = np.array(list(product(*zip(k0, k0 + span - 1))))
     ts = TimeWindow.short(lam, cfg.n, m=cfg.time_nodes).nodes
     panels = _panel_start(spec.chart.curve, spec.cutoff, ts, corners * window.dk)
     quad = quadrature_peak_bytes(

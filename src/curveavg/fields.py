@@ -1,15 +1,10 @@
 """Frequency-side synthesis of the band-limited test family.
 
 The family lives on a periodic box: frequency lattice xi_k = k * (2pi/L),
-and a field is sparse on it. A rectangular *window* of lattice indices
-[k0, k0 + dims), a tight box around the construction's support
-(`windowed_lattice`), is metadata only: it fixes L and numbers the lattice
-points. The field stores the flat window indices of its support and one
-vector of f_hat(xi_k) values over them; each support ball owns a contiguous
-run of rows. Nothing of window size is kept or allocated:
-`SpectralField.dense` scatters the coefficients into an array of the
-caller's shape (the norm engine's support box), and snapshots store the two
-vectors as they are. Spatial values are
+and a field is sparse on it: the flat indices of its support in its
+*window* of lattice indices [k0, k0 + dims), the support's bounding box
+(`SpectralField.on_lattice`), and one vector of f_hat(xi_k) values over
+them; each support ball owns a contiguous run of rows. Spatial values are
 f(x) = L^{-n} sum_k f_hat(xi_k) e^{i<xi_k, x>}.
 
 The construction itself: centers xi^nu = lambda * Gamma(nu * lambda^{-1/n})
@@ -33,13 +28,6 @@ from .errors import ApertureError, ConfigError, DomainError, GridError
 __all__ = ["LatticeWindow", "SupportBall", "SpectralField",
            "CounterexampleSpec", "frequency_centers", "windowed_lattice",
            "piece_boxes", "build_f"]
-
-
-def _next_pow2(m):
-    p = 1
-    while p < m:
-        p <<= 1
-    return p
 
 
 @dataclass(frozen=True)
@@ -79,7 +67,8 @@ class SpectralField:
 
     `flat` holds the support's flat indices into the window, `coeffs` the
     coefficient at each; `support` declares the balls, each owning a
-    contiguous slice of rows of both vectors. The window is metadata only.
+    contiguous slice of rows of both vectors. Built by `on_lattice`, the
+    window is the support's bounding box.
     """
 
     window: LatticeWindow
@@ -91,6 +80,19 @@ class SpectralField:
         if self.flat.ndim != 1 or self.flat.shape != self.coeffs.shape:
             raise GridError("index and coefficient vectors differ in shape")
 
+    @classmethod
+    def on_lattice(cls, L, k, coeffs, support=()):
+        """The field with coefficient coeffs[i] at lattice index k[i] (an
+        (m, n) integer array), on the window of its support's bounding box."""
+        k = np.asarray(k)
+        if k.ndim != 2 or not len(k):
+            raise GridError("a field needs at least one support point")
+        lo = k.min(axis=0)
+        dims = tuple(int(v) for v in k.max(axis=0) - lo + 1)
+        return cls(LatticeWindow(L=L, dims=dims, k0=tuple(int(v) for v in lo)),
+                   np.ravel_multi_index(tuple((k - lo).T), dims),
+                   np.asarray(coeffs), support)
+
     @property
     def L(self):
         return self.window.L
@@ -99,20 +101,10 @@ class SpectralField:
         """Frequency vectors of the support, one row per coefficient."""
         return self.window.xi_of_flat(self.flat)
 
-    def box(self):
-        """Per axis, the lowest window index and span of the support's box."""
-        lo, hi = np.array([(a.min(), a.max()) for a in
-                           np.unravel_index(self.flat, self.window.dims)]).T
-        return lo, hi - lo + 1
-
-    def dense(self, shape, origin=()):
-        """The coefficients scattered into a zero array of `shape`, the one
-        at window index k landing at k - origin (no origin: at k)."""
-        out = np.zeros(shape, dtype=complex)
-        idx = np.unravel_index(self.flat, self.window.dims)
-        for a, o in zip(idx, origin):
-            a -= o
-        out[idx] = self.coeffs
+    def dense(self):
+        """The coefficients scattered into a zero array over the window."""
+        out = np.zeros(self.window.dims, dtype=complex)
+        out.reshape(-1)[self.flat] = self.coeffs
         return out
 
     def l2(self):
@@ -177,24 +169,19 @@ def frequency_centers(spec):
     return centers
 
 
-def windowed_lattice(spec, points_per_radius=4, pad=8):
-    """Construction-scaled lattice: spacing rho*lambda^{1/n}/points_per_radius.
-
-    The window covers the union of support balls plus a guard margin, rounded
-    up to powers of two per axis. The box side L = 2pi/spacing is then large
-    compared to every spatial envelope the construction produces.
+def windowed_lattice(spec, points_per_radius=4):
+    """Construction-scaled lattice: spacing rho*lambda^{1/n}/points_per_radius,
+    so the box side L = 2pi/spacing is large compared to every spatial
+    envelope the construction produces. The window is the span of the
+    pieces' boxes (`piece_boxes`), which holds the support of `build_f`.
     """
     if points_per_radius < 2:
         raise GridError("need at least 2 lattice points per bump radius")
-    h = spec.radius / points_per_radius
-    centers = frequency_centers(spec)
-    r = spec.radius + 2 * h
-    lo = np.floor((centers.min(axis=0) - r) / h).astype(int) - 2
-    hi = np.ceil((centers.max(axis=0) + r) / h).astype(int) + 2
-    span = hi - lo + 1
-    dims = tuple(int(_next_pow2(int(s) + pad)) for s in span)
-    k0 = tuple(int(v) for v in lo - (np.asarray(dims) - span) // 2)
-    return LatticeWindow(L=2 * np.pi / h, dims=dims, k0=k0)
+    L = 2 * np.pi / (spec.radius / points_per_radius)
+    lo, hi = piece_boxes(frequency_centers(spec), spec.radius, 2 * np.pi / L)
+    lo, hi = lo.min(axis=0), hi.max(axis=0)
+    return LatticeWindow(L=L, dims=tuple(int(v) for v in hi - lo + 1),
+                         k0=tuple(int(v) for v in lo))
 
 
 def piece_boxes(centers, radius, dk):
@@ -205,46 +192,36 @@ def piece_boxes(centers, radius, dk):
             np.floor((centers + radius) / dk).astype(int))
 
 
-def _piece_coefficients(spec, window, nu, center):
-    """(flat indices, coefficient values) of one piece, over its box."""
+def _piece_coefficients(spec, dk, nu, center):
+    """(lattice indices, coefficient values) of one piece, over its box."""
     lam, n, r = spec.lam, spec.n, spec.radius
-    h = window.dk
-    k0 = np.asarray(window.k0)
-    low, high = piece_boxes(center, r, h)
-    lo, hi = low - k0, high - k0
-    if np.any(lo < 0) or np.any(hi >= np.asarray(window.dims)):
-        raise GridError(
-            f"support ball of piece nu={nu} exits the lattice window "
-            f"(need indices {low}..{high})")
-    axes = [np.arange(lo[i], hi[i] + 1) for i in range(n)]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
-    xi = (mesh + k0) * h
+    low, high = piece_boxes(center, r, dk)
+    axes = [np.arange(a, b + 1) for a, b in zip(low, high)]
+    k = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+    xi = k * dk
     prof = radial_bump("inner", np.linalg.norm(xi - center, axis=1) / r)
     keep = prof > 0.0
-    xi, mesh, prof = xi[keep], mesh[keep], prof[keep]
-    if xi.size and not np.all(spec.chart.in_cone(xi)):
+    xi, k, prof = xi[keep], k[keep], prof[keep]
+    if not np.all(spec.chart.in_cone(xi)):
         raise ApertureError(
             f"support ball of piece nu={nu} exits the cone aperture "
             f"c={spec.chart.aperture}; widen the aperture or shrink rho")
-    flat = np.ravel_multi_index(tuple(mesh.T), window.dims).astype(np.intp)
-    if xi.size:
-        phi, _ = spec.chart.phi_un_batch(xi)
-        vals = lam ** (1.0 / n) * np.exp(1j * phi) * prof
-    else:
-        vals = np.zeros(0, dtype=complex)
-    return flat, vals
+    phi, _ = spec.chart.phi_un_batch(xi)
+    return k, lam ** (1.0 / n) * np.exp(1j * phi) * prof
 
 
 def build_f(spec, window):
-    """The full family f = sum_nu f_nu on a shared window, one ball per nu;
-    ball nu's rows carry lambda^{1/n} e^{i phi} eta(|xi - xi^nu|/r)."""
+    """The full family f = sum_nu f_nu on the window's lattice, one ball per
+    nu; ball nu's rows carry lambda^{1/n} e^{i phi} eta(|xi - xi^nu|/r). The
+    field's window is its support's box."""
     nus, centers = spec.nu_values(), frequency_centers(spec)
-    pieces = [_piece_coefficients(spec, window, nu, c) for nu, c in zip(nus, centers)]
-    flat = np.concatenate([fl for fl, _ in pieces])
-    ends = np.cumsum([0] + [len(fl) for fl, _ in pieces])
+    pieces = [_piece_coefficients(spec, window.dk, nu, c)
+              for nu, c in zip(nus, centers)]
+    ks, vals = zip(*pieces)
+    f = SpectralField.on_lattice(window.L, np.concatenate(ks),
+                                 np.concatenate(vals))
+    ends = np.cumsum([0] + [len(k) for k in ks])
     balls = tuple(SupportBall(nu=int(nu), center=tuple(c), radius=spec.radius,
-                              rows=slice(int(a), int(b)), flat=flat[a:b])
+                              rows=slice(int(a), int(b)), flat=f.flat[a:b])
                   for nu, c, a, b in zip(nus, centers, ends[:-1], ends[1:]))
-    return SpectralField(window=window, flat=flat,
-                         coeffs=np.concatenate([v for _, v in pieces]),
-                         support=balls)
+    return replace(f, support=balls)

@@ -7,8 +7,8 @@ a scatter of (log2 lambda, log2 quotient) per p with the fitted line — to
 avoid dragging in a plotting stack for one diagnostic figure.
 
 A field snapshot is an .npz archive of what a `SpectralField` holds, so its
-size follows the support, not the window. Its zip entries carry their write
-time: compare snapshots through `load_snapshot`, not byte for byte.
+size follows the support. Its zip entries carry their write time: compare
+snapshots through `load_snapshot`, not byte for byte.
 """
 
 from __future__ import annotations
@@ -24,10 +24,10 @@ import numpy as np
 
 from ._version import __version__
 from .errors import GridError
-from .fields import LatticeWindow, SpectralField
+from .fields import SpectralField
 
 __all__ = ["fmt", "write_csv", "write_json", "write_manifest",
-           "save_snapshot", "load_snapshot", "sweep_artifacts",
+           "save_snapshot", "load_snapshot", "sweep_artifacts", "sweep_tables",
            "quotient_svg", "report_warnings", "verdict", "render_report"]
 
 _SNAP_VERSION = 1
@@ -92,8 +92,9 @@ def save_snapshot(path, field, lam):
 
 def load_snapshot(path):
     """Inverse of save_snapshot; returns (SpectralField, lambda). The field
-    declares no balls. A file that is not a snapshot archive of this format
-    version, or whose indices leave its window, raises GridError."""
+    declares no balls, and its window is its support's box. A file that is
+    not a snapshot archive of this format version, or whose indices leave
+    its window or are none, raises GridError."""
     try:
         archive = np.load(path, allow_pickle=False)
         if not isinstance(archive, np.lib.npyio.NpzFile):
@@ -107,16 +108,23 @@ def load_snapshot(path):
         raise GridError(f"snapshot {path} has format version "
                         f"{a['version'].tolist()}, not {_SNAP_VERSION}")
     dims, k0, flat = a["dims"], a["k0"], a["flat"]
-    if (dims.ndim != 1 or k0.shape != dims.shape or flat.dtype.kind != "i"
+    if (dims.ndim != 1 or k0.shape != dims.shape or np.any(dims < 1)
+            or flat.ndim != 1 or flat.dtype.kind != "i"
             or np.any(flat < 0) or np.any(flat >= np.prod(dims))):
         raise GridError(f"snapshot {path}: malformed window, or support "
                         f"indices outside it")
-    window = LatticeWindow(L=float(a["L"]), dims=tuple(dims.tolist()),
-                           k0=tuple(k0.tolist()))
-    return SpectralField(window, flat, a["coeffs"]), float(a["lam"])
+    k = np.stack(np.unravel_index(flat, tuple(dims)), axis=-1) + k0
+    return (SpectralField.on_lattice(float(a["L"]), k, a["coeffs"]),
+            float(a["lam"]))
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
+
+
+def _slopes_by_p(report):
+    """The slopes' items in `ps` order, which JSON's sorted keys lose."""
+    return sorted(report["slopes"].items(),
+                  key=lambda item: report["ps"].index(float(item[0])))
 
 
 def quotient_svg(report):
@@ -125,9 +133,9 @@ def quotient_svg(report):
     width, height, pad = 640, 440, 56
     xs = [np.log2(c["lam"]) for c in report["cells"]]
     series = []
-    for i, (key, fits) in enumerate(report["slopes"].items()):
+    for i, (key, fits) in enumerate(_slopes_by_p(report)):
         p = float(key)
-        ys = [np.log2(c["quotient"][p]) for c in report["cells"]]
+        ys = [np.log2(c["quotient"][str(p)]) for c in report["cells"]]
         series.append((p, ys, fits["quotient"], _PALETTE[i % len(_PALETTE)]))
     ally = [y for _, ys, _, _ in series for y in ys]
     x0, x1 = min(xs), max(xs)
@@ -171,22 +179,27 @@ def quotient_svg(report):
 
 
 def sweep_artifacts(report, outdir, svg=True):
-    """Write report.json (the payload `sharpness_sweep` returns), sweep.csv
-    and slopes.csv (its per-cell norms and its fits) and the optional
-    loglog.svg. Returns the list of written paths."""
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    paths = [write_json(outdir / "report.json", report)]
+    """Write report.json (the payload `sharpness_sweep` returns) and its
+    `sweep_tables`. Returns the list of written paths."""
+    Path(outdir).mkdir(parents=True, exist_ok=True)
+    return ([write_json(Path(outdir) / "report.json", report)]
+            + sweep_tables(report, outdir, svg))
 
-    rows = [(c["lam"], p, c["norms_in"][p], c["out_short"][p], c["quotient"][p])
+
+def sweep_tables(report, outdir, svg=True):
+    """Write sweep.csv and slopes.csv (the per-cell norms and the fits of a
+    report.json payload) and the optional loglog.svg; returns their paths."""
+    outdir = Path(outdir)
+    rows = [(c["lam"], p) + tuple(c[key][str(p)] for key in
+                                  ("norms_in", "out_short", "quotient"))
             for c in report["cells"] for p in report["ps"]]
-    paths.append(write_csv(outdir / "sweep.csv",
-                           ("lambda", "p", "input_norm", "output_norm",
-                            "quotient"), rows))
+    paths = [write_csv(outdir / "sweep.csv",
+                       ("lambda", "p", "input_norm", "output_norm",
+                        "quotient"), rows)]
 
     columns = ("slope", "intercept", "max_residual", "expected", "gap")
     slope_rows = [(float(key), which) + tuple(fit[k] for k in columns)
-                  for key, fits in report["slopes"].items()
+                  for key, fits in _slopes_by_p(report)
                   for which, fit in fits.items()]
     paths.append(write_csv(outdir / "slopes.csv", ("p", "series") + columns,
                            slope_rows))

@@ -109,12 +109,13 @@ def run_cell(cfg, lam):
     largest |sum of the pieces' powers - ||A_t f||_2^2| / ||A_t f||_2^2, the
     whole taken from `space_stats`'s p = 2 on the field scattered into its
     support box, where pieces that share a lattice point hold one
-    coefficient). `grid` records the window, the support box, its norm grid
-    and the support's mode count; `quadrature` the multiplier's ladder (`mu_hat_batch`); `timings`
-    the field (curve, windows and `build_f`), the diagnostics' reference
-    powers with the concentration ball's kernel, the quadrature and the
-    `space_stats` calls, in seconds; `peak_rss_mib` the peak resident set of
-    the process that ran the cell, as it stands when the cell ends.
+    coefficient). `grid` records the support box (the field's window), its
+    norm grid and the support's mode count; `quadrature` the multiplier's
+    ladder (`mu_hat_batch`); `timings` the field (curve, windows and
+    `build_f`), the diagnostics' reference powers with the concentration
+    ball's kernel, the quadrature and the `space_stats` calls, in seconds;
+    `peak_rss_mib` the peak resident set of the process that ran the cell,
+    as it stands when the cell ends.
     """
     clock = time.perf_counter
     t0 = clock()
@@ -165,17 +166,16 @@ def run_cell(cfg, lam):
     _, un = spec.chart.phi_un_batch(centers)
     ref = (abs(alpha_n(n)) * factorial(n) ** (1.0 / n) * cutoff(theta)
            * lam ** (1.0 / n) / un ** (1.0 / n))
-    box = [int(v) for v in f.box()[1]]
+    box = list(window.dims)
 
     return {
         "lam": float(lam),
         "nnu": len(f.support),
-        "grid": {"window": list(window.dims), "box": box,
-                 "norm_grid": list(_norm_grid(box, ps)),
+        "grid": {"box": box, "norm_grid": list(_norm_grid(box, ps)),
                  "support": len(f.coeffs)},
-        "norms_in": {p: norms_in[p] for p in ps},
-        "out_short": out_short,
-        "quotient": {p: out_short[p] / norms_in[p] for p in ps},
+        "norms_in": {str(p): norms_in[p] for p in ps},
+        "out_short": {str(p): out_short[p] for p in ps},
+        "quotient": {str(p): out_short[p] / norms_in[p] for p in ps},
         "piece_min": float(piece_min),
         "piece_min_by_nu": [float(min(col)) for col in zip(*piece_table)],
         "piece_reference": [float(v) for v in ref],
@@ -212,7 +212,7 @@ def sharpness_sweep(cfg, slope_tols=None):
     report.json payload, a plain dict.
 
     Its keys: `n`, `ps`, `lambdas`; `cells`, the `run_cell` dicts in lambda
-    order, whose per-p maps are keyed by float p (JSON writes them "4.0");
+    order, whose per-p maps are keyed by str(p) ("4.0");
     `slopes`, keyed by the p label ("4") and then by series ("input",
     "output", "quotient"), each a `fit_slope` dict with `expected`, the
     `expected_slopes` exponent, and `gap`, |slope - expected|; `checks`, one
@@ -262,7 +262,7 @@ def sharpness_sweep(cfg, slope_tols=None):
         slopes[key] = {}
         for which, series in (("input", "norms_in"), ("output", "out_short"),
                               ("quotient", "quotient")):
-            fit = fit_slope([(c["lam"], c[series][p]) for c in cells])
+            fit = fit_slope([(c["lam"], c[series][str(p)]) for c in cells])
             fit["expected"] = want[which]
             fit["gap"] = abs(fit["slope"] - want[which])
             slopes[key][which] = fit
@@ -303,8 +303,8 @@ def sharpness_sweep(cfg, slope_tols=None):
                 "detail": f"min fraction {lo:.4f} vs max {below:.4f} "
                           f"at lambda={prev['lam']:g} (need growth)"})
 
-    monotone = all(_trend_mostly_decreasing([c["quotient"][p] for c in cells])
-                   for p in ps)
+    monotone = all(_trend_mostly_decreasing([c["quotient"][str(p)]
+                                             for c in cells]) for p in ps)
     return {"n": cfg.n, "ps": ps, "lambdas": lams, "cells": cells,
             "slopes": slopes, "checks": checks, "quotient_monotone": monotone,
             "config": cfg.echo()}

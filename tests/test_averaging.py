@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 from math import gamma
 from pathlib import Path
 
@@ -20,20 +21,19 @@ CHI = CutoffSpec(delta=0.25)
 
 
 def sparse_field(window, fhat):
-    """The field of a window-shaped coefficient array's nonzero entries."""
+    """The field of the nonzero entries of a coefficient array laid over
+    `window`, on their own box."""
     flat = np.flatnonzero(fhat)
-    return SpectralField(window=window, flat=flat, coeffs=fhat.ravel()[flat])
+    k = np.stack(np.unravel_index(flat, fhat.shape), axis=-1) + window.k0
+    return SpectralField.on_lattice(window.L, k, fhat.ravel()[flat])
 
 
-def make_field(modes, amps, N=8, L=2.0):
-    """Cubic-window field with the given lattice modes declared as one support ball."""
-    window = LatticeWindow(L=L, dims=(N,) * 3, k0=(-N // 2,) * 3)
-    idx = np.asarray(modes) - np.asarray(window.k0)
-    flat = np.ravel_multi_index(tuple(idx.T), window.dims)
+def make_field(modes, amps, L=2.0):
+    """The field of the given lattice modes, declared as one support ball."""
+    f = SpectralField.on_lattice(L, modes, np.asarray(amps, dtype=complex))
     ball = SupportBall(nu=0, center=(0.0,) * 3, radius=0.0,
-                       rows=slice(0, len(flat)), flat=flat)
-    return SpectralField(window=window, flat=flat,
-                         coeffs=np.asarray(amps, dtype=complex), support=(ball,))
+                       rows=slice(0, len(f.flat)), flat=f.flat)
+    return replace(f, support=(ball,))
 
 
 # --- time windows -------------------------------------------------------------
@@ -66,7 +66,7 @@ def test_single_mode_is_an_eigenfunction():
     xi = np.asarray(k, dtype=float) * f.window.dk
     mu = mu_hat_batch(CURVE, CHI, [t], xi[None, :])[0, 0]
     idx = tuple(np.asarray(k) - np.asarray(f.window.k0))
-    dense = out.dense(out.window.dims)
+    dense = out.dense()
     assert dense[idx] == pytest.approx((2.0 - 1.0j) * mu, rel=1e-12)
     assert np.count_nonzero(dense) == 1
 
@@ -76,8 +76,8 @@ def test_zero_mode_scales_by_cutoff_mass():
     f = make_field([(0, 0, 0)], [1.0])
     for t in (1.0, 1.5, 2.0):
         out = apply_averaging(f, CURVE, CHI, t)
-        assert out.dense(out.window.dims)[4, 4, 4] == pytest.approx(
-            CHI.integral, rel=1e-8)
+        assert out.window.k0 == (0, 0, 0)
+        assert out.dense()[0, 0, 0] == pytest.approx(CHI.integral, rel=1e-8)
 
 
 def test_support_is_preserved():
@@ -310,7 +310,7 @@ def test_slabs_match_one_slab(monkeypatch, dims, top):
     f = _gapped_field(dims, top)
     ps = [float(p) for p in range(2, top + 1, 2)]
     kernel = ball_kernel(f, 0.9)
-    span = f.box()[1]
+    span = f.window.dims
     grids = [_norm_grid(span, ps)] * (top > 2) + [_ball_grid(span)]
     monkeypatch.setattr(averaging, "_SLAB_POINTS", 1 << 40)
     one = [space_stats(f, ps), space_stats(f, ps, ball=kernel)]
@@ -393,7 +393,7 @@ def test_run_cell_fraction_matches_quadratic_form():
 def test_kernel_must_match_the_support_box():
     f = _random_field(5)
     kernel = ball_kernel(make_field([(0, 0, 0), (1, 1, 1)], [1.0, 1.0]), 0.5)
-    assert kernel.shape == _ball_grid((2, 2, 2)) != _ball_grid(f.box()[1])
+    assert kernel.shape == _ball_grid((2, 2, 2)) != _ball_grid(f.window.dims)
     with pytest.raises(DomainError, match="ball kernel"):
         space_stats(f, [2.0], ball=kernel)
 
@@ -426,6 +426,8 @@ P8 = (2.0, 4.0, 6.0, 8.0)
     pytest.param((16, 32, 32), None, 1.0, P8, None, id="memory-3d"),
     pytest.param((8, 16, 8), None, 1.0, P8, None, id="memory-3d-small"),
     pytest.param((64, 32), None, 1.0, P8, None, id="memory-2d"),
+    # a small support in a large coefficient array: the field's window is
+    # the support's box
     pytest.param((64, 64, 64), (5, 9, 4), 1.0, P8, None,
                  id="small-box-large-window"),
     pytest.param((16, 16, 16), (7, 3, 16), 9.9, P8, None,
@@ -456,6 +458,7 @@ def test_peak_bytes_bounds_measured_peak(dims, box, radius, ps, slabs):
         rng.standard_normal(box) + 1j * rng.standard_normal(box))
     window = LatticeWindow(L=20.0, dims=dims, k0=tuple(-m // 2 for m in dims))
     f = sparse_field(window, fhat)
+    assert f.window.dims == tuple(box)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]

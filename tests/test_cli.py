@@ -143,6 +143,27 @@ def test_report_prints_the_sweep_stdout(sweep_dir, capsys):
     assert capsys.readouterr().out == swept
 
 
+def test_report_rebuilds_the_sweep_tables(sweep_dir, tmp_path, capsys):
+    # from report.json alone, report writes sweep.csv, slopes.csv and
+    # loglog.svg byte for byte as the sweep did; the plot only when the
+    # config echo asks for it
+    tmp, _, _ = sweep_dir
+    names = ("sweep.csv", "slopes.csv", "loglog.svg")
+    payload = json.loads((tmp / "report.json").read_text())
+    for svg in (True, False):
+        out = tmp_path / f"svg{svg}"
+        out.mkdir()
+        payload["config"]["svg"] = svg
+        (out / "report.json").write_text(json.dumps(payload))
+        assert main(["report", "--out", str(out)]) == 0
+        for name in names[:2 + svg]:
+            assert (out / name).read_bytes() == (tmp / name).read_bytes(), name
+        assert (out / "loglog.svg").exists() == svg
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            ("report.json",) + names[:2 + svg])
+    capsys.readouterr()
+
+
 def test_report_leaves_the_sweep_manifest(sweep_dir, capsys):
     # report only re-renders: the sweep's manifest, with its config and
     # artifacts, stays byte for byte

@@ -174,9 +174,7 @@ def test_windowed_estimate_hits_cap():
 # is the quadrature's (lambda = 256 is its largest cell, 177 distinct
 # coordinates on axis 0); with 17 time nodes at these lambdas the short
 # window has 3 distinct float steps, and the quadrature keeps one table set
-# per step. At n = 4 and n = 5 the lattice window holds 2.1e6 and 6.7e7
-# points around a support box of 3.2e3 and 9.0e3: no stage may hold
-# anything of window size.
+# per step; and coarse n = 4 and n = 5 cells.
 _SMALL = GOOD.replace("rho = 1.0", "rho = 0.5").replace(
     "points_per_radius = 4", "points_per_radius = 3")
 _NODES17 = ("time_nodes = 9", "time_nodes = 17")
@@ -192,7 +190,8 @@ GATE_CASES = ((_SMALL, (4.0, 32.0)), (PLANAR, (64.0, 128.0, 256.0)),
 def test_gate_box_holds_the_support():
     # each piece's box, rounded inward to the lattice, holds every lattice
     # point where the piece's bump is nonzero: a box one index wider on
-    # each side finds no other, and `build_f` keeps exactly those points
+    # each side finds no other, and `build_f` keeps exactly those points;
+    # the gate's block, the span of those boxes, holds the field's window
     for text, lams in GATE_CASES:
         cfg = parse_config(text)
         for lam in lams:
@@ -203,6 +202,11 @@ def test_gate_box_holds_the_support():
             f = build_f(spec, window)
             lo, hi = piece_boxes(frequency_centers(spec), spec.radius, window.dk)
             assert len(f.support) == len(lo)
+            assert window.k0 == tuple(lo.min(axis=0))
+            assert window.dims == tuple(hi.max(axis=0) - lo.min(axis=0) + 1)
+            k0 = np.asarray(f.window.k0)
+            assert np.all(k0 >= window.k0) and np.all(
+                k0 + f.window.dims <= np.add(window.k0, window.dims))
             for ball, low, high in zip(f.support, lo, hi):
                 axes = [np.arange(a - 1, b + 2) for a, b in zip(low, high)]
                 k = np.stack(np.meshgrid(*axes, indexing="ij"),
@@ -211,8 +215,8 @@ def test_gate_box_holds_the_support():
                 k = k[radial_bump("inner", dist / spec.radius) > 0]
                 assert len(k) and np.all(k >= low) and np.all(k <= high), (
                     cfg.n, lam, ball.nu)
-                built = np.stack(np.unravel_index(ball.flat, window.dims),
-                                 axis=1) + np.asarray(window.k0)
+                built = np.stack(np.unravel_index(ball.flat, f.window.dims),
+                                 axis=1) + k0
                 assert np.array_equal(built, k), (cfg.n, lam, ball.nu)
 
 

@@ -1,11 +1,16 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from curveavg import (ApertureError, ConeChart, ConfigError,
                       CounterexampleSpec, CurveSpec, CutoffSpec, LatticeWindow,
-                      SpectralField, build_f, frequency_centers,
-                      windowed_lattice)
+                      SpectralField, build_f, frequency_centers, parse_config,
+                      piece_boxes, windowed_lattice)
+from curveavg.sweep import _cell_setup
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
 
 
 @pytest.fixture(scope="module")
@@ -34,11 +39,11 @@ def test_parseval(chart, chi):
     spec = spec_for(32.0, chart, chi)
     window = windowed_lattice(spec)
     f = build_f(spec, window)
-    # samples of f on the support box's own grid, up to a unimodular
-    # modulation: enough points per axis for the Riemann sum of |f|^2
-    lo, span = f.box()
-    vals = np.fft.ifftn(f.dense(span, origin=lo), norm="forward") / f.L ** 3
-    cell = (f.window.L / span).prod()
+    # samples of f on its window's own grid (the support's box), up to a
+    # unimodular modulation: enough points per axis for the Riemann sum of
+    # |f|^2
+    vals = np.fft.ifftn(f.dense(), norm="forward") / f.L ** 3
+    cell = (f.window.L / np.array(f.window.dims)).prod()
     space_l2 = np.sqrt((np.abs(vals) ** 2).sum() * cell)
     assert space_l2 == pytest.approx(f.l2(), rel=1e-12)
 
@@ -79,9 +84,9 @@ def test_build_f_support_structure(chart, chi):
     window = windowed_lattice(spec)
     f = build_f(spec, window)
     assert len(f.support) == len(spec.nu_values())
-    dk = window.dk
+    assert f.window.L == window.L
     for ball in f.support:
-        xi = window.xi_of_flat(ball.flat)
+        xi = f.window.xi_of_flat(ball.flat)
         d = np.linalg.norm(xi - np.array(ball.center), axis=1)
         assert d.max() <= ball.radius + 1e-9
         # support points live where the inner bump is nonzero
@@ -101,7 +106,7 @@ def test_piece_amplitude_and_phase(chart, chi):
     window = windowed_lattice(spec)
     f = build_f(spec, window)
     ball = next(b for b in f.support if b.nu == 0)
-    xi = window.xi_of_flat(ball.flat)
+    xi = f.window.xi_of_flat(ball.flat)
     vals = f.coeffs[ball.rows]
     phi, _ = chart.phi_un_batch(xi)
     phase = np.exp(1j * phi)
@@ -124,14 +129,17 @@ def test_windowed_lattice_geometry(chart, chi):
     w = windowed_lattice(spec, points_per_radius=4)
     # spacing h = radius / 4, so L = 2 pi / h
     assert w.L == pytest.approx(2 * np.pi * 4 / spec.radius)
-    for d in w.dims:
-        assert d & (d - 1) == 0
-    # every ball must fit inside the window with margin
-    centers = frequency_centers(spec)
-    lo = np.array(w.k0) * w.dk
-    hi = (np.array(w.k0) + np.array(w.dims) - 1) * w.dk
-    assert np.all(centers - spec.radius >= lo - 1e-9)
-    assert np.all(centers + spec.radius <= hi + 1e-9)
+    # the window is the span of the pieces' boxes, with no margin: every
+    # lattice point within a radius of a center lies inside it, and each
+    # face holds such a point
+    lo, hi = piece_boxes(frequency_centers(spec), spec.radius, w.dk)
+    assert w.k0 == tuple(lo.min(axis=0))
+    assert w.dims == tuple(hi.max(axis=0) - lo.min(axis=0) + 1)
+    # the field built on it lies inside it
+    f = build_f(spec, w)
+    assert np.all(np.array(f.window.k0) >= w.k0)
+    assert np.all(np.array(f.window.k0) + f.window.dims
+                  <= np.array(w.k0) + w.dims)
 
 
 def test_l2_norm_scaling(chart, chi):
@@ -140,7 +148,31 @@ def test_l2_norm_scaling(chart, chi):
     window = windowed_lattice(spec)
     f = build_f(spec, window)
     ball = next(b for b in f.support if b.nu == 1)
-    piece = SpectralField(window=window, flat=ball.flat, coeffs=f.coeffs[ball.rows])
+    piece = SpectralField(window=f.window, flat=ball.flat,
+                          coeffs=f.coeffs[ball.rows])
     vals = piece.coeffs
     g_l2 = np.sqrt((np.abs(vals / 64.0 ** (1 / 3)) ** 2).sum() / window.L ** 3)
     assert piece.l2() == pytest.approx(64.0 ** (1 / 3) * g_l2, rel=1e-13)
+
+
+
+def _field(case, chart, chi):
+    """The field of a pinned acceptance cell, or of a benchmark workload's."""
+    name, lam = case
+    if name == "pinned":
+        spec = spec_for(lam, chart, chi)
+        return build_f(spec, windowed_lattice(spec))
+    cfg = parse_config((WORKLOADS / f"{name}.cfg").read_text())
+    return _cell_setup(cfg, lam)[-1]
+
+
+@pytest.mark.parametrize("case", [("pinned", 32.0), ("pinned", 256.0),
+                                  ("n2", 64.0), ("n3", 4.0)],
+                         ids=lambda c: f"{c[0]}-{c[1]:g}")
+def test_window_is_the_support_box(case, chart, chi):
+    # the field's window is its support's bounding box: a support point
+    # lies on both faces of every axis
+    f = _field(case, chart, chi)
+    idx = np.stack(np.unravel_index(f.flat, f.window.dims), axis=-1)
+    assert np.array_equal(idx.min(axis=0), np.zeros(f.window.n))
+    assert np.array_equal(idx.max(axis=0) + 1, f.window.dims)

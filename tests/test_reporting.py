@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from curveavg import (GridError, LatticeWindow, SpectralField, load_snapshot,
-                      render_report, save_snapshot, sweep_artifacts)
+                      render_report, save_snapshot, sweep_artifacts,
+                      sweep_tables)
 from curveavg.reporting import (fmt, quotient_svg, report_warnings, verdict,
                                 write_csv, write_json, write_manifest)
 
@@ -52,9 +53,11 @@ def test_manifest_contents(tmp_path):
 # --- snapshots -----------------------------------------------------------------
 
 def sparse_field(window, fhat):
-    """The field of a window-shaped coefficient array's nonzero entries."""
+    """The field of the nonzero entries of a coefficient array laid over
+    `window`, on their own box."""
     flat = np.flatnonzero(fhat)
-    return SpectralField(window=window, flat=flat, coeffs=fhat.ravel()[flat])
+    k = np.stack(np.unravel_index(flat, fhat.shape), axis=-1) + window.k0
+    return SpectralField.on_lattice(window.L, k, fhat.ravel()[flat])
 
 
 def cubic_field():
@@ -156,15 +159,42 @@ def test_snapshot_rejects_other_versions_and_stray_indices(tmp_path):
         load_snapshot(_rewritten(tmp_path, k0=np.zeros(2, dtype=np.int64)))
 
 
+def test_snapshot_rejects_an_empty_or_unsized_window(tmp_path):
+    # no support point gives no box; a window with an axis of no points
+    # holds no index
+    with pytest.raises(GridError, match="support point"):
+        load_snapshot(_rewritten(tmp_path, flat=np.zeros(0, dtype=np.int64),
+                                 coeffs=np.zeros(0, dtype=complex)))
+    for dims in ((8, 0, 8), (-8, -8, 8)):
+        with pytest.raises(GridError, match="malformed"):
+            load_snapshot(_rewritten(tmp_path, dims=np.array(dims)))
+
+
+def test_padded_window_snapshot_loads_onto_its_box(tmp_path):
+    # a file numbering its support on a larger window, as snapshots did
+    # when the window was padded to powers of two, loads onto the support's
+    # box with the same lattice points and coefficients
+    window = LatticeWindow(L=3.0, dims=(16, 32, 8), k0=(-8, -20, 2))
+    k = np.array([(-5, -3, 4), (-2, 0, 6), (-4, 7, 5), (-3, -1, 4)])
+    flat = np.ravel_multi_index(tuple((k - window.k0).T), window.dims)
+    f = SpectralField(window, flat, np.array([1.0, -2j, 0.5 + 0.5j, 3.0]))
+    g, lam = load_snapshot(save_snapshot(tmp_path / "f.bin", f, 16.0))
+    assert lam == 16.0
+    assert (g.window.L, g.window.dims, g.window.k0) == (3.0, (4, 11, 3),
+                                                         (-5, -3, 4))
+    assert np.array_equal(g.xi(), f.xi())
+    assert np.array_equal(g.coeffs, f.coeffs)
+
+
 # --- rendering -----------------------------------------------------------------
 
 def fake_report(monotone=True):
     """A `sharpness_sweep` payload with one p, one failed check and exact
     power-law cells."""
     cells = [{"lam": lam,
-              "norms_in": {4.0: lam ** 1.2},
-              "out_short": {4.0: lam ** 0.9},
-              "quotient": {4.0: lam ** -0.3}}
+              "norms_in": {"4.0": lam ** 1.2},
+              "out_short": {"4.0": lam ** 0.9},
+              "quotient": {"4.0": lam ** -0.3}}
              for lam in (32.0, 64.0, 128.0)]
     fits = {which: {"slope": slope, "intercept": 0.0, "max_residual": 0.0,
                     "expected": want, "gap": abs(slope - want)}
@@ -224,3 +254,22 @@ def test_sweep_artifacts_project_the_payload(tmp_path):
     assert rows[1] == ",".join(fmt(v) for v in (
         32.0, 4.0, 32.0 ** 1.2, 32.0 ** 0.9, 32.0 ** -0.3))
     assert (tmp_path / "loglog.svg").read_text() == quotient_svg(report)
+
+
+def test_tables_follow_ps_when_read_back(tmp_path):
+    # JSON sorts the slopes' keys ("10" < "4"): the tables and the plot of
+    # the file read back still follow `ps`, as those of the payload do
+    report = fake_report()
+    report["ps"] = [4.0, 10.0]
+    for c in report["cells"]:
+        for key in ("norms_in", "out_short", "quotient"):
+            c[key]["10.0"] = 2 * c[key]["4.0"]
+    report["slopes"]["10"] = report["slopes"]["4"]
+    back = json.loads(json.dumps(report, sort_keys=True))
+    assert list(back["slopes"]) == ["10", "4"]
+    for name, payload in (("memory", report), ("file", back)):
+        (tmp_path / name).mkdir()
+        sweep_tables(payload, tmp_path / name)
+    for table in ("sweep.csv", "slopes.csv", "loglog.svg"):
+        assert ((tmp_path / "file" / table).read_bytes()
+                == (tmp_path / "memory" / table).read_bytes()), table

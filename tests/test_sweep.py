@@ -149,7 +149,7 @@ def test_sweep_cell_structure(tiny_report):
     assert peaks[-1] <= _peak_rss_mib() < 1 << 20
     for c in tiny_report["cells"]:
         assert c["nnu"] == 2 * int(0.7 * c["lam"] ** (1 / 3)) + 1
-        assert set(c["norms_in"]) == {2.0, 4.0}   # 2.0 always measured
+        assert set(c["norms_in"]) == {"2.0", "4.0"}   # 2.0 always measured
         assert len(c["t_nodes_short"]) == 5
         assert len(c["piece_min_by_nu"]) == c["nnu"]
         assert len(c["piece_reference"]) == c["nnu"]
@@ -166,9 +166,9 @@ def test_sweep_cell_structure(tiny_report):
         assert quad["steps"] == len(set(np.diff(c["t_nodes_short"])))
         assert 0.0 <= quad["residual"] <= 1e-9
         grid = c["grid"]
-        assert set(grid) == {"window", "box", "norm_grid", "support"}
-        assert grid["norm_grid"] == list(_norm_grid(grid["box"], c["norms_in"]))
-        assert all(b <= m for b, m in zip(grid["box"], grid["window"]))
+        assert set(grid) == {"box", "norm_grid", "support"}
+        assert grid["norm_grid"] == list(_norm_grid(
+            grid["box"], [float(p) for p in c["norms_in"]]))
         assert c["nnu"] <= grid["support"] <= np.prod(grid["box"])
         timings = c["timings"]
         assert set(timings) == {"field_s", "kernel_s", "quadrature_s",
@@ -179,8 +179,8 @@ def test_sweep_cell_structure(tiny_report):
 
 def test_sweep_quotient_is_norm_ratio(tiny_report):
     for c in tiny_report["cells"]:
-        assert c["quotient"][4.0] == pytest.approx(
-            c["out_short"][4.0] / c["norms_in"][4.0], rel=1e-12)
+        assert c["quotient"]["4.0"] == pytest.approx(
+            c["out_short"]["4.0"] / c["norms_in"]["4.0"], rel=1e-12)
 
 
 def test_sweep_orthogonality_defect_is_roundoff(tiny_report):
@@ -231,8 +231,11 @@ def test_sweep_report_serializes(tiny_report):
         assert fit["expected"] == want[which]
         assert fit["gap"] == abs(fit["slope"] - want[which])
     assert fits["quotient"]["slope"] == fit_slope(
-        [(c["lam"], c["quotient"][4.0]) for c in tiny_report["cells"]])["slope"]
-    json.dumps(tiny_report)   # everything plain
+        [(c["lam"], c["quotient"]["4.0"])
+         for c in tiny_report["cells"]])["slope"]
+    # everything plain, and keyed as JSON writes it: the payload is its own
+    # round trip
+    assert json.loads(json.dumps(tiny_report)) == tiny_report
     assert tiny_report["config"]["lambdas"] == [32.0, 45.0, 64.0]
 
 
@@ -248,7 +251,7 @@ def test_slope_checks_read_the_fits(tiny_report):
 
 def test_sweep_quotient_decreases_even_here(tiny_report):
     # the smoothing gain shows up well before the slopes settle
-    q = [c["quotient"][4.0] for c in tiny_report["cells"]]
+    q = [c["quotient"]["4.0"] for c in tiny_report["cells"]]
     assert tiny_report["quotient_monotone"]
     assert q[-1] < q[0]
 
@@ -263,7 +266,7 @@ PINNED_FRACTIONS = {32.0: [0.0893, 0.0892], 64.0: [0.0909, 0.0900],
 def _concentration_report(monkeypatch, tiny_cfg, fractions):
     """sharpness_sweep's 'concentration' check on cells carrying `fractions`."""
     def cell(cfg, lam):
-        norms = {p: lam ** -0.3 for p in cfg.ps}
+        norms = {str(p): lam ** -0.3 for p in cfg.ps}
         return {"lam": lam, "norms_in": norms, "out_short": norms,
                 "quotient": norms, "fractions": fractions[lam]}
 
