@@ -31,9 +31,13 @@ ch. IV). A(q) lives within +-(span - 1) per axis, so |f|^2 sampled on the
 least 7-smooth grid G >= 2 span - 1 per axis carries it without aliasing:
 the sum is one dot product of those samples with a real kernel K on G,
 the inverse transform of B_hat (even in every axis, so one real irfft per
-axis from its values at q_a >= 0). `ball_kernel` builds K once for every field
-on a support box; each `space_stats` call then takes |f|^2 on G slab by slab,
-as for the norms, and adds up its dot product with the same rows of K.
+axis from its values at q_a >= 0). K is even in every axis too, so its
+orthant x_a = 0 ... G_a/2 holds all of it, 2^n times fewer points than G:
+`ball_kernel` builds and stores that orthant once for every field on a
+support box, cutting each axis's irfft output to it before the next; each
+`space_stats` call then takes |f|^2 on G slab by slab, as for the norms, and
+adds up its dot product with K gathered at the slab's points through the
+mirrored indices min(x_a, G_a - x_a).
 """
 
 from __future__ import annotations
@@ -151,13 +155,18 @@ def _ball_grid(span):
     return _norm_grid(span, (4.0,))
 
 
+def _ball_nodes(z):
+    """Gauss-Legendre nodes of `_ball_transform` up to rho R = z."""
+    return int(z * np.pi / 8) + 32
+
+
 def _ball_transform(rho, radius, n):
     """B_hat at |xi| = rho for the ball of this radius in R^n:
     2 omega_{n-1} R^n int_0^{pi/2} cos(rho R cos th) sin^n th dth, with
     omega_{n-1} = pi^{(n-1)/2} / Gamma((n+1)/2), by Gauss-Legendre on
     enough nodes for the largest rho R."""
     z = np.asarray(rho, dtype=float) * radius
-    u, w = np.polynomial.legendre.leggauss(int(z.max(initial=0.0) * np.pi / 8) + 32)
+    u, w = np.polynomial.legendre.leggauss(_ball_nodes(z.max(initial=0.0)))
     theta = np.pi / 4 * (u + 1)
     w = w * np.pi / 4 * np.sin(theta) ** n
     out = np.zeros_like(z)
@@ -170,9 +179,13 @@ def ball_kernel(field, radius):
     """The concentration fraction's weight for the centered ball of this
     radius, for every field on this field's window, its support's box: the
     real kernel K on `_ball_grid(span)` whose dot product with |f|^2 there
-    is sum_q A(q) B_hat(q dk). B_hat depends on |q_a| per axis alone, so it
-    is tabulated on q_a = 0..G_a/2, evaluated once per distinct integer
-    |q|^2 there, and inverse-transformed by one real irfft per axis.
+    is sum_q A(q) B_hat(q dk), stored on its orthant x_a = 0 ... G_a/2
+    alone, shape G_a // 2 + 1 per axis. K is even in every axis, as B_hat
+    is, so K(x) = K(m(x)) with m_a(x_a) = min(x_a, G_a - x_a) (`_mirror`).
+    B_hat depends on |q_a| per axis alone, so it is tabulated on
+    q_a = 0..G_a/2, evaluated once per distinct integer |q|^2 there, and
+    inverse-transformed by one real irfft per axis, each cut to its first
+    G_a // 2 + 1 points before the next: no array of the size of G is held.
     """
     window = field.window
     n, L = window.n, window.L
@@ -185,10 +198,17 @@ def ball_kernel(field, radius):
     present, where = np.unique(q2, return_inverse=True)
     kernel = _ball_transform(np.sqrt(present) * window.dk, radius,
                              n)[where.reshape(q2.shape)]
-    del q2, where
+    del q2, present, where
     for a, g in enumerate(G):
-        kernel = np.fft.irfft(kernel, n=g, axis=a)
+        kernel = np.ascontiguousarray(np.fft.irfft(kernel, n=g, axis=a)[
+            (slice(None),) * a + (slice(g // 2 + 1),)])
     return kernel
+
+
+def _mirror(g):
+    """The orthant index m(i) = min(i, g - i) of each point i of a G axis."""
+    i = np.arange(g)
+    return np.minimum(i, g - i)
 
 
 def _abs2(box, F):
@@ -211,10 +231,12 @@ def _abs2(box, F):
         yield r0, slab
 
 
-def _inside(slab, ball, r0):
+def _inside(slab, ball, rows, cols):
     """The slab's share of the ball's dot product: |f|^2 there times the
-    kernel's rows r0 ... r0 + len(slab)."""
-    return float(slab.ravel() @ ball[r0:r0 + len(slab)].ravel())
+    kernel at the slab's mirrored points, the orthant's axis-0 rows `rows`
+    and, within each, the flat orthant indices `cols` of a G row."""
+    k = ball.reshape(len(ball), -1)[rows].take(cols, axis=1)
+    return float(slab.ravel() @ k.ravel())
 
 
 def space_stats(field, ps, ball=None):
@@ -228,24 +250,27 @@ def space_stats(field, ps, ball=None):
     summed. p = 2 is taken from Parseval, prod(F) * sum |box|^2, without a
     transform. The box is the field's window, the span of the support's
     lattice indices, and the coefficient vector is scattered into it. The
-    fraction is exact: the dot
-    product of |f|^2 on the kernel's grid G with the kernel, added up over
-    the slabs of G with the kernel sliced by the same rows, in a slab loop
-    of its own. The fraction is None without a ball and for a field with no
-    nonzero coefficient, whose norms are all 0.
+    fraction is exact: the dot product of |f|^2 on the kernel's grid G with
+    the kernel, added up over the slabs of G in a slab loop of its own, each
+    slab's kernel values gathered from the stored orthant at the mirrored
+    indices of its points. A kernel whose shape is not the orthant of this
+    field's G is rejected, also for a zero field. The fraction is None
+    without a ball and for a field with no nonzero coefficient, whose norms
+    are all 0.
     """
     n, L = field.window.n, field.window.L
     bad = [p for p in ps if not (p >= 2 and p % 2 == 0)]
     if bad:
         raise DomainError(f"norms are exact for even integer p >= 2 only, got {bad}")
 
+    G = _ball_grid(field.window.dims)
+    orthant = tuple(g // 2 + 1 for g in G)
+    if ball is not None and ball.shape != orthant:
+        raise DomainError(f"ball kernel of shape {ball.shape}, this field's "
+                          f"support box needs the orthant {orthant} of {G}")
     if not np.any(field.coeffs):
         return {p: 0.0 for p in ps}, None
     box = field.dense()
-    G = _ball_grid(box.shape)
-    if ball is not None and ball.shape != G:
-        raise DomainError(f"ball kernel on grid {ball.shape}, this field's "
-                          f"support box needs {G}")
 
     F = _norm_grid(box.shape, ps)
     power = float((box.real ** 2 + box.imag ** 2).sum())
@@ -264,7 +289,11 @@ def space_stats(field, ps, ball=None):
     norms = {p: (cell * sums[int(p)]) ** (1.0 / p) / L ** n for p in ps}
     if ball is None:
         return norms, None
-    inside = sum(_inside(ab2, ball, r0) for r0, ab2 in _abs2(box, G))
+    rows = _mirror(G[0])
+    cols = np.ravel_multi_index(np.ix_(*map(_mirror, G[1:])),
+                                orthant[1:]).ravel()
+    inside = sum(_inside(ab2, ball, rows[r0:r0 + len(ab2)], cols)
+                 for r0, ab2 in _abs2(box, G))
     return norms, inside / (L ** n * power)
 
 
@@ -279,10 +308,11 @@ def lp_norm_spacetime(space_norms, p, window):
     return float((w @ np.power(vals, p)) ** (1.0 / p))
 
 
-def norm_peak_bytes(span, ps):
+def norm_peak_bytes(span, ps, reach):
     """Upper bound on the peak memory of space_stats, with a ball, for a
     field whose support's lattice indices span a box of the given shape,
-    and of the `ball_kernel` build before it.
+    and of the `ball_kernel` build before it, for a ball of radius R with
+    reach = R dk = 2 pi R / L.
 
     space_stats holds, at most, the sum of
     - the box array, 16 bytes per point, held to the end;
@@ -293,23 +323,40 @@ def norm_peak_bytes(span, ps):
       output, 32, beside the previous slab's |f|^2 and power buffer, 16,
       which the loop holds until the next slab is yielded. p = 2 alone runs
       no pass on F;
-    - the same two terms on the ball's grid G;
-    - the kernel, 8 bytes per point of G.
+    - the same two terms on the ball's grid G, and the kernel's read there:
+      the mirrored flat index of a G row, 8 bytes per row point, held
+      through the loop, beside the slab's orthant rows of the kernel and
+      the kernel gathered from them at the slab's points, at most 16 bytes
+      per slab point, which take the place of the last pass's freed input
+      and output;
+    - the kernel, 8 bytes per point of its orthant, G_a // 2 + 1 per axis.
     `ball_kernel` builds the kernel before the call, with none of these
-    held. Finding the distinct |q|^2 and B_hat at each holds the integer
-    |q|^2 grid on q_a = 0 ... G_a/2 and index and value arrays of its size,
-    under 60 bytes per point of that grid, which has at most 2/3 as many
-    points as G; each per-axis irfft then holds its real input, the input's
-    complex copy and its real output, each at most the size of G: at most
-    40 bytes per point of G.
+    held (`_kernel_build_bytes`).
     """
-    def passes(grid):
+    def passes(grid, per_point):
         row = np.prod(grid[1:], dtype=float)
         rows = min(grid[0], max(1, _SLAB_POINTS // int(row)))
-        return 16 * grid[0] * np.prod(span[1:], dtype=float) + 48 * rows * row
+        return (16 * grid[0] * np.prod(span[1:], dtype=float)
+                + per_point * rows * row)
 
     G = _ball_grid(span)
-    kernel = np.prod(G, dtype=float)
-    stats = (16 * np.prod(span, dtype=float)
-             + passes(_norm_grid(span, ps)) + passes(G) + 8 * kernel)
-    return int(max(stats, 40 * kernel))
+    orthant = np.prod([g // 2 + 1 for g in G], dtype=float)
+    stats = (16 * np.prod(span, dtype=float) + passes(_norm_grid(span, ps), 48)
+             + passes(G, 48 + 8) + 8 * orthant)
+    return int(max(stats, _kernel_build_bytes(G, reach)))
+
+
+def _kernel_build_bytes(G, reach):
+    """Upper bound on the peak memory of `ball_kernel` on the grid G for a
+    ball of this reach R dk. No array of the build is larger than twice the
+    kernel's orthant. Finding the distinct |q|^2 holds the integer |q|^2
+    grid and np.unique's sorted copy, permutation, mask, inverse index and
+    distinct values, at most 72 bytes per orthant point when every |q|^2 is
+    distinct (n = 2 with a short axis); each irfft then holds its real
+    input, the input's complex copy and its real output, at most 40 bytes
+    per orthant point. Gauss-Legendre's companion matrix for B_hat adds 8
+    bytes per node squared, beside smaller arrays of the nodes' size.
+    """
+    half = np.array([g // 2 for g in G], dtype=float)
+    nodes = _ball_nodes(reach * np.sqrt(half @ half))
+    return 72 * np.prod(half + 1) + 8 * (nodes + 16) ** 2

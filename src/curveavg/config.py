@@ -295,7 +295,8 @@ def _estimate_terms(cfg, lam):
                               cutoff=cutoff_from(cfg), rho=cfg.rho, c0=cfg.c0)
     window = windowed_lattice(spec, points_per_radius=cfg.points_per_radius)
     span, k0 = window.dims, np.asarray(window.k0)
-    norm = norm_peak_bytes(span, (2.0,) + cfg.ps)
+    norm = norm_peak_bytes(span, (2.0,) + cfg.ps,
+                           ball_radius_from(cfg, lam) * window.dk)
 
     lo, hi = piece_boxes(frequency_centers(spec), spec.radius, window.dk)
     piece = hi - lo + 1

@@ -107,11 +107,6 @@ class SpectralField:
         out.reshape(-1)[self.flat] = self.coeffs
         return out
 
-    def l2(self):
-        """Exact torus L^2 norm via the frequency side: L^{-n} sum |f_hat|^2."""
-        power = float((self.coeffs.real ** 2 + self.coeffs.imag ** 2).sum())
-        return float(np.sqrt(power / self.L ** self.window.n))
-
     def with_coeffs(self, coeffs):
         """The same support carrying a new coefficient vector."""
         return replace(self, coeffs=coeffs)

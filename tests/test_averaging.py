@@ -28,6 +28,12 @@ def sparse_field(window, fhat):
     return SpectralField.on_lattice(window.L, k, fhat.ravel()[flat])
 
 
+def parseval_l2(f):
+    """Exact torus L^2 norm via the frequency side: L^{-n} sum |f_hat|^2."""
+    power = (np.abs(f.coeffs) ** 2).sum()
+    return float(np.sqrt(power / f.L ** f.window.n))
+
+
 def make_field(modes, amps, L=2.0):
     """The field of the given lattice modes, declared as one support ball."""
     f = SpectralField.on_lattice(L, modes, np.asarray(amps, dtype=complex))
@@ -161,7 +167,7 @@ def test_even_norms_are_exact():
         assert 21 in _norm_grid(shape, [8.0])
         L = f.L
         power = c
-        assert norms[2.0] == pytest.approx(f.l2(), rel=1e-12)
+        assert norms[2.0] == pytest.approx(parseval_l2(f), rel=1e-12)
         for k in (2, 3, 4):
             power = _convolve(power, c)
             want = (L ** (-(2 * k - 1) * n)
@@ -215,7 +221,7 @@ def test_l2_norm_matches_parseval():
     amps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     f = make_field(modes, amps)
     norms, _ = space_stats(f, [2.0])
-    assert norms[2.0] == pytest.approx(f.l2(), rel=1e-12)
+    assert norms[2.0] == pytest.approx(parseval_l2(f), rel=1e-12)
 
 
 def _count_ifft(monkeypatch):
@@ -238,7 +244,7 @@ def test_l2_norm_needs_no_transform(monkeypatch):
     calls = _count_ifft(monkeypatch)
     f = _random_field(4)
     norms, fraction = space_stats(f, [2.0])
-    assert norms[2.0] == pytest.approx(f.l2(), rel=1e-12)
+    assert norms[2.0] == pytest.approx(parseval_l2(f), rel=1e-12)
     assert fraction is None
     assert calls == []
     space_stats(f, [2.0, 4.0])
@@ -253,7 +259,7 @@ def test_fraction_needs_its_own_pass(monkeypatch):
     kernel = ball_kernel(f, 0.5)
     calls = _count_ifft(monkeypatch)
     norms, fraction = space_stats(f, [2.0], ball=kernel)
-    assert norms[2.0] == pytest.approx(f.l2(), rel=1e-12)
+    assert norms[2.0] == pytest.approx(parseval_l2(f), rel=1e-12)
     assert 0.0 < fraction < 1.0
     assert len(calls) == 3
     _, at4 = space_stats(f, [2.0, 4.0], ball=kernel)
@@ -390,12 +396,89 @@ def test_run_cell_fraction_matches_quadratic_form():
     assert cell["fractions"][0] == pytest.approx(want, rel=1e-12)
 
 
+def _orthant(G):
+    return tuple(g // 2 + 1 for g in G)
+
+
 def test_kernel_must_match_the_support_box():
     f = _random_field(5)
     kernel = ball_kernel(make_field([(0, 0, 0), (1, 1, 1)], [1.0, 1.0]), 0.5)
-    assert kernel.shape == _ball_grid((2, 2, 2)) != _ball_grid(f.window.dims)
+    assert kernel.shape == _orthant(_ball_grid((2, 2, 2)))
+    assert kernel.shape != _orthant(_ball_grid(f.window.dims))
     with pytest.raises(DomainError, match="ball kernel"):
         space_stats(f, [2.0], ball=kernel)
+
+
+def test_zero_field_rejects_a_foreign_kernel():
+    # a field with no nonzero coefficient has no fraction, but a kernel
+    # built for another support box is still an error
+    f = _random_field(5)
+    kernel = ball_kernel(make_field([(0, 0, 0), (1, 1, 1)], [1.0, 1.0]), 0.5)
+    with pytest.raises(DomainError, match="ball kernel"):
+        space_stats(f.with_coeffs(np.zeros(len(f.coeffs))), [2.0], ball=kernel)
+
+
+def _full_kernel(f, radius):
+    """The kernel on the whole of G: the same B_hat table on
+    q_a = 0..G_a/2, with every per-axis irfft kept at its full length."""
+    n = f.window.n
+    G = _ball_grid(f.window.dims)
+    q2 = sum((np.arange(g // 2 + 1) ** 2).reshape((-1,) + (1,) * (n - 1 - a))
+             for a, g in enumerate(G))
+    present, where = np.unique(q2, return_inverse=True)
+    kernel = averaging._ball_transform(np.sqrt(present) * f.window.dk, radius,
+                                       n)[where.reshape(q2.shape)]
+    for a, g in enumerate(G):
+        kernel = np.fft.irfft(kernel, n=g, axis=a)
+    return kernel
+
+
+def _box_field(span, seed):
+    """A random field with a coefficient at every point of a box of this
+    span, so that its window is that box."""
+    rng = np.random.default_rng(seed)
+    k = np.indices(span).reshape(len(span), -1).T - np.asarray(span) // 2
+    return SpectralField.on_lattice(
+        3.0, k, rng.standard_normal(len(k)) + 1j * rng.standard_normal(len(k)))
+
+
+# G = (15, 12), (1, 7, 32), (5, 12, 3, 9), (3, 5, 1, 7, 12): odd and even
+# G_a for n = 2 ... 5, and G_a = 1
+KERNEL_SPANS = [(8, 6), (1, 4, 16), (3, 6, 2, 5), (2, 3, 1, 4, 6)]
+
+
+@pytest.mark.parametrize("span", KERNEL_SPANS)
+def test_kernel_is_the_full_kernels_orthant(span):
+    # the orthant build equals, bitwise, the kernel irfft'd to the whole of
+    # G and cut to its orthant; the whole kernel is even in every axis, so
+    # the orthant read through m_a(i) = min(i, G_a - i) gives it back
+    f = _box_field(span, 1)
+    G = _ball_grid(span)
+    for radius in (0.3, 1.1):
+        full = _full_kernel(f, radius)
+        kernel = ball_kernel(f, radius)
+        assert full.shape == G and kernel.shape == _orthant(G)
+        assert np.array_equal(kernel, full[tuple(map(slice, kernel.shape))])
+        mirrored = full[np.ix_(*(averaging._mirror(g) for g in G))]
+        eps = np.finfo(float).eps
+        assert np.abs(mirrored - full).max() <= 8 * eps * np.abs(full).max()
+
+
+@pytest.mark.parametrize("span", KERNEL_SPANS)
+def test_mirrored_fraction_matches_full_kernel(monkeypatch, span):
+    # the fraction read from the orthant at mirrored indices, over several
+    # slabs, equals the dot product of |f|^2 on G with the whole kernel
+    f = _box_field(span, 2)
+    G = _ball_grid(span)
+    monkeypatch.setattr(averaging, "_SLAB_POINTS", int(np.prod(G[1:])))
+    power = (np.abs(f.coeffs) ** 2).sum()
+    ab2 = np.abs(np.fft.ifftn(f.dense(), s=G, axes=range(len(G)),
+                              norm="forward")) ** 2
+    for radius in (0.3, 1.1):
+        _, fraction = space_stats(f, [2.0], ball=ball_kernel(f, radius))
+        want = (ab2.ravel() @ _full_kernel(f, radius).ravel()
+                / (f.L ** f.window.n * power))
+        assert fraction == pytest.approx(want, rel=1e-14, abs=0)
 
 
 def test_ball_radius_must_fit_in_box():
@@ -466,4 +549,36 @@ def test_peak_bytes_bounds_measured_peak(dims, box, radius, ps, slabs):
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert norm_peak_bytes(box, ps) >= peak
+    assert norm_peak_bytes(box, ps, radius * f.window.dk) >= peak
+
+
+@pytest.mark.parametrize("span, radius", [
+    pytest.param((37, 41, 23), 1.0, id="3d"),
+    pytest.param((3, 5, 6, 25, 4), 1.0, id="5d"),
+    pytest.param((13, 14, 1), 1.0, id="one-point-axis"),
+    pytest.param((1, 1, 1), 1.0, id="one-point"),
+    pytest.param((300, 300), 5.0, id="2d"),
+    # every |q|^2 on the orthant distinct: np.unique's arrays are the peak
+    pytest.param((2, 3000), 0.05, id="all-distinct"),
+    # a ball near half the box side on a long axis: Gauss-Legendre's
+    # companion matrix, 8 bytes per node squared, is most of the build
+    pytest.param((2, 400), 9.9, id="long-axis-wide-ball"),
+    pytest.param((1, 600), 9.9, id="one-row-wide-ball"),
+])
+def test_kernel_build_bytes_bounds_measured_peak(span, radius):
+    # the kernel's build, alone, stays within its term of norm_peak_bytes
+    corners = np.array(list(np.ndindex((2,) * len(span)))) * (np.array(span) - 1)
+    f = SpectralField.on_lattice(20.0, corners, np.ones(len(corners), complex))
+    assert f.window.dims == span
+    ball_kernel(f, radius)   # first-call allocations are not the build's
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ball_kernel(f, radius)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    G = _ball_grid(span)
+    reach = radius * f.window.dk
+    assert averaging._kernel_build_bytes(G, reach) >= peak
+    assert norm_peak_bytes(span, P8, reach) >= peak

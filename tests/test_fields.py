@@ -6,8 +6,8 @@ from numpy.testing import assert_allclose
 
 from curveavg import (ApertureError, ConeChart, ConfigError,
                       CounterexampleSpec, CurveSpec, CutoffSpec, LatticeWindow,
-                      SpectralField, build_f, frequency_centers, parse_config,
-                      piece_boxes, windowed_lattice)
+                      build_f, frequency_centers, parse_config, piece_boxes,
+                      radial_bump, windowed_lattice)
 from curveavg.sweep import _cell_setup
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
@@ -45,7 +45,8 @@ def test_parseval(chart, chi):
     vals = np.fft.ifftn(f.dense(), norm="forward") / f.L ** 3
     cell = (f.window.L / np.array(f.window.dims)).prod()
     space_l2 = np.sqrt((np.abs(vals) ** 2).sum() * cell)
-    assert space_l2 == pytest.approx(f.l2(), rel=1e-12)
+    power = (np.abs(f.coeffs) ** 2).sum()
+    assert space_l2 == pytest.approx(np.sqrt(power / f.L ** 3), rel=1e-12)
 
 
 # --- the counterexample family ----------------------------------------------
@@ -143,16 +144,17 @@ def test_windowed_lattice_geometry(chart, chi):
 
 
 def test_l2_norm_scaling(chart, chi):
-    # ||f_nu||_2 = lambda^{1/n} ||g_nu||_2 piecewise; the phase is unimodular
+    # ||f_nu||_2 = lambda^{1/n} ||g_nu||_2 piecewise, by Parseval on the
+    # piece's coefficients: g_nu is the bump, and the phase is unimodular
     spec = spec_for(64.0, chart, chi)
     window = windowed_lattice(spec)
     f = build_f(spec, window)
     ball = next(b for b in f.support if b.nu == 1)
-    piece = SpectralField(window=f.window, flat=ball.flat,
-                          coeffs=f.coeffs[ball.rows])
-    vals = piece.coeffs
-    g_l2 = np.sqrt((np.abs(vals / 64.0 ** (1 / 3)) ** 2).sum() / window.L ** 3)
-    assert piece.l2() == pytest.approx(64.0 ** (1 / 3) * g_l2, rel=1e-13)
+    dist = np.linalg.norm(f.window.xi_of_flat(ball.flat) - ball.center, axis=1)
+    g = radial_bump("inner", dist / ball.radius)
+    g_l2 = np.sqrt((g ** 2).sum() / window.L ** 3)
+    f_l2 = np.sqrt((np.abs(f.coeffs[ball.rows]) ** 2).sum() / window.L ** 3)
+    assert f_l2 == pytest.approx(64.0 ** (1 / 3) * g_l2, rel=1e-13)
 
 
 
