@@ -13,12 +13,13 @@ lattice indices, the field's window, is transformed: the coefficient vector
 is scattered into a box-sized array, zero-padded per axis to the least
 7-smooth F >= (p_max/2)(span - 1) + 1 points: exact for every requested p up
 to the largest, p_max. The box is padded and transformed along axis 0 once; the
-rows of that output are then taken in slabs of about `_SLAB_POINTS` grid
-points (at least one row), and each slab alone is padded and transformed
-along axes 1 ... n-1, so no stage after the first is held at the full grid
-size. A slab's |f|^2 is squared in place on its transform's float view, and
-|f|^4, |f|^6, ... follow by chained in-place products, one multiply and one
-sum per step; the sums add up over the slabs. p = 2 is Parseval's sum over
+rows of that output are then taken in slabs of about `_SLAB_POINTS` = 2^14
+grid points (at least one row), whose working set of 48 bytes per point fits
+a core's L2 cache, and each slab alone is padded and transformed along axes
+1 ... n-1, so no stage after the first is held at the full grid size. A
+slab's |f|^2 is squared in place on its transform's float view, and |f|^4,
+|f|^6, ... follow by chained in-place products, one multiply and one sum per
+step; the sums add up over the slabs. p = 2 is Parseval's sum over
 the box and needs no transform; when it is the largest requested p none
 runs. p = inf and non-even p are rejected.
 
@@ -54,9 +55,12 @@ from .multiplier import mu_hat_batch
 __all__ = ["TimeWindow", "apply_averaging", "direct_oracle", "ball_kernel",
            "space_stats", "lp_norm_spacetime", "norm_peak_bytes"]
 
-# grid points per slab of the passes after axis 0: a slab's complex
-# transform (1 MiB), |f|^2 and power buffer are sized for a core's L2 cache
-_SLAB_POINTS = 1 << 16
+# grid points per slab of the passes after axis 0, sized so that a slab's
+# whole working set fits a core's L2 cache: at the 48 bytes per point that
+# norm_peak_bytes charges a slab (the last pass's input and output, |f|^2 and
+# the power buffer) it is 768 KiB, and 896 KiB at the 56 bytes of the ball's
+# pass (plus the kernel's read)
+_SLAB_POINTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -213,11 +217,12 @@ def _mirror(g):
 
 def _abs2(box, F):
     """|f|^2 on the grid F, slab by slab: (first row, slab) pairs over slabs
-    of axis-0 rows, at most `_SLAB_POINTS` grid points each or one row where
-    a row is larger. The box is padded and inverse-transformed along axis 0
-    once; each slab of those rows is then transformed along axes 1 ... n-1
-    alone and squared in place on its float view, and its complex transform
-    is dropped before the slab is yielded."""
+    of axis-0 rows, at most `_SLAB_POINTS` grid points each (a working set
+    of 768 KiB at 48 bytes per point) or one row where a row is larger. The
+    box is padded and inverse-transformed along axis 0 once; each slab of
+    those rows is then transformed along axes 1 ... n-1 alone and squared in
+    place on its float view, and its complex transform is dropped before the
+    slab is yielded."""
     head = np.fft.ifft(box, n=F[0], axis=0, norm="forward")
     rows = max(1, _SLAB_POINTS // int(np.prod(F[1:])))
     for r0 in range(0, F[0], rows):
@@ -318,11 +323,12 @@ def norm_peak_bytes(span, ps, reach):
     - the box array, 16 bytes per point, held to the end;
     - on the norm grid F: the axis-0 pass output, F_0 * prod(span[1:])
       complex, held through the slab loop; and one slab's working set, at
-      least one axis-0 row of prod(F[1:]) points, 48 bytes per point (plus
-      the FFT's line buffers, shorter than a row): the last pass's input and
-      output, 32, beside the previous slab's |f|^2 and power buffer, 16,
-      which the loop holds until the next slab is yielded. p = 2 alone runs
-      no pass on F;
+      most `_SLAB_POINTS` points or one axis-0 row of prod(F[1:]) points
+      where a row is larger, 48 bytes per point (768 KiB at 2^14 points;
+      plus the FFT's line buffers, shorter than a row): the last pass's
+      input and output, 32, beside the previous slab's |f|^2 and power
+      buffer, 16, which the loop holds until the next slab is yielded.
+      p = 2 alone runs no pass on F;
     - the same two terms on the ball's grid G, and the kernel's read there:
       the mirrored flat index of a G row, 8 bytes per row point, held
       through the loop, beside the slab's orthant rows of the kernel and

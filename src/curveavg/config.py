@@ -328,11 +328,15 @@ def with_overrides(cfg, jobs=None, outdir=None, lambda_max=None):
 
     Returns (config, dropped) where dropped says whether --lambda-max removed
     any cells; the sweep widens its slope tolerances in that case, since fits
-    over a shorter dyadic range carry more preasymptotic bias.
+    over a shorter dyadic range carry more preasymptotic bias. A jobs count
+    is checked as the config key is: ConfigError below 1.
     """
     out, dropped = cfg, False
     if jobs is not None:
         out = replace(out, jobs=int(jobs))
+        problems = _range_violations(out)
+        if problems:
+            raise ConfigError(problems)
     if outdir is not None:
         out = replace(out, outdir=str(outdir))
     if lambda_max is not None:

@@ -12,21 +12,21 @@ e^{-it gamma_a(s) xi_a}, so a batch needs one exponential table per axis over
 that axis's distinct coordinates. The leading n - 1 tables, gathered at the
 batch's distinct leading (n-1)-tuples, are contracted with the weighted last
 axis's table by one matrix product per time node. The nodes are walked in
-blocks sized for a core's L2 cache. Per block the tables are built at the
-first time node only and advanced to each later node by one complex
-multiply per entry with the tables of the step t_k - t_{k-1} (each distinct
-step's tables are built once per block); at every time node the block's
-matrix product is added to that node's sums per (leading tuple, last
-coordinate), from which the batch's values are gathered once, after the
-last block. A table is built by running products, too: its row at the
-least coordinate c_0 and one row per distinct gap between successive
-coordinates are exponentiated, and the row of c_j is that of c_{j-1} times
-the row of c_j - c_{j-1}. The cost thus follows the distinct
-gaps per axis and the distinct time steps: on a lattice support of m points
-with `steps` distinct steps between its time nodes, (1 + steps) x nodes x
-(sum over axes of 1 + the distinct gaps) exponentials replace time nodes x
-nodes x m; points off a lattice simply have more distinct gaps (at most one
-per coordinate), and arbitrary time nodes more distinct steps.
+blocks of 2^15 table entries, at least four panels, whose working set fits a
+core's L2 cache. Per block the tables are built at the first time node only
+and advanced to each later node by one complex multiply per entry with the
+tables of the step t_k - t_{k-1} (each distinct step's tables are built once
+per block); at every time node the block's matrix product is added to that
+node's sums per (leading tuple, last coordinate), from which the batch's
+values are gathered once, after the last block. A table is built by running
+products, too: its row at the least coordinate c_0 and one row per distinct
+gap between successive coordinates are exponentiated, and the row of c_j is
+that of c_{j-1} times the row of c_j - c_{j-1}. The cost thus follows the
+distinct gaps per axis and the distinct time steps: on a lattice support of
+m points with `steps` distinct steps between its time nodes, (1 + steps) x
+nodes x (sum over axes of 1 + the distinct gaps) exponentials replace time
+nodes x nodes x m; points off a lattice simply have more distinct gaps (at
+most one per coordinate), and arbitrary time nodes more distinct steps.
 
 On the cone the reduced multiplier m_t = e^{i t phi} mu_hat_t decays exactly
 like (t u_n(xi))^{-1/n}; `multiplier_sample` packages the sample, the
@@ -53,8 +53,17 @@ _MAX_PANELS = 1 << 15
 _REL_TOL = 1e-9
 # complex entries per node block of _gl_values: the rows a time node works
 # on (tables, leading products) x the block's nodes. Every time node walks
-# them all, so a block should stay in a core's L2 cache: 1 MiB
-_BLOCK_ELEMENTS = 1 << 16
+# them all, so a block's working set should fit a core's L2 cache. A time
+# node touches 32 bytes per entry (the tables and one step's advance, or the
+# leading products and one gathered table), 1 MiB; the whole block, at the
+# count quadrature_peak_bytes charges (16 bytes per entry for the tables and
+# for each distinct step's cached set, 24 for the rows a table is built from
+# and, for n > 2, 32 for the leading products and a gathered table), is
+# 2.25 MiB at n = 2 and 3.25 MiB at n = 3 for the short window's two steps
+_BLOCK_ELEMENTS = 1 << 15
+# the least nodes per block, four panels: below that, _tables' per-row loop
+# is no longer amortized over a block's nodes on supports of many rows
+_MIN_BLOCK_NODES = 4 * _GL_NODES.size
 
 
 def alpha_n(n):
@@ -182,9 +191,11 @@ def _block_rows(counts, leading):
 
 def _block_width(freq):
     """Nodes per block of _gl_values: its rows x the width fit
-    _BLOCK_ELEMENTS, and a block is at least one panel."""
+    _BLOCK_ELEMENTS, and a block is at least `_MIN_BLOCK_NODES`, four
+    panels, so that building its tables, one Python-level multiply per row,
+    stays cheap beside the block's exponentials and products."""
     rows = _block_rows([len(c) for c in freq.coords], len(freq.lead[0]))
-    return max(_GL_NODES.size, _BLOCK_ELEMENTS // rows)
+    return max(_MIN_BLOCK_NODES, _BLOCK_ELEMENTS // rows)
 
 
 def _exponentials_per_node(freq):
@@ -212,17 +223,18 @@ def mu_hat_batch(curve, cutoff, ts, xis, stats=None):
     tables evaluated.
 
     The cost follows the distinct gaps per axis and the distinct time steps,
-    not the batch size. Each ladder level walks its nodes in blocks sized to
-    stay in cache (_BLOCK_ELEMENTS). Per block it builds 1 + `steps` table
-    sets of block nodes x (sum over axes of the distinct coordinates)
-    entries, each entry by one complex multiply, from block nodes x (sum
-    over axes of 1 + the distinct gaps between successive coordinates)
-    exponentials; then at each time node it advances the tables by one
-    complex multiply per entry and adds one matrix product, of the distinct
-    leading (n-1)-tuples x the distinct last coordinates, to that time
-    node's sums. On a lattice support of m points that is far fewer than
-    nodes x m exponentials per time node. The batch's distinct coordinates,
-    gaps and leading tuples are found once per call.
+    not the batch size. Each ladder level walks its nodes in blocks of
+    _BLOCK_ELEMENTS table entries, at least four panels, sized to stay in a
+    core's L2 cache. Per block it builds 1 + `steps` table sets of block
+    nodes x (sum over axes of the distinct coordinates) entries, each entry
+    by one complex multiply, from block nodes x (sum over axes of 1 + the
+    distinct gaps between successive coordinates) exponentials; then at each
+    time node it advances the tables by one complex multiply per entry and
+    adds one matrix product, of the distinct leading (n-1)-tuples x the
+    distinct last coordinates, to that time node's sums. On a lattice support
+    of m points that is far fewer than nodes x m exponentials per time node.
+    The batch's distinct coordinates, gaps and leading tuples are found once
+    per call.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     xis = np.atleast_2d(np.asarray(xis, dtype=float))
@@ -264,8 +276,8 @@ def quadrature_peak_bytes(nodes, coords, leading, modes, times, steps):
 
     Only the nodes' arrays grow with `nodes`: everything else a node block
     holds is bounded by its entries, _block_rows times the block's nodes,
-    at most _BLOCK_ELEMENTS or one panel's worth. The terms, in block
-    entries: the tables and the cached table set of each distinct
+    at most _BLOCK_ELEMENTS or `_MIN_BLOCK_NODES` nodes' worth. The terms,
+    in block entries: the tables and the cached table set of each distinct
     step; the rows one table is built from (its least coordinate's and one
     per distinct gap, so at most one per distinct coordinate) with the real
     phase of their exponent; for n > 2 the leading products and one
@@ -275,7 +287,8 @@ def quadrature_peak_bytes(nodes, coords, leading, modes, times, steps):
     frequencies.
     """
     n = len(coords)
-    block = max(_BLOCK_ELEMENTS, _GL_NODES.size * _block_rows(coords, leading))
+    block = max(_BLOCK_ELEMENTS,
+                _MIN_BLOCK_NODES * _block_rows(coords, leading))
     return int(16 * block * (1 + steps) + 24 * block + 32 * block * (n > 2)
                + 16 * (times + 1) * leading * coords[-1]
                + 56 * times * modes

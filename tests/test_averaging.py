@@ -14,6 +14,7 @@ from curveavg import (CurveSpec, CutoffSpec, DomainError, GeometryError,
                       parse_config, run_cell, space_stats)
 from curveavg import averaging
 from curveavg.averaging import _SLAB_POINTS, _ball_grid, _norm_grid
+from curveavg.config import ball_radius_from
 from curveavg.sweep import _cell_setup
 
 CURVE = CurveSpec.moment(3)
@@ -523,8 +524,8 @@ P8 = (2.0, 4.0, 6.0, 8.0)
     # grid 14 x 400 x 686: one axis-0 row, 274 400 points, is a slab
     pytest.param((8, 128, 256), (4, 100, 170), 1.0, P8, 14,
                  id="row-above-slab"),
-    # grid 147 x 162 x 90: 37 slabs of 4 rows, the last of 3
-    pytest.param((64, 64, 64), (37, 41, 23), 1.0, P8, 37,
+    # grid 147 x 81 x 42: 37 slabs of 4 rows, the last of 3
+    pytest.param((64, 64, 64), (37, 21, 11), 1.0, P8, 37,
                  id="many-slabs-ragged"),
     # grid 3 x 2048: |q|^2 reaches 1024^2 + 1 with 2049 distinct values,
     # so a table over every integer up to it would exceed the bound
@@ -550,6 +551,27 @@ def test_peak_bytes_bounds_measured_peak(dims, box, radius, ps, slabs):
     finally:
         tracemalloc.stop()
     assert norm_peak_bytes(box, ps, radius * f.window.dk) >= peak
+
+
+def test_slab_working_set_fits_the_cache():
+    # the n3 benchmark workload's lambda = 32 field at its first time node:
+    # one space_stats call with the ball peaks at 1.2 MiB in slabs of 2^14
+    # grid points (3.1 MiB in slabs of 2^16)
+    root = Path(__file__).resolve().parents[1]
+    cfg = parse_config((root / "perfbench" / "workloads" / "n3.cfg").read_text())
+    curve, cutoff, _, f = _cell_setup(cfg, 32.0)
+    ts = TimeWindow.short(32.0, cfg.n, m=cfg.time_nodes).nodes
+    row = mu_hat_batch(curve, cutoff, ts, f.xi())[0]
+    g = f.with_coeffs(f.coeffs * row)
+    ball = ball_kernel(f, ball_radius_from(cfg, 32.0))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        space_stats(g, (2.0,) + cfg.ps, ball=ball)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 2 ** 20
 
 
 @pytest.mark.parametrize("span, radius", [

@@ -256,6 +256,20 @@ def test_lambda_max_only_widens_slope_bands(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_a_config_error(tmp_path, monkeypatch, capsys, jobs):
+    def refuse(cfg, slope_tols=None):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "sharpness_sweep", refuse)
+    assert main(["sweep", "--config", write_cfg(tmp_path), "--out",
+                 str(tmp_path), "--jobs", jobs]) == 2
+    record = json.loads((tmp_path / "error.json").read_text())
+    assert record["error"] == "ConfigError"
+    assert f"jobs must be >= 1, got {jobs}" in record["message"]
+    capsys.readouterr()
+
+
 def test_report_without_sweep(tmp_path, capsys):
     assert main(["report", "--out", str(tmp_path)]) == 2
     record = json.loads((tmp_path / "error.json").read_text())

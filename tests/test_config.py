@@ -239,12 +239,12 @@ def test_estimate_bounds_measured_peak():
 
 # (config, lambda, final panels, ladder levels, node blocks of the final level)
 QUADRATURE_CASES = (
-    # n2 at lambda = 256: 3072 nodes walked in 9 blocks
-    (PLANAR, 256.0, 192, 2, 9),
+    # n2 at lambda = 256: 3072 nodes walked in 18 blocks
+    (PLANAR, 256.0, 192, 2, 18),
     # n3 at lambda = 4 (the keys of perfbench/workloads/n3.cfg): the ladder
     # runs 3 -> 6 -> 12 -> 24 panels, while the gate assumes the 8 of the
     # first fine level of a ladder started at the support box's corners
-    (_SMALL.replace("time_nodes = 9", "time_nodes = 5"), 4.0, 24, 4, 1),
+    (_SMALL.replace("time_nodes = 9", "time_nodes = 5"), 4.0, 24, 4, 2),
 )
 
 
@@ -282,6 +282,13 @@ def test_overrides_and_drop_flag():
     assert out.lambdas == (32.0, 64.0) and dropped
     out, dropped = with_overrides(cfg, lambda_max=1024)
     assert out.lambdas == cfg.lambdas and not dropped
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_jobs_override_is_validated(jobs):
+    # --jobs is checked as the config key is, not applied after the check
+    with pytest.raises(ConfigError, match=f"jobs must be >= 1, got {jobs}"):
+        with_overrides(parse_config(GOOD), jobs=jobs)
 
 
 def test_full_window_is_rejected():

@@ -1,11 +1,15 @@
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from curveavg import (ConeChart, CounterexampleSpec, CurveSpec, CutoffSpec,
                       DomainError, TimeWindow, alpha_n, build_f,
                       derivative_bound_check, mu_hat, mu_hat_batch,
-                      multiplier_sample, windowed_lattice)
+                      multiplier_sample, parse_config, windowed_lattice)
 from curveavg import multiplier
+from curveavg.sweep import _cell_setup
 
 
 @pytest.fixture(scope="module")
@@ -255,19 +259,20 @@ def test_tables_exponentiated_once_per_distinct_step(nodes, moment3, chi,
 
 def test_factorised_sum_in_ragged_chunks(moment3, chi, monkeypatch):
     # 10 distinct leading tuples over 30 distinct last coordinates: 60 rows
-    # per node; 48 nodes per block splits the 128 nodes as 48, 48 and 32
+    # per node; 80 nodes per block splits the 192 nodes as 80, 80 and 32
     rng = np.random.default_rng(7)
     lead = rng.uniform(-30.0, 30.0, size=(10, 2))
     xis = np.array([[a, b, c] for a, b in lead
                     for c in rng.uniform(-30.0, 30.0, size=3)])
-    monkeypatch.setattr(multiplier, "_BLOCK_ELEMENTS", 60 * 48)
-    assert multiplier._block_width(multiplier._frequencies(xis)) == 48
-    _assert_matches_direct(moment3, chi, xis, panels=8)
+    monkeypatch.setattr(multiplier, "_BLOCK_ELEMENTS", 60 * 80)
+    assert multiplier._block_width(multiplier._frequencies(xis)) == 80
+    _assert_matches_direct(moment3, chi, xis, panels=12)
 
 
-# node blocks of _gl_values: one panel each, and a width that divides no
-# panel count below (26 panels = 416 nodes, 2 panels = 32 nodes)
-BLOCKINGS = {"one-panel": lambda rows: 1, "ragged": lambda rows: 100 * rows}
+# node blocks of _gl_values: the least width, four panels, and a width that
+# divides neither node count below (26 panels = 416 nodes, 2 panels = 32
+# nodes, one block under either width)
+BLOCKINGS = {"four-panel": lambda rows: 1, "ragged": lambda rows: 100 * rows}
 
 
 @pytest.mark.parametrize("inputs", ["field-support", "planar-lattice",
@@ -289,10 +294,30 @@ def test_blocking_moves_only_the_order_of_the_sum(blocking, inputs, moment3,
     default = [_gl_values(curve, chi, ts, xis, panels) for panels in panel_counts]
     rows = multiplier._block_rows(list(map(len, freq.coords)), len(freq.lead[0]))
     monkeypatch.setattr(multiplier, "_BLOCK_ELEMENTS", BLOCKINGS[blocking](rows))
-    assert multiplier._block_width(freq) == (16 if blocking == "one-panel" else 100)
+    assert multiplier._block_width(freq) == (64 if blocking == "four-panel"
+                                             else 100)
     for panels, want in zip(panel_counts, default):
         got = _assert_matches_direct(curve, chi, xis, panels=panels, ts=ts)
         assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
+def test_block_working_set_fits_the_cache():
+    # the n2 benchmark workload's lambda = 128 support on its short window:
+    # mu_hat_batch peaks at 2.3 MiB in blocks of 2^15 entries (4.4 MiB in
+    # blocks of 2^16)
+    root = Path(__file__).resolve().parents[1]
+    cfg = parse_config((root / "perfbench" / "workloads" / "n2.cfg").read_text())
+    curve, cutoff, _, f = _cell_setup(cfg, 128.0)
+    ts = TimeWindow.short(128.0, cfg.n, m=cfg.time_nodes).nodes
+    xis = f.xi()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        mu_hat_batch(curve, cutoff, ts, xis)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.75 * 2 ** 20
 
 
 def test_mu_hat_batch_reports_its_ladder(moment3, chi):
