@@ -61,6 +61,8 @@ __all__ = ["TimeWindow", "apply_averaging", "direct_oracle", "ball_kernel",
 # the power buffer) it is 768 KiB, and 896 KiB at the 56 bytes of the ball's
 # pass (plus the kernel's read)
 _SLAB_POINTS = 1 << 14
+# the panel count at which direct_oracle gives up
+_ORACLE_MAX_PANELS = 4096
 
 
 @dataclass(frozen=True)
@@ -88,7 +90,7 @@ def apply_averaging(field, curve, cutoff, t):
     return field.with_coeffs(field.coeffs * mu)
 
 
-def direct_oracle(field, curve, cutoff, t, points, rel_tol=1e-9, max_panels=4096):
+def direct_oracle(field, curve, cutoff, t, points, rel_tol=1e-9):
     """Quadrature of s -> f(x - t gamma(s)) chi(s) at each requested point.
 
     f is evaluated by exact trigonometric summation over the field's support,
@@ -119,7 +121,7 @@ def direct_oracle(field, curve, cutoff, t, points, rel_tol=1e-9, max_panels=4096
     sweep = float(np.abs(curve.derivative(1, np.linspace(
         -cutoff.delta, cutoff.delta, 33)) @ xis.T).max()) if len(xis) else 0.0
     panels = min(max(2, int(t * sweep * 2 * cutoff.delta / (2 * np.pi) * 12 / 16) + 1),
-                 max_panels)
+                 _ORACLE_MAX_PANELS)
     coarse = level(panels)
     while True:
         fine = level(2 * panels)
@@ -127,7 +129,7 @@ def direct_oracle(field, curve, cutoff, t, points, rel_tol=1e-9, max_panels=4096
         if float(np.abs(fine - coarse).max()) <= rel_tol * scale:
             return fine
         panels *= 2
-        if panels > max_panels:
+        if panels > _ORACLE_MAX_PANELS:
             raise QuadratureError(
                 f"direct oracle not converged at {panels} panels "
                 f"({len(xis)} modes, {len(points)} points)")
@@ -215,16 +217,20 @@ def _mirror(g):
     return np.minimum(i, g - i)
 
 
+def _slab_rows(grid):
+    """Axis-0 rows per slab of the grid: at most `_SLAB_POINTS` grid points,
+    one row where a row is larger, and no more rows than the grid has."""
+    return min(grid[0], max(1, _SLAB_POINTS // int(np.prod(grid[1:]))))
+
+
 def _abs2(box, F):
     """|f|^2 on the grid F, slab by slab: (first row, slab) pairs over slabs
-    of axis-0 rows, at most `_SLAB_POINTS` grid points each (a working set
-    of 768 KiB at 48 bytes per point) or one row where a row is larger. The
-    box is padded and inverse-transformed along axis 0 once; each slab of
-    those rows is then transformed along axes 1 ... n-1 alone and squared in
-    place on its float view, and its complex transform is dropped before the
-    slab is yielded."""
+    of `_slab_rows(F)` axis-0 rows. The box is padded and inverse-transformed
+    along axis 0 once; each slab of those rows is then transformed along
+    axes 1 ... n-1 alone and squared in place on its float view, and its
+    complex transform is dropped before the slab is yielded."""
     head = np.fft.ifft(box, n=F[0], axis=0, norm="forward")
-    rows = max(1, _SLAB_POINTS // int(np.prod(F[1:])))
+    rows = _slab_rows(F)
     for r0 in range(0, F[0], rows):
         vals = head[r0:r0 + rows]
         for a in range(1, len(F)):
@@ -322,10 +328,9 @@ def norm_peak_bytes(span, ps, reach):
     space_stats holds, at most, the sum of
     - the box array, 16 bytes per point, held to the end;
     - on the norm grid F: the axis-0 pass output, F_0 * prod(span[1:])
-      complex, held through the slab loop; and one slab's working set, at
-      most `_SLAB_POINTS` points or one axis-0 row of prod(F[1:]) points
-      where a row is larger, 48 bytes per point (768 KiB at 2^14 points;
-      plus the FFT's line buffers, shorter than a row): the last pass's
+      complex, held through the slab loop; and one slab's working set,
+      `_slab_rows(F)` rows of prod(F[1:]) points, 48 bytes per point (plus
+      the FFT's line buffers, shorter than a row): the last pass's
       input and output, 32, beside the previous slab's |f|^2 and power
       buffer, 16, which the loop holds until the next slab is yielded.
       p = 2 alone runs no pass on F;
@@ -340,10 +345,8 @@ def norm_peak_bytes(span, ps, reach):
     held (`_kernel_build_bytes`).
     """
     def passes(grid, per_point):
-        row = np.prod(grid[1:], dtype=float)
-        rows = min(grid[0], max(1, _SLAB_POINTS // int(row)))
         return (16 * grid[0] * np.prod(span[1:], dtype=float)
-                + per_point * rows * row)
+                + per_point * _slab_rows(grid) * np.prod(grid[1:], dtype=float))
 
     G = _ball_grid(span)
     orthant = np.prod([g // 2 + 1 for g in G], dtype=float)

@@ -1,15 +1,16 @@
-"""Compactly supported smooth profiles: the cutoff weight and radial bumps.
+"""Compactly supported smooth profiles: the cutoff weight and the radial bump.
 
 All profiles here are classical C^infinity constructions with *exact* support:
-the cutoff chi(s) = exp(1 - 1/(1-(s/delta)^2)) on (-delta, delta), and radial
-plateau bumps glued with the smooth step h(x)/(h(x)+h(1-x)), h(x)=exp(-1/x).
+the cutoff chi(s) = exp(1 - 1/(1-(s/delta)^2)) on (-delta, delta), and the
+radial plateau bump glued with the smooth step h(x)/(h(x)+h(1-x)),
+h(x)=exp(-1/x).
 Exact support matters: frequency-side constructions rely on coefficients being
 *identically* zero outside declared balls, not merely small.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,22 +44,12 @@ def smooth_step(x):
     return out if out.ndim else float(out)
 
 
-# plateau radius, support radius
-_BUMP_RADII = {"inner": (0.5, 1.0), "outer": (1.0, 1.5)}
-
-
-def radial_bump(eta_kind, x):
-    """Radial plateau bump evaluated at radius x >= 0.
-
-    'inner': 1 on [0, 1/2], 0 on [1, inf); 'outer': 1 on [0, 1], 0 on [3/2, inf).
-    The ramp is the smooth_step glue, so both profiles are C^infinity.
-    """
-    try:
-        plateau, support = _BUMP_RADII[eta_kind]
-    except KeyError:
-        raise DomainError(f"unknown bump kind {eta_kind!r}; use 'inner' or 'outer'")
+def radial_bump(x):
+    """Radial plateau bump evaluated at radius x >= 0: 1 on [0, 1/2], 0 on
+    [1, inf). The ramp is the smooth_step glue, so the profile is
+    C^infinity."""
     x = np.asarray(x, dtype=float)
-    out = smooth_step((support - x) / (support - plateau))
+    out = smooth_step((1.0 - x) / 0.5)
     return out if np.ndim(x) else float(out)
 
 
@@ -67,12 +58,11 @@ class CutoffSpec:
     """The curve-parameter weight chi with support exactly [-delta, delta].
 
     chi(s) = exp(1 - 1/(1 - (s/delta)^2)) inside, 0 outside; chi(0) = 1.
-    `integral` is computed once by (non-oscillatory) Gauss-Legendre quadrature
-    and cached; it scales linearly in delta.
+    `integral` is computed by (non-oscillatory) Gauss-Legendre quadrature;
+    it scales linearly in delta.
     """
 
     delta: float = 0.25
-    _integral: float = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.delta <= 1.0:
@@ -87,13 +77,11 @@ class CutoffSpec:
 
     @property
     def integral(self):
-        if self._integral is None:
-            # 64 panels x 16 nodes resolves the bump to machine precision
-            nodes, weights = np.polynomial.legendre.leggauss(16)
-            edges = np.linspace(-self.delta, self.delta, 65)
-            mid = (edges[:-1] + edges[1:]) / 2
-            half = (edges[1] - edges[0]) / 2
-            s = (mid[:, None] + half * nodes[None, :]).ravel()
-            w = np.tile(weights * half, 64)
-            object.__setattr__(self, "_integral", float(w @ self(s)))
-        return self._integral
+        # 64 panels x 16 nodes resolves the bump to machine precision
+        nodes, weights = np.polynomial.legendre.leggauss(16)
+        edges = np.linspace(-self.delta, self.delta, 65)
+        mid = (edges[:-1] + edges[1:]) / 2
+        half = (edges[1] - edges[0]) / 2
+        s = (mid[:, None] + half * nodes[None, :]).ravel()
+        w = np.tile(weights * half, 64)
+        return float(w @ self(s))

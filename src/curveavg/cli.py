@@ -22,13 +22,13 @@ import argparse
 import json
 import sys
 import time
-from math import factorial
 from pathlib import Path
 
 import numpy as np
 
 from ._version import __version__
 from .averaging import space_stats
+from .cone import moment_gamma_seed
 from .config import (chart_from, curve_from, cutoff_from, enforce_memory_cap,
                      parse_config, with_overrides)
 from .errors import CurveAvgError
@@ -86,8 +86,7 @@ def _tau_max(aperture, n):
     # largest tau with |Gamma(tau)'| components inside the cone, with margin
     t = aperture
     for _ in range(20):
-        g = sum((t ** (n - i) / factorial(n - i)) ** 2
-                for i in range(1, n))
+        g = sum(moment_gamma_seed(n, t)[0][:-1] ** 2)
         t = aperture / np.sqrt(g / t ** 2)
     return 0.9 * t
 
@@ -98,8 +97,7 @@ def _cmd_cone_verify(cfg, outdir):
     tmax = _tau_max(cfg.aperture, n)
     rows, worst = [], 0.0
     for tau in np.linspace(-tmax, tmax, 17):
-        xi = np.array([tau ** (n - i) / factorial(n - i)
-                       for i in range(1, n)] + [1.0])
+        xi = moment_gamma_seed(n, tau)[0]
         theta = chart.solve_theta(xi)
         res = abs(float(curve.derivative(n - 1, theta) @ xi)) / np.linalg.norm(xi)
         closed = "" if cfg.perturbation else abs(theta - (-tau))
@@ -129,9 +127,7 @@ def _cmd_multiplier_verify(cfg, outdir):
     for lam in cfg.lambdas:
         for t in (1.0, 1.5, 2.0):
             for tau in taus:
-                direction = np.array(
-                    [tau ** (n - i) / factorial(n - i)
-                     for i in range(1, n)] + [1.0])
+                direction = moment_gamma_seed(n, tau)[0]
                 direction /= np.linalg.norm(direction)
                 s = multiplier_sample(curve, cutoff, chart, t,
                                       float(lam) * direction)

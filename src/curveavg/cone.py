@@ -21,10 +21,15 @@ from math import factorial
 
 import numpy as np
 
-from .curves import CurveSpec
+from .curves import DOMAIN, CurveSpec
 from .errors import ApertureError, ConvergenceError
 
 __all__ = ["ConeChart", "moment_gamma_seed"]
+
+# Newton stops at a residual of _NEWTON_TOL (relative to |xi| for theta) and
+# fails after _MAX_ITERATIONS steps
+_NEWTON_TOL = 1e-12
+_MAX_ITERATIONS = 60
 
 
 def moment_gamma_seed(n, tau):
@@ -36,12 +41,10 @@ def moment_gamma_seed(n, tau):
 
 @dataclass(frozen=True)
 class ConeChart:
-    """Cone solver bound to a curve, an aperture c, and Newton settings."""
+    """Cone solver bound to a curve and an aperture c."""
 
     curve: CurveSpec
     aperture: float = 0.25
-    newton_tolerance: float = 1e-12
-    max_iterations: int = 60
 
     @property
     def n(self):
@@ -66,9 +69,9 @@ class ConeChart:
         n = self.n
         scale = np.linalg.norm(xis, axis=1)
         s = np.zeros(len(xis))
-        for _ in range(self.max_iterations):
+        for _ in range(_MAX_ITERATIONS):
             g = np.einsum("ij,ij->i", self.curve.derivative(n - 1, s), xis)
-            if np.all(np.abs(g) <= self.newton_tolerance * scale):
+            if np.all(np.abs(g) <= _NEWTON_TOL * scale):
                 break
             gp = np.einsum("ij,ij->i", self.curve.derivative(n, s), xis)
             if np.any(gp == 0.0):
@@ -76,9 +79,9 @@ class ConeChart:
             s = s - g / gp
         else:
             raise ConvergenceError(
-                f"theta Newton did not reach {self.newton_tolerance} "
-                f"in {self.max_iterations} iterations (aperture too large?)")
-        a, b = self.curve.domain
+                f"theta Newton did not reach {_NEWTON_TOL} "
+                f"in {_MAX_ITERATIONS} iterations (aperture too large?)")
+        a, b = DOMAIN
         if np.any((s < a) | (s > b)):
             raise ConvergenceError(
                 "theta left the parameter interval; the frequency is too far "
@@ -92,7 +95,7 @@ class ConeChart:
         """Solve the cone system at xi_{n-1} = tau, xi_n = 1.
 
         Unknowns (xi_1..xi_{n-2}, s); equations <gamma^(j)(s), xi> = 0 for
-        j = 1..n-1. Returns (xi, s) with residual max-norm <= newton_tolerance.
+        j = 1..n-1. Returns (xi, s) with residual max-norm <= _NEWTON_TOL.
         """
         tau = float(tau)
         if abs(tau) > self.aperture:
@@ -100,10 +103,10 @@ class ConeChart:
         n = self.n
         xi, s = moment_gamma_seed(n, tau)
         xi[n - 2], xi[n - 1] = tau, 1.0  # normalization is exact, not solved for
-        for _ in range(self.max_iterations):
+        for _ in range(_MAX_ITERATIONS):
             D = [self.curve.derivative(j, s) for j in range(1, n + 1)]
             F = np.array([D[j - 1] @ xi for j in range(1, n)])
-            if np.abs(F).max() <= self.newton_tolerance:
+            if np.abs(F).max() <= _NEWTON_TOL:
                 return xi, float(s)
             J = np.empty((n - 1, n - 1))
             for j in range(1, n):
@@ -114,15 +117,11 @@ class ConeChart:
             s += step[n - 2]
         raise ConvergenceError(
             f"cone-system Newton stalled at tau={tau} "
-            f"(residual {np.abs(F).max():.2e} > {self.newton_tolerance})")
+            f"(residual {np.abs(F).max():.2e} > {_NEWTON_TOL})")
 
     def phase_phi(self, xi):
         """phi(xi) = <gamma(theta(xi)), xi>; homogeneous of degree 1."""
         return float(self.phi_un_batch(np.asarray(xi, dtype=float)[None])[0][0])
-
-    def u_n(self, xi):
-        """u_n(xi) = <gamma^(n)(theta(xi)), xi>; homogeneous of degree 1."""
-        return float(self.phi_un_batch(np.asarray(xi, dtype=float)[None])[1][0])
 
     def phi_un_batch(self, xis):
         """(phi(xi), u_n(xi)) for a batch, sharing one theta solve."""

@@ -283,13 +283,14 @@ def _estimate_terms(cfg, lam):
 
     The support box lies in the `windowed_lattice` block, the span of the
     pieces' boxes (`piece_boxes`, the ones `build_f` enumerates): each piece
-    lies in its own, which bounds the support size and its distinct leading
-    (n-1)-tuples. The quadrature's node count is that of the first fine
-    level of its panel ladder started at the block's corners: the phase
-    rate <gamma'(s), xi> is linear in xi, so its maximum over the block sits
-    at a corner. The ladder may run further; only the nodes' own arrays
-    grow with it, as the quadrature walks its nodes in blocks of bounded
-    size. No field is built and no quadrature runs.
+    lies in its own, which bounds the support size, its distinct leading
+    (n-1)-tuples and, per axis, its distinct coordinates, by the span and by
+    the sum of the pieces' extents. The quadrature's node count is that of
+    the first fine level of its panel ladder started at the block's corners:
+    the phase rate <gamma'(s), xi> is linear in xi, so its maximum over the
+    block sits at a corner. The ladder may run further; only the nodes' own
+    arrays grow with it, as the quadrature walks its nodes in blocks of
+    bounded size. No field is built and no quadrature runs.
     """
     spec = CounterexampleSpec(lam=lam, chart=chart_from(cfg),
                               cutoff=cutoff_from(cfg), rho=cfg.rho, c0=cfg.c0)
@@ -304,7 +305,8 @@ def _estimate_terms(cfg, lam):
     ts = TimeWindow.short(lam, cfg.n, m=cfg.time_nodes).nodes
     panels = _panel_start(spec.chart.curve, spec.cutoff, ts, corners * window.dk)
     quad = quadrature_peak_bytes(
-        nodes=2 * panels * _GL_NODES.size, coords=span,
+        nodes=2 * panels * _GL_NODES.size,
+        coords=tuple(int(v) for v in np.minimum(span, piece.sum(axis=0))),
         leading=int(piece[:, :-1].prod(axis=1).sum()),
         modes=int(piece.prod(axis=1).sum()), times=cfg.time_nodes,
         steps=_distinct_steps(ts))

@@ -19,8 +19,13 @@ from numpy.polynomial import polynomial as P
 
 from .errors import DomainError
 
-__all__ = ["CurveSpec", "ModelClassReport", "nondegeneracy_margin",
+__all__ = ["DOMAIN", "CurveSpec", "ModelClassReport", "nondegeneracy_margin",
            "model_class_report"]
+
+# the parameter interval I of every curve: the paper averages over [-1, 1]
+DOMAIN = (-1.0, 1.0)
+# points of the uniform grids on I that the curve diagnostics maximize over
+_SAMPLES = 2048
 
 
 def _moment_coeff_table(n, max_order):
@@ -55,7 +60,8 @@ def _polyder_table(coeffs, max_order):
 
 @dataclass(frozen=True)
 class CurveSpec:
-    """A smooth curve I -> R^n with derivative evaluation up to order n+1.
+    """A smooth curve I = DOMAIN -> R^n with derivative evaluation up to
+    order n+1.
 
     The moment curve plus `perturbation`, a polynomial added per component
     (none for the moment curve itself). Use the constructors `moment` and
@@ -63,29 +69,26 @@ class CurveSpec:
     """
 
     n: int
-    domain: tuple = (-1.0, 1.0)
     perturbation: tuple = ()   # ((component_1based, coeff_tuple), ...)
 
     def __post_init__(self):
         if self.n < 2:
             raise DomainError(f"curve dimension must be >= 2, got {self.n}")
-        if self.domain[0] >= self.domain[1]:
-            raise DomainError(f"empty parameter interval {self.domain}")
         object.__setattr__(self, "_dtab", self._build_tables())
 
     @classmethod
-    def moment(cls, n, domain=(-1.0, 1.0)):
-        return cls(n=n, domain=domain)
+    def moment(cls, n):
+        return cls(n=n)
 
     @classmethod
-    def perturbed_moment(cls, n, perturbation, domain=(-1.0, 1.0)):
+    def perturbed_moment(cls, n, perturbation):
         """perturbation: {component (1-based): power-basis coefficients to add}."""
         pert = tuple(sorted((int(k), tuple(float(c) for c in v))
                             for k, v in dict(perturbation).items()))
         for k, _ in pert:
             if not 1 <= k <= n:
                 raise DomainError(f"perturbed component {k} outside 1..{n}")
-        return cls(n=n, domain=domain, perturbation=pert)
+        return cls(n=n, perturbation=pert)
 
     def _build_tables(self):
         max_order = self.n + 1
@@ -112,16 +115,14 @@ class CurveSpec:
         return out
 
 
-def nondegeneracy_margin(curve, samples=2048):
-    """min over a uniform grid of |det(gamma'(s), ..., gamma^(n)(s))|.
+def nondegeneracy_margin(curve):
+    """min over a uniform grid on I of |det(gamma'(s), ..., gamma^(n)(s))|.
 
     A strictly positive value on a fine grid certifies the working hypothesis
     that the first n derivatives stay linearly independent. Returns 0.0 for
     degenerate curves; never raises.
     """
-    if samples < 2:
-        raise DomainError("need at least 2 sample points")
-    s = np.linspace(curve.domain[0], curve.domain[1], samples)
+    s = np.linspace(*DOMAIN, _SAMPLES)
     mats = np.stack([curve.derivative(j, s) for j in range(1, curve.n + 1)], axis=-2)
     return float(np.abs(np.linalg.det(mats)).min())
 
@@ -134,7 +135,7 @@ class ModelClassReport:
     member: bool
 
 
-def model_class_report(curve, delta, samples=2048):
+def model_class_report(curve, delta):
     """Membership in the model class around the moment curve.
 
     Checks the anchoring gamma(0)=0, gamma^(j)(0)=e_j (1<=j<=n) exactly at
@@ -144,8 +145,6 @@ def model_class_report(curve, delta, samples=2048):
     """
     if not 0.0 < delta < 1.0:
         raise DomainError(f"delta must be in (0,1), got {delta}")
-    if curve.domain[0] > -1.0 or curve.domain[1] < 1.0:
-        raise DomainError(f"curve domain {curve.domain} must cover [-1, 1]")
     ref = CurveSpec.moment(curve.n)
 
     anchored = bool(np.all(curve.derivative(0, 0.0) == 0.0))
@@ -153,7 +152,7 @@ def model_class_report(curve, delta, samples=2048):
     for j in range(1, curve.n + 1):
         anchored &= bool(np.all(curve.derivative(j, 0.0) == eye[j - 1]))
 
-    s = np.linspace(-1.0, 1.0, samples)
+    s = np.linspace(*DOMAIN, _SAMPLES)
     distance = 0.0
     for j in range(1, curve.n + 2):
         gap = curve.derivative(j, s) - ref.derivative(j, s)

@@ -56,7 +56,6 @@ class LatticeWindow:
 class SupportBall:
     nu: int
     center: tuple
-    radius: float
     rows: slice       # this ball's rows of the field's index and coefficient vectors
     flat: np.ndarray  # its flat window indices: those rows of the field's `flat`
 
@@ -194,7 +193,7 @@ def _piece_coefficients(spec, dk, nu, center):
     axes = [np.arange(a, b + 1) for a, b in zip(low, high)]
     k = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
     xi = k * dk
-    prof = radial_bump("inner", np.linalg.norm(xi - center, axis=1) / r)
+    prof = radial_bump(np.linalg.norm(xi - center, axis=1) / r)
     keep = prof > 0.0
     xi, k, prof = xi[keep], k[keep], prof[keep]
     if not np.all(spec.chart.in_cone(xi)):
@@ -216,7 +215,7 @@ def build_f(spec, window):
     f = SpectralField.on_lattice(window.L, np.concatenate(ks),
                                  np.concatenate(vals))
     ends = np.cumsum([0] + [len(k) for k in ks])
-    balls = tuple(SupportBall(nu=int(nu), center=tuple(c), radius=spec.radius,
+    balls = tuple(SupportBall(nu=int(nu), center=tuple(c),
                               rows=slice(int(a), int(b)), flat=f.flat[a:b])
                   for nu, c, a, b in zip(nus, centers, ends[:-1], ends[1:]))
     return replace(f, support=balls)

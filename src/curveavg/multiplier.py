@@ -12,21 +12,22 @@ e^{-it gamma_a(s) xi_a}, so a batch needs one exponential table per axis over
 that axis's distinct coordinates. The leading n - 1 tables, gathered at the
 batch's distinct leading (n-1)-tuples, are contracted with the weighted last
 axis's table by one matrix product per time node. The nodes are walked in
-blocks of 2^15 table entries, at least four panels, whose working set fits a
-core's L2 cache. Per block the tables are built at the first time node only
-and advanced to each later node by one complex multiply per entry with the
-tables of the step t_k - t_{k-1} (each distinct step's tables are built once
-per block); at every time node the block's matrix product is added to that
-node's sums per (leading tuple, last coordinate), from which the batch's
-values are gathered once, after the last block. A table is built by running
-products, too: its row at the least coordinate c_0 and one row per distinct
-gap between successive coordinates are exponentiated, and the row of c_j is
-that of c_{j-1} times the row of c_j - c_{j-1}. The cost thus follows the
-distinct gaps per axis and the distinct time steps: on a lattice support of
-m points with `steps` distinct steps between its time nodes, (1 + steps) x
-nodes x (sum over axes of 1 + the distinct gaps) exponentials replace time
-nodes x nodes x m; points off a lattice simply have more distinct gaps (at
-most one per coordinate), and arbitrary time nodes more distinct steps.
+blocks of `_block_width` nodes, 2^15 table entries but at least four panels,
+whose working set fits a core's L2 cache. Per block the tables are built at
+the first time node only and advanced to each later node by one complex
+multiply per entry with the tables of the step t_k - t_{k-1} (each distinct
+step's tables are built once per block); at every time node the block's
+matrix product is added to that node's sums per (leading tuple, last
+coordinate), from which the batch's values are gathered once, after the last
+block. A table is built by running products, too: its row at the least
+coordinate c_0 and one row per distinct gap between successive coordinates
+are exponentiated, and the row of c_j is that of c_{j-1} times the row of
+c_j - c_{j-1}. The cost thus follows the distinct gaps per axis and the
+distinct time steps: on a lattice support of m points with `steps` distinct
+steps between its time nodes, (1 + steps) x nodes x (sum over axes of 1 +
+the distinct gaps) exponentials replace time nodes x nodes x m; points off a
+lattice simply have more distinct gaps (at most one per coordinate), and
+arbitrary time nodes more distinct steps.
 
 On the cone the reduced multiplier m_t = e^{i t phi} mu_hat_t decays exactly
 like (t u_n(xi))^{-1/n}; `multiplier_sample` packages the sample, the
@@ -96,7 +97,7 @@ def _gl_values(curve, cutoff, ts, freq, panels):
     s = s.ravel()
     weighted = cutoff(s) * np.tile(_GL_WEIGHTS * half, panels)
     gam = curve.derivative(0, s)
-    width = _block_width(freq)
+    width = _block_width(freq.rows)
     # per time node, the sum over the nodes per (leading tuple, last coordinate)
     sums = np.zeros((len(ts), len(freq.lead[0]), len(freq.coords[-1])),
                     dtype=complex)
@@ -169,6 +170,11 @@ class _Frequencies(NamedTuple):
     lead_of: np.ndarray
     last_of: np.ndarray
 
+    @property
+    def rows(self):
+        """The rows a time node works on per block node (`_block_rows`)."""
+        return _block_rows([len(c) for c in self.coords], len(self.lead[0]))
+
 
 def _frequencies(xis):
     # return_inverse also keeps np.unique off its masked-array test, whose
@@ -189,12 +195,12 @@ def _block_rows(counts, leading):
     return sum(counts) + (leading if len(counts) > 2 else 0)
 
 
-def _block_width(freq):
-    """Nodes per block of _gl_values: its rows x the width fit
-    _BLOCK_ELEMENTS, and a block is at least `_MIN_BLOCK_NODES`, four
-    panels, so that building its tables, one Python-level multiply per row,
-    stays cheap beside the block's exponentials and products."""
-    rows = _block_rows([len(c) for c in freq.coords], len(freq.lead[0]))
+def _block_width(rows):
+    """Nodes per block of _gl_values for `rows` rows per node (`_block_rows`):
+    the rows x the width fit _BLOCK_ELEMENTS, and a block is at least
+    `_MIN_BLOCK_NODES`, four panels, so that building its tables, one
+    Python-level multiply per row, stays cheap beside the block's
+    exponentials and products."""
     return max(_MIN_BLOCK_NODES, _BLOCK_ELEMENTS // rows)
 
 
@@ -222,19 +228,10 @@ def mu_hat_batch(curve, cutoff, ts, xis, stats=None):
     the final level, and `exponentials`, the complex exponentials their
     tables evaluated.
 
-    The cost follows the distinct gaps per axis and the distinct time steps,
-    not the batch size. Each ladder level walks its nodes in blocks of
-    _BLOCK_ELEMENTS table entries, at least four panels, sized to stay in a
-    core's L2 cache. Per block it builds 1 + `steps` table sets of block
-    nodes x (sum over axes of the distinct coordinates) entries, each entry
-    by one complex multiply, from block nodes x (sum over axes of 1 + the
-    distinct gaps between successive coordinates) exponentials; then at each
-    time node it advances the tables by one complex multiply per entry and
-    adds one matrix product, of the distinct leading (n-1)-tuples x the
-    distinct last coordinates, to that time node's sums. On a lattice support
-    of m points that is far fewer than nodes x m exponentials per time node.
     The batch's distinct coordinates, gaps and leading tuples are found once
-    per call.
+    per call, and each ladder level walks its nodes in blocks as the module
+    docstring describes, so the cost follows the distinct gaps per axis and
+    the distinct time steps, not the batch size.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     xis = np.atleast_2d(np.asarray(xis, dtype=float))
@@ -256,7 +253,7 @@ def mu_hat_batch(curve, cutoff, ts, xis, stats=None):
                 stats.update(
                     panels=2 * panels, nodes=nodes, residual=gap / scale,
                     steps=steps, levels=levels,
-                    blocks=-(-nodes // _block_width(freq)),
+                    blocks=-(-nodes // _block_width(freq.rows)),
                     exponentials=(1 + steps) * panels_run * _GL_NODES.size
                     * _exponentials_per_node(freq))
             return fine
@@ -275,20 +272,19 @@ def quadrature_peak_bytes(nodes, coords, leading, modes, times, steps):
     `times` time nodes with `steps` distinct steps between them.
 
     Only the nodes' arrays grow with `nodes`: everything else a node block
-    holds is bounded by its entries, _block_rows times the block's nodes,
-    at most _BLOCK_ELEMENTS or `_MIN_BLOCK_NODES` nodes' worth. The terms,
-    in block entries: the tables and the cached table set of each distinct
-    step; the rows one table is built from (its least coordinate's and one
-    per distinct gap, so at most one per distinct coordinate) with the real
-    phase of their exponent; for n > 2 the leading products and one
-    gathered table. Then the per-time-node sums over the blocks and one
-    matrix product; the coarse and fine results with their difference and
-    its modulus; the nodes' arrays and the index arithmetic on the
-    frequencies.
+    holds is bounded by its entries, _block_rows times the block's
+    `_block_width` nodes. The terms, in block entries: the tables and the
+    cached table set of each distinct step; the rows one table is built from
+    (its least coordinate's and one per distinct gap, so at most one per
+    distinct coordinate) with the real phase of their exponent; for n > 2
+    the leading products and one gathered table. Then the per-time-node sums
+    over the blocks and one matrix product; the coarse and fine results with
+    their difference and its modulus; the nodes' arrays and the index
+    arithmetic on the frequencies.
     """
     n = len(coords)
-    block = max(_BLOCK_ELEMENTS,
-                _MIN_BLOCK_NODES * _block_rows(coords, leading))
+    rows = _block_rows(coords, leading)
+    block = _block_width(rows) * rows
     return int(16 * block * (1 + steps) + 24 * block + 32 * block * (n > 2)
                + 16 * (times + 1) * leading * coords[-1]
                + 56 * times * modes
@@ -341,13 +337,10 @@ def multiplier_sample(curve, cutoff, chart, t, xi):
         leading=leading, deficit_leading=abs(m - leading))
 
 
-def _stencil(n, max_order):
-    """Multi-indices |alpha| <= max_order and the offsets their stencils need."""
-    alphas = [()]
-    if max_order >= 1:
-        alphas += [(i,) for i in range(n)]
-    if max_order >= 2:
-        alphas += [(i, j) for i in range(n) for j in range(i, n)]
+def _stencil(n):
+    """Multi-indices |alpha| <= 2 and the offsets their stencils need."""
+    alphas = ([()] + [(i,) for i in range(n)]
+              + [(i, j) for i in range(n) for j in range(i, n)])
     offsets = {(0,) * n}
     for a in alphas:
         if len(a) == 1:
@@ -366,27 +359,26 @@ def _stencil(n, max_order):
     return alphas, sorted(offsets)
 
 
-def derivative_bound_check(curve, cutoff, chart, t, xi, max_order=2, rho=0.25):
-    """Finite-difference check that |d^alpha m_t| tracks lambda^{-1/n-|alpha|/n}.
+def derivative_bound_check(curve, cutoff, chart, t, xi):
+    """Finite-difference check that |d^alpha m_t| tracks lambda^{-1/n-|alpha|/n}
+    for |alpha| <= 2.
 
-    Central differences with step h = rho * lambda^{1/n} / 64 per axis; every
+    Central differences with step h = lambda^{1/n} / 256 per axis; every
     stencil point is evaluated in one quadrature batch. Returns a list of
     (alpha, |d^alpha m_t|, bound, ratio) rows; the interesting assertion — the
     ratios carry no growth trend in lambda — belongs to the caller, since one
     lambda alone cannot show a trend.
     """
-    if max_order > 2:
-        raise DomainError("derivative table implemented for |alpha| <= 2")
     xi = np.asarray(xi, dtype=float)
     lam = float(np.linalg.norm(xi))
     if lam < 64.0:
         raise DomainError(f"|xi| = {lam:.3g} < 64: below the asymptotic window")
     n = curve.n
-    h = rho * lam ** (1.0 / n) / 64.0
+    h = lam ** (1.0 / n) / 256.0
     if h <= lam * 1e-14:
         raise ResolutionError(f"difference step {h:.3g} underflows at |xi| = {lam:.3g}")
 
-    alphas, offsets = _stencil(n, max_order)
+    alphas, offsets = _stencil(n)
     pts = np.array([xi + h * np.asarray(off, dtype=float) for off in offsets])
     phis, _ = chart.phi_un_batch(pts)
     vals = mu_hat_batch(curve, cutoff, [t], pts)[0] * np.exp(1j * t * phis)

@@ -95,15 +95,16 @@ def load_snapshot(path):
     declares no balls, and its window is its support's box. A file that is
     not a snapshot archive of this format version, or whose indices leave
     its window or are none, raises GridError."""
-    try:
-        archive = np.load(path, allow_pickle=False)
-        if not isinstance(archive, np.lib.npyio.NpzFile):
-            raise ValueError("a bare .npy array, not an archive")
-        with archive:
-            a = {key: archive[key] for key in _SNAP_KEYS}
-    except (EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
-        raise GridError(f"snapshot {path} is not a readable snapshot "
-                        f"archive: {exc}") from exc
+    with open(path, "rb") as fh:
+        try:
+            archive = np.load(fh, allow_pickle=False)
+            if not isinstance(archive, np.lib.npyio.NpzFile):
+                raise ValueError("a bare .npy array, not an archive")
+            with archive:
+                a = {key: archive[key] for key in _SNAP_KEYS}
+        except (EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+            raise GridError(f"snapshot {path} is not a readable snapshot "
+                            f"archive: {exc}") from exc
     if a["version"].tolist() != _SNAP_VERSION:
         raise GridError(f"snapshot {path} has format version "
                         f"{a['version'].tolist()}, not {_SNAP_VERSION}")
@@ -230,7 +231,7 @@ def render_report(report):
     `warning:` line per warning."""
     lines = [f"curveavg sweep report (n={report['n']}, "
              f"lambdas={report['lambdas']}, ps={report['ps']})"]
-    for key, fits in sorted(report["slopes"].items()):
+    for key, fits in _slopes_by_p(report):
         for which in ("input", "output", "quotient"):
             f = fits[which]
             lines.append(f"  p={key} {which:9s} slope {f['slope']:+.4f} "

@@ -202,9 +202,9 @@ def _cell_job(args):
     return run_cell(cfg, lam)
 
 
-def _trend_mostly_decreasing(values, allowed_inversions=1):
+def _trend_mostly_decreasing(values):
     ups = sum(1 for a, b in zip(values, values[1:]) if b > a)
-    return ups <= allowed_inversions
+    return ups <= 1
 
 
 def sharpness_sweep(cfg, slope_tols=None):

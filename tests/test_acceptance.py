@@ -119,7 +119,7 @@ def test_criterion_05_oracle_equivalence():
     idx = np.array(ks) - 3 - np.array(window.k0)
     flat = np.ravel_multi_index(tuple(idx.T), window.dims)
     coeffs = rng.standard_normal(len(ks)) + 1j * rng.standard_normal(len(ks))
-    ball = SupportBall(nu=0, center=(0.0,) * 3, radius=1.2 * 8.0,
+    ball = SupportBall(nu=0, center=(0.0,) * 3,
                        rows=slice(0, len(ks)), flat=flat)
     f = SpectralField(window=window, flat=flat, coeffs=coeffs, support=(ball,))
 

@@ -13,7 +13,7 @@ from curveavg import (CurveSpec, CutoffSpec, DomainError, GeometryError,
                       lp_norm_spacetime, mu_hat_batch, norm_peak_bytes,
                       parse_config, run_cell, space_stats)
 from curveavg import averaging
-from curveavg.averaging import _SLAB_POINTS, _ball_grid, _norm_grid
+from curveavg.averaging import _ball_grid, _norm_grid
 from curveavg.config import ball_radius_from
 from curveavg.sweep import _cell_setup
 
@@ -38,7 +38,7 @@ def parseval_l2(f):
 def make_field(modes, amps, L=2.0):
     """The field of the given lattice modes, declared as one support ball."""
     f = SpectralField.on_lattice(L, modes, np.asarray(amps, dtype=complex))
-    ball = SupportBall(nu=0, center=(0.0,) * 3, radius=0.0,
+    ball = SupportBall(nu=0, center=(0.0,) * 3,
                        rows=slice(0, len(f.flat)), flat=f.flat)
     return replace(f, support=(ball,))
 
@@ -535,8 +535,7 @@ def test_peak_bytes_bounds_measured_peak(dims, box, radius, ps, slabs):
     rng = np.random.default_rng(2)
     box = dims if box is None else box
     F = _norm_grid(box, ps)
-    rows = max(1, _SLAB_POINTS // int(np.prod(F[1:])))
-    assert slabs in (None, -(-F[0] // rows))
+    assert slabs in (None, -(-F[0] // averaging._slab_rows(F)))
     fhat = np.zeros(dims, dtype=complex)
     fhat[tuple(slice(m - b, m) for m, b in zip(dims, box))] = (
         rng.standard_normal(box) + 1j * rng.standard_normal(box))

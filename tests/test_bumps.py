@@ -21,20 +21,13 @@ def test_smooth_step_monotone_and_smooth():
     assert dq.max() < 4.0
 
 
-@pytest.mark.parametrize("kind,flat,zero", [("inner", 0.5, 1.0),
-                                            ("outer", 1.0, 1.5)])
-def test_radial_bump_plateau_and_support(kind, flat, zero):
+def test_radial_bump_plateau_and_support():
     r = np.linspace(0, 2, 801)
-    v = radial_bump(kind, r)
-    assert np.all(v[r <= flat] == 1.0)
-    assert np.all(v[r >= zero] == 0.0)
+    v = radial_bump(r)
+    assert np.all(v[r <= 0.5] == 1.0)
+    assert np.all(v[r >= 1.0] == 0.0)
     assert np.all((v >= 0) & (v <= 1))
     assert np.all(np.diff(v) <= 1e-12)   # nonincreasing in radius
-
-
-def test_radial_bump_rejects_unknown_kind():
-    with pytest.raises(DomainError, match="inner"):
-        radial_bump("fat", np.zeros(3))
 
 
 def test_cutoff_profile_normalization():

@@ -72,7 +72,7 @@ def test_phi_un_closed_forms_on_cone(chart3):
     for tau in np.linspace(-0.4, 0.4, 9):
         xi, _ = moment_gamma_seed(3, tau)
         assert chart3.phase_phi(xi) == pytest.approx(-tau**3 / 6, abs=1e-14)
-        assert chart3.u_n(xi) == pytest.approx(1.0, rel=1e-13)
+        assert chart3.phi_un_batch(xi)[1][0] == pytest.approx(1.0, rel=1e-13)
 
 
 def test_phi_un_batch_matches_scalar(chart3):
@@ -80,7 +80,7 @@ def test_phi_un_batch_matches_scalar(chart3):
     phi, un = chart3.phi_un_batch(xis)
     for i, xi in enumerate(xis):
         assert phi[i] == pytest.approx(chart3.phase_phi(xi), rel=1e-12, abs=1e-15)
-        assert un[i] == pytest.approx(chart3.u_n(xi), rel=1e-12)
+        assert un[i] == pytest.approx(chart3.phi_un_batch(xi)[1][0], rel=1e-12)
 
 
 def test_solve_gamma_closed_form(chart3, chart4):

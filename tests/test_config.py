@@ -9,6 +9,7 @@ from curveavg import (ConfigError, CounterexampleSpec, RunConfig, TimeWindow,
                       frequency_centers, mu_hat_batch, parse_config,
                       parse_memory_size, piece_boxes, radial_bump, run_cell,
                       windowed_lattice, with_overrides)
+from curveavg import config
 from curveavg.config import _estimate_terms, chart_from, cutoff_from
 from curveavg.sweep import _cell_setup
 
@@ -212,12 +213,36 @@ def test_gate_box_holds_the_support():
                 k = np.stack(np.meshgrid(*axes, indexing="ij"),
                              axis=-1).reshape(-1, cfg.n)
                 dist = np.linalg.norm(k * window.dk - ball.center, axis=1)
-                k = k[radial_bump("inner", dist / spec.radius) > 0]
+                k = k[radial_bump(dist / spec.radius) > 0]
                 assert len(k) and np.all(k >= low) and np.all(k <= high), (
                     cfg.n, lam, ball.nu)
                 built = np.stack(np.unravel_index(ball.flat, f.window.dims),
                                  axis=1) + k0
                 assert np.array_equal(built, k), (cfg.n, lam, ball.nu)
+
+
+def test_gate_coordinates_bound_the_built_field(monkeypatch):
+    # per axis, the distinct coordinates the gate charges the quadrature
+    # (the least of the span and the pieces' summed extents) hold those of
+    # the built field's support, on the gate's cells and the pinned
+    # lambda = 256 and 1024
+    charged = []
+    quad = config.quadrature_peak_bytes
+
+    def recorded(**terms):
+        charged.append(terms["coords"])
+        return quad(**terms)
+
+    monkeypatch.setattr(config, "quadrature_peak_bytes", recorded)
+    for text, lams in GATE_CASES + ((GOOD, (256.0, 1024.0)),):
+        cfg = parse_config(text)
+        for lam in lams:
+            _estimate_terms(cfg, lam)
+            f = _cell_setup(cfg, lam)[-1]
+            built = [len(np.unique(k)) for k in
+                     np.unravel_index(f.flat, f.window.dims)]
+            assert all(c >= b for c, b in zip(charged[-1], built)), (
+                cfg.n, lam, charged[-1], built)
 
 
 def test_estimate_bounds_measured_peak():

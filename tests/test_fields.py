@@ -89,7 +89,7 @@ def test_build_f_support_structure(chart, chi):
     for ball in f.support:
         xi = f.window.xi_of_flat(ball.flat)
         d = np.linalg.norm(xi - np.array(ball.center), axis=1)
-        assert d.max() <= ball.radius + 1e-9
+        assert d.max() <= spec.radius + 1e-9
         # support points live where the inner bump is nonzero
         assert np.all(np.abs(f.coeffs[ball.rows]) > 0)
         assert np.array_equal(f.flat[ball.rows], ball.flat)
@@ -151,7 +151,7 @@ def test_l2_norm_scaling(chart, chi):
     f = build_f(spec, window)
     ball = next(b for b in f.support if b.nu == 1)
     dist = np.linalg.norm(f.window.xi_of_flat(ball.flat) - ball.center, axis=1)
-    g = radial_bump("inner", dist / ball.radius)
+    g = radial_bump(dist / spec.radius)
     g_l2 = np.sqrt((g ** 2).sum() / window.L ** 3)
     f_l2 = np.sqrt((np.abs(f.coeffs[ball.rows]) ** 2).sum() / window.L ** 3)
     assert f_l2 == pytest.approx(64.0 ** (1 / 3) * g_l2, rel=1e-13)

@@ -265,7 +265,7 @@ def test_factorised_sum_in_ragged_chunks(moment3, chi, monkeypatch):
     xis = np.array([[a, b, c] for a, b in lead
                     for c in rng.uniform(-30.0, 30.0, size=3)])
     monkeypatch.setattr(multiplier, "_BLOCK_ELEMENTS", 60 * 80)
-    assert multiplier._block_width(multiplier._frequencies(xis)) == 80
+    assert multiplier._block_width(multiplier._frequencies(xis).rows) == 80
     _assert_matches_direct(moment3, chi, xis, panels=12)
 
 
@@ -292,10 +292,10 @@ def test_blocking_moves_only_the_order_of_the_sum(blocking, inputs, moment3,
     freq = multiplier._frequencies(xis)
     panel_counts = (26, 2)
     default = [_gl_values(curve, chi, ts, xis, panels) for panels in panel_counts]
-    rows = multiplier._block_rows(list(map(len, freq.coords)), len(freq.lead[0]))
-    monkeypatch.setattr(multiplier, "_BLOCK_ELEMENTS", BLOCKINGS[blocking](rows))
-    assert multiplier._block_width(freq) == (64 if blocking == "four-panel"
-                                             else 100)
+    monkeypatch.setattr(multiplier, "_BLOCK_ELEMENTS",
+                        BLOCKINGS[blocking](freq.rows))
+    assert multiplier._block_width(freq.rows) == (64 if blocking == "four-panel"
+                                                  else 100)
     for panels, want in zip(panel_counts, default):
         got = _assert_matches_direct(curve, chi, xis, panels=panels, ts=ts)
         assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
@@ -327,7 +327,7 @@ def test_mu_hat_batch_reports_its_ladder(moment3, chi):
     assert set(stats) == {"panels", "nodes", "residual", "steps", "levels",
                           "blocks", "exponentials"}
     assert stats["nodes"] == 16 * stats["panels"]
-    width = multiplier._block_width(multiplier._frequencies(xis))
+    width = multiplier._block_width(multiplier._frequencies(xis).rows)
     assert stats["blocks"] == -(-stats["nodes"] // width)
     assert stats["steps"] == 1
     start = multiplier._panel_start(moment3, chi, np.array([1.0, 1.5]), xis)

@@ -256,15 +256,28 @@ def test_sweep_artifacts_project_the_payload(tmp_path):
     assert (tmp_path / "loglog.svg").read_text() == quotient_svg(report)
 
 
-def test_tables_follow_ps_when_read_back(tmp_path):
-    # JSON sorts the slopes' keys ("10" < "4"): the tables and the plot of
-    # the file read back still follow `ps`, as those of the payload do
+def two_ps_report():
+    """`fake_report` with ps = 4, 10, whose slopes' keys sort as "10" < "4"."""
     report = fake_report()
     report["ps"] = [4.0, 10.0]
     for c in report["cells"]:
         for key in ("norms_in", "out_short", "quotient"):
             c[key]["10.0"] = 2 * c[key]["4.0"]
     report["slopes"]["10"] = report["slopes"]["4"]
+    return report
+
+
+def test_render_report_follows_ps():
+    # the summary lists the fits in `ps` order, as the tables do
+    report = json.loads(json.dumps(two_ps_report(), sort_keys=True))
+    text = render_report(report)
+    assert text.index("  p=4 ") < text.index("  p=10 ")
+
+
+def test_tables_follow_ps_when_read_back(tmp_path):
+    # JSON sorts the slopes' keys ("10" < "4"): the tables and the plot of
+    # the file read back still follow `ps`, as those of the payload do
+    report = two_ps_report()
     back = json.loads(json.dumps(report, sort_keys=True))
     assert list(back["slopes"]) == ["10", "4"]
     for name, payload in (("memory", report), ("file", back)):

@@ -111,7 +111,7 @@ def test_trend_counter():
     assert _trend_mostly_decreasing([5.0, 4.0, 3.0])
     assert _trend_mostly_decreasing([5.0, 6.0, 4.0, 3.0])      # one inversion ok
     assert not _trend_mostly_decreasing([3.0, 4.0, 5.0])
-    assert not _trend_mostly_decreasing([5.0, 6.0, 4.0, 5.0], allowed_inversions=1)
+    assert not _trend_mostly_decreasing([5.0, 6.0, 4.0, 5.0])
 
 
 # --- a miniature sweep -----------------------------------------------------------
