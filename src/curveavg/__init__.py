@@ -16,8 +16,9 @@ from .averaging import (TimeWindow, apply_averaging, ball_kernel,
                         space_stats)
 from .bumps import CutoffSpec, radial_bump, smooth_step
 from .cone import ConeChart, moment_gamma_seed
-from .config import (RunConfig, enforce_memory_cap, estimate_field_bytes,
-                     parse_config, parse_memory_size, with_overrides)
+from .config import (CellPlan, RunConfig, cell_plan, enforce_memory_cap,
+                     estimate_field_bytes, parse_config, parse_memory_size,
+                     with_overrides)
 from .curves import (CurveSpec, ModelClassReport, model_class_report,
                      nondegeneracy_margin)
 from .errors import (ApertureError, ConfigError, ConvergenceError,
@@ -30,7 +31,8 @@ from .multiplier import (MultiplierSample, alpha_n, derivative_bound_check,
                          mu_hat, mu_hat_batch, multiplier_sample)
 from .reporting import (load_snapshot, render_report, save_snapshot,
                         sweep_artifacts, sweep_tables, write_csv, write_json)
-from .sweep import (critical_exponent, expected_slopes, fit_slope, run_cell,
+from .sweep import (Cell, cell_field, cell_support, critical_exponent,
+                    expected_slopes, fit_slope, measure, run_cell,
                     sharpness_sweep)
 
 __all__ = [
@@ -56,10 +58,10 @@ __all__ = [
     "space_stats", "lp_norm_spacetime", "norm_peak_bytes",
     # config
     "RunConfig", "parse_config", "parse_memory_size", "with_overrides",
-    "enforce_memory_cap", "estimate_field_bytes",
+    "CellPlan", "cell_plan", "enforce_memory_cap", "estimate_field_bytes",
     # sweep
-    "critical_exponent", "expected_slopes", "fit_slope", "run_cell",
-    "sharpness_sweep",
+    "critical_exponent", "expected_slopes", "fit_slope", "Cell",
+    "cell_field", "cell_support", "measure", "run_cell", "sharpness_sweep",
     # reporting
     "save_snapshot", "load_snapshot", "write_csv", "write_json",
     "sweep_artifacts", "sweep_tables", "render_report",

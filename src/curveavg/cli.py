@@ -29,14 +29,14 @@ import numpy as np
 from ._version import __version__
 from .averaging import space_stats
 from .cone import moment_gamma_seed
-from .config import (chart_from, curve_from, cutoff_from, enforce_memory_cap,
+from .config import (cell_plan, chart_from, cutoff_from, enforce_memory_cap,
                      parse_config, with_overrides)
 from .errors import CurveAvgError
 from .multiplier import multiplier_sample
 from .reporting import (render_report, save_snapshot, sweep_artifacts,
                         sweep_tables, verdict, write_csv, write_json,
                         write_manifest)
-from .sweep import DEFAULT_SLOPE_TOLS, _cell_setup, sharpness_sweep
+from .sweep import DEFAULT_SLOPE_TOLS, cell_field, sharpness_sweep
 
 __all__ = ["main"]
 
@@ -92,8 +92,8 @@ def _tau_max(aperture, n):
 
 
 def _cmd_cone_verify(cfg, outdir):
-    curve, chart = curve_from(cfg), chart_from(cfg)
-    n = cfg.n
+    chart = chart_from(cfg)
+    curve, n = chart.curve, cfg.n
     tmax = _tau_max(cfg.aperture, n)
     rows, worst = [], 0.0
     for tau in np.linspace(-tmax, tmax, 17):
@@ -119,8 +119,8 @@ def _cmd_cone_verify(cfg, outdir):
 
 
 def _cmd_multiplier_verify(cfg, outdir):
-    curve, cutoff, chart = curve_from(cfg), cutoff_from(cfg), chart_from(cfg)
-    n = cfg.n
+    chart, cutoff = chart_from(cfg), cutoff_from(cfg)
+    curve, n = chart.curve, cfg.n
     tmax = _tau_max(cfg.aperture, n)
     taus = (-0.5 * tmax, 0.0, 0.5 * tmax)
     rows = []
@@ -145,11 +145,11 @@ def _cmd_multiplier_verify(cfg, outdir):
 def _cmd_synthesize(cfg, outdir):
     enforce_memory_cap(cfg)
     paths, rows = [], []
-    ps = sorted(set([2.0] + [float(p) for p in cfg.ps]))
     for lam in cfg.lambdas:
-        f = _cell_setup(cfg, float(lam))[-1]
-        norms, _ = space_stats(f, ps)
-        rows += [(float(lam), p, norms[p]) for p in ps]
+        plan = cell_plan(cfg, float(lam))
+        f = cell_field(cfg, plan)
+        norms, _ = space_stats(f, plan.ps)
+        rows += [(float(lam), p, norms[p]) for p in plan.ps]
         snap = save_snapshot(outdir / f"field_lambda{int(lam)}.bin", f,
                              float(lam))
         paths.append(snap)

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import difflib
 import os
-from configparser import ConfigParser
-from dataclasses import dataclass, field, fields as dc_fields, replace
+from configparser import ConfigParser, Error as ParserError
+from dataclasses import dataclass, fields as dc_fields, replace
 from itertools import product
 
 import numpy as np
@@ -33,9 +33,8 @@ from .fields import (CounterexampleSpec, frequency_centers, piece_boxes,
 from .multiplier import (_GL_NODES, _distinct_steps, _panel_start,
                          quadrature_peak_bytes)
 
-__all__ = ["RunConfig", "parse_config", "parse_memory_size", "curve_from",
-           "cutoff_from", "chart_from", "ball_radius_from",
-           "estimate_field_bytes"]
+__all__ = ["RunConfig", "CellPlan", "parse_config", "parse_memory_size",
+           "cutoff_from", "chart_from", "cell_plan", "estimate_field_bytes"]
 
 _GIB = 1 << 30
 _KNOWN_CHECKS = ("orthogonality", "slopes", "floor", "concentration")
@@ -154,7 +153,8 @@ def _range_violations(cfg):
           f"points_per_radius must be >= 2, got {cfg.points_per_radius}")
     check(cfg.memory_cap >= 1 << 20,
           f"memory cap below 1 MiB is unusable, got {cfg.memory_cap}")
-    check(len(cfg.lambdas) >= 1 and all(v >= 4 for v in cfg.lambdas),
+    check(len(cfg.lambdas) >= 1, "no lambda left to run: lambdas is empty")
+    check(all(v >= 4 for v in cfg.lambdas),
           f"lambdas must all be >= 4, got {list(cfg.lambdas)}")
     dyadic = all(float(v).is_integer() and (int(v) & (int(v) - 1)) == 0
                  for v in cfg.lambdas)
@@ -182,10 +182,16 @@ def parse_config(text):
     """Parse and fully validate sectioned key-value text into a RunConfig.
 
     Raises ConfigError carrying *all* problems: unknown sections/keys (with
-    nearest-name suggestions) and every range violation.
+    nearest-name suggestions) and every range violation; or, for text that
+    is not sectioned key-value text (no section header, a duplicate key or
+    section), the parser's one complaint. Values are taken literally: '%'
+    interpolates nothing.
     """
-    parser = ConfigParser()
-    parser.read_string(text)
+    parser = ConfigParser(interpolation=None)
+    try:
+        parser.read_string(text)
+    except ParserError as exc:
+        raise ConfigError([f"malformed config text: {exc}"]) from None
     problems = []
     values = {}
     for section in parser.sections():
@@ -251,24 +257,43 @@ def parse_config(text):
     return cfg
 
 
-def curve_from(cfg):
-    """The moment curve, or its perturbation when cfg.perturbation is set."""
-    if not cfg.perturbation:
-        return CurveSpec.moment(cfg.n)
-    return CurveSpec.perturbed_moment(cfg.n, dict(cfg.perturbation))
+def chart_from(cfg):
+    """The cone chart of the configured curve: the moment curve, or its
+    perturbation when cfg.perturbation is set (`chart.curve`)."""
+    curve = (CurveSpec.perturbed_moment(cfg.n, dict(cfg.perturbation))
+             if cfg.perturbation else CurveSpec.moment(cfg.n))
+    return ConeChart(curve=curve, aperture=cfg.aperture)
 
 
 def cutoff_from(cfg):
     return CutoffSpec(delta=cfg.delta)
 
 
-def chart_from(cfg):
-    return ConeChart(curve=curve_from(cfg), aperture=cfg.aperture)
+@dataclass(frozen=True)
+class CellPlan:
+    """Every choice a run makes for its cell at one lambda.
+
+    `spec` is the construction: its chart carries the curve, its cutoff is
+    chi. `ps` are the measured exponents with 2 added, for the L^2
+    diagnostics, in increasing order. `short` is the time window
+    [1, 1 + lambda^{-1/n}] on cfg.time_nodes nodes, and `ball_radius` is
+    lambda^{-(1 - epsilon)/n}, the concentration ball's radius.
+    """
+
+    spec: CounterexampleSpec
+    ps: tuple
+    short: TimeWindow
+    ball_radius: float
 
 
-def ball_radius_from(cfg, lam):
-    """Radius lambda^{-(1 - epsilon)/n} of the concentration ball."""
-    return lam ** (-(1.0 - cfg.epsilon) / cfg.n)
+def cell_plan(cfg, lam):
+    """The `CellPlan` of cfg's cell at lambda; it builds no field."""
+    return CellPlan(
+        spec=CounterexampleSpec(lam=lam, chart=chart_from(cfg),
+                                cutoff=cutoff_from(cfg), rho=cfg.rho, c0=cfg.c0),
+        ps=tuple(sorted({2.0, *(float(p) for p in cfg.ps)})),
+        short=TimeWindow.short(lam, cfg.n, m=cfg.time_nodes),
+        ball_radius=lam ** (-(1.0 - cfg.epsilon) / cfg.n))
 
 
 def estimate_field_bytes(cfg, lam):
@@ -292,23 +317,22 @@ def _estimate_terms(cfg, lam):
     arrays grow with it, as the quadrature walks its nodes in blocks of
     bounded size. No field is built and no quadrature runs.
     """
-    spec = CounterexampleSpec(lam=lam, chart=chart_from(cfg),
-                              cutoff=cutoff_from(cfg), rho=cfg.rho, c0=cfg.c0)
+    plan = cell_plan(cfg, lam)
+    spec = plan.spec
     window = windowed_lattice(spec, points_per_radius=cfg.points_per_radius)
     span, k0 = window.dims, np.asarray(window.k0)
-    norm = norm_peak_bytes(span, (2.0,) + cfg.ps,
-                           ball_radius_from(cfg, lam) * window.dk)
+    norm = norm_peak_bytes(span, plan.ps, plan.ball_radius * window.dk)
 
     lo, hi = piece_boxes(frequency_centers(spec), spec.radius, window.dk)
     piece = hi - lo + 1
     corners = np.array(list(product(*zip(k0, k0 + span - 1))))
-    ts = TimeWindow.short(lam, cfg.n, m=cfg.time_nodes).nodes
+    ts = plan.short.nodes
     panels = _panel_start(spec.chart.curve, spec.cutoff, ts, corners * window.dk)
     quad = quadrature_peak_bytes(
         nodes=2 * panels * _GL_NODES.size,
         coords=tuple(int(v) for v in np.minimum(span, piece.sum(axis=0))),
         leading=int(piece[:, :-1].prod(axis=1).sum()),
-        modes=int(piece.prod(axis=1).sum()), times=cfg.time_nodes,
+        modes=int(piece.prod(axis=1).sum()), times=len(ts),
         steps=_distinct_steps(ts))
     return norm, quad
 
@@ -330,19 +354,20 @@ def with_overrides(cfg, jobs=None, outdir=None, lambda_max=None):
 
     Returns (config, dropped) where dropped says whether --lambda-max removed
     any cells; the sweep widens its slope tolerances in that case, since fits
-    over a shorter dyadic range carry more preasymptotic bias. A jobs count
-    is checked as the config key is: ConfigError below 1.
+    over a shorter dyadic range carry more preasymptotic bias. The result is
+    checked as a parsed config is: ConfigError for a jobs count below 1 or
+    a --lambda-max below every lambda.
     """
     out, dropped = cfg, False
     if jobs is not None:
         out = replace(out, jobs=int(jobs))
-        problems = _range_violations(out)
-        if problems:
-            raise ConfigError(problems)
     if outdir is not None:
         out = replace(out, outdir=str(outdir))
     if lambda_max is not None:
         kept = tuple(v for v in out.lambdas if v <= float(lambda_max))
         dropped = len(kept) < len(out.lambdas)
         out = replace(out, lambdas=kept)
+    problems = _range_violations(out)
+    if problems:
+        raise ConfigError(problems)
     return out, dropped

@@ -54,7 +54,6 @@ class LatticeWindow:
 
 @dataclass(frozen=True)
 class SupportBall:
-    nu: int
     center: tuple
     rows: slice       # this ball's rows of the field's index and coefficient vectors
     flat: np.ndarray  # its flat window indices: those rows of the field's `flat`
@@ -215,7 +214,7 @@ def build_f(spec, window):
     f = SpectralField.on_lattice(window.L, np.concatenate(ks),
                                  np.concatenate(vals))
     ends = np.cumsum([0] + [len(k) for k in ks])
-    balls = tuple(SupportBall(nu=int(nu), center=tuple(c),
-                              rows=slice(int(a), int(b)), flat=f.flat[a:b])
-                  for nu, c, a, b in zip(nus, centers, ends[:-1], ends[1:]))
+    balls = tuple(SupportBall(center=tuple(c), rows=slice(int(a), int(b)),
+                              flat=f.flat[a:b])
+                  for c, a, b in zip(centers, ends[:-1], ends[1:]))
     return replace(f, support=balls)

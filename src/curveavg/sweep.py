@@ -13,6 +13,14 @@ supports are disjoint), the per-piece lower bound ||A_t f_nu||_2/||g_nu||_2
 against its stationary-phase reference, and the concentration fraction of
 ||A_t f||_2^2 near the origin.
 
+A cell is built once and measured by one function. `cell_support` builds
+what depends on the support alone: the field, the multiplier's rows at the
+short window's nodes, the concentration ball's kernel and the
+stationary-phase reference. `measure` returns every value of one
+coefficient vector on that support, and `run_cell` is `measure` of f on its
+own cell. Every per-cell choice (curve, construction, p set, time window,
+ball radius) is the `config.cell_plan` the memory gate reads too.
+
 `sharpness_sweep` returns the report.json payload as a plain dict; the
 artifacts, the printed summary and `curveavg report` all read that dict.
 
@@ -26,19 +34,20 @@ from __future__ import annotations
 import resource
 import sys
 import time
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
 import numpy as np
 
-from .averaging import (TimeWindow, _norm_grid, ball_kernel,
-                        lp_norm_spacetime, space_stats)
-from .config import ball_radius_from, chart_from, curve_from, cutoff_from
+from .averaging import _norm_grid, ball_kernel, lp_norm_spacetime, space_stats
+from .config import CellPlan, cell_plan
 from .errors import DomainError
-from .fields import CounterexampleSpec, build_f, windowed_lattice
+from .fields import SpectralField, build_f, windowed_lattice
 from .multiplier import alpha_n, mu_hat_batch
 
-__all__ = ["critical_exponent", "expected_slopes", "fit_slope", "run_cell",
+__all__ = ["critical_exponent", "expected_slopes", "fit_slope", "Cell",
+           "cell_field", "cell_support", "measure", "run_cell",
            "sharpness_sweep", "DEFAULT_SLOPE_TOLS"]
 
 DEFAULT_SLOPE_TOLS = {"input": 0.1, "output": 0.1, "quotient": 0.05}
@@ -91,49 +100,80 @@ def fit_slope(pairs):
             "max_residual": resid}
 
 
-def _cell_setup(cfg, lam):
-    """Curve, cutoff, construction spec and the field f of one lambda cell."""
-    curve, cutoff, chart = curve_from(cfg), cutoff_from(cfg), chart_from(cfg)
-    spec = CounterexampleSpec(lam=lam, chart=chart, cutoff=cutoff,
-                              rho=cfg.rho, c0=cfg.c0)
-    window = windowed_lattice(spec, points_per_radius=cfg.points_per_radius)
-    return curve, cutoff, spec, build_f(spec, window)
+@dataclass(frozen=True)
+class Cell:
+    """What one lambda cell holds that depends on its support alone.
 
-
-def run_cell(cfg, lam):
-    """Every per-lambda measurement of the sweep, as one plain dict.
-
-    Builds f once; multiplier samples on its support are batched over
-    the short-window time nodes, which also carry the diagnostics (per-piece
-    ratios, concentration fractions, and the orthogonality defect: the
-    largest |sum of the pieces' powers - ||A_t f||_2^2| / ||A_t f||_2^2, the
-    whole taken from `space_stats`'s p = 2 on the field scattered into its
-    support box, where pieces that share a lattice point hold one
-    coefficient). `grid` records the support box (the field's window), its
-    norm grid and the support's mode count; `quadrature` the multiplier's
-    ladder (`mu_hat_batch`); `timings` the field (curve, windows and
-    `build_f`), the diagnostics' reference powers with the concentration
-    ball's kernel, the quadrature and the `space_stats` calls, in seconds;
-    `peak_rss_mib` the peak resident set of the process that ran the cell,
-    as it stands when the cell ends.
+    `plan` is the cell's `CellPlan`; `field` the family f, whose support
+    every measured vector shares; `mu` the multiplier on that support, one
+    row per short-window time node; `quadrature` the stats of its ladder
+    (`mu_hat_batch`); `kernel` the concentration ball's `ball_kernel` on
+    the support's box; `reference` the stationary-phase reference
+    |alpha_n| c_{t,nu} at t = 1, one per piece; `timings` the seconds spent
+    building the field (plan, window and `build_f`), the kernel and the
+    reference, and the quadrature.
     """
+
+    plan: CellPlan
+    field: SpectralField
+    mu: np.ndarray
+    quadrature: dict
+    kernel: np.ndarray
+    reference: np.ndarray
+    timings: dict
+
+
+def cell_field(cfg, plan):
+    """The family f of the plan's cell, on cfg's lattice."""
+    return build_f(plan.spec, windowed_lattice(
+        plan.spec, points_per_radius=cfg.points_per_radius))
+
+
+def cell_support(cfg, lam):
+    """The `Cell` of cfg at lambda: f, its kernel and its reference, then
+    the multiplier's rows on its support."""
     clock = time.perf_counter
     t0 = clock()
-    curve, cutoff, spec, f = _cell_setup(cfg, lam)
-    window = f.window
-    ps = tuple(sorted(set([2.0] + [float(p) for p in cfg.ps])))
-    n = cfg.n
-    short = TimeWindow.short(lam, n, m=cfg.time_nodes)
+    plan = cell_plan(cfg, lam)
+    spec, n = plan.spec, plan.spec.n
+    f = cell_field(cfg, plan)
     t_kernel = clock()
-
-    Ln = window.L ** n
-    g_power = [float((np.abs(f.coeffs[b.rows] / lam ** (1.0 / n)) ** 2).sum()) / Ln
-               for b in f.support]
-    kernel = ball_kernel(f, ball_radius_from(cfg, lam))
-
+    kernel = ball_kernel(f, plan.ball_radius)
+    centers = np.array([ball.center for ball in f.support])
+    theta = spec.chart.solve_theta_batch(centers)
+    _, un = spec.chart.phi_un_batch(centers)
+    reference = (abs(alpha_n(n)) * factorial(n) ** (1.0 / n)
+                 * spec.cutoff(theta) * lam ** (1.0 / n) / un ** (1.0 / n))
     quadrature = {}
     t_quad = clock()
-    mu_short = mu_hat_batch(curve, cutoff, short.nodes, f.xi(), stats=quadrature)
+    mu = mu_hat_batch(spec.chart.curve, spec.cutoff, plan.short.nodes, f.xi(),
+                      stats=quadrature)
+    timings = {"field_s": t_kernel - t0, "kernel_s": t_quad - t_kernel,
+               "quadrature_s": clock() - t_quad}
+    return Cell(plan=plan, field=f, mu=mu, quadrature=quadrature,
+                kernel=kernel, reference=reference, timings=timings)
+
+
+def measure(cell, coeffs):
+    """Every value of the coefficient vector `coeffs` on the cell's support.
+
+    Per p, as str(p): `norms_in`, ||f||_p, and `out_short`, the L^p norm
+    of A_t f over the short window, with `quotient` their ratio. Per time
+    node, the pieces' ratios ||A_t f_nu||_2 / ||g_nu||_2, with g_nu =
+    lambda^{-1/n} f_nu: `piece_min`, their least, and `piece_min_by_nu`,
+    each piece's least; `defect`, the orthogonality defect, the largest
+    |sum of the pieces' powers - ||A_t f||_2^2| / ||A_t f||_2^2, the whole
+    taken from `space_stats`'s p = 2 on the field scattered into its support
+    box, where pieces that share a lattice point hold one coefficient; and
+    `fractions`, the share of ||A_t f||_2^2 in the concentration ball.
+    `norms_s` is the seconds spent in `space_stats`.
+    """
+    clock = time.perf_counter
+    f = cell.field.with_coeffs(coeffs)
+    ps, lam, n = cell.plan.ps, cell.plan.spec.lam, cell.plan.spec.n
+    Ln = f.window.L ** n
+    g_power = [float((np.abs(coeffs[b.rows] / lam ** (1.0 / n)) ** 2).sum()) / Ln
+               for b in f.support]
     t_in = clock()
     norms_in, _ = space_stats(f, ps)
     norms_s = clock() - t_in
@@ -143,14 +183,14 @@ def run_cell(cfg, lam):
     defect = 0.0
     fractions = []
     node_norms = {p: [] for p in ps}
-    for row in mu_short:
-        coeff = f.coeffs * row
+    for row in cell.mu:
+        coeff = coeffs * row
         powers = [float((np.abs(coeff[b.rows]) ** 2).sum()) / Ln for b in f.support]
         ratios = [np.sqrt(pw / gp) for pw, gp in zip(powers, g_power)]
         piece_min = min(piece_min, min(ratios))
         piece_table.append(ratios)
         t = clock()
-        norms, frac = space_stats(f.with_coeffs(coeff), ps, ball=kernel)
+        norms, frac = space_stats(f.with_coeffs(coeff), ps, ball=cell.kernel)
         norms_s += clock() - t
         # the pieces' powers against ||A_t f||_2^2 of the scattered field
         total = norms[2.0] ** 2
@@ -158,34 +198,50 @@ def run_cell(cfg, lam):
         fractions.append(frac)
         for p in ps:
             node_norms[p].append(norms[p])
-    out_short = {p: lp_norm_spacetime(node_norms[p], p, short) for p in ps}
-
-    # stationary-phase reference |alpha_n| c_{t,nu} at t = 1 per piece
-    centers = np.array([ball.center for ball in f.support])
-    theta = spec.chart.solve_theta_batch(centers)
-    _, un = spec.chart.phi_un_batch(centers)
-    ref = (abs(alpha_n(n)) * factorial(n) ** (1.0 / n) * cutoff(theta)
-           * lam ** (1.0 / n) / un ** (1.0 / n))
-    box = list(window.dims)
+    out_short = {p: lp_norm_spacetime(node_norms[p], p, cell.plan.short)
+                 for p in ps}
 
     return {
-        "lam": float(lam),
-        "nnu": len(f.support),
-        "grid": {"box": box, "norm_grid": list(_norm_grid(box, ps)),
-                 "support": len(f.coeffs)},
         "norms_in": {str(p): norms_in[p] for p in ps},
         "out_short": {str(p): out_short[p] for p in ps},
         "quotient": {str(p): out_short[p] / norms_in[p] for p in ps},
         "piece_min": float(piece_min),
         "piece_min_by_nu": [float(min(col)) for col in zip(*piece_table)],
-        "piece_reference": [float(v) for v in ref],
         "defect": float(defect),
         "fractions": [float(v) for v in fractions],
-        "t_nodes_short": list(short.nodes),
-        "quadrature": quadrature,
-        "timings": {"field_s": t_kernel - t0, "kernel_s": t_quad - t_kernel,
-                    "quadrature_s": t_in - t_quad, "norms_s": norms_s},
-        "runtime_s": clock() - t0,
+        "norms_s": norms_s,
+    }
+
+
+def run_cell(cfg, lam):
+    """Every per-lambda measurement of the sweep, as one plain dict: the
+    `measure` values of f on its own cell (`cell_support`), with the cell's
+    records.
+
+    `grid` records the support box (the field's window), its norm grid and
+    the support's mode count; `piece_reference` the stationary-phase
+    reference per piece; `quadrature` the multiplier's ladder; `timings`
+    the cell's `field_s`, `kernel_s` and `quadrature_s` and the
+    measurement's `norms_s`, in seconds; `peak_rss_mib` the peak resident
+    set of the process that ran the cell, as it stands when the cell ends.
+    """
+    t0 = time.perf_counter()
+    cell = cell_support(cfg, lam)
+    f, ps = cell.field, cell.plan.ps
+    values = measure(cell, f.coeffs)
+    timings = dict(cell.timings, norms_s=values.pop("norms_s"))
+    box = list(f.window.dims)
+    return {
+        "lam": float(lam),
+        "nnu": len(f.support),
+        "grid": {"box": box, "norm_grid": list(_norm_grid(box, ps)),
+                 "support": len(f.coeffs)},
+        **values,
+        "piece_reference": [float(v) for v in cell.reference],
+        "t_nodes_short": list(cell.plan.short.nodes),
+        "quadrature": cell.quadrature,
+        "timings": timings,
+        "runtime_s": time.perf_counter() - t0,
         "peak_rss_mib": _peak_rss_mib(),
     }
 

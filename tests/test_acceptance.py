@@ -18,9 +18,8 @@ import pytest
 
 from curveavg import (ConeChart, CurveSpec, CutoffSpec, LatticeWindow,
                       SpectralField, SupportBall, alpha_n, apply_averaging,
-                      ball_kernel, critical_exponent, derivative_bound_check, direct_oracle,
-                      mu_hat, mu_hat_batch, multiplier_sample, space_stats)
-from curveavg.sweep import _cell_setup
+                      cell_support, critical_exponent, derivative_bound_check,
+                      direct_oracle, mu_hat, multiplier_sample, space_stats)
 
 CURVE = CurveSpec.moment(3)
 CHI = CutoffSpec(delta=0.9)
@@ -119,7 +118,7 @@ def test_criterion_05_oracle_equivalence():
     idx = np.array(ks) - 3 - np.array(window.k0)
     flat = np.ravel_multi_index(tuple(idx.T), window.dims)
     coeffs = rng.standard_normal(len(ks)) + 1j * rng.standard_normal(len(ks))
-    ball = SupportBall(nu=0, center=(0.0,) * 3,
+    ball = SupportBall(center=(0.0,) * 3,
                        rows=slice(0, len(ks)), flat=flat)
     f = SpectralField(window=window, flat=flat, coeffs=coeffs, support=(ball,))
 
@@ -154,16 +153,16 @@ def test_criterion_07_piece_lower_bound(acceptance_runs):
     assert worst >= FLOOR, worst
 
 
-def _coherent_fractions(cfg, lam, ts):
+def _coherent_fractions(cfg, lam, nodes):
     """Ball fractions of the field with the moduli |f_hat mu_hat_t| and every
-    mode in phase at x = 0, the phase choice that peaks it at the origin; with
-    the same ball and kernel as the sweep's cells."""
-    curve, cutoff, _, f = _cell_setup(cfg, lam)
-    kernel = ball_kernel(f, lam ** (-(1.0 - cfg.epsilon) / cfg.n))
+    mode in phase at x = 0, the phase choice that peaks it at the origin, at
+    the given short-window time nodes; on the sweep's own cell."""
+    cell = cell_support(cfg, lam)
+    f = cell.field
     out = []
-    for row in mu_hat_batch(curve, cutoff, ts, f.xi()):
+    for row in cell.mu[nodes]:
         _, frac = space_stats(f.with_coeffs(np.abs(f.coeffs * row)), [2.0],
-                              ball=kernel)
+                              ball=cell.kernel)
         out.append(frac)
     return out
 
@@ -198,7 +197,7 @@ def test_criterion_08_concentration(acceptance_runs):
     for cell in cells[:2]:
         ends = [0, len(cell["fractions"]) - 1]
         ts = [cell["t_nodes_short"][i] for i in ends]
-        refs = _coherent_fractions(acceptance_runs["config"], cell["lam"], ts)
+        refs = _coherent_fractions(acceptance_runs["config"], cell["lam"], ends)
         for i, t, ref in zip(ends, ts, refs):
             ratio = cell["fractions"][i] / ref
             print(f"lambda={cell['lam']:g} t={t:.4f}: "

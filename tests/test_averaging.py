@@ -10,12 +10,10 @@ from numpy.testing import assert_allclose
 from curveavg import (CurveSpec, CutoffSpec, DomainError, GeometryError,
                       LatticeWindow, SpectralField, SupportBall,
                       TimeWindow, apply_averaging, ball_kernel, direct_oracle,
-                      lp_norm_spacetime, mu_hat_batch, norm_peak_bytes,
-                      parse_config, run_cell, space_stats)
+                      cell_support, lp_norm_spacetime, mu_hat_batch,
+                      norm_peak_bytes, parse_config, run_cell, space_stats)
 from curveavg import averaging
 from curveavg.averaging import _ball_grid, _norm_grid
-from curveavg.config import ball_radius_from
-from curveavg.sweep import _cell_setup
 
 CURVE = CurveSpec.moment(3)
 CHI = CutoffSpec(delta=0.25)
@@ -38,7 +36,7 @@ def parseval_l2(f):
 def make_field(modes, amps, L=2.0):
     """The field of the given lattice modes, declared as one support ball."""
     f = SpectralField.on_lattice(L, modes, np.asarray(amps, dtype=complex))
-    ball = SupportBall(nu=0, center=(0.0,) * 3,
+    ball = SupportBall(center=(0.0,) * 3,
                        rows=slice(0, len(f.flat)), flat=f.flat)
     return replace(f, support=(ball,))
 
@@ -389,11 +387,11 @@ def test_run_cell_fraction_matches_quadratic_form():
     root = Path(__file__).resolve().parents[1]
     cfg = parse_config((root / "perfbench" / "workloads" / "n2.cfg").read_text())
     cell = run_cell(cfg, 64.0)
-    curve, cutoff, _, f = _cell_setup(cfg, 64.0)
+    support = cell_support(cfg, 64.0)
+    f = support.field
     assert cell["t_nodes_short"][0] == 1.0
-    row = mu_hat_batch(curve, cutoff, [1.0], f.xi())[0]
-    want = _brute_fraction(f.with_coeffs(f.coeffs * row),
-                           64.0 ** (-(1.0 - cfg.epsilon) / cfg.n))
+    want = _brute_fraction(f.with_coeffs(f.coeffs * support.mu[0]),
+                           support.plan.ball_radius)
     assert cell["fractions"][0] == pytest.approx(want, rel=1e-12)
 
 
@@ -558,15 +556,13 @@ def test_slab_working_set_fits_the_cache():
     # grid points (3.1 MiB in slabs of 2^16)
     root = Path(__file__).resolve().parents[1]
     cfg = parse_config((root / "perfbench" / "workloads" / "n3.cfg").read_text())
-    curve, cutoff, _, f = _cell_setup(cfg, 32.0)
-    ts = TimeWindow.short(32.0, cfg.n, m=cfg.time_nodes).nodes
-    row = mu_hat_batch(curve, cutoff, ts, f.xi())[0]
-    g = f.with_coeffs(f.coeffs * row)
-    ball = ball_kernel(f, ball_radius_from(cfg, 32.0))
+    cell = cell_support(cfg, 32.0)
+    f = cell.field
+    g = f.with_coeffs(f.coeffs * cell.mu[0])
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        space_stats(g, (2.0,) + cfg.ps, ball=ball)
+        space_stats(g, cell.plan.ps, ball=cell.kernel)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()

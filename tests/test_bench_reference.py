@@ -12,6 +12,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -65,8 +66,17 @@ def test_trace_writes_every_layer_span(tmp_path):
     assert proc.returncode == 0, proc.stderr
     spans = [json.loads(line) for path in events.glob("*.jsonl")
              for line in path.read_text(encoding="utf-8").splitlines()]
-    names = {s["name"] for s in spans}
-    assert {"averaging", "multiplier", "fields", "sweep.cell"} <= names
+    counts = Counter(s["name"] for s in spans)
+    # run.py's layer_metrics reads these nine names: one span per cell
+    # for the cell and its quadrature, two for its field (window, build_f),
+    # six norm evaluations per cell at time_nodes = 5, one gate estimate per
+    # lambda, and exactly one sweep span
+    assert {name: counts[name] for name in (
+        "sweep", "sweep.cell", "config.gate", "config.estimate", "multiplier",
+        "fields", "averaging", "reporting")} == {
+        "sweep": 1, "sweep.cell": 3, "config.gate": 1, "config.estimate": 3,
+        "multiplier": 3, "fields": 6, "averaging": 18, "reporting": 3}
+    assert counts["cone"] > 0
     modes = [s["support_modes"] for s in spans if "support_modes" in s]
     assert len(modes) == 3 and min(modes) > 0
     assert sorted(s["lam"] for s in spans if s["name"] == "sweep.cell") == [

@@ -219,6 +219,30 @@ def test_bad_config_yields_error_record(tmp_path, capsys):
     assert "rho" in record["message"]
 
 
+def test_config_without_section_header(tmp_path, capsys):
+    # text the INI parser rejects is a config error: exit 2 and error.json,
+    # never exit 1, which says a check failed
+    cfg = write_cfg(tmp_path, CFG.replace("[curve]\n", ""))
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+    record = json.loads((tmp_path / "error.json").read_text())
+    assert record["error"] == "ConfigError"
+    assert "no section headers" in record["message"]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["synthesize", "multiplier-verify"])
+def test_lambda_max_below_every_lambda(tmp_path, capsys, command):
+    # no lambda left is a config error, not an empty table
+    assert main([command, "--config", write_cfg(tmp_path), "--out",
+                 str(tmp_path), "--lambda-max", "8"]) == 2
+    record = json.loads((tmp_path / "error.json").read_text())
+    assert record["error"] == "ConfigError"
+    assert "lambdas is empty" in record["message"]
+    assert not (tmp_path / "norms.csv").exists()
+    assert not (tmp_path / "multiplier.csv").exists()
+    capsys.readouterr()
+
+
 def test_lambda_max_can_starve_the_fit(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path),

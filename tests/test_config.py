@@ -4,14 +4,13 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from curveavg import (ConfigError, CounterexampleSpec, RunConfig, TimeWindow,
-                      build_f, enforce_memory_cap, estimate_field_bytes,
+from curveavg import (ConfigError, RunConfig, cell_field, cell_plan,
+                      cell_support, enforce_memory_cap, estimate_field_bytes,
                       frequency_centers, mu_hat_batch, parse_config,
                       parse_memory_size, piece_boxes, radial_bump, run_cell,
                       windowed_lattice, with_overrides)
 from curveavg import config
-from curveavg.config import _estimate_terms, chart_from, cutoff_from
-from curveavg.sweep import _cell_setup
+from curveavg.config import _estimate_terms
 
 GOOD = """
 [curve]
@@ -145,6 +144,26 @@ def test_perturbed_component_range_checked():
                                   "kind = perturbed-moment\nperturb5 = 0.1"))
 
 
+@pytest.mark.parametrize("text, complaint", [
+    ("n = 3\n", "no section headers"),
+    ("[curve]\nn = 3\nn = 4\n", "option 'n' in section 'curve' already exists"),
+    ("[curve]\nn = 3\n[curve]\nkind = moment\n",
+     "section 'curve' already exists"),
+], ids=["no-header", "duplicate-key", "duplicate-section"])
+def test_malformed_text_is_a_config_error(text, complaint):
+    # text the INI parser itself rejects is a configuration error, not a
+    # parser traceback
+    with pytest.raises(ConfigError, match="malformed config text") as err:
+        parse_config(text)
+    assert complaint in str(err.value)
+
+
+def test_percent_is_taken_literally():
+    # no value interpolates: '%' is an ordinary character
+    cfg = parse_config(GOOD.replace("directory = out", "directory = out%1"))
+    assert cfg.outdir == "out%1"
+
+
 def test_memory_sizes():
     assert parse_memory_size("8GiB") == 8 << 30
     assert parse_memory_size("512 MiB") == 512 << 20
@@ -196,11 +215,9 @@ def test_gate_box_holds_the_support():
     for text, lams in GATE_CASES:
         cfg = parse_config(text)
         for lam in lams:
-            spec = CounterexampleSpec(lam=lam, chart=chart_from(cfg),
-                                      cutoff=cutoff_from(cfg), rho=cfg.rho,
-                                      c0=cfg.c0)
+            plan = cell_plan(cfg, lam)
+            spec, f = plan.spec, cell_field(cfg, plan)
             window = windowed_lattice(spec, points_per_radius=cfg.points_per_radius)
-            f = build_f(spec, window)
             lo, hi = piece_boxes(frequency_centers(spec), spec.radius, window.dk)
             assert len(f.support) == len(lo)
             assert window.k0 == tuple(lo.min(axis=0))
@@ -208,17 +225,17 @@ def test_gate_box_holds_the_support():
             k0 = np.asarray(f.window.k0)
             assert np.all(k0 >= window.k0) and np.all(
                 k0 + f.window.dims <= np.add(window.k0, window.dims))
-            for ball, low, high in zip(f.support, lo, hi):
+            for i, (ball, low, high) in enumerate(zip(f.support, lo, hi)):
                 axes = [np.arange(a - 1, b + 2) for a, b in zip(low, high)]
                 k = np.stack(np.meshgrid(*axes, indexing="ij"),
                              axis=-1).reshape(-1, cfg.n)
                 dist = np.linalg.norm(k * window.dk - ball.center, axis=1)
                 k = k[radial_bump(dist / spec.radius) > 0]
                 assert len(k) and np.all(k >= low) and np.all(k <= high), (
-                    cfg.n, lam, ball.nu)
+                    cfg.n, lam, i)
                 built = np.stack(np.unravel_index(ball.flat, f.window.dims),
                                  axis=1) + k0
-                assert np.array_equal(built, k), (cfg.n, lam, ball.nu)
+                assert np.array_equal(built, k), (cfg.n, lam, i)
 
 
 def test_gate_coordinates_bound_the_built_field(monkeypatch):
@@ -238,7 +255,7 @@ def test_gate_coordinates_bound_the_built_field(monkeypatch):
         cfg = parse_config(text)
         for lam in lams:
             _estimate_terms(cfg, lam)
-            f = _cell_setup(cfg, lam)[-1]
+            f = cell_field(cfg, cell_plan(cfg, lam))
             built = [len(np.unique(k)) for k in
                      np.unravel_index(f.flat, f.window.dims)]
             assert all(c >= b for c, b in zip(charged[-1], built)), (
@@ -279,15 +296,17 @@ def test_quadrature_estimate_bounds_its_peak(text, lam, panels, levels, blocks):
     # the gate's quadrature term bounds the peak of mu_hat_batch however
     # far the ladder runs: only the nodes' own arrays grow with it
     cfg = parse_config(text)
-    curve, cutoff, _, f = _cell_setup(cfg, lam)
-    ts = TimeWindow.short(lam, cfg.n, m=cfg.time_nodes).nodes
+    cell = cell_support(cfg, lam)
+    spec, xis = cell.plan.spec, cell.field.xi()
     stats = {}
     tracemalloc.start()
     try:
-        mu_hat_batch(curve, cutoff, ts, f.xi(), stats=stats)
+        mu = mu_hat_batch(spec.chart.curve, spec.cutoff, cell.plan.short.nodes,
+                          xis, stats=stats)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert np.array_equal(mu, cell.mu) and stats == cell.quadrature
     assert (stats["panels"], stats["levels"], stats["blocks"]) == (
         panels, levels, blocks)
     assert _estimate_terms(cfg, lam)[1] >= peak
@@ -307,6 +326,9 @@ def test_overrides_and_drop_flag():
     assert out.lambdas == (32.0, 64.0) and dropped
     out, dropped = with_overrides(cfg, lambda_max=1024)
     assert out.lambdas == cfg.lambdas and not dropped
+    # the final config is checked: no lambda left is an error
+    with pytest.raises(ConfigError, match="lambdas is empty"):
+        with_overrides(cfg, jobs=2, lambda_max=16)
 
 
 @pytest.mark.parametrize("jobs", [0, -3])

@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 from curveavg import (ConeChart, CounterexampleSpec, CurveSpec, CutoffSpec,
-                      DomainError, TimeWindow, alpha_n, build_f,
-                      derivative_bound_check, mu_hat, mu_hat_batch,
+                      DomainError, TimeWindow, alpha_n, build_f, cell_field,
+                      cell_plan, derivative_bound_check, mu_hat, mu_hat_batch,
                       multiplier_sample, parse_config, windowed_lattice)
 from curveavg import multiplier
-from curveavg.sweep import _cell_setup
 
 
 @pytest.fixture(scope="module")
@@ -307,13 +306,12 @@ def test_block_working_set_fits_the_cache():
     # blocks of 2^16)
     root = Path(__file__).resolve().parents[1]
     cfg = parse_config((root / "perfbench" / "workloads" / "n2.cfg").read_text())
-    curve, cutoff, _, f = _cell_setup(cfg, 128.0)
-    ts = TimeWindow.short(128.0, cfg.n, m=cfg.time_nodes).nodes
-    xis = f.xi()
+    plan = cell_plan(cfg, 128.0)
+    spec, xis = plan.spec, cell_field(cfg, plan).xi()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        mu_hat_batch(curve, cutoff, ts, xis)
+        mu_hat_batch(spec.chart.curve, spec.cutoff, plan.short.nodes, xis)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()

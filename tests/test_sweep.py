@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curveavg import (DomainError, RunConfig, critical_exponent,
-                      expected_slopes, fit_slope, run_cell, sharpness_sweep)
+from curveavg import (DomainError, RunConfig, cell_support, critical_exponent,
+                      expected_slopes, fit_slope, measure, sharpness_sweep)
 from curveavg import sweep as sweep_module
 from curveavg.averaging import _norm_grid
 from curveavg.sweep import _peak_rss_mib, _trend_mostly_decreasing
@@ -187,22 +187,41 @@ def test_sweep_orthogonality_defect_is_roundoff(tiny_report):
     assert max(c["defect"] for c in tiny_report["cells"]) <= 1e-12
 
 
-def test_orthogonality_defect_sees_shared_lattice_points(monkeypatch, tiny_cfg):
+def test_orthogonality_defect_sees_shared_lattice_points(tiny_cfg):
     # piece 1 reuses the lattice point of piece 0's largest coefficient:
     # scattered into the box, the two coefficients there hold one value, so
     # the pieces' powers no longer add up to ||A_t f||_2^2
-    setup = sweep_module._cell_setup
+    cell = cell_support(tiny_cfg, 32.0)
+    f = cell.field
+    rows = f.support[0].rows
+    top = rows.start + int(np.argmax(np.abs(f.coeffs[rows])))
+    flat = f.flat.copy()
+    flat[f.support[1].rows.start] = flat[top]
+    shared = replace(cell, field=replace(f, flat=flat))
+    assert measure(shared, f.coeffs)["defect"] > 1e-10
 
-    def overlapping(cfg, lam):
-        curve, cutoff, spec, f = setup(cfg, lam)
-        rows = f.support[0].rows
-        top = rows.start + int(np.argmax(np.abs(f.coeffs[rows])))
-        flat = f.flat.copy()
-        flat[f.support[1].rows.start] = flat[top]
-        return curve, cutoff, spec, replace(f, flat=flat)
 
-    monkeypatch.setattr(sweep_module, "_cell_setup", overlapping)
-    assert run_cell(tiny_cfg, 32.0)["defect"] > 1e-10
+def test_measure_is_homogeneous_in_the_vector(tiny_cfg):
+    # scaling the coefficients by c scales every norm by |c|; the quotient,
+    # the piece ratios, the defect and the fractions are ratios of norms or
+    # powers of the same vector, and stay put
+    cell = cell_support(tiny_cfg, 32.0)
+    rng = np.random.default_rng(11)
+    coeffs = cell.field.coeffs * np.exp(
+        2j * np.pi * rng.random(len(cell.field.coeffs)))
+    c = -1.5 + 2.0j
+    base, scaled = measure(cell, coeffs), measure(cell, c * coeffs)
+    for key, factor in (("norms_in", abs(c)), ("out_short", abs(c)),
+                        ("quotient", 1.0)):
+        assert set(scaled[key]) == set(base[key]) == {"2.0", "4.0"}
+        for p, v in base[key].items():
+            assert scaled[key][p] == pytest.approx(factor * v, rel=1e-12), (
+                key, p)
+    assert scaled["piece_min"] == pytest.approx(base["piece_min"], rel=1e-12)
+    assert scaled["piece_min_by_nu"] == pytest.approx(base["piece_min_by_nu"],
+                                                      rel=1e-12)
+    assert scaled["fractions"] == pytest.approx(base["fractions"], rel=1e-12)
+    assert scaled["defect"] == pytest.approx(base["defect"], abs=1e-12)
 
 
 def test_sweep_fractions_lie_in_unit_interval(tiny_report):
