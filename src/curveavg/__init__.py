@@ -12,8 +12,8 @@ and `cli`/`reporting` handle artifacts.
 
 from ._version import __version__
 from .averaging import (TimeWindow, apply_averaging, ball_kernel,
-                        direct_oracle, lp_norm_spacetime, norm_peak_bytes,
-                        space_stats)
+                        direct_oracle, lp_norm_spacetime, norm_grid,
+                        norm_peak_bytes, space_stats)
 from .bumps import CutoffSpec, radial_bump, smooth_step
 from .cone import ConeChart, moment_gamma_seed
 from .config import (CellPlan, RunConfig, cell_plan, enforce_memory_cap,
@@ -25,8 +25,8 @@ from .errors import (ApertureError, ConfigError, ConvergenceError,
                      CurveAvgError, DomainError, GeometryError, GridError,
                      QuadratureError, ResolutionError)
 from .fields import (CounterexampleSpec, LatticeWindow, SpectralField,
-                     SupportBall, build_f, frequency_centers, piece_boxes,
-                     windowed_lattice)
+                     SupportBall, build_f, frequency_centers, lattice_side,
+                     piece_boxes, piece_support, windowed_lattice)
 from .multiplier import (MultiplierSample, alpha_n, derivative_bound_check,
                          mu_hat, mu_hat_batch, multiplier_sample)
 from .reporting import (load_snapshot, render_report, save_snapshot,
@@ -51,11 +51,11 @@ __all__ = [
     "multiplier_sample", "MultiplierSample", "derivative_bound_check",
     # fields
     "LatticeWindow", "SpectralField", "SupportBall",
-    "CounterexampleSpec", "frequency_centers", "windowed_lattice",
-    "piece_boxes", "build_f",
+    "CounterexampleSpec", "frequency_centers", "lattice_side",
+    "windowed_lattice", "piece_boxes", "piece_support", "build_f",
     # averaging
     "TimeWindow", "apply_averaging", "direct_oracle", "ball_kernel",
-    "space_stats", "lp_norm_spacetime", "norm_peak_bytes",
+    "space_stats", "lp_norm_spacetime", "norm_grid", "norm_peak_bytes",
     # config
     "RunConfig", "parse_config", "parse_memory_size", "with_overrides",
     "CellPlan", "cell_plan", "enforce_memory_cap", "estimate_field_bytes",

@@ -53,7 +53,7 @@ from .errors import DomainError, GeometryError, QuadratureError
 from .multiplier import mu_hat_batch
 
 __all__ = ["TimeWindow", "apply_averaging", "direct_oracle", "ball_kernel",
-           "space_stats", "lp_norm_spacetime", "norm_peak_bytes"]
+           "space_stats", "lp_norm_spacetime", "norm_grid", "norm_peak_bytes"]
 
 # grid points per slab of the passes after axis 0, sized so that a slab's
 # whole working set fits a core's L2 cache: at the 48 bytes per point that
@@ -147,7 +147,7 @@ def _next_smooth(m):
             return f
 
 
-def _norm_grid(span, ps):
+def norm_grid(span, ps):
     """Per-axis points of the exact norm grid for a support box of this span."""
     if min(span, default=1) < 1:
         raise DomainError(f"support box spans must be >= 1 per axis, got {span}")
@@ -158,7 +158,7 @@ def _norm_grid(span, ps):
 def _ball_grid(span):
     """Per-axis points of the grid G >= 2 span - 1 that samples |f|^2, whose
     frequencies lie within +-(span - 1), without aliasing."""
-    return _norm_grid(span, (4.0,))
+    return norm_grid(span, (4.0,))
 
 
 def _ball_nodes(z):
@@ -254,7 +254,7 @@ def space_stats(field, ps, ball=None):
     """Torus L^p norms (dict p -> norm) for even integer p, and, given the
     `ball_kernel` of a centered ball, the mass fraction of |f|^2 inside it.
 
-    The norms are exact Riemann sums on the grid `_norm_grid(box, ps)`,
+    The norms are exact Riemann sums on the grid `norm_grid(box, ps)`,
     added up slab by slab: `_abs2` runs the axis-0 pass once on the whole
     box and the passes on the other axes per slab of axis-0 rows, and each
     slab's |f|^2 is raised to each further even power by one multiply and
@@ -283,7 +283,7 @@ def space_stats(field, ps, ball=None):
         return {p: 0.0 for p in ps}, None
     box = field.dense()
 
-    F = _norm_grid(box.shape, ps)
+    F = norm_grid(box.shape, ps)
     power = float((box.real ** 2 + box.imag ** 2).sum())
     top = int(max(ps)) // 2
     sums = {2 * k: 0.0 for k in range(2, top + 1)}
@@ -350,7 +350,7 @@ def norm_peak_bytes(span, ps, reach):
 
     G = _ball_grid(span)
     orthant = np.prod([g // 2 + 1 for g in G], dtype=float)
-    stats = (16 * np.prod(span, dtype=float) + passes(_norm_grid(span, ps), 48)
+    stats = (16 * np.prod(span, dtype=float) + passes(norm_grid(span, ps), 48)
              + passes(G, 48 + 8) + 8 * orthant)
     return int(max(stats, _kernel_build_bytes(G, reach)))
 

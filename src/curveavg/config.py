@@ -4,8 +4,9 @@ The format is INI (configparser) with sections [curve], [construction],
 [grid], [experiment], [output]. Validation is aggregating: every unknown key
 (with a nearest-name suggestion) and every range violation is collected and
 reported together, not just the first. The memory gate runs up front: a run
-whose per-field estimate exceeds the cap is rejected before any work starts.
-The CSL_MEMORY_CAP environment variable overrides the configured cap.
+whose per-cell estimate exceeds the cap is rejected before any work starts.
+The estimate counts each cell's support as `build_f` enumerates it, and no
+more. The CSL_MEMORY_CAP environment variable overrides the configured cap.
 
 The curve is perturbed exactly when ``perturb<i>`` keys are present; ``[curve]
 kind`` may only restate that. ``policy``, ``oversample``, ``window`` and
@@ -19,7 +20,6 @@ import difflib
 import os
 from configparser import ConfigParser, Error as ParserError
 from dataclasses import dataclass, fields as dc_fields, replace
-from itertools import product
 
 import numpy as np
 
@@ -28,10 +28,9 @@ from .bumps import CutoffSpec
 from .cone import ConeChart
 from .curves import CurveSpec
 from .errors import ConfigError
-from .fields import (CounterexampleSpec, frequency_centers, piece_boxes,
-                     windowed_lattice)
-from .multiplier import (_GL_NODES, _distinct_steps, _panel_start,
-                         quadrature_peak_bytes)
+from .fields import (CounterexampleSpec, frequency_centers, lattice_side,
+                     piece_support)
+from .multiplier import quadrature_peak_bytes
 
 __all__ = ["RunConfig", "CellPlan", "parse_config", "parse_memory_size",
            "cutoff_from", "chart_from", "cell_plan", "estimate_field_bytes"]
@@ -304,37 +303,17 @@ def estimate_field_bytes(cfg, lam):
 
 def _estimate_terms(cfg, lam):
     """The norm evaluation's and the quadrature's terms of
-    estimate_field_bytes.
-
-    The support box lies in the `windowed_lattice` block, the span of the
-    pieces' boxes (`piece_boxes`, the ones `build_f` enumerates): each piece
-    lies in its own, which bounds the support size, its distinct leading
-    (n-1)-tuples and, per axis, its distinct coordinates, by the span and by
-    the sum of the pieces' extents. The quadrature's node count is that of
-    the first fine level of its panel ladder started at the block's corners:
-    the phase rate <gamma'(s), xi> is linear in xi, so its maximum over the
-    block sits at a corner. The ladder may run further; only the nodes' own
-    arrays grow with it, as the quadrature walks its nodes in blocks of
-    bounded size. No field is built and no quadrature runs.
-    """
+    estimate_field_bytes, on the support `build_f` builds: each piece's
+    `piece_support` on the lattice of `lattice_side`. No coefficient, cone
+    phase or quadrature is computed."""
     plan = cell_plan(cfg, lam)
     spec = plan.spec
-    window = windowed_lattice(spec, points_per_radius=cfg.points_per_radius)
-    span, k0 = window.dims, np.asarray(window.k0)
-    norm = norm_peak_bytes(span, plan.ps, plan.ball_radius * window.dk)
-
-    lo, hi = piece_boxes(frequency_centers(spec), spec.radius, window.dk)
-    piece = hi - lo + 1
-    corners = np.array(list(product(*zip(k0, k0 + span - 1))))
-    ts = plan.short.nodes
-    panels = _panel_start(spec.chart.curve, spec.cutoff, ts, corners * window.dk)
-    quad = quadrature_peak_bytes(
-        nodes=2 * panels * _GL_NODES.size,
-        coords=tuple(int(v) for v in np.minimum(span, piece.sum(axis=0))),
-        leading=int(piece[:, :-1].prod(axis=1).sum()),
-        modes=int(piece.prod(axis=1).sum()), times=len(ts),
-        steps=_distinct_steps(ts))
-    return norm, quad
+    dk = 2 * np.pi / lattice_side(spec, cfg.points_per_radius)
+    k = np.concatenate([k for k, _ in piece_support(
+        spec, dk, frequency_centers(spec))])
+    span = tuple(int(v) for v in k.max(axis=0) - k.min(axis=0) + 1)
+    return (norm_peak_bytes(span, plan.ps, plan.ball_radius * dk),
+            quadrature_peak_bytes(k * dk, plan.short.nodes))
 
 
 def enforce_memory_cap(cfg):

@@ -26,8 +26,8 @@ from .bumps import radial_bump
 from .errors import ApertureError, ConfigError, DomainError, GridError
 
 __all__ = ["LatticeWindow", "SupportBall", "SpectralField",
-           "CounterexampleSpec", "frequency_centers", "windowed_lattice",
-           "piece_boxes", "build_f"]
+           "CounterexampleSpec", "frequency_centers", "lattice_side",
+           "windowed_lattice", "piece_boxes", "piece_support", "build_f"]
 
 
 @dataclass(frozen=True)
@@ -162,15 +162,19 @@ def frequency_centers(spec):
     return centers
 
 
-def windowed_lattice(spec, points_per_radius=4):
-    """Construction-scaled lattice: spacing rho*lambda^{1/n}/points_per_radius,
-    so the box side L = 2pi/spacing is large compared to every spatial
-    envelope the construction produces. The window is the span of the
-    pieces' boxes (`piece_boxes`), which holds the support of `build_f`.
-    """
+def lattice_side(spec, points_per_radius):
+    """The box side L of the construction-scaled lattice: its spacing
+    2pi/L is rho*lambda^{1/n}/points_per_radius, so L is large compared to
+    every spatial envelope the construction produces."""
     if points_per_radius < 2:
         raise GridError("need at least 2 lattice points per bump radius")
-    L = 2 * np.pi / (spec.radius / points_per_radius)
+    return 2 * np.pi / (spec.radius / points_per_radius)
+
+
+def windowed_lattice(spec, points_per_radius=4):
+    """The lattice of side `lattice_side`, windowed to the span of the
+    pieces' boxes (`piece_boxes`), which holds the support of `build_f`."""
+    L = lattice_side(spec, points_per_radius)
     lo, hi = piece_boxes(frequency_centers(spec), spec.radius, 2 * np.pi / L)
     lo, hi = lo.min(axis=0), hi.max(axis=0)
     return LatticeWindow(L=L, dims=tuple(int(v) for v in hi - lo + 1),
@@ -185,32 +189,38 @@ def piece_boxes(centers, radius, dk):
             np.floor((centers + radius) / dk).astype(int))
 
 
-def _piece_coefficients(spec, dk, nu, center):
-    """(lattice indices, coefficient values) of one piece, over its box."""
-    lam, n, r = spec.lam, spec.n, spec.radius
-    low, high = piece_boxes(center, r, dk)
-    axes = [np.arange(a, b + 1) for a, b in zip(low, high)]
-    k = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
-    xi = k * dk
-    prof = radial_bump(np.linalg.norm(xi - center, axis=1) / r)
-    keep = prof > 0.0
-    xi, k, prof = xi[keep], k[keep], prof[keep]
-    if not np.all(spec.chart.in_cone(xi)):
-        raise ApertureError(
-            f"support ball of piece nu={nu} exits the cone aperture "
-            f"c={spec.chart.aperture}; widen the aperture or shrink rho")
-    phi, _ = spec.chart.phi_un_batch(xi)
-    return k, lam ** (1.0 / n) * np.exp(1j * phi) * prof
+def piece_support(spec, dk, centers):
+    """Per piece, centered at a row of `centers`, its support on the
+    lattice of spacing dk: the lattice indices k (an (m, n) array, in C
+    order over the piece's box, `piece_boxes`) where its bump
+    eta(|k dk - center| / r) is nonzero, and the bump's values there. The
+    bump is evaluated once over all the pieces' boxes."""
+    lo, hi = piece_boxes(centers, spec.radius, dk)
+    boxes = [np.indices(b - a + 1).reshape(spec.n, -1).T + a
+             for a, b in zip(lo, hi)]
+    sizes = [len(box) for box in boxes]
+    xi = np.concatenate(boxes) * dk - np.repeat(centers, sizes, axis=0)
+    prof = radial_bump(np.linalg.norm(xi, axis=1) / spec.radius)
+    ends = np.cumsum(sizes)[:-1]
+    return [(box[p > 0.0], p[p > 0.0])
+            for box, p in zip(boxes, np.split(prof, ends))]
 
 
 def build_f(spec, window):
     """The full family f = sum_nu f_nu on the window's lattice, one ball per
-    nu; ball nu's rows carry lambda^{1/n} e^{i phi} eta(|xi - xi^nu|/r). The
-    field's window is its support's box."""
+    nu (`piece_support`); ball nu's rows carry lambda^{1/n} e^{i phi}
+    eta(|xi - xi^nu|/r). The field's window is its support's box."""
     nus, centers = spec.nu_values(), frequency_centers(spec)
-    pieces = [_piece_coefficients(spec, window.dk, nu, c)
-              for nu, c in zip(nus, centers)]
-    ks, vals = zip(*pieces)
+    ks, vals = [], []
+    for nu, (k, prof) in zip(nus, piece_support(spec, window.dk, centers)):
+        xi = k * window.dk
+        if not np.all(spec.chart.in_cone(xi)):
+            raise ApertureError(
+                f"support ball of piece nu={nu} exits the cone aperture "
+                f"c={spec.chart.aperture}; widen the aperture or shrink rho")
+        phi, _ = spec.chart.phi_un_batch(xi)
+        ks.append(k)
+        vals.append(spec.lam ** (1.0 / spec.n) * np.exp(1j * phi) * prof)
     f = SpectralField.on_lattice(window.L, np.concatenate(ks),
                                  np.concatenate(vals))
     ends = np.cumsum([0] + [len(k) for k in ks])

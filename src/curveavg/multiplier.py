@@ -13,7 +13,9 @@ that axis's distinct coordinates. The leading n - 1 tables, gathered at the
 batch's distinct leading (n-1)-tuples, are contracted with the weighted last
 axis's table by one matrix product per time node. The nodes are walked in
 blocks of `_block_width` nodes, 2^15 table entries but at least four panels,
-whose working set fits a core's L2 cache. Per block the tables are built at
+whose working set fits a core's L2 cache; each block computes its own nodes,
+weights and gamma(s), so only the panels' edges and centres grow with the
+panel count. Per block the tables are built at
 the first time node only and advanced to each later node by one complex
 multiply per entry with the tables of the step t_k - t_{k-1} (each distinct
 step's tables are built once per block); at every time node the block's
@@ -93,10 +95,10 @@ def _panel_start(curve, cutoff, ts, xis):
 def _gl_values(curve, cutoff, ts, freq, panels):
     edges = np.linspace(-cutoff.delta, cutoff.delta, panels + 1)
     half = (edges[1] - edges[0]) / 2
-    s = ((edges[:-1] + edges[1:]) / 2)[:, None] + half * _GL_NODES[None, :]
-    s = s.ravel()
-    weighted = cutoff(s) * np.tile(_GL_WEIGHTS * half, panels)
-    gam = curve.derivative(0, s)
+    mid = edges[:-1] + edges[1:]
+    mid /= 2                        # in place: 16 bytes per panel in all
+    weights = _GL_WEIGHTS * half
+    nodes = panels * _GL_NODES.size
     width = _block_width(freq.rows)
     # per time node, the sum over the nodes per (leading tuple, last coordinate)
     sums = np.zeros((len(ts), len(freq.lead[0]), len(freq.coords[-1])),
@@ -108,10 +110,15 @@ def _gl_values(curve, cutoff, ts, freq, panels):
     # each distinct step's tables are exponentiated once per block. On
     # [1, 2] every step is exact (Sterbenz), so the steps' phases sum exactly
     # to t_k - t_0.
-    for lo in range(0, s.size, width):
-        g = gam[lo:lo + width]
+    for lo in range(0, nodes, width):
+        # the block's nodes s and weights, node j being Gauss node j % 16
+        # of panel j // 16
+        panel, node = np.divmod(np.arange(lo, min(lo + width, nodes)),
+                                _GL_NODES.size)
+        s = mid[panel] + half * _GL_NODES[node]
+        g = curve.derivative(0, s)
         tables = _tables(freq, g, ts[0])
-        tables[-1] *= weighted[lo:lo + width]
+        tables[-1] *= cutoff(s) * weights[node]
         steps = {}
         for i, t in enumerate(ts):
             if i:
@@ -172,8 +179,10 @@ class _Frequencies(NamedTuple):
 
     @property
     def rows(self):
-        """The rows a time node works on per block node (`_block_rows`)."""
-        return _block_rows([len(c) for c in self.coords], len(self.lead[0]))
+        """The rows a time node works on per block node: the tables and, for
+        n > 2, the leading products (at n = 2 those are the first table)."""
+        lead = len(self.lead[0]) if len(self.coords) > 2 else 0
+        return sum(len(c) for c in self.coords) + lead
 
 
 def _frequencies(xis):
@@ -187,16 +196,8 @@ def _frequencies(xis):
                         np.unravel_index(lead, counts), lead_of, where[-1])
 
 
-def _block_rows(counts, leading):
-    """The rows a time node works on per node of a block, for `counts[a]`
-    distinct coordinates on axis a and `leading` distinct leading tuples:
-    the tables and, for n > 2, the leading products (at n = 2 those are the
-    first table)."""
-    return sum(counts) + (leading if len(counts) > 2 else 0)
-
-
 def _block_width(rows):
-    """Nodes per block of _gl_values for `rows` rows per node (`_block_rows`):
+    """Nodes per block of _gl_values for `rows` (`_Frequencies.rows`) per node:
     the rows x the width fit _BLOCK_ELEMENTS, and a block is at least
     `_MIN_BLOCK_NODES`, four panels, so that building its tables, one
     Python-level multiply per row, stays cheap beside the block's
@@ -265,30 +266,30 @@ def mu_hat_batch(curve, cutoff, ts, xis, stats=None):
         coarse = fine
 
 
-def quadrature_peak_bytes(nodes, coords, leading, modes, times, steps):
-    """Upper bound on the peak memory of mu_hat_batch whose finest level has
-    `nodes` nodes, for `modes` frequencies with `coords[a]` distinct
-    coordinates on axis a and `leading` distinct leading (n-1)-tuples, at
-    `times` time nodes with `steps` distinct steps between them.
+def quadrature_peak_bytes(xis, ts):
+    """Upper bound on the peak memory of mu_hat_batch(curve, cutoff, ts,
+    xis), whatever the panel count its ladder runs to.
 
-    Only the nodes' arrays grow with `nodes`: everything else a node block
-    holds is bounded by its entries, _block_rows times the block's
-    `_block_width` nodes. The terms, in block entries: the tables and the
-    cached table set of each distinct step; the rows one table is built from
-    (its least coordinate's and one per distinct gap, so at most one per
-    distinct coordinate) with the real phase of their exponent; for n > 2
-    the leading products and one gathered table. Then the per-time-node sums
-    over the blocks and one matrix product; the coarse and fine results with
-    their difference and its modulus; the nodes' arrays and the index
-    arithmetic on the frequencies.
+    A level holds its panels' edges and centres, 16 bytes per panel, at
+    most 2 `_MAX_PANELS` panels; all else is per node block of
+    `_Frequencies.rows` x `_block_width` entries: the tables and the cached
+    table set of each distinct step; the rows one table is built from (at
+    most one per distinct coordinate) with the real phase of their
+    exponent; for n > 2 the leading products and one gathered table; and,
+    8 (n + 4) bytes per block node, its nodes, weights and gamma(s). Then
+    the per-time-node sums over the blocks and one matrix product; the
+    coarse and fine results with their difference and its modulus; and the
+    index arithmetic on the frequencies.
     """
-    n = len(coords)
-    rows = _block_rows(coords, leading)
-    block = _block_width(rows) * rows
-    return int(16 * block * (1 + steps) + 24 * block + 32 * block * (n > 2)
-               + 16 * (times + 1) * leading * coords[-1]
-               + 56 * times * modes
-               + 8 * nodes * (n + 4) + 8 * modes * (3 * n + 4))
+    freq = _frequencies(xis)
+    n, modes, times = len(freq.coords), len(xis), len(ts)
+    width = _block_width(freq.rows)
+    block = width * freq.rows
+    return int(16 * block * (1 + _distinct_steps(ts)) + 24 * block
+               + 32 * block * (n > 2) + 8 * width * (n + 4)
+               + 16 * (2 * _MAX_PANELS + 1)
+               + 16 * (times + 1) * len(freq.lead[0]) * len(freq.coords[-1])
+               + 56 * times * modes + 8 * modes * (3 * n + 4))
 
 
 def mu_hat(curve, cutoff, t, xi):

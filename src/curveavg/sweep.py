@@ -40,7 +40,7 @@ from math import factorial
 
 import numpy as np
 
-from .averaging import _norm_grid, ball_kernel, lp_norm_spacetime, space_stats
+from .averaging import ball_kernel, lp_norm_spacetime, norm_grid, space_stats
 from .config import CellPlan, cell_plan
 from .errors import DomainError
 from .fields import SpectralField, build_f, windowed_lattice
@@ -167,6 +167,10 @@ def measure(cell, coeffs):
     box, where pieces that share a lattice point hold one coefficient; and
     `fractions`, the share of ||A_t f||_2^2 in the concentration ball.
     `norms_s` is the seconds spent in `space_stats`.
+
+    The quotient divides by the vector's norms and the piece ratios by its
+    power on each piece: a vector that is zero, or zero on a piece, is a
+    DomainError that says so or names the pieces.
     """
     clock = time.perf_counter
     f = cell.field.with_coeffs(coeffs)
@@ -174,6 +178,10 @@ def measure(cell, coeffs):
     Ln = f.window.L ** n
     g_power = [float((np.abs(coeffs[b.rows] / lam ** (1.0 / n)) ** 2).sum()) / Ln
                for b in f.support]
+    empty = [i for i, power in enumerate(g_power) if power == 0.0]
+    if empty:
+        raise DomainError("the coefficient vector is zero" + (
+            f" on pieces {empty}" if np.any(coeffs) else ""))
     t_in = clock()
     norms_in, _ = space_stats(f, ps)
     norms_s = clock() - t_in
@@ -234,7 +242,7 @@ def run_cell(cfg, lam):
     return {
         "lam": float(lam),
         "nnu": len(f.support),
-        "grid": {"box": box, "norm_grid": list(_norm_grid(box, ps)),
+        "grid": {"box": box, "norm_grid": list(norm_grid(box, ps)),
                  "support": len(f.coeffs)},
         **values,
         "piece_reference": [float(v) for v in cell.reference],

@@ -13,7 +13,7 @@ from curveavg import (CurveSpec, CutoffSpec, DomainError, GeometryError,
                       cell_support, lp_norm_spacetime, mu_hat_batch,
                       norm_peak_bytes, parse_config, run_cell, space_stats)
 from curveavg import averaging
-from curveavg.averaging import _ball_grid, _norm_grid
+from curveavg.averaging import _ball_grid, norm_grid
 
 CURVE = CurveSpec.moment(3)
 CHI = CutoffSpec(delta=0.25)
@@ -163,7 +163,7 @@ def test_even_norms_are_exact():
         fhat[cut] = c
         f = sparse_field(window, fhat)
         norms, _ = space_stats(f, [2.0, 4.0, 6.0, 8.0])
-        assert 21 in _norm_grid(shape, [8.0])
+        assert 21 in norm_grid(shape, [8.0])
         L = f.L
         power = c
         assert norms[2.0] == pytest.approx(parseval_l2(f), rel=1e-12)
@@ -177,11 +177,11 @@ def test_even_norms_are_exact():
 def test_norm_grid_is_7_smooth_and_exact():
     # the lambda = 32 box of the n = 3 workload at p_max = 8: the exactness
     # bounds 65, 329 and 21 round up to 70, 336 and 21 (5-smooth: 72, 360, 24)
-    assert _norm_grid((17, 83, 6), [2.0, 8.0]) == (70, 336, 21)
+    assert norm_grid((17, 83, 6), [2.0, 8.0]) == (70, 336, 21)
     spans = (1, 2, 5, 6, 11, 17, 83, 160)
     for ps in ([2.0], [2.0, 4.0], [4.0, 8.0], [6.0]):
         half = int(max(ps)) // 2
-        for span, F in zip(spans, _norm_grid(spans, ps)):
+        for span, F in zip(spans, norm_grid(spans, ps)):
             assert F >= half * (span - 1) + 1
             k = F
             for q in (2, 3, 5, 7):
@@ -195,7 +195,7 @@ def test_norm_grid_rejects_empty_span(ps):
     # a box has at least one point per axis; below that the 7-smooth search
     # would never end
     with pytest.raises(DomainError, match="support box spans"):
-        _norm_grid((0, 3, 3), ps)
+        norm_grid((0, 3, 3), ps)
 
 
 def test_zero_field_has_zero_norms_and_no_fraction():
@@ -316,7 +316,7 @@ def test_slabs_match_one_slab(monkeypatch, dims, top):
     ps = [float(p) for p in range(2, top + 1, 2)]
     kernel = ball_kernel(f, 0.9)
     span = f.window.dims
-    grids = [_norm_grid(span, ps)] * (top > 2) + [_ball_grid(span)]
+    grids = [norm_grid(span, ps)] * (top > 2) + [_ball_grid(span)]
     monkeypatch.setattr(averaging, "_SLAB_POINTS", 1 << 40)
     one = [space_stats(f, ps), space_stats(f, ps, ball=kernel)]
     loops = _slab_rows(monkeypatch)
@@ -532,7 +532,7 @@ P8 = (2.0, 4.0, 6.0, 8.0)
 def test_peak_bytes_bounds_measured_peak(dims, box, radius, ps, slabs):
     rng = np.random.default_rng(2)
     box = dims if box is None else box
-    F = _norm_grid(box, ps)
+    F = norm_grid(box, ps)
     assert slabs in (None, -(-F[0] // averaging._slab_rows(F)))
     fhat = np.zeros(dims, dtype=complex)
     fhat[tuple(slice(m - b, m) for m, b in zip(dims, box))] = (

@@ -4,13 +4,15 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from curveavg import (ConfigError, RunConfig, cell_field, cell_plan,
+from conftest import ACCEPTANCE_CONFIG
+from curveavg import (ConeChart, ConfigError, RunConfig, cell_field, cell_plan,
                       cell_support, enforce_memory_cap, estimate_field_bytes,
                       frequency_centers, mu_hat_batch, parse_config,
                       parse_memory_size, piece_boxes, radial_bump, run_cell,
                       windowed_lattice, with_overrides)
-from curveavg import config
+from curveavg import config, multiplier
 from curveavg.config import _estimate_terms
+from curveavg.multiplier import _frequencies
 
 GOOD = """
 [curve]
@@ -238,28 +240,44 @@ def test_gate_box_holds_the_support():
                 assert np.array_equal(built, k), (cfg.n, lam, i)
 
 
-def test_gate_coordinates_bound_the_built_field(monkeypatch):
-    # per axis, the distinct coordinates the gate charges the quadrature
-    # (the least of the span and the pieces' summed extents) hold those of
-    # the built field's support, on the gate's cells and the pinned
-    # lambda = 256 and 1024
-    charged = []
-    quad = config.quadrature_peak_bytes
+def test_gate_support_is_the_built_support(monkeypatch):
+    # the gate charges the quadrature on the built field's frequencies,
+    # index for index, and the norms on its support box, on the gate's
+    # cells and the pinned lambda = 256 and 1024
+    charged = {}
+    quad, norm = config.quadrature_peak_bytes, config.norm_peak_bytes
 
-    def recorded(**terms):
-        charged.append(terms["coords"])
-        return quad(**terms)
+    def recorded_quad(xis, ts):
+        charged["xis"] = xis
+        return quad(xis, ts)
 
-    monkeypatch.setattr(config, "quadrature_peak_bytes", recorded)
-    for text, lams in GATE_CASES + ((GOOD, (256.0, 1024.0)),):
+    def recorded_norm(span, ps, reach):
+        charged["span"] = span
+        return norm(span, ps, reach)
+
+    monkeypatch.setattr(config, "quadrature_peak_bytes", recorded_quad)
+    monkeypatch.setattr(config, "norm_peak_bytes", recorded_norm)
+    for text, lams in GATE_CASES + ((ACCEPTANCE_CONFIG, (256.0, 1024.0)),):
         cfg = parse_config(text)
         for lam in lams:
             _estimate_terms(cfg, lam)
             f = cell_field(cfg, cell_plan(cfg, lam))
-            built = [len(np.unique(k)) for k in
-                     np.unravel_index(f.flat, f.window.dims)]
-            assert all(c >= b for c, b in zip(charged[-1], built)), (
-                cfg.n, lam, charged[-1], built)
+            assert np.array_equal(charged["xis"], f.xi()), (cfg.n, lam)
+            assert charged["span"] == f.window.dims, (cfg.n, lam)
+            gate, built = (_frequencies(xis) for xis in (charged["xis"], f.xi()))
+            assert [len(c) for c in gate.coords] == [len(c) for c in built.coords]
+            assert len(gate.lead[0]) == len(built.lead[0]), (cfg.n, lam)
+
+
+def test_gate_computes_no_phase_and_no_quadrature(monkeypatch):
+    # the gate's premise: it counts the support without its coefficients,
+    # so neither the cone phase nor the multiplier runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("the memory gate ran a phase or a quadrature")
+
+    monkeypatch.setattr(ConeChart, "phi_un_batch", refuse)
+    monkeypatch.setattr(multiplier, "mu_hat_batch", refuse)
+    enforce_memory_cap(parse_config(ACCEPTANCE_CONFIG))
 
 
 def test_estimate_bounds_measured_peak():
@@ -284,8 +302,7 @@ QUADRATURE_CASES = (
     # n2 at lambda = 256: 3072 nodes walked in 18 blocks
     (PLANAR, 256.0, 192, 2, 18),
     # n3 at lambda = 4 (the keys of perfbench/workloads/n3.cfg): the ladder
-    # runs 3 -> 6 -> 12 -> 24 panels, while the gate assumes the 8 of the
-    # first fine level of a ladder started at the support box's corners
+    # runs 3 -> 6 -> 12 -> 24 panels
     (_SMALL.replace("time_nodes = 9", "time_nodes = 5"), 4.0, 24, 4, 2),
 )
 
@@ -310,6 +327,27 @@ def test_quadrature_estimate_bounds_its_peak(text, lam, panels, levels, blocks):
     assert (stats["panels"], stats["levels"], stats["blocks"]) == (
         panels, levels, blocks)
     assert _estimate_terms(cfg, lam)[1] >= peak
+
+
+def test_quadrature_bound_is_independent_of_the_ladder(monkeypatch):
+    # a ladder started 8 times higher on the n2 lambda = 256 cell runs 8
+    # times the panels, and its peak still lies under the bound, which
+    # reads only the frequencies and the time nodes
+    cfg = parse_config(PLANAR)
+    cell = cell_support(cfg, 256.0)
+    spec, xis, ts = cell.plan.spec, cell.field.xi(), cell.plan.short.nodes
+    start = multiplier._panel_start
+    monkeypatch.setattr(multiplier, "_panel_start",
+                        lambda *args: 8 * start(*args))
+    stats = {}
+    tracemalloc.start()
+    try:
+        mu_hat_batch(spec.chart.curve, spec.cutoff, ts, xis, stats=stats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats["panels"] == 8 * cell.quadrature["panels"]
+    assert peak <= multiplier.quadrature_peak_bytes(xis, ts)
 
 
 def test_windowed_estimate_is_modest():

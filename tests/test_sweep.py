@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from curveavg import (DomainError, RunConfig, cell_support, critical_exponent,
                       expected_slopes, fit_slope, measure, sharpness_sweep)
 from curveavg import sweep as sweep_module
-from curveavg.averaging import _norm_grid
+from curveavg.averaging import norm_grid
 from curveavg.sweep import _peak_rss_mib, _trend_mostly_decreasing
 
 
@@ -167,7 +167,7 @@ def test_sweep_cell_structure(tiny_report):
         assert 0.0 <= quad["residual"] <= 1e-9
         grid = c["grid"]
         assert set(grid) == {"box", "norm_grid", "support"}
-        assert grid["norm_grid"] == list(_norm_grid(
+        assert grid["norm_grid"] == list(norm_grid(
             grid["box"], [float(p) for p in c["norms_in"]]))
         assert c["nnu"] <= grid["support"] <= np.prod(grid["box"])
         timings = c["timings"]
@@ -222,6 +222,22 @@ def test_measure_is_homogeneous_in_the_vector(tiny_cfg):
                                                       rel=1e-12)
     assert scaled["fractions"] == pytest.approx(base["fractions"], rel=1e-12)
     assert scaled["defect"] == pytest.approx(base["defect"], abs=1e-12)
+
+
+def test_measure_rejects_a_vector_zero_on_a_piece(tiny_cfg):
+    # a piece's ratio divides by the vector's power on that piece
+    cell = cell_support(tiny_cfg, 32.0)
+    coeffs = cell.field.coeffs.copy()
+    coeffs[cell.field.support[0].rows] = 0.0
+    with pytest.raises(DomainError, match=r"zero on pieces \[0\]$"):
+        measure(cell, coeffs)
+
+
+def test_measure_rejects_the_zero_vector(tiny_cfg):
+    # the quotient divides by the vector's norms
+    cell = cell_support(tiny_cfg, 32.0)
+    with pytest.raises(DomainError, match="the coefficient vector is zero$"):
+        measure(cell, np.zeros_like(cell.field.coeffs))
 
 
 def test_sweep_fractions_lie_in_unit_interval(tiny_report):
