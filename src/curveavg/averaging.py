@@ -50,6 +50,7 @@ from math import gamma
 import numpy as np
 
 from .errors import DomainError, GeometryError, QuadratureError
+from .legendre import GL16_NODES, GL16_WEIGHTS, gauss_legendre
 from .multiplier import mu_hat_batch
 
 __all__ = ["TimeWindow", "apply_averaging", "direct_oracle", "ball_kernel",
@@ -102,13 +103,12 @@ def direct_oracle(field, curve, cutoff, t, points, rel_tol=1e-9):
     xis = field.xi()
     coeffs = field.coeffs / field.L ** field.window.n
 
-    nodes, weights = np.polynomial.legendre.leggauss(16)
-
     def level(panels):
         edges = np.linspace(-cutoff.delta, cutoff.delta, panels + 1)
         half = (edges[1] - edges[0]) / 2
-        s = (((edges[:-1] + edges[1:]) / 2)[:, None] + half * nodes[None, :]).ravel()
-        w = np.tile(weights * half, panels) * cutoff(s)
+        s = (((edges[:-1] + edges[1:]) / 2)[:, None]
+             + half * GL16_NODES[None, :]).ravel()
+        w = np.tile(GL16_WEIGHTS * half, panels) * cutoff(s)
         shift = np.exp(-1j * t * (curve.derivative(0, s) @ xis.T))  # (S, modes)
         out = np.empty(len(points), dtype=complex)
         step = max(1, int(4e6 // max(len(xis), 1)))
@@ -172,7 +172,7 @@ def _ball_transform(rho, radius, n):
     omega_{n-1} = pi^{(n-1)/2} / Gamma((n+1)/2), by Gauss-Legendre on
     enough nodes for the largest rho R."""
     z = np.asarray(rho, dtype=float) * radius
-    u, w = np.polynomial.legendre.leggauss(_ball_nodes(z.max(initial=0.0)))
+    u, w = gauss_legendre(_ball_nodes(z.max(initial=0.0)))
     theta = np.pi / 4 * (u + 1)
     w = w * np.pi / 4 * np.sin(theta) ** n
     out = np.zeros_like(z)
@@ -363,9 +363,10 @@ def _kernel_build_bytes(G, reach):
     distinct values, at most 72 bytes per orthant point when every |q|^2 is
     distinct (n = 2 with a short axis); each irfft then holds its real
     input, the input's complex copy and its real output, at most 40 bytes
-    per orthant point. Gauss-Legendre's companion matrix for B_hat adds 8
-    bytes per node squared, beside smaller arrays of the nodes' size.
+    per orthant point. The Gauss-Legendre rule for B_hat and the transform's
+    arrays of its size (`gauss_legendre`'s iterates, the nodes, the angles,
+    the weights and their sin^n) add at most 128 bytes per node.
     """
     half = np.array([g // 2 for g in G], dtype=float)
     nodes = _ball_nodes(reach * np.sqrt(half @ half))
-    return 72 * np.prod(half + 1) + 8 * (nodes + 16) ** 2
+    return 72 * np.prod(half + 1) + 128 * nodes

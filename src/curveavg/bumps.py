@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .legendre import GL16_NODES, GL16_WEIGHTS
 
 __all__ = ["CutoffSpec", "smooth_step", "radial_bump"]
 
@@ -78,10 +79,9 @@ class CutoffSpec:
     @property
     def integral(self):
         # 64 panels x 16 nodes resolves the bump to machine precision
-        nodes, weights = np.polynomial.legendre.leggauss(16)
         edges = np.linspace(-self.delta, self.delta, 65)
         mid = (edges[:-1] + edges[1:]) / 2
         half = (edges[1] - edges[0]) / 2
-        s = (mid[:, None] + half * nodes[None, :]).ravel()
-        w = np.tile(weights * half, 64)
+        s = (mid[:, None] + half * GL16_NODES[None, :]).ravel()
+        w = np.tile(GL16_WEIGHTS * half, 64)
         return float(w @ self(s))

@@ -16,7 +16,6 @@ the multiplier's leading decay (t*u_n)^(-1/n).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import factorial
 
 import numpy as np
@@ -34,7 +33,7 @@ _MAX_ITERATIONS = 60
 
 def moment_gamma_seed(n, tau):
     """Closed-form cone curve of the moment curve: xi_i = tau^{n-i}/(n-i)!, s=-tau."""
-    xi = np.array([float(Fraction(1, factorial(n - i))) * tau ** (n - i)
+    xi = np.array([1 / factorial(n - i) * tau ** (n - i)
                    for i in range(1, n + 1)])
     return xi, -float(tau)
 

@@ -16,7 +16,6 @@ nothing.
 
 from __future__ import annotations
 
-import difflib
 import os
 from configparser import ConfigParser, Error as ParserError
 from dataclasses import dataclass, fields as dc_fields, replace
@@ -177,6 +176,13 @@ def _range_violations(cfg):
     return bad
 
 
+def _close_match(word, names):
+    """The closest of `names` to a misspelt `word`, as a list of at most
+    one. difflib is imported here, on the error path alone."""
+    import difflib
+    return difflib.get_close_matches(word, names, n=1)
+
+
 def parse_config(text):
     """Parse and fully validate sectioned key-value text into a RunConfig.
 
@@ -195,7 +201,7 @@ def parse_config(text):
     values = {}
     for section in parser.sections():
         if section not in _SCHEMA:
-            hint = difflib.get_close_matches(section, _SCHEMA.keys(), n=1)
+            hint = _close_match(section, _SCHEMA.keys())
             problems.append(f"unknown section [{section}]"
                             + (f", did you mean [{hint[0]}]?" if hint else ""))
             continue
@@ -213,7 +219,7 @@ def parse_config(text):
             pinned = _PINNED.get((section, key))
             if key not in schema and not pinned:
                 names = list(schema) + [k for s, k in _PINNED if s == section]
-                hint = difflib.get_close_matches(key, names, n=1)
+                hint = _close_match(key, names)
                 problems.append(f"unknown key '{key}' in [{section}]"
                                 + (f", did you mean '{hint[0]}'?" if hint else ""))
                 continue

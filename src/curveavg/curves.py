@@ -2,8 +2,9 @@
 
 Curves are polynomial: the canonical curve gamma(s) = (s, s^2/2, ..., s^n/n!)
 or polynomial perturbations of it. Derivatives are analytic everywhere:
-differentiation happens on coefficients in exact rational arithmetic, never by
-finite differences, so that the anchoring identities gamma(0)=0,
+differentiation happens on power-basis coefficients, never by finite
+differences, and every coefficient is a correctly rounded float (1/k! and
+j c_j are single roundings), so that the anchoring identities gamma(0)=0,
 gamma^(j)(0)=e_j hold *exactly* in floating point and downstream Newton
 solvers get full-accuracy Jacobians.
 """
@@ -11,11 +12,9 @@ solvers get full-accuracy Jacobians.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import factorial
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from .errors import DomainError
 
@@ -28,34 +27,26 @@ DOMAIN = (-1.0, 1.0)
 _SAMPLES = 2048
 
 
-def _moment_coeff_table(n, max_order):
-    """Power-basis coefficients of each derivative of the moment curve.
-
-    table[j][k] is the coefficient array of gamma_k^(j) (component k, 0-based).
-    Built with Fractions so that e.g. the constant term of gamma_j^(j) is the
-    float 1.0 exactly, not round(1/j!)*j!.
-    """
-    table = []
-    for j in range(max_order + 1):
-        comps = []
-        for k in range(1, n + 1):  # component k holds s^k / k!
-            if j > k:
-                comps.append(np.zeros(1))
-            else:
-                c = np.zeros(k - j + 1)
-                c[k - j] = float(Fraction(1, factorial(k - j)))
-                comps.append(c)
-        table.append(comps)
-    return table
-
-
-def _polyder_table(coeffs, max_order):
-    """Derivative coefficient arrays for a float polynomial, orders 0..max_order."""
-    table = [np.asarray(coeffs, dtype=float)]
-    for _ in range(max_order):
-        prev = table[-1]
-        table.append(P.polyder(prev) if prev.size > 1 else np.zeros(1))
-    return table
+def _coefficient_tables(n, perturbation):
+    """Power-basis coefficients of gamma^(order), order 0 ... n + 1: per
+    order a zero-padded (degree + 1) x n table whose row i holds the
+    coefficients of s^i. The moment curve's are 1/(k - order)!, each one
+    correctly rounded division, so that e.g. the constant term of
+    gamma_j^(j) is the float 1.0 exactly; a perturbation's are added to its
+    component's column, and differentiated as j c_j."""
+    extra = [(comp - 1, np.asarray(c, dtype=float)) for comp, c in perturbation]
+    tables = []
+    for order in range(n + 2):
+        rows = max([n - order + 1, 1] + [len(c) for _, c in extra])
+        table = np.zeros((rows, n))
+        for k in range(max(order, 1), n + 1):   # component k holds s^k / k!
+            table[k - order, k - 1] = 1 / factorial(k - order)
+        for col, c in extra:
+            table[:len(c), col] += c
+        tables.append(table)
+        extra = [(col, c[1:] * np.arange(1, len(c)) if len(c) > 1
+                  else np.zeros(1)) for col, c in extra]
+    return tables
 
 
 @dataclass(frozen=True)
@@ -74,7 +65,8 @@ class CurveSpec:
     def __post_init__(self):
         if self.n < 2:
             raise DomainError(f"curve dimension must be >= 2, got {self.n}")
-        object.__setattr__(self, "_dtab", self._build_tables())
+        object.__setattr__(self, "_dtab",
+                           _coefficient_tables(self.n, self.perturbation))
 
     @classmethod
     def moment(cls, n):
@@ -90,28 +82,22 @@ class CurveSpec:
                 raise DomainError(f"perturbed component {k} outside 1..{n}")
         return cls(n=n, perturbation=pert)
 
-    def _build_tables(self):
-        max_order = self.n + 1
-        tab = _moment_coeff_table(self.n, max_order)
-        for comp, coeffs in self.perturbation:
-            for j, dc in enumerate(_polyder_table(coeffs, max_order)):
-                base = tab[j][comp - 1]
-                m = max(base.size, dc.size)
-                merged = np.zeros(m)
-                merged[:base.size] += base
-                merged[:dc.size] += dc
-                tab[j][comp - 1] = merged
-        return tab
-
     def derivative(self, order, s):
-        """gamma^(order)(s), vectorized: returns shape s.shape + (n,)."""
+        """gamma^(order)(s), vectorized: returns shape s.shape + (n,).
+
+        One Horner loop over the order's coefficient table, every component
+        at once; its zero padding leaves each component's value bit for bit
+        that of Horner on its own coefficients."""
         if not 0 <= order <= self.n + 1:
             raise DomainError(
                 f"derivative order {order} unsupported (curve carries 0..{self.n + 1})")
-        s = np.asarray(s, dtype=float)
-        out = np.empty(s.shape + (self.n,))
-        for k in range(self.n):
-            out[..., k] = P.polyval(s, self._dtab[order][k])
+        table = self._dtab[order]
+        s = np.asarray(s, dtype=float)[..., None]
+        out = np.empty(s.shape[:-1] + (self.n,))
+        out[...] = table[-1]
+        for row in table[-2::-1]:
+            out *= s
+            out += row
         return out
 
 

@@ -13,12 +13,12 @@ that axis's distinct coordinates. The leading n - 1 tables, gathered at the
 batch's distinct leading (n-1)-tuples, are contracted with the weighted last
 axis's table by one matrix product per time node. The nodes are walked in
 blocks of `_block_width` nodes, 2^15 table entries but at least four panels,
-whose working set fits a core's L2 cache; each block computes its own nodes,
-weights and gamma(s), so only the panels' edges and centres grow with the
-panel count. Per block the tables are built at
-the first time node only and advanced to each later node by one complex
-multiply per entry with the tables of the step t_k - t_{k-1} (each distinct
-step's tables are built once per block); at every time node the block's
+whose working set fits a core's L2 cache; each block computes its own panel
+edges and centres, nodes, weights and gamma(s), so no array grows with the
+panel count. Per block the tables are built at the first time node only and
+advanced to each later node by one complex multiply per entry with the
+tables of the step t_k - t_{k-1} (each distinct step's tables are built
+once per block); at every time node the block's
 matrix product is added to that node's sums per (leading tuple, last
 coordinate), from which the batch's values are gathered once, after the last
 block. A table is built by running products, too: its row at the least
@@ -47,11 +47,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, QuadratureError, ResolutionError
+from .legendre import GL16_NODES, GL16_WEIGHTS
 
 __all__ = ["alpha_n", "mu_hat", "mu_hat_batch", "quadrature_peak_bytes",
            "MultiplierSample", "multiplier_sample", "derivative_bound_check"]
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _MAX_PANELS = 1 << 15
 _REL_TOL = 1e-9
 # complex entries per node block of _gl_values: the rows a time node works
@@ -66,7 +66,7 @@ _REL_TOL = 1e-9
 _BLOCK_ELEMENTS = 1 << 15
 # the least nodes per block, four panels: below that, _tables' per-row loop
 # is no longer amortized over a block's nodes on supports of many rows
-_MIN_BLOCK_NODES = 4 * _GL_NODES.size
+_MIN_BLOCK_NODES = 4 * GL16_NODES.size
 
 
 def alpha_n(n):
@@ -92,13 +92,22 @@ def _panel_start(curve, cutoff, ts, xis):
     return min(max(2, ceil(cycles * 12 / 16) + 1), _MAX_PANELS)
 
 
+def _edges(first, last, panels, delta):
+    """Edges first ... last of `panels` equal panels on [-delta, delta], bit
+    for bit np.linspace(-delta, delta, panels + 1)[first:last + 1]: edge i
+    is i * (2 delta / panels) - delta, and the last edge is delta."""
+    edges = np.arange(first, last + 1, dtype=float) * (2 * delta / panels)
+    edges -= delta
+    if last == panels:
+        edges[-1] = delta
+    return edges
+
+
 def _gl_values(curve, cutoff, ts, freq, panels):
-    edges = np.linspace(-cutoff.delta, cutoff.delta, panels + 1)
-    half = (edges[1] - edges[0]) / 2
-    mid = edges[:-1] + edges[1:]
-    mid /= 2                        # in place: 16 bytes per panel in all
-    weights = _GL_WEIGHTS * half
-    nodes = panels * _GL_NODES.size
+    e = _edges(0, 1, panels, cutoff.delta)
+    half = (e[1] - e[0]) / 2
+    weights = GL16_WEIGHTS * half
+    nodes = panels * GL16_NODES.size
     width = _block_width(freq.rows)
     # per time node, the sum over the nodes per (leading tuple, last coordinate)
     sums = np.zeros((len(ts), len(freq.lead[0]), len(freq.coords[-1])),
@@ -112,10 +121,13 @@ def _gl_values(curve, cutoff, ts, freq, panels):
     # to t_k - t_0.
     for lo in range(0, nodes, width):
         # the block's nodes s and weights, node j being Gauss node j % 16
-        # of panel j // 16
+        # of panel j // 16, from the block's own panel edges
         panel, node = np.divmod(np.arange(lo, min(lo + width, nodes)),
-                                _GL_NODES.size)
-        s = mid[panel] + half * _GL_NODES[node]
+                                GL16_NODES.size)
+        edges = _edges(panel[0], panel[-1] + 1, panels, cutoff.delta)
+        mid = edges[:-1] + edges[1:]
+        mid /= 2
+        s = mid[panel - panel[0]] + half * GL16_NODES[node]
         g = curve.derivative(0, s)
         tables = _tables(freq, g, ts[0])
         tables[-1] *= cutoff(s) * weights[node]
@@ -250,12 +262,12 @@ def mu_hat_batch(curve, cutoff, ts, xis, stats=None):
         if gap <= _REL_TOL * scale:
             if stats is not None:
                 steps = _distinct_steps(ts)
-                nodes = 2 * panels * _GL_NODES.size
+                nodes = 2 * panels * GL16_NODES.size
                 stats.update(
                     panels=2 * panels, nodes=nodes, residual=gap / scale,
                     steps=steps, levels=levels,
                     blocks=-(-nodes // _block_width(freq.rows)),
-                    exponentials=(1 + steps) * panels_run * _GL_NODES.size
+                    exponentials=(1 + steps) * panels_run * GL16_NODES.size
                     * _exponentials_per_node(freq))
             return fine
         panels *= 2
@@ -270,13 +282,13 @@ def quadrature_peak_bytes(xis, ts):
     """Upper bound on the peak memory of mu_hat_batch(curve, cutoff, ts,
     xis), whatever the panel count its ladder runs to.
 
-    A level holds its panels' edges and centres, 16 bytes per panel, at
-    most 2 `_MAX_PANELS` panels; all else is per node block of
-    `_Frequencies.rows` x `_block_width` entries: the tables and the cached
-    table set of each distinct step; the rows one table is built from (at
-    most one per distinct coordinate) with the real phase of their
-    exponent; for n > 2 the leading products and one gathered table; and,
-    8 (n + 4) bytes per block node, its nodes, weights and gamma(s). Then
+    No term follows the panel count. A node block holds `_Frequencies.rows`
+    x `_block_width` entries: the tables and the cached table set of each
+    distinct step; the rows one table is built from (at most one per
+    distinct coordinate) with the real phase of their exponent; for n > 2
+    the leading products and one gathered table. Beside them are 8 (n + 5)
+    bytes per block node, its nodes, weights and gamma(s), and the block's
+    panel edges and centres, 16 bytes per panel. Then
     the per-time-node sums over the blocks and one matrix product; the
     coarse and fine results with their difference and its modulus; and the
     index arithmetic on the frequencies.
@@ -286,8 +298,8 @@ def quadrature_peak_bytes(xis, ts):
     width = _block_width(freq.rows)
     block = width * freq.rows
     return int(16 * block * (1 + _distinct_steps(ts)) + 24 * block
-               + 32 * block * (n > 2) + 8 * width * (n + 4)
-               + 16 * (2 * _MAX_PANELS + 1)
+               + 32 * block * (n > 2) + 8 * width * (n + 5)
+               + 16 * (width // GL16_NODES.size + 2)
                + 16 * (times + 1) * len(freq.lead[0]) * len(freq.coords[-1])
                + 56 * times * modes + 8 * modes * (3 * n + 4))
 

@@ -35,7 +35,6 @@ import resource
 import sys
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from math import factorial
 
 import numpy as np
@@ -64,6 +63,8 @@ def critical_exponent(p, n):
         raise DomainError(f"dimension must be an integer >= 2, got {n}")
     if p != np.inf and p < 2:
         raise DomainError(f"p must be >= 2, got {p}")
+    from fractions import Fraction   # no sweep calls this: kept off the imports
+
     if isinstance(p, (int, Fraction)) and not isinstance(p, bool):
         p = Fraction(p)
         return min(Fraction(1, n), (Fraction(1, 2) + 2 / p) / n, 2 / p)

@@ -569,21 +569,9 @@ def test_slab_working_set_fits_the_cache():
     assert peak <= 1.5 * 2 ** 20
 
 
-@pytest.mark.parametrize("span, radius", [
-    pytest.param((37, 41, 23), 1.0, id="3d"),
-    pytest.param((3, 5, 6, 25, 4), 1.0, id="5d"),
-    pytest.param((13, 14, 1), 1.0, id="one-point-axis"),
-    pytest.param((1, 1, 1), 1.0, id="one-point"),
-    pytest.param((300, 300), 5.0, id="2d"),
-    # every |q|^2 on the orthant distinct: np.unique's arrays are the peak
-    pytest.param((2, 3000), 0.05, id="all-distinct"),
-    # a ball near half the box side on a long axis: Gauss-Legendre's
-    # companion matrix, 8 bytes per node squared, is most of the build
-    pytest.param((2, 400), 9.9, id="long-axis-wide-ball"),
-    pytest.param((1, 600), 9.9, id="one-row-wide-ball"),
-])
-def test_kernel_build_bytes_bounds_measured_peak(span, radius):
-    # the kernel's build, alone, stays within its term of norm_peak_bytes
+def _kernel_build(span, radius):
+    """The tracemalloc peak of ball_kernel on a field whose support box has
+    this span (L = 20), and the ball's reach R dk."""
     corners = np.array(list(np.ndindex((2,) * len(span)))) * (np.array(span) - 1)
     f = SpectralField.on_lattice(20.0, corners, np.ones(len(corners), complex))
     assert f.window.dims == span
@@ -595,7 +583,34 @@ def test_kernel_build_bytes_bounds_measured_peak(span, radius):
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
+    return peak, radius * f.window.dk
+
+
+@pytest.mark.parametrize("span, radius", [
+    pytest.param((37, 41, 23), 1.0, id="3d"),
+    pytest.param((3, 5, 6, 25, 4), 1.0, id="5d"),
+    pytest.param((13, 14, 1), 1.0, id="one-point-axis"),
+    pytest.param((1, 1, 1), 1.0, id="one-point"),
+    pytest.param((300, 300), 5.0, id="2d"),
+    # every |q|^2 on the orthant distinct: np.unique's arrays are the peak
+    pytest.param((2, 3000), 0.05, id="all-distinct"),
+    # a ball near half the box side on a long axis: B_hat's Gauss-Legendre
+    # rule has hundreds to thousands of nodes
+    pytest.param((2, 400), 9.9, id="long-axis-wide-ball"),
+    pytest.param((1, 600), 9.9, id="one-row-wide-ball"),
+    pytest.param((1, 2000), 9.9, id="one-long-row-wide-ball"),
+])
+def test_kernel_build_bytes_bounds_measured_peak(span, radius):
+    # the kernel's build, alone, stays within its term of norm_peak_bytes
+    peak, reach = _kernel_build(span, radius)
     G = _ball_grid(span)
-    reach = radius * f.window.dk
     assert averaging._kernel_build_bytes(G, reach) >= peak
     assert norm_peak_bytes(span, P8, reach) >= peak
+
+
+def test_kernel_build_memory_is_linear_in_the_rule():
+    # 2474 Gauss-Legendre nodes for a 16 KB kernel: the rule's arrays are
+    # O(nodes), where a companion-matrix eigensolve held 8 bytes per node
+    # squared (49 MB)
+    peak, _ = _kernel_build((1, 2000), 9.9)
+    assert peak < 2 ** 20

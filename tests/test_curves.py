@@ -1,5 +1,9 @@
+from fractions import Fraction
+from math import factorial
+
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as P
 from numpy.testing import assert_allclose
 
 from curveavg import (CurveSpec, DomainError, model_class_report,
@@ -25,8 +29,8 @@ def test_moment_curve_values(moment3):
 
 
 def test_moment_curve_anchoring_is_exact(moment3):
-    # gamma(0) = 0 and gamma^(j)(0) = e_j must hold to the last bit: the
-    # derivative tables are built from exact rational coefficients
+    # gamma(0) = 0 and gamma^(j)(0) = e_j must hold to the last bit: every
+    # coefficient of the derivative tables is one correctly rounded float
     for j in range(1, 4):
         ej = np.zeros(3)
         ej[j - 1] = 1.0
@@ -74,3 +78,48 @@ def test_low_order_perturbation_breaks_anchoring():
     curve = CurveSpec.perturbed_moment(3, ((1, (0.0, 0.1)),))
     assert not model_class_report(curve, delta=0.9).anchored
 
+
+
+def test_reciprocal_factorials_are_the_rounded_rationals():
+    # 1/k! by float division is the correctly rounded rational 1/k!
+    for k in range(21):
+        assert 1 / factorial(k) == float(Fraction(1, factorial(k)))
+
+
+def _polyval_oracle(curve, order, s):
+    """gamma^(order)(s) per component by numpy.polynomial: the moment
+    curve's coefficients as rounded rationals plus the perturbation
+    differentiated by polyder, each component evaluated by polyval."""
+    out = np.empty(np.shape(s) + (curve.n,))
+    extra = dict(curve.perturbation)
+    for k in range(1, curve.n + 1):
+        base = np.zeros(max(k - order, 0) + 1)
+        if order <= k:
+            base[k - order] = float(Fraction(1, factorial(k - order)))
+        c = np.asarray(extra.get(k, (0.0,)), dtype=float)
+        for _ in range(order):
+            c = P.polyder(c) if c.size > 1 else np.zeros(1)
+        merged = np.zeros(max(base.size, c.size))
+        merged[:base.size] += base
+        merged[:c.size] += c
+        out[..., k - 1] = P.polyval(s, merged)
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("perturbed", [False, True], ids=["moment", "perturbed"])
+def test_derivative_is_polyval_bit_for_bit(n, perturbed):
+    # one Horner loop over the zero-padded table gives each component's
+    # polyval value exactly, at every order the curve carries
+    curve = CurveSpec.moment(n)
+    if perturbed:
+        curve = CurveSpec.perturbed_moment(n, {
+            1: (0.0, 0.0, 0.0, 0.03, -0.011),
+            n: (0.0,) * (n + 1) + (0.007, 0.0, -0.0013)})
+    s = np.concatenate(([-1.0, -0.5, 0.0, 0.3, 1.0],
+                        np.random.default_rng(n).uniform(-1, 1, 40)))
+    for order in range(n + 2):
+        assert np.array_equal(curve.derivative(order, s),
+                              _polyval_oracle(curve, order, s)), order
+        assert np.array_equal(curve.derivative(order, 0.25),
+                              _polyval_oracle(curve, order, 0.25)), order

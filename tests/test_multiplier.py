@@ -362,3 +362,42 @@ def test_exponentials_follow_the_distinct_gaps(moment3, chi, monkeypatch):
     panels_run = sum(stats["panels"] >> level for level in range(stats["levels"]))
     assert stats["exponentials"] == 3 * (16 * panels_run) * (3 + 1 + 3)
     assert stats["exponentials"] == sum(evaluated)
+
+
+# --- panel edges per node block ----------------------------------------------
+
+@pytest.mark.parametrize("panels", [2, 3, 52, 192, 1 << 16])
+def test_block_centres_are_linspace_bit_for_bit(panels):
+    # each block builds the edges of its own panels; they and the centres
+    # are those of one np.linspace over the level, to the last bit
+    for delta in (0.25, 0.9, 1 / 3):
+        edges = np.linspace(-delta, delta, panels + 1)
+        want = edges[:-1] + edges[1:]
+        want /= 2
+        for per_block in sorted({1, 4, panels // 5 + 1}):
+            if panels // per_block > 1 << 12:
+                continue
+            centres = []
+            for first in range(0, panels, per_block):
+                last = min(first + per_block, panels)
+                got = multiplier._edges(first, last, panels, delta)
+                assert np.array_equal(got, edges[first:last + 1])
+                centres.append(got[:-1] + got[1:])
+            assert np.array_equal(np.concatenate(centres) / 2, want)
+
+
+def test_block_edges_leave_mu_unchanged(monkeypatch):
+    # the n2 benchmark workload's lambda = 256 cell: 192 panels in 18 blocks
+    # give the values of edges sliced from one np.linspace over the level
+    root = Path(__file__).resolve().parents[1]
+    cfg = parse_config((root / "perfbench" / "workloads" / "n2.cfg").read_text())
+    plan = cell_plan(cfg, 256.0)
+    spec, xis = plan.spec, cell_field(cfg, plan).xi()
+    args = (spec.chart.curve, spec.cutoff, plan.short.nodes, xis)
+    stats = {}
+    got = mu_hat_batch(*args, stats=stats)
+    assert (stats["panels"], stats["blocks"]) == (192, 18)
+    monkeypatch.setattr(
+        multiplier, "_edges", lambda first, last, panels, delta: np.linspace(
+            -delta, delta, panels + 1)[first:last + 1])
+    assert np.array_equal(got, mu_hat_batch(*args))

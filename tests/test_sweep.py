@@ -55,6 +55,18 @@ def test_exponent_float_and_infinite_p():
     assert critical_exponent(np.inf, 3) == 0.0
 
 
+def test_exponent_result_types():
+    # exact for Python ints and Fractions; numpy integers, floats and inf
+    # take the float path, as numpy scalars do everywhere else
+    assert type(critical_exponent(6, 3)) is Fraction
+    assert type(critical_exponent(Fraction(13, 2), 3)) is Fraction
+    assert critical_exponent(Fraction(13, 2), 3) == Fraction(7, 26)
+    assert type(critical_exponent(np.int64(6), 3)) is np.float64
+    assert type(critical_exponent(6.0, 3)) is float
+    assert type(critical_exponent(np.inf, 3)) is float
+    assert critical_exponent(np.int64(6), 3) == critical_exponent(6.0, 3)
+
+
 def test_exponent_nonincreasing_in_p():
     sigma = [critical_exponent(p, 3) for p in np.linspace(2.0, 60.0, 200)]
     assert all(a >= b for a, b in zip(sigma, sigma[1:]))
