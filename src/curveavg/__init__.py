@@ -7,8 +7,8 @@ rules, `curves`/`bumps` define the model class of curves and smooth cutoffs,
 `cone` solves the frequency-side geometry, `multiplier` evaluates the
 averaging multiplier and its stationary-phase reference, `fields` synthesizes
 the lattice-supported counterexample family, `averaging` applies A_t and
-measures norms, `sweep` runs scaling experiments, and `cli`/`reporting`
-handle artifacts.
+measures norms, `sweep` runs scaling experiments (`parallel` forks its
+cells under --jobs K), and `cli`/`reporting` handle artifacts.
 """
 
 from ._version import __version__
@@ -28,7 +28,7 @@ from .errors import (ApertureError, ConfigError, ConvergenceError,
 from .fields import (CounterexampleSpec, LatticeWindow, SpectralField,
                      SupportBall, build_f, frequency_centers, lattice_side,
                      piece_boxes, piece_support, windowed_lattice)
-from .legendre import GL16_NODES, GL16_WEIGHTS, gauss_legendre
+from .legendre import GL16_NODES, GL16_WEIGHTS, gauss_legendre, panel_rule
 from .multiplier import (MultiplierSample, alpha_n, derivative_bound_check,
                          mu_hat, mu_hat_batch, multiplier_sample)
 from .reporting import (load_snapshot, render_report, save_snapshot,
@@ -49,7 +49,7 @@ __all__ = [
     # cone geometry
     "ConeChart", "moment_gamma_seed",
     # quadrature rules
-    "gauss_legendre", "GL16_NODES", "GL16_WEIGHTS",
+    "gauss_legendre", "GL16_NODES", "GL16_WEIGHTS", "panel_rule",
     # multiplier
     "alpha_n", "mu_hat", "mu_hat_batch",
     "multiplier_sample", "MultiplierSample", "derivative_bound_check",

@@ -50,7 +50,7 @@ from math import gamma
 import numpy as np
 
 from .errors import DomainError, GeometryError, QuadratureError
-from .legendre import GL16_NODES, GL16_WEIGHTS, gauss_legendre
+from .legendre import gauss_legendre, panel_rule
 from .multiplier import mu_hat_batch
 
 __all__ = ["TimeWindow", "apply_averaging", "direct_oracle", "ball_kernel",
@@ -104,11 +104,8 @@ def direct_oracle(field, curve, cutoff, t, points, rel_tol=1e-9):
     coeffs = field.coeffs / field.L ** field.window.n
 
     def level(panels):
-        edges = np.linspace(-cutoff.delta, cutoff.delta, panels + 1)
-        half = (edges[1] - edges[0]) / 2
-        s = (((edges[:-1] + edges[1:]) / 2)[:, None]
-             + half * GL16_NODES[None, :]).ravel()
-        w = np.tile(GL16_WEIGHTS * half, panels) * cutoff(s)
+        s, w = panel_rule(panels, cutoff.delta)
+        w *= cutoff(s)
         shift = np.exp(-1j * t * (curve.derivative(0, s) @ xis.T))  # (S, modes)
         out = np.empty(len(points), dtype=complex)
         step = max(1, int(4e6 // max(len(xis), 1)))

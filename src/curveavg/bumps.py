@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .legendre import GL16_NODES, GL16_WEIGHTS
+from .legendre import panel_rule
 
 __all__ = ["CutoffSpec", "smooth_step", "radial_bump"]
 
@@ -79,9 +79,5 @@ class CutoffSpec:
     @property
     def integral(self):
         # 64 panels x 16 nodes resolves the bump to machine precision
-        edges = np.linspace(-self.delta, self.delta, 65)
-        mid = (edges[:-1] + edges[1:]) / 2
-        half = (edges[1] - edges[0]) / 2
-        s = (mid[:, None] + half * GL16_NODES[None, :]).ravel()
-        w = np.tile(GL16_WEIGHTS * half, 64)
+        s, w = panel_rule(64, self.delta)
         return float(w @ self(s))

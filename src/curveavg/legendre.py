@@ -4,10 +4,11 @@
 recurrence (2k + 1) x P_k = (k + 1) P_{k+1} + k P_{k-1}, from Tricomi's
 asymptotic guesses, in O(m) memory and O(m^2) time (Hale & Townsend, "Fast
 and accurate computation of Gauss-Legendre and Gauss-Jacobi quadrature
-nodes and weights", SIAM J. Sci. Comput. 35, 2013). The composite rules of
-the multiplier, the direct oracle and the cutoff's integral all use the
-tabulated 16-point rule `GL16_NODES`, `GL16_WEIGHTS`: its literals are
-those of numpy's `leggauss(16)` bit for bit.
+nodes and weights", SIAM J. Sci. Comput. 35, 2013). The tabulated 16-point
+rule `GL16_NODES`, `GL16_WEIGHTS` has the literals of numpy's
+`leggauss(16)` bit for bit. `panel_rule` composes it over equal panels of
+[-delta, delta]: the multiplier takes it one node block at a time, the
+direct oracle and the cutoff's integral whole.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 
-__all__ = ["GL16_NODES", "GL16_WEIGHTS", "gauss_legendre"]
+__all__ = ["GL16_NODES", "GL16_WEIGHTS", "gauss_legendre", "panel_rule"]
 
 # the 16-point rule's nodes x > 0, ascending, with their weights; the rule
 # is symmetric about 0
@@ -40,6 +41,39 @@ GL16_NODES = np.array([-x for x, _ in reversed(_GL16_POSITIVE)]
 GL16_WEIGHTS = np.array([w for _, w in reversed(_GL16_POSITIVE)]
                         + [w for _, w in _GL16_POSITIVE])
 GL16_NODES.flags.writeable = GL16_WEIGHTS.flags.writeable = False
+
+
+def panel_rule(panels, delta, lo=0, hi=None):
+    """Nodes lo ... hi - 1 (all by default) of the composite 16-point rule
+    on `panels` equal panels of [-delta, delta]: the nodes s and weights w,
+    node j being Gauss node j % 16 of panel j // 16.
+
+    Only the edges of the panels that the nodes fall in are built, bit for
+    bit those of np.linspace(-delta, delta, panels + 1), so a block of
+    nodes holds no array that grows with the panel count, and the blocks of
+    a rule give its nodes and weights to the last bit.
+    """
+    size = GL16_NODES.size
+    panel, node = np.divmod(np.arange(lo, panels * size if hi is None else hi),
+                            size)
+    first = _edges(0, 1, panels, delta)
+    half = (first[1] - first[0]) / 2
+    edges = _edges(panel[0], panel[-1] + 1, panels, delta)
+    mid = edges[:-1] + edges[1:]
+    mid /= 2
+    return (mid[panel - panel[0]] + half * GL16_NODES[node],
+            GL16_WEIGHTS[node] * half)
+
+
+def _edges(first, last, panels, delta):
+    """Edges first ... last of `panels` equal panels on [-delta, delta], bit
+    for bit np.linspace(-delta, delta, panels + 1)[first:last + 1]: edge i
+    is i * (2 delta / panels) - delta, and the last edge is delta."""
+    edges = np.arange(first, last + 1, dtype=float) * (2 * delta / panels)
+    edges -= delta
+    if last == panels:
+        edges[-1] = delta
+    return edges
 
 
 def _legendre(m, x):

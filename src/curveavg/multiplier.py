@@ -13,8 +13,8 @@ that axis's distinct coordinates. The leading n - 1 tables, gathered at the
 batch's distinct leading (n-1)-tuples, are contracted with the weighted last
 axis's table by one matrix product per time node. The nodes are walked in
 blocks of `_block_width` nodes, 2^15 table entries but at least four panels,
-whose working set fits a core's L2 cache; each block computes its own panel
-edges and centres, nodes, weights and gamma(s), so no array grows with the
+whose working set fits a core's L2 cache; each block takes its own nodes and
+weights (`legendre.panel_rule`) and gamma(s), so no array grows with the
 panel count. Per block the tables are built at the first time node only and
 advanced to each later node by one complex multiply per entry with the
 tables of the step t_k - t_{k-1} (each distinct step's tables are built
@@ -47,7 +47,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, QuadratureError, ResolutionError
-from .legendre import GL16_NODES, GL16_WEIGHTS
+from .legendre import GL16_NODES, panel_rule
 
 __all__ = ["alpha_n", "mu_hat", "mu_hat_batch", "quadrature_peak_bytes",
            "MultiplierSample", "multiplier_sample", "derivative_bound_check"]
@@ -92,21 +92,7 @@ def _panel_start(curve, cutoff, ts, xis):
     return min(max(2, ceil(cycles * 12 / 16) + 1), _MAX_PANELS)
 
 
-def _edges(first, last, panels, delta):
-    """Edges first ... last of `panels` equal panels on [-delta, delta], bit
-    for bit np.linspace(-delta, delta, panels + 1)[first:last + 1]: edge i
-    is i * (2 delta / panels) - delta, and the last edge is delta."""
-    edges = np.arange(first, last + 1, dtype=float) * (2 * delta / panels)
-    edges -= delta
-    if last == panels:
-        edges[-1] = delta
-    return edges
-
-
 def _gl_values(curve, cutoff, ts, freq, panels):
-    e = _edges(0, 1, panels, cutoff.delta)
-    half = (e[1] - e[0]) / 2
-    weights = GL16_WEIGHTS * half
     nodes = panels * GL16_NODES.size
     width = _block_width(freq.rows)
     # per time node, the sum over the nodes per (leading tuple, last coordinate)
@@ -120,17 +106,10 @@ def _gl_values(curve, cutoff, ts, freq, panels):
     # [1, 2] every step is exact (Sterbenz), so the steps' phases sum exactly
     # to t_k - t_0.
     for lo in range(0, nodes, width):
-        # the block's nodes s and weights, node j being Gauss node j % 16
-        # of panel j // 16, from the block's own panel edges
-        panel, node = np.divmod(np.arange(lo, min(lo + width, nodes)),
-                                GL16_NODES.size)
-        edges = _edges(panel[0], panel[-1] + 1, panels, cutoff.delta)
-        mid = edges[:-1] + edges[1:]
-        mid /= 2
-        s = mid[panel - panel[0]] + half * GL16_NODES[node]
+        s, w = panel_rule(panels, cutoff.delta, lo, min(lo + width, nodes))
         g = curve.derivative(0, s)
         tables = _tables(freq, g, ts[0])
-        tables[-1] *= cutoff(s) * weights[node]
+        tables[-1] *= cutoff(s) * w
         steps = {}
         for i, t in enumerate(ts):
             if i:

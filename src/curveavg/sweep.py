@@ -24,9 +24,10 @@ ball radius) is the `config.cell_plan` the memory gate reads too.
 `sharpness_sweep` returns the report.json payload as a plain dict; the
 artifacts, the printed summary and `curveavg report` all read that dict.
 
-lambda cells are independent pure jobs; with cfg.jobs > 1 they run in
-separate processes and merge in lambda order, so results are independent of
-the parallelism degree.
+lambda cells are independent pure jobs. With cfg.jobs > 1 each runs in a
+child process forked for it (`parallel.forked_cells`), at most cfg.jobs at
+once, which pipes its dict back and exits; the cells merge in lambda order,
+so results are independent of the parallelism degree.
 """
 
 from __future__ import annotations
@@ -262,11 +263,6 @@ def _peak_rss_mib():
     return peak / (1 << (20 if sys.platform == "darwin" else 10))
 
 
-def _cell_job(args):
-    cfg, lam = args
-    return run_cell(cfg, lam)
-
-
 def _trend_mostly_decreasing(values):
     ups = sum(1 for a, b in zip(values, values[1:]) if b > a)
     return ups <= 1
@@ -308,12 +304,10 @@ def sharpness_sweep(cfg, slope_tols=None):
             f"need >= 3 lambda values for slope fits, got {len(cfg.lambdas)}")
     lams = sorted(float(v) for v in cfg.lambdas)
     if cfg.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(lams))) as pool:
-            cells = list(pool.map(_cell_job, [(cfg, lam) for lam in lams]))
+        from .parallel import forked_cells   # a --jobs 1 process never loads it
+        cells = forked_cells(run_cell, cfg, lams)
     else:
         cells = [run_cell(cfg, lam) for lam in lams]
-    cells.sort(key=lambda c: c["lam"])
 
     tols = dict(DEFAULT_SLOPE_TOLS)
     if slope_tols:

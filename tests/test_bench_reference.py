@@ -45,11 +45,13 @@ def test_workload_passes_the_gate(workload, tmp_path, capsys):
     assert _gate().check(status, report, reference) == []
 
 
-def test_trace_writes_every_layer_span(tmp_path):
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_trace_writes_every_layer_span(tmp_path, jobs):
     # child.py wraps the package's layer entry points by name and reads its
     # counts off their arguments and results (the field's balls, the
     # window's dims); a traced sweep of the n3 workload at small lambdas
-    # writes a span for each
+    # writes a span for each, the same under --jobs 2, whose forked cells
+    # write their own spans when each cell ends
     text = (BENCH / "workloads" / "n3.cfg").read_text(encoding="utf-8")
     assert "lambdas = 4 32 64" in text
     cfg = tmp_path / "n3.cfg"
@@ -61,7 +63,8 @@ def test_trace_writes_every_layer_span(tmp_path):
         [str(ROOT / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
     proc = subprocess.run(
         [sys.executable, str(BENCH / "child.py"), "trace", str(events), "--",
-         "sweep", "--config", str(cfg), "--out", str(tmp_path / "out")],
+         "sweep", "--config", str(cfg), "--out", str(tmp_path / "out"),
+         "--jobs", str(jobs)],
         env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     spans = [json.loads(line) for path in events.glob("*.jsonl")

@@ -1,11 +1,13 @@
 import contextlib
 import io
 import json
+import os
 
 import numpy as np
 import pytest
 
-from curveavg import cli, load_snapshot
+from curveavg import DomainError, cli, load_snapshot
+from curveavg import sweep as sweep_module
 from curveavg.cli import main
 from curveavg.sweep import DEFAULT_SLOPE_TOLS
 
@@ -217,6 +219,31 @@ def test_bad_config_yields_error_record(tmp_path, capsys):
     assert record["error"] == "ConfigError"
     assert record["command"] == "sweep"
     assert "rho" in record["message"]
+
+
+def test_forked_cell_error_reads_as_in_process(tmp_path, monkeypatch, capsys):
+    # a cell's CurveAvgError under --jobs 2 is the one its forked child
+    # raised: the same exit status, stderr line and error.json as --jobs 1
+    def cell(cfg, lam):
+        if lam == 32.0:
+            raise DomainError(f"no cell at lambda={lam:g}")
+        return {"lam": lam}
+
+    monkeypatch.setattr(sweep_module, "run_cell", cell)
+    fds = len(os.listdir("/proc/self/fd"))
+    seen = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        status = main(["sweep", "--config", write_cfg(tmp_path), "--out",
+                       str(out), "--jobs", jobs])
+        seen.append((status, capsys.readouterr().err,
+                     (out / "error.json").read_text()))
+    assert seen[0] == seen[1]
+    assert seen[0][:2] == (2, "error: no cell at lambda=32\n")
+    assert json.loads(seen[0][2])["error"] == "DomainError"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert len(os.listdir("/proc/self/fd")) == fds
 
 
 def test_config_without_section_header(tmp_path, capsys):

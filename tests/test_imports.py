@@ -10,9 +10,22 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "curveavg"
 # what a sweep process must not load at start-up: numpy.polynomial (the
 # package has its own Gauss-Legendre rules and Horner loop), fractions and
 # decimal (exact constants are single float divisions), difflib (only a
-# config error's hint needs it) and the process pool (only --jobs > 1)
+# config error's hint needs it), the forked cell runner (only --jobs > 1)
+# and a process pool, which no sweep loads at all: --jobs > 1 forks one
+# child per cell
+POOL = ("concurrent.futures", "multiprocessing")
 UNWANTED = ("numpy.polynomial", "fractions", "decimal", "difflib",
-            "concurrent.futures", "multiprocessing")
+            "curveavg.parallel") + POOL
+
+
+def _env():
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+
+
+def _loaded(modules, unwanted):
+    return [m for m in modules
+            if any(m == u or m.startswith(u + ".") for u in unwanted)]
 
 
 def test_no_module_imports_another_modules_private_names():
@@ -38,12 +51,35 @@ def test_cli_import_loads_only_what_a_sweep_runs():
               "before = set(sys.modules)\n"
               "import curveavg.cli\n"
               "print(json.dumps(sorted(set(sys.modules) - before)))\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(SRC.parent)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
-    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
-                         capture_output=True, text=True).stdout
+    out = subprocess.run([sys.executable, "-c", script], env=_env(),
+                         check=True, capture_output=True, text=True).stdout
     added = json.loads(out)
     assert "curveavg.cli" in added
-    loaded = [m for m in added
-              if any(m == u or m.startswith(u + ".") for u in UNWANTED)]
+    loaded = _loaded(added, UNWANTED)
     assert not loaded, loaded
+
+
+def test_parallel_sweep_loads_no_pool_and_starts_no_thread(tmp_path):
+    # a --jobs 2 sweep of the n3 workload at small lambdas, in a fresh
+    # interpreter: its cells run in forked children, so the process loads
+    # no pool and is still on its one thread when the sweep is done
+    text = (SRC.parents[1] / "perfbench" / "workloads" / "n3.cfg").read_text(
+        encoding="utf-8")
+    assert "lambdas = 4 32 64" in text
+    cfg = tmp_path / "n3.cfg"
+    cfg.write_text(text.replace("lambdas = 4 32 64", "lambdas = 4 8 16"),
+                   encoding="utf-8")
+    script = ("import json, sys, threading\n"
+              "from curveavg.cli import main\n"
+              "status = main(['sweep', '--config', sys.argv[1], '--out',\n"
+              "               sys.argv[2], '--jobs', '2'])\n"
+              "print(json.dumps([status, sorted(sys.modules),\n"
+              "                  threading.active_count()]))\n")
+    out = subprocess.run(
+        [sys.executable, "-c", script, str(cfg), str(tmp_path / "out")],
+        env=_env(), check=True, capture_output=True, text=True,
+        timeout=300).stdout
+    status, modules, threads = json.loads(out.splitlines()[-1])
+    assert status == 0
+    assert not _loaded(modules, POOL), _loaded(modules, POOL)
+    assert threads == 1

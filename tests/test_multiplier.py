@@ -4,11 +4,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from curveavg import (ConeChart, CounterexampleSpec, CurveSpec, CutoffSpec,
-                      DomainError, TimeWindow, alpha_n, build_f, cell_field,
-                      cell_plan, derivative_bound_check, mu_hat, mu_hat_batch,
-                      multiplier_sample, parse_config, windowed_lattice)
-from curveavg import multiplier
+from curveavg import (GL16_NODES, GL16_WEIGHTS, ConeChart, CounterexampleSpec,
+                      CurveSpec, CutoffSpec, DomainError, TimeWindow, alpha_n,
+                      build_f, cell_field, cell_plan, derivative_bound_check,
+                      mu_hat, mu_hat_batch, multiplier_sample, panel_rule,
+                      parse_config, windowed_lattice)
+from curveavg import legendre, multiplier
 
 
 @pytest.fixture(scope="module")
@@ -368,22 +369,27 @@ def test_exponentials_follow_the_distinct_gaps(moment3, chi, monkeypatch):
 
 @pytest.mark.parametrize("panels", [2, 3, 52, 192, 1 << 16])
 def test_block_centres_are_linspace_bit_for_bit(panels):
-    # each block builds the edges of its own panels; they and the centres
-    # are those of one np.linspace over the level, to the last bit
+    # panel_rule builds only the edges of a block's own panels; they, and
+    # the nodes and weights of blocks that split panels too, are those of
+    # the whole rule on one np.linspace over the level, to the last bit
+    nodes = 16 * panels
     for delta in (0.25, 0.9, 1 / 3):
         edges = np.linspace(-delta, delta, panels + 1)
-        want = edges[:-1] + edges[1:]
-        want /= 2
-        for per_block in sorted({1, 4, panels // 5 + 1}):
-            if panels // per_block > 1 << 12:
+        assert np.array_equal(legendre._edges(0, panels, panels, delta), edges)
+        half = (edges[1] - edges[0]) / 2
+        mid = edges[:-1] + edges[1:]
+        mid /= 2
+        want_s = (mid[:, None] + half * GL16_NODES[None, :]).ravel()
+        want_w = np.tile(GL16_WEIGHTS * half, panels)
+        for width in sorted({16, 109, nodes // 5 + 1, nodes}):
+            if nodes // width > 1 << 12:
                 continue
-            centres = []
-            for first in range(0, panels, per_block):
-                last = min(first + per_block, panels)
-                got = multiplier._edges(first, last, panels, delta)
-                assert np.array_equal(got, edges[first:last + 1])
-                centres.append(got[:-1] + got[1:])
-            assert np.array_equal(np.concatenate(centres) / 2, want)
+            blocks = [panel_rule(panels, delta, lo, min(lo + width, nodes))
+                      for lo in range(0, nodes, width)]
+            s, w = (np.concatenate(parts) for parts in zip(*blocks))
+            assert np.array_equal(s, want_s) and np.array_equal(w, want_w)
+        s, w = panel_rule(panels, delta)
+        assert np.array_equal(s, want_s) and np.array_equal(w, want_w)
 
 
 def test_block_edges_leave_mu_unchanged(monkeypatch):
@@ -398,6 +404,6 @@ def test_block_edges_leave_mu_unchanged(monkeypatch):
     got = mu_hat_batch(*args, stats=stats)
     assert (stats["panels"], stats["blocks"]) == (192, 18)
     monkeypatch.setattr(
-        multiplier, "_edges", lambda first, last, panels, delta: np.linspace(
+        legendre, "_edges", lambda first, last, panels, delta: np.linspace(
             -delta, delta, panels + 1)[first:last + 1])
     assert np.array_equal(got, mu_hat_batch(*args))

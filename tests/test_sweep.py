@@ -1,4 +1,8 @@
+import contextlib
 import json
+import os
+import signal
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -7,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curveavg import (DomainError, RunConfig, cell_support, critical_exponent,
-                      expected_slopes, fit_slope, measure, sharpness_sweep)
+from curveavg import (CurveAvgError, DomainError, RunConfig, cell_support,
+                      critical_exponent, expected_slopes, fit_slope, measure,
+                      sharpness_sweep)
 from curveavg import sweep as sweep_module
 from curveavg.averaging import norm_grid
 from curveavg.sweep import _peak_rss_mib, _trend_mostly_decreasing
@@ -310,12 +315,18 @@ PINNED_FRACTIONS = {32.0: [0.0893, 0.0892], 64.0: [0.0909, 0.0900],
                     128.0: [0.1319, 0.1310], 256.0: [0.1488, 0.1479]}
 
 
+def _stub_cell(cfg, lam, **extra):
+    """A cell with what the slope fits read, lam^-0.3 for every norm, and
+    the `extra` keys."""
+    norms = {str(p): lam ** -0.3 for p in cfg.ps}
+    return {"lam": lam, "norms_in": norms, "out_short": norms,
+            "quotient": norms, **extra}
+
+
 def _concentration_report(monkeypatch, tiny_cfg, fractions):
     """sharpness_sweep's 'concentration' check on cells carrying `fractions`."""
     def cell(cfg, lam):
-        norms = {str(p): lam ** -0.3 for p in cfg.ps}
-        return {"lam": lam, "norms_in": norms, "out_short": norms,
-                "quotient": norms, "fractions": fractions[lam]}
+        return _stub_cell(cfg, lam, fractions=fractions[lam])
 
     monkeypatch.setattr(sweep_module, "run_cell", cell)
     cfg = replace(tiny_cfg, lambdas=tuple(fractions), checks=("concentration",))
@@ -344,3 +355,99 @@ def test_concentration_check_fails_on_window_variation(monkeypatch, tiny_cfg):
     report = _concentration_report(monkeypatch, tiny_cfg, spread)
     failed = [c["name"] for c in report["checks"] if not c["passed"]]
     assert failed == ["concentration/lambda=256"]
+
+
+# --- forked cells (jobs > 1) -----------------------------------------------------
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+def _pipe_read_ends():
+    """The pipes this process holds open for reading, as /proc names them."""
+    ends = set()
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink(f"/proc/self/fd/{fd}")
+            with open(f"/proc/self/fdinfo/{fd}") as info:
+                flags = next(int(line.split()[1], 8) for line in info
+                             if line.startswith("flags:"))
+        except FileNotFoundError:   # the listing's own descriptor
+            continue
+        if target.startswith("pipe:") and flags & os.O_ACCMODE == os.O_RDONLY:
+            ends.add(target)
+    return ends
+
+
+def _assert_nothing_left(fds):
+    """Every child of the sweep is reaped and every pipe end closed."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert _open_fds() == fds
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """TimeoutError in this process if the block runs longer than `seconds`
+    (a forked child's alarm is cleared at the fork)."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_forked_cell_killed_by_a_signal_names_its_lambda(monkeypatch, tiny_cfg):
+    root = os.getpid()
+
+    def cell(cfg, lam):
+        if lam == 45.0 and os.getpid() != root:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return _stub_cell(cfg, lam)
+
+    monkeypatch.setattr(sweep_module, "run_cell", cell)
+    fds = _open_fds()
+    with _deadline(60), pytest.raises(
+            CurveAvgError, match="lambda=45: .* killed by SIGKILL"):
+        sharpness_sweep(replace(tiny_cfg, jobs=2, checks=()))
+    _assert_nothing_left(fds)
+
+
+def test_forked_cell_larger_than_a_pipe_comes_back_whole(monkeypatch, tiny_cfg):
+    # 2^19 floats: a 4 MiB list, pickled to 4.5 MB, against a pipe buffer
+    # of 64 KiB; three cells on two children. No child holds a read end of
+    # the sweep's pipes, its own or a sibling's: were the sweep's process
+    # gone, a child's write would fail rather than block
+    blob = [float(i) for i in range(1 << 19)]
+
+    def cell(cfg, lam):
+        return _stub_cell(cfg, lam, blob=blob, reads=sorted(_pipe_read_ends()))
+
+    monkeypatch.setattr(sweep_module, "run_cell", cell)
+    fds, before = _open_fds(), _pipe_read_ends()
+    with _deadline(60):
+        report = sharpness_sweep(replace(tiny_cfg, jobs=2, checks=()))
+    assert [c["lam"] for c in report["cells"]] == [32.0, 45.0, 64.0]
+    assert all(c["blob"] == blob for c in report["cells"])
+    assert all(set(c["reads"]) <= before for c in report["cells"])
+    _assert_nothing_left(fds)
+
+
+def test_forked_cells_come_back_in_lambda_order(monkeypatch, tiny_cfg):
+    # two children: lambda = 32 sleeps while 45 ends and 64, started last,
+    # ends too
+    def cell(cfg, lam):
+        if lam == 32.0:
+            time.sleep(0.5)
+        return _stub_cell(cfg, lam, done=time.monotonic())
+
+    monkeypatch.setattr(sweep_module, "run_cell", cell)
+    with _deadline(60):
+        cells = sharpness_sweep(replace(tiny_cfg, jobs=2, checks=()))["cells"]
+    assert [c["lam"] for c in cells] == [32.0, 45.0, 64.0]
+    assert cells[2]["done"] < cells[0]["done"]
