@@ -5,7 +5,7 @@ smoothing exponent min{1/n, (1/n)(1/2 + 2/p), 2/p}.
 The package is organized bottom-up: `legendre` holds the Gauss-Legendre
 rules, `curves`/`bumps` define the model class of curves and smooth cutoffs,
 `cone` solves the frequency-side geometry, `multiplier` evaluates the
-averaging multiplier and its stationary-phase reference, `fields` synthesizes
+averaging multiplier and its leading term on the cone, `fields` synthesizes
 the lattice-supported counterexample family, `averaging` applies A_t and
 measures norms, `sweep` runs scaling experiments (`parallel` forks its
 cells under --jobs K), and `cli`/`reporting` handle artifacts.
@@ -29,8 +29,9 @@ from .fields import (CounterexampleSpec, LatticeWindow, SpectralField,
                      SupportBall, build_f, frequency_centers, lattice_side,
                      piece_boxes, piece_support, windowed_lattice)
 from .legendre import GL16_NODES, GL16_WEIGHTS, gauss_legendre, panel_rule
-from .multiplier import (MultiplierSample, alpha_n, derivative_bound_check,
-                         mu_hat, mu_hat_batch, multiplier_sample)
+from .multiplier import (MultiplierSample, alpha_n, cone_decay,
+                         derivative_bound_check, leading_constant, mu_hat,
+                         mu_hat_batch, multiplier_sample)
 from .reporting import (load_snapshot, render_report, save_snapshot,
                         sweep_artifacts, sweep_tables, write_csv, write_json)
 from .sweep import (Cell, cell_field, cell_support, critical_exponent,
@@ -51,7 +52,7 @@ __all__ = [
     # quadrature rules
     "gauss_legendre", "GL16_NODES", "GL16_WEIGHTS", "panel_rule",
     # multiplier
-    "alpha_n", "mu_hat", "mu_hat_batch",
+    "alpha_n", "mu_hat", "mu_hat_batch", "leading_constant", "cone_decay",
     "multiplier_sample", "MultiplierSample", "derivative_bound_check",
     # fields
     "LatticeWindow", "SpectralField", "SupportBall",

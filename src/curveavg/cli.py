@@ -14,6 +14,8 @@ a nonzero exit. sweep prints the summary `render_report` makes of its
 report.json, and report prints the same summary of the file. sweep exits 1
 when a check fails, report only under ``--strict``; ``--strict`` also turns
 warnings (currently: a non-decreasing quotient trend) into failures, for both.
+Each command accepts only the options it reads (`_COMMANDS`); any other is
+a usage error (exit 2).
 """
 
 from __future__ import annotations
@@ -41,18 +43,28 @@ from .sweep import DEFAULT_SLOPE_TOLS, cell_field, sharpness_sweep
 __all__ = ["main"]
 
 
+_OPTIONS = {
+    "--config": dict(metavar="PATH", help="sectioned key-value config file"),
+    "--out": dict(metavar="DIR", help="output directory (default from config)"),
+    "--lambda-max": dict(type=float, metavar="L",
+                         help="drop lambda values above L"),
+    "--jobs": dict(type=int, metavar="K", help="parallel lambda cells"),
+    "--strict": dict(action="store_true", help="treat warnings as failures"),
+}
+_COMMANDS = [
+    ("cone-verify", "check the cone parametrization: Newton residuals, "
+                    "homogeneity, closed forms", ("--config", "--out")),
+    ("multiplier-verify", "tabulate |mu_hat| decay and the stationary-phase "
+                          "deficit", ("--config", "--out", "--lambda-max")),
+    ("synthesize", "build the counterexample fields; write snapshots and a "
+                   "norm table", ("--config", "--out", "--lambda-max")),
+    ("sweep", "run the lambda sweep and fit scaling slopes", tuple(_OPTIONS)),
+    ("report", "rebuild a sweep's tables and summary from report.json",
+     ("--config", "--out", "--strict")),
+]
+
+
 def _parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH",
-                        help="sectioned key-value config file")
-    common.add_argument("--out", metavar="DIR",
-                        help="output directory (default from config)")
-    common.add_argument("--jobs", type=int, metavar="K",
-                        help="parallel lambda cells")
-    common.add_argument("--lambda-max", type=float, dest="lambda_max",
-                        metavar="L", help="drop lambda values above L")
-    common.add_argument("--strict", action="store_true",
-                        help="treat warnings as failures")
     parser = argparse.ArgumentParser(
         prog="curveavg",
         description="Sharpness experiments for local smoothing of averages "
@@ -60,25 +72,19 @@ def _parser():
     parser.add_argument("--version", action="version",
                         version=f"curveavg {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc in [
-        ("cone-verify", "check the cone parametrization: Newton residuals, "
-                        "homogeneity, closed forms"),
-        ("multiplier-verify", "tabulate |mu_hat| decay and the "
-                              "stationary-phase deficit"),
-        ("synthesize", "build the counterexample fields; write snapshots "
-                       "and a norm table"),
-        ("sweep", "run the lambda sweep and fit scaling slopes"),
-        ("report", "rebuild a sweep's tables and summary from report.json"),
-    ]:
-        sub.add_parser(name, parents=[common], help=doc, description=doc)
+    for name, doc, options in _COMMANDS:
+        command = sub.add_parser(name, help=doc, description=doc)
+        for option in options:
+            command.add_argument(option, **_OPTIONS[option])
     return parser
 
 
 def _load_config(args):
     text = Path(args.config).read_text(encoding="utf-8") if args.config else ""
     cfg = parse_config(text)
-    cfg, dropped = with_overrides(cfg, jobs=args.jobs, outdir=args.out,
-                                  lambda_max=args.lambda_max)
+    cfg, dropped = with_overrides(cfg, jobs=getattr(args, "jobs", None),
+                                  outdir=args.out,
+                                  lambda_max=getattr(args, "lambda_max", None))
     return cfg, dropped
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import os
 from configparser import ConfigParser, Error as ParserError
 from dataclasses import dataclass, fields as dc_fields, replace
+from math import isfinite
 
 import numpy as np
 
@@ -68,12 +69,17 @@ class RunConfig:
 
 
 def parse_memory_size(text):
-    """'8GiB', '512 MiB', '1073741824' -> bytes."""
-    s = str(text).strip()
-    for suffix, mult in (("gib", _GIB), ("mib", 1 << 20), ("kib", 1 << 10), ("b", 1)):
+    """'8GiB', '512 MiB', '1073741824' -> bytes; ValueError for text that is
+    not a finite size ('inf', 'nan', '1e400')."""
+    s, mult = str(text).strip(), 1
+    for suffix, scale in (("gib", _GIB), ("mib", 1 << 20), ("kib", 1 << 10), ("b", 1)):
         if s.lower().endswith(suffix):
-            return int(float(s[:-len(suffix)].strip()) * mult)
-    return int(float(s))
+            s, mult = s[:-len(suffix)].strip(), scale
+            break
+    size = float(s) * mult
+    if not isfinite(size):
+        raise ValueError(f"not a finite size: {text!r}")
+    return int(size)
 
 
 def _floats(text):
@@ -209,12 +215,15 @@ def parse_config(text):
         for key, raw in parser.items(section):
             if section == "curve" and key.startswith("perturb"):
                 try:
-                    comp = int(key[len("perturb"):])
-                    values.setdefault("perturbation", []).append(
-                        (comp, _floats(raw)))
+                    comp, coeffs = int(key[len("perturb"):]), _floats(raw)
                 except ValueError:
                     problems.append(f"[curve] {key}: expected perturb<component>"
                                     " = coefficient list")
+                    continue
+                values.setdefault("perturbation", []).append((comp, coeffs))
+                if not all(isfinite(c) for c in coeffs):
+                    problems.append(f"[curve] {key}: coefficients must be "
+                                    f"finite, got {raw!r}")
                 continue
             pinned = _PINNED.get((section, key))
             if key not in schema and not pinned:

@@ -31,17 +31,18 @@ the distinct gaps) exponentials replace time nodes x nodes x m; points off a
 lattice simply have more distinct gaps (at most one per coordinate), and
 arbitrary time nodes more distinct steps.
 
-On the cone the reduced multiplier m_t = e^{i t phi} mu_hat_t decays exactly
-like (t u_n(xi))^{-1/n}; `multiplier_sample` packages the sample, the
-reference constant alpha_n chi(theta) (t u_n)^{-1/n}, and the measured leading
-term (which carries an extra (n!)^{1/n}: the constant alpha_n normalizes the
-monic phase v^n while the curve's phase is s^n/n!).
+On the cone the reduced multiplier m_t = e^{i t phi} mu_hat_t tends to
+`leading_constant` times `cone_decay`'s chi(theta) (t u_n(xi))^{-1/n}: the
+constant is alpha_n (n!)^{1/n} (alpha_n normalizes the monic phase v^n, the
+curve's phase is s^n/n!), conjugated for even n under the e^{-i<x,xi>}
+convention. `multiplier_sample` holds one sample against that leading term.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, factorial, gamma as gamma_fn, pi, sin
+from itertools import combinations_with_replacement, product
+from math import ceil, factorial, gamma as gamma_fn, pi, prod, sin
 from typing import NamedTuple
 
 import numpy as np
@@ -50,7 +51,8 @@ from .errors import DomainError, QuadratureError, ResolutionError
 from .legendre import GL16_NODES, panel_rule
 
 __all__ = ["alpha_n", "mu_hat", "mu_hat_batch", "quadrature_peak_bytes",
-           "MultiplierSample", "multiplier_sample", "derivative_bound_check"]
+           "leading_constant", "cone_decay", "MultiplierSample",
+           "multiplier_sample", "derivative_bound_check"]
 
 _MAX_PANELS = 1 << 15
 _REL_TOL = 1e-9
@@ -196,12 +198,6 @@ def _block_width(rows):
     return max(_MIN_BLOCK_NODES, _BLOCK_ELEMENTS // rows)
 
 
-def _exponentials_per_node(freq):
-    """The exponentials of one table set per quadrature node: per axis, one
-    for its least coordinate and one per distinct gap."""
-    return sum(len(exponents) for exponents, _ in freq.gaps)
-
-
 def _distinct_steps(ts):
     """The number of distinct differences between successive time nodes:
     _gl_values exponentiates one table set per step, plus one at the start."""
@@ -220,10 +216,9 @@ def mu_hat_batch(curve, cutoff, ts, xis, stats=None):
     the final level, and `exponentials`, the complex exponentials their
     tables evaluated.
 
-    The batch's distinct coordinates, gaps and leading tuples are found once
-    per call, and each ladder level walks its nodes in blocks as the module
-    docstring describes, so the cost follows the distinct gaps per axis and
-    the distinct time steps, not the batch size.
+    Distinct coordinates, gaps and leading tuples are found once per call and
+    each level walks its nodes in blocks (module docstring): the cost follows
+    the distinct gaps per axis and the distinct time steps, not the batch size.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     xis = np.atleast_2d(np.asarray(xis, dtype=float))
@@ -246,8 +241,9 @@ def mu_hat_batch(curve, cutoff, ts, xis, stats=None):
                     panels=2 * panels, nodes=nodes, residual=gap / scale,
                     steps=steps, levels=levels,
                     blocks=-(-nodes // _block_width(freq.rows)),
+                    # per node and table set: each axis's c_0 and gaps
                     exponentials=(1 + steps) * panels_run * GL16_NODES.size
-                    * _exponentials_per_node(freq))
+                    * sum(len(exponents) for exponents, _ in freq.gaps))
             return fine
         panels *= 2
         if panels > _MAX_PANELS:
@@ -288,15 +284,28 @@ def mu_hat(curve, cutoff, t, xi):
     return complex(mu_hat_batch(curve, cutoff, [t], np.asarray(xi, float)[None])[0, 0])
 
 
+def leading_constant(n):
+    """conj^{[n even]}(alpha_n) (n!)^{1/n}: see the module docstring."""
+    base = alpha_n(n)
+    return (base.conjugate() if n % 2 == 0 else base) * factorial(n) ** (1.0 / n)
+
+
+def cone_decay(chart, cutoff, t, xis):
+    """Per frequency, phi(xi) and chi(theta(xi)) (t u_n(xi))^{-1/n}. The
+    power is taken on Python floats, as scalar arithmetic rounds it."""
+    theta = chart.solve_theta_batch(xis)
+    phi, un = chart.phi_un_batch(xis)
+    if np.any(un <= 0.0):
+        raise DomainError(f"u_n(xi) = {un.min():.3g} <= 0: not a moment-like direction")
+    power = [(t * u) ** (-1.0 / chart.n) for u in un.tolist()]
+    return phi, cutoff(theta) * np.array(power)
+
+
 @dataclass(frozen=True)
 class MultiplierSample:
-    """One multiplier evaluation against its cone asymptotics.
-
-    reference is alpha_n chi(theta(xi)) (t u_n(xi))^{-1/n} and deficit is
-    |m - reference| exactly; leading additionally carries the (n!)^{1/n}
-    phase-normalization factor (conjugated for even n under the e^{-i<x,xi>}
-    convention) and is what m actually converges to.
-    """
+    """One multiplier evaluation against its cone asymptotics: reference is
+    alpha_n chi(theta(xi)) (t u_n(xi))^{-1/n}, leading carries
+    `leading_constant` in place of alpha_n and is what m converges to."""
 
     xi: tuple
     t: float
@@ -310,53 +319,24 @@ class MultiplierSample:
 
 def multiplier_sample(curve, cutoff, chart, t, xi):
     xi = np.asarray(xi, dtype=float)
-    theta = chart.solve_theta(xi)
-    phi, un = (float(v[0]) for v in chart.phi_un_batch(xi[None]))
-    if un <= 0.0:
-        raise DomainError(f"u_n(xi) = {un:.3g} <= 0: not a moment-like direction")
-    n = curve.n
+    phi, scale = (float(v[0]) for v in cone_decay(chart, cutoff, t, xi))
     mh = mu_hat(curve, cutoff, t, xi)
     m = complex(np.exp(1j * t * phi) * mh)
-    base = alpha_n(n)
-    if n % 2 == 0:
-        base = base.conjugate()
-    scale = float(cutoff(theta)) * (t * un) ** (-1.0 / n)
-    reference = complex(alpha_n(n) * scale)
-    leading = complex(base * factorial(n) ** (1.0 / n) * scale)
+    reference = complex(alpha_n(curve.n) * scale)
+    leading = complex(leading_constant(curve.n) * scale)
     return MultiplierSample(
         xi=tuple(xi), t=float(t), mu_hat=mh, m=m,
         reference=reference, deficit=abs(m - reference),
         leading=leading, deficit_leading=abs(m - leading))
 
 
-def _stencil(n):
-    """Multi-indices |alpha| <= 2 and the offsets their stencils need."""
-    alphas = ([()] + [(i,) for i in range(n)]
-              + [(i, j) for i in range(n) for j in range(i, n)])
-    offsets = {(0,) * n}
-    for a in alphas:
-        if len(a) == 1:
-            for sgn in (1, -1):
-                off = [0] * n
-                off[a[0]] = sgn
-                offsets.add(tuple(off))
-        elif len(a) == 2:
-            i, j = a
-            signs = [(1, 1), (1, -1), (-1, 1), (-1, -1)] if i != j else [(2, 0), (-2, 0)]
-            for si, sj in signs:
-                off = [0] * n
-                off[i] += si
-                off[j] += sj
-                offsets.add(tuple(off))
-    return alphas, sorted(offsets)
-
-
 def derivative_bound_check(curve, cutoff, chart, t, xi):
-    """Finite-difference check that |d^alpha m_t| tracks lambda^{-1/n-|alpha|/n}
-    for |alpha| <= 2.
+    """Central differences of m_t against lambda^{-(1+|alpha|)/n}, |alpha| <= 2.
 
-    Central differences with step h = lambda^{1/n} / 256 per axis; every
-    stencil point is evaluated in one quadrature batch. Returns a list of
+    The step is h = lambda^{1/n} / 256 per axis: the difference of alpha
+    (its axes) is the signed sum over the corners xi + h sum_k s_k
+    e_{alpha_k}, s in {1, -1}^{|alpha|}, over (2h)^{|alpha|}, and every
+    corner is evaluated in one quadrature batch. Returns a list of
     (alpha, |d^alpha m_t|, bound, ratio) rows; the interesting assertion — the
     ratios carry no growth trend in lambda — belongs to the caller, since one
     lambda alone cannot show a trend.
@@ -370,32 +350,22 @@ def derivative_bound_check(curve, cutoff, chart, t, xi):
     if h <= lam * 1e-14:
         raise ResolutionError(f"difference step {h:.3g} underflows at |xi| = {lam:.3g}")
 
-    alphas, offsets = _stencil(n)
-    pts = np.array([xi + h * np.asarray(off, dtype=float) for off in offsets])
+    # a corner's weights merge where it first shows: f(2h) - 2f(0) + f(-2h)
+    alphas = [a for k in range(3) for a in combinations_with_replacement(range(n), k)]
+    stencils = [{} for _ in alphas]
+    for a, weights in zip(alphas, stencils):
+        for signs in product((1, -1), repeat=len(a)):
+            corner = tuple(sum(s for ax, s in zip(a, signs) if ax == i)
+                           for i in range(n))
+            weights[corner] = weights.get(corner, 0) + prod(signs)
+    corners = sorted(set().union(*stencils))
+    pts = xi + h * np.array(corners, dtype=float)
     phis, _ = chart.phi_un_batch(pts)
-    vals = mu_hat_batch(curve, cutoff, [t], pts)[0] * np.exp(1j * t * phis)
-    at = {off: vals[k] for k, off in enumerate(offsets)}
-    eye = np.eye(n, dtype=int)
-
+    at = dict(zip(corners, mu_hat_batch(curve, cutoff, [t], pts)[0]
+                  * np.exp(1j * t * phis)))
     rows = []
-    for a in alphas:
-        vec = [0] * n
-        for i in a:
-            vec[i] += 1
-        if len(a) == 0:
-            fd = abs(at[(0,) * n])
-        elif len(a) == 1:
-            i = a[0]
-            fd = abs(at[tuple(eye[i])] - at[tuple(-eye[i])]) / (2 * h)
-        elif a[0] == a[1]:
-            i = a[0]
-            fd = abs(at[tuple(2 * eye[i])] - 2 * at[(0,) * n]
-                     + at[tuple(-2 * eye[i])]) / (2 * h) ** 2
-        else:
-            i, j = a
-            fd = abs(at[tuple(eye[i] + eye[j])] - at[tuple(eye[i] - eye[j])]
-                     - at[tuple(eye[j] - eye[i])]
-                     + at[tuple(-eye[i] - eye[j])]) / (4 * h * h)
+    for a, weights in zip(alphas, stencils):
+        fd = float(abs(sum(w * at[c] for c, w in weights.items()))) / (2 * h) ** len(a)
         bound = lam ** (-(1.0 + len(a)) / n)
-        rows.append((tuple(vec), float(fd), bound, float(fd / bound)))
+        rows.append((tuple(a.count(i) for i in range(n)), fd, bound, fd / bound))
     return rows

@@ -36,7 +36,6 @@ import resource
 import sys
 import time
 from dataclasses import dataclass
-from math import factorial
 
 import numpy as np
 
@@ -44,7 +43,7 @@ from .averaging import ball_kernel, lp_norm_spacetime, norm_grid, space_stats
 from .config import CellPlan, cell_plan
 from .errors import DomainError
 from .fields import SpectralField, build_f, windowed_lattice
-from .multiplier import alpha_n, mu_hat_batch
+from .multiplier import cone_decay, leading_constant, mu_hat_batch
 
 __all__ = ["critical_exponent", "expected_slopes", "fit_slope", "Cell",
            "cell_field", "cell_support", "measure", "run_cell",
@@ -110,10 +109,12 @@ class Cell:
     every measured vector shares; `mu` the multiplier on that support, one
     row per short-window time node; `quadrature` the stats of its ladder
     (`mu_hat_batch`); `kernel` the concentration ball's `ball_kernel` on
-    the support's box; `reference` the stationary-phase reference
-    |alpha_n| c_{t,nu} at t = 1, one per piece; `timings` the seconds spent
-    building the field (plan, window and `build_f`), the kernel and the
-    reference, and the quadrature.
+    the support's box; `reference` the stationary-phase reference per
+    piece, the modulus of the multiplier's leading term at t = 1
+    (`leading_constant` x `cone_decay`) at its centre, times lambda^{1/n}
+    since the piece ratios divide by g_nu = lambda^{-1/n} f_nu; `timings`
+    the seconds spent building the field (plan, window and `build_f`), the
+    kernel and the reference, and the quadrature.
     """
 
     plan: CellPlan
@@ -137,15 +138,14 @@ def cell_support(cfg, lam):
     clock = time.perf_counter
     t0 = clock()
     plan = cell_plan(cfg, lam)
-    spec, n = plan.spec, plan.spec.n
+    spec = plan.spec
     f = cell_field(cfg, plan)
     t_kernel = clock()
     kernel = ball_kernel(f, plan.ball_radius)
-    centers = np.array([ball.center for ball in f.support])
-    theta = spec.chart.solve_theta_batch(centers)
-    _, un = spec.chart.phi_un_batch(centers)
-    reference = (abs(alpha_n(n)) * factorial(n) ** (1.0 / n)
-                 * spec.cutoff(theta) * lam ** (1.0 / n) / un ** (1.0 / n))
+    # lambda^{1/n} |the multiplier's leading term at t = 1| at each centre
+    _, decay = cone_decay(spec.chart, spec.cutoff, 1.0,
+                          [ball.center for ball in f.support])
+    reference = lam ** (1.0 / spec.n) * np.abs(leading_constant(spec.n) * decay)
     quadrature = {}
     t_quad = clock()
     mu = mu_hat_batch(spec.chart.curve, spec.cutoff, plan.short.nodes, f.xi(),
@@ -229,8 +229,8 @@ def run_cell(cfg, lam):
     records.
 
     `grid` records the support box (the field's window), its norm grid and
-    the support's mode count; `piece_reference` the stationary-phase
-    reference per piece; `quadrature` the multiplier's ladder; `timings`
+    the support's mode count; `piece_reference` the `Cell`'s reference per
+    piece; `quadrature` the multiplier's ladder; `timings`
     the cell's `field_s`, `kernel_s` and `quadrature_s` and the
     measurement's `norms_s`, in seconds; `peak_rss_mib` the peak resident
     set of the process that ran the cell, as it stands when the cell ends.

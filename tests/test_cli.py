@@ -326,3 +326,61 @@ def test_report_without_sweep(tmp_path, capsys):
     record = json.loads((tmp_path / "error.json").read_text())
     assert "run sweep first" in record["message"]
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("text, env, key", [
+    (CFG.replace("policy = windowed", "policy = windowed\nmemory_cap = inf"),
+     None, "[grid] memory_cap"),
+    (CFG.replace("n = 3", "n = 3\nperturb1 = nan"), None, "[curve] perturb1"),
+    (CFG.replace("n = 3", "n = 3\nperturb2 = 0 0 1e400"), None,
+     "[curve] perturb2"),
+    (CFG, "inf", "CSL_MEMORY_CAP"),
+])
+def test_non_finite_config_value_is_a_config_error(tmp_path, monkeypatch,
+                                                   capsys, text, env, key):
+    # exit 2 and error.json naming the key, before any cell runs
+    def refuse(cfg, slope_tols=None):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "sharpness_sweep", refuse)
+    if env:
+        monkeypatch.setenv("CSL_MEMORY_CAP", env)
+    assert main(["sweep", "--config", write_cfg(tmp_path, text), "--out",
+                 str(tmp_path)]) == 2
+    record = json.loads((tmp_path / "error.json").read_text())
+    assert record["error"] == "ConfigError"
+    assert record["message"].startswith(key)
+    capsys.readouterr()
+
+
+# the options each command reads: 16 of the 25 (command, option) pairs
+ACCEPTED = {
+    "cone-verify": ("--config", "--out"),
+    "multiplier-verify": ("--config", "--out", "--lambda-max"),
+    "synthesize": ("--config", "--out", "--lambda-max"),
+    "sweep": ("--config", "--out", "--lambda-max", "--jobs", "--strict"),
+    "report": ("--config", "--out", "--strict"),
+}
+VALUES = {"--config": ["run.cfg"], "--out": ["out"], "--lambda-max": ["8"],
+          "--jobs": ["0"], "--strict": []}
+PARSED = {"config": "run.cfg", "out": "out", "lambda_max": 8.0, "jobs": 0,
+          "strict": True}
+
+
+@pytest.mark.parametrize("option", list(VALUES))
+@pytest.mark.parametrize("command", list(ACCEPTED))
+def test_each_command_accepts_only_the_options_it_reads(command, option,
+                                                        capsys):
+    assert sum(map(len, ACCEPTED.values())) == 16
+    argv = [command, option, *VALUES[option]]
+    if option in ACCEPTED[command]:
+        args = cli._parser().parse_args(argv)
+        dest = option[2:].replace("-", "_")
+        assert getattr(args, dest) == PARSED[dest]
+        return
+    # an option the command would not read is a usage error, not a
+    # silently ignored flag or a config error of a value it never uses
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err

@@ -173,6 +173,33 @@ def test_memory_sizes():
     assert parse_memory_size("2.5 KiB") == 2560
 
 
+@pytest.mark.parametrize("size", ["inf", "1e400", "nan", "-inf MiB",
+                                  "1e300 GiB"])
+def test_memory_size_must_be_finite(size, monkeypatch):
+    # int(float('inf')) would escape as an OverflowError
+    with pytest.raises(ValueError, match="not a finite size"):
+        parse_memory_size(size)
+    text = GOOD.replace("oversample = 3", f"oversample = 3\nmemory_cap = {size}")
+    with pytest.raises(ConfigError, match=r"\[grid\] memory_cap: not a finite"):
+        parse_config(text)
+    monkeypatch.setenv("CSL_MEMORY_CAP", size)
+    with pytest.raises(ConfigError, match="CSL_MEMORY_CAP"):
+        parse_config(GOOD)
+
+
+@pytest.mark.parametrize("key, coeffs", [("perturb1", "nan"),
+                                         ("perturb2", "0 0 1e400"),
+                                         ("perturb3", "0 -inf")])
+def test_perturbation_must_be_finite(key, coeffs):
+    # caught at parse time, not as a quadrature or Newton failure later
+    text = GOOD.replace("kind = moment",
+                        f"kind = perturbed-moment\n{key} = {coeffs}")
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.violations == [
+        f"[curve] {key}: coefficients must be finite, got {coeffs!r}"]
+
+
 def test_env_cap_override(monkeypatch):
     monkeypatch.setenv("CSL_MEMORY_CAP", "64MiB")
     assert parse_config(GOOD).memory_cap == 64 << 20

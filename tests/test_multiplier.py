@@ -1,4 +1,5 @@
 import tracemalloc
+from math import factorial
 from pathlib import Path
 
 import numpy as np
@@ -6,8 +7,9 @@ import pytest
 
 from curveavg import (GL16_NODES, GL16_WEIGHTS, ConeChart, CounterexampleSpec,
                       CurveSpec, CutoffSpec, DomainError, TimeWindow, alpha_n,
-                      build_f, cell_field, cell_plan, derivative_bound_check,
-                      mu_hat, mu_hat_batch, multiplier_sample, panel_rule,
+                      build_f, cell_field, cell_plan, cone_decay,
+                      derivative_bound_check, leading_constant, mu_hat,
+                      mu_hat_batch, multiplier_sample, panel_rule,
                       parse_config, windowed_lattice)
 from curveavg import legendre, multiplier
 
@@ -136,6 +138,74 @@ def test_derivative_bound_table(moment3, chi, chart):
         assert bound == pytest.approx(lam ** (-(1 + sum(alpha)) / 3), rel=1e-12)
         assert ratio == pytest.approx(value / bound, rel=1e-12)
         assert np.isfinite(ratio) and ratio >= 0
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_derivative_rows_are_the_central_differences(n):
+    # every row against the textbook difference, written out here over one
+    # quadrature batch of the same points: the first and second central
+    # differences along an axis and the mixed one of two axes
+    curve, chi = CurveSpec.moment(n), CutoffSpec(delta=0.9)
+    chart = ConeChart(curve=curve, aperture=0.95)
+    xi = np.zeros(n)
+    xi[-2:] = (20.0, 2.0 ** 9)
+    t, lam = 1.5, np.linalg.norm(xi)
+    h = lam ** (1 / n) / 256
+    e = np.eye(n, dtype=int)
+    offsets = sorted({tuple(a + b) for a in (0 * e[0], *e, *-e)
+                      for b in (0 * e[0], *e, *-e)})
+    pts = xi + h * np.array(offsets, dtype=float)
+    phis, _ = chart.phi_un_batch(pts)
+    m = dict(zip(offsets, mu_hat_batch(curve, chi, [t], pts)[0]
+                 * np.exp(1j * t * phis)))
+
+    def at(*axes):
+        return m[tuple(sum(axes, 0 * e[0]))]
+
+    want = {(0,) * n: abs(at())}
+    for i in range(n):
+        want[tuple(e[i])] = abs(at(e[i]) - at(-e[i])) / (2 * h)
+        want[tuple(2 * e[i])] = abs(at(e[i], e[i]) - 2 * at()
+                                    + at(-e[i], -e[i])) / (2 * h) ** 2
+        for j in range(i + 1, n):
+            want[tuple(e[i] + e[j])] = abs(
+                at(e[i], e[j]) - at(e[i], -e[j]) - at(-e[i], e[j])
+                + at(-e[i], -e[j])) / (4 * h * h)
+    rows = derivative_bound_check(curve, chi, chart, t, xi)
+    assert sorted(alpha for alpha, *_ in rows) == sorted(want)
+    for alpha, value, bound, ratio in rows:
+        assert value == pytest.approx(want[alpha], rel=1e-12)
+        assert bound == pytest.approx(lam ** (-(1 + sum(alpha)) / n), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_leading_term_is_written_once(n):
+    # multiplier_sample's leading term is leading_constant times cone_decay's
+    # chi(theta) (t u_n)^{-1/n}; the constant is alpha_n (n!)^{1/n},
+    # conjugated for even n
+    curve, chi = CurveSpec.moment(n), CutoffSpec(delta=0.9)
+    chart = ConeChart(curve=curve, aperture=0.95)
+    a = alpha_n(n)
+    want = (a.conjugate() if n % 2 == 0 else a) * factorial(n) ** (1 / n)
+    assert leading_constant(n) == pytest.approx(want, rel=1e-15)
+    xis = 300.0 * np.array([[0.0] * (n - 2) + [0.1, 1.0],
+                            [0.0] * (n - 1) + [1.0]])
+    phi, decay = cone_decay(chart, chi, 1.25, xis)
+    theta = chart.solve_theta_batch(xis)
+    _, un = chart.phi_un_batch(xis)
+    assert np.allclose(decay, chi(theta) * (1.25 * un) ** (-1 / n),
+                       rtol=1e-15, atol=0)
+    for xi, p, d in zip(xis, phi, decay):
+        s = multiplier_sample(curve, chi, chart, 1.25, xi)
+        assert s.leading == leading_constant(n) * d
+        assert s.reference == a * d
+        assert s.m == pytest.approx(np.exp(1.25j * p) * s.mu_hat, rel=1e-15)
+
+
+def test_cone_decay_rejects_non_moment_directions(chi, chart):
+    # u_n(xi) < 0 on the reflected cone: no leading term of this form
+    with pytest.raises(DomainError, match="u_n"):
+        cone_decay(chart, chi, 1.0, [[0.0, 0.0, -64.0]])
 
 
 def test_derivative_bound_needs_resolvable_lambda(moment3, chi, chart):

@@ -5,14 +5,16 @@ import signal
 import time
 from dataclasses import replace
 from fractions import Fraction
+from math import factorial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curveavg import (CurveAvgError, DomainError, RunConfig, cell_support,
-                      critical_exponent, expected_slopes, fit_slope, measure,
+from curveavg import (CurveAvgError, DomainError, RunConfig, alpha_n,
+                      cell_field, cell_plan, cell_support, critical_exponent,
+                      expected_slopes, fit_slope, measure, multiplier_sample,
                       sharpness_sweep)
 from curveavg import sweep as sweep_module
 from curveavg.averaging import norm_grid
@@ -202,6 +204,35 @@ def test_sweep_quotient_is_norm_ratio(tiny_report):
 
 def test_sweep_orthogonality_defect_is_roundoff(tiny_report):
     assert max(c["defect"] for c in tiny_report["cells"]) <= 1e-12
+
+
+def test_piece_reference_is_the_leading_term(tiny_cfg, tiny_report):
+    # lambda^{1/n} |the multiplier's leading term at t = 1| at each piece's
+    # centre: as multiplier_sample finds it there, and written out as
+    # |alpha_n| (n!)^{1/n} chi(theta) u_n^{-1/n}
+    n = tiny_cfg.n
+    for c in tiny_report["cells"]:
+        plan = cell_plan(tiny_cfg, c["lam"])
+        chart, chi = plan.spec.chart, plan.spec.cutoff
+        centers = [b.center for b in cell_field(tiny_cfg, plan).support]
+        _, un = chart.phi_un_batch(centers)
+        want = (abs(alpha_n(n)) * factorial(n) ** (1 / n)
+                * chi(chart.solve_theta_batch(centers)) * (c["lam"] / un) ** (1 / n))
+        assert c["piece_reference"] == pytest.approx(want, rel=1e-14)
+        for ref, xi in zip(c["piece_reference"], centers):
+            s = multiplier_sample(chart.curve, chi, chart, 1.0, xi)
+            assert ref == pytest.approx(c["lam"] ** (1 / n) * abs(s.leading),
+                                        rel=1e-15)
+
+
+def test_piece_ratios_rise_toward_the_reference(acceptance_runs):
+    # on the pinned sweep the least piece ratio ||A_t f_nu||_2 / ||g_nu||_2,
+    # relative to its piece's stationary-phase reference, rises with lambda
+    ratios = [min(r / ref for r, ref in zip(c["piece_min_by_nu"],
+                                             c["piece_reference"]))
+              for c in acceptance_runs["report"]["cells"]]
+    assert ratios == pytest.approx([0.862, 0.915, 0.945, 0.970], abs=1e-3)
+    assert all(a < b for a, b in zip(ratios, ratios[1:])) and ratios[-1] < 1
 
 
 def test_orthogonality_defect_sees_shared_lattice_points(tiny_cfg):
