@@ -15,7 +15,7 @@ report.json, and report prints the same summary of the file. sweep exits 1
 when a check fails, report only under ``--strict``; ``--strict`` also turns
 warnings (currently: a non-decreasing quotient trend) into failures, for both.
 Each command accepts only the options it reads (`_COMMANDS`); any other is
-a usage error (exit 2).
+a usage error (exit 2) under that command's own usage line.
 """
 
 from __future__ import annotations
@@ -64,6 +64,17 @@ _COMMANDS = [
 ]
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser: an option it does not take is a usage error
+    reported with the command's own usage line, not the top level's."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, rest = super().parse_known_args(args, namespace)
+        if rest:
+            self.error(f"unrecognized arguments: {' '.join(rest)}")
+        return namespace, rest
+
+
 def _parser():
     parser = argparse.ArgumentParser(
         prog="curveavg",
@@ -71,7 +82,8 @@ def _parser():
                     "over curves.")
     parser.add_argument("--version", action="version",
                         version=f"curveavg {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_CommandParser)
     for name, doc, options in _COMMANDS:
         command = sub.add_parser(name, help=doc, description=doc)
         for option in options:

@@ -124,8 +124,13 @@ class ConeChart:
 
     def phi_un_batch(self, xis):
         """(phi(xi), u_n(xi)) for a batch, sharing one theta solve."""
+        return self.phi_un_at(xis, self.solve_theta_batch(xis))
+
+    def phi_un_at(self, xis, theta):
+        """(<gamma(theta), xi>, <gamma^(n)(theta), xi>) per frequency: phi
+        and u_n when theta is `solve_theta_batch(xis)`, for callers that
+        need theta too and solve it once."""
         xis = np.atleast_2d(np.asarray(xis, dtype=float))
-        s = self.solve_theta_batch(xis)
-        phi = np.einsum("ij,ij->i", self.curve.derivative(0, s), xis)
-        un = np.einsum("ij,ij->i", self.curve.derivative(self.n, s), xis)
+        phi = np.einsum("ij,ij->i", self.curve.derivative(0, theta), xis)
+        un = np.einsum("ij,ij->i", self.curve.derivative(self.n, theta), xis)
         return phi, un

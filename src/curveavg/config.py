@@ -163,6 +163,8 @@ def _range_violations(cfg):
     dyadic = all(float(v).is_integer() and (int(v) & (int(v) - 1)) == 0
                  for v in cfg.lambdas)
     check(dyadic, f"lambdas must be dyadic (powers of two), got {list(cfg.lambdas)}")
+    check(len(set(cfg.lambdas)) == len(cfg.lambdas),
+          f"lambdas must be distinct, got {list(cfg.lambdas)}")
     check(all(v >= 2 and v % 2 == 0 for v in cfg.ps),
           f"every p must be an even integer >= 2, got {list(cfg.ps)}")
     check(cfg.time_nodes >= 5, f"time_nodes must be >= 5, got {cfg.time_nodes}")

@@ -294,7 +294,7 @@ def cone_decay(chart, cutoff, t, xis):
     """Per frequency, phi(xi) and chi(theta(xi)) (t u_n(xi))^{-1/n}. The
     power is taken on Python floats, as scalar arithmetic rounds it."""
     theta = chart.solve_theta_batch(xis)
-    phi, un = chart.phi_un_batch(xis)
+    phi, un = chart.phi_un_at(xis, theta)
     if np.any(un <= 0.0):
         raise DomainError(f"u_n(xi) = {un.min():.3g} <= 0: not a moment-like direction")
     power = [(t * u) ** (-1.0 / chart.n) for u in un.tolist()]

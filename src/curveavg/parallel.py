@@ -24,17 +24,20 @@ def forked_cells(run_cell, cfg, lams):
     """[run_cell(cfg, lam) for lam in lams], each call in a child forked for
     it.
 
-    At most min(cfg.jobs, len(lams)) children run at once; they start in the
-    order of lams, the next whenever one ends. A child sends its dict, or the
-    exception `run_cell` raised, pickled through a pipe and leaves by
-    `os._exit`: it never returns into the caller nor flushes inherited stdio.
-    A child's exception is raised here as it was raised there; a child that
-    dies without sending its result (a signal, a nonzero status) is a
-    CurveAvgError naming its lambda. On any error or interrupt every live
-    child is killed and reaped before the error propagates.
+    At most min(cfg.jobs, len(lams)) children run at once; they start largest
+    lambda first, the next whenever one ends, since a cell's cost grows with
+    lambda and the longest cell started last would end the sweep alone
+    (Graham's longest-first rule). The cells still come back in the order
+    of lams. A child sends its dict, or the exception `run_cell` raised,
+    pickled through a pipe and leaves by `os._exit`: it never returns into
+    the caller nor flushes inherited stdio. A child's exception is raised
+    here as it was raised there; a child that dies without sending its
+    result (a signal, a nonzero status) is a CurveAvgError naming its
+    lambda. On any error or interrupt every live child is killed and reaped
+    before the error propagates.
     """
     cells = [None] * len(lams)
-    pending = list(enumerate(lams))[::-1]
+    pending = sorted(enumerate(lams), key=lambda item: item[1])   # pop: largest
     running = {}   # read end -> (pid, index, chunks read so far)
     try:
         while pending or running:

@@ -26,8 +26,9 @@ artifacts, the printed summary and `curveavg report` all read that dict.
 
 lambda cells are independent pure jobs. With cfg.jobs > 1 each runs in a
 child process forked for it (`parallel.forked_cells`), at most cfg.jobs at
-once, which pipes its dict back and exits; the cells merge in lambda order,
-so results are independent of the parallelism degree.
+once and largest lambda first, which pipes its dict back and exits; the
+cells merge in lambda order, so results are independent of the parallelism
+degree.
 """
 
 from __future__ import annotations
@@ -85,7 +86,13 @@ def expected_slopes(p, n):
 
 def fit_slope(pairs):
     """Least squares on (log2 lambda, log2 value): the fit as report.json
-    stores it, {"slope", "intercept", "max_residual"}."""
+    stores it, {"slope", "intercept", "max_residual"}.
+
+    Closed form on the centred logs dx, dy in plain ufuncs, so that no
+    LAPACK routine runs or pages into the process: slope = sum(dx dy) /
+    sum(dx^2), and max_residual the largest |dy - slope dx|. Fewer than two
+    distinct lambdas is a DomainError.
+    """
     pairs = list(pairs)
     if len(pairs) < 3:
         raise DomainError(f"need >= 3 points for a slope fit, got {len(pairs)}")
@@ -93,10 +100,15 @@ def fit_slope(pairs):
     vals = np.array([float(b) for _, b in pairs])
     if np.any(vals <= 0) or np.any(lams <= 0):
         raise DomainError("slope fits need positive lambdas and values")
+    if np.all(lams == lams[0]):
+        raise DomainError(
+            f"a slope fit needs >= 2 distinct lambdas, got only {lams[0]:g}")
     x, y = np.log2(lams), np.log2(vals)
-    design = np.stack([x, np.ones_like(x)], axis=1)
-    (slope, intercept), *_ = np.linalg.lstsq(design, y, rcond=None)
-    resid = float(np.abs(design @ np.array([slope, intercept]) - y).max())
+    xm, ym = x.mean(), y.mean()
+    dx, dy = x - xm, y - ym
+    slope = (dx * dy).sum() / (dx * dx).sum()
+    intercept = ym - slope * xm
+    resid = float(np.abs(dy - slope * dx).max())
     return {"slope": float(slope), "intercept": float(intercept),
             "max_residual": resid}
 

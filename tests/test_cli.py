@@ -353,6 +353,20 @@ def test_non_finite_config_value_is_a_config_error(tmp_path, monkeypatch,
     capsys.readouterr()
 
 
+def test_repeated_lambda_is_a_config_error(tmp_path, monkeypatch, capsys):
+    def refuse(cfg, slope_tols=None):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "sharpness_sweep", refuse)
+    text = CFG.replace("lambdas = 16 32 64", "lambdas = 4 4 4")
+    assert main(["sweep", "--config", write_cfg(tmp_path, text), "--out",
+                 str(tmp_path)]) == 2
+    record = json.loads((tmp_path / "error.json").read_text())
+    assert record["error"] == "ConfigError"
+    assert "lambdas must be distinct" in record["message"]
+    assert "lambdas must be distinct" in capsys.readouterr().err
+
+
 # the options each command reads: 16 of the 25 (command, option) pairs
 ACCEPTED = {
     "cone-verify": ("--config", "--out"),
@@ -384,3 +398,16 @@ def test_each_command_accepts_only_the_options_it_reads(command, option,
         main(argv)
     assert exit_info.value.code == 2
     assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["report", "--jobs", "0"],
+                                  ["cone-verify", "--lambda-max", "8"],
+                                  ["synthesize", "--strict"]])
+def test_foreign_option_is_reported_with_the_commands_usage(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: curveavg {argv[0]} [-h]")
+    assert (f"curveavg {argv[0]}: error: unrecognized arguments: "
+            f"{' '.join(argv[1:])}") in err

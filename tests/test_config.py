@@ -116,6 +116,21 @@ def test_violations_are_aggregated():
     assert "rho" in msg and "epsilon" in msg and "dyadic" in msg
 
 
+def test_lambdas_must_be_distinct():
+    # a repeated lambda would run its cell twice and weigh it twice in
+    # every slope fit; it is reported with the other violations
+    for lambdas in ("4 4 4", "32 64 32.0"):
+        with pytest.raises(ConfigError, match="lambdas must be distinct"):
+            parse_config(GOOD.replace("lambdas = 32 64 128",
+                                      f"lambdas = {lambdas}"))
+    broken = (GOOD.replace("rho = 1.0", "rho = 3.0")
+                  .replace("lambdas = 32 64 128", "lambdas = 32 48 32"))
+    with pytest.raises(ConfigError) as err:
+        parse_config(broken)
+    msg = str(err.value)
+    assert "rho" in msg and "dyadic" in msg and "distinct" in msg
+
+
 def test_perturbation_keys():
     cfg = parse_config(GOOD.replace("kind = moment",
                                     "kind = perturbed-moment\nperturb2 = 0 0 0 0.1"))

@@ -59,17 +59,18 @@ def test_cli_import_loads_only_what_a_sweep_runs():
     assert not loaded, loaded
 
 
-def test_parallel_sweep_loads_no_pool_and_starts_no_thread(tmp_path):
-    # a --jobs 2 sweep of the n3 workload at small lambdas, in a fresh
-    # interpreter: its cells run in forked children, so the process loads
-    # no pool and is still on its one thread when the sweep is done
+def _n3_sweep(tmp_path, prelude=""):
+    """A --jobs 2 sweep of the n3 workload at lambda = 4 8 16 in a fresh
+    interpreter, after `prelude`: its exit status, its modules and its
+    thread count when the sweep is done."""
     text = (SRC.parents[1] / "perfbench" / "workloads" / "n3.cfg").read_text(
         encoding="utf-8")
     assert "lambdas = 4 32 64" in text
     cfg = tmp_path / "n3.cfg"
     cfg.write_text(text.replace("lambdas = 4 32 64", "lambdas = 4 8 16"),
                    encoding="utf-8")
-    script = ("import json, sys, threading\n"
+    script = (prelude +
+              "import json, sys, threading\n"
               "from curveavg.cli import main\n"
               "status = main(['sweep', '--config', sys.argv[1], '--out',\n"
               "               sys.argv[2], '--jobs', '2'])\n"
@@ -79,7 +80,30 @@ def test_parallel_sweep_loads_no_pool_and_starts_no_thread(tmp_path):
         [sys.executable, "-c", script, str(cfg), str(tmp_path / "out")],
         env=_env(), check=True, capture_output=True, text=True,
         timeout=300).stdout
-    status, modules, threads = json.loads(out.splitlines()[-1])
+    return json.loads(out.splitlines()[-1])
+
+
+def test_parallel_sweep_loads_no_pool_and_starts_no_thread(tmp_path):
+    # its cells run in forked children, so the process loads no pool and
+    # is still on its one thread when the sweep is done
+    status, modules, threads = _n3_sweep(tmp_path)
     assert status == 0
     assert not _loaded(modules, POOL), _loaded(modules, POOL)
     assert threads == 1
+
+
+# the numpy.linalg routines that call LAPACK; norm is a ufunc reduction
+LAPACK = ("lstsq", "solve", "inv", "pinv", "svd", "qr", "det", "eig", "eigh",
+          "cholesky")
+
+
+def test_sweep_runs_no_lapack_routine(tmp_path):
+    # on the moment curve neither the cells (forked from the patched
+    # process) nor the slope fits call one, so none pages LAPACK in
+    prelude = ("import numpy.linalg\n"
+               "def refuse(*args, **kwargs):\n"
+               "    raise AssertionError('a LAPACK routine ran')\n"
+               f"for name in {LAPACK!r}:\n"
+               "    setattr(numpy.linalg, name, refuse)\n")
+    status, _, _ = _n3_sweep(tmp_path, prelude)
+    assert status == 0

@@ -208,6 +208,25 @@ def test_cone_decay_rejects_non_moment_directions(chi, chart):
         cone_decay(chart, chi, 1.0, [[0.0, 0.0, -64.0]])
 
 
+def test_cone_decay_solves_theta_once(monkeypatch, chi, chart):
+    # chi(theta) and (phi, u_n) share one Newton solve, with phi as
+    # phi_un_batch gives it
+    xis = 300.0 * np.array([[0.0, 0.1, 1.0], [0.05, 0.0, 1.0]])
+    want_phi, want_un = chart.phi_un_batch(xis)
+    solve, calls = ConeChart.solve_theta_batch, []
+
+    def counted(self, points):
+        calls.append(len(points))
+        return solve(self, points)
+
+    monkeypatch.setattr(ConeChart, "solve_theta_batch", counted)
+    phi, decay = cone_decay(chart, chi, 1.25, xis)
+    assert calls == [2]
+    assert np.array_equal(phi, want_phi)
+    assert np.array_equal(chart.phi_un_at(xis, solve(chart, xis)),
+                          (want_phi, want_un))
+
+
 def test_derivative_bound_needs_resolvable_lambda(moment3, chi, chart):
     with pytest.raises(DomainError):
         derivative_bound_check(moment3, chi, chart, 1.0,

@@ -116,9 +116,42 @@ def test_fit_roundtrip_property(slope, scale):
     assert fit["slope"] == pytest.approx(slope, abs=1e-9)
 
 
+# log-spaced lambda sets of 3 to 21 points: dyadic, non-dyadic, unevenly
+# spaced, and the 2^{k/4} ladder from 32 to 1024
+FIT_LAMBDAS = [
+    (4.0, 8.0, 16.0),
+    (32.0, 45.0, 64.0),
+    (4.0, 5.0, 64.0, 1000.0),
+    (6.0, 10.0, 12.0, 100.0, 3000.0, 7e4),
+    tuple(32.0 * 2 ** (k / 4) for k in range(21)),
+]
+
+
+@pytest.mark.parametrize("lams", FIT_LAMBDAS)
+def test_fit_matches_least_squares(lams):
+    # the closed form against a rank-2 lstsq on the same logs, with noisy
+    # values so that the residuals are not round-off
+    rng = np.random.default_rng(len(lams))
+    vals = [0.7 * lam ** -0.31 * np.exp(rng.normal(0.0, 0.2)) for lam in lams]
+    x, y = np.log2(lams), np.log2(vals)
+    design = np.stack([x, np.ones_like(x)], axis=1)
+    (slope, intercept), *_ = np.linalg.lstsq(design, y, rcond=None)
+    resid = np.abs(design @ np.array([slope, intercept]) - y).max()
+    fit = fit_slope(zip(lams, vals))
+    assert fit["slope"] == pytest.approx(slope, rel=1e-13)
+    assert fit["intercept"] == pytest.approx(intercept, rel=1e-13)
+    assert fit["max_residual"] == pytest.approx(resid, rel=0, abs=1e-13)
+
+
 def test_fit_needs_three_points():
     with pytest.raises(DomainError, match="need >= 3"):
         fit_slope([(8.0, 1.0), (16.0, 0.5)])
+
+
+@pytest.mark.parametrize("count", [3, 4])
+def test_fit_needs_two_distinct_lambdas(count):
+    with pytest.raises(DomainError, match="2 distinct lambdas"):
+        fit_slope([(8.0, float(k + 1)) for k in range(count)])
 
 
 def test_fit_rejects_nonpositive_values():
@@ -470,8 +503,7 @@ def test_forked_cell_larger_than_a_pipe_comes_back_whole(monkeypatch, tiny_cfg):
 
 
 def test_forked_cells_come_back_in_lambda_order(monkeypatch, tiny_cfg):
-    # two children: lambda = 32 sleeps while 45 ends and 64, started last,
-    # ends too
+    # two children: lambda = 32, started last, sleeps while 64 and 45 end
     def cell(cfg, lam):
         if lam == 32.0:
             time.sleep(0.5)
@@ -482,3 +514,18 @@ def test_forked_cells_come_back_in_lambda_order(monkeypatch, tiny_cfg):
         cells = sharpness_sweep(replace(tiny_cfg, jobs=2, checks=()))["cells"]
     assert [c["lam"] for c in cells] == [32.0, 45.0, 64.0]
     assert cells[2]["done"] < cells[0]["done"]
+
+
+def test_forked_cells_start_largest_lambda_first(monkeypatch, tiny_cfg):
+    # two children for three cells: 64 and 45 start at once, 32 only when
+    # one of them has ended, a sleep later
+    def cell(cfg, lam):
+        start = time.monotonic()
+        time.sleep(0.2)
+        return _stub_cell(cfg, lam, start=start)
+
+    monkeypatch.setattr(sweep_module, "run_cell", cell)
+    with _deadline(60):
+        cells = sharpness_sweep(replace(tiny_cfg, jobs=2, checks=()))["cells"]
+    start = {c["lam"]: c["start"] for c in cells}
+    assert max(start[64.0], start[45.0]) < start[32.0]
