@@ -8,13 +8,14 @@ rules, `curves`/`bumps` define the model class of curves and smooth cutoffs,
 averaging multiplier and its leading term on the cone, `fields` synthesizes
 the lattice-supported counterexample family, `averaging` applies A_t and
 measures norms, `sweep` runs scaling experiments (`parallel` forks its
-cells under --jobs K), and `cli`/`reporting` handle artifacts.
+cells under --jobs K), and `cli`/`reporting` handle artifacts. `verify`
+holds what no sweep runs (the oracles, the verify commands, the snapshot
+format); it is not imported here, and its names are `curveavg.verify.X`.
 """
 
 from ._version import __version__
-from .averaging import (TimeWindow, apply_averaging, ball_kernel,
-                        direct_oracle, lp_norm_spacetime, norm_grid,
-                        norm_peak_bytes, space_stats)
+from .averaging import (TimeWindow, ball_kernel, lp_norm_spacetime,
+                        norm_grid, norm_peak_bytes, space_stats)
 from .bumps import CutoffSpec, radial_bump, smooth_step
 from .cone import ConeChart, moment_gamma_seed
 from .config import (CellPlan, RunConfig, cell_plan, enforce_memory_cap,
@@ -29,11 +30,9 @@ from .fields import (CounterexampleSpec, LatticeWindow, SpectralField,
                      SupportBall, build_f, frequency_centers, lattice_side,
                      piece_boxes, piece_support, windowed_lattice)
 from .legendre import GL16_NODES, GL16_WEIGHTS, gauss_legendre, panel_rule
-from .multiplier import (MultiplierSample, alpha_n, cone_decay,
-                         derivative_bound_check, leading_constant, mu_hat,
-                         mu_hat_batch, multiplier_sample)
-from .reporting import (load_snapshot, render_report, save_snapshot,
-                        sweep_artifacts, sweep_tables, write_csv, write_json)
+from .multiplier import alpha_n, cone_decay, leading_constant, mu_hat_batch
+from .reporting import (render_report, sweep_artifacts, sweep_tables,
+                        write_csv, write_json)
 from .sweep import (Cell, cell_field, cell_support, critical_exponent,
                     expected_slopes, fit_slope, measure, run_cell,
                     sharpness_sweep)
@@ -52,15 +51,14 @@ __all__ = [
     # quadrature rules
     "gauss_legendre", "GL16_NODES", "GL16_WEIGHTS", "panel_rule",
     # multiplier
-    "alpha_n", "mu_hat", "mu_hat_batch", "leading_constant", "cone_decay",
-    "multiplier_sample", "MultiplierSample", "derivative_bound_check",
+    "alpha_n", "mu_hat_batch", "leading_constant", "cone_decay",
     # fields
     "LatticeWindow", "SpectralField", "SupportBall",
     "CounterexampleSpec", "frequency_centers", "lattice_side",
     "windowed_lattice", "piece_boxes", "piece_support", "build_f",
     # averaging
-    "TimeWindow", "apply_averaging", "direct_oracle", "ball_kernel",
-    "space_stats", "lp_norm_spacetime", "norm_grid", "norm_peak_bytes",
+    "TimeWindow", "ball_kernel", "space_stats", "lp_norm_spacetime",
+    "norm_grid", "norm_peak_bytes",
     # config
     "RunConfig", "parse_config", "parse_memory_size", "with_overrides",
     "CellPlan", "cell_plan", "enforce_memory_cap", "estimate_field_bytes",
@@ -68,6 +66,6 @@ __all__ = [
     "critical_exponent", "expected_slopes", "fit_slope", "Cell",
     "cell_field", "cell_support", "measure", "run_cell", "sharpness_sweep",
     # reporting
-    "save_snapshot", "load_snapshot", "write_csv", "write_json",
-    "sweep_artifacts", "sweep_tables", "render_report",
+    "write_csv", "write_json", "sweep_artifacts", "sweep_tables",
+    "render_report",
 ]

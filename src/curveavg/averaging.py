@@ -1,10 +1,8 @@
 """Applying the curve average to spectral fields, and L^p bookkeeping.
 
 Spectrally the average is a plain multiplier: (A_t f)_hat = mu_hat_t * f_hat,
-evaluated only on a field's support. The independent cross-check
-`direct_oracle` never touches the multiplier: it quadratures
-s -> f(x - t gamma(s)) chi(s) with f evaluated by exact trigonometric
-summation of the stored coefficients.
+evaluated only on a field's support (`curveavg.verify.direct_oracle` checks
+it without the multiplier).
 
 Norms: for even integer p, |f|^p is a trigonometric polynomial, so its
 torus integral equals a Riemann sum on any grid fine enough for it. |f| does
@@ -49,12 +47,11 @@ from math import gamma
 
 import numpy as np
 
-from .errors import DomainError, GeometryError, QuadratureError
-from .legendre import gauss_legendre, panel_rule
-from .multiplier import mu_hat_batch
+from .errors import DomainError, GeometryError
+from .legendre import gauss_legendre
 
-__all__ = ["TimeWindow", "apply_averaging", "direct_oracle", "ball_kernel",
-           "space_stats", "lp_norm_spacetime", "norm_grid", "norm_peak_bytes"]
+__all__ = ["TimeWindow", "ball_kernel", "space_stats", "lp_norm_spacetime",
+           "norm_grid", "norm_peak_bytes"]
 
 # grid points per slab of the passes after axis 0, sized so that a slab's
 # whole working set fits a core's L2 cache: at the 48 bytes per point that
@@ -62,8 +59,6 @@ __all__ = ["TimeWindow", "apply_averaging", "direct_oracle", "ball_kernel",
 # the power buffer) it is 768 KiB, and 896 KiB at the 56 bytes of the ball's
 # pass (plus the kernel's read)
 _SLAB_POINTS = 1 << 14
-# the panel count at which direct_oracle gives up
-_ORACLE_MAX_PANELS = 4096
 
 
 @dataclass(frozen=True)
@@ -83,54 +78,6 @@ class TimeWindow:
         w = np.full(len(self.nodes), dt)
         w[0] = w[-1] = dt / 2
         return w
-
-
-def apply_averaging(field, curve, cutoff, t):
-    """A_t applied spectrally on the field's support; support is preserved."""
-    mu = mu_hat_batch(curve, cutoff, [t], field.xi())[0]
-    return field.with_coeffs(field.coeffs * mu)
-
-
-def direct_oracle(field, curve, cutoff, t, points, rel_tol=1e-9):
-    """Quadrature of s -> f(x - t gamma(s)) chi(s) at each requested point.
-
-    f is evaluated by exact trigonometric summation over the field's support,
-    so this is a multiplier-free reference for `apply_averaging`. Panel count
-    follows the oscillation budget of the support's frequencies, with a
-    doubling (Richardson) accuracy check on the returned values.
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    xis = field.xi()
-    coeffs = field.coeffs / field.L ** field.window.n
-
-    def level(panels):
-        s, w = panel_rule(panels, cutoff.delta)
-        w *= cutoff(s)
-        shift = np.exp(-1j * t * (curve.derivative(0, s) @ xis.T))  # (S, modes)
-        out = np.empty(len(points), dtype=complex)
-        step = max(1, int(4e6 // max(len(xis), 1)))
-        for j in range(0, len(points), step):
-            basis = np.exp(1j * (points[j:j + step] @ xis.T))  # (P, modes)
-            # f(x - t gamma(s)) = basis @ (coeffs * shift_s), summed over s with weights
-            out[j:j + step] = (basis @ (coeffs[None, :] * shift).T) @ w
-        return out
-
-    sweep = float(np.abs(curve.derivative(1, np.linspace(
-        -cutoff.delta, cutoff.delta, 33)) @ xis.T).max()) if len(xis) else 0.0
-    panels = min(max(2, int(t * sweep * 2 * cutoff.delta / (2 * np.pi) * 12 / 16) + 1),
-                 _ORACLE_MAX_PANELS)
-    coarse = level(panels)
-    while True:
-        fine = level(2 * panels)
-        scale = max(float(np.abs(fine).max()), 1e-300)
-        if float(np.abs(fine - coarse).max()) <= rel_tol * scale:
-            return fine
-        panels *= 2
-        if panels > _ORACLE_MAX_PANELS:
-            raise QuadratureError(
-                f"direct oracle not converged at {panels} panels "
-                f"({len(xis)} modes, {len(points)} points)")
-        coarse = fine
 
 
 def _next_smooth(m):

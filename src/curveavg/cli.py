@@ -4,6 +4,8 @@ Subcommands: cone-verify (Newton residual/homogeneity tables), multiplier-verify
 (oscillatory decay and stationary-phase deficit table), synthesize (build the
 counterexample fields, snapshot them, tabulate norms), sweep (the full scaling
 experiment), report (rebuild a sweep's tables and summary from report.json).
+The first three run `curveavg.verify`, which is imported inside them only:
+a sweep never loads it.
 
 Every run except report writes a manifest with the resolved config, the
 tool, Python and numpy versions, the platform, the CPU count and the
@@ -26,19 +28,12 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from ._version import __version__
-from .averaging import space_stats
-from .cone import moment_gamma_seed
-from .config import (cell_plan, chart_from, cutoff_from, enforce_memory_cap,
-                     parse_config, with_overrides)
+from .config import enforce_memory_cap, parse_config, with_overrides
 from .errors import CurveAvgError
-from .multiplier import multiplier_sample
-from .reporting import (render_report, save_snapshot, sweep_artifacts,
-                        sweep_tables, verdict, write_csv, write_json,
-                        write_manifest)
-from .sweep import DEFAULT_SLOPE_TOLS, cell_field, sharpness_sweep
+from .reporting import (render_report, sweep_artifacts, sweep_tables, verdict,
+                        write_json, write_manifest)
+from .sweep import DEFAULT_SLOPE_TOLS, sharpness_sweep
 
 __all__ = ["main"]
 
@@ -100,87 +95,9 @@ def _load_config(args):
     return cfg, dropped
 
 
-def _tau_max(aperture, n):
-    # largest tau with |Gamma(tau)'| components inside the cone, with margin
-    t = aperture
-    for _ in range(20):
-        g = sum(moment_gamma_seed(n, t)[0][:-1] ** 2)
-        t = aperture / np.sqrt(g / t ** 2)
-    return 0.9 * t
-
-
-def _cmd_cone_verify(cfg, outdir):
-    chart = chart_from(cfg)
-    curve, n = chart.curve, cfg.n
-    tmax = _tau_max(cfg.aperture, n)
-    rows, worst = [], 0.0
-    for tau in np.linspace(-tmax, tmax, 17):
-        xi = moment_gamma_seed(n, tau)[0]
-        theta = chart.solve_theta(xi)
-        res = abs(float(curve.derivative(n - 1, theta) @ xi)) / np.linalg.norm(xi)
-        closed = "" if cfg.perturbation else abs(theta - (-tau))
-        phi1 = chart.phase_phi(xi)
-        for scale in (2.0, 4.0):
-            hom_theta = abs(chart.solve_theta(scale * xi) - theta)
-            hom_phi = abs(chart.phase_phi(scale * xi) - scale * phi1) / (
-                abs(scale * phi1) + 1e-30)
-            rows.append((float(tau), scale, float(theta), res, hom_theta,
-                         hom_phi, closed))
-            worst = max(worst, res, hom_theta, hom_phi,
-                        closed if closed != "" else 0.0)
-    path = write_csv(outdir / "cone.csv",
-                     ("tau", "scale", "theta", "theta_residual",
-                      "theta_homogeneity", "phi_homogeneity",
-                      "closed_form_error"), rows)
-    print(f"cone-verify: 17 rays, worst residual {worst:.3e} -> {path}")
-    return (0 if worst <= 1e-12 else 1), [path]
-
-
-def _cmd_multiplier_verify(cfg, outdir):
-    chart, cutoff = chart_from(cfg), cutoff_from(cfg)
-    curve, n = chart.curve, cfg.n
-    tmax = _tau_max(cfg.aperture, n)
-    taus = (-0.5 * tmax, 0.0, 0.5 * tmax)
-    rows = []
-    for lam in cfg.lambdas:
-        for t in (1.0, 1.5, 2.0):
-            for tau in taus:
-                direction = moment_gamma_seed(n, tau)[0]
-                direction /= np.linalg.norm(direction)
-                s = multiplier_sample(curve, cutoff, chart, t,
-                                      float(lam) * direction)
-                rows.append((float(lam), t,
-                             ";".join(f"{v:.9g}" for v in direction),
-                             abs(s.mu_hat), s.deficit,
-                             abs(s.mu_hat) * (1.0 + lam) ** (1.0 / n)))
-    path = write_csv(outdir / "multiplier.csv",
-                     ("lambda", "t", "direction", "|mu_hat|", "deficit",
-                      "ratio_to_rate"), rows)
-    print(f"multiplier-verify: {len(rows)} samples -> {path}")
-    return 0, [path]
-
-
-def _cmd_synthesize(cfg, outdir):
-    enforce_memory_cap(cfg)
-    paths, rows = [], []
-    for lam in cfg.lambdas:
-        plan = cell_plan(cfg, float(lam))
-        f = cell_field(cfg, plan)
-        norms, _ = space_stats(f, plan.ps)
-        rows += [(float(lam), p, norms[p]) for p in plan.ps]
-        snap = save_snapshot(outdir / f"field_lambda{int(lam)}.bin", f,
-                             float(lam))
-        paths.append(snap)
-        print(f"synthesize: lambda={lam:g} pieces={len(f.support)} "
-              f"dims={f.window.dims} -> {snap.name}")
-    paths.append(write_csv(outdir / "norms.csv",
-                           ("lambda", "p", "input_norm"), rows))
-    return 0, paths
-
-
 def _cmd_sweep(cfg, outdir, dropped, strict):
     enforce_memory_cap(cfg)
-    # fits over a shortened dyadic range carry more preasymptotic bias:
+    # fits over a shortened lambda range carry more preasymptotic bias:
     # widen every band to at least 0.08, never narrow one
     tols = ({k: max(v, 0.08) for k, v in DEFAULT_SLOPE_TOLS.items()}
             if dropped else None)
@@ -208,16 +125,14 @@ def main(argv=None):
         cfg, dropped = _load_config(args)
         outdir = Path(cfg.outdir)
         outdir.mkdir(parents=True, exist_ok=True)
-        if args.command == "cone-verify":
-            status, paths = _cmd_cone_verify(cfg, outdir)
-        elif args.command == "multiplier-verify":
-            status, paths = _cmd_multiplier_verify(cfg, outdir)
-        elif args.command == "synthesize":
-            status, paths = _cmd_synthesize(cfg, outdir)
-        elif args.command == "sweep":
+        if args.command == "sweep":
             status, paths = _cmd_sweep(cfg, outdir, dropped, args.strict)
-        else:
+        elif args.command == "report":
             return _cmd_report(outdir, args.strict)
+        else:
+            from . import verify   # a sweep never loads it
+            command = getattr(verify, args.command.replace("-", "_"))
+            status, paths = command(cfg, outdir)
         write_manifest(outdir, cfg.echo(), paths, args.command,
                        wall_s=time.perf_counter() - start)
         return status

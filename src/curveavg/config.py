@@ -160,9 +160,6 @@ def _range_violations(cfg):
     check(len(cfg.lambdas) >= 1, "no lambda left to run: lambdas is empty")
     check(all(v >= 4 for v in cfg.lambdas),
           f"lambdas must all be >= 4, got {list(cfg.lambdas)}")
-    dyadic = all(float(v).is_integer() and (int(v) & (int(v) - 1)) == 0
-                 for v in cfg.lambdas)
-    check(dyadic, f"lambdas must be dyadic (powers of two), got {list(cfg.lambdas)}")
     check(len(set(cfg.lambdas)) == len(cfg.lambdas),
           f"lambdas must be distinct, got {list(cfg.lambdas)}")
     check(all(v >= 2 and v % 2 == 0 for v in cfg.ps),
@@ -350,7 +347,7 @@ def with_overrides(cfg, jobs=None, outdir=None, lambda_max=None):
 
     Returns (config, dropped) where dropped says whether --lambda-max removed
     any cells; the sweep widens its slope tolerances in that case, since fits
-    over a shorter dyadic range carry more preasymptotic bias. The result is
+    over a shorter lambda range carry more preasymptotic bias. The result is
     checked as a parsed config is: ConfigError for a jobs count below 1 or
     a --lambda-max below every lambda.
     """

@@ -112,7 +112,7 @@ class SpectralField:
 
 @dataclass(frozen=True)
 class CounterexampleSpec:
-    """Free constants of the construction at one dyadic frequency scale."""
+    """Free constants of the construction at one frequency scale."""
 
     lam: float
     chart: object   # ConeChart

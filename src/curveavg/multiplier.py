@@ -35,24 +35,22 @@ On the cone the reduced multiplier m_t = e^{i t phi} mu_hat_t tends to
 `leading_constant` times `cone_decay`'s chi(theta) (t u_n(xi))^{-1/n}: the
 constant is alpha_n (n!)^{1/n} (alpha_n normalizes the monic phase v^n, the
 curve's phase is s^n/n!), conjugated for even n under the e^{-i<x,xi>}
-convention. `multiplier_sample` holds one sample against that leading term.
+convention. `curveavg.verify.multiplier_sample` holds one sample against
+that leading term.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations_with_replacement, product
-from math import ceil, factorial, gamma as gamma_fn, pi, prod, sin
+from math import ceil, factorial, gamma as gamma_fn, pi, sin
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, QuadratureError, ResolutionError
+from .errors import DomainError, QuadratureError
 from .legendre import GL16_NODES, panel_rule
 
-__all__ = ["alpha_n", "mu_hat", "mu_hat_batch", "quadrature_peak_bytes",
-           "leading_constant", "cone_decay", "MultiplierSample",
-           "multiplier_sample", "derivative_bound_check"]
+__all__ = ["alpha_n", "mu_hat_batch", "quadrature_peak_bytes",
+           "leading_constant", "cone_decay"]
 
 _MAX_PANELS = 1 << 15
 _REL_TOL = 1e-9
@@ -279,11 +277,6 @@ def quadrature_peak_bytes(xis, ts):
                + 56 * times * modes + 8 * modes * (3 * n + 4))
 
 
-def mu_hat(curve, cutoff, t, xi):
-    """Single-point mu_hat_t(xi)."""
-    return complex(mu_hat_batch(curve, cutoff, [t], np.asarray(xi, float)[None])[0, 0])
-
-
 def leading_constant(n):
     """conj^{[n even]}(alpha_n) (n!)^{1/n}: see the module docstring."""
     base = alpha_n(n)
@@ -299,73 +292,3 @@ def cone_decay(chart, cutoff, t, xis):
         raise DomainError(f"u_n(xi) = {un.min():.3g} <= 0: not a moment-like direction")
     power = [(t * u) ** (-1.0 / chart.n) for u in un.tolist()]
     return phi, cutoff(theta) * np.array(power)
-
-
-@dataclass(frozen=True)
-class MultiplierSample:
-    """One multiplier evaluation against its cone asymptotics: reference is
-    alpha_n chi(theta(xi)) (t u_n(xi))^{-1/n}, leading carries
-    `leading_constant` in place of alpha_n and is what m converges to."""
-
-    xi: tuple
-    t: float
-    mu_hat: complex
-    m: complex
-    reference: complex
-    deficit: float
-    leading: complex
-    deficit_leading: float
-
-
-def multiplier_sample(curve, cutoff, chart, t, xi):
-    xi = np.asarray(xi, dtype=float)
-    phi, scale = (float(v[0]) for v in cone_decay(chart, cutoff, t, xi))
-    mh = mu_hat(curve, cutoff, t, xi)
-    m = complex(np.exp(1j * t * phi) * mh)
-    reference = complex(alpha_n(curve.n) * scale)
-    leading = complex(leading_constant(curve.n) * scale)
-    return MultiplierSample(
-        xi=tuple(xi), t=float(t), mu_hat=mh, m=m,
-        reference=reference, deficit=abs(m - reference),
-        leading=leading, deficit_leading=abs(m - leading))
-
-
-def derivative_bound_check(curve, cutoff, chart, t, xi):
-    """Central differences of m_t against lambda^{-(1+|alpha|)/n}, |alpha| <= 2.
-
-    The step is h = lambda^{1/n} / 256 per axis: the difference of alpha
-    (its axes) is the signed sum over the corners xi + h sum_k s_k
-    e_{alpha_k}, s in {1, -1}^{|alpha|}, over (2h)^{|alpha|}, and every
-    corner is evaluated in one quadrature batch. Returns a list of
-    (alpha, |d^alpha m_t|, bound, ratio) rows; the interesting assertion — the
-    ratios carry no growth trend in lambda — belongs to the caller, since one
-    lambda alone cannot show a trend.
-    """
-    xi = np.asarray(xi, dtype=float)
-    lam = float(np.linalg.norm(xi))
-    if lam < 64.0:
-        raise DomainError(f"|xi| = {lam:.3g} < 64: below the asymptotic window")
-    n = curve.n
-    h = lam ** (1.0 / n) / 256.0
-    if h <= lam * 1e-14:
-        raise ResolutionError(f"difference step {h:.3g} underflows at |xi| = {lam:.3g}")
-
-    # a corner's weights merge where it first shows: f(2h) - 2f(0) + f(-2h)
-    alphas = [a for k in range(3) for a in combinations_with_replacement(range(n), k)]
-    stencils = [{} for _ in alphas]
-    for a, weights in zip(alphas, stencils):
-        for signs in product((1, -1), repeat=len(a)):
-            corner = tuple(sum(s for ax, s in zip(a, signs) if ax == i)
-                           for i in range(n))
-            weights[corner] = weights.get(corner, 0) + prod(signs)
-    corners = sorted(set().union(*stencils))
-    pts = xi + h * np.array(corners, dtype=float)
-    phis, _ = chart.phi_un_batch(pts)
-    at = dict(zip(corners, mu_hat_batch(curve, cutoff, [t], pts)[0]
-                  * np.exp(1j * t * phis)))
-    rows = []
-    for a, weights in zip(alphas, stencils):
-        fd = float(abs(sum(w * at[c] for c, w in weights.items()))) / (2 * h) ** len(a)
-        bound = lam ** (-(1.0 + len(a)) / n)
-        rows.append((tuple(a.count(i) for i in range(n)), fd, bound, fd / bound))
-    return rows

@@ -5,10 +5,6 @@ re-running a deterministic sweep reproduces the files byte for byte. JSON is
 written with sorted keys and UTF-8. The SVG plot is deliberately minimal —
 a scatter of (log2 lambda, log2 quotient) per p with the fitted line — to
 avoid dragging in a plotting stack for one diagnostic figure.
-
-A field snapshot is an .npz archive of what a `SpectralField` holds, so its
-size follows the support. Its zip entries carry their write time: compare
-snapshots through `load_snapshot`, not byte for byte.
 """
 
 from __future__ import annotations
@@ -17,21 +13,15 @@ import json
 import os
 import platform
 import time
-import zipfile
 from pathlib import Path
 
 import numpy as np
 
 from ._version import __version__
-from .errors import GridError
-from .fields import SpectralField
 
 __all__ = ["fmt", "write_csv", "write_json", "write_manifest",
-           "save_snapshot", "load_snapshot", "sweep_artifacts", "sweep_tables",
-           "quotient_svg", "report_warnings", "verdict", "render_report"]
-
-_SNAP_VERSION = 1
-_SNAP_KEYS = ("version", "L", "lam", "dims", "k0", "flat", "coeffs")
+           "sweep_artifacts", "sweep_tables", "quotient_svg",
+           "report_warnings", "verdict", "render_report"]
 
 
 def fmt(value):
@@ -75,48 +65,6 @@ def write_manifest(outdir, config_echo, artifacts, command, wall_s):
         "config": config_echo,
         "artifacts": sorted(str(a) for a in artifacts),
     })
-
-
-def save_snapshot(path, field, lam):
-    """An uncompressed .npz archive: the format version, L, lambda, the
-    window's `dims` and `k0`, the support's flat window indices `flat` and
-    their coefficients `coeffs`."""
-    win = field.window
-    with open(path, "wb") as fh:
-        np.savez(fh, version=np.int64(_SNAP_VERSION), L=np.float64(win.L),
-                 lam=np.float64(lam), dims=np.array(win.dims, dtype=np.int64),
-                 k0=np.array(win.k0, dtype=np.int64), flat=field.flat,
-                 coeffs=field.coeffs)
-    return Path(path)
-
-
-def load_snapshot(path):
-    """Inverse of save_snapshot; returns (SpectralField, lambda). The field
-    declares no balls, and its window is its support's box. A file that is
-    not a snapshot archive of this format version, or whose indices leave
-    its window or are none, raises GridError."""
-    with open(path, "rb") as fh:
-        try:
-            archive = np.load(fh, allow_pickle=False)
-            if not isinstance(archive, np.lib.npyio.NpzFile):
-                raise ValueError("a bare .npy array, not an archive")
-            with archive:
-                a = {key: archive[key] for key in _SNAP_KEYS}
-        except (EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
-            raise GridError(f"snapshot {path} is not a readable snapshot "
-                            f"archive: {exc}") from exc
-    if a["version"].tolist() != _SNAP_VERSION:
-        raise GridError(f"snapshot {path} has format version "
-                        f"{a['version'].tolist()}, not {_SNAP_VERSION}")
-    dims, k0, flat = a["dims"], a["k0"], a["flat"]
-    if (dims.ndim != 1 or k0.shape != dims.shape or np.any(dims < 1)
-            or flat.ndim != 1 or flat.dtype.kind != "i"
-            or np.any(flat < 0) or np.any(flat >= np.prod(dims))):
-        raise GridError(f"snapshot {path}: malformed window, or support "
-                        f"indices outside it")
-    k = np.stack(np.unravel_index(flat, tuple(dims)), axis=-1) + k0
-    return (SpectralField.on_lattice(float(a["L"]), k, a["coeffs"]),
-            float(a["lam"]))
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
@@ -163,7 +111,7 @@ def quotient_svg(report):
            f'text-anchor="middle">log2 quotient</text>']
     for x in xs:
         out.append(f'<text x="{sx(x):.1f}" y="{height - pad + 16}" '
-                   f'text-anchor="middle" font-size="11">{x:.0f}</text>')
+                   f'text-anchor="middle" font-size="11">{x:g}</text>')
     for p, ys, fit, color in series:
         ya = fit["slope"] * x0 + fit["intercept"]
         yb = fit["slope"] * x1 + fit["intercept"]

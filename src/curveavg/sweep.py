@@ -1,6 +1,6 @@
 """Scaling experiments: exponent table, lambda sweeps, and the quantitative checks.
 
-A sweep builds the counterexample family at each dyadic lambda, applies the
+A sweep builds the counterexample family at each lambda, applies the
 average over the short time window [1, 1 + lambda^{-1/n}], and fits log2-log2
 slopes of the input norm, output norm, and their quotient. The quotient slope
 is the sharpness payload: it should track -(1/2 + 2/p)/n, the exponent that

@@ -17,9 +17,10 @@ import numpy as np
 import pytest
 
 from curveavg import (ConeChart, CurveSpec, CutoffSpec, LatticeWindow,
-                      SpectralField, SupportBall, alpha_n, apply_averaging,
-                      cell_support, critical_exponent, derivative_bound_check,
-                      direct_oracle, mu_hat, multiplier_sample, space_stats)
+                      SpectralField, SupportBall, alpha_n, cell_support,
+                      critical_exponent, mu_hat_batch, space_stats)
+from curveavg.verify import (derivative_bound_check, direct_oracle,
+                             multiplier_sample)
 
 CURVE = CurveSpec.moment(3)
 CHI = CutoffSpec(delta=0.9)
@@ -78,7 +79,8 @@ def test_criterion_03_multiplier_decay():
     devs = []
     for k in range(6, 13):
         lam = float(2 ** k)
-        scaled = abs(mu_hat(CURVE, CHI, 1.0, lam * E3)) * lam ** (1 / 3)
+        mu = mu_hat_batch(CURVE, CHI, [1.0], [lam * E3])[0, 0]
+        scaled = abs(mu) * lam ** (1 / 3)
         devs.append(abs(scaled - LIMIT))
     assert devs[-1] <= 0.10 * LIMIT
     assert all(a > b for a, b in zip(devs, devs[1:])), devs
@@ -123,7 +125,7 @@ def test_criterion_05_oracle_equivalence():
     f = SpectralField(window=window, flat=flat, coeffs=coeffs, support=(ball,))
 
     t = 1.5
-    out = apply_averaging(f, CURVE, CHI, t)
+    out = f.with_coeffs(f.coeffs * mu_hat_batch(CURVE, CHI, [t], f.xi())[0])
     xs = np.arange(0, 32, 4) * (2.0 / 32)
     pts = np.stack(np.meshgrid(xs, xs, xs, indexing="ij"), -1).reshape(-1, 3)
     want = direct_oracle(f, CURVE, CHI, t, pts)

@@ -9,11 +9,12 @@ from numpy.testing import assert_allclose
 
 from curveavg import (CurveSpec, CutoffSpec, DomainError, GeometryError,
                       LatticeWindow, SpectralField, SupportBall,
-                      TimeWindow, apply_averaging, ball_kernel, direct_oracle,
-                      cell_support, lp_norm_spacetime, mu_hat_batch,
-                      norm_peak_bytes, parse_config, run_cell, space_stats)
+                      TimeWindow, ball_kernel, cell_support,
+                      lp_norm_spacetime, mu_hat_batch, norm_peak_bytes,
+                      parse_config, run_cell, space_stats)
 from curveavg import averaging
 from curveavg.averaging import _ball_grid, norm_grid
+from curveavg.verify import direct_oracle
 
 CURVE = CurveSpec.moment(3)
 CHI = CutoffSpec(delta=0.25)
@@ -61,13 +62,18 @@ def test_trapezoid_weights_sum_to_span():
 
 # --- the averaging operator ---------------------------------------------------
 
+def averaged(f, t):
+    """A_t f spectrally: the coefficients times mu_hat_t on the support."""
+    return f.with_coeffs(f.coeffs * mu_hat_batch(CURVE, CHI, [t], f.xi())[0])
+
+
 def test_single_mode_is_an_eigenfunction():
     # A_t e^{i xi.x} = mu_hat_t(xi) e^{i xi.x}: the output coefficient sits at
     # the same lattice site, scaled by the multiplier there.
     k = (1, -2, 3)
     f = make_field([k], [2.0 - 1.0j])
     t = 1.3
-    out = apply_averaging(f, CURVE, CHI, t)
+    out = averaged(f, t)
     xi = np.asarray(k, dtype=float) * f.window.dk
     mu = mu_hat_batch(CURVE, CHI, [t], xi[None, :])[0, 0]
     idx = tuple(np.asarray(k) - np.asarray(f.window.k0))
@@ -80,14 +86,14 @@ def test_zero_mode_scales_by_cutoff_mass():
     # mu_hat_t(0) = integral of chi, independent of t.
     f = make_field([(0, 0, 0)], [1.0])
     for t in (1.0, 1.5, 2.0):
-        out = apply_averaging(f, CURVE, CHI, t)
+        out = averaged(f, t)
         assert out.window.k0 == (0, 0, 0)
         assert out.dense()[0, 0, 0] == pytest.approx(CHI.integral, rel=1e-8)
 
 
 def test_support_is_preserved():
     f = make_field([(1, 0, 0), (0, 2, -1)], [1.0, 1.0j])
-    out = apply_averaging(f, CURVE, CHI, 1.7)
+    out = averaged(f, 1.7)
     assert out.support == f.support
     assert np.array_equal(out.flat, f.flat)
 
@@ -99,7 +105,7 @@ def test_matches_direct_time_integral():
     amps = rng.standard_normal(len(modes)) + 1j * rng.standard_normal(len(modes))
     f = make_field(modes, amps)
     t = 1.4
-    out = apply_averaging(f, CURVE, CHI, t)
+    out = averaged(f, t)
 
     pts = np.array([[0.0, 0.0, 0.0], [0.25, 0.5, 0.75], [1.0, 0.25, 1.5]])
     want = direct_oracle(f, CURVE, CHI, t, pts, rel_tol=1e-10)

@@ -6,10 +6,11 @@ import os
 import numpy as np
 import pytest
 
-from curveavg import DomainError, cli, load_snapshot
+from curveavg import DomainError, cli
 from curveavg import sweep as sweep_module
 from curveavg.cli import main
 from curveavg.sweep import DEFAULT_SLOPE_TOLS
+from curveavg.verify import load_snapshot
 
 CFG = """
 [curve]
@@ -81,12 +82,17 @@ def test_multiplier_verify(tmp_path):
     assert main(["multiplier-verify", "--config", cfg,
                  "--out", str(tmp_path)]) == 0
     lines = (tmp_path / "multiplier.csv").read_text().splitlines()
-    assert lines[0] == "lambda,t,direction,|mu_hat|,deficit,ratio_to_rate"
+    assert lines[0] == ("lambda,t,direction,|mu_hat|,deficit_leading,"
+                        "ratio_to_rate")
     assert len(lines) == 1 + 1 * 3 * 3   # one lambda, three times, three rays
     for line in lines[1:]:
         cols = line.split(",")
         assert len(cols[2].split(";")) == 3   # unit direction, one value per axis
         assert float(cols[3]) > 0 and float(cols[5]) > 0
+        if cols[2] == "0;0;1":
+            # the gap to the leading term, not the constant-factor gap to
+            # alpha_n chi (t u_n)^{-1/n}, which stays near |m| / 2
+            assert float(cols[4]) < 0.1 * float(cols[3])
 
 
 def test_synthesize_writes_snapshots(tmp_path):
@@ -99,6 +105,21 @@ def test_synthesize_writes_snapshots(tmp_path):
     lines = (tmp_path / "norms.csv").read_text().splitlines()
     assert lines[0] == "lambda,p,input_norm"
     assert len(lines) == 1 + 2 * 2   # two lambdas x p in {2, 4}
+
+
+def test_lambdas_need_not_be_powers_of_two(tmp_path, capsys):
+    # a sweep over three non-dyadic lambdas runs and passes; synthesize
+    # names the snapshot of each distinct lambda apart, an integer one as
+    # before
+    cfg = write_cfg(tmp_path, CFG.replace("lambdas = 16 32 64",
+                                          "lambdas = 20 28.5 45"))
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+    cfg = write_cfg(tmp_path, CFG.replace("lambdas = 16 32 64",
+                                          "lambdas = 16 16.5"))
+    assert main(["synthesize", "--config", cfg, "--out", str(tmp_path)]) == 0
+    for name, lam in (("16", 16.0), ("16.5", 16.5)):
+        assert load_snapshot(tmp_path / f"field_lambda{name}.bin")[1] == lam
+    capsys.readouterr()
 
 
 @pytest.fixture(scope="module")

@@ -109,11 +109,11 @@ def test_unknown_section_suggests_nearest():
 def test_violations_are_aggregated():
     broken = (GOOD.replace("rho = 1.0", "rho = 3.0")
                   .replace("epsilon = 0.3", "epsilon = 0.0")
-                  .replace("lambdas = 32 64 128", "lambdas = 32 48 128"))
+                  .replace("lambdas = 32 64 128", "lambdas = 2 64 128"))
     with pytest.raises(ConfigError) as err:
         parse_config(broken)
     msg = str(err.value)
-    assert "rho" in msg and "epsilon" in msg and "dyadic" in msg
+    assert "rho" in msg and "epsilon" in msg and ">= 4" in msg
 
 
 def test_lambdas_must_be_distinct():
@@ -124,11 +124,11 @@ def test_lambdas_must_be_distinct():
             parse_config(GOOD.replace("lambdas = 32 64 128",
                                       f"lambdas = {lambdas}"))
     broken = (GOOD.replace("rho = 1.0", "rho = 3.0")
-                  .replace("lambdas = 32 64 128", "lambdas = 32 48 32"))
+                  .replace("lambdas = 32 64 128", "lambdas = 32 2 32"))
     with pytest.raises(ConfigError) as err:
         parse_config(broken)
     msg = str(err.value)
-    assert "rho" in msg and "dyadic" in msg and "distinct" in msg
+    assert "rho" in msg and ">= 4" in msg and "distinct" in msg
 
 
 def test_perturbation_keys():

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -10,12 +11,14 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "curveavg"
 # what a sweep process must not load at start-up: numpy.polynomial (the
 # package has its own Gauss-Legendre rules and Horner loop), fractions and
 # decimal (exact constants are single float divisions), difflib (only a
-# config error's hint needs it), the forked cell runner (only --jobs > 1)
-# and a process pool, which no sweep loads at all: --jobs > 1 forks one
-# child per cell
+# config error's hint needs it), the forked cell runner (only --jobs > 1),
+# the oracles and verify commands (only cone-verify, multiplier-verify and
+# synthesize) and a process pool, which no sweep loads at all: --jobs > 1
+# forks one child per cell
 POOL = ("concurrent.futures", "multiprocessing")
+VERIFY = ("curveavg.verify",)
 UNWANTED = ("numpy.polynomial", "fractions", "decimal", "difflib",
-            "curveavg.parallel") + POOL
+            "curveavg.parallel") + VERIFY + POOL
 
 
 def _env():
@@ -41,6 +44,25 @@ def test_no_module_imports_another_modules_private_names():
                           if alias.name.startswith("_")
                           and not alias.name.endswith("__")]
     assert not found, found
+
+
+def test_every_public_name_has_one_home():
+    # each module's __all__ names what it has, no name is exported by two
+    # modules (a stale re-export after a move), and every name of the
+    # package's __all__ resolves
+    homes = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        module = importlib.import_module(f"curveavg.{path.stem}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{path.name}: {name}"
+            homes.setdefault(name, []).append(path.stem)
+    shared = {name: where for name, where in homes.items() if len(where) > 1}
+    assert not shared, shared
+    package = importlib.import_module("curveavg")
+    missing = [name for name in package.__all__ if not hasattr(package, name)]
+    assert not missing, missing
 
 
 def test_cli_import_loads_only_what_a_sweep_runs():
@@ -85,10 +107,12 @@ def _n3_sweep(tmp_path, prelude=""):
 
 def test_parallel_sweep_loads_no_pool_and_starts_no_thread(tmp_path):
     # its cells run in forked children, so the process loads no pool and
-    # is still on its one thread when the sweep is done
+    # is still on its one thread when the sweep is done; nor does it load
+    # the verification code
     status, modules, threads = _n3_sweep(tmp_path)
     assert status == 0
     assert not _loaded(modules, POOL), _loaded(modules, POOL)
+    assert not _loaded(modules, VERIFY), _loaded(modules, VERIFY)
     assert threads == 1
 
 

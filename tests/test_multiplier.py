@@ -8,10 +8,10 @@ import pytest
 from curveavg import (GL16_NODES, GL16_WEIGHTS, ConeChart, CounterexampleSpec,
                       CurveSpec, CutoffSpec, DomainError, TimeWindow, alpha_n,
                       build_f, cell_field, cell_plan, cone_decay,
-                      derivative_bound_check, leading_constant, mu_hat,
-                      mu_hat_batch, multiplier_sample, panel_rule,
+                      leading_constant, mu_hat_batch, panel_rule,
                       parse_config, windowed_lattice)
 from curveavg import legendre, multiplier
+from curveavg.verify import derivative_bound_check, multiplier_sample
 
 
 @pytest.fixture(scope="module")
@@ -51,14 +51,13 @@ def test_alpha_4_modulus_and_phase():
 def test_mu_hat_at_zero_is_cutoff_mass(moment3, chi):
     # mu_hat_t(0) = integral of chi, for every t
     for t in (1.0, 1.7, 2.0):
-        v = mu_hat(moment3, chi, t, np.zeros(3))
+        v = mu_hat_batch(moment3, chi, [t], np.zeros((1, 3)))[0, 0]
         assert v == pytest.approx(chi.integral, rel=1e-8)
 
 
 def test_mu_hat_conjugate_symmetry(moment3, chi):
     xi = np.array([0.3, -2.0, 11.0])
-    a = mu_hat(moment3, chi, 1.3, xi)
-    b = mu_hat(moment3, chi, 1.3, -xi)
+    a, b = mu_hat_batch(moment3, chi, [1.3], [xi, -xi])[0]
     assert b == pytest.approx(np.conj(a), rel=1e-12)
 
 
@@ -69,17 +68,18 @@ def test_mu_hat_batch_matches_scalar(moment3, chi):
     assert grid.shape == (2, 2)
     for i, t in enumerate(ts):
         for j in range(2):
-            # scalar calls size their panel ladder per point, the batch
-            # shares one ladder: agreement is at the quadrature tolerance
+            # one-row batches size their panel ladder per point, the
+            # batch shares one ladder: agreement is at the quadrature
+            # tolerance
             assert grid[i, j] == pytest.approx(
-                mu_hat(moment3, chi, t, xis[j]), rel=1e-8)
+                mu_hat_batch(moment3, chi, [t], xis[j:j + 1])[0, 0], rel=1e-8)
 
 
 def test_mu_hat_time_guard(moment3, chi):
     with pytest.raises(DomainError):
-        mu_hat(moment3, chi, 0.5, np.array([0.0, 0.0, 8.0]))
+        mu_hat_batch(moment3, chi, [0.5], [[0.0, 0.0, 8.0]])
     with pytest.raises(DomainError):
-        mu_hat(moment3, chi, 2.5, np.array([0.0, 0.0, 8.0]))
+        mu_hat_batch(moment3, chi, [2.5], [[0.0, 0.0, 8.0]])
 
 
 def _ray(curve, chi, direction, lambdas):
@@ -119,9 +119,10 @@ def test_multiplier_sample_converges_to_leading(moment3, chi, chart):
     assert s.deficit > 0.4 * abs(s.m)
 
 
-def test_multiplier_sample_deficit_shrinks(moment3, chi, chart):
+@pytest.mark.parametrize("t", [1.0, 1.5, 2.0])
+def test_multiplier_sample_deficit_shrinks(moment3, chi, chart, t):
     lams = [2.0**8, 2.0**10, 2.0**12]
-    gaps = [multiplier_sample(moment3, chi, chart, 1.5,
+    gaps = [multiplier_sample(moment3, chi, chart, t,
                               np.array([0.0, 0.0, lam])).deficit_leading
             for lam in lams]
     assert gaps[2] < gaps[1] < gaps[0]
@@ -284,7 +285,7 @@ def field_support(chi, chart):
 
 
 def test_factorised_sum_single_point(moment3, chi):
-    # mu_hat evaluates a batch of one frequency
+    # a batch of one frequency
     _assert_matches_direct(moment3, chi, SINGLE_POINT)
 
 

@@ -6,11 +6,11 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from curveavg import (GridError, LatticeWindow, SpectralField, load_snapshot,
-                      render_report, save_snapshot, sweep_artifacts,
-                      sweep_tables)
+from curveavg import (GridError, LatticeWindow, SpectralField, render_report,
+                      sweep_artifacts, sweep_tables)
 from curveavg.reporting import (fmt, quotient_svg, report_warnings, verdict,
                                 write_csv, write_json, write_manifest)
+from curveavg.verify import load_snapshot, save_snapshot
 
 
 def test_fmt_gives_twelve_significant_digits():
@@ -133,6 +133,31 @@ def test_snapshot_rejects_garbage(tmp_path):
         np.savez(fh, values=np.arange(3))
     with pytest.raises(GridError, match="not a readable snapshot"):
         load_snapshot(foreign)
+
+
+@pytest.mark.parametrize("side", [np.nan, np.inf, 0.0, -2.0])
+def test_snapshot_rejects_a_side_no_torus_has(tmp_path, side):
+    path = _rewritten(tmp_path, L=np.float64(side))
+    with pytest.raises(GridError, match="finite and positive") as err:
+        load_snapshot(path)
+    assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize("lam", [-3.0, 0.0, np.nan, np.inf])
+def test_snapshot_rejects_a_lambda_no_cell_has(tmp_path, lam):
+    path = _rewritten(tmp_path, lam=np.float64(lam))
+    with pytest.raises(GridError, match="finite and positive") as err:
+        load_snapshot(path)
+    assert str(path) in str(err.value)
+
+
+def test_snapshot_rejects_repeated_indices(tmp_path):
+    # two coefficients on one lattice point are no field's support
+    path = _rewritten(tmp_path, flat=np.array([1, 1, 2]),
+                      coeffs=np.ones(3, dtype=complex))
+    with pytest.raises(GridError, match="repeated") as err:
+        load_snapshot(path)
+    assert str(path) in str(err.value)
 
 
 def _rewritten(tmp_path, **changes):

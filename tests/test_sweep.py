@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 
 from curveavg import (CurveAvgError, DomainError, RunConfig, alpha_n,
                       cell_field, cell_plan, cell_support, critical_exponent,
-                      expected_slopes, fit_slope, measure, multiplier_sample,
-                      sharpness_sweep)
+                      expected_slopes, fit_slope, measure, sharpness_sweep)
 from curveavg import sweep as sweep_module
 from curveavg.averaging import norm_grid
+from curveavg.verify import multiplier_sample
 from curveavg.sweep import _peak_rss_mib, _trend_mostly_decreasing
 
 
