@@ -160,6 +160,8 @@ def _range_violations(cfg):
     check(len(cfg.lambdas) >= 1, "no lambda left to run: lambdas is empty")
     check(all(v >= 4 for v in cfg.lambdas),
           f"lambdas must all be >= 4, got {list(cfg.lambdas)}")
+    check(all(isfinite(v) for v in cfg.lambdas),
+          f"lambdas must be finite, got {list(cfg.lambdas)}")
     check(len(set(cfg.lambdas)) == len(cfg.lambdas),
           f"lambdas must be distinct, got {list(cfg.lambdas)}")
     check(all(v >= 2 and v % 2 == 0 for v in cfg.ps),

@@ -12,24 +12,26 @@ e^{-it gamma_a(s) xi_a}, so a batch needs one exponential table per axis over
 that axis's distinct coordinates. The leading n - 1 tables, gathered at the
 batch's distinct leading (n-1)-tuples, are contracted with the weighted last
 axis's table by one matrix product per time node. The nodes are walked in
-blocks of `_block_width` nodes, 2^15 table entries but at least four panels,
-whose working set fits a core's L2 cache; each block takes its own nodes and
-weights (`legendre.panel_rule`) and gamma(s), so no array grows with the
-panel count. Per block the tables are built at the first time node only and
-advanced to each later node by one complex multiply per entry with the
-tables of the step t_k - t_{k-1} (each distinct step's tables are built
-once per block); at every time node the block's
-matrix product is added to that node's sums per (leading tuple, last
-coordinate), from which the batch's values are gathered once, after the last
-block. A table is built by running products, too: its row at the least
-coordinate c_0 and one row per distinct gap between successive coordinates
-are exponentiated, and the row of c_j is that of c_{j-1} times the row of
-c_j - c_{j-1}. The cost thus follows the distinct gaps per axis and the
-distinct time steps: on a lattice support of m points with `steps` distinct
-steps between its time nodes, (1 + steps) x nodes x (sum over axes of 1 +
-the distinct gaps) exponentials replace time nodes x nodes x m; points off a
-lattice simply have more distinct gaps (at most one per coordinate), and
-arbitrary time nodes more distinct steps.
+blocks of `_block_width` nodes, as many as fit one byte budget
+(`_BLOCK_BYTES`, 1 MiB) over every block-sized array but at least four
+panels, so that a block's working set fits a core's L2 cache; each block
+takes its own nodes and weights (`legendre.panel_rule`) and gamma(s), so no
+array grows with the panel count, and the block-sized arrays are allocated
+once per ladder level and filled in place by every block. Per block the
+tables are built at the first time node only and advanced to each later
+node by one complex multiply per entry with the tables of the step
+t_k - t_{k-1} (each distinct step's tables are built once per block); at
+every time node the block's matrix product is added to that node's sums per
+(leading tuple, last coordinate), from which the batch's values are gathered
+once, after the last block. A table is built by running products, too: its
+row at the least coordinate c_0 and one row per distinct gap between
+successive coordinates are exponentiated, and the row of c_j is that of
+c_{j-1} times the row of c_j - c_{j-1}. The cost thus follows the distinct
+gaps per axis and the distinct time steps: on a lattice support of m points
+with `steps` distinct steps between its time nodes, (1 + steps) x nodes x
+(sum over axes of 1 + the distinct gaps) exponentials replace time nodes x
+nodes x m; points off a lattice simply have more distinct gaps (at most one
+per coordinate), and arbitrary time nodes more distinct steps.
 
 On the cone the reduced multiplier m_t = e^{i t phi} mu_hat_t tends to
 `leading_constant` times `cone_decay`'s chi(theta) (t u_n(xi))^{-1/n}: the
@@ -54,16 +56,13 @@ __all__ = ["alpha_n", "mu_hat_batch", "quadrature_peak_bytes",
 
 _MAX_PANELS = 1 << 15
 _REL_TOL = 1e-9
-# complex entries per node block of _gl_values: the rows a time node works
-# on (tables, leading products) x the block's nodes. Every time node walks
-# them all, so a block's working set should fit a core's L2 cache. A time
-# node touches 32 bytes per entry (the tables and one step's advance, or the
-# leading products and one gathered table), 1 MiB; the whole block, at the
-# count quadrature_peak_bytes charges (16 bytes per entry for the tables and
-# for each distinct step's cached set, 24 for the rows a table is built from
-# and, for n > 2, 32 for the leading products and a gathered table), is
-# 2.25 MiB at n = 2 and 3.25 MiB at n = 3 for the short window's two steps
-_BLOCK_ELEMENTS = 1 << 15
+# bytes of the arrays of a node block of _gl_values that grow with its
+# rows: the table set of t_0 and of each distinct step (16 bytes per
+# distinct coordinate per node) and, for n > 2, the leading products and one
+# gathered table (16 bytes per leading tuple per node each). Every time node
+# walks them all, so together they should fit a core's L2 cache (2 MiB)
+# beside what else the block reads; 1 MiB is 2^16 complex entries
+_BLOCK_BYTES = 1 << 20
 # the least nodes per block, four panels: below that, _tables' per-row loop
 # is no longer amortized over a block's nodes on supports of many rows
 _MIN_BLOCK_NODES = 4 * GL16_NODES.size
@@ -93,11 +92,29 @@ def _panel_start(curve, cutoff, ts, xis):
 
 
 def _gl_values(curve, cutoff, ts, freq, panels):
+    # the block-sized arrays are freed before the batch's values are gathered
+    return _node_sums(curve, cutoff, ts, freq, panels)[:, freq.lead_of,
+                                                        freq.last_of]
+
+
+def _node_sums(curve, cutoff, ts, freq, panels):
+    """Per time node, the sum over the nodes per (leading tuple, last
+    coordinate), walked in node blocks (module docstring)."""
     nodes = panels * GL16_NODES.size
-    width = _block_width(freq.rows)
-    # per time node, the sum over the nodes per (leading tuple, last coordinate)
+    width = min(nodes, _block_width(freq, ts))
+    dts = np.diff(ts).tolist()
+    distinct = dict.fromkeys(dts)
     sums = np.zeros((len(ts), len(freq.lead[0]), len(freq.coords[-1])),
                     dtype=complex)
+    # the block-sized arrays, once per level and filled in place by every
+    # block (a ragged last block uses their leading parts): per table set,
+    # one flat buffer per axis; the rows a table is built from; for n > 2
+    # the leading products and one gathered table
+    first, *sets = ([np.empty(len(c) * width, dtype=complex)
+                     for c in freq.coords] for _ in range(1 + len(distinct)))
+    rows = np.empty(width * max(len(e) for e, _ in freq.gaps), dtype=complex)
+    products = [np.empty(len(freq.lead[0]) * width, dtype=complex)
+                for _ in range(2 * (len(freq.coords) > 2))]
     # e^{-it<gamma(s), xi>} = prod_a e^{-it gamma_a(s) xi_a}: one table
     # (distinct coordinates x nodes of the block) per axis, built at the
     # first time node with the weights folded into the last, then advanced
@@ -106,43 +123,57 @@ def _gl_values(curve, cutoff, ts, freq, panels):
     # [1, 2] every step is exact (Sterbenz), so the steps' phases sum exactly
     # to t_k - t_0.
     for lo in range(0, nodes, width):
-        s, w = panel_rule(panels, cutoff.delta, lo, min(lo + width, nodes))
+        hi = min(lo + width, nodes)
+        s, w = panel_rule(panels, cutoff.delta, lo, hi)
         g = curve.derivative(0, s)
-        tables = _tables(freq, g, ts[0])
+        tables = _tables(freq, g, ts[0], first, rows)
         tables[-1] *= cutoff(s) * w
-        steps = {}
-        for i, t in enumerate(ts):
+        steps = {dt: _tables(freq, g, dt, out, rows)
+                 for dt, out in zip(distinct, sets)}
+        # no block's nodes are held while the next block's are built
+        del s, w, g
+        lead = [_leading(buf, len(freq.lead[0]), hi - lo) for buf in products]
+        for i in range(len(ts)):
             if i:
-                dt = t - ts[i - 1]
-                if dt not in steps:
-                    steps[dt] = _tables(freq, g, dt)
-                for table, advance in zip(tables, steps[dt]):
+                for table, advance in zip(tables, steps[dts[i - 1]]):
                     table *= advance
             # at n = 2 the leading tuples are every axis-0 coordinate, in order
             left = tables[0]
-            if len(tables) > 2:
-                left = left[freq.lead[0]]
-                for table, rows in zip(tables[1:-1], freq.lead[1:]):
-                    left *= table[rows]
+            if lead:
+                # mode="clip": the default "raise" buffers `out`
+                left, gathered = lead
+                np.take(tables[0], freq.lead[0], axis=0, out=left, mode="clip")
+                for table, index in zip(tables[1:-1], freq.lead[1:]):
+                    np.take(table, index, axis=0, out=gathered, mode="clip")
+                    left *= gathered
             sums[i] += left @ tables[-1].T
-    return sums[:, freq.lead_of, freq.last_of]
+    return sums
 
 
-def _tables(freq, gam, t):
+def _leading(buf, rows, cols):
+    """The first rows x cols entries of the flat buffer buf, as a C-ordered
+    (rows, cols) view."""
+    return buf[:rows * cols].reshape(rows, cols)
+
+
+def _tables(freq, gam, t, out, rows):
     """Per axis a, e^{-it gamma_a(s) c} over its sorted distinct coordinates
-    c_0 < c_1 < ...: the rows of c_0 and of each distinct gap c_j - c_{j-1}
-    are exponentiated, and row j is row j-1 times the row of its gap."""
+    c_0 < c_1 < ..., written into out (one flat buffer per axis) and returned
+    as (coordinates x nodes) views: the rows of c_0 and of each distinct gap
+    c_j - c_{j-1} are exponentiated in the flat buffer rows, and row j is
+    row j-1 times the row of its gap."""
     tables = []
-    for (exponents, index), g in zip(freq.gaps, gam.T):
-        # the phase goes straight into the imaginary parts: no complex
-        # temporary, as quadrature_peak_bytes counts 24 B per row and node
-        rows = np.zeros((len(exponents), len(g)), dtype=complex)
-        np.multiply(np.multiply.outer(exponents, g), -t, out=rows.imag)
-        np.exp(rows, out=rows)
-        table = np.empty((len(index), len(g)), dtype=complex)
-        table[0] = rows[0]
+    for (exponents, index), g, buf in zip(freq.gaps, gam.T, out):
+        # the phase goes straight into the imaginary parts: no temporary
+        exps = _leading(rows, len(exponents), len(g))
+        exps.real = 0.0
+        np.multiply(np.multiply.outer(exponents, g, out=exps.imag), -t,
+                    out=exps.imag)
+        np.exp(exps, out=exps)
+        table = _leading(buf, len(index), len(g))
+        table[0] = exps[0]
         for j, k in enumerate(index[1:], 1):
-            np.multiply(table[j - 1], rows[k], out=table[j])
+            np.multiply(table[j - 1], exps[k], out=table[j])
         tables.append(table)
     return tables
 
@@ -168,12 +199,13 @@ class _Frequencies(NamedTuple):
     lead_of: np.ndarray
     last_of: np.ndarray
 
-    @property
-    def rows(self):
-        """The rows a time node works on per block node: the tables and, for
-        n > 2, the leading products (at n = 2 those are the first table)."""
-        lead = len(self.lead[0]) if len(self.coords) > 2 else 0
-        return sum(len(c) for c in self.coords) + lead
+    def entries(self, sets):
+        """The complex entries a node block holds per node with `sets` table
+        sets: each set's tables (a row per distinct coordinate per axis)
+        and, for n > 2, the leading products and one gathered table (a row
+        per leading tuple each; at n = 2 the products are the first table)."""
+        lead = 2 * len(self.lead[0]) if len(self.coords) > 2 else 0
+        return sets * sum(len(c) for c in self.coords) + lead
 
 
 def _frequencies(xis):
@@ -187,13 +219,15 @@ def _frequencies(xis):
                         np.unravel_index(lead, counts), lead_of, where[-1])
 
 
-def _block_width(rows):
-    """Nodes per block of _gl_values for `rows` (`_Frequencies.rows`) per node:
-    the rows x the width fit _BLOCK_ELEMENTS, and a block is at least
-    `_MIN_BLOCK_NODES`, four panels, so that building its tables, one
+def _block_width(freq, ts):
+    """Nodes per block of _gl_values on the frequencies freq at the time nodes
+    ts: the block's `_Frequencies.entries` for 1 + `_distinct_steps(ts)`
+    table sets, 16 bytes each per node, fit _BLOCK_BYTES, and a block is at
+    least `_MIN_BLOCK_NODES`, four panels, so that building its tables, one
     Python-level multiply per row, stays cheap beside the block's
     exponentials and products."""
-    return max(_MIN_BLOCK_NODES, _BLOCK_ELEMENTS // rows)
+    entries = freq.entries(1 + _distinct_steps(ts))
+    return max(_MIN_BLOCK_NODES, _BLOCK_BYTES // (16 * entries))
 
 
 def _distinct_steps(ts):
@@ -238,7 +272,7 @@ def mu_hat_batch(curve, cutoff, ts, xis, stats=None):
                 stats.update(
                     panels=2 * panels, nodes=nodes, residual=gap / scale,
                     steps=steps, levels=levels,
-                    blocks=-(-nodes // _block_width(freq.rows)),
+                    blocks=-(-nodes // _block_width(freq, ts)),
                     # per node and table set: each axis's c_0 and gaps
                     exponentials=(1 + steps) * panels_run * GL16_NODES.size
                     * sum(len(exponents) for exponents, _ in freq.gaps))
@@ -255,24 +289,25 @@ def quadrature_peak_bytes(xis, ts):
     """Upper bound on the peak memory of mu_hat_batch(curve, cutoff, ts,
     xis), whatever the panel count its ladder runs to.
 
-    No term follows the panel count. A node block holds `_Frequencies.rows`
-    x `_block_width` entries: the tables and the cached table set of each
-    distinct step; the rows one table is built from (at most one per
-    distinct coordinate) with the real phase of their exponent; for n > 2
-    the leading products and one gathered table. Beside them are 8 (n + 5)
-    bytes per block node, its nodes, weights and gamma(s), and the block's
-    panel edges and centres, 16 bytes per panel. Then
-    the per-time-node sums over the blocks and one matrix product; the
+    No term follows the panel count. A ladder level holds one node block's
+    arrays, sized by `_block_width`'s rule: `_Frequencies.entries` x the
+    width complex entries (the table sets of t_0 and of each distinct step
+    and, for n > 2, the leading products and one gathered table), at most
+    _BLOCK_BYTES unless the four-panel floor sets the width, and the rows a
+    table is built from (one per exponentiated row of the axis with most).
+    Beside them are 8 (n + 8) bytes per block node, its nodes, weights and
+    gamma(s) with the temporaries of `panel_rule` and the cutoff, and the
+    block's panel edges and centres, 16 bytes per panel.
+    Then the per-time-node sums over the blocks and one matrix product; the
     coarse and fine results with their difference and its modulus; and the
     index arithmetic on the frequencies.
     """
     freq = _frequencies(xis)
     n, modes, times = len(freq.coords), len(xis), len(ts)
-    width = _block_width(freq.rows)
-    block = width * freq.rows
-    return int(16 * block * (1 + _distinct_steps(ts)) + 24 * block
-               + 32 * block * (n > 2) + 8 * width * (n + 5)
-               + 16 * (width // GL16_NODES.size + 2)
+    width = _block_width(freq, ts)
+    rows = max(len(exponents) for exponents, _ in freq.gaps)
+    return int(16 * width * (freq.entries(1 + _distinct_steps(ts)) + rows)
+               + 8 * width * (n + 8) + 16 * (width // GL16_NODES.size + 2)
                + 16 * (times + 1) * len(freq.lead[0]) * len(freq.coords[-1])
                + 56 * times * modes + 8 * modes * (3 * n + 4))
 

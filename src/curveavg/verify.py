@@ -173,8 +173,9 @@ def load_snapshot(path):
     """Inverse of save_snapshot; returns (SpectralField, lambda). The field
     declares no balls, and its window is its support's box. A file that is
     not a snapshot archive of this format version, whose L or lambda is not
-    finite and positive, or whose indices leave its window, repeat or are
-    none, raises GridError."""
+    a finite and positive real scalar, whose window is not an integer
+    vector pair, whose coefficients are not numeric, or whose indices leave
+    its window, repeat or are none, raises GridError."""
     with open(path, "rb") as fh:
         try:
             archive = np.load(fh, allow_pickle=False)
@@ -188,20 +189,27 @@ def load_snapshot(path):
     if a["version"].tolist() != _SNAP_VERSION:
         raise GridError(f"snapshot {path} has format version "
                         f"{a['version'].tolist()}, not {_SNAP_VERSION}")
+    if any(a[key].shape or a[key].dtype.kind not in "iuf"
+           for key in ("L", "lam")):
+        raise GridError(f"snapshot {path}: L and lambda must be real scalars")
     L, lam = float(a["L"]), float(a["lam"])
     if not (0.0 < L < np.inf and 0.0 < lam < np.inf):
         raise GridError(f"snapshot {path}: L = {L:g} and lambda = {lam:g} "
                         f"must both be finite and positive")
-    dims, k0, flat = a["dims"], a["k0"], a["flat"]
-    if (dims.ndim != 1 or k0.shape != dims.shape or np.any(dims < 1)
-            or flat.ndim != 1 or flat.dtype.kind != "i"
+    dims, k0, flat, coeffs = a["dims"], a["k0"], a["flat"], a["coeffs"]
+    if (dims.ndim != 1 or k0.shape != dims.shape
+            or dims.dtype.kind != "i" or k0.dtype.kind != "i"
+            or np.any(dims < 1) or flat.ndim != 1 or flat.dtype.kind != "i"
             or np.any(flat < 0) or np.any(flat >= np.prod(dims))):
         raise GridError(f"snapshot {path}: malformed window, or support "
                         f"indices outside it")
+    if coeffs.dtype.kind not in "iufc":
+        raise GridError(f"snapshot {path}: coefficients of dtype "
+                        f"{coeffs.dtype}, not numeric")
     if len(np.unique(flat)) < len(flat):
         raise GridError(f"snapshot {path}: repeated support indices")
     k = np.stack(np.unravel_index(flat, tuple(dims)), axis=-1) + k0
-    return SpectralField.on_lattice(L, k, a["coeffs"]), lam
+    return SpectralField.on_lattice(L, k, coeffs), lam
 
 
 def _tau_max(aperture, n):

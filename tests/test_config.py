@@ -116,6 +116,18 @@ def test_violations_are_aggregated():
     assert "rho" in msg and "epsilon" in msg and ">= 4" in msg
 
 
+@pytest.mark.parametrize("lambdas", ["4 32 inf", "32 1e400", "nan 64"])
+def test_lambdas_must_be_finite(lambdas):
+    # an infinite lambda has no lattice (lattice_side is 0), so the memory
+    # gate would divide by zero; it is reported with the other violations
+    broken = (GOOD.replace("rho = 1.0", "rho = 3.0")
+                  .replace("lambdas = 32 64 128", f"lambdas = {lambdas}"))
+    with pytest.raises(ConfigError) as err:
+        parse_config(broken)
+    msg = str(err.value)
+    assert "lambdas must be finite" in msg and "rho" in msg
+
+
 def test_lambdas_must_be_distinct():
     # a repeated lambda would run its cell twice and weigh it twice in
     # every slope fit; it is reported with the other violations
@@ -343,6 +355,9 @@ def test_estimate_bounds_measured_peak():
 QUADRATURE_CASES = (
     # n2 at lambda = 256: 3072 nodes walked in 18 blocks
     (PLANAR, 256.0, 192, 2, 18),
+    # n2 at lambda = 128, two float steps and so three table sets: 1536
+    # nodes walked in 9 blocks of 177
+    (PLANAR, 128.0, 96, 2, 9),
     # n3 at lambda = 4 (the keys of perfbench/workloads/n3.cfg): the ladder
     # runs 3 -> 6 -> 12 -> 24 panels
     (_SMALL.replace("time_nodes = 9", "time_nodes = 5"), 4.0, 24, 4, 2),
@@ -350,7 +365,7 @@ QUADRATURE_CASES = (
 
 
 @pytest.mark.parametrize("text, lam, panels, levels, blocks", QUADRATURE_CASES,
-                         ids=["n2-lambda256", "n3-lambda4"])
+                         ids=["n2-lambda256", "n2-lambda128", "n3-lambda4"])
 def test_quadrature_estimate_bounds_its_peak(text, lam, panels, levels, blocks):
     # the gate's quadrature term bounds the peak of mu_hat_batch however
     # far the ladder runs: only the nodes' own arrays grow with it

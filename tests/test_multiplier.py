@@ -335,9 +335,9 @@ def test_tables_exponentiated_once_per_distinct_step(nodes, moment3, chi,
     calls = []
     tables = multiplier._tables
 
-    def counted(freq, gam, t):
+    def counted(freq, gam, t, out, rows):
         calls.append(t)
-        return tables(freq, gam, t)
+        return tables(freq, gam, t, out, rows)
 
     monkeypatch.setattr(multiplier, "_tables", counted)
     _gl_values(moment3, chi, ts, SINGLE_POINT, 8)   # one block of 128 nodes
@@ -348,21 +348,26 @@ def test_tables_exponentiated_once_per_distinct_step(nodes, moment3, chi,
 
 
 def test_factorised_sum_in_ragged_chunks(moment3, chi, monkeypatch):
-    # 10 distinct leading tuples over 30 distinct last coordinates: 60 rows
-    # per node; 80 nodes per block splits the 192 nodes as 80, 80 and 32
+    # 10 distinct leading tuples over 30 distinct last coordinates, at the
+    # default time nodes' two steps: 3 table sets of 10 + 10 + 30 rows and 2
+    # leading rows of 10, 170 entries per node; 80 nodes per block splits
+    # the 192 nodes as 80, 80 and 32
     rng = np.random.default_rng(7)
     lead = rng.uniform(-30.0, 30.0, size=(10, 2))
     xis = np.array([[a, b, c] for a, b in lead
                     for c in rng.uniform(-30.0, 30.0, size=3)])
-    monkeypatch.setattr(multiplier, "_BLOCK_ELEMENTS", 60 * 80)
-    assert multiplier._block_width(multiplier._frequencies(xis).rows) == 80
+    monkeypatch.setattr(multiplier, "_BLOCK_BYTES", 16 * 170 * 80)
+    assert multiplier._block_width(multiplier._frequencies(xis),
+                                   np.array([1.0, 1.37, 2.0])) == 80
     _assert_matches_direct(moment3, chi, xis, panels=12)
 
 
-# node blocks of _gl_values: the least width, four panels, and a width that
-# divides neither node count below (26 panels = 416 nodes, 2 panels = 32
-# nodes, one block under either width)
-BLOCKINGS = {"four-panel": lambda rows: 1, "ragged": lambda rows: 100 * rows}
+# node blocks of _gl_values, as budgets for a block's entries per node: the
+# least width, four panels, and a width that divides neither node count
+# below (26 panels = 416 nodes, 2 panels = 32 nodes, one block under either
+# width)
+BLOCKINGS = {"four-panel": lambda entries: 16,
+             "ragged": lambda entries: 16 * 100 * entries}
 
 
 @pytest.mark.parametrize("inputs", ["field-support", "planar-lattice",
@@ -382,19 +387,20 @@ def test_blocking_moves_only_the_order_of_the_sum(blocking, inputs, moment3,
     freq = multiplier._frequencies(xis)
     panel_counts = (26, 2)
     default = [_gl_values(curve, chi, ts, xis, panels) for panels in panel_counts]
-    monkeypatch.setattr(multiplier, "_BLOCK_ELEMENTS",
-                        BLOCKINGS[blocking](freq.rows))
-    assert multiplier._block_width(freq.rows) == (64 if blocking == "four-panel"
-                                                  else 100)
+    entries = freq.entries(1 + multiplier._distinct_steps(np.asarray(ts)))
+    monkeypatch.setattr(multiplier, "_BLOCK_BYTES", BLOCKINGS[blocking](entries))
+    assert multiplier._block_width(freq, np.asarray(ts)) == (
+        64 if blocking == "four-panel" else 100)
     for panels, want in zip(panel_counts, default):
         got = _assert_matches_direct(curve, chi, xis, panels=panels, ts=ts)
         assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
 def test_block_working_set_fits_the_cache():
-    # the n2 benchmark workload's lambda = 128 support on its short window:
-    # mu_hat_batch peaks at 2.3 MiB in blocks of 2^15 entries (4.4 MiB in
-    # blocks of 2^16)
+    # the n2 benchmark workload's lambda = 128 support on its short window,
+    # three table sets: mu_hat_batch peaks at 1.32 MiB in blocks of 1 MiB,
+    # allocated once per level (2.3 MiB in blocks of 2^15 entries per table
+    # set, allocated per block)
     root = Path(__file__).resolve().parents[1]
     cfg = parse_config((root / "perfbench" / "workloads" / "n2.cfg").read_text())
     plan = cell_plan(cfg, 128.0)
@@ -406,7 +412,82 @@ def test_block_working_set_fits_the_cache():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak <= 2.75 * 2 ** 20
+    assert peak <= 1.6 * 2 ** 20
+
+
+@pytest.mark.parametrize("nodes", list(TIME_NODES))
+def test_block_arrays_fit_the_budget(nodes, moment3, chi, field_support,
+                                     monkeypatch):
+    # 1 to 4 table sets: the block width is the most nodes whose table sets,
+    # leading products and gathered table fit _BLOCK_BYTES; those are what a
+    # level allocates with np.empty, beside the rows a table is built from;
+    # and the gate's bound holds the whole batch's traced peak
+    ts = np.asarray(TIME_NODES[nodes])
+    freq = multiplier._frequencies(field_support)
+    entries = freq.entries(1 + multiplier._distinct_steps(ts))
+    width = multiplier._block_width(freq, ts)
+    assert width > multiplier._MIN_BLOCK_NODES
+    assert (16 * entries * width <= multiplier._BLOCK_BYTES
+            < 16 * entries * (width + 1))
+    allocated = []
+
+    class RecordingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def empty(self, shape, dtype=float):
+            allocated.append(np.dtype(dtype).itemsize * np.prod(shape))
+            return np.empty(shape, dtype=dtype)
+
+    monkeypatch.setattr(multiplier, "np", RecordingNumpy())
+    _gl_values(moment3, chi, ts, field_support, 3 * width // 16)  # 3 blocks
+    rows = 16 * width * max(len(exponents) for exponents, _ in freq.gaps)
+    assert sum(allocated) - rows == 16 * entries * width
+    monkeypatch.undo()
+    tracemalloc.start()
+    try:
+        mu_hat_batch(moment3, chi, ts, field_support)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= multiplier.quadrature_peak_bytes(field_support, ts)
+
+
+@pytest.mark.parametrize("nodes", list(TIME_NODES))
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_quadrature_bound_holds_where_the_nodes_dominate(n, nodes, chi):
+    # one frequency far out on the cone: a few table rows, so a block is
+    # thousands of nodes wide and its per-node arrays outweigh its tables
+    ts = np.asarray(TIME_NODES[nodes])
+    xis = np.zeros((1, n))
+    xis[0, -1] = 4000.0
+    tracemalloc.start()
+    try:
+        mu_hat_batch(CurveSpec.moment(n), chi, ts, xis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= multiplier.quadrature_peak_bytes(xis, ts)
+
+
+def test_block_arrays_allocated_once_per_level(moment3, chi, field_support,
+                                               monkeypatch):
+    # blocks of 80 nodes, five panels: one level's peak does not follow
+    # its block count, as every block fills the same arrays
+    ts = np.asarray(TIME_NODES["short-window"])
+    entries = multiplier._frequencies(field_support).entries(3)
+    monkeypatch.setattr(multiplier, "_BLOCK_BYTES", 16 * entries * 80)
+    peaks = []
+    for panels in (5, 10, 100):          # 1, 2 and 20 blocks
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            _gl_values(moment3, chi, ts, field_support, panels)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+    assert 16 * entries * 80 > 4 * 64 * 1024
+    assert max(peaks) - min(peaks) <= 64 * 1024
 
 
 def test_mu_hat_batch_reports_its_ladder(moment3, chi):
@@ -416,7 +497,8 @@ def test_mu_hat_batch_reports_its_ladder(moment3, chi):
     assert set(stats) == {"panels", "nodes", "residual", "steps", "levels",
                           "blocks", "exponentials"}
     assert stats["nodes"] == 16 * stats["panels"]
-    width = multiplier._block_width(multiplier._frequencies(xis).rows)
+    width = multiplier._block_width(multiplier._frequencies(xis),
+                                    np.array([1.0, 1.5]))
     assert stats["blocks"] == -(-stats["nodes"] // width)
     assert stats["steps"] == 1
     start = multiplier._panel_start(moment3, chi, np.array([1.0, 1.5]), xis)

@@ -135,6 +135,22 @@ def test_snapshot_rejects_garbage(tmp_path):
         load_snapshot(foreign)
 
 
+@pytest.mark.parametrize("changes, match", [
+    ({"L": np.array([1.0, 2.0])}, "real scalars"),
+    ({"lam": np.array("x")}, "real scalars"),
+    ({"dims": np.full(3, 8.0)}, "malformed"),
+    ({"k0": np.zeros(3)}, "malformed"),
+    ({"coeffs": np.array(["a"] * 8 ** 3)}, "not numeric"),
+], ids=["vector-L", "string-lambda", "float-dims", "float-k0",
+        "string-coeffs"])
+def test_snapshot_rejects_malformed_arrays(tmp_path, changes, match):
+    # each once escaped as a bare TypeError or ValueError, or loaded
+    path = _rewritten(tmp_path, **changes)
+    with pytest.raises(GridError, match=match) as err:
+        load_snapshot(path)
+    assert str(path) in str(err.value)
+
+
 @pytest.mark.parametrize("side", [np.nan, np.inf, 0.0, -2.0])
 def test_snapshot_rejects_a_side_no_torus_has(tmp_path, side):
     path = _rewritten(tmp_path, L=np.float64(side))
