@@ -27,8 +27,7 @@ from .errors import (ApertureError, ConfigError, ConvergenceError,
                      CurveAvgError, DomainError, GeometryError, GridError,
                      QuadratureError, ResolutionError)
 from .fields import (CounterexampleSpec, LatticeWindow, SpectralField,
-                     SupportBall, build_f, frequency_centers, lattice_side,
-                     piece_boxes, piece_support, windowed_lattice)
+                     SupportBall, build_f, frequency_centers, windowed_lattice)
 from .legendre import GL16_NODES, GL16_WEIGHTS, gauss_legendre, panel_rule
 from .multiplier import alpha_n, cone_decay, leading_constant, mu_hat_batch
 from .reporting import (render_report, sweep_artifacts, sweep_tables,
@@ -54,8 +53,7 @@ __all__ = [
     "alpha_n", "mu_hat_batch", "leading_constant", "cone_decay",
     # fields
     "LatticeWindow", "SpectralField", "SupportBall",
-    "CounterexampleSpec", "frequency_centers", "lattice_side",
-    "windowed_lattice", "piece_boxes", "piece_support", "build_f",
+    "CounterexampleSpec", "frequency_centers", "windowed_lattice", "build_f",
     # averaging
     "TimeWindow", "ball_kernel", "space_stats", "lp_norm_spacetime",
     "norm_grid", "norm_peak_bytes",

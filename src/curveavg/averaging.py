@@ -139,9 +139,9 @@ def ball_kernel(field, radius):
     """
     window = field.window
     n, L = window.n, window.L
-    if radius >= L / 2:
-        raise GeometryError(
-            f"ball radius {radius:.4g} >= half box side {L / 2:.4g}")
+    if not 0 < radius < L / 2:
+        raise GeometryError(f"ball radius {radius:.4g} must lie in "
+                            f"(0, half box side {L / 2:.4g})")
     G = _ball_grid(field.window.dims)
     q2 = sum((np.arange(g // 2 + 1) ** 2).reshape((-1,) + (1,) * (n - 1 - a))
              for a, g in enumerate(G))

@@ -5,8 +5,9 @@ The format is INI (configparser) with sections [curve], [construction],
 (with a nearest-name suggestion) and every range violation is collected and
 reported together, not just the first. The memory gate runs up front: a run
 whose per-cell estimate exceeds the cap is rejected before any work starts.
-The estimate counts each cell's support as `build_f` enumerates it, and no
-more. The CSL_MEMORY_CAP environment variable overrides the configured cap.
+The estimate counts each cell's support as `windowed_lattice` enumerates
+it for `build_f`, and no more. The CSL_MEMORY_CAP environment variable
+overrides the configured cap.
 
 The curve is perturbed exactly when ``perturb<i>`` keys are present; ``[curve]
 kind`` may only restate that. ``policy``, ``oversample``, ``window`` and
@@ -21,15 +22,12 @@ from configparser import ConfigParser, Error as ParserError
 from dataclasses import dataclass, fields as dc_fields, replace
 from math import isfinite
 
-import numpy as np
-
 from .averaging import TimeWindow, norm_peak_bytes
 from .bumps import CutoffSpec
 from .cone import ConeChart
 from .curves import CurveSpec
 from .errors import ConfigError
-from .fields import (CounterexampleSpec, frequency_centers, lattice_side,
-                     piece_support)
+from .fields import CounterexampleSpec, windowed_lattice
 from .multiplier import quadrature_peak_bytes
 
 __all__ = ["RunConfig", "CellPlan", "parse_config", "parse_memory_size",
@@ -319,17 +317,15 @@ def estimate_field_bytes(cfg, lam):
 
 def _estimate_terms(cfg, lam):
     """The norm evaluation's and the quadrature's terms of
-    estimate_field_bytes, on the support `build_f` builds: each piece's
-    `piece_support` on the lattice of `lattice_side`. No coefficient, cone
-    phase or quadrature is computed."""
+    estimate_field_bytes, on the support `build_f` puts f on: the
+    `windowed_lattice` of `sweep.cell_field`. No coefficient, cone phase or
+    quadrature is computed."""
     plan = cell_plan(cfg, lam)
-    spec = plan.spec
-    dk = 2 * np.pi / lattice_side(spec, cfg.points_per_radius)
-    k = np.concatenate([k for k, _ in piece_support(
-        spec, dk, frequency_centers(spec))])
-    span = tuple(int(v) for v in k.max(axis=0) - k.min(axis=0) + 1)
-    return (norm_peak_bytes(span, plan.ps, plan.ball_radius * dk),
-            quadrature_peak_bytes(k * dk, plan.short.nodes))
+    lattice = windowed_lattice(plan.spec,
+                               points_per_radius=cfg.points_per_radius)
+    return (norm_peak_bytes(lattice.dims, plan.ps,
+                            plan.ball_radius * lattice.window.dk),
+            quadrature_peak_bytes(lattice.xi(), plan.short.nodes))
 
 
 def enforce_memory_cap(cfg):

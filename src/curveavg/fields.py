@@ -5,7 +5,9 @@ and a field is sparse on it: the flat indices of its support in its
 *window* of lattice indices [k0, k0 + dims), the support's bounding box
 (`SpectralField.on_lattice`), and one vector of f_hat(xi_k) values over
 them; each support ball owns a contiguous run of rows. Spatial values are
-f(x) = L^{-n} sum_k f_hat(xi_k) e^{i<xi_k, x>}.
+f(x) = L^{-n} sum_k f_hat(xi_k) e^{i<xi_k, x>}. A cell's support is
+enumerated once, by `windowed_lattice`, and `build_f` only puts the
+family's coefficients on it.
 
 The construction itself: centers xi^nu = lambda * Gamma(nu * lambda^{-1/n})
 along the cone, one smooth bump of radius rho * lambda^{1/n} per center,
@@ -26,8 +28,8 @@ from .bumps import radial_bump
 from .errors import ApertureError, ConfigError, DomainError, GridError
 
 __all__ = ["LatticeWindow", "SupportBall", "SpectralField",
-           "CounterexampleSpec", "frequency_centers", "lattice_side",
-           "windowed_lattice", "piece_boxes", "piece_support", "build_f"]
+           "CounterexampleSpec", "frequency_centers", "windowed_lattice",
+           "build_f"]
 
 
 @dataclass(frozen=True)
@@ -66,7 +68,7 @@ class SpectralField:
     `flat` holds the support's flat indices into the window, `coeffs` the
     coefficient at each; `support` declares the balls, each owning a
     contiguous slice of rows of both vectors. Built by `on_lattice`, the
-    window is the support's bounding box.
+    window (of shape `dims`) is the support's bounding box.
     """
 
     window: LatticeWindow
@@ -79,7 +81,7 @@ class SpectralField:
             raise GridError("index and coefficient vectors differ in shape")
 
     @classmethod
-    def on_lattice(cls, L, k, coeffs, support=()):
+    def on_lattice(cls, L, k, coeffs):
         """The field with coefficient coeffs[i] at lattice index k[i] (an
         (m, n) integer array), on the window of its support's bounding box."""
         k = np.asarray(k)
@@ -89,11 +91,15 @@ class SpectralField:
         dims = tuple(int(v) for v in k.max(axis=0) - lo + 1)
         return cls(LatticeWindow(L=L, dims=dims, k0=tuple(int(v) for v in lo)),
                    np.ravel_multi_index(tuple((k - lo).T), dims),
-                   np.asarray(coeffs), support)
+                   np.asarray(coeffs))
 
     @property
     def L(self):
         return self.window.L
+
+    @property
+    def dims(self):
+        return self.window.dims
 
     def xi(self):
         """Frequency vectors of the support, one row per coefficient."""
@@ -121,12 +127,12 @@ class CounterexampleSpec:
     c0: float = 0.25
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise DomainError("lambda must be positive")
+        if not 0 < self.lam < np.inf:
+            raise DomainError("lambda must be positive and finite")
         if not 0.0 < self.rho < 1.0 + 1e-12:
             raise ConfigError([f"rho must lie in (0, 1], got {self.rho}"])
-        if self.c0 <= 0:
-            raise ConfigError([f"c0 must be positive, got {self.c0}"])
+        if not 0 < self.c0 < np.inf:
+            raise ConfigError([f"c0 must be positive and finite, got {self.c0}"])
 
     @property
     def n(self):
@@ -162,69 +168,52 @@ def frequency_centers(spec):
     return centers
 
 
-def lattice_side(spec, points_per_radius):
-    """The box side L of the construction-scaled lattice: its spacing
-    2pi/L is rho*lambda^{1/n}/points_per_radius, so L is large compared to
-    every spatial envelope the construction produces."""
+def windowed_lattice(spec, points_per_radius=4):
+    """The family's support with its bump values, on the support's own box.
+
+    The lattice has spacing rho*lambda^{1/n} / points_per_radius, so its
+    side L = 2pi/spacing is large compared to every spatial envelope the
+    construction produces. Piece nu's rows, in piece order, are the lattice
+    indices k, in C order over its box (center +- r, rounded inward: the
+    bump vanishes at r), where eta(|k dk - xi^nu| / r) is nonzero, and carry
+    that value; ball nu declares its rows and center (`frequency_centers`).
+    The window is the support's bounding box (`SpectralField.on_lattice`).
+    `build_f` puts the family's coefficients on it, and the memory gate
+    charges it as it is."""
     if points_per_radius < 2:
         raise GridError("need at least 2 lattice points per bump radius")
-    return 2 * np.pi / (spec.radius / points_per_radius)
-
-
-def windowed_lattice(spec, points_per_radius=4):
-    """The lattice of side `lattice_side`, windowed to the span of the
-    pieces' boxes (`piece_boxes`), which holds the support of `build_f`."""
-    L = lattice_side(spec, points_per_radius)
-    lo, hi = piece_boxes(frequency_centers(spec), spec.radius, 2 * np.pi / L)
-    lo, hi = lo.min(axis=0), hi.max(axis=0)
-    return LatticeWindow(L=L, dims=tuple(int(v) for v in hi - lo + 1),
-                         k0=tuple(int(v) for v in lo))
-
-
-def piece_boxes(centers, radius, dk):
-    """Per piece (rows) and axis (columns), the least and greatest lattice
-    index k, xi = k * dk, within `radius` of the piece's center: rounded
-    inward, the box still holds the support, as the bump vanishes at radius."""
-    return (np.ceil((centers - radius) / dk).astype(int),
-            np.floor((centers + radius) / dk).astype(int))
-
-
-def piece_support(spec, dk, centers):
-    """Per piece, centered at a row of `centers`, its support on the
-    lattice of spacing dk: the lattice indices k (an (m, n) array, in C
-    order over the piece's box, `piece_boxes`) where its bump
-    eta(|k dk - center| / r) is nonzero, and the bump's values there. The
-    bump is evaluated once over all the pieces' boxes."""
-    lo, hi = piece_boxes(centers, spec.radius, dk)
+    L = 2 * np.pi / (spec.radius / points_per_radius)
+    dk, centers = 2 * np.pi / L, frequency_centers(spec)
+    lo = np.ceil((centers - spec.radius) / dk).astype(int)
+    hi = np.floor((centers + spec.radius) / dk).astype(int)
     boxes = [np.indices(b - a + 1).reshape(spec.n, -1).T + a
              for a, b in zip(lo, hi)]
     sizes = [len(box) for box in boxes]
-    xi = np.concatenate(boxes) * dk - np.repeat(centers, sizes, axis=0)
-    prof = radial_bump(np.linalg.norm(xi, axis=1) / spec.radius)
-    ends = np.cumsum(sizes)[:-1]
-    return [(box[p > 0.0], p[p > 0.0])
-            for box, p in zip(boxes, np.split(prof, ends))]
+    k = np.concatenate(boxes)
+    prof = radial_bump(np.linalg.norm(
+        k * dk - np.repeat(centers, sizes, axis=0), axis=1) / spec.radius)
+    keep = prof > 0.0
+    f = SpectralField.on_lattice(L, k[keep], prof[keep])
+    ends = np.concatenate([[0], np.cumsum(keep)[np.cumsum(sizes) - 1]])
+    return replace(f, support=tuple(
+        SupportBall(center=tuple(c), rows=slice(int(a), int(b)),
+                    flat=f.flat[a:b])
+        for c, a, b in zip(centers, ends[:-1], ends[1:])))
 
 
-def build_f(spec, window):
-    """The full family f = sum_nu f_nu on the window's lattice, one ball per
-    nu (`piece_support`); ball nu's rows carry lambda^{1/n} e^{i phi}
-    eta(|xi - xi^nu|/r). The field's window is its support's box."""
-    nus, centers = spec.nu_values(), frequency_centers(spec)
-    ks, vals = [], []
-    for nu, (k, prof) in zip(nus, piece_support(spec, window.dk, centers)):
-        xi = k * window.dk
-        if not np.all(spec.chart.in_cone(xi)):
-            raise ApertureError(
-                f"support ball of piece nu={nu} exits the cone aperture "
-                f"c={spec.chart.aperture}; widen the aperture or shrink rho")
-        phi, _ = spec.chart.phi_un_batch(xi)
-        ks.append(k)
-        vals.append(spec.lam ** (1.0 / spec.n) * np.exp(1j * phi) * prof)
-    f = SpectralField.on_lattice(window.L, np.concatenate(ks),
-                                 np.concatenate(vals))
-    ends = np.cumsum([0] + [len(k) for k in ks])
-    balls = tuple(SupportBall(center=tuple(c), rows=slice(int(a), int(b)),
-                              flat=f.flat[a:b])
-                  for c, a, b in zip(centers, ends[:-1], ends[1:]))
-    return replace(f, support=balls)
+def build_f(spec, lattice):
+    """The full family f = sum_nu f_nu on `windowed_lattice`'s support: ball
+    nu's rows carry lambda^{1/n} e^{i phi} eta(|xi - xi^nu|/r), eta being
+    the lattice's values, with phi solved in one batch over every piece."""
+    xi = lattice.xi()
+    outside = ~spec.chart.in_cone(xi)
+    if np.any(outside):
+        stops = [ball.rows.stop for ball in lattice.support]
+        nu = spec.nu_values()[np.searchsorted(stops, np.argmax(outside),
+                                              side="right")]
+        raise ApertureError(
+            f"support ball of piece nu={nu} exits the cone aperture "
+            f"c={spec.chart.aperture}; widen the aperture or shrink rho")
+    phi, _ = spec.chart.phi_un_batch(xi)
+    return lattice.with_coeffs(
+        spec.lam ** (1.0 / spec.n) * np.exp(1j * phi) * lattice.coeffs)

@@ -254,8 +254,10 @@ def mu_hat_batch(curve, cutoff, ts, xis, stats=None):
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     xis = np.atleast_2d(np.asarray(xis, dtype=float))
-    if np.any(ts < 1.0) or np.any(ts > 2.0):
+    if not np.all((ts >= 1.0) & (ts <= 2.0)):
         raise DomainError("t must lie in [1, 2]")
+    if not np.all(np.isfinite(xis)):
+        raise DomainError("frequencies must be finite")
     freq = _frequencies(xis)
     panels = _panel_start(curve, cutoff, ts, xis)
     coarse = _gl_values(curve, cutoff, ts, freq, panels)

@@ -91,15 +91,17 @@ def fit_slope(pairs):
     Closed form on the centred logs dx, dy in plain ufuncs, so that no
     LAPACK routine runs or pages into the process: slope = sum(dx dy) /
     sum(dx^2), and max_residual the largest |dy - slope dx|. Fewer than two
-    distinct lambdas is a DomainError.
+    distinct lambdas, or a lambda or value not positive and finite, is a
+    DomainError.
     """
     pairs = list(pairs)
     if len(pairs) < 3:
         raise DomainError(f"need >= 3 points for a slope fit, got {len(pairs)}")
     lams = np.array([float(a) for a, _ in pairs])
     vals = np.array([float(b) for _, b in pairs])
-    if np.any(vals <= 0) or np.any(lams <= 0):
-        raise DomainError("slope fits need positive lambdas and values")
+    if not np.all(np.isfinite(lams) & np.isfinite(vals)
+                  & (lams > 0) & (vals > 0)):
+        raise DomainError("slope fits need positive finite lambdas and values")
     if np.all(lams == lams[0]):
         raise DomainError(
             f"a slope fit needs >= 2 distinct lambdas, got only {lams[0]:g}")

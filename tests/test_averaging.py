@@ -487,9 +487,12 @@ def test_mirrored_fraction_matches_full_kernel(monkeypatch, span):
 
 
 def test_ball_radius_must_fit_in_box():
+    # a NaN radius passes no comparison, and a negative one would weigh
+    # the ball negatively, so the guard asks for 0 < radius < L/2
     f = make_field([(0, 0, 0)], [1.0])
-    with pytest.raises(GeometryError, match="half box side"):
-        ball_kernel(f, 1.0)
+    for radius in (1.0, np.nan, -0.5, 0.0):
+        with pytest.raises(GeometryError, match="half box side"):
+            ball_kernel(f, radius)
 
 
 def test_spacetime_norm_of_steady_family():

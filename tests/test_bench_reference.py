@@ -80,8 +80,12 @@ def test_trace_writes_every_layer_span(tmp_path, jobs):
         "sweep": 1, "sweep.cell": 3, "config.gate": 1, "config.estimate": 3,
         "multiplier": 3, "fields": 6, "averaging": 18, "reporting": 3}
     assert counts["cone"] > 0
-    modes = [s["support_modes"] for s in spans if "support_modes" in s]
-    assert len(modes) == 3 and min(modes) > 0
+    # each cell's two fields spans: the lattice's window (its dims) and
+    # the built field's support (its balls' flat indices)
+    fields = [s for s in spans if s["name"] == "fields"]
+    for key in ("window_points", "support_modes"):
+        found = [s[key] for s in fields if key in s]
+        assert len(found) == 3 and min(found) > 0, key
     assert sorted(s["lam"] for s in spans if s["name"] == "sweep.cell") == [
         4.0, 8.0, 16.0]
     assert all(s["window_points"] > 0 for s in spans

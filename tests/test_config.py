@@ -7,9 +7,8 @@ import pytest
 from conftest import ACCEPTANCE_CONFIG
 from curveavg import (ConeChart, ConfigError, RunConfig, cell_field, cell_plan,
                       cell_support, enforce_memory_cap, estimate_field_bytes,
-                      frequency_centers, mu_hat_batch, parse_config,
-                      parse_memory_size, piece_boxes, radial_bump, run_cell,
-                      windowed_lattice, with_overrides)
+                      mu_hat_batch, parse_config, parse_memory_size,
+                      radial_bump, run_cell, windowed_lattice, with_overrides)
 from curveavg import config, multiplier
 from curveavg.config import _estimate_terms
 from curveavg.multiplier import _frequencies
@@ -118,8 +117,8 @@ def test_violations_are_aggregated():
 
 @pytest.mark.parametrize("lambdas", ["4 32 inf", "32 1e400", "nan 64"])
 def test_lambdas_must_be_finite(lambdas):
-    # an infinite lambda has no lattice (lattice_side is 0), so the memory
-    # gate would divide by zero; it is reported with the other violations
+    # an infinite lambda has no lattice (its side would be 0); it is
+    # reported with the other violations, before the memory gate runs
     broken = (GOOD.replace("rho = 1.0", "rho = 3.0")
                   .replace("lambdas = 32 64 128", f"lambdas = {lambdas}"))
     with pytest.raises(ConfigError) as err:
@@ -264,34 +263,39 @@ GATE_CASES = ((_SMALL, (4.0, 32.0)), (PLANAR, (64.0, 128.0, 256.0)),
 
 
 def test_gate_box_holds_the_support():
-    # each piece's box, rounded inward to the lattice, holds every lattice
-    # point where the piece's bump is nonzero: a box one index wider on
-    # each side finds no other, and `build_f` keeps exactly those points;
-    # the gate's block, the span of those boxes, holds the field's window
+    # each piece's rows are the lattice points of its box, its center +- r
+    # rounded inward, where its bump is nonzero, in C order, carrying the
+    # bump's value: a box one index wider on each side finds no other; and
+    # the gate's lattice is the support `build_f` puts f on, ball for ball
     for text, lams in GATE_CASES:
         cfg = parse_config(text)
         for lam in lams:
             plan = cell_plan(cfg, lam)
             spec, f = plan.spec, cell_field(cfg, plan)
-            window = windowed_lattice(spec, points_per_radius=cfg.points_per_radius)
-            lo, hi = piece_boxes(frequency_centers(spec), spec.radius, window.dk)
-            assert len(f.support) == len(lo)
-            assert window.k0 == tuple(lo.min(axis=0))
-            assert window.dims == tuple(hi.max(axis=0) - lo.min(axis=0) + 1)
-            k0 = np.asarray(f.window.k0)
-            assert np.all(k0 >= window.k0) and np.all(
-                k0 + f.window.dims <= np.add(window.k0, window.dims))
-            for i, (ball, low, high) in enumerate(zip(f.support, lo, hi)):
+            lattice = windowed_lattice(spec, points_per_radius=cfg.points_per_radius)
+            assert lattice.window == f.window
+            assert np.array_equal(lattice.flat, f.flat)
+            assert len(f.support) == len(lattice.support) == len(
+                spec.nu_values())
+            dk, k0 = lattice.window.dk, np.asarray(f.window.k0)
+            for i, (ball, built) in enumerate(zip(lattice.support, f.support)):
+                assert (ball.center, ball.rows) == (built.center, built.rows)
+                center = np.asarray(ball.center)
+                low = np.ceil((center - spec.radius) / dk).astype(int)
+                high = np.floor((center + spec.radius) / dk).astype(int)
                 axes = [np.arange(a - 1, b + 2) for a, b in zip(low, high)]
                 k = np.stack(np.meshgrid(*axes, indexing="ij"),
                              axis=-1).reshape(-1, cfg.n)
-                dist = np.linalg.norm(k * window.dk - ball.center, axis=1)
-                k = k[radial_bump(dist / spec.radius) > 0]
+                bump = radial_bump(
+                    np.linalg.norm(k * dk - center, axis=1) / spec.radius)
+                k = k[bump > 0]
                 assert len(k) and np.all(k >= low) and np.all(k <= high), (
                     cfg.n, lam, i)
-                built = np.stack(np.unravel_index(ball.flat, f.window.dims),
-                                 axis=1) + k0
-                assert np.array_equal(built, k), (cfg.n, lam, i)
+                rows = np.stack(np.unravel_index(built.flat, f.dims),
+                                axis=1) + k0
+                assert np.array_equal(rows, k), (cfg.n, lam, i)
+                assert np.array_equal(lattice.coeffs[ball.rows],
+                                      bump[bump > 0]), (cfg.n, lam, i)
 
 
 def test_gate_support_is_the_built_support(monkeypatch):

@@ -1,3 +1,4 @@
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -5,9 +6,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from curveavg import (ApertureError, ConeChart, ConfigError,
-                      CounterexampleSpec, CurveSpec, CutoffSpec, LatticeWindow,
-                      build_f, frequency_centers, parse_config, piece_boxes,
-                      cell_field, cell_plan, radial_bump, windowed_lattice)
+                      CounterexampleSpec, CurveSpec, CutoffSpec, DomainError,
+                      GridError, LatticeWindow, build_f, cell_field,
+                      cell_plan, estimate_field_bytes, frequency_centers,
+                      parse_config, radial_bump, windowed_lattice)
+from curveavg import config, sweep
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
 
@@ -79,6 +82,18 @@ def test_rho_range_guard(chart, chi):
         spec_for(64.0, chart, chi, rho=1.5)
 
 
+@pytest.mark.parametrize("lam, c0, error", [
+    (np.nan, 0.7, DomainError), (np.inf, 0.7, DomainError),
+    (-64.0, 0.7, DomainError), (64.0, np.nan, ConfigError),
+    (64.0, np.inf, ConfigError)],
+    ids=["nan-lambda", "infinite-lambda", "negative-lambda", "nan-c0",
+         "infinite-c0"])
+def test_spec_needs_positive_finite_constants(chart, chi, lam, c0, error):
+    # nu_values floors c0 lambda^{1/n}, which a NaN or an infinity cannot
+    with pytest.raises(error, match="positive and finite"):
+        spec_for(lam, chart, chi, c0=c0)
+
+
 def test_build_f_support_structure(chart, chi):
     spec = spec_for(64.0, chart, chi)
     window = windowed_lattice(spec)
@@ -124,22 +139,87 @@ def test_narrow_aperture_rejected(chi):
         build_f(spec, windowed_lattice(spec))
 
 
+class _LastBallOutside(ConeChart):
+    """A chart whose aperture holds the frequencies with xi_{n-1} < 24: at
+    lambda = 64 every ball but the last's (nu = 2, xi_{n-1} in (28, 36))."""
+
+    def in_cone(self, xi):
+        return np.asarray(xi)[..., -2] < 24.0
+
+
+@pytest.mark.parametrize("chart_type, nu", [(ConeChart, -2),
+                                            (_LastBallOutside, 2)],
+                         ids=["outer-balls-cross", "last-ball-outside"])
+def test_aperture_error_names_the_piece(chi, chart_type, nu):
+    # at c = 0.52 every center of lambda = 64 (nu = -2..2, |tau| <= 0.5)
+    # lies inside the aperture and the outer balls cross it; the error
+    # names the first piece, in order, with a support point outside, also
+    # when that point is the piece's first row
+    chart = chart_type(curve=CurveSpec.moment(3), aperture=0.52)
+    spec = CounterexampleSpec(lam=64.0, chart=chart, cutoff=chi, rho=1.0,
+                              c0=0.7)
+    lattice = windowed_lattice(spec)
+    assert list(spec.nu_values()) == [-2, -1, 0, 1, 2]
+    with pytest.raises(ApertureError, match=f"piece nu={nu} exits"):
+        build_f(spec, lattice)
+
+
 def test_windowed_lattice_geometry(chart, chi):
     spec = spec_for(128.0, chart, chi)
     w = windowed_lattice(spec, points_per_radius=4)
     # spacing h = radius / 4, so L = 2 pi / h
     assert w.L == pytest.approx(2 * np.pi * 4 / spec.radius)
-    # the window is the span of the pieces' boxes, with no margin: every
-    # lattice point within a radius of a center lies inside it, and each
-    # face holds such a point
-    lo, hi = piece_boxes(frequency_centers(spec), spec.radius, w.dk)
-    assert w.k0 == tuple(lo.min(axis=0))
-    assert w.dims == tuple(hi.max(axis=0) - lo.min(axis=0) + 1)
-    # the field built on it lies inside it
+    # one ball per piece, in order, around its center, its rows tiling the
+    # lattice's, carrying the piece's bump there
+    assert len(w.support) == len(spec.nu_values())
+    centers = frequency_centers(spec)
+    for ball, center in zip(w.support, centers):
+        assert np.array_equal(ball.center, center)
+        dist = np.linalg.norm(w.window.xi_of_flat(ball.flat) - center, axis=1)
+        assert_allclose(w.coeffs[ball.rows], radial_bump(dist / spec.radius),
+                        rtol=1e-15, atol=0)
+    assert [b.rows.start for b in w.support] == [0] + [
+        b.rows.stop for b in w.support[:-1]]
+    assert w.support[-1].rows.stop == len(w.coeffs)
+    # the field built on it lies on it: the same window and support
     f = build_f(spec, w)
-    assert np.all(np.array(f.window.k0) >= w.k0)
-    assert np.all(np.array(f.window.k0) + f.window.dims
-                  <= np.array(w.k0) + w.dims)
+    assert f.window == w.window and np.array_equal(f.flat, w.flat)
+    assert [b.rows for b in f.support] == [b.rows for b in w.support]
+    with pytest.raises(GridError, match="2 lattice points"):
+        windowed_lattice(spec, points_per_radius=1)
+
+
+def test_each_cell_enumerates_its_support_once(monkeypatch):
+    # per cell, the memory gate and `cell_field` each solve every center
+    # once, through the same `windowed_lattice` call, and `build_f` runs
+    # one phase solve over all the pieces
+    calls, lattices = Counter(), []
+    for name in ("solve_gamma", "phi_un_batch"):
+        def counted(self, *args, _name=name, _fn=getattr(ConeChart, name)):
+            calls[_name] += 1
+            return _fn(self, *args)
+        monkeypatch.setattr(ConeChart, name, counted)
+
+    def recorded(spec, **kwargs):
+        lattices.append((spec, kwargs))
+        return windowed_lattice(spec, **kwargs)
+
+    monkeypatch.setattr(config, "windowed_lattice", recorded)
+    monkeypatch.setattr(sweep, "windowed_lattice", recorded)
+    for name, lam in (("n2", 128.0), ("n3", 32.0)):
+        cfg = parse_config((WORKLOADS / f"{name}.cfg").read_text())
+        plan = cell_plan(cfg, lam)
+        pieces = len(plan.spec.nu_values())
+        calls.clear()
+        estimate_field_bytes(cfg, lam)
+        assert calls == {"solve_gamma": pieces}, (name, calls)
+        calls.clear()
+        f = cell_field(cfg, plan)
+        assert calls == {"solve_gamma": pieces, "phi_un_batch": 1}, (name,
+                                                                     calls)
+        assert len(f.support) == pieces
+        gate, cell = lattices[-2:]
+        assert gate == cell, name
 
 
 def test_l2_norm_scaling(chart, chi):

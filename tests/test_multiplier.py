@@ -76,10 +76,17 @@ def test_mu_hat_batch_matches_scalar(moment3, chi):
 
 
 def test_mu_hat_time_guard(moment3, chi):
-    with pytest.raises(DomainError):
-        mu_hat_batch(moment3, chi, [0.5], [[0.0, 0.0, 8.0]])
-    with pytest.raises(DomainError):
-        mu_hat_batch(moment3, chi, [2.5], [[0.0, 0.0, 8.0]])
+    # a NaN passes no comparison, so the guard asks for every t in [1, 2]
+    for ts in ([0.5], [2.5], [np.nan], [1.0, np.nan]):
+        with pytest.raises(DomainError, match="t must lie"):
+            mu_hat_batch(moment3, chi, ts, [[0.0, 0.0, 8.0]])
+
+
+@pytest.mark.parametrize("xi", [[0.0, np.nan, 40.0], [0.0, 0.0, np.inf]],
+                         ids=["nan", "infinite"])
+def test_mu_hat_needs_finite_frequencies(moment3, chi, xi):
+    with pytest.raises(DomainError, match="frequencies must be finite"):
+        mu_hat_batch(moment3, chi, [1.0], [xi])
 
 
 def _ray(curve, chi, direction, lambdas):

@@ -148,6 +148,17 @@ def test_fit_needs_three_points():
         fit_slope([(8.0, 1.0), (16.0, 0.5)])
 
 
+@pytest.mark.parametrize("pair", [(16.0, np.nan), (np.nan, 0.5),
+                                  (np.inf, 0.5), (16.0, np.inf),
+                                  (16.0, -0.5)],
+                         ids=["nan-value", "nan-lambda", "infinite-lambda",
+                              "infinite-value", "negative-value"])
+def test_fit_needs_positive_finite_points(pair):
+    # a NaN would pass a guard for non-positive points and fit a NaN slope
+    with pytest.raises(DomainError, match="positive finite"):
+        fit_slope([(8.0, 1.0), pair, (32.0, 0.25)])
+
+
 @pytest.mark.parametrize("count", [3, 4])
 def test_fit_needs_two_distinct_lambdas(count):
     with pytest.raises(DomainError, match="2 distinct lambdas"):
