@@ -30,7 +30,7 @@ from pathlib import Path
 
 from ._version import __version__
 from .config import enforce_memory_cap, parse_config, with_overrides
-from .errors import CurveAvgError
+from .errors import ConfigError, CurveAvgError
 from .reporting import (render_report, sweep_artifacts, sweep_tables, verdict,
                         write_json, write_manifest)
 from .sweep import DEFAULT_SLOPE_TOLS, sharpness_sweep
@@ -87,12 +87,13 @@ def _parser():
 
 
 def _load_config(args):
-    text = Path(args.config).read_text(encoding="utf-8") if args.config else ""
-    cfg = parse_config(text)
-    cfg, dropped = with_overrides(cfg, jobs=getattr(args, "jobs", None),
-                                  outdir=args.out,
-                                  lambda_max=getattr(args, "lambda_max", None))
-    return cfg, dropped
+    try:
+        text = Path(args.config).read_text(encoding="utf-8") if args.config else ""
+    except (OSError, ValueError) as exc:   # ValueError: not UTF-8
+        raise ConfigError(f"cannot read config {args.config}: {exc}") from None
+    return with_overrides(parse_config(text), jobs=getattr(args, "jobs", None),
+                          outdir=args.out,
+                          lambda_max=getattr(args, "lambda_max", None))
 
 
 def _cmd_sweep(cfg, outdir, dropped, strict):
@@ -111,8 +112,12 @@ def _cmd_report(outdir, strict):
     path = outdir / "report.json"
     if not path.exists():
         raise CurveAvgError(f"no report.json under {outdir}; run sweep first")
-    report = json.loads(path.read_text(encoding="utf-8"))
-    sweep_tables(report, outdir, svg=report["config"]["svg"])
+    try:
+        report = json.loads(path.read_text(encoding="utf-8"))
+        svg = report["config"]["svg"]
+    except (OSError, ValueError, LookupError, TypeError) as exc:
+        raise CurveAvgError(f"{path} is not a sweep report: {exc!r}") from None
+    sweep_tables(report, outdir, svg=svg)
     print(render_report(report), end="")
     return 0 if not strict or verdict(report, strict=True) else 1
 

@@ -97,8 +97,8 @@ class ConeChart:
         j = 1..n-1. Returns (xi, s) with residual max-norm <= _NEWTON_TOL.
         """
         tau = float(tau)
-        if abs(tau) > self.aperture:
-            raise ApertureError(f"|tau| = {abs(tau)} exceeds aperture {self.aperture}")
+        if not abs(tau) <= self.aperture:
+            raise ApertureError(f"|tau| = {abs(tau)} outside aperture {self.aperture}")
         n = self.n
         xi, s = moment_gamma_seed(n, tau)
         xi[n - 2], xi[n - 1] = tau, 1.0  # normalization is exact, not solved for

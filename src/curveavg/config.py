@@ -1,13 +1,13 @@
 """Run configuration: sectioned key-value text, validated in one pass.
 
 The format is INI (configparser) with sections [curve], [construction],
-[grid], [experiment], [output]. Validation is aggregating: every unknown key
-(with a nearest-name suggestion) and every range violation is collected and
-reported together, not just the first. The memory gate runs up front: a run
-whose per-cell estimate exceeds the cap is rejected before any work starts.
-The estimate counts each cell's support as `windowed_lattice` enumerates
-it for `build_f`, and no more. The CSL_MEMORY_CAP environment variable
-overrides the configured cap.
+[grid], [experiment], [output]. A `RunConfig` checks its own values however
+it is built. Validation is aggregating: every unknown section and key (with
+a nearest-name suggestion) and every range violation is reported together,
+unless a value fails to parse. The memory gate runs up front: a run whose
+per-cell estimate exceeds the cap is rejected before any work starts. The
+estimate counts each cell's support as `windowed_lattice` enumerates it for
+`build_f`, and no more. CSL_MEMORY_CAP overrides the configured cap.
 
 The curve is perturbed exactly when ``perturb<i>`` keys are present; ``[curve]
 kind`` may only restate that. ``policy``, ``oversample``, ``window`` and
@@ -57,13 +57,14 @@ class RunConfig:
     svg: bool = True
     jobs: int = 1
 
+    def __post_init__(self):
+        if problems := _range_violations(self):
+            raise ConfigError(problems)
+
     def echo(self):
         """Plain-dict dump of the resolved configuration (for manifests/reports)."""
-        out = {}
-        for f in dc_fields(self):
-            v = getattr(self, f.name)
-            out[f.name] = list(v) if isinstance(v, tuple) else v
-        return out
+        values = ((f.name, getattr(self, f.name)) for f in dc_fields(self))
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in values}
 
 
 def parse_memory_size(text):
@@ -82,6 +83,17 @@ def parse_memory_size(text):
 
 def _floats(text):
     return tuple(float(v) for v in str(text).replace(",", " ").split())
+
+
+def _perturb(key, text):
+    """perturb<i> = 'c_1 c_2 ...' -> (i, coefficients), all finite."""
+    try:
+        comp, coeffs = int(key[len("perturb"):]), _floats(text)
+    except ValueError:
+        raise ValueError("expected perturb<component> = coefficient list") from None
+    if not all(map(isfinite, coeffs)):
+        raise ValueError(f"coefficients must be finite, got {text!r}")
+    return comp, coeffs
 
 
 def _bool(text):
@@ -140,111 +152,105 @@ _PINNED = {
 
 
 def _range_violations(cfg):
-    bad = []
-
-    def check(cond, msg):
-        if not cond:
-            bad.append(msg)
-
-    check(2 <= cfg.n <= 6, f"n must lie in 2..6, got {cfg.n}")
-    check(0.0 < cfg.rho <= 1.0, f"rho must lie in (0, 1], got {cfg.rho}")
-    check(0.0 < cfg.c0 <= 1.0, f"c0 must lie in (0, 1], got {cfg.c0}")
-    check(0.0 < cfg.delta <= 1.0, f"delta must lie in (0, 1], got {cfg.delta}")
-    check(0.0 < cfg.aperture < 2.0, f"aperture must lie in (0, 2), got {cfg.aperture}")
-    check(cfg.points_per_radius >= 2,
-          f"points_per_radius must be >= 2, got {cfg.points_per_radius}")
-    check(cfg.memory_cap >= 1 << 20,
-          f"memory cap below 1 MiB is unusable, got {cfg.memory_cap}")
-    check(len(cfg.lambdas) >= 1, "no lambda left to run: lambdas is empty")
-    check(all(v >= 4 for v in cfg.lambdas),
-          f"lambdas must all be >= 4, got {list(cfg.lambdas)}")
-    check(all(isfinite(v) for v in cfg.lambdas),
-          f"lambdas must be finite, got {list(cfg.lambdas)}")
-    check(len(set(cfg.lambdas)) == len(cfg.lambdas),
-          f"lambdas must be distinct, got {list(cfg.lambdas)}")
-    check(all(v >= 2 and v % 2 == 0 for v in cfg.ps),
-          f"every p must be an even integer >= 2, got {list(cfg.ps)}")
-    check(cfg.time_nodes >= 5, f"time_nodes must be >= 5, got {cfg.time_nodes}")
-    check(0.0 < cfg.epsilon <= 1.0,
-          f"epsilon must lie in (0, 1], got {cfg.epsilon}")
+    """The message of every value rule that cfg breaks."""
     unknown = [c for c in cfg.checks if c not in _KNOWN_CHECKS]
-    check(not unknown,
-          f"unknown checks {unknown}; valid: {', '.join(_KNOWN_CHECKS)}")
-    check(cfg.piece_floor >= 0, f"piece_floor must be >= 0, got {cfg.piece_floor}")
     floor = "floor" in cfg.checks
-    check(not floor or cfg.piece_floor > 0,
-          "the floor check needs piece_floor > 0")
-    check(floor or cfg.piece_floor <= 0,
-          f"piece_floor = {cfg.piece_floor} is read only by the floor check; "
-          "add floor to checks")
-    check(cfg.jobs >= 1, f"jobs must be >= 1, got {cfg.jobs}")
-    return bad
+    outside = [c for c, _ in cfg.perturbation if not 1 <= c <= cfg.n]
+    rules = [
+        (2 <= cfg.n <= 6, f"n must lie in 2..6, got {cfg.n}"),
+        (0.0 < cfg.rho <= 1.0, f"rho must lie in (0, 1], got {cfg.rho}"),
+        (0.0 < cfg.c0 <= 1.0, f"c0 must lie in (0, 1], got {cfg.c0}"),
+        (0.0 < cfg.delta <= 1.0, f"delta must lie in (0, 1], got {cfg.delta}"),
+        (0.0 < cfg.aperture < 2.0, f"aperture must lie in (0, 2), got {cfg.aperture}"),
+        (cfg.points_per_radius >= 2,
+         f"points_per_radius must be >= 2, got {cfg.points_per_radius}"),
+        (cfg.memory_cap >= 1 << 20,
+         f"memory cap below 1 MiB is unusable, got {cfg.memory_cap}"),
+        (len(cfg.lambdas) >= 1, "no lambda left to run: lambdas is empty"),
+        (all(v >= 4 for v in cfg.lambdas),
+         f"lambdas must all be >= 4, got {list(cfg.lambdas)}"),
+        (all(isfinite(v) for v in cfg.lambdas),
+         f"lambdas must be finite, got {list(cfg.lambdas)}"),
+        (len(set(cfg.lambdas)) == len(cfg.lambdas),
+         f"lambdas must be distinct, got {list(cfg.lambdas)}"),
+        (all(v >= 2 and v % 2 == 0 for v in cfg.ps),
+         f"every p must be an even integer >= 2, got {list(cfg.ps)}"),
+        (cfg.time_nodes >= 5, f"time_nodes must be >= 5, got {cfg.time_nodes}"),
+        (0.0 < cfg.epsilon <= 1.0,
+         f"epsilon must lie in (0, 1], got {cfg.epsilon}"),
+        (not unknown,
+         f"unknown checks {unknown}; valid: {', '.join(_KNOWN_CHECKS)}"),
+        (cfg.piece_floor >= 0, f"piece_floor must be >= 0, got {cfg.piece_floor}"),
+        (not floor or cfg.piece_floor > 0,
+         "the floor check needs piece_floor > 0"),
+        (floor or cfg.piece_floor <= 0,
+         f"piece_floor = {cfg.piece_floor} is read only by the floor check; "
+         "add floor to checks"),
+        (cfg.jobs >= 1, f"jobs must be >= 1, got {cfg.jobs}"),
+        (not outside, f"perturbed components {outside} outside 1..{cfg.n}"),
+        (all(isfinite(c) for _, coeffs in cfg.perturbation for c in coeffs),
+         "perturbation coefficients must be finite, got "
+         f"{list(cfg.perturbation)}"),
+    ]
+    return [msg for ok, msg in rules if not ok]
 
 
-def _close_match(word, names):
-    """The closest of `names` to a misspelt `word`, as a list of at most
-    one. difflib is imported here, on the error path alone."""
+def _did_you_mean(word, names, quote):
+    """', did you mean <the closest of names>?' for a misspelt word, quoted
+    by `quote`, or ''. difflib is imported here, on the error path alone."""
     import difflib
-    return difflib.get_close_matches(word, names, n=1)
+    hint = difflib.get_close_matches(word, names, n=1)
+    return f", did you mean {quote % hint[0]}?" if hint else ""
 
 
 def parse_config(text):
-    """Parse and fully validate sectioned key-value text into a RunConfig.
+    """Parse sectioned key-value text into a RunConfig.
 
     Raises ConfigError carrying *all* problems: unknown sections/keys (with
-    nearest-name suggestions) and every range violation; or, for text that
-    is not sectioned key-value text (no section header, a duplicate key or
-    section), the parser's one complaint. Values are taken literally: '%'
-    interpolates nothing.
+    nearest-name suggestions) and every range violation the RunConfig finds,
+    unless a value fails to parse (its key would be checked at its default);
+    or, for text that is not sectioned key-value text (no section header, a
+    duplicate key or section), the parser's one complaint. Values are taken
+    literally: '%' interpolates nothing.
     """
     parser = ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
     except ParserError as exc:
         raise ConfigError([f"malformed config text: {exc}"]) from None
-    problems = []
-    values = {}
+    problems, values, unparsed, perturbed = [], {}, False, False
     for section in parser.sections():
         if section not in _SCHEMA:
-            hint = _close_match(section, _SCHEMA.keys())
             problems.append(f"unknown section [{section}]"
-                            + (f", did you mean [{hint[0]}]?" if hint else ""))
+                            + _did_you_mean(section, _SCHEMA, "[%s]"))
             continue
         schema = _SCHEMA[section]
         for key, raw in parser.items(section):
-            if section == "curve" and key.startswith("perturb"):
-                try:
-                    comp, coeffs = int(key[len("perturb"):]), _floats(raw)
-                except ValueError:
-                    problems.append(f"[curve] {key}: expected perturb<component>"
-                                    " = coefficient list")
-                    continue
-                values.setdefault("perturbation", []).append((comp, coeffs))
-                if not all(isfinite(c) for c in coeffs):
-                    problems.append(f"[curve] {key}: coefficients must be "
-                                    f"finite, got {raw!r}")
-                continue
+            perturb = section == "curve" and key.startswith("perturb")
+            perturbed |= perturb
             pinned = _PINNED.get((section, key))
-            if key not in schema and not pinned:
+            if key not in schema and not pinned and not perturb:
                 names = list(schema) + [k for s, k in _PINNED if s == section]
-                hint = _close_match(key, names)
                 problems.append(f"unknown key '{key}' in [{section}]"
-                                + (f", did you mean '{hint[0]}'?" if hint else ""))
+                                + _did_you_mean(key, names, "'%s'"))
                 continue
-            conv = pinned[0] if pinned else schema[key][1]
+            conv = (lambda s: _perturb(key, s)) if perturb else (
+                pinned[0] if pinned else schema[key][1])
             try:
                 value = conv(raw)
-            except (ValueError, ConfigError) as exc:
+            except ValueError as exc:
                 problems.append(f"[{section}] {key}: {exc}")
+                unparsed = True
                 continue
-            if not pinned:
+            if perturb:
+                values.setdefault("perturbation", []).append(value)
+            elif not pinned:
                 values[schema[key][0]] = value
             elif value != pinned[1]:
                 problems.append(pinned[2].format(raw))
 
     # the curve is perturbed exactly when perturb<i> keys are present
-    perturbed = "perturbation" in values
-    if perturbed:
+    if "perturbation" in values:
         values["perturbation"] = tuple(sorted(values["perturbation"]))
     derived = "perturbed-moment" if perturbed else "moment"
     kind = values.pop("kind", derived)
@@ -258,13 +264,12 @@ def parse_config(text):
             values["memory_cap"] = parse_memory_size(env_cap)
         except ValueError:
             problems.append(f"CSL_MEMORY_CAP: cannot parse {env_cap!r}")
+            unparsed = True
 
-    cfg = RunConfig(**values) if not problems else None
-    if cfg is not None:
-        problems.extend(_range_violations(cfg))
-        bad_comp = [c for c, _ in cfg.perturbation if not 1 <= c <= cfg.n]
-        if bad_comp:
-            problems.append(f"perturbed components {bad_comp} outside 1..{cfg.n}")
+    try:
+        cfg = None if unparsed else RunConfig(**values)
+    except ConfigError as exc:
+        problems += exc.violations
     if problems:
         raise ConfigError(problems)
     return cfg
@@ -345,20 +350,12 @@ def with_overrides(cfg, jobs=None, outdir=None, lambda_max=None):
 
     Returns (config, dropped) where dropped says whether --lambda-max removed
     any cells; the sweep widens its slope tolerances in that case, since fits
-    over a shorter lambda range carry more preasymptotic bias. The result is
-    checked as a parsed config is: ConfigError for a jobs count below 1 or
-    a --lambda-max below every lambda.
+    over a shorter lambda range carry more preasymptotic bias. The result
+    checks itself as every RunConfig does: ConfigError for a jobs count
+    below 1 or a --lambda-max below every lambda.
     """
-    out, dropped = cfg, False
-    if jobs is not None:
-        out = replace(out, jobs=int(jobs))
-    if outdir is not None:
-        out = replace(out, outdir=str(outdir))
-    if lambda_max is not None:
-        kept = tuple(v for v in out.lambdas if v <= float(lambda_max))
-        dropped = len(kept) < len(out.lambdas)
-        out = replace(out, lambdas=kept)
-    problems = _range_violations(out)
-    if problems:
-        raise ConfigError(problems)
-    return out, dropped
+    kept = cfg.lambdas if lambda_max is None else tuple(
+        v for v in cfg.lambdas if v <= float(lambda_max))
+    out = replace(cfg, lambdas=kept, jobs=cfg.jobs if jobs is None else int(jobs),
+                  outdir=cfg.outdir if outdir is None else str(outdir))
+    return out, len(out.lambdas) < len(cfg.lambdas)

@@ -323,6 +323,8 @@ def leading_constant(n):
 def cone_decay(chart, cutoff, t, xis):
     """Per frequency, phi(xi) and chi(theta(xi)) (t u_n(xi))^{-1/n}. The
     power is taken on Python floats, as scalar arithmetic rounds it."""
+    if not 0.0 < t < np.inf:
+        raise DomainError(f"t must be positive and finite, got {t}")
     theta = chart.solve_theta_batch(xis)
     phi, un = chart.phi_un_at(xis, theta)
     if np.any(un <= 0.0):

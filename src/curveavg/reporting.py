@@ -33,8 +33,7 @@ def fmt(value):
 
 def write_csv(path, header, rows):
     path = Path(path)
-    lines = [",".join(header)]
-    lines += [",".join(fmt(v) for v in row) for row in rows]
+    lines = [",".join(header)] + [",".join(fmt(v) for v in row) for row in rows]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
@@ -162,9 +161,8 @@ def sweep_tables(report, outdir, svg=True):
 
 def report_warnings(report):
     """The report's warnings: findings that fail no check but fail --strict."""
-    if report["quotient_monotone"]:
-        return []
-    return ["quotient trend not decreasing in lambda"]
+    return ([] if report["quotient_monotone"]
+            else ["quotient trend not decreasing in lambda"])
 
 
 def verdict(report, strict=False):

@@ -62,7 +62,7 @@ def critical_exponent(p, n):
     """
     if not isinstance(n, int) or n < 2:
         raise DomainError(f"dimension must be an integer >= 2, got {n}")
-    if p != np.inf and p < 2:
+    if not (p == np.inf or p >= 2):
         raise DomainError(f"p must be >= 2, got {p}")
     from fractions import Fraction   # no sweep calls this: kept off the imports
 
@@ -323,9 +323,7 @@ def sharpness_sweep(cfg, slope_tols=None):
     else:
         cells = [run_cell(cfg, lam) for lam in lams]
 
-    tols = dict(DEFAULT_SLOPE_TOLS)
-    if slope_tols:
-        tols.update(slope_tols)
+    tols = {**DEFAULT_SLOPE_TOLS, **(slope_tols or {})}
 
     ps = [float(p) for p in cfg.ps]
     keys = [str(int(p)) if p.is_integer() else str(p) for p in ps]

@@ -342,6 +342,36 @@ def test_jobs_below_one_is_a_config_error(tmp_path, monkeypatch, capsys, jobs):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command, name, content, error", [
+    ("sweep", "missing.cfg", None, "ConfigError"),
+    ("sweep", "dir.cfg", "directory", "ConfigError"),
+    ("sweep", "latin1.cfg", "[curve]\nn = 3 # \xe9\n".encode("latin-1"),
+     "ConfigError"),
+    ("report", "report.json", b"not json", "CurveAvgError"),
+    ("report", "report.json", b'{"cells": []}', "CurveAvgError"),
+    ("report", "report.json", b"[]", "CurveAvgError"),
+], ids=["missing", "directory", "not-utf8", "not-json", "no-config",
+        "not-an-object"])
+def test_unreadable_input_file_is_an_error_record(tmp_path, capsys, command,
+                                                  name, content, error):
+    # a file the command cannot read or use is exit 2 and an error.json
+    # naming the file, as every other bad input is, not a traceback
+    out = tmp_path / "out"
+    path = (out if command == "report" else tmp_path) / name
+    if content == "directory":
+        path.mkdir(parents=True)
+    elif content is not None:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(content)
+    argv = [command, "--out", str(out)]
+    if command == "sweep":
+        argv += ["--config", str(path)]
+    assert main(argv) == 2
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == error and str(path) in record["message"]
+    assert str(path) in capsys.readouterr().err
+
+
 def test_report_without_sweep(tmp_path, capsys):
     assert main(["report", "--out", str(tmp_path)]) == 2
     record = json.loads((tmp_path / "error.json").read_text())

@@ -109,6 +109,17 @@ def test_aperture_guard(chart3):
         chart3.solve_theta(np.array([1.0, 0.4, 1.0]))
 
 
+def test_nan_tau_is_outside_the_aperture(chart3, monkeypatch):
+    # |tau| must lie within the aperture, and a NaN does not: it is
+    # rejected before the first Newton step, not after sixty
+    def refuse(*args):
+        raise AssertionError("a Newton step ran")
+
+    monkeypatch.setattr(CurveSpec, "derivative", refuse)
+    with pytest.raises(ApertureError, match="nan outside aperture"):
+        chart3.solve_gamma(float("nan"))
+
+
 def test_batched_theta_matches_scalar(chart3):
     taus = np.linspace(-0.4, 0.4, 7)
     xis = np.array([moment_gamma_seed(3, t)[0] for t in taus]) * 8.0

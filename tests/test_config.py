@@ -1,5 +1,5 @@
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -164,6 +164,54 @@ def test_curve_kind_must_agree_with_perturb_keys(kind, perturb, error):
             parse_config(text)
     else:
         assert bool(parse_config(text).perturbation) == bool(perturb)
+
+
+# the value rules a RunConfig checks however it is built: (the fields that
+# break one, what its message says)
+BROKEN_VALUES = [
+    (dict(checks=("orthogonalty", "slopes")), r"unknown checks \['orthogonalty'\]"),
+    (dict(piece_floor=5.0), "add floor to checks"),
+    (dict(jobs=0), "jobs must be >= 1, got 0"),
+    (dict(perturbation=((4, (0.0, 0.1)),)), r"perturbed components \[4\] outside 1..3"),
+    (dict(perturbation=((1, (float("nan"),)),)),
+     "perturbation coefficients must be finite"),
+    (dict(lambdas=()), "lambdas is empty"),
+]
+
+
+@pytest.mark.parametrize("build", ["constructor", "replace"])
+@pytest.mark.parametrize("changes, rule", BROKEN_VALUES,
+                         ids=["misspelt-check", "orphan-floor", "jobs",
+                              "component", "nan-coefficient", "no-lambda"])
+def test_every_construction_checks_the_values(build, changes, rule):
+    # a config built in code obeys the rules a parsed one does: a misspelt
+    # check would otherwise run no check, an orphan piece_floor read nothing
+    with pytest.raises(ConfigError, match=rule) as err:
+        RunConfig(**changes) if build == "constructor" else replace(
+            RunConfig(), **changes)
+    assert len(err.value.violations) == 1
+
+
+def test_range_violations_come_with_unknown_keys():
+    # no value failed to parse, so the range rules run beside the key check
+    broken = (GOOD.replace("rho = 1.0", "rho = 5")
+                  .replace("epsilon = 0.3", "epsilon = 0.3\nseed = 1"))
+    with pytest.raises(ConfigError) as err:
+        parse_config(broken)
+    assert err.value.violations == ["unknown key 'seed' in [experiment]",
+                                    "rho must lie in (0, 1], got 5.0"]
+
+
+def test_a_value_that_fails_to_parse_is_reported_alone():
+    # unparsed, piece_floor would be checked at its default 0 against the
+    # floor check; only the text problems are reported
+    broken = (GOOD.replace("piece_floor = 1.0", "piece_floor = high")
+                  .replace("epsilon = 0.3", "epsilon = 0.3\nseed = 1"))
+    with pytest.raises(ConfigError) as err:
+        parse_config(broken)
+    assert err.value.violations == [
+        "unknown key 'seed' in [experiment]",
+        "[experiment] piece_floor: could not convert string to float: 'high'"]
 
 
 def test_perturbed_component_range_checked():

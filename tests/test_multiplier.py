@@ -216,6 +216,14 @@ def test_cone_decay_rejects_non_moment_directions(chi, chart):
         cone_decay(chart, chi, 1.0, [[0.0, 0.0, -64.0]])
 
 
+@pytest.mark.parametrize("t", [-1.0, 0.0, float("nan"), float("inf")])
+def test_cone_decay_needs_a_positive_finite_time(chi, chart, t):
+    # (t u_n)^{-1/n} is real and finite only for t > 0 finite: -1 would
+    # give a complex decay, 0 a ZeroDivisionError, NaN a NaN
+    with pytest.raises(DomainError, match="t must be positive and finite"):
+        cone_decay(chart, chi, t, [[0.0, 0.1, 64.0]])
+
+
 def test_cone_decay_solves_theta_once(monkeypatch, chi, chart):
     # chi(theta) and (phi, u_n) share one Newton solve, with phi as
     # phi_un_batch gives it

@@ -88,6 +88,12 @@ def test_exponent_rejects_bad_arguments():
         critical_exponent(4, 3.0)
 
 
+def test_exponent_rejects_nan_p():
+    # p must be >= 2 or infinite: a NaN p is neither, not the p <= 4 piece
+    with pytest.raises(DomainError, match="p must be >= 2, got nan"):
+        critical_exponent(float("nan"), 3)
+
+
 def test_expected_slopes_are_consistent():
     for n in (3, 4):
         for p in (4.0, 6.0, 8.0, 12.0):
@@ -404,7 +410,8 @@ def _concentration_report(monkeypatch, tiny_cfg, fractions):
         return _stub_cell(cfg, lam, fractions=fractions[lam])
 
     monkeypatch.setattr(sweep_module, "run_cell", cell)
-    cfg = replace(tiny_cfg, lambdas=tuple(fractions), checks=("concentration",))
+    cfg = replace(tiny_cfg, lambdas=tuple(fractions),
+                  checks=("concentration",), piece_floor=0.0)
     return sharpness_sweep(cfg)
 
 
@@ -489,7 +496,7 @@ def test_forked_cell_killed_by_a_signal_names_its_lambda(monkeypatch, tiny_cfg):
     fds = _open_fds()
     with _deadline(60), pytest.raises(
             CurveAvgError, match="lambda=45: .* killed by SIGKILL"):
-        sharpness_sweep(replace(tiny_cfg, jobs=2, checks=()))
+        sharpness_sweep(replace(tiny_cfg, jobs=2, checks=(), piece_floor=0.0))
     _assert_nothing_left(fds)
 
 
@@ -506,7 +513,8 @@ def test_forked_cell_larger_than_a_pipe_comes_back_whole(monkeypatch, tiny_cfg):
     monkeypatch.setattr(sweep_module, "run_cell", cell)
     fds, before = _open_fds(), _pipe_read_ends()
     with _deadline(60):
-        report = sharpness_sweep(replace(tiny_cfg, jobs=2, checks=()))
+        report = sharpness_sweep(replace(tiny_cfg, jobs=2, checks=(),
+                                         piece_floor=0.0))
     assert [c["lam"] for c in report["cells"]] == [32.0, 45.0, 64.0]
     assert all(c["blob"] == blob for c in report["cells"])
     assert all(set(c["reads"]) <= before for c in report["cells"])
@@ -522,7 +530,8 @@ def test_forked_cells_come_back_in_lambda_order(monkeypatch, tiny_cfg):
 
     monkeypatch.setattr(sweep_module, "run_cell", cell)
     with _deadline(60):
-        cells = sharpness_sweep(replace(tiny_cfg, jobs=2, checks=()))["cells"]
+        cells = sharpness_sweep(replace(tiny_cfg, jobs=2, checks=(),
+                                        piece_floor=0.0))["cells"]
     assert [c["lam"] for c in cells] == [32.0, 45.0, 64.0]
     assert cells[2]["done"] < cells[0]["done"]
 
@@ -537,6 +546,7 @@ def test_forked_cells_start_largest_lambda_first(monkeypatch, tiny_cfg):
 
     monkeypatch.setattr(sweep_module, "run_cell", cell)
     with _deadline(60):
-        cells = sharpness_sweep(replace(tiny_cfg, jobs=2, checks=()))["cells"]
+        cells = sharpness_sweep(replace(tiny_cfg, jobs=2, checks=(),
+                                        piece_floor=0.0))["cells"]
     start = {c["lam"]: c["start"] for c in cells}
     assert max(start[64.0], start[45.0]) < start[32.0]
