@@ -2,27 +2,27 @@
 asymptotics, and the counterexample family that pins down the sharp local
 smoothing exponent min{1/n, (1/n)(1/2 + 2/p), 2/p}.
 
-The package is organized bottom-up: `legendre` holds the Gauss-Legendre
-rules, `curves`/`bumps` define the model class of curves and smooth cutoffs,
-`cone` solves the frequency-side geometry, `multiplier` evaluates the
-averaging multiplier and its leading term on the cone, `fields` synthesizes
-the lattice-supported counterexample family, `averaging` applies A_t and
-measures norms, `sweep` runs scaling experiments (`parallel` forks its
-cells under --jobs K), and `cli`/`reporting` handle artifacts. `verify`
-holds what no sweep runs (the oracles, the verify commands, the snapshot
-format); it is not imported here, and its names are `curveavg.verify.X`.
+The package is organized bottom-up: `legendre` holds the Gauss-Legendre rules,
+`curves`/`bumps` define the curves and smooth cutoffs, `cone` solves the
+frequency-side geometry, `multiplier` evaluates the averaging multiplier and
+its leading term on the cone, `fields` synthesizes the lattice-supported
+counterexample family, `averaging` applies A_t and measures norms and the
+ball's share, `sweep` runs scaling experiments (`parallel` forks its cells
+under --jobs K), and `cli`/`reporting` handle artifacts. `verify` holds what
+no sweep runs (the oracles, the exponent table, the curve checks, the verify
+commands, the snapshot format); it is not imported here: `curveavg.verify.X`.
 """
 
 from ._version import __version__
-from .averaging import (TimeWindow, ball_kernel, lp_norm_spacetime,
-                        norm_grid, norm_peak_bytes, space_stats)
+from .averaging import (PairTable, TimeWindow, lp_norm_spacetime, norm_grid,
+                        norm_peak_bytes, pair_peak_bytes, pair_table,
+                        space_stats)
 from .bumps import CutoffSpec, radial_bump, smooth_step
 from .cone import ConeChart, moment_gamma_seed
 from .config import (CellPlan, RunConfig, cell_plan, enforce_memory_cap,
                      estimate_field_bytes, parse_config, parse_memory_size,
                      with_overrides)
-from .curves import (CurveSpec, ModelClassReport, model_class_report,
-                     nondegeneracy_margin)
+from .curves import CurveSpec
 from .errors import (ApertureError, ConfigError, ConvergenceError,
                      CurveAvgError, DomainError, GeometryError, GridError,
                      QuadratureError, ResolutionError)
@@ -32,9 +32,8 @@ from .legendre import GL16_NODES, GL16_WEIGHTS, gauss_legendre, panel_rule
 from .multiplier import alpha_n, cone_decay, leading_constant, mu_hat_batch
 from .reporting import (render_report, sweep_artifacts, sweep_tables,
                         write_csv, write_json)
-from .sweep import (Cell, cell_field, cell_support, critical_exponent,
-                    expected_slopes, fit_slope, measure, run_cell,
-                    sharpness_sweep)
+from .sweep import (Cell, cell_field, cell_support, expected_slopes,
+                    fit_slope, measure, run_cell, sharpness_sweep)
 
 __all__ = [
     "__version__",
@@ -43,8 +42,7 @@ __all__ = [
     "QuadratureError", "GridError", "GeometryError", "ResolutionError",
     "ConfigError",
     # curves and cutoffs
-    "CurveSpec", "nondegeneracy_margin", "model_class_report",
-    "ModelClassReport", "CutoffSpec", "smooth_step", "radial_bump",
+    "CurveSpec", "CutoffSpec", "smooth_step", "radial_bump",
     # cone geometry
     "ConeChart", "moment_gamma_seed",
     # quadrature rules
@@ -55,13 +53,13 @@ __all__ = [
     "LatticeWindow", "SpectralField", "SupportBall",
     "CounterexampleSpec", "frequency_centers", "windowed_lattice", "build_f",
     # averaging
-    "TimeWindow", "ball_kernel", "space_stats", "lp_norm_spacetime",
-    "norm_grid", "norm_peak_bytes",
+    "TimeWindow", "PairTable", "pair_table", "space_stats",
+    "lp_norm_spacetime", "norm_grid", "norm_peak_bytes", "pair_peak_bytes",
     # config
     "RunConfig", "parse_config", "parse_memory_size", "with_overrides",
     "CellPlan", "cell_plan", "enforce_memory_cap", "estimate_field_bytes",
     # sweep
-    "critical_exponent", "expected_slopes", "fit_slope", "Cell",
+    "expected_slopes", "fit_slope", "Cell",
     "cell_field", "cell_support", "measure", "run_cell", "sharpness_sweep",
     # reporting
     "write_csv", "write_json", "sweep_artifacts", "sweep_tables",

@@ -1,4 +1,4 @@
-"""Applying the curve average to spectral fields, and L^p bookkeeping.
+"""Applying the curve average to spectral fields: L^p norms and the ball's share.
 
 Spectrally the average is a plain multiplier: (A_t f)_hat = mu_hat_t * f_hat,
 evaluated only on a field's support (`curveavg.verify.direct_oracle` checks
@@ -22,21 +22,21 @@ the box and needs no transform; when it is the largest requested p none
 runs. p = inf and non-even p are rejected.
 
 The concentration fraction is exact. |f|^2 = L^{-2n} sum_q A(q) e^{i<q dk, x>}
-with A(q) = sum_{k - k' = q} c_k conj(c_k'), so the mass inside the centered
-ball B of radius R is L^{-2n} sum_q A(q) B_hat(q dk), B_hat(xi) the ball's
-Fourier transform, and the fraction is sum_q B_hat(q dk) A(q) / (L^n A(0))
-(Stein & Weiss, Introduction to Fourier Analysis on Euclidean Spaces,
-ch. IV). A(q) lives within +-(span - 1) per axis, so |f|^2 sampled on the
-least 7-smooth grid G >= 2 span - 1 per axis carries it without aliasing:
-the sum is one dot product of those samples with a real kernel K on G,
-the inverse transform of B_hat (even in every axis, so one real irfft per
-axis from its values at q_a >= 0). K is even in every axis too, so its
-orthant x_a = 0 ... G_a/2 holds all of it, 2^n times fewer points than G:
-`ball_kernel` builds and stores that orthant once for every field on a
-support box, cutting each axis's irfft output to it before the next; each
-`space_stats` call then takes |f|^2 on G slab by slab, as for the norms, and
-adds up its dot product with K gathered at the slab's points through the
-mirrored indices min(x_a, G_a - x_a).
+with A(q) = sum_{k - k' = q} c_k conj(c_k'), so the share of ||f||_2^2 in the
+centered ball of radius R is sum_q B_hat(q dk) A(q) / (L^n A(0)), B_hat the
+ball's Fourier transform (Stein & Weiss, Introduction to Fourier Analysis
+on Euclidean Spaces, ch. IV). B_hat is real and even, so the sum is that of
+c's real part plus that of its imaginary part, and it splits over piece
+pairs: with each of the N balls' parts x_nu in a common box of D points per
+axis from the ball's least index lo_nu, the pair (nu, nu') adds
+sum_d B_hat((lo_nu - lo_nu' + d) dk) C(d), C(d) = sum_{a - b = d} x_nu(a)
+x_nu'(b) for |d_a| < D_a. A transform F over P = 2D - 1 points per axis
+carries C without aliasing: the pair's sum is sum_j F_nu(j) conj(F_nu'(j))
+T(j), T the inverse transform of B_hat at the pair's lags. `pair_table`
+tabulates T once per support, for the pairs nu <= nu' and j_n = 0 ... D_n - 1
+alone, the rest counting twice: x and B_hat are real, so the term at -j is
+the conjugate of the one at j (the plane j_n = 0 is its own mirror).
+`PairTable.share` then takes one real FFT of the balls' parts and one sum per row.
 """
 
 from __future__ import annotations
@@ -50,14 +50,13 @@ import numpy as np
 from .errors import DomainError, GeometryError
 from .legendre import gauss_legendre
 
-__all__ = ["TimeWindow", "ball_kernel", "space_stats", "lp_norm_spacetime",
-           "norm_grid", "norm_peak_bytes"]
+__all__ = ["TimeWindow", "PairTable", "pair_table", "space_stats",
+           "lp_norm_spacetime", "norm_grid", "norm_peak_bytes", "pair_peak_bytes"]
 
 # grid points per slab of the passes after axis 0, sized so that a slab's
 # whole working set fits a core's L2 cache: at the 48 bytes per point that
 # norm_peak_bytes charges a slab (the last pass's input and output, |f|^2 and
-# the power buffer) it is 768 KiB, and 896 KiB at the 56 bytes of the ball's
-# pass (plus the kernel's read)
+# the power buffer) it is 768 KiB
 _SLAB_POINTS = 1 << 14
 
 
@@ -99,12 +98,6 @@ def norm_grid(span, ps):
     return tuple(_next_smooth(half * (s - 1) + 1) for s in span)
 
 
-def _ball_grid(span):
-    """Per-axis points of the grid G >= 2 span - 1 that samples |f|^2, whose
-    frequencies lie within +-(span - 1), without aliasing."""
-    return norm_grid(span, (4.0,))
-
-
 def _ball_nodes(z):
     """Gauss-Legendre nodes of `_ball_transform` up to rho R = z."""
     return int(z * np.pi / 8) + 32
@@ -125,40 +118,84 @@ def _ball_transform(rho, radius, n):
     return 2 * np.pi ** ((n - 1) / 2) / gamma((n + 1) / 2) * radius ** n * out
 
 
-def ball_kernel(field, radius):
-    """The concentration fraction's weight for the centered ball of this
-    radius, for every field on this field's window, its support's box: the
-    real kernel K on `_ball_grid(span)` whose dot product with |f|^2 there
-    is sum_q A(q) B_hat(q dk), stored on its orthant x_a = 0 ... G_a/2
-    alone, shape G_a // 2 + 1 per axis. K is even in every axis, as B_hat
-    is, so K(x) = K(m(x)) with m_a(x_a) = min(x_a, G_a - x_a) (`_mirror`).
-    B_hat depends on |q_a| per axis alone, so it is tabulated on
-    q_a = 0..G_a/2, evaluated once per distinct integer |q|^2 there, and
-    inverse-transformed by one real irfft per axis, each cut to its first
-    G_a // 2 + 1 points before the next: no array of the size of G is held.
-    """
+def _ball_boxes(field):
+    """Each declared ball's least lattice index in the window, (N, n); the
+    common box D, per axis the largest ball's span; and each row's flat
+    index in the balls' stacked boxes (N, *D). No declared ball is one."""
+    flats = [b.flat for b in field.support] or [field.flat]
+    ks = [np.stack(np.unravel_index(f, field.window.dims), axis=-1)
+          for f in flats]
+    lo = np.array([k.min(axis=0) for k in ks])
+    D = tuple(int(v) + 1 for v in np.max([k.max(axis=0) for k in ks] - lo, 0))
+    where = np.concatenate([nu * np.prod(D) + np.ravel_multi_index(
+        tuple((k - k0).T), D) for nu, (k, k0) in enumerate(zip(ks, lo))])
+    return lo, D, where
+
+
+@dataclass(frozen=True)
+class PairTable:
+    """The concentration ball's weights on the piece pairs of a support:
+    `rows[nu]` holds T of the pairs (nu, nu' >= nu) on half of P, each
+    point times its count (module docstring); `where` places each
+    coefficient in the balls' stacked boxes, of shape `box` = (N, *D);
+    `volume` is L^n."""
+
+    where: np.ndarray
+    box: tuple
+    rows: tuple
+    volume: float
+
+    def share(self, coeffs):
+        """The share of ||f||_2^2 inside the ball for this coefficient
+        vector on the table's support; None for a vector with no nonzero
+        entry, and a DomainError for one of another length."""
+        if len(coeffs) != len(self.where):
+            raise DomainError(f"a pair table of {len(self.where)} "
+                              f"coefficients, given {len(coeffs)}")
+        power = float((coeffs.real ** 2 + coeffs.imag ** 2).sum())
+        if power == 0.0:
+            return None
+        x = np.zeros((2,) + self.box)   # the real and imaginary parts
+        x.reshape(2, -1)[:, self.where] = coeffs.real, coeffs.imag
+        x = np.fft.rfftn(x, s=[2 * d - 1 for d in self.box[1:]],
+                         axes=range(2, len(self.box) + 1))
+        inside = sum(np.vdot(x[:, nu:], row * x[:, nu, None]).real
+                     for nu, row in enumerate(self.rows))
+        return float(inside) / (self.volume * power)
+
+
+def pair_table(field, radius):
+    """The `PairTable` of the centered ball of this radius on the field's
+    support. The integer |q|^2 at the lags of each row's pairs are taken
+    twice, one row at a time: first to collect the table's distinct values,
+    at which B_hat is evaluated once, then to gather B_hat there."""
     window = field.window
     n, L = window.n, window.L
     if not 0 < radius < L / 2:
         raise GeometryError(f"ball radius {radius:.4g} must lie in "
                             f"(0, half box side {L / 2:.4g})")
-    G = _ball_grid(field.window.dims)
-    q2 = sum((np.arange(g // 2 + 1) ** 2).reshape((-1,) + (1,) * (n - 1 - a))
-             for a, g in enumerate(G))
-    present, where = np.unique(q2, return_inverse=True)
-    kernel = _ball_transform(np.sqrt(present) * window.dk, radius,
-                             n)[where.reshape(q2.shape)]
-    del q2, present, where
-    for a, g in enumerate(G):
-        kernel = np.ascontiguousarray(np.fft.irfft(kernel, n=g, axis=a)[
-            (slice(None),) * a + (slice(g // 2 + 1),)])
-    return kernel
+    lo, D, where = _ball_boxes(field)
+    lags = np.ix_(*(np.r_[0:d, 1 - d:0] for d in D))
 
+    def lag2(nu):
+        gap = (lo[nu] - lo[nu:]).reshape((-1, n) + (1,) * n)
+        return sum((gap[:, a] + lags[a]) ** 2 for a in range(n))
 
-def _mirror(g):
-    """The orthant index m(i) = min(i, g - i) of each point i of a G axis."""
-    i = np.arange(g)
-    return np.minimum(i, g - i)
+    # np.unique sorts with return_inverse, as the quadrature's calls do, and
+    # hashes without: 5x slower on these arrays
+    present = np.zeros(0, dtype=int)
+    for nu in range(len(lo)):
+        present = np.unique(np.append(present, lag2(nu)), return_inverse=True)[0]
+    b_hat = _ball_transform(np.sqrt(present) * window.dk, radius, n)
+    rows = []
+    for nu in range(len(lo)):
+        row = np.fft.rfftn(b_hat[np.searchsorted(present, lag2(nu))],
+                           axes=range(1, n + 1), norm="forward").conj()
+        row[..., 1:] *= 2
+        row[1:] *= 2
+        rows.append(row)
+    return PairTable(where=where, box=(len(lo),) + D, rows=tuple(rows),
+                     volume=L ** n)
 
 
 def _slab_rows(grid):
@@ -186,52 +223,24 @@ def _abs2(box, F):
         yield r0, slab
 
 
-def _inside(slab, ball, rows, cols):
-    """The slab's share of the ball's dot product: |f|^2 there times the
-    kernel at the slab's mirrored points, the orthant's axis-0 rows `rows`
-    and, within each, the flat orthant indices `cols` of a G row."""
-    k = ball.reshape(len(ball), -1)[rows].take(cols, axis=1)
-    return float(slab.ravel() @ k.ravel())
-
-
-def space_stats(field, ps, ball=None):
-    """Torus L^p norms (dict p -> norm) for even integer p, and, given the
-    `ball_kernel` of a centered ball, the mass fraction of |f|^2 inside it.
-
-    The norms are exact Riemann sums on the grid `norm_grid(box, ps)`,
-    added up slab by slab: `_abs2` runs the axis-0 pass once on the whole
-    box and the passes on the other axes per slab of axis-0 rows, and each
-    slab's |f|^2 is raised to each further even power by one multiply and
-    summed. p = 2 is taken from Parseval, prod(F) * sum |box|^2, without a
-    transform. The box is the field's window, the span of the support's
-    lattice indices, and the coefficient vector is scattered into it. The
-    fraction is exact: the dot product of |f|^2 on the kernel's grid G with
-    the kernel, added up over the slabs of G in a slab loop of its own, each
-    slab's kernel values gathered from the stored orthant at the mirrored
-    indices of its points. A kernel whose shape is not the orthant of this
-    field's G is rejected, also for a zero field. The fraction is None
-    without a ball and for a field with no nonzero coefficient, whose norms
-    are all 0.
-    """
+def space_stats(field, ps):
+    """Torus L^p norms (dict p -> norm) for even integer p: exact Riemann
+    sums on `norm_grid(box, ps)` over the field's window, added up over the
+    slabs of `_abs2` (module docstring), p = 2 from Parseval,
+    prod(F) * sum |box|^2. A field with no nonzero coefficient has all its
+    norms 0."""
     n, L = field.window.n, field.window.L
     bad = [p for p in ps if not (p >= 2 and p % 2 == 0)]
     if bad:
         raise DomainError(f"norms are exact for even integer p >= 2 only, got {bad}")
-
-    G = _ball_grid(field.window.dims)
-    orthant = tuple(g // 2 + 1 for g in G)
-    if ball is not None and ball.shape != orthant:
-        raise DomainError(f"ball kernel of shape {ball.shape}, this field's "
-                          f"support box needs the orthant {orthant} of {G}")
     if not np.any(field.coeffs):
-        return {p: 0.0 for p in ps}, None
+        return {p: 0.0 for p in ps}
     box = field.dense()
 
     F = norm_grid(box.shape, ps)
-    power = float((box.real ** 2 + box.imag ** 2).sum())
     top = int(max(ps)) // 2
     sums = {2 * k: 0.0 for k in range(2, top + 1)}
-    sums[2] = float(np.prod(F)) * power
+    sums[2] = float(np.prod(F)) * float((box.real ** 2 + box.imag ** 2).sum())
     if top > 1:
         for _, ab2 in _abs2(box, F):
             pw = ab2 * ab2
@@ -241,15 +250,7 @@ def space_stats(field, ps, ball=None):
                 if 2 * k in ps:
                     sums[2 * k] += float(pw.sum())
     cell = L ** n / float(np.prod(F))
-    norms = {p: (cell * sums[int(p)]) ** (1.0 / p) / L ** n for p in ps}
-    if ball is None:
-        return norms, None
-    rows = _mirror(G[0])
-    cols = np.ravel_multi_index(np.ix_(*map(_mirror, G[1:])),
-                                orthant[1:]).ravel()
-    inside = sum(_inside(ab2, ball, rows[r0:r0 + len(ab2)], cols)
-                 for r0, ab2 in _abs2(box, G))
-    return norms, inside / (L ** n * power)
+    return {p: (cell * sums[int(p)]) ** (1.0 / p) / L ** n for p in ps}
 
 
 def lp_norm_spacetime(space_norms, p, window):
@@ -263,54 +264,37 @@ def lp_norm_spacetime(space_norms, p, window):
     return float((w @ np.power(vals, p)) ** (1.0 / p))
 
 
-def norm_peak_bytes(span, ps, reach):
-    """Upper bound on the peak memory of space_stats, with a ball, for a
-    field whose support's lattice indices span a box of the given shape,
-    and of the `ball_kernel` build before it, for a ball of radius R with
-    reach = R dk = 2 pi R / L.
-
-    space_stats holds, at most, the sum of
-    - the box array, 16 bytes per point, held to the end;
-    - on the norm grid F: the axis-0 pass output, F_0 * prod(span[1:])
-      complex, held through the slab loop; and one slab's working set,
-      `_slab_rows(F)` rows of prod(F[1:]) points, 48 bytes per point (plus
-      the FFT's line buffers, shorter than a row): the last pass's
-      input and output, 32, beside the previous slab's |f|^2 and power
-      buffer, 16, which the loop holds until the next slab is yielded.
-      p = 2 alone runs no pass on F;
-    - the same two terms on the ball's grid G, and the kernel's read there:
-      the mirrored flat index of a G row, 8 bytes per row point, held
-      through the loop, beside the slab's orthant rows of the kernel and
-      the kernel gathered from them at the slab's points, at most 16 bytes
-      per slab point, which take the place of the last pass's freed input
-      and output;
-    - the kernel, 8 bytes per point of its orthant, G_a // 2 + 1 per axis.
-    `ball_kernel` builds the kernel before the call, with none of these
-    held (`_kernel_build_bytes`).
-    """
-    def passes(grid, per_point):
-        return (16 * grid[0] * np.prod(span[1:], dtype=float)
-                + per_point * _slab_rows(grid) * np.prod(grid[1:], dtype=float))
-
-    G = _ball_grid(span)
-    orthant = np.prod([g // 2 + 1 for g in G], dtype=float)
-    stats = (16 * np.prod(span, dtype=float) + passes(norm_grid(span, ps), 48)
-             + passes(G, 48 + 8) + 8 * orthant)
-    return int(max(stats, _kernel_build_bytes(G, reach)))
+def norm_peak_bytes(span, ps):
+    """Upper bound on the peak memory of space_stats for a field whose
+    support's lattice indices span a box of the given shape: the sum of the
+    box array, 16 bytes per point; the axis-0 pass output on the norm grid
+    F, F_0 * prod(span[1:]) complex; and one slab's working set, 48 bytes
+    per point of `_slab_rows(F)` rows of prod(F[1:]) (plus the FFT's line
+    buffers, shorter than a row): the last pass's input and output, 32,
+    beside the previous slab's |f|^2 and power buffer, 16, which the loop
+    holds until the next slab is yielded. p = 2 alone runs no pass on F,
+    and is charged as if it did."""
+    F = norm_grid(span, ps)
+    return int(16 * np.prod(span, dtype=float)
+               + 16 * F[0] * np.prod(span[1:], dtype=float)
+               + 48 * _slab_rows(F) * np.prod(F[1:], dtype=float))
 
 
-def _kernel_build_bytes(G, reach):
-    """Upper bound on the peak memory of `ball_kernel` on the grid G for a
-    ball of this reach R dk. No array of the build is larger than twice the
-    kernel's orthant. Finding the distinct |q|^2 holds the integer |q|^2
-    grid and np.unique's sorted copy, permutation, mask, inverse index and
-    distinct values, at most 72 bytes per orthant point when every |q|^2 is
-    distinct (n = 2 with a short axis); each irfft then holds its real
-    input, the input's complex copy and its real output, at most 40 bytes
-    per orthant point. The Gauss-Legendre rule for B_hat and the transform's
-    arrays of its size (`gauss_legendre`'s iterates, the nodes, the angles,
-    the weights and their sin^n) add at most 128 bytes per node.
-    """
-    half = np.array([g // 2 for g in G], dtype=float)
-    nodes = _ball_nodes(reach * np.sqrt(half @ half))
-    return 72 * np.prod(half + 1) + 128 * nodes
+def pair_peak_bytes(field, radius):
+    """Upper bound on the peak memory of `pair_table` on this field and of
+    one `PairTable.share` beside the table, from its N balls on a common
+    box of D points per axis, P = 2D - 1: the table; 96 bytes per distinct
+    |q|^2 (at most one per pair lag and one per integer up to the largest)
+    for np.unique's and B_hat's arrays over them; 112 bytes per point of a
+    row of N P (the build's |q|^2, np.unique's arrays, the gather and the
+    transform; a share's boxes, their transform and one row times a ball);
+    128 bytes per node of B_hat's Gauss-Legendre rule for the largest |q|;
+    and 1 KiB per ball and 16 KiB for the fixed-size arrays and objects."""
+    lo, D, _ = _ball_boxes(field)
+    N, P = len(lo), np.prod([2 * d - 1 for d in D], dtype=float)
+    pairs = N * (N + 1) / 2
+    reach = np.ptp(lo, axis=0) + np.array(D) - 1
+    nodes = _ball_nodes(radius * field.window.dk * np.sqrt(reach @ reach))
+    return int(16 * pairs * P * D[-1] / (2 * D[-1] - 1)
+               + 96 * min(pairs * P, reach @ reach + 1) + 112 * N * P
+               + 128 * nodes + 1024 * (N + 16))

@@ -112,13 +112,18 @@ def _cmd_report(outdir, strict):
     path = outdir / "report.json"
     if not path.exists():
         raise CurveAvgError(f"no report.json under {outdir}; run sweep first")
-    try:
+    try:   # the summary reads every key the tables do but writes nothing
         report = json.loads(path.read_text(encoding="utf-8"))
         svg = report["config"]["svg"]
-    except (OSError, ValueError, LookupError, TypeError) as exc:
+        keys = ("n", "ps", "lambdas", "cells", "slopes", "checks", "quotient_monotone")
+        if missing := [key for key in keys if key not in report]:
+            raise KeyError(*missing)
+        summary = render_report(report)
+        sweep_tables(report, outdir, svg=svg)
+    except (OSError, ValueError, LookupError, TypeError,
+            AttributeError) as exc:
         raise CurveAvgError(f"{path} is not a sweep report: {exc!r}") from None
-    sweep_tables(report, outdir, svg=svg)
-    print(render_report(report), end="")
+    print(summary, end="")
     return 0 if not strict or verdict(report, strict=True) else 1
 
 

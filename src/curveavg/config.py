@@ -22,7 +22,7 @@ from configparser import ConfigParser, Error as ParserError
 from dataclasses import dataclass, fields as dc_fields, replace
 from math import isfinite
 
-from .averaging import TimeWindow, norm_peak_bytes
+from .averaging import TimeWindow, norm_peak_bytes, pair_peak_bytes
 from .bumps import CutoffSpec
 from .cone import ConeChart
 from .curves import CurveSpec
@@ -315,22 +315,22 @@ def cell_plan(cfg, lam):
 
 
 def estimate_field_bytes(cfg, lam):
-    """Peak memory of one lambda cell: the multiplier quadrature plus one
-    norm evaluation with the ball and its kernel."""
+    """Peak memory of one lambda cell: one norm evaluation, the multiplier
+    quadrature and the concentration ball's pair table with one share."""
     return sum(_estimate_terms(cfg, lam))
 
 
 def _estimate_terms(cfg, lam):
-    """The norm evaluation's and the quadrature's terms of
-    estimate_field_bytes, on the support `build_f` puts f on: the
-    `windowed_lattice` of `sweep.cell_field`. No coefficient, cone phase or
-    quadrature is computed."""
+    """The norm evaluation's, the quadrature's and the pair table's terms
+    of estimate_field_bytes, on the support `build_f` puts f on: the
+    `windowed_lattice` of `sweep.cell_field`, with its balls. No
+    coefficient, cone phase or quadrature is computed."""
     plan = cell_plan(cfg, lam)
     lattice = windowed_lattice(plan.spec,
                                points_per_radius=cfg.points_per_radius)
-    return (norm_peak_bytes(lattice.dims, plan.ps,
-                            plan.ball_radius * lattice.window.dk),
-            quadrature_peak_bytes(lattice.xi(), plan.short.nodes))
+    return (norm_peak_bytes(lattice.dims, plan.ps),
+            quadrature_peak_bytes(lattice.xi(), plan.short.nodes),
+            pair_peak_bytes(lattice, plan.ball_radius))
 
 
 def enforce_memory_cap(cfg):

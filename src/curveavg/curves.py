@@ -18,13 +18,10 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["DOMAIN", "CurveSpec", "ModelClassReport", "nondegeneracy_margin",
-           "model_class_report"]
+__all__ = ["DOMAIN", "CurveSpec"]
 
 # the parameter interval I of every curve: the paper averages over [-1, 1]
 DOMAIN = (-1.0, 1.0)
-# points of the uniform grids on I that the curve diagnostics maximize over
-_SAMPLES = 2048
 
 
 def _coefficient_tables(n, perturbation):
@@ -99,51 +96,3 @@ class CurveSpec:
             out *= s
             out += row
         return out
-
-
-def nondegeneracy_margin(curve):
-    """min over a uniform grid on I of |det(gamma'(s), ..., gamma^(n)(s))|.
-
-    A strictly positive value on a fine grid certifies the working hypothesis
-    that the first n derivatives stay linearly independent. Returns 0.0 for
-    degenerate curves; never raises.
-    """
-    s = np.linspace(*DOMAIN, _SAMPLES)
-    mats = np.stack([curve.derivative(j, s) for j in range(1, curve.n + 1)], axis=-2)
-    return float(np.abs(np.linalg.det(mats)).min())
-
-
-@dataclass(frozen=True)
-class ModelClassReport:
-    delta: float
-    anchored: bool
-    distance: float
-    member: bool
-
-
-def model_class_report(curve, delta):
-    """Membership in the model class around the moment curve.
-
-    Checks the anchoring gamma(0)=0, gamma^(j)(0)=e_j (1<=j<=n) exactly at
-    s=0, and the C^{n+1} distance max_{1<=j<=n+1} sup_{[-1,1]} |gamma^(j) -
-    gamma_o^(j)| (Euclidean norm per point, maximized over a dense grid).
-    Membership requires both anchoring and distance <= delta.
-    """
-    if not 0.0 < delta < 1.0:
-        raise DomainError(f"delta must be in (0,1), got {delta}")
-    ref = CurveSpec.moment(curve.n)
-
-    anchored = bool(np.all(curve.derivative(0, 0.0) == 0.0))
-    eye = np.eye(curve.n)
-    for j in range(1, curve.n + 1):
-        anchored &= bool(np.all(curve.derivative(j, 0.0) == eye[j - 1]))
-
-    s = np.linspace(*DOMAIN, _SAMPLES)
-    distance = 0.0
-    for j in range(1, curve.n + 2):
-        gap = curve.derivative(j, s) - ref.derivative(j, s)
-        distance = max(distance, float(np.linalg.norm(gap, axis=-1).max()))
-
-    return ModelClassReport(delta=float(delta), anchored=anchored,
-                            distance=distance,
-                            member=anchored and distance <= delta)

@@ -1,4 +1,4 @@
-"""Scaling experiments: exponent table, lambda sweeps, and the quantitative checks.
+"""Scaling experiments: lambda sweeps and their quantitative checks.
 
 A sweep builds the counterexample family at each lambda, applies the
 average over the short time window [1, 1 + lambda^{-1/n}], and fits log2-log2
@@ -10,13 +10,14 @@ forces the critical smoothing index sigma(p, n) = min{1/n, (1/n)(1/2 + 2/p),
 Per-lambda diagnostics ride along: the L^2 orthogonality defect across
 pieces (the pieces' powers against ||A_t f||_2^2, exact when their lattice
 supports are disjoint), the per-piece lower bound ||A_t f_nu||_2/||g_nu||_2
-against its stationary-phase reference, and the concentration fraction of
-||A_t f||_2^2 near the origin.
+against its stationary-phase reference, and the concentration fraction, the
+share of ||A_t f||_2^2 in a ball at the origin, summed over piece pairs
+(`averaging.PairTable`).
 
 A cell is built once and measured by one function. `cell_support` builds
-what depends on the support alone: the field, the multiplier's rows at the
-short window's nodes, the concentration ball's kernel and the
-stationary-phase reference. `measure` returns every value of one
+what depends on the support alone: the field, the stationary-phase
+reference, the multiplier's rows at the short window's nodes and the
+concentration ball's pair table. `measure` returns every value of one
 coefficient vector on that support, and `run_cell` is `measure` of f on its
 own cell. Every per-cell choice (curve, construction, p set, time window,
 ball radius) is the `config.cell_plan` the memory gate reads too.
@@ -40,38 +41,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .averaging import ball_kernel, lp_norm_spacetime, norm_grid, space_stats
+from .averaging import (PairTable, lp_norm_spacetime, norm_grid, pair_table,
+                        space_stats)
 from .config import CellPlan, cell_plan
 from .errors import DomainError
 from .fields import SpectralField, build_f, windowed_lattice
 from .multiplier import cone_decay, leading_constant, mu_hat_batch
 
-__all__ = ["critical_exponent", "expected_slopes", "fit_slope", "Cell",
+__all__ = ["expected_slopes", "fit_slope", "Cell",
            "cell_field", "cell_support", "measure", "run_cell",
            "sharpness_sweep", "DEFAULT_SLOPE_TOLS"]
 
 DEFAULT_SLOPE_TOLS = {"input": 0.1, "output": 0.1, "quotient": 0.05}
-
-
-def critical_exponent(p, n):
-    """The critical smoothing index min{1/n, (1/n)(1/2 + 2/p), 2/p}.
-
-    Piecewise: 1/n on 2 <= p <= 4, (1/n)(1/2 + 2/p) on 4 <= p <= 4(n-1),
-    2/p beyond; the pieces agree at both breakpoints. Exact Fractions come
-    back for int/Fraction input, floats for float input.
-    """
-    if not isinstance(n, int) or n < 2:
-        raise DomainError(f"dimension must be an integer >= 2, got {n}")
-    if not (p == np.inf or p >= 2):
-        raise DomainError(f"p must be >= 2, got {p}")
-    from fractions import Fraction   # no sweep calls this: kept off the imports
-
-    if isinstance(p, (int, Fraction)) and not isinstance(p, bool):
-        p = Fraction(p)
-        return min(Fraction(1, n), (Fraction(1, 2) + 2 / p) / n, 2 / p)
-    if p == np.inf:
-        return 0.0
-    return min(1.0 / n, (0.5 + 2.0 / p) / n, 2.0 / p)
 
 
 def expected_slopes(p, n):
@@ -122,20 +103,22 @@ class Cell:
     `plan` is the cell's `CellPlan`; `field` the family f, whose support
     every measured vector shares; `mu` the multiplier on that support, one
     row per short-window time node; `quadrature` the stats of its ladder
-    (`mu_hat_batch`); `kernel` the concentration ball's `ball_kernel` on
-    the support's box; `reference` the stationary-phase reference per
+    (`mu_hat_batch`); `pairs` the concentration ball's `pair_table` on
+    the support's pieces; `reference` the stationary-phase reference per
     piece, the modulus of the multiplier's leading term at t = 1
     (`leading_constant` x `cone_decay`) at its centre, times lambda^{1/n}
     since the piece ratios divide by g_nu = lambda^{-1/n} f_nu; `timings`
-    the seconds spent building the field (plan, window and `build_f`), the
-    kernel and the reference, and the quadrature.
+    the seconds spent on the field (plan, window and `build_f`) and the
+    reference, `field_s`; on the quadrature, `quadrature_s`; and on the
+    pair table, built after the quadrature so that it is not held beside
+    the quadrature's buffers, `kernel_s`.
     """
 
     plan: CellPlan
     field: SpectralField
     mu: np.ndarray
     quadrature: dict
-    kernel: np.ndarray
+    pairs: PairTable
     reference: np.ndarray
     timings: dict
 
@@ -147,15 +130,13 @@ def cell_field(cfg, plan):
 
 
 def cell_support(cfg, lam):
-    """The `Cell` of cfg at lambda: f, its kernel and its reference, then
-    the multiplier's rows on its support."""
+    """The `Cell` of cfg at lambda: f and its reference, the multiplier's
+    rows on its support, then its pair table."""
     clock = time.perf_counter
     t0 = clock()
     plan = cell_plan(cfg, lam)
     spec = plan.spec
     f = cell_field(cfg, plan)
-    t_kernel = clock()
-    kernel = ball_kernel(f, plan.ball_radius)
     # lambda^{1/n} |the multiplier's leading term at t = 1| at each centre
     _, decay = cone_decay(spec.chart, spec.cutoff, 1.0,
                           [ball.center for ball in f.support])
@@ -164,10 +145,12 @@ def cell_support(cfg, lam):
     t_quad = clock()
     mu = mu_hat_batch(spec.chart.curve, spec.cutoff, plan.short.nodes, f.xi(),
                       stats=quadrature)
-    timings = {"field_s": t_kernel - t0, "kernel_s": t_quad - t_kernel,
-               "quadrature_s": clock() - t_quad}
+    t_pairs = clock()
+    pairs = pair_table(f, plan.ball_radius)
+    timings = {"field_s": t_quad - t0, "kernel_s": clock() - t_pairs,
+               "quadrature_s": t_pairs - t_quad}
     return Cell(plan=plan, field=f, mu=mu, quadrature=quadrature,
-                kernel=kernel, reference=reference, timings=timings)
+                pairs=pairs, reference=reference, timings=timings)
 
 
 def measure(cell, coeffs):
@@ -181,8 +164,9 @@ def measure(cell, coeffs):
     |sum of the pieces' powers - ||A_t f||_2^2| / ||A_t f||_2^2, the whole
     taken from `space_stats`'s p = 2 on the field scattered into its support
     box, where pieces that share a lattice point hold one coefficient; and
-    `fractions`, the share of ||A_t f||_2^2 in the concentration ball.
-    `norms_s` is the seconds spent in `space_stats`.
+    `fractions`, the share of ||A_t f||_2^2 in the concentration ball
+    (`PairTable.share`). `norms_s` and `share_s` are the seconds spent in
+    `space_stats` and in the shares.
 
     The quotient divides by the vector's norms and the piece ratios by its
     power on each piece: a vector that is zero, or zero on a piece, is a
@@ -199,8 +183,8 @@ def measure(cell, coeffs):
         raise DomainError("the coefficient vector is zero" + (
             f" on pieces {empty}" if np.any(coeffs) else ""))
     t_in = clock()
-    norms_in, _ = space_stats(f, ps)
-    norms_s = clock() - t_in
+    norms_in = space_stats(f, ps)
+    norms_s, share_s = clock() - t_in, 0.0
 
     piece_min = np.inf
     piece_table = []
@@ -214,12 +198,14 @@ def measure(cell, coeffs):
         piece_min = min(piece_min, min(ratios))
         piece_table.append(ratios)
         t = clock()
-        norms, frac = space_stats(f.with_coeffs(coeff), ps, ball=cell.kernel)
-        norms_s += clock() - t
+        norms = space_stats(f.with_coeffs(coeff), ps)
+        t_share = clock()
+        fractions.append(cell.pairs.share(coeff))
+        norms_s += t_share - t
+        share_s += clock() - t_share
         # the pieces' powers against ||A_t f||_2^2 of the scattered field
         total = norms[2.0] ** 2
         defect = max(defect, abs(sum(powers) - total) / total)
-        fractions.append(frac)
         for p in ps:
             node_norms[p].append(norms[p])
     out_short = {p: lp_norm_spacetime(node_norms[p], p, cell.plan.short)
@@ -234,6 +220,7 @@ def measure(cell, coeffs):
         "defect": float(defect),
         "fractions": [float(v) for v in fractions],
         "norms_s": norms_s,
+        "share_s": share_s,
     }
 
 
@@ -244,16 +231,17 @@ def run_cell(cfg, lam):
 
     `grid` records the support box (the field's window), its norm grid and
     the support's mode count; `piece_reference` the `Cell`'s reference per
-    piece; `quadrature` the multiplier's ladder; `timings`
-    the cell's `field_s`, `kernel_s` and `quadrature_s` and the
-    measurement's `norms_s`, in seconds; `peak_rss_mib` the peak resident
-    set of the process that ran the cell, as it stands when the cell ends.
+    piece; `quadrature` the multiplier's ladder; `timings` the cell's
+    `field_s`, `quadrature_s` and `kernel_s` and the measurement's `norms_s`
+    and `share_s`, in seconds; `peak_rss_mib` the peak resident set of the
+    process that ran the cell, as it stands when the cell ends.
     """
     t0 = time.perf_counter()
     cell = cell_support(cfg, lam)
     f, ps = cell.field, cell.plan.ps
     values = measure(cell, f.coeffs)
-    timings = dict(cell.timings, norms_s=values.pop("norms_s"))
+    timings = dict(cell.timings, norms_s=values.pop("norms_s"),
+                   share_s=values.pop("share_s"))
     box = list(f.window.dims)
     return {
         "lam": float(lam),

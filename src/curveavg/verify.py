@@ -2,11 +2,13 @@
 
 No sweep runs any of it. `direct_oracle`, `multiplier_sample` and
 `derivative_bound_check` check the multiplier that the sweep's slopes rest
-on; `save_snapshot` and `load_snapshot` are the snapshot format's writer
-and reader; `cone_verify`, `multiplier_verify` and `synthesize` are the
-commands of those names, each (cfg, outdir) -> (exit status, written
-paths). `cli` imports this module inside those commands only, and the
-package's `__init__` not at all, so a sweep never loads it.
+on, `critical_exponent` is the exponent they force, and
+`nondegeneracy_margin` and `model_class_report` check a curve against the
+paper's hypotheses; `save_snapshot` and `load_snapshot` are the snapshot
+format's writer and reader; `cone_verify`, `multiplier_verify` and
+`synthesize` are the commands of those names, each (cfg, outdir) -> (exit
+status, written paths). `cli` imports this module inside those commands
+only, and the package's `__init__` not at all, so a sweep never loads it.
 
 A field snapshot is an .npz archive of what a `SpectralField` holds, so its
 size follows the support. Its zip entries carry their write time: compare
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import zipfile
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import prod
 from pathlib import Path
@@ -25,6 +28,7 @@ import numpy as np
 
 from .averaging import space_stats
 from .cone import moment_gamma_seed
+from .curves import DOMAIN, CurveSpec
 from .config import cell_plan, chart_from, cutoff_from, enforce_memory_cap
 from .errors import DomainError, GridError, QuadratureError, ResolutionError
 from .fields import SpectralField
@@ -34,13 +38,17 @@ from .reporting import write_csv
 from .sweep import cell_field
 
 __all__ = ["direct_oracle", "MultiplierSample", "multiplier_sample",
-           "derivative_bound_check", "save_snapshot", "load_snapshot",
-           "cone_verify", "multiplier_verify", "synthesize"]
+           "derivative_bound_check", "critical_exponent",
+           "nondegeneracy_margin", "ModelClassReport", "model_class_report",
+           "save_snapshot", "load_snapshot", "cone_verify",
+           "multiplier_verify", "synthesize"]
 
 # the panel count at which direct_oracle gives up
 _ORACLE_MAX_PANELS = 4096
 _SNAP_VERSION = 1
 _SNAP_KEYS = ("version", "L", "lam", "dims", "k0", "flat", "coeffs")
+# points of the uniform grids on I that the curve diagnostics maximize over
+_SAMPLES = 2048
 
 
 def direct_oracle(field, curve, cutoff, t, points, rel_tol=1e-9):
@@ -154,6 +162,73 @@ def derivative_bound_check(curve, cutoff, chart, t, xi):
         bound = lam ** (-(1.0 + len(a)) / n)
         rows.append((tuple(a.count(i) for i in range(n)), fd, bound, fd / bound))
     return rows
+
+
+def critical_exponent(p, n):
+    """The critical smoothing index min{1/n, (1/n)(1/2 + 2/p), 2/p}.
+
+    Piecewise: 1/n on 2 <= p <= 4, (1/n)(1/2 + 2/p) on 4 <= p <= 4(n-1),
+    2/p beyond; the pieces agree at both breakpoints. Exact Fractions come
+    back for int/Fraction input, floats for float input.
+    """
+    if not isinstance(n, int) or n < 2:
+        raise DomainError(f"dimension must be an integer >= 2, got {n}")
+    if not (p == np.inf or p >= 2):
+        raise DomainError(f"p must be >= 2, got {p}")
+    if isinstance(p, (int, Fraction)) and not isinstance(p, bool):
+        p = Fraction(p)
+        return min(Fraction(1, n), (Fraction(1, 2) + 2 / p) / n, 2 / p)
+    if p == np.inf:
+        return 0.0
+    return min(1.0 / n, (0.5 + 2.0 / p) / n, 2.0 / p)
+
+
+def nondegeneracy_margin(curve):
+    """min over a uniform grid on I of |det(gamma'(s), ..., gamma^(n)(s))|.
+
+    A strictly positive value on a fine grid certifies the working hypothesis
+    that the first n derivatives stay linearly independent. Returns 0.0 for
+    degenerate curves; never raises.
+    """
+    s = np.linspace(*DOMAIN, _SAMPLES)
+    mats = np.stack([curve.derivative(j, s) for j in range(1, curve.n + 1)], axis=-2)
+    return float(np.abs(np.linalg.det(mats)).min())
+
+
+@dataclass(frozen=True)
+class ModelClassReport:
+    delta: float
+    anchored: bool
+    distance: float
+    member: bool
+
+
+def model_class_report(curve, delta):
+    """Membership in the model class around the moment curve.
+
+    Checks the anchoring gamma(0)=0, gamma^(j)(0)=e_j (1<=j<=n) exactly at
+    s=0, and the C^{n+1} distance max_{1<=j<=n+1} sup_{[-1,1]} |gamma^(j) -
+    gamma_o^(j)| (Euclidean norm per point, maximized over a dense grid).
+    Membership requires both anchoring and distance <= delta.
+    """
+    if not 0.0 < delta < 1.0:
+        raise DomainError(f"delta must be in (0,1), got {delta}")
+    ref = CurveSpec.moment(curve.n)
+
+    anchored = bool(np.all(curve.derivative(0, 0.0) == 0.0))
+    eye = np.eye(curve.n)
+    for j in range(1, curve.n + 1):
+        anchored &= bool(np.all(curve.derivative(j, 0.0) == eye[j - 1]))
+
+    s = np.linspace(*DOMAIN, _SAMPLES)
+    distance = 0.0
+    for j in range(1, curve.n + 2):
+        gap = curve.derivative(j, s) - ref.derivative(j, s)
+        distance = max(distance, float(np.linalg.norm(gap, axis=-1).max()))
+
+    return ModelClassReport(delta=float(delta), anchored=anchored,
+                            distance=distance,
+                            member=anchored and distance <= delta)
 
 
 def save_snapshot(path, field, lam):
@@ -285,7 +360,7 @@ def synthesize(cfg, outdir):
     for lam in cfg.lambdas:
         plan = cell_plan(cfg, float(lam))
         f = cell_field(cfg, plan)
-        norms, _ = space_stats(f, plan.ps)
+        norms = space_stats(f, plan.ps)
         rows += [(float(lam), p, norms[p]) for p in plan.ps]
         # an integer lambda by its digits, any other by its shortest
         # round-trip repr: one name per distinct lambda

@@ -18,9 +18,9 @@ import pytest
 
 from curveavg import (ConeChart, CurveSpec, CutoffSpec, LatticeWindow,
                       SpectralField, SupportBall, alpha_n, cell_support,
-                      critical_exponent, mu_hat_batch, space_stats)
-from curveavg.verify import (derivative_bound_check, direct_oracle,
-                             multiplier_sample)
+                      mu_hat_batch)
+from curveavg.verify import (critical_exponent, derivative_bound_check,
+                             direct_oracle, multiplier_sample)
 
 CURVE = CurveSpec.moment(3)
 CHI = CutoffSpec(delta=0.9)
@@ -163,9 +163,7 @@ def _coherent_fractions(cfg, lam, nodes):
     f = cell.field
     out = []
     for row in cell.mu[nodes]:
-        _, frac = space_stats(f.with_coeffs(np.abs(f.coeffs * row)), [2.0],
-                              ball=cell.kernel)
-        out.append(frac)
+        out.append(cell.pairs.share(np.abs(f.coeffs * row)))
     return out
 
 

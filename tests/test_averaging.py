@@ -9,11 +9,12 @@ from numpy.testing import assert_allclose
 
 from curveavg import (CurveSpec, CutoffSpec, DomainError, GeometryError,
                       LatticeWindow, SpectralField, SupportBall,
-                      TimeWindow, ball_kernel, cell_support,
+                      TimeWindow, cell_field, cell_plan, cell_support,
                       lp_norm_spacetime, mu_hat_batch, norm_peak_bytes,
-                      parse_config, run_cell, space_stats)
+                      pair_peak_bytes, pair_table, parse_config, run_cell,
+                      space_stats)
 from curveavg import averaging
-from curveavg.averaging import _ball_grid, norm_grid
+from curveavg.averaging import norm_grid
 from curveavg.verify import direct_oracle
 
 CURVE = CurveSpec.moment(3)
@@ -135,11 +136,10 @@ def test_constant_field_norms():
     # f == c/L^n, so ||f||_p = |c| L^{n/p - n} for every p.
     c = 3.0 - 4.0j   # |c| = 5
     f = make_field([(0, 0, 0)], [c])
-    norms, fraction = space_stats(f, [2.0, 4.0, 6.0])
+    norms = space_stats(f, [2.0, 4.0, 6.0])
     L = f.L
     for p in (2.0, 4.0, 6.0):
         assert norms[p] == pytest.approx(5.0 * L ** (3 / p - 3), rel=1e-12)
-    assert fraction is None
 
 
 def _convolve(a, b):
@@ -168,7 +168,7 @@ def test_even_norms_are_exact():
         fhat = np.zeros(dims, dtype=complex)
         fhat[cut] = c
         f = sparse_field(window, fhat)
-        norms, _ = space_stats(f, [2.0, 4.0, 6.0, 8.0])
+        norms = space_stats(f, [2.0, 4.0, 6.0, 8.0])
         assert 21 in norm_grid(shape, [8.0])
         L = f.L
         power = c
@@ -206,11 +206,9 @@ def test_norm_grid_rejects_empty_span(ps):
 
 def test_zero_field_has_zero_norms_and_no_fraction():
     f = make_field([(0, 0, 0), (1, 2, 0)], [1.0, 1.0j])
-    kernel = ball_kernel(f, 0.5)
-    norms, fraction = space_stats(f.with_coeffs(np.zeros(2)), [2.0, 4.0, 8.0],
-                                  ball=kernel)
+    norms = space_stats(f.with_coeffs(np.zeros(2)), [2.0, 4.0, 8.0])
     assert norms == {2.0: 0.0, 4.0: 0.0, 8.0: 0.0}
-    assert fraction is None
+    assert pair_table(f, 0.5).share(np.zeros(2)) is None
 
 
 @pytest.mark.parametrize("p", [np.inf, 3.0, 0.5])
@@ -225,7 +223,7 @@ def test_l2_norm_matches_parseval():
     modes = [(0, 0, 0), (1, 2, 0), (-1, 0, 3), (2, -2, 1)]
     amps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     f = make_field(modes, amps)
-    norms, _ = space_stats(f, [2.0])
+    norms = space_stats(f, [2.0])
     assert norms[2.0] == pytest.approx(parseval_l2(f), rel=1e-12)
 
 
@@ -244,35 +242,15 @@ def _random_field(seed):
 
 
 def test_l2_norm_needs_no_transform(monkeypatch):
-    # p = 2 comes from Parseval, so a p = 2 request without a ball runs no
-    # inverse FFT; p = 4 runs one pass per axis
+    # p = 2 comes from Parseval, so a p = 2 request runs no inverse FFT;
+    # p = 4 runs one pass per axis
     calls = _count_ifft(monkeypatch)
     f = _random_field(4)
-    norms, fraction = space_stats(f, [2.0])
+    norms = space_stats(f, [2.0])
     assert norms[2.0] == pytest.approx(parseval_l2(f), rel=1e-12)
-    assert fraction is None
     assert calls == []
     space_stats(f, [2.0, 4.0])
     assert len(calls) == 3   # one pass per axis
-
-
-def test_fraction_needs_its_own_pass(monkeypatch):
-    # the fraction samples |f|^2 on the kernel's grid: one pass per axis,
-    # beside the norms' own, even at p_max = 4, whose norm grid is the
-    # kernel's grid
-    f = _random_field(4)
-    kernel = ball_kernel(f, 0.5)
-    calls = _count_ifft(monkeypatch)
-    norms, fraction = space_stats(f, [2.0], ball=kernel)
-    assert norms[2.0] == pytest.approx(parseval_l2(f), rel=1e-12)
-    assert 0.0 < fraction < 1.0
-    assert len(calls) == 3
-    _, at4 = space_stats(f, [2.0, 4.0], ball=kernel)
-    assert len(calls) == 9
-    _, at6 = space_stats(f, [2.0, 6.0], ball=kernel)
-    assert len(calls) == 15
-    assert at4 == pytest.approx(at6, rel=1e-14)
-    assert at4 == pytest.approx(fraction, rel=1e-14)
 
 
 def _gapped_field(dims, seed):
@@ -301,41 +279,31 @@ def _slab_rows(monkeypatch):
     return loops
 
 
-def _ragged_budget(*grids):
-    """A slab budget that cuts each grid's axis-0 rows into several slabs
+def _ragged_budget(grid):
+    """A slab budget that cuts the grid's axis-0 rows into several slabs
     with a shorter last one."""
-    def ragged(budget, grid):
-        rows = max(1, budget // int(np.prod(grid[1:])))
-        return rows < grid[0] and grid[0] % rows
-
-    return next(budget for g in grids for r in range(2, g[0])
-                for budget in [r * int(np.prod(g[1:]))]
-                if all(ragged(budget, h) for h in grids))
+    return next(r * int(np.prod(grid[1:])) for r in range(2, grid[0])
+                if grid[0] % r)
 
 
 @pytest.mark.parametrize("top", [2, 4, 6, 8])
 @pytest.mark.parametrize("dims", [(16, 12), (8, 8, 6), (12, 4, 4, 4)])
 def test_slabs_match_one_slab(monkeypatch, dims, top):
-    # the norms and the fraction added up over several slabs, the last one
-    # ragged, equal the one-slab sums to rounding
+    # the norms added up over several slabs, the last one ragged, equal the
+    # one-slab sums to rounding
     f = _gapped_field(dims, top)
     ps = [float(p) for p in range(2, top + 1, 2)]
-    kernel = ball_kernel(f, 0.9)
-    span = f.window.dims
-    grids = [norm_grid(span, ps)] * (top > 2) + [_ball_grid(span)]
     monkeypatch.setattr(averaging, "_SLAB_POINTS", 1 << 40)
-    one = [space_stats(f, ps), space_stats(f, ps, ball=kernel)]
+    one = space_stats(f, ps)
     loops = _slab_rows(monkeypatch)
-    monkeypatch.setattr(averaging, "_SLAB_POINTS", _ragged_budget(*grids))
-    many = [space_stats(f, ps), space_stats(f, ps, ball=kernel)]
-    # one norm loop per call (none at top = 2), plus the fraction's own
-    assert len(loops) == 2 * (top > 2) + 1
+    if top > 2:
+        monkeypatch.setattr(averaging, "_SLAB_POINTS",
+                            _ragged_budget(norm_grid(f.window.dims, ps)))
+    many = space_stats(f, ps)
+    # one norm loop per call, none at top = 2
+    assert len(loops) == (top > 2)
     assert all(1 < len(rows) and rows[-1] < rows[0] for rows in loops)
-    for (norms, _), (want, _) in zip(many, one):
-        assert norms == pytest.approx(want, rel=1e-13, abs=0)
-    assert many[0][1] is None
-    assert many[1][1] == pytest.approx(one[1][1], rel=1e-13, abs=0)
-    assert 0.0 < many[1][1] < 1.0
+    assert many == pytest.approx(one, rel=1e-13, abs=0)
 
 
 def _ball_hat(rho, radius, n):
@@ -364,7 +332,7 @@ def test_single_mode_fraction_is_ball_volume(n):
     fhat[(1,) * n] = 2.0 - 1.0j
     f = sparse_field(window, fhat)
     for radius in (0.2, 0.7, 1.4):
-        _, fraction = space_stats(f, [2.0], ball=ball_kernel(f, radius))
+        fraction = pair_table(f, radius).share(f.coeffs)
         want = np.pi ** (n / 2) / gamma(n / 2 + 1) * radius ** n / 3.0 ** n
         assert fraction == pytest.approx(want, rel=1e-13), (n, radius)
 
@@ -382,7 +350,7 @@ def test_fraction_matches_quadratic_form(dims):
                   + 1j * rng.standard_normal(keep.sum()))
     f = sparse_field(window, fhat)
     for radius in (0.3, 0.9, 1.4):
-        _, fraction = space_stats(f, [2.0, 4.0], ball=ball_kernel(f, radius))
+        fraction = pair_table(f, radius).share(f.coeffs)
         assert fraction == pytest.approx(_brute_fraction(f, radius),
                                          rel=1e-12), (dims, radius)
 
@@ -401,31 +369,32 @@ def test_run_cell_fraction_matches_quadratic_form():
     assert cell["fractions"][0] == pytest.approx(want, rel=1e-12)
 
 
-def _orthant(G):
-    return tuple(g // 2 + 1 for g in G)
-
-
 def test_kernel_must_match_the_support_box():
+    # a pair table holds its own support's coefficient layout: a field on
+    # another support is rejected
     f = _random_field(5)
-    kernel = ball_kernel(make_field([(0, 0, 0), (1, 1, 1)], [1.0, 1.0]), 0.5)
-    assert kernel.shape == _orthant(_ball_grid((2, 2, 2)))
-    assert kernel.shape != _orthant(_ball_grid(f.window.dims))
-    with pytest.raises(DomainError, match="ball kernel"):
-        space_stats(f, [2.0], ball=kernel)
+    table = pair_table(make_field([(0, 0, 0), (1, 1, 1)], [1.0, 1.0]), 0.5)
+    with pytest.raises(DomainError, match="pair table of 2 coefficients"):
+        table.share(f.coeffs)
 
 
 def test_zero_field_rejects_a_foreign_kernel():
-    # a field with no nonzero coefficient has no fraction, but a kernel
-    # built for another support box is still an error
+    # a vector with no nonzero entry has no fraction, but a pair table
+    # built for another support is still an error
     f = _random_field(5)
-    kernel = ball_kernel(make_field([(0, 0, 0), (1, 1, 1)], [1.0, 1.0]), 0.5)
-    with pytest.raises(DomainError, match="ball kernel"):
-        space_stats(f.with_coeffs(np.zeros(len(f.coeffs))), [2.0], ball=kernel)
+    table = pair_table(make_field([(0, 0, 0), (1, 1, 1)], [1.0, 1.0]), 0.5)
+    with pytest.raises(DomainError, match="pair table"):
+        table.share(np.zeros(len(f.coeffs)))
+
+
+def _ball_grid(span):
+    """The grid G >= 2 span - 1 per axis on which |f|^2 carries A(q)."""
+    return norm_grid(span, (4.0,))
 
 
 def _full_kernel(f, radius):
-    """The kernel on the whole of G: the same B_hat table on
-    q_a = 0..G_a/2, with every per-axis irfft kept at its full length."""
+    """The real kernel K on G whose dot product with |f|^2 there is
+    sum_q A(q) B_hat(q dk): B_hat on q_a = 0..G_a/2, one irfft per axis."""
     n = f.window.n
     G = _ball_grid(f.window.dims)
     q2 = sum((np.arange(g // 2 + 1) ** 2).reshape((-1,) + (1,) * (n - 1 - a))
@@ -453,34 +422,17 @@ KERNEL_SPANS = [(8, 6), (1, 4, 16), (3, 6, 2, 5), (2, 3, 1, 4, 6)]
 
 
 @pytest.mark.parametrize("span", KERNEL_SPANS)
-def test_kernel_is_the_full_kernels_orthant(span):
-    # the orthant build equals, bitwise, the kernel irfft'd to the whole of
-    # G and cut to its orthant; the whole kernel is even in every axis, so
-    # the orthant read through m_a(i) = min(i, G_a - i) gives it back
-    f = _box_field(span, 1)
-    G = _ball_grid(span)
-    for radius in (0.3, 1.1):
-        full = _full_kernel(f, radius)
-        kernel = ball_kernel(f, radius)
-        assert full.shape == G and kernel.shape == _orthant(G)
-        assert np.array_equal(kernel, full[tuple(map(slice, kernel.shape))])
-        mirrored = full[np.ix_(*(averaging._mirror(g) for g in G))]
-        eps = np.finfo(float).eps
-        assert np.abs(mirrored - full).max() <= 8 * eps * np.abs(full).max()
-
-
-@pytest.mark.parametrize("span", KERNEL_SPANS)
-def test_mirrored_fraction_matches_full_kernel(monkeypatch, span):
-    # the fraction read from the orthant at mirrored indices, over several
-    # slabs, equals the dot product of |f|^2 on G with the whole kernel
+def test_mirrored_fraction_matches_full_kernel(span):
+    # the share summed over half of the pair transform, the other half
+    # mirrored into it (module docstring), equals the dot product of |f|^2
+    # on G with the whole kernel there
     f = _box_field(span, 2)
     G = _ball_grid(span)
-    monkeypatch.setattr(averaging, "_SLAB_POINTS", int(np.prod(G[1:])))
     power = (np.abs(f.coeffs) ** 2).sum()
     ab2 = np.abs(np.fft.ifftn(f.dense(), s=G, axes=range(len(G)),
                               norm="forward")) ** 2
     for radius in (0.3, 1.1):
-        _, fraction = space_stats(f, [2.0], ball=ball_kernel(f, radius))
+        fraction = pair_table(f, radius).share(f.coeffs)
         want = (ab2.ravel() @ _full_kernel(f, radius).ravel()
                 / (f.L ** f.window.n * power))
         assert fraction == pytest.approx(want, rel=1e-14, abs=0)
@@ -492,7 +444,7 @@ def test_ball_radius_must_fit_in_box():
     f = make_field([(0, 0, 0)], [1.0])
     for radius in (1.0, np.nan, -0.5, 0.0):
         with pytest.raises(GeometryError, match="half box side"):
-            ball_kernel(f, radius)
+            pair_table(f, radius)
 
 
 def test_spacetime_norm_of_steady_family():
@@ -539,6 +491,8 @@ P8 = (2.0, 4.0, 6.0, 8.0)
     pytest.param((2, 1024), None, 1.0, P8, None, id="long-axis-2d"),
 ])
 def test_peak_bytes_bounds_measured_peak(dims, box, radius, ps, slabs):
+    # the norms' term bounds one space_stats call, and the pair term one
+    # pair table build with one share call
     rng = np.random.default_rng(2)
     box = dims if box is None else box
     F = norm_grid(box, ps)
@@ -552,17 +506,18 @@ def test_peak_bytes_bounds_measured_peak(dims, box, radius, ps, slabs):
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        space_stats(f, ps, ball=ball_kernel(f, radius))
+        space_stats(f, ps)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert norm_peak_bytes(box, ps, radius * f.window.dk) >= peak
+    assert norm_peak_bytes(box, ps) >= peak
+    assert pair_peak_bytes(f, radius) >= _pair_peak(f, radius)
 
 
 def test_slab_working_set_fits_the_cache():
     # the n3 benchmark workload's lambda = 32 field at its first time node:
-    # one space_stats call with the ball peaks at 1.2 MiB in slabs of 2^14
-    # grid points (3.1 MiB in slabs of 2^16)
+    # one space_stats call peaks at 1.2 MiB in slabs of 2^14 grid points
+    # (3.1 MiB in slabs of 2^16)
     root = Path(__file__).resolve().parents[1]
     cfg = parse_config((root / "perfbench" / "workloads" / "n3.cfg").read_text())
     cell = cell_support(cfg, 32.0)
@@ -571,28 +526,34 @@ def test_slab_working_set_fits_the_cache():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        space_stats(g, cell.plan.ps, ball=cell.kernel)
+        space_stats(g, cell.plan.ps)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * 2 ** 20
 
 
-def _kernel_build(span, radius):
-    """The tracemalloc peak of ball_kernel on a field whose support box has
-    this span (L = 20), and the ball's reach R dk."""
-    corners = np.array(list(np.ndindex((2,) * len(span)))) * (np.array(span) - 1)
-    f = SpectralField.on_lattice(20.0, corners, np.ones(len(corners), complex))
-    assert f.window.dims == span
-    ball_kernel(f, radius)   # first-call allocations are not the build's
+def _pair_peak(f, radius):
+    """The tracemalloc peak of one `pair_table` build on f and one share of
+    f's coefficients while the table is held."""
+    pair_table(f, radius).share(f.coeffs)   # first-call allocations
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        ball_kernel(f, radius)
+        pair_table(f, radius).share(f.coeffs)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    return peak, radius * f.window.dk
+    return peak
+
+
+def _corner_field(span):
+    """A field with one coefficient at each corner of a box of this span
+    (L = 20), declaring no ball: one ball of that box."""
+    corners = np.array(list(np.ndindex((2,) * len(span)))) * (np.array(span) - 1)
+    f = SpectralField.on_lattice(20.0, corners, np.ones(len(corners), complex))
+    assert f.window.dims == span
+    return f
 
 
 @pytest.mark.parametrize("span, radius", [
@@ -601,7 +562,7 @@ def _kernel_build(span, radius):
     pytest.param((13, 14, 1), 1.0, id="one-point-axis"),
     pytest.param((1, 1, 1), 1.0, id="one-point"),
     pytest.param((300, 300), 5.0, id="2d"),
-    # every |q|^2 on the orthant distinct: np.unique's arrays are the peak
+    # a long thin box: 5999 distinct |q|^2 among 17 997 lags
     pytest.param((2, 3000), 0.05, id="all-distinct"),
     # a ball near half the box side on a long axis: B_hat's Gauss-Legendre
     # rule has hundreds to thousands of nodes
@@ -610,16 +571,71 @@ def _kernel_build(span, radius):
     pytest.param((1, 2000), 9.9, id="one-long-row-wide-ball"),
 ])
 def test_kernel_build_bytes_bounds_measured_peak(span, radius):
-    # the kernel's build, alone, stays within its term of norm_peak_bytes
-    peak, reach = _kernel_build(span, radius)
-    G = _ball_grid(span)
-    assert averaging._kernel_build_bytes(G, reach) >= peak
-    assert norm_peak_bytes(span, P8, reach) >= peak
+    # the ball's kernel is its pair table: its build and one share call on
+    # a one-ball field of this span stay within the gate's pair term
+    f = _corner_field(span)
+    assert pair_peak_bytes(f, radius) >= _pair_peak(f, radius)
 
 
 def test_kernel_build_memory_is_linear_in_the_rule():
-    # 2474 Gauss-Legendre nodes for a 16 KB kernel: the rule's arrays are
+    # 2473 Gauss-Legendre nodes for a 32 KB table: the rule's arrays are
     # O(nodes), where a companion-matrix eigensolve held 8 bytes per node
     # squared (49 MB)
-    peak, _ = _kernel_build((1, 2000), 9.9)
-    assert peak < 2 ** 20
+    assert _pair_peak(_corner_field((1, 2000)), 9.9) < 2 ** 20
+
+
+def _balls_field(dims, balls, seed):
+    """A random field on about half the points of a window of these dims,
+    declared as `balls` balls of successive rows (none: one ball), so that
+    the balls' boxes interleave and their pairs' lag ranges overlap."""
+    f = _gapped_field(dims, seed)
+    cuts = np.linspace(0, len(f.flat), balls + 1).astype(int)
+    return replace(f, support=tuple(
+        SupportBall(center=(0.0,) * len(dims), rows=slice(a, b),
+                    flat=f.flat[a:b]) for a, b in zip(cuts[:-1], cuts[1:])))
+
+
+BALL_FIELDS = [((9, 7), 3), ((12, 5), 5), ((5, 6, 4), 3), ((4, 5, 6), 4),
+               ((6, 5), 0), ((4, 3, 5), 0)]
+
+
+@pytest.mark.parametrize("dims, balls", BALL_FIELDS)
+def test_pair_share_matches_dense_quadratic_form(dims, balls):
+    # the share summed by piece pairs equals the dense form
+    # sum_{k,k'} c_k conj(c_k') B_hat((k - k') dk) / (L^n sum |c_k|^2)
+    # with the same B_hat
+    f = _balls_field(dims, balls, len(dims) + balls)
+    n, c = f.window.n, f.coeffs
+    assert len(f.support) == balls
+    k = np.stack(np.unravel_index(f.flat, f.window.dims), axis=-1)
+    gap = np.linalg.norm(k[:, None, :] - k[None, :, :], axis=-1)
+    for radius in (0.3, 0.9, 1.4):
+        b_hat = averaging._ball_transform(gap * f.window.dk, radius, n)
+        want = float((c[:, None] * c.conj()[None, :] * b_hat).sum().real) / (
+            f.L ** n * float((np.abs(c) ** 2).sum()))
+        fraction = pair_table(f, radius).share(c)
+        assert fraction == pytest.approx(want, rel=1e-12), (dims, radius)
+
+
+def _workload_cell(name, lam):
+    """The field of a benchmark workload's cell, and its ball radius."""
+    root = Path(__file__).resolve().parents[1]
+    cfg = parse_config((root / "perfbench" / "workloads" / f"{name}.cfg")
+                       .read_text())
+    plan = cell_plan(cfg, lam)
+    return cell_field(cfg, plan), plan.ball_radius
+
+
+@pytest.mark.parametrize("cell", [
+    pytest.param(lambda: (_balls_field((9, 7), 3, 1), 0.9), id="three-balls-2d"),
+    pytest.param(lambda: (_balls_field((4, 5, 6), 4, 2), 0.9),
+                 id="four-balls-3d"),
+    pytest.param(lambda: _workload_cell("n2", 256.0), id="n2-lambda256"),
+    pytest.param(lambda: _workload_cell("n3", 32.0), id="n3-lambda32"),
+])
+def test_pair_bytes_bound_measured_peak(cell):
+    # the gate's pair term bounds one table build and one share call on
+    # fields of several balls, the workloads' cells among them
+    f, radius = cell()
+    assert len(f.support) > 1
+    assert pair_peak_bytes(f, radius) >= _pair_peak(f, radius)

@@ -372,6 +372,18 @@ def test_unreadable_input_file_is_an_error_record(tmp_path, capsys, command,
     assert str(path) in capsys.readouterr().err
 
 
+def test_partial_report_names_the_missing_key(tmp_path, capsys):
+    # a report.json with its config but no cells: exit 2, and error.json
+    # names the key, before any table is written
+    (tmp_path / "report.json").write_text('{"config": {"svg": true}}')
+    assert main(["report", "--out", str(tmp_path)]) == 2
+    record = json.loads((tmp_path / "error.json").read_text())
+    assert record["error"] == "CurveAvgError"
+    assert "'cells'" in record["message"]
+    assert not (tmp_path / "sweep.csv").exists()
+    assert "'cells'" in capsys.readouterr().err
+
+
 def test_report_without_sweep(tmp_path, capsys):
     assert main(["report", "--out", str(tmp_path)]) == 2
     record = json.loads((tmp_path / "error.json").read_text())

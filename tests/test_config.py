@@ -348,21 +348,27 @@ def test_gate_box_holds_the_support():
 
 def test_gate_support_is_the_built_support(monkeypatch):
     # the gate charges the quadrature on the built field's frequencies,
-    # index for index, and the norms on its support box, on the gate's
-    # cells and the pinned lambda = 256 and 1024
+    # index for index, the norms on its support box and the pair table on
+    # its balls, on the gate's cells and the pinned lambda = 256 and 1024
     charged = {}
     quad, norm = config.quadrature_peak_bytes, config.norm_peak_bytes
+    pairs = config.pair_peak_bytes
 
     def recorded_quad(xis, ts):
         charged["xis"] = xis
         return quad(xis, ts)
 
-    def recorded_norm(span, ps, reach):
+    def recorded_norm(span, ps):
         charged["span"] = span
-        return norm(span, ps, reach)
+        return norm(span, ps)
+
+    def recorded_pairs(field, radius):
+        charged["balls"] = [ball.flat for ball in field.support]
+        return pairs(field, radius)
 
     monkeypatch.setattr(config, "quadrature_peak_bytes", recorded_quad)
     monkeypatch.setattr(config, "norm_peak_bytes", recorded_norm)
+    monkeypatch.setattr(config, "pair_peak_bytes", recorded_pairs)
     for text, lams in GATE_CASES + ((ACCEPTANCE_CONFIG, (256.0, 1024.0)),):
         cfg = parse_config(text)
         for lam in lams:
@@ -370,6 +376,9 @@ def test_gate_support_is_the_built_support(monkeypatch):
             f = cell_field(cfg, cell_plan(cfg, lam))
             assert np.array_equal(charged["xis"], f.xi()), (cfg.n, lam)
             assert charged["span"] == f.window.dims, (cfg.n, lam)
+            assert len(charged["balls"]) == len(f.support) > 1
+            assert all(np.array_equal(a, b.flat)
+                       for a, b in zip(charged["balls"], f.support))
             gate, built = (_frequencies(xis) for xis in (charged["xis"], f.xi()))
             assert [len(c) for c in gate.coords] == [len(c) for c in built.coords]
             assert len(gate.lead[0]) == len(built.lead[0]), (cfg.n, lam)

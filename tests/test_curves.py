@@ -6,8 +6,8 @@ import pytest
 from numpy.polynomial import polynomial as P
 from numpy.testing import assert_allclose
 
-from curveavg import (CurveSpec, DomainError, model_class_report,
-                      nondegeneracy_margin)
+from curveavg import CurveSpec, DomainError
+from curveavg.verify import model_class_report, nondegeneracy_margin
 
 
 @pytest.fixture

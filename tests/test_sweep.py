@@ -13,11 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curveavg import (CurveAvgError, DomainError, RunConfig, alpha_n,
-                      cell_field, cell_plan, cell_support, critical_exponent,
-                      expected_slopes, fit_slope, measure, sharpness_sweep)
+                      cell_field, cell_plan, cell_support, expected_slopes,
+                      fit_slope, measure, sharpness_sweep)
 from curveavg import sweep as sweep_module
 from curveavg.averaging import norm_grid
-from curveavg.verify import multiplier_sample
+from curveavg.verify import critical_exponent, multiplier_sample
 from curveavg.sweep import _peak_rss_mib, _trend_mostly_decreasing
 
 
@@ -241,7 +241,7 @@ def test_sweep_cell_structure(tiny_report):
         assert c["nnu"] <= grid["support"] <= np.prod(grid["box"])
         timings = c["timings"]
         assert set(timings) == {"field_s", "kernel_s", "quadrature_s",
-                                "norms_s"}
+                                "norms_s", "share_s"}
         assert all(v > 0 for v in timings.values())
         assert sum(timings.values()) <= c["runtime_s"]
 
