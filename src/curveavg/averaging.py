@@ -62,21 +62,25 @@ _SLAB_POINTS = 1 << 14
 
 @dataclass(frozen=True)
 class TimeWindow:
-    """Composite-trapezoid time nodes on the short window [1, 1 + lambda^{-1/n}]."""
+    """Time nodes and their quadrature weights, one per node. `short` is the
+    trapezoid rule on m equal steps of the short window [1, 1 + lambda^{-1/n}]."""
 
     nodes: tuple
+    weights: tuple
+
+    def __post_init__(self):
+        if len(self.weights) != len(self.nodes):
+            raise DomainError(f"{len(self.weights)} weights for "
+                              f"{len(self.nodes)} nodes")
 
     @classmethod
-    def short(cls, lam, n, m=9):
+    def short(cls, lam, n, m):
         if m < 5:
             raise DomainError(f"time windows need at least 5 nodes, got {m}")
-        return cls(nodes=tuple(np.linspace(1.0, 1.0 + lam ** (-1.0 / n), m)))
-
-    def weights(self):
-        dt = self.nodes[1] - self.nodes[0]
-        w = np.full(len(self.nodes), dt)
-        w[0] = w[-1] = dt / 2
-        return w
+        nodes = np.linspace(1.0, 1.0 + lam ** (-1.0 / n), m)
+        w = np.full(m, nodes[1] - nodes[0])
+        w[[0, -1]] /= 2
+        return cls(nodes=tuple(nodes), weights=tuple(w))
 
 
 def _next_smooth(m):
@@ -118,10 +122,15 @@ def _ball_transform(rho, radius, n):
     return 2 * np.pi ** ((n - 1) / 2) / gamma((n + 1) / 2) * radius ** n * out
 
 
-def _ball_boxes(field):
+def _ball_boxes(field, radius):
     """Each declared ball's least lattice index in the window, (N, n); the
     common box D, per axis the largest ball's span; and each row's flat
-    index in the balls' stacked boxes (N, *D). No declared ball is one."""
+    index in the balls' stacked boxes (N, *D). No declared ball is one. The
+    centered ball of this radius must fit the torus box, 0 < radius < L/2:
+    a GeometryError otherwise."""
+    if not 0 < radius < field.window.L / 2:
+        raise GeometryError(f"ball radius {radius:.4g} must lie in "
+                            f"(0, half box side {field.window.L / 2:.4g})")
     flats = [b.flat for b in field.support] or [field.flat]
     ks = [np.stack(np.unravel_index(f, field.window.dims), axis=-1)
           for f in flats]
@@ -171,10 +180,7 @@ def pair_table(field, radius):
     at which B_hat is evaluated once, then to gather B_hat there."""
     window = field.window
     n, L = window.n, window.L
-    if not 0 < radius < L / 2:
-        raise GeometryError(f"ball radius {radius:.4g} must lie in "
-                            f"(0, half box side {L / 2:.4g})")
-    lo, D, where = _ball_boxes(field)
+    lo, D, where = _ball_boxes(field, radius)
     lags = np.ix_(*(np.r_[0:d, 1 - d:0] for d in D))
 
     def lag2(nu):
@@ -205,11 +211,11 @@ def _slab_rows(grid):
 
 
 def _abs2(box, F):
-    """|f|^2 on the grid F, slab by slab: (first row, slab) pairs over slabs
-    of `_slab_rows(F)` axis-0 rows. The box is padded and inverse-transformed
-    along axis 0 once; each slab of those rows is then transformed along
-    axes 1 ... n-1 alone and squared in place on its float view, and its
-    complex transform is dropped before the slab is yielded."""
+    """|f|^2 on the grid F, slab by slab, over slabs of `_slab_rows(F)`
+    axis-0 rows. The box is padded and inverse-transformed along axis 0
+    once; each slab of those rows is then transformed along axes 1 ... n-1
+    alone and squared in place on its float view, and its complex transform
+    is dropped before the slab is yielded."""
     head = np.fft.ifft(box, n=F[0], axis=0, norm="forward")
     rows = _slab_rows(F)
     for r0 in range(0, F[0], rows):
@@ -220,7 +226,7 @@ def _abs2(box, F):
         np.square(sq, out=sq)
         slab = sq[..., 0::2] + sq[..., 1::2]
         del vals, sq
-        yield r0, slab
+        yield slab
 
 
 def space_stats(field, ps):
@@ -242,7 +248,7 @@ def space_stats(field, ps):
     sums = {2 * k: 0.0 for k in range(2, top + 1)}
     sums[2] = float(np.prod(F)) * float((box.real ** 2 + box.imag ** 2).sum())
     if top > 1:
-        for _, ab2 in _abs2(box, F):
+        for ab2 in _abs2(box, F):
             pw = ab2 * ab2
             for k in range(2, top + 1):
                 if k > 2:
@@ -254,14 +260,13 @@ def space_stats(field, ps):
 
 
 def lp_norm_spacetime(space_norms, p, window):
-    """Trapezoid-in-t of ||.||_p^p over a TimeWindow, then the p-th root,
-    from the space norms at the window's nodes."""
+    """The window's quadrature of ||.||_p^p in t, then the p-th root, from
+    the space norms at the window's nodes."""
     vals = [float(v) for v in space_norms]
     if len(vals) != len(window.nodes):
         raise DomainError(
             f"{len(vals)} space norms for {len(window.nodes)} time nodes")
-    w = window.weights()
-    return float((w @ np.power(vals, p)) ** (1.0 / p))
+    return float((np.asarray(window.weights) @ np.power(vals, p)) ** (1.0 / p))
 
 
 def norm_peak_bytes(span, ps):
@@ -289,8 +294,9 @@ def pair_peak_bytes(field, radius):
     row of N P (the build's |q|^2, np.unique's arrays, the gather and the
     transform; a share's boxes, their transform and one row times a ball);
     128 bytes per node of B_hat's Gauss-Legendre rule for the largest |q|;
-    and 1 KiB per ball and 16 KiB for the fixed-size arrays and objects."""
-    lo, D, _ = _ball_boxes(field)
+    and 1 KiB per ball and 16 KiB for the fixed-size arrays and objects.
+    A radius that `pair_table` rejects is the same GeometryError here."""
+    lo, D, _ = _ball_boxes(field, radius)
     N, P = len(lo), np.prod([2 * d - 1 for d in D], dtype=float)
     pairs = N * (N + 1) / 2
     reach = np.ptp(lo, axis=0) + np.array(D) - 1

@@ -4,10 +4,11 @@ The format is INI (configparser) with sections [curve], [construction],
 [grid], [experiment], [output]. A `RunConfig` checks its own values however
 it is built. Validation is aggregating: every unknown section and key (with
 a nearest-name suggestion) and every range violation is reported together,
-unless a value fails to parse. The memory gate runs up front: a run whose
-per-cell estimate exceeds the cap is rejected before any work starts. The
-estimate counts each cell's support as `windowed_lattice` enumerates it for
-`build_f`, and no more. CSL_MEMORY_CAP overrides the configured cap.
+unless a value fails to parse. The memory gate runs up front: a cell whose
+estimate exceeds the cap, or whose ball does not fit its box, stops the run
+before any work starts. The estimate counts each cell's support as
+`windowed_lattice` enumerates it for `build_f`, and no more. CSL_MEMORY_CAP
+overrides the configured cap.
 
 The curve is perturbed exactly when ``perturb<i>`` keys are present; ``[curve]
 kind`` may only restate that. ``policy``, ``oversample``, ``window`` and
@@ -26,7 +27,7 @@ from .averaging import TimeWindow, norm_peak_bytes, pair_peak_bytes
 from .bumps import CutoffSpec
 from .cone import ConeChart
 from .curves import CurveSpec
-from .errors import ConfigError
+from .errors import ConfigError, GeometryError
 from .fields import CounterexampleSpec, windowed_lattice
 from .multiplier import quadrature_peak_bytes
 
@@ -334,10 +335,14 @@ def _estimate_terms(cfg, lam):
 
 
 def enforce_memory_cap(cfg):
-    """Reject up front any lambda whose field estimate exceeds the cap."""
+    """Reject up front each lambda over the cap or whose ball exceeds its box."""
     over = []
     for lam in cfg.lambdas:
-        est = estimate_field_bytes(cfg, lam)
+        try:
+            est = estimate_field_bytes(cfg, lam)
+        except GeometryError as exc:
+            over.append(f"lambda={lam:g}: {exc}")
+            continue
         if est > cfg.memory_cap:
             over.append(f"lambda={lam:g} needs ~{est / _GIB:.2f} GiB "
                         f"> cap {cfg.memory_cap / _GIB:.2f} GiB")

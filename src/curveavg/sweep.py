@@ -102,16 +102,17 @@ class Cell:
 
     `plan` is the cell's `CellPlan`; `field` the family f, whose support
     every measured vector shares; `mu` the multiplier on that support, one
-    row per short-window time node; `quadrature` the stats of its ladder
-    (`mu_hat_batch`); `pairs` the concentration ball's `pair_table` on
-    the support's pieces; `reference` the stationary-phase reference per
-    piece, the modulus of the multiplier's leading term at t = 1
-    (`leading_constant` x `cone_decay`) at its centre, times lambda^{1/n}
-    since the piece ratios divide by g_nu = lambda^{-1/n} f_nu; `timings`
-    the seconds spent on the field (plan, window and `build_f`) and the
-    reference, `field_s`; on the quadrature, `quadrature_s`; and on the
-    pair table, built after the quadrature so that it is not held beside
-    the quadrature's buffers, `kernel_s`.
+    row per short-window time node, so that `coeffs * mu` is A_t f at every
+    node; `quadrature` the stats of its ladder (`mu_hat_batch`); `pairs`
+    the concentration ball's `pair_table` on the support's pieces;
+    `reference` the stationary-phase reference per piece, the modulus of
+    the multiplier's leading term at t = 1 (`leading_constant` x
+    `cone_decay`) at its centre, times lambda^{1/n} since the piece ratios
+    divide by g_nu = lambda^{-1/n} f_nu; `timings` the seconds spent on
+    the field (plan, window and `build_f`) and the reference, `field_s`;
+    on the quadrature, `quadrature_s`; and on the pair table, built after
+    the quadrature so that it is not held beside its buffers, `kernel_s`.
+    `measure` times its own two loops, `norms_s` and `share_s`.
     """
 
     plan: CellPlan
@@ -165,61 +166,48 @@ def measure(cell, coeffs):
     taken from `space_stats`'s p = 2 on the field scattered into its support
     box, where pieces that share a lattice point hold one coefficient; and
     `fractions`, the share of ||A_t f||_2^2 in the concentration ball
-    (`PairTable.share`). `norms_s` and `share_s` are the seconds spent in
-    `space_stats` and in the shares.
+    (`PairTable.share`). `norms_s` and `share_s` time the loops of
+    `space_stats` over f and the nodes and of the shares over the nodes.
 
     The quotient divides by the vector's norms and the piece ratios by its
     power on each piece: a vector that is zero, or zero on a piece, is a
     DomainError that says so or names the pieces.
     """
-    clock = time.perf_counter
     f = cell.field.with_coeffs(coeffs)
     ps, lam, n = cell.plan.ps, cell.plan.spec.lam, cell.plan.spec.n
     Ln = f.window.L ** n
-    g_power = [float((np.abs(coeffs[b.rows] / lam ** (1.0 / n)) ** 2).sum()) / Ln
-               for b in f.support]
+
+    def piece_powers(c):
+        return np.array([(np.abs(c[b.rows]) ** 2).sum() for b in f.support]) / Ln
+
+    g_power = piece_powers(coeffs / lam ** (1.0 / n))
     empty = [i for i, power in enumerate(g_power) if power == 0.0]
     if empty:
         raise DomainError("the coefficient vector is zero" + (
             f" on pieces {empty}" if np.any(coeffs) else ""))
-    t_in = clock()
+    # A_t f one node at a time: all nodes at once would raise the cell's peak
+    powers = np.array([piece_powers(coeffs * row) for row in cell.mu])
+    ratios = np.sqrt(powers / g_power)
+    t_norms = time.perf_counter()
     norms_in = space_stats(f, ps)
-    norms_s, share_s = clock() - t_in, 0.0
-
-    piece_min = np.inf
-    piece_table = []
-    defect = 0.0
-    fractions = []
-    node_norms = {p: [] for p in ps}
-    for row in cell.mu:
-        coeff = coeffs * row
-        powers = [float((np.abs(coeff[b.rows]) ** 2).sum()) / Ln for b in f.support]
-        ratios = [np.sqrt(pw / gp) for pw, gp in zip(powers, g_power)]
-        piece_min = min(piece_min, min(ratios))
-        piece_table.append(ratios)
-        t = clock()
-        norms = space_stats(f.with_coeffs(coeff), ps)
-        t_share = clock()
-        fractions.append(cell.pairs.share(coeff))
-        norms_s += t_share - t
-        share_s += clock() - t_share
-        # the pieces' powers against ||A_t f||_2^2 of the scattered field
-        total = norms[2.0] ** 2
-        defect = max(defect, abs(sum(powers) - total) / total)
-        for p in ps:
-            node_norms[p].append(norms[p])
-    out_short = {p: lp_norm_spacetime(node_norms[p], p, cell.plan.short)
-                 for p in ps}
-
+    norms = [space_stats(f.with_coeffs(coeffs * row), ps) for row in cell.mu]
+    t_share = time.perf_counter()
+    fractions = [cell.pairs.share(coeffs * row) for row in cell.mu]
+    share_s = time.perf_counter() - t_share
+    # the pieces' powers against ||A_t f||_2^2 of the scattered field
+    defect = max(abs(sum(row) - nm[2.0] ** 2) / nm[2.0] ** 2
+                 for row, nm in zip(powers, norms))
+    out_short = {p: lp_norm_spacetime([nm[p] for nm in norms], p,
+                                      cell.plan.short) for p in ps}
     return {
         "norms_in": {str(p): norms_in[p] for p in ps},
         "out_short": {str(p): out_short[p] for p in ps},
         "quotient": {str(p): out_short[p] / norms_in[p] for p in ps},
-        "piece_min": float(piece_min),
-        "piece_min_by_nu": [float(min(col)) for col in zip(*piece_table)],
+        "piece_min": float(ratios.min()),
+        "piece_min_by_nu": ratios.min(axis=0).tolist(),
         "defect": float(defect),
         "fractions": [float(v) for v in fractions],
-        "norms_s": norms_s,
+        "norms_s": t_share - t_norms,
         "share_s": share_s,
     }
 

@@ -58,7 +58,23 @@ def test_window_needs_five_nodes():
 def test_trapezoid_weights_sum_to_span():
     for w in (TimeWindow.short(8.0, 3, m=7), TimeWindow.short(32.0, 3, m=11)):
         span = w.nodes[-1] - w.nodes[0]
-        assert np.sum(w.weights()) == pytest.approx(span, rel=1e-14)
+        assert np.sum(w.weights) == pytest.approx(span, rel=1e-14)
+
+
+def test_unequal_nodes_integrate_a_linear_function_exactly():
+    # a hand-built window's own trapezoid weights on nodes 1, 1.1, 1.5
+    # integrate 1 and 3t - 2 over [1, 1.5] exactly (0.5 and 0.875); weights
+    # from the first step alone would read 0.2 for the 1
+    nodes = (1.0, 1.1, 1.5)
+    w = TimeWindow(nodes=nodes, weights=(0.05, 0.25, 0.2))
+    for g, want in ((lambda t: 1.0, 0.5), (lambda t: 3 * t - 2, 0.875)):
+        got = lp_norm_spacetime([g(t) for t in nodes], 1.0, w)
+        assert got == pytest.approx(want, rel=1e-14)
+
+
+def test_window_needs_one_weight_per_node():
+    with pytest.raises(DomainError, match="2 weights for 3 nodes"):
+        TimeWindow(nodes=(1.0, 1.1, 1.5), weights=(0.25, 0.25))
 
 
 # --- the averaging operator ---------------------------------------------------
@@ -271,9 +287,9 @@ def _slab_rows(monkeypatch):
 
     def recorded(box, F):
         loops.append([])
-        for r0, slab in abs2(box, F):
+        for slab in abs2(box, F):
             loops[-1].append(len(slab))
-            yield r0, slab
+            yield slab
 
     monkeypatch.setattr(averaging, "_abs2", recorded)
     return loops
@@ -369,7 +385,7 @@ def test_run_cell_fraction_matches_quadratic_form():
     assert cell["fractions"][0] == pytest.approx(want, rel=1e-12)
 
 
-def test_kernel_must_match_the_support_box():
+def test_pair_table_must_match_the_support():
     # a pair table holds its own support's coefficient layout: a field on
     # another support is rejected
     f = _random_field(5)
@@ -378,7 +394,7 @@ def test_kernel_must_match_the_support_box():
         table.share(f.coeffs)
 
 
-def test_zero_field_rejects_a_foreign_kernel():
+def test_zero_field_rejects_a_foreign_pair_table():
     # a vector with no nonzero entry has no fraction, but a pair table
     # built for another support is still an error
     f = _random_field(5)
@@ -577,7 +593,7 @@ def test_kernel_build_bytes_bounds_measured_peak(span, radius):
     assert pair_peak_bytes(f, radius) >= _pair_peak(f, radius)
 
 
-def test_kernel_build_memory_is_linear_in_the_rule():
+def test_pair_build_memory_is_linear_in_the_rule():
     # 2473 Gauss-Legendre nodes for a 32 KB table: the rule's arrays are
     # O(nodes), where a companion-matrix eigensolve held 8 bytes per node
     # squared (49 MB)

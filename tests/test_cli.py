@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -414,6 +415,29 @@ def test_non_finite_config_value_is_a_config_error(tmp_path, monkeypatch,
     assert record["error"] == "ConfigError"
     assert record["message"].startswith(key)
     capsys.readouterr()
+
+
+def test_oversized_ball_stops_the_sweep_before_any_cell(tmp_path,
+                                                        monkeypatch, capsys):
+    # epsilon = 1 makes the ball radius lambda^0 = 1, which at lambda = 2048
+    # exceeds half the n2 box side: the gate names that lambda, exit 2, and
+    # no cell starts
+    def refuse(cfg, lam):
+        raise AssertionError(f"the cell at lambda={lam:g} ran")
+
+    monkeypatch.setattr(sweep_module, "run_cell", refuse)
+    root = Path(__file__).resolve().parents[1]
+    text = ((root / "perfbench" / "workloads" / "n2.cfg").read_text()
+            .replace("epsilon = 0.3", "epsilon = 1.0")
+            .replace("lambdas = 64 128 256", "lambdas = 64 128 256 2048"))
+    assert "epsilon = 1.0" in text and "2048" in text
+    assert main(["sweep", "--config", write_cfg(tmp_path, text), "--out",
+                 str(tmp_path)]) == 2
+    record = json.loads((tmp_path / "error.json").read_text())
+    assert record["error"] == "ConfigError"
+    assert record["message"] == ("lambda=2048: ball radius 1 must lie in "
+                                 "(0, half box side 0.9256)")
+    assert capsys.readouterr().err == f"error: {record['message']}\n"
 
 
 def test_repeated_lambda_is_a_config_error(tmp_path, monkeypatch, capsys):

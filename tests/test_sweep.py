@@ -5,7 +5,8 @@ import signal
 import time
 from dataclasses import replace
 from fractions import Fraction
-from math import factorial
+from math import factorial, sqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 
 from curveavg import (CurveAvgError, DomainError, RunConfig, alpha_n,
                       cell_field, cell_plan, cell_support, expected_slopes,
-                      fit_slope, measure, sharpness_sweep)
+                      fit_slope, lp_norm_spacetime, measure, parse_config,
+                      sharpness_sweep, space_stats)
 from curveavg import sweep as sweep_module
 from curveavg.averaging import norm_grid
 from curveavg.verify import critical_exponent, multiplier_sample
@@ -320,6 +322,46 @@ def test_measure_is_homogeneous_in_the_vector(tiny_cfg):
                                                       rel=1e-12)
     assert scaled["fractions"] == pytest.approx(base["fractions"], rel=1e-12)
     assert scaled["defect"] == pytest.approx(base["defect"], abs=1e-12)
+
+
+def test_measure_matches_a_scalar_recomputation():
+    # the n2 lambda = 64 cell: measure's nodes x pieces table gives, key by
+    # key and to the bit, what one pass per node, one piece at a time, gives
+    # from the same primitives (space_stats, the shares, lp_norm_spacetime)
+    root = Path(__file__).resolve().parents[1]
+    cfg = parse_config((root / "perfbench" / "workloads" / "n2.cfg")
+                       .read_text())
+    cell = cell_support(cfg, 64.0)
+    f, ps, lam, n = cell.field, cell.plan.ps, 64.0, cfg.n
+    Ln = f.window.L ** n
+    g = [float((np.abs(f.coeffs[b.rows] / lam ** (1 / n)) ** 2).sum()) / Ln
+         for b in f.support]
+    ratios, defect, fractions, node_norms = [], 0.0, [], []
+    for row in cell.mu:
+        coeff = f.coeffs * row
+        powers = [float((np.abs(coeff[b.rows]) ** 2).sum()) / Ln
+                  for b in f.support]
+        ratios.append([sqrt(pw / gp) for pw, gp in zip(powers, g)])
+        norms = space_stats(f.with_coeffs(coeff), ps)
+        total = norms[2.0] ** 2
+        defect = max(defect, abs(sum(powers) - total) / total)
+        fractions.append(cell.pairs.share(coeff))
+        node_norms.append(norms)
+    norms_in = space_stats(f, ps)
+    out = {p: lp_norm_spacetime([nm[p] for nm in node_norms], p,
+                                cell.plan.short) for p in ps}
+    got = measure(cell, f.coeffs)
+    assert got.pop("norms_s") > 0 and got.pop("share_s") > 0
+    assert got == {
+        "norms_in": {str(p): norms_in[p] for p in ps},
+        "out_short": {str(p): out[p] for p in ps},
+        "quotient": {str(p): out[p] / norms_in[p] for p in ps},
+        "piece_min": min(min(r) for r in ratios),
+        "piece_min_by_nu": [min(col) for col in zip(*ratios)],
+        "defect": defect,
+        "fractions": fractions,
+    }
+    assert len(fractions) == cfg.time_nodes and len(ratios[0]) > 1
 
 
 def test_measure_rejects_a_vector_zero_on_a_piece(tiny_cfg):
