@@ -63,7 +63,7 @@ class CutoffSpec:
     it scales linearly in delta.
     """
 
-    delta: float = 0.25
+    delta: float
 
     def __post_init__(self):
         if not 0.0 < self.delta <= 1.0:

@@ -43,7 +43,7 @@ class ConeChart:
     """Cone solver bound to a curve and an aperture c."""
 
     curve: CurveSpec
-    aperture: float = 0.25
+    aperture: float
 
     @property
     def n(self):

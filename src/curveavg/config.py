@@ -4,11 +4,11 @@ The format is INI (configparser) with sections [curve], [construction],
 [grid], [experiment], [output]. A `RunConfig` checks its own values however
 it is built. Validation is aggregating: every unknown section and key (with
 a nearest-name suggestion) and every range violation is reported together,
-unless a value fails to parse. The memory gate runs up front: a cell whose
-estimate exceeds the cap, or whose ball does not fit its box, stops the run
-before any work starts. The estimate counts each cell's support as
-`windowed_lattice` enumerates it for `build_f`, and no more. CSL_MEMORY_CAP
-overrides the configured cap.
+unless a value fails to parse. The memory gate runs up front and names
+every lambda whose cell cannot run, over the cap or breaking a support or
+ball rule, before any cell starts. The estimate counts each cell's support
+as `windowed_lattice` enumerates it for `build_f`, and no more.
+CSL_MEMORY_CAP overrides the configured cap.
 
 The curve is perturbed exactly when ``perturb<i>`` keys are present; ``[curve]
 kind`` may only restate that. ``policy``, ``oversample``, ``window`` and
@@ -27,7 +27,7 @@ from .averaging import TimeWindow, norm_peak_bytes, pair_peak_bytes
 from .bumps import CutoffSpec
 from .cone import ConeChart
 from .curves import CurveSpec
-from .errors import ConfigError, GeometryError
+from .errors import ConfigError, CurveAvgError
 from .fields import CounterexampleSpec, windowed_lattice
 from .multiplier import quadrature_peak_bytes
 
@@ -42,10 +42,10 @@ _KNOWN_CHECKS = ("orthogonality", "slopes", "floor", "concentration")
 class RunConfig:
     n: int = 3
     perturbation: tuple = ()          # ((component, (coeffs...)), ...); () = moment
-    rho: float = 0.25
-    c0: float = 0.25
-    delta: float = 0.25
-    aperture: float = 0.25
+    rho: float = 1.0
+    c0: float = 0.7
+    delta: float = 0.9
+    aperture: float = 0.95
     points_per_radius: int = 4
     memory_cap: int = 8 * _GIB
     lambdas: tuple = (32.0, 64.0, 128.0, 256.0)
@@ -156,7 +156,9 @@ def _range_violations(cfg):
     """The message of every value rule that cfg breaks."""
     unknown = [c for c in cfg.checks if c not in _KNOWN_CHECKS]
     floor = "floor" in cfg.checks
-    outside = [c for c, _ in cfg.perturbation if not 1 <= c <= cfg.n]
+    comps = [c for c, _ in cfg.perturbation]
+    outside = [c for c in comps if not 1 <= c <= cfg.n]
+    twice = sorted({c for c in comps if comps.count(c) > 1})
     rules = [
         (2 <= cfg.n <= 6, f"n must lie in 2..6, got {cfg.n}"),
         (0.0 < cfg.rho <= 1.0, f"rho must lie in (0, 1], got {cfg.rho}"),
@@ -174,6 +176,8 @@ def _range_violations(cfg):
          f"lambdas must be finite, got {list(cfg.lambdas)}"),
         (len(set(cfg.lambdas)) == len(cfg.lambdas),
          f"lambdas must be distinct, got {list(cfg.lambdas)}"),
+        (len(set(cfg.ps)) == len(cfg.ps),
+         f"ps must be distinct, got {list(cfg.ps)}"),
         (all(v >= 2 and v % 2 == 0 for v in cfg.ps),
          f"every p must be an even integer >= 2, got {list(cfg.ps)}"),
         (cfg.time_nodes >= 5, f"time_nodes must be >= 5, got {cfg.time_nodes}"),
@@ -189,6 +193,7 @@ def _range_violations(cfg):
          "add floor to checks"),
         (cfg.jobs >= 1, f"jobs must be >= 1, got {cfg.jobs}"),
         (not outside, f"perturbed components {outside} outside 1..{cfg.n}"),
+        (not twice, f"perturbed components {twice} given more than once"),
         (all(isfinite(c) for _, coeffs in cfg.perturbation for c in coeffs),
          "perturbation coefficients must be finite, got "
          f"{list(cfg.perturbation)}"),
@@ -295,14 +300,16 @@ class CellPlan:
     `spec` is the construction: its chart carries the curve, its cutoff is
     chi. `ps` are the measured exponents with 2 added, for the L^2
     diagnostics, in increasing order. `short` is the time window
-    [1, 1 + lambda^{-1/n}] on cfg.time_nodes nodes, and `ball_radius` is
-    lambda^{-(1 - epsilon)/n}, the concentration ball's radius.
+    [1, 1 + lambda^{-1/n}] on cfg.time_nodes nodes, `ball_radius` is
+    lambda^{-(1 - epsilon)/n}, the concentration ball's radius, and
+    `points_per_radius` sets the lattice (`windowed_lattice`).
     """
 
     spec: CounterexampleSpec
     ps: tuple
     short: TimeWindow
     ball_radius: float
+    points_per_radius: int
 
 
 def cell_plan(cfg, lam):
@@ -312,35 +319,36 @@ def cell_plan(cfg, lam):
                                 cutoff=cutoff_from(cfg), rho=cfg.rho, c0=cfg.c0),
         ps=tuple(sorted({2.0, *(float(p) for p in cfg.ps)})),
         short=TimeWindow.short(lam, cfg.n, m=cfg.time_nodes),
-        ball_radius=lam ** (-(1.0 - cfg.epsilon) / cfg.n))
+        ball_radius=lam ** (-(1.0 - cfg.epsilon) / cfg.n),
+        points_per_radius=cfg.points_per_radius)
 
 
 def estimate_field_bytes(cfg, lam):
     """Peak memory of one lambda cell: one norm evaluation, the multiplier
     quadrature and the concentration ball's pair table with one share."""
-    return sum(_estimate_terms(cfg, lam))
+    return sum(_estimate_terms(cell_plan(cfg, lam)))
 
 
-def _estimate_terms(cfg, lam):
+def _estimate_terms(plan):
     """The norm evaluation's, the quadrature's and the pair table's terms
-    of estimate_field_bytes, on the support `build_f` puts f on: the
-    `windowed_lattice` of `sweep.cell_field`, with its balls. No
-    coefficient, cone phase or quadrature is computed."""
-    plan = cell_plan(cfg, lam)
+    of estimate_field_bytes for the plan's cell, on the support `build_f`
+    puts f on: the `windowed_lattice` of `sweep.cell_field`, with its balls.
+    No coefficient, cone phase or quadrature is computed."""
     lattice = windowed_lattice(plan.spec,
-                               points_per_radius=cfg.points_per_radius)
+                               points_per_radius=plan.points_per_radius)
     return (norm_peak_bytes(lattice.dims, plan.ps),
             quadrature_peak_bytes(lattice.xi(), plan.short.nodes),
             pair_peak_bytes(lattice, plan.ball_radius))
 
 
 def enforce_memory_cap(cfg):
-    """Reject up front each lambda over the cap or whose ball exceeds its box."""
+    """Reject up front, in one ConfigError, each lambda over the cap or
+    whose support or ball breaks a rule (any CurveAvgError of the estimate)."""
     over = []
     for lam in cfg.lambdas:
         try:
             est = estimate_field_bytes(cfg, lam)
-        except GeometryError as exc:
+        except CurveAvgError as exc:
             over.append(f"lambda={lam:g}: {exc}")
             continue
         if est > cfg.memory_cap:

@@ -123,8 +123,8 @@ class CounterexampleSpec:
     lam: float
     chart: object   # ConeChart
     cutoff: object  # CutoffSpec
-    rho: float = 0.25
-    c0: float = 0.25
+    rho: float
+    c0: float
 
     def __post_init__(self):
         if not 0 < self.lam < np.inf:
@@ -168,7 +168,7 @@ def frequency_centers(spec):
     return centers
 
 
-def windowed_lattice(spec, points_per_radius=4):
+def windowed_lattice(spec, points_per_radius):
     """The family's support with its bump values, on the support's own box.
 
     The lattice has spacing rho*lambda^{1/n} / points_per_radius, so its
@@ -178,8 +178,9 @@ def windowed_lattice(spec, points_per_radius=4):
     bump vanishes at r), where eta(|k dk - xi^nu| / r) is nonzero, and carry
     that value; ball nu declares its rows and center (`frequency_centers`).
     The window is the support's bounding box (`SpectralField.on_lattice`).
-    `build_f` puts the family's coefficients on it, and the memory gate
-    charges it as it is."""
+    Every support rule is applied here: the lattice rule, the balls' overlap
+    and the aperture, whose ApertureError names the first piece outside it.
+    `build_f` puts f's coefficients on it; the memory gate charges it as is."""
     if points_per_radius < 2:
         raise GridError("need at least 2 lattice points per bump radius")
     L = 2 * np.pi / (spec.radius / points_per_radius)
@@ -193,8 +194,16 @@ def windowed_lattice(spec, points_per_radius=4):
     prof = radial_bump(np.linalg.norm(
         k * dk - np.repeat(centers, sizes, axis=0), axis=1) / spec.radius)
     keep = prof > 0.0
-    f = SpectralField.on_lattice(L, k[keep], prof[keep])
     ends = np.concatenate([[0], np.cumsum(keep)[np.cumsum(sizes) - 1]])
+    k, prof = k[keep], prof[keep]
+    outside = ~spec.chart.in_cone(k * dk)
+    if np.any(outside):
+        nu = spec.nu_values()[np.searchsorted(ends[1:], np.argmax(outside),
+                                              side="right")]
+        raise ApertureError(
+            f"support ball of piece nu={nu} exits the cone aperture "
+            f"c={spec.chart.aperture}; widen the aperture or shrink rho")
+    f = SpectralField.on_lattice(L, k, prof)
     return replace(f, support=tuple(
         SupportBall(center=tuple(c), rows=slice(int(a), int(b)),
                     flat=f.flat[a:b])
@@ -202,18 +211,9 @@ def windowed_lattice(spec, points_per_radius=4):
 
 
 def build_f(spec, lattice):
-    """The full family f = sum_nu f_nu on `windowed_lattice`'s support: ball
-    nu's rows carry lambda^{1/n} e^{i phi} eta(|xi - xi^nu|/r), eta being
-    the lattice's values, with phi solved in one batch over every piece."""
-    xi = lattice.xi()
-    outside = ~spec.chart.in_cone(xi)
-    if np.any(outside):
-        stops = [ball.rows.stop for ball in lattice.support]
-        nu = spec.nu_values()[np.searchsorted(stops, np.argmax(outside),
-                                              side="right")]
-        raise ApertureError(
-            f"support ball of piece nu={nu} exits the cone aperture "
-            f"c={spec.chart.aperture}; widen the aperture or shrink rho")
-    phi, _ = spec.chart.phi_un_batch(xi)
+    """The full family f = sum_nu f_nu on `windowed_lattice`'s support, in the
+    aperture: ball nu's rows carry lambda^{1/n} e^{i phi} eta(|xi - xi^nu|/r),
+    eta being the lattice's values, phi solved for all pieces in one batch."""
+    phi, _ = spec.chart.phi_un_batch(lattice.xi())
     return lattice.with_coeffs(
         spec.lam ** (1.0 / spec.n) * np.exp(1j * phi) * lattice.coeffs)

@@ -14,13 +14,14 @@ against its stationary-phase reference, and the concentration fraction, the
 share of ||A_t f||_2^2 in a ball at the origin, summed over piece pairs
 (`averaging.PairTable`).
 
-A cell is built once and measured by one function. `cell_support` builds
-what depends on the support alone: the field, the stationary-phase
-reference, the multiplier's rows at the short window's nodes and the
-concentration ball's pair table. `measure` returns every value of one
-coefficient vector on that support, and `run_cell` is `measure` of f on its
-own cell. Every per-cell choice (curve, construction, p set, time window,
-ball radius) is the `config.cell_plan` the memory gate reads too.
+A cell is built once, from its plan alone, and measured by one function.
+`cell_support` builds what depends on the support alone: the field, the
+stationary-phase reference, the multiplier's rows at the short window's
+nodes and the concentration ball's pair table. `measure` returns every
+value of one coefficient vector on that support, and `run_cell` is
+`measure` of f on its own cell. Every per-cell choice (curve, construction,
+lattice, p set, time window, ball radius) is the `config.cell_plan` the
+memory gate reads too.
 
 `sharpness_sweep` returns the report.json payload as a plain dict; the
 artifacts, the printed summary and `curveavg report` all read that dict.
@@ -71,9 +72,9 @@ def fit_slope(pairs):
 
     Closed form on the centred logs dx, dy in plain ufuncs, so that no
     LAPACK routine runs or pages into the process: slope = sum(dx dy) /
-    sum(dx^2), and max_residual the largest |dy - slope dx|. Fewer than two
-    distinct lambdas, or a lambda or value not positive and finite, is a
-    DomainError.
+    sum(dx^2), and max_residual the largest |dy - slope dx|. Fewer than
+    three points, fewer than two distinct lambdas, or a lambda or value not
+    positive and finite, is a DomainError.
     """
     pairs = list(pairs)
     if len(pairs) < 3:
@@ -109,7 +110,7 @@ class Cell:
     the multiplier's leading term at t = 1 (`leading_constant` x
     `cone_decay`) at its centre, times lambda^{1/n} since the piece ratios
     divide by g_nu = lambda^{-1/n} f_nu; `timings` the seconds spent on
-    the field (plan, window and `build_f`) and the reference, `field_s`;
+    the field (window and `build_f`) and the reference, `field_s`;
     on the quadrature, `quadrature_s`; and on the pair table, built after
     the quadrature so that it is not held beside its buffers, `kernel_s`.
     `measure` times its own two loops, `norms_s` and `share_s`.
@@ -124,20 +125,19 @@ class Cell:
     timings: dict
 
 
-def cell_field(cfg, plan):
-    """The family f of the plan's cell, on cfg's lattice."""
+def cell_field(plan):
+    """The family f of the plan's cell, on the plan's lattice."""
     return build_f(plan.spec, windowed_lattice(
-        plan.spec, points_per_radius=cfg.points_per_radius))
+        plan.spec, points_per_radius=plan.points_per_radius))
 
 
-def cell_support(cfg, lam):
-    """The `Cell` of cfg at lambda: f and its reference, the multiplier's
-    rows on its support, then its pair table."""
+def cell_support(plan):
+    """The `Cell` of the plan: f and its reference, the multiplier's rows
+    on its support, then its pair table."""
     clock = time.perf_counter
     t0 = clock()
-    plan = cell_plan(cfg, lam)
-    spec = plan.spec
-    f = cell_field(cfg, plan)
+    spec, lam = plan.spec, plan.spec.lam
+    f = cell_field(plan)
     # lambda^{1/n} |the multiplier's leading term at t = 1| at each centre
     _, decay = cone_decay(spec.chart, spec.cutoff, 1.0,
                           [ball.center for ball in f.support])
@@ -225,7 +225,7 @@ def run_cell(cfg, lam):
     process that ran the cell, as it stands when the cell ends.
     """
     t0 = time.perf_counter()
-    cell = cell_support(cfg, lam)
+    cell = cell_support(cell_plan(cfg, lam))
     f, ps = cell.field, cell.plan.ps
     values = measure(cell, f.coeffs)
     timings = dict(cell.timings, norms_s=values.pop("norms_s"),

@@ -359,7 +359,7 @@ def synthesize(cfg, outdir):
     paths, rows = [], []
     for lam in cfg.lambdas:
         plan = cell_plan(cfg, float(lam))
-        f = cell_field(cfg, plan)
+        f = cell_field(plan)
         norms = space_stats(f, plan.ps)
         rows += [(float(lam), p, norms[p]) for p in plan.ps]
         # an integer lambda by its digits, any other by its shortest

@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 
 from curveavg import (ConeChart, CurveSpec, CutoffSpec, LatticeWindow,
-                      SpectralField, SupportBall, alpha_n, cell_support,
-                      mu_hat_batch)
+                      SpectralField, SupportBall, alpha_n, cell_plan,
+                      cell_support, mu_hat_batch)
 from curveavg.verify import (critical_exponent, derivative_bound_check,
                              direct_oracle, multiplier_sample)
 
@@ -159,7 +159,7 @@ def _coherent_fractions(cfg, lam, nodes):
     """Ball fractions of the field with the moduli |f_hat mu_hat_t| and every
     mode in phase at x = 0, the phase choice that peaks it at the origin, at
     the given short-window time nodes; on the sweep's own cell."""
-    cell = cell_support(cfg, lam)
+    cell = cell_support(cell_plan(cfg, lam))
     f = cell.field
     out = []
     for row in cell.mu[nodes]:

@@ -377,7 +377,7 @@ def test_run_cell_fraction_matches_quadratic_form():
     root = Path(__file__).resolve().parents[1]
     cfg = parse_config((root / "perfbench" / "workloads" / "n2.cfg").read_text())
     cell = run_cell(cfg, 64.0)
-    support = cell_support(cfg, 64.0)
+    support = cell_support(cell_plan(cfg, 64.0))
     f = support.field
     assert cell["t_nodes_short"][0] == 1.0
     want = _brute_fraction(f.with_coeffs(f.coeffs * support.mu[0]),
@@ -536,7 +536,7 @@ def test_slab_working_set_fits_the_cache():
     # (3.1 MiB in slabs of 2^16)
     root = Path(__file__).resolve().parents[1]
     cfg = parse_config((root / "perfbench" / "workloads" / "n3.cfg").read_text())
-    cell = cell_support(cfg, 32.0)
+    cell = cell_support(cell_plan(cfg, 32.0))
     f = cell.field
     g = f.with_coeffs(f.coeffs * cell.mu[0])
     tracemalloc.start()
@@ -586,7 +586,7 @@ def _corner_field(span):
     pytest.param((1, 600), 9.9, id="one-row-wide-ball"),
     pytest.param((1, 2000), 9.9, id="one-long-row-wide-ball"),
 ])
-def test_kernel_build_bytes_bounds_measured_peak(span, radius):
+def test_pair_build_bytes_bound_measured_peak(span, radius):
     # the ball's kernel is its pair table: its build and one share call on
     # a one-ball field of this span stay within the gate's pair term
     f = _corner_field(span)
@@ -639,7 +639,7 @@ def _workload_cell(name, lam):
     cfg = parse_config((root / "perfbench" / "workloads" / f"{name}.cfg")
                        .read_text())
     plan = cell_plan(cfg, lam)
-    return cell_field(cfg, plan), plan.ball_radius
+    return cell_field(plan), plan.ball_radius
 
 
 @pytest.mark.parametrize("cell", [

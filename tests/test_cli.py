@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import ACCEPTANCE_CONFIG
 from curveavg import DomainError, cli
 from curveavg import sweep as sweep_module
 from curveavg.cli import main
@@ -438,6 +439,32 @@ def test_oversized_ball_stops_the_sweep_before_any_cell(tmp_path,
     assert record["message"] == ("lambda=2048: ball radius 1 must lie in "
                                  "(0, half box side 0.9256)")
     assert capsys.readouterr().err == f"error: {record['message']}\n"
+
+
+def test_aperture_stops_the_sweep_before_any_cell(tmp_path, monkeypatch,
+                                                  capsys):
+    # at aperture 0.7 the outer balls of the pinned lambda = 32 cell cross
+    # the cone's edge: the gate names that lambda, exit 2, and no cell
+    # starts, also when the cells would run in a pool
+    def refuse(cfg, lam):
+        raise AssertionError(f"the cell at lambda={lam:g} ran")
+
+    monkeypatch.setattr(sweep_module, "run_cell", refuse)
+    text = ACCEPTANCE_CONFIG.replace("aperture = 0.95", "aperture = 0.7")
+    assert main(["sweep", "--config", write_cfg(tmp_path, text), "--out",
+                 str(tmp_path), "--jobs", "2"]) == 2
+    record = json.loads((tmp_path / "error.json").read_text())
+    assert record["error"] == "ConfigError"
+    assert record["message"].startswith(
+        "lambda=32: support ball of piece nu=-2 exits the cone aperture c=0.7")
+    assert capsys.readouterr().err == f"error: {record['message']}\n"
+
+
+def test_sweep_runs_without_a_config(tmp_path, capsys):
+    # RunConfig's defaults are the pinned construction, so a sweep with no
+    # --config passes its checks
+    assert main(["sweep", "--out", str(tmp_path), "--lambda-max", "128"]) == 0
+    assert "overall: PASS" in capsys.readouterr().out
 
 
 def test_repeated_lambda_is_a_config_error(tmp_path, monkeypatch, capsys):

@@ -72,7 +72,8 @@ checks = orthogonality
 
 def test_defaults():
     cfg = RunConfig()
-    assert (cfg.rho, cfg.c0, cfg.delta, cfg.aperture) == (0.25,) * 4
+    # the pinned acceptance construction: a config without these keys runs
+    assert (cfg.rho, cfg.c0, cfg.delta, cfg.aperture) == (1.0, 0.7, 0.9, 0.95)
     assert cfg.perturbation == ()          # the moment curve
     assert cfg.lambdas == (32.0, 64.0, 128.0, 256.0)
     # keys with one legal value, and the curve kind, store nothing
@@ -142,6 +143,13 @@ def test_lambdas_must_be_distinct():
     assert "rho" in msg and ">= 4" in msg and "distinct" in msg
 
 
+def test_ps_must_be_distinct():
+    # a repeated p would write its rows and fit its slopes twice
+    for ps in ("4 4", "4 6 4.0"):
+        with pytest.raises(ConfigError, match="ps must be distinct"):
+            parse_config(GOOD.replace("ps = 4, 6, 8", f"ps = {ps}"))
+
+
 def test_perturbation_keys():
     cfg = parse_config(GOOD.replace("kind = moment",
                                     "kind = perturbed-moment\nperturb2 = 0 0 0 0.1"))
@@ -173,6 +181,8 @@ BROKEN_VALUES = [
     (dict(piece_floor=5.0), "add floor to checks"),
     (dict(jobs=0), "jobs must be >= 1, got 0"),
     (dict(perturbation=((4, (0.0, 0.1)),)), r"perturbed components \[4\] outside 1..3"),
+    (dict(perturbation=((1, (0.0, 1.0)), (1, (0.0, 2.0)))),
+     r"perturbed components \[1\] given more than once"),
     (dict(perturbation=((1, (float("nan"),)),)),
      "perturbation coefficients must be finite"),
     (dict(lambdas=()), "lambdas is empty"),
@@ -182,7 +192,8 @@ BROKEN_VALUES = [
 @pytest.mark.parametrize("build", ["constructor", "replace"])
 @pytest.mark.parametrize("changes, rule", BROKEN_VALUES,
                          ids=["misspelt-check", "orphan-floor", "jobs",
-                              "component", "nan-coefficient", "no-lambda"])
+                              "component", "repeated-component",
+                              "nan-coefficient", "no-lambda"])
 def test_every_construction_checks_the_values(build, changes, rule):
     # a config built in code obeys the rules a parsed one does: a misspelt
     # check would otherwise run no check, an orphan piece_floor read nothing
@@ -218,6 +229,16 @@ def test_perturbed_component_range_checked():
     with pytest.raises(ConfigError, match="outside 1..3"):
         parse_config(GOOD.replace("kind = moment",
                                   "kind = perturbed-moment\nperturb5 = 0.1"))
+
+
+def test_perturbed_component_given_once():
+    # perturb1 and perturb01 both name component 1: the curve could carry
+    # only one of them, while the config echo would carry both
+    with pytest.raises(ConfigError,
+                       match=r"perturbed components \[1\] given more than once"):
+        parse_config(GOOD.replace(
+            "kind = moment", "kind = perturbed-moment\n"
+            "perturb1 = 0 0 0 0 0.02\nperturb01 = 0 0 0 0 0.5"))
 
 
 @pytest.mark.parametrize("text, complaint", [
@@ -319,7 +340,7 @@ def test_gate_box_holds_the_support():
         cfg = parse_config(text)
         for lam in lams:
             plan = cell_plan(cfg, lam)
-            spec, f = plan.spec, cell_field(cfg, plan)
+            spec, f = plan.spec, cell_field(plan)
             lattice = windowed_lattice(spec, points_per_radius=cfg.points_per_radius)
             assert lattice.window == f.window
             assert np.array_equal(lattice.flat, f.flat)
@@ -372,8 +393,9 @@ def test_gate_support_is_the_built_support(monkeypatch):
     for text, lams in GATE_CASES + ((ACCEPTANCE_CONFIG, (256.0, 1024.0)),):
         cfg = parse_config(text)
         for lam in lams:
-            _estimate_terms(cfg, lam)
-            f = cell_field(cfg, cell_plan(cfg, lam))
+            plan = cell_plan(cfg, lam)
+            _estimate_terms(plan)
+            f = cell_field(plan)
             assert np.array_equal(charged["xis"], f.xi()), (cfg.n, lam)
             assert charged["span"] == f.window.dims, (cfg.n, lam)
             assert len(charged["balls"]) == len(f.support) > 1
@@ -431,7 +453,7 @@ def test_quadrature_estimate_bounds_its_peak(text, lam, panels, levels, blocks):
     # the gate's quadrature term bounds the peak of mu_hat_batch however
     # far the ladder runs: only the nodes' own arrays grow with it
     cfg = parse_config(text)
-    cell = cell_support(cfg, lam)
+    cell = cell_support(cell_plan(cfg, lam))
     spec, xis = cell.plan.spec, cell.field.xi()
     stats = {}
     tracemalloc.start()
@@ -444,7 +466,7 @@ def test_quadrature_estimate_bounds_its_peak(text, lam, panels, levels, blocks):
     assert np.array_equal(mu, cell.mu) and stats == cell.quadrature
     assert (stats["panels"], stats["levels"], stats["blocks"]) == (
         panels, levels, blocks)
-    assert _estimate_terms(cfg, lam)[1] >= peak
+    assert _estimate_terms(cell.plan)[1] >= peak
 
 
 def test_quadrature_bound_is_independent_of_the_ladder(monkeypatch):
@@ -452,7 +474,7 @@ def test_quadrature_bound_is_independent_of_the_ladder(monkeypatch):
     # times the panels, and its peak still lies under the bound, which
     # reads only the frequencies and the time nodes
     cfg = parse_config(PLANAR)
-    cell = cell_support(cfg, 256.0)
+    cell = cell_support(cell_plan(cfg, 256.0))
     spec, xis, ts = cell.plan.spec, cell.field.xi(), cell.plan.short.nodes
     start = multiplier._panel_start
     monkeypatch.setattr(multiplier, "_panel_start",

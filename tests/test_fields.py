@@ -39,7 +39,7 @@ def test_window_frequencies():
 
 def test_parseval(chart, chi):
     spec = spec_for(32.0, chart, chi)
-    window = windowed_lattice(spec)
+    window = windowed_lattice(spec, points_per_radius=4)
     f = build_f(spec, window)
     # samples of f on its window's own grid (the support's box), up to a
     # unimodular modulation: enough points per axis for the Riemann sum of
@@ -96,7 +96,7 @@ def test_spec_needs_positive_finite_constants(chart, chi, lam, c0, error):
 
 def test_build_f_support_structure(chart, chi):
     spec = spec_for(64.0, chart, chi)
-    window = windowed_lattice(spec)
+    window = windowed_lattice(spec, points_per_radius=4)
     f = build_f(spec, window)
     assert len(f.support) == len(spec.nu_values())
     assert f.window.L == window.L
@@ -118,7 +118,7 @@ def test_piece_amplitude_and_phase(chart, chi):
     # coefficients are lambda^{1/n} e^{i phi(xi)} eta(|xi - center|/r): the
     # modulus must match the bump profile and the phase must match phi
     spec = spec_for(64.0, chart, chi)
-    window = windowed_lattice(spec)
+    window = windowed_lattice(spec, points_per_radius=4)
     f = build_f(spec, window)
     ball = f.support[len(f.support) // 2]   # nu = 0, the middle piece
     xi = f.window.xi_of_flat(ball.flat)
@@ -136,7 +136,7 @@ def test_narrow_aperture_rejected(chi):
     spec = CounterexampleSpec(lam=64.0, chart=tight, cutoff=chi, rho=1.0,
                               c0=0.7)
     with pytest.raises(ApertureError):
-        build_f(spec, windowed_lattice(spec))
+        build_f(spec, windowed_lattice(spec, points_per_radius=4))
 
 
 class _LastBallOutside(ConeChart):
@@ -158,10 +158,9 @@ def test_aperture_error_names_the_piece(chi, chart_type, nu):
     chart = chart_type(curve=CurveSpec.moment(3), aperture=0.52)
     spec = CounterexampleSpec(lam=64.0, chart=chart, cutoff=chi, rho=1.0,
                               c0=0.7)
-    lattice = windowed_lattice(spec)
     assert list(spec.nu_values()) == [-2, -1, 0, 1, 2]
     with pytest.raises(ApertureError, match=f"piece nu={nu} exits"):
-        build_f(spec, lattice)
+        build_f(spec, windowed_lattice(spec, points_per_radius=4))
 
 
 def test_windowed_lattice_geometry(chart, chi):
@@ -214,7 +213,7 @@ def test_each_cell_enumerates_its_support_once(monkeypatch):
         estimate_field_bytes(cfg, lam)
         assert calls == {"solve_gamma": pieces}, (name, calls)
         calls.clear()
-        f = cell_field(cfg, plan)
+        f = cell_field(plan)
         assert calls == {"solve_gamma": pieces, "phi_un_batch": 1}, (name,
                                                                      calls)
         assert len(f.support) == pieces
@@ -226,7 +225,7 @@ def test_l2_norm_scaling(chart, chi):
     # ||f_nu||_2 = lambda^{1/n} ||g_nu||_2 piecewise, by Parseval on the
     # piece's coefficients: g_nu is the bump, and the phase is unimodular
     spec = spec_for(64.0, chart, chi)
-    window = windowed_lattice(spec)
+    window = windowed_lattice(spec, points_per_radius=4)
     f = build_f(spec, window)
     ball = f.support[len(f.support) // 2 + 1]   # nu = 1
     dist = np.linalg.norm(f.window.xi_of_flat(ball.flat) - ball.center, axis=1)
@@ -242,9 +241,9 @@ def _field(case, chart, chi):
     name, lam = case
     if name == "pinned":
         spec = spec_for(lam, chart, chi)
-        return build_f(spec, windowed_lattice(spec))
+        return build_f(spec, windowed_lattice(spec, points_per_radius=4))
     cfg = parse_config((WORKLOADS / f"{name}.cfg").read_text())
-    return cell_field(cfg, cell_plan(cfg, lam))
+    return cell_field(cell_plan(cfg, lam))
 
 
 @pytest.mark.parametrize("case", [("pinned", 32.0), ("pinned", 256.0),

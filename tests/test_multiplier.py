@@ -419,7 +419,7 @@ def test_block_working_set_fits_the_cache():
     root = Path(__file__).resolve().parents[1]
     cfg = parse_config((root / "perfbench" / "workloads" / "n2.cfg").read_text())
     plan = cell_plan(cfg, 128.0)
-    spec, xis = plan.spec, cell_field(cfg, plan).xi()
+    spec, xis = plan.spec, cell_field(plan).xi()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -585,7 +585,7 @@ def test_block_edges_leave_mu_unchanged(monkeypatch):
     root = Path(__file__).resolve().parents[1]
     cfg = parse_config((root / "perfbench" / "workloads" / "n2.cfg").read_text())
     plan = cell_plan(cfg, 256.0)
-    spec, xis = plan.spec, cell_field(cfg, plan).xi()
+    spec, xis = plan.spec, cell_field(plan).xi()
     args = (spec.chart.curve, spec.cutoff, plan.short.nodes, xis)
     stats = {}
     got = mu_hat_batch(*args, stats=stats)

@@ -266,7 +266,7 @@ def test_piece_reference_is_the_leading_term(tiny_cfg, tiny_report):
     for c in tiny_report["cells"]:
         plan = cell_plan(tiny_cfg, c["lam"])
         chart, chi = plan.spec.chart, plan.spec.cutoff
-        centers = [b.center for b in cell_field(tiny_cfg, plan).support]
+        centers = [b.center for b in cell_field(plan).support]
         _, un = chart.phi_un_batch(centers)
         want = (abs(alpha_n(n)) * factorial(n) ** (1 / n)
                 * chi(chart.solve_theta_batch(centers)) * (c["lam"] / un) ** (1 / n))
@@ -291,7 +291,7 @@ def test_orthogonality_defect_sees_shared_lattice_points(tiny_cfg):
     # piece 1 reuses the lattice point of piece 0's largest coefficient:
     # scattered into the box, the two coefficients there hold one value, so
     # the pieces' powers no longer add up to ||A_t f||_2^2
-    cell = cell_support(tiny_cfg, 32.0)
+    cell = cell_support(cell_plan(tiny_cfg, 32.0))
     f = cell.field
     rows = f.support[0].rows
     top = rows.start + int(np.argmax(np.abs(f.coeffs[rows])))
@@ -305,7 +305,7 @@ def test_measure_is_homogeneous_in_the_vector(tiny_cfg):
     # scaling the coefficients by c scales every norm by |c|; the quotient,
     # the piece ratios, the defect and the fractions are ratios of norms or
     # powers of the same vector, and stay put
-    cell = cell_support(tiny_cfg, 32.0)
+    cell = cell_support(cell_plan(tiny_cfg, 32.0))
     rng = np.random.default_rng(11)
     coeffs = cell.field.coeffs * np.exp(
         2j * np.pi * rng.random(len(cell.field.coeffs)))
@@ -331,7 +331,7 @@ def test_measure_matches_a_scalar_recomputation():
     root = Path(__file__).resolve().parents[1]
     cfg = parse_config((root / "perfbench" / "workloads" / "n2.cfg")
                        .read_text())
-    cell = cell_support(cfg, 64.0)
+    cell = cell_support(cell_plan(cfg, 64.0))
     f, ps, lam, n = cell.field, cell.plan.ps, 64.0, cfg.n
     Ln = f.window.L ** n
     g = [float((np.abs(f.coeffs[b.rows] / lam ** (1 / n)) ** 2).sum()) / Ln
@@ -366,7 +366,7 @@ def test_measure_matches_a_scalar_recomputation():
 
 def test_measure_rejects_a_vector_zero_on_a_piece(tiny_cfg):
     # a piece's ratio divides by the vector's power on that piece
-    cell = cell_support(tiny_cfg, 32.0)
+    cell = cell_support(cell_plan(tiny_cfg, 32.0))
     coeffs = cell.field.coeffs.copy()
     coeffs[cell.field.support[0].rows] = 0.0
     with pytest.raises(DomainError, match=r"zero on pieces \[0\]$"):
@@ -375,7 +375,7 @@ def test_measure_rejects_a_vector_zero_on_a_piece(tiny_cfg):
 
 def test_measure_rejects_the_zero_vector(tiny_cfg):
     # the quotient divides by the vector's norms
-    cell = cell_support(tiny_cfg, 32.0)
+    cell = cell_support(cell_plan(tiny_cfg, 32.0))
     with pytest.raises(DomainError, match="the coefficient vector is zero$"):
         measure(cell, np.zeros_like(cell.field.coeffs))
 
